@@ -151,7 +151,8 @@ def cmd_session(args) -> int:
                                     seed=args.seed, allow_demo=args.allow_demo)
     except (OSError, rt.RuntimeFault, rl.RoleError) as e:
         return _fail(str(e))
-    return _report_run(pool.run(), args)
+    # script pools always terminate: every step consumes a finite command
+    return _report_run(pool.run(max_steps=None), args)
 
 
 def cmd_demo2(args) -> int:

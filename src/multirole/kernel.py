@@ -1285,6 +1285,8 @@ def derivation_to_json(d: Derivation, pretty: bool = False) -> str:
 
 
 def derivation_from_obj(obj: dict, n: int | None = None) -> Derivation:
+    if "conclusion" not in obj:
+        raise KernelError("derivation JSON has no \"conclusion\"")
     items = []
     for entry in obj["conclusion"]:
         mask = 0

@@ -1028,8 +1028,8 @@ class MtlcThread:
                 tf = typecheck(f, n=pool.n)
                 part = tf.dom.roles
                 ch = pool.new_channel(tf.dom.cursor)
-                spawned = Endpoint(ch, part)
-                mine = Endpoint(ch, pool.full & ~part)
+                spawned = pool.new_endpoint(ch, part)
+                mine = pool.new_endpoint(ch, pool.full & ~part)
                 nt = MtlcThread(pool, EApp(f, ERc(spawned)), self.hook)
                 pool._event("PR3", chan=ch.cid, action="create", to=nt.thread.tid,
                             label=rl.fmt_roleset(part))
@@ -1079,9 +1079,9 @@ class MtlcThread:
 
 def pool_rho(pool: Pool) -> Counter:
     out = Counter()
-    for t in pool.threads.values():
+    for t in pool.active_threads.values():
         m = getattr(t, "mtlc", None)
-        if m is not None and not t.finished:
+        if m is not None:
             out += rho(m.expr)
     return out
 
@@ -1113,9 +1113,9 @@ def retype_pool(pool: Pool) -> None:
     """Assert every unfinished calculus thread still has its declared type."""
     if not res_ok(pool):
         raise MtlcTypeError("ty-pool", "an endpoint is held more than once")
-    for t in pool.threads.values():
+    for t in pool.active_threads.values():
         m = getattr(t, "mtlc", None)
-        if m is None or t.finished:
+        if m is None:
             continue
         ty = typecheck(m.expr, n=pool.n)
         if not compat(ty, m.expected):

@@ -70,10 +70,6 @@ class CutSideCondition(RuntimeFault):
     pass
 
 
-class SessionMismatch(RuntimeFault):
-    pass
-
-
 class UnknownService(RuntimeFault):
     pass
 
@@ -109,11 +105,10 @@ class Channel:
 
 
 class Endpoint:
-    _next_eid = 0
+    """Numbered per pool by Pool.new_endpoint, else within its channel."""
 
-    def __init__(self, channel: Channel, roleset: int):
-        self.eid = Endpoint._next_eid
-        Endpoint._next_eid += 1
+    def __init__(self, channel: Channel, roleset: int, eid: int | None = None):
+        self.eid = len(channel.endpoints) if eid is None else eid
         self.channel = channel
         self.roles = roleset
         self.live = True
@@ -293,7 +288,6 @@ class Thread:
         self.block: _Block | None = None
         self.resume_value = None
         self.finished = False
-        self.last_recv = None
 
 
 class Pool:
@@ -303,8 +297,16 @@ class Pool:
         self.full = rl.full_set(n)
         self.rng = random.Random(seed)
         self.allow_demo = allow_demo
-        self.threads: dict[int, Thread] = {}
-        self.channels: dict[int, Channel] = {}
+        self.threads: dict[int, Thread] = {}  # every thread of the run
+        self.channels: dict[int, Channel] = {}  # every channel of the run
+        # The live pool, in creation order.  A finished channel stays flagged
+        # live until the next clean-up, but it is no longer open or audited.
+        self.active_threads: dict[int, Thread] = {}
+        self.open_channels: dict[int, Channel] = {}
+        self._finished: dict[int, Channel] = {}  # awaiting _cleanup_channels
+        self._live_eps = 0  # live endpoints on open channels
+        self._dirty: dict[int, Channel] = {}  # endpoint set changed since the last event
+        self._blocked: dict[int, Thread] = {}  # eid -> the thread blocked on it
         self.services: dict[str, Service] = {}
         self.trace: list[dict] = []
         self.audit_log: list[tuple[int, bool]] = []
@@ -312,7 +314,7 @@ class Pool:
         self.fault: str | None = None
         self._next_tid = 0
         self._next_cid = 0
-        self.on_local_step = None  # debug hook
+        self._next_eid = 0
 
     # -- construction ------------------------------------------------
 
@@ -322,7 +324,7 @@ class Pool:
         t = Thread(tid, None)
         t.regs = dict(regs or {})
         t.gen = make_gen(t)
-        self.threads[tid] = t
+        self.threads[tid] = self.active_threads[tid] = t
         return t
 
     def add_script_thread(self, cmds, regs=None) -> Thread:
@@ -338,19 +340,47 @@ class Pool:
         ch = Channel(self._next_cid, cursor)
         self._next_cid += 1
         self.channels[ch.cid] = ch
+        (self.open_channels if cursor else self._finished)[ch.cid] = ch
         return ch
+
+    def new_endpoint(self, ch: Channel, roleset: int) -> Endpoint:
+        ep = Endpoint(ch, roleset, self._next_eid)
+        self._next_eid += 1
+        self._live_eps += ch.cid in self.open_channels
+        self._dirty[ch.cid] = ch
+        return ep
 
     # -- accounting ---------------------------------------------------
 
+    def _consume(self, ep: Endpoint) -> None:
+        self._live_eps -= ep.live and ep.channel.cid in self.open_channels
+        ep.live = False
+        self._dirty[ep.channel.cid] = ep.channel
+
+    def _close(self, ch: Channel) -> None:  # the audit stops counting ch
+        if self.open_channels.pop(ch.cid, None) is not None:
+            self._live_eps -= sum(e.live for e in ch.endpoints)
+
+    def _retire(self, ch: Channel) -> None:
+        self._close(ch)
+        ch.live = False
+        for e in ch.endpoints:
+            e.live = False
+
+    def _advance(self, ch: Channel, cursor: tuple[SessionType, ...]) -> None:
+        ch.cursor = cursor
+        if not cursor:
+            self._close(ch)
+            self._finished[ch.cid] = ch
+
     def live_threads(self) -> int:
-        return sum(1 for t in self.threads.values() if not t.finished)
+        return len(self.active_threads)
 
     def live_channels(self) -> int:
-        return sum(1 for c in self.channels.values() if c.live)
+        return len(self.open_channels)
 
     def live_endpoints(self) -> int:
-        return sum(1 for c in self.channels.values() if c.live
-                   for e in c.endpoints if e.live)
+        return self._live_eps
 
     def relaxed(self) -> bool:
         ne = self.live_endpoints()
@@ -359,7 +389,9 @@ class Pool:
         return self.live_threads() + self.live_channels() >= ne + 1
 
     def check_invariants(self) -> None:
-        for ch in self.channels.values():
+        """Re-check the channels whose endpoint set changed since the last event."""
+        dirty, self._dirty = self._dirty, {}
+        for ch in dirty.values():
             if not ch.live:
                 continue
             parts = [e.roles for e in ch.endpoints if e.live]
@@ -367,16 +399,13 @@ class Pool:
                 raise RuntimeFault(
                     f"channel {ch.cid}: endpoint role sets do not partition the universe")
 
-    def _audit(self) -> None:
-        self.audit_log.append((self.step_no, self.relaxed()))
-
     def _event(self, rule: str, **kw) -> None:
         ev = {"step": self.step_no, "rule": rule}
         ev.update({k: v for k, v in kw.items() if v is not None})
         self.trace.append(ev)
         self.step_no += 1
         self.check_invariants()
-        self._audit()
+        self.audit_log.append((self.step_no, self.relaxed()))
 
     # -- scheduling ---------------------------------------------------
 
@@ -385,43 +414,38 @@ class Pool:
         t.block = None
         try:
             t.block = t.gen.send(value)
+            self._blocked[t.block.ep.eid] = t
         except StopIteration:
             t.finished = True
+            del self.active_threads[t.tid]
             for ep in t.regs.values():
                 if isinstance(ep, Endpoint) and ep.live and ep.channel.live \
                         and ep.channel.cursor:
                     raise LinearityFault(
                         f"thread {t.tid} exited holding an unfinished endpoint "
                         f"at roles {rl.fmt_roleset(ep.roles)}")
-            if self.on_local_step:
-                self.on_local_step(self)
 
     def _runnable(self) -> list[Thread]:
-        return [t for t in self.threads.values() if not t.finished and t.block is None]
+        return [t for t in self.active_threads.values() if t.block is None]
 
     def _cleanup_channels(self) -> None:
-        for ch in self.channels.values():
-            if ch.live and not ch.cursor:
-                ch.live = False
-                for e in ch.endpoints:
-                    e.live = False
+        for ch in self._finished.values():
+            self._retire(ch)
+        self._finished.clear()
 
     def _matching_set(self):
-        """The fireable channel with the lowest id, with its blocked map."""
-        by_ep: dict[int, tuple[Thread, _Block]] = {}
-        for t in self.threads.values():
-            if t.block is not None:
-                by_ep[t.block.ep.eid] = (t, t.block)
-        for cid in sorted(self.channels):
-            ch = self.channels[cid]
-            if not ch.live or not ch.cursor:
+        """The fireable channel with the lowest id, with its blocked members."""
+        blocked = self._blocked
+        for cid in sorted({t.block.ep.channel.cid for t in blocked.values()}):
+            ch = self.open_channels.get(cid)
+            if ch is None:
                 continue
             eps = [e for e in ch.endpoints if e.live]
-            if all(e.eid in by_ep for e in eps):
-                return ch, [(e, *by_ep[e.eid]) for e in eps]
+            if all(e.eid in blocked for e in eps):
+                return ch, [(e, blocked[e.eid], blocked[e.eid].block) for e in eps]
         return None
 
-    def run(self, max_steps: int = 10000):
+    def run(self, max_steps: int | None = 10000):  # None: no cap
         try:
             while True:
                 ran = True
@@ -433,14 +457,14 @@ class Pool:
                         self._resume(t)
                         ran = True
                 self._cleanup_channels()
-                if all(t.finished for t in self.threads.values()):
+                if not self.active_threads:
                     return RunResult("done", self.trace, None, self)
                 m = self._matching_set()
                 if m is None:
                     report = {t.tid: (t.block.op if t.block else "runnable")
-                              for t in self.threads.values() if not t.finished}
+                              for t in self.active_threads.values()}
                     return RunResult("deadlock", self.trace, report, self)
-                if self.step_no >= max_steps:
+                if max_steps is not None and self.step_no >= max_steps:
                     return RunResult("fault", self.trace, "step limit exceeded", self)
                 self._fire(*m)
         except RuntimeFault as e:
@@ -450,6 +474,9 @@ class Pool:
     # -- firing -------------------------------------------------------
 
     def _fire(self, ch: Channel, members) -> None:
+        for ep, t, _ in members:
+            t.block = None
+            del self._blocked[ep.eid]
         head = ch.cursor[0]
         match head:
             case Msg() | Bcast() | Gather():
@@ -503,11 +530,9 @@ class Pool:
         else:  # Gather: every sender contributes
             frm, to = "*", head.to
             value = payloads
-        for _, t, blk in members:
+        for _, t, _ in members:
             t.resume_value = value if t in recv_threads else None
-            t.last_recv = t.resume_value if t in recv_threads else t.last_recv
-            t.block = None
-        ch.cursor = ch.cursor[1:]
+        self._advance(ch, ch.cursor[1:])
         self._event("PR4", chan=ch.cid,
                     action={Msg: "msg", Bcast: "bcast", Gather: "gather"}[type(head)],
                     frm=frm, to=to, label=head.label, payload=value)
@@ -533,18 +558,18 @@ class Pool:
         silent = False
         match head:
             case SAConj(_, a, b):
-                ch.cursor = norm(a if side == "l" else b) + rest
+                cursor = norm(a if side == "l" else b) + rest
             case OptionT(_, a):
-                ch.cursor = (norm(a) + rest) if side == "l" else rest
+                cursor = (norm(a) + rest) if side == "l" else rest
             case Repseq(_, a):
                 if side == "l":
-                    ch.cursor = norm(a) + ch.cursor  # body, then the loop again
+                    cursor = norm(a) + ch.cursor  # body, then the loop again
                     silent = True  # loop continuation is bookkeeping, not an exchange
                 else:
-                    ch.cursor = rest
+                    cursor = rest
+        self._advance(ch, cursor)
         for _, t, _ in members:
             t.resume_value = side
-            t.block = None
         if not silent:
             self._event("PR4", chan=ch.cid, action="choice", label=side)
 
@@ -554,12 +579,10 @@ class Pool:
                 "mconj(...) must be the last segment of its session")
         ch_a = self.new_channel(norm(head.left))
         ch_b = self.new_channel(norm(head.right))
-        ch.live = False
-        for e in ch.endpoints:
-            e.live = False
+        self._retire(ch)
         for ep, t, blk in members:
-            ep_a = Endpoint(ch_a, ep.roles)
-            ep_b = Endpoint(ch_b, ep.roles)
+            ep_a = self.new_endpoint(ch_a, ep.roles)
+            ep_b = self.new_endpoint(ch_b, ep.roles)
             act = next_actions(head, ep.roles)
             if act.kind == "fork-conj":
                 if blk.op != "mconj":
@@ -572,7 +595,6 @@ class Pool:
                 keep, give = (ep_a, ep_b) if blk.side == "l" else (ep_b, ep_a)
                 t.resume_value = keep
                 blk.spawn(give)
-            t.block = None
         self._event("PR5", chan=ch.cid, action="mconj",
                     chans=[ch_a.cid, ch_b.cid])
 
@@ -582,8 +604,8 @@ class Pool:
                     acceptor_reg: str = "ep") -> Endpoint:
         rl.check_roleset(part, self.n)
         ch = self.new_channel(norm(session))
-        spawned = Endpoint(ch, part)
-        mine = Endpoint(ch, self.full & ~part)
+        spawned = self.new_endpoint(ch, part)
+        mine = self.new_endpoint(ch, self.full & ~part)
         t = self.add_script_thread(acceptor, {acceptor_reg: spawned})
         self._event("PR3", chan=ch.cid, action="create", to=t.tid,
                     label=rl.fmt_roleset(part))
@@ -594,8 +616,8 @@ class Pool:
         if svc is None:
             raise UnknownService(f"no service named {name!r}")
         ch = self.new_channel(norm(svc.session))
-        mine = Endpoint(ch, svc.roleset)
-        spawned = Endpoint(ch, self.full & ~svc.roleset)
+        mine = self.new_endpoint(ch, svc.roleset)
+        spawned = self.new_endpoint(ch, self.full & ~svc.roleset)
         t = self.add_script_thread(svc.acceptor, {"ep": spawned})
         self._event("PR3", chan=ch.cid, action="service", label=name, to=t.tid)
         return mine
@@ -604,10 +626,10 @@ class Pool:
                    spawn_reg: str = "ep") -> Endpoint:
         if part & ~ep.roles:
             raise NotDisjointSplit("split part is not a subset of the endpoint roles")
-        ep.live = False
+        self._consume(ep)
         ch = ep.channel
-        ep_spawn = Endpoint(ch, part)
-        ep_keep = Endpoint(ch, ep.roles & ~part)
+        ep_spawn = self.new_endpoint(ch, part)
+        ep_keep = self.new_endpoint(ch, ep.roles & ~part)
         t = self.add_script_thread(spawned_cmds, {spawn_reg: ep_spawn})
         self._event("PR1", chan=ch.cid, action="split", to=t.tid,
                     label=rl.fmt_roleset(part))
@@ -616,7 +638,7 @@ class Pool:
     def chan_1_cut(self, ep: Endpoint) -> None:
         if ep.roles != 0:
             raise NonEmptyRoles("only an empty-role-set endpoint can be removed")
-        ep.live = False
+        self._consume(ep)
         self._event("PR0", chan=ep.channel.cid, action="cut1")
         self._cleanup_channels()
 
@@ -628,23 +650,26 @@ class Pool:
         cursor = chans[0].cursor
         for c in chans[1:]:
             if c.cursor != cursor:
-                raise SessionMismatch("cut endpoints carry different session cursors")
+                raise CutSideCondition("cut endpoints carry different session cursors")
         for e in eps:
             if not e.live:
                 raise LinearityFault("cut on a consumed endpoint")
         merged = self.new_channel(cursor)
         for e in eps:
-            e.live = False
+            self._consume(e)
         for c in chans:
+            # equal cursors: c is open iff merged is, so its endpoints stay counted
+            self.open_channels.pop(c.cid, None)
             c.live = False
             for e in c.endpoints:
                 if e.live:
                     e.channel = merged
                     merged.endpoints.append(e)
             c.endpoints = []
+        self._dirty[merged.cid] = merged
         resid = None
         if residual_roles is not None:
-            resid = Endpoint(merged, residual_roles)
+            resid = self.new_endpoint(merged, residual_roles)
         self._event("PR0", chan=merged.cid, action=action,
                     label=",".join(str(c.cid) for c in chans))
         return resid
@@ -674,8 +699,8 @@ class Pool:
                                "enable it with allow_demo")
         ch1 = self.new_channel(norm(session1))
         ch2 = self.new_channel(norm(session2))
-        sp1, mine1 = Endpoint(ch1, part1), Endpoint(ch1, self.full & ~part1)
-        sp2, mine2 = Endpoint(ch2, part2), Endpoint(ch2, self.full & ~part2)
+        sp1, mine1 = self.new_endpoint(ch1, part1), self.new_endpoint(ch1, self.full & ~part1)
+        sp2, mine2 = self.new_endpoint(ch2, part2), self.new_endpoint(ch2, self.full & ~part2)
         t = self.add_script_thread(acceptor, {regs[0]: sp1, regs[1]: sp2})
         self._event("PR3", chan=ch1.cid, action="create2", to=t.tid,
                     label=f"{ch1.cid},{ch2.cid}")
@@ -756,7 +781,7 @@ def _exec(pool: Pool, t: Thread, cmds: tuple):
                     raise RoleMismatch(
                         f"roles {rl.fmt_roleset(ep.roles)} cannot receive "
                         f"{sn.fmt_session(head)}")
-                t.last_recv = yield _Block("sync", ep, "recv")
+                yield _Block("sync", ep, "recv")
             case CChoose(side, reg):
                 ep = _reg(t, reg)
                 head = _head(ep)

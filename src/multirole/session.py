@@ -272,6 +272,8 @@ def parse_protocol(text: str) -> tuple[int, dict[str, SessionType]]:
         if not line:
             continue
         if line.startswith("roles"):
+            if not re.fullmatch(r"roles\s+\d+", line):
+                raise SessionError(f"line {lineno}: expected `roles N`")
             n = int(line.split()[1])
             rl.check_universe(n)
         elif line.startswith("session"):

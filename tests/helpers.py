@@ -162,3 +162,33 @@ def preset_decisions(rng: random.Random, parts: list[int]) -> dict[int, rt.Decis
 def decisions_view(preset: dict[int, tuple]) -> dict[int, rt.Decisions]:
     return {part: rt.Decisions(sides=list(s), loops=list(l))
             for part, (s, l) in preset.items()}
+
+
+# --------------------------------------------------------------- oracles
+
+
+def recount_every_event(pool: rt.Pool) -> rt.Pool:
+    """After every event of the pool, recount the live pool from the full
+    registries and compare it with the pool's counters and audit entry."""
+    event = pool._event
+
+    def checked(rule, **kw):
+        event(rule, **kw)
+        threads = sum(not t.finished for t in pool.threads.values())
+        chans = [c for c in pool.channels.values() if c.live and c.cursor]
+        eps = sum(e.live for c in chans for e in c.endpoints)
+        assert (pool.live_threads(), pool.live_channels(), pool.live_endpoints()) \
+            == (threads, len(chans), eps)
+        assert pool.audit_log[-1] == \
+            (pool.step_no, eps == 0 or threads + len(chans) >= eps + 1)
+        for c in pool.channels.values():
+            if c.live:
+                covered = 0
+                for e in c.endpoints:
+                    if e.live:
+                        assert not covered & e.roles, f"channel {c.cid} overlaps"
+                        covered |= e.roles
+                assert covered == pool.full, f"channel {c.cid} misses roles"
+
+    pool._event = checked
+    return pool

@@ -70,6 +70,12 @@ class TestProve:
         assert code == 0
         kn.check(kn.derivation_from_json(out), kn.LMRL(2))
 
+    def test_check_without_conclusion(self, capsys, tmp_path):
+        path = write(tmp_path / "d.json", json.dumps({"rule": "id"}))
+        code, _, err = run(capsys, "prove", "check", path)
+        assert code == 1
+        assert "conclusion" in json.loads(err)["error"]
+
     def test_search_not_found(self, capsys, tmp_path):
         items = (lg.IFormula(1, A),)  # lone <{0}>a: complement missing
         path = write(tmp_path / "seq.json", lg.sequent_to_json(items))
@@ -105,6 +111,12 @@ class TestSession:
         code, _, err = run(capsys, "session", "check", path)
         assert code == 1
 
+    def test_check_bad_roles_line(self, capsys, tmp_path):
+        path = write(tmp_path / "p.mrl", "roles x\nsession x = hello(0, 1)\n")
+        code, _, err = run(capsys, "session", "check", path)
+        assert code == 1
+        assert "roles N" in json.loads(err)["error"]
+
     def test_simulate(self, capsys, tmp_path):
         p = write(tmp_path / "p.mrl", PROTOCOL)
         s = write(tmp_path / "s.mrl", SCRIPT)
@@ -115,6 +127,17 @@ class TestSession:
         assert summary["status"] == "done"
         assert summary["sync_events"] == 2
         assert summary["relaxed_throughout"] is True
+
+    def test_simulate_runs_past_ten_thousand_steps(self, capsys, tmp_path):
+        p = write(tmp_path / "p.mrl",
+                  "roles 2\nsession loop = repseq(0, m(0, 1)@n(1, 0))\n")
+        s = write(tmp_path / "s.mrl", "party {0}: loop 6000 (send; recv)\n"
+                                      "party {1}: offer_loop (recv; send)\n")
+        code, out, _ = run(capsys, "session", "simulate", p, s)
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["status"] == "done"
+        assert summary["sync_events"] == 12001
 
     def test_simulate_missing_script(self, capsys, tmp_path):
         p = write(tmp_path / "p.mrl", PROTOCOL)

@@ -1,0 +1,137 @@
+"""The runtime's live-pool counters against a full recount, and the work one
+step does against the length of the run's history."""
+
+import random
+
+from multirole import mtlc as M
+from multirole import roles as rl
+from multirole import runtime as rt
+from multirole import session as sn
+
+from helpers import (
+    decisions_view,
+    preset_decisions,
+    rand_partition,
+    rand_session,
+    recount_every_event,
+    scripted_parties,
+)
+from test_acceptance import CUT2, EX3, MCONJ, PING_PONG, _rand_chain_program
+
+LONG = sn.parse_session("m(1, 0, int)@ack(0, 1)", 2)
+
+
+def long_pool(channels: int, seed: int) -> rt.Pool:
+    """One thread opening `channels` services one after another."""
+    segs = rt.norm(LONG)
+    pool = rt.Pool(2, seed=seed)
+    pool.service_create("svc", 0b01, LONG, rt.synthesize(segs, 0b10))
+    pool.add_script_thread(tuple(
+        c for _ in range(channels)
+        for c in (rt.CServiceRequest("svc", "ep"),) + rt.synthesize(segs, 0b01)))
+    return pool
+
+
+class TestRecountOracle:
+    def test_random_protocols(self):
+        # criterion 8's generator and seeds
+        rng = random.Random(8)
+        for i in range(200):
+            n = rng.choice([2, 3])
+            s = rand_session(rng, n, 2)
+            parts = [p for p in rand_partition(rng, n, rng.randrange(1, n + 1)) if p] \
+                or [rl.full_set(n)]
+            parties = scripted_parties(
+                s, parts, {p: rt.Decisions(rng=random.Random(i * 13 + p))
+                           for p in parts})
+            pool = recount_every_event(rt.pool_from_scripts(n, s, parties, seed=i))
+            assert pool.run().status == "done"
+
+    def test_forwarders(self):
+        # criterion 9's generator and seeds, forwarded topologies only
+        rng = random.Random(9)
+        for i in range(50):
+            s = rand_session(rng, 3, 2, allow_fork=False)
+            view = decisions_view(preset_decisions(rng, [1, 2, 4]))
+            segs = rt.norm(s)
+            pool = recount_every_event(rt.Pool(3, seed=i))
+            pool.service_create("a", 0b110, s, rt.synthesize(segs, 1, view[1]))
+            pool.service_create("b", 0b101, s, rt.synthesize(segs, 2, view[2]))
+            if i % 2 == 0:
+                main = (rt.CServiceRequest("a", "x"), rt.CServiceRequest("b", "y"),
+                        rt.CCutRes("x", "y", "ep")) + rt.synthesize(segs, 4, view[4])
+            else:
+                pool.service_create("c", 0b011, s, rt.synthesize(segs, 4, view[4]))
+                main = (rt.CServiceRequest("a", "x"), rt.CServiceRequest("b", "y"),
+                        rt.CServiceRequest("c", "z"), rt.CCut3("x", "y", "z"))
+            pool.add_script_thread(main)
+            assert pool.run().status == "done"
+
+    def test_mtlc_pools(self):
+        rng = random.Random(11)
+        programs = [M.parse_program(src, 2) for src in (PING_PONG, MCONJ, CUT2)]
+        programs += [_rand_chain_program(rng) for _ in range(10)]
+        for i, e in enumerate(programs):
+            pool = recount_every_event(rt.Pool(2, seed=i))
+            M.MtlcThread(pool, e, M.retype_thread, expected=M.typecheck(e, n=2))
+            assert pool.run().status == "done"
+
+    def test_demo2_deadlock(self):
+        pool = recount_every_event(rt.Pool(2, allow_demo=True))
+        m1, m2 = pool.chan2_create_demo(
+            2, sn.parse_session("first(0, 1)", 2), 2,
+            sn.parse_session("second(1, 0)", 2),
+            (rt.CSync(reg="ep"), rt.CSync(reg="ep2")))
+        pool.add_script_thread((rt.CSync(reg="b"), rt.CSync(reg="a")),
+                               {"a": m1, "b": m2})
+        assert pool.audit_log == [(1, False)]
+        assert pool.run().status == "deadlock"
+
+    def test_long_history(self):
+        assert recount_every_event(long_pool(100, seed=100)).run().status == "done"
+
+
+def test_sequential_services_stay_relaxed():
+    # a finished channel stops counting at the step that consumed its last
+    # segment, not at the scheduler's next clean-up
+    pool = long_pool(100, seed=100)
+    assert pool.run().status == "done"
+    assert len(pool.audit_log) == 300
+    assert all(ok for _, ok in pool.audit_log)
+
+
+def test_operation_on_just_finished_session_is_a_protocol_mismatch():
+    s = sn.parse_session("a(0, 1)", 2)
+    pool = rt.pool_from_scripts(2, s, [(1, (rt.CSend(), rt.CSend())),
+                                       (2, (rt.CRecv(),))])
+    res = pool.run()
+    assert res.status == "fault"
+    assert res.detail == "operation on a finished session"
+
+
+def test_partition_checks_per_event_do_not_grow_with_history(monkeypatch):
+    calls = [0]
+    check = rl.partition_check
+
+    def counting(parts, n):
+        calls[0] += 1
+        return check(parts, n)
+
+    monkeypatch.setattr(rl, "partition_check", counting)
+    per_event = []
+    for channels in (100, 400):
+        calls[0] = 0
+        res = long_pool(channels, seed=0).run()
+        assert res.status == "done"
+        per_event.append(calls[0] / len(res.trace))
+    assert per_event[0] == per_event[1]
+
+
+def test_endpoint_ids_are_numbered_per_pool():
+    def eids():
+        s = sn.parse_session(EX3, 3)
+        pool = rt.pool_from_scripts(3, s, scripted_parties(s, [1, 2, 4]))
+        assert pool.run().status == "done"
+        return [(c.cid, [e.eid for e in c.endpoints]) for c in pool.channels.values()]
+
+    assert eids() == eids()
