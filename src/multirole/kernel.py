@@ -27,6 +27,7 @@ from .logic import (
     Const,
     Forall,
     Formula,
+    FreshNames,
     IFormula,
     Impl,
     MConj,
@@ -37,7 +38,7 @@ from .logic import (
     fmt_formula,
     fmt_sequent,
     free_vars,
-    fresh_var,
+    names_in,
     parse_formula,
     seq_counts,
     seq_equal,
@@ -163,33 +164,41 @@ def _ctx(d: Derivation) -> Sequent:
     return d.conclusion[:i] + d.conclusion[i + 1 :]
 
 
-def _formula_ok(a: Formula, calc: Calculus) -> str | None:
-    if not isinstance(a, _ALLOWED_CONNECTIVES[calc.kind]):
-        return f"connective {type(a).__name__} not in calculus {calc.kind}"
-    match a:
-        case Atom():
-            return None
-        case Neg(f, body):
-            if f.n != calc.n:
-                return f"endo over {f.n} roles in universe of {calc.n}"
-            return _formula_ok(body, calc)
-        case Bang(u, body):
-            if not 0 <= u.r < calc.n:
-                return f"ultrafilter @{u.r} outside universe"
-            return _formula_ok(body, calc)
-        case Forall(u, _, body):
-            if not 0 <= u.r < calc.n:
-                return f"ultrafilter @{u.r} outside universe"
-            return _formula_ok(body, calc)
-        case Impl(f, u, l, r):
-            if f.n != calc.n or not 0 <= u.r < calc.n:
-                return "endo/ultrafilter outside universe"
-            return _formula_ok(l, calc) or _formula_ok(r, calc)
-        case Conj(u, l, r) | AConj(u, l, r) | MConj(u, l, r):
-            if not 0 <= u.r < calc.n:
-                return f"ultrafilter @{u.r} outside universe"
-            return _formula_ok(l, calc) or _formula_ok(r, calc)
-    return f"unknown formula {a!r}"
+def _formula_ok(a: Formula, calc: Calculus, ok: set) -> str | None:
+    """The first fault, in preorder, of a's nodes in calc, or None.
+
+    Subformulas in ok are known to be good and are skipped; when a is good,
+    all its nodes are added to ok.
+    """
+    allowed = _ALLOWED_CONNECTIVES[calc.kind]
+    good = []
+    stack = [a]
+    while stack:
+        b = stack.pop()
+        if b in ok:
+            continue
+        if not isinstance(b, allowed):
+            return f"connective {type(b).__name__} not in calculus {calc.kind}"
+        match b:
+            case Neg(f, body):
+                if f.n != calc.n:
+                    return f"endo over {f.n} roles in universe of {calc.n}"
+                stack.append(body)
+            case Bang(u, body) | Forall(u, _, body):
+                if not 0 <= u.r < calc.n:
+                    return f"ultrafilter @{u.r} outside universe"
+                stack.append(body)
+            case Impl(f, u, l, r):
+                if f.n != calc.n or not 0 <= u.r < calc.n:
+                    return "endo/ultrafilter outside universe"
+                stack += (r, l)
+            case Conj(u, l, r) | AConj(u, l, r) | MConj(u, l, r):
+                if not 0 <= u.r < calc.n:
+                    return f"ultrafilter @{u.r} outside universe"
+                stack += (r, l)
+        good.append(b)
+    ok.update(good)
+    return None
 
 
 def _is_why_not(it: IFormula) -> bool:
@@ -202,13 +211,13 @@ def _expect(cond: bool, path, reason: str) -> None:
         raise CheckError(path, reason)
 
 
-def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...]) -> None:
+def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -> None:
     _expect(d.rule in _ALLOWED_RULES[calc.kind], path,
             f"rule {d.rule} not available in {calc.kind}")
     full = rl.full_set(calc.n)
     for it in d.conclusion:
         _expect(0 <= it.roles <= full, path, "role set outside universe")
-        bad = _formula_ok(it.formula, calc)
+        bad = _formula_ok(it.formula, calc, ok)
         _expect(bad is None, path, bad or "")
     if calc.kind == "mrlj":
         _expect(is_intuitionistic(d.conclusion, calc.j), path,
@@ -330,10 +339,14 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...]) -> None:
 
 
 def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
-    """Raise CheckError at the first node violating its rule schema."""
-    _check_node(d, calc, path)
-    for i, p in enumerate(d.premises):
-        check(p, calc, path + (i,))
+    """Raise CheckError at the first node, in preorder, violating its rule schema."""
+    ok: set = set()  # formulas found well-formed in calc during this call
+    stack = [(d, path)]
+    while stack:
+        node, at = stack.pop()
+        _check_node(node, calc, at, ok)
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((node.premises[i], at + (i,)))
 
 
 def check_ok(d: Derivation, calc: Calculus) -> bool:
@@ -453,12 +466,32 @@ def b_forall_pos(d: Derivation, roles_: int, a: Forall, eigen: str) -> Derivatio
 # --------------------------------------------- derivation-wide renaming
 
 
-def subst_derivation(d: Derivation, x: str, t: Term) -> Derivation:
+def _names(*ds: Derivation) -> set[str]:
+    """Every name occurring in the derivations."""
+    names: set[str] = set()
+    formulas: set = set()
+    stack = list(ds)
+    while stack:
+        d = stack.pop()
+        stack += d.premises
+        formulas.update(it.formula for it in d.conclusion)
+        if d.eigen is not None:
+            names.add(d.eigen)
+        if d.witness is not None:
+            names.add(d.witness.name)
+    return names | names_in(formulas)
+
+
+def subst_derivation(d: Derivation, x: str, t: Term,
+                     fresh: FreshNames | None = None) -> Derivation:
     """Substitute t for the free variable x throughout a derivation.
 
     Inner eigenvariables clashing with x or with variables of t are
-    freshened first, so the result remains schema-valid.
+    renamed first, to names from fresh (by default, names occurring
+    nowhere in d, x or t), so the result remains schema-valid.
     """
+    if fresh is None:
+        fresh = FreshNames(lambda: _names(d) | {x, t.name})
     tvars = {t.name} if isinstance(t, Var) else set()
     eigen = d.eigen
     node = d
@@ -466,8 +499,8 @@ def subst_derivation(d: Derivation, x: str, t: Term) -> Derivation:
         a = _principal_item(d).formula
         y = eigen if eigen is not None else a.var
         if y == x or y in tvars:
-            z = fresh_var(y)
-            prem = subst_derivation(d.premises[0], y, Var(z))
+            z = fresh(y)
+            prem = subst_derivation(d.premises[0], y, Var(z), fresh)
             node = Derivation(d.rule, d.conclusion, (prem,), d.principal, eigen=z)
             eigen = z
     witness = node.witness
@@ -476,7 +509,7 @@ def subst_derivation(d: Derivation, x: str, t: Term) -> Derivation:
     return Derivation(
         node.rule,
         tuple(IFormula(it.roles, substitute(it.formula, x, t)) for it in node.conclusion),
-        tuple(subst_derivation(p, x, t) for p in node.premises),
+        tuple(subst_derivation(p, x, t, fresh) for p in node.premises),
         node.principal,
         witness=witness,
         eigen=eigen,
@@ -672,7 +705,7 @@ def cut2_residual(d1: Derivation, i1: int, d2: Derivation, i2: int,
     full = rl.full_set(calc.n)
     if (full & ~x1.roles) & (full & ~x2.roles):
         raise KernelError("cut2_residual: complements of the role sets overlap")
-    return _cut2(d1, x1, 1, d2, x2, 1, calc, 0)
+    return _cut2(d1, x1, 1, d2, x2, 1, calc, FreshNames(lambda: _names(d1, d2)), 0)
 
 
 _MAX_CUT_DEPTH = 100_000
@@ -705,7 +738,8 @@ def _is_principal_on(d: Derivation, x: IFormula) -> bool:
     return _principal_item(d) == x
 
 
-def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, depth: int) -> Derivation:
+def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
+          depth: int) -> Derivation:
     """Derive (C1 - n1*x1) u (C2 - n2*x2) u {<R1 n R2>A}."""
     if depth > _MAX_CUT_DEPTH:
         raise KernelError("cut2_residual: recursion guard tripped "
@@ -726,40 +760,41 @@ def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, depth: int) -> Derivation:
         d2, n2 = b_id(seq_minus(d2.conclusion, (x2,) * (n2 - 1))), 1
 
     if not _is_principal_on(d1, x1):
-        return _push(d1, x1, n1, d2, x2, n2, calc, depth, into=1)
+        return _push(d1, x1, n1, d2, x2, n2, calc, fresh, depth, into=1)
 
     # side 1 is at its principal occurrence; handle side-1 structural rules
     if d1.rule in ("weaken", "bang-neg-weaken") and _principal_item(d1) == x1:
-        return _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, depth + 1)
+        return _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, fresh, depth + 1)
     if d1.rule in ("contract", "bang-neg-contract") and _principal_item(d1) == x1:
-        return _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, depth + 1)
+        return _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, fresh, depth + 1)
     if d1.rule == "bang-neg-derelict" and _principal_item(d1) == x1:
         # only reachable when both sides are ?-sided; cannot happen since
         # at least one role set contains the head role
         raise KernelError("cut2_residual: dereliction on a positive-side occurrence")
     if n1 > 1 and d1.rule != "id":
-        return _stray_trick(d1, x1, n1, d2, x2, n2, calc, depth, into=1)
+        return _stray_trick(d1, x1, n1, d2, x2, n2, calc, fresh, depth, into=1)
 
     if not _is_principal_on(d2, x2):
-        return _push(d2, x2, n2, d1, x1, n1, calc, depth, into=2)
+        return _push(d2, x2, n2, d1, x1, n1, calc, fresh, depth, into=2)
 
     if d2.rule in ("weaken", "bang-neg-weaken") and _principal_item(d2) == x2:
         if d2.rule == "bang-neg-weaken":
             _hit("bang-weaken")
-        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, depth + 1)
+        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, fresh, depth + 1)
     if d2.rule in ("contract", "bang-neg-contract") and _principal_item(d2) == x2:
         if d2.rule == "bang-neg-contract":
             _hit("bang-contract")
-        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, depth + 1)
+        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, fresh, depth + 1)
     if d2.rule == "bang-neg-derelict" and _principal_item(d2) == x2:
-        return _derelict_case(d1, x1, d2, x2, n2, calc, depth)
+        return _derelict_case(d1, x1, d2, x2, n2, calc, fresh, depth)
     if n2 > 1 and d2.rule != "id":
-        return _stray_trick(d2, x2, n2, d1, x1, n1, calc, depth, into=2)
+        return _stray_trick(d2, x2, n2, d1, x1, n1, calc, fresh, depth, into=2)
 
-    return _principal_case(d1, x1, d2, x2, calc, depth)
+    return _principal_case(d1, x1, d2, x2, calc, fresh, depth)
 
 
-def _push(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) -> Derivation:
+def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames, depth: int,
+          into: int) -> Derivation:
     """Commutative case: push the cut into the premises of side `into`.
 
     do/xo/no is the other (fixed) side; merged items may be duplicated when
@@ -771,8 +806,8 @@ def _push(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) -> Deri
 
     def sub(p, m):
         if into == 1:
-            return _cut2(p, xs, m, do, xo, no, calc, depth + 1)
-        return _cut2(do, xo, no, p, xs, m, calc, depth + 1)
+            return _cut2(p, xs, m, do, xo, no, calc, fresh, depth + 1)
+        return _cut2(do, xo, no, p, xs, m, calc, fresh, depth + 1)
 
     d = ds
     if d.rule == "forall-pos":
@@ -780,8 +815,8 @@ def _push(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) -> Deri
         item = _principal_item(d)
         y = d.eigen if d.eigen is not None else item.formula.var
         if y in seq_free_vars(merged + (resid,)):
-            z = fresh_var(y)
-            prem = subst_derivation(d.premises[0], y, Var(z))
+            z = fresh(y)
+            prem = subst_derivation(d.premises[0], y, Var(z), fresh)
             d = Derivation(d.rule, d.conclusion, (prem,), d.principal, eigen=z)
 
     new_concl = seq_minus(d.conclusion, (xs,) * ns) + merged + (resid,)
@@ -825,7 +860,8 @@ def _push(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) -> Deri
                       witness=d.witness, eigen=d.eigen)
 
 
-def _stray_trick(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) -> Derivation:
+def _stray_trick(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames, depth: int,
+                 into: int) -> Derivation:
     """A logical rule applies to a tracked occurrence while stray copies remain.
 
     Cut the strays out of the premises first, reapply the rule (which
@@ -839,8 +875,8 @@ def _stray_trick(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) 
 
     def sub(p, m):
         if into == 1:
-            return _cut2(p, xs, m, do, xo, no, calc, depth + 1)
-        return _cut2(do, xo, no, p, xs, m, calc, depth + 1)
+            return _cut2(p, xs, m, do, xo, no, calc, fresh, depth + 1)
+        return _cut2(do, xo, no, p, xs, m, calc, fresh, depth + 1)
 
     merged = seq_minus(do.conclusion, (xo,) * no)
     resid = IFormula(xs.roles & xo.roles, xs.formula)
@@ -875,8 +911,8 @@ def _stray_trick(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) 
             y = ds.eigen if ds.eigen is not None else a.var
             prem = ds.premises[0]
             if y in seq_free_vars(merged + (resid,)):
-                z = fresh_var(y)
-                prem = subst_derivation(prem, y, Var(z))
+                z = fresh(y)
+                prem = subst_derivation(prem, y, Var(z), fresh)
                 y = z
             rebuilt = b_forall_pos(sub(prem, ns - 1), item.roles, a, y)
         case _:
@@ -885,26 +921,27 @@ def _stray_trick(ds, xs, ns, do, xo, no, calc: Calculus, depth: int, into: int) 
         # nothing was actually cut in the rebuild; avoid an infinite loop
         raise KernelError("internal: stray trick invoked with a single occurrence")
     if into == 1:
-        out = _cut2(rebuilt, xs, 1, do, xo, no, calc, depth + 1)
+        out = _cut2(rebuilt, xs, 1, do, xo, no, calc, fresh, depth + 1)
     else:
-        out = _cut2(do, xo, no, rebuilt, xs, 1, calc, depth + 1)
+        out = _cut2(do, xo, no, rebuilt, xs, 1, calc, fresh, depth + 1)
     return _contract_extras(out, merged + (resid,), calc)
 
 
-def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, depth: int) -> Derivation:
+def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
+                   depth: int) -> Derivation:
     """! on side 1 (promoted) against a dereliction of a tracked copy on side 2."""
     _hit("bang-derelict")
     a = x1.formula  # Bang
     resid = IFormula(x1.roles & x2.roles, a)
     sub_body = IFormula(x2.roles, a.body)
     prem2 = d2.premises[0]  # ... (n2-1 copies of x2), <R2>body
-    e = _cut2(d1, x1, 1, prem2, x2, n2 - 1, calc, depth + 1)
+    e = _cut2(d1, x1, 1, prem2, x2, n2 - 1, calc, fresh, depth + 1)
     # e proves gamma1, (C2 - n2*x2), <R2>body, resid  with gamma1 = ?(ctx of d1)
     if d1.rule != "bang-pos":
         raise KernelError("cut2_residual: promoted side does not end in bang-pos")
     d11 = d1.premises[0]
     x1_body = IFormula(x1.roles, a.body)
-    f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, depth + 1)
+    f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, fresh, depth + 1)
     # f proves gamma1, gamma1, (C2 - n2*x2), resid, <R1 n R2>body
     f = b_bang_derelict(f, resid.roles, a)
     f = b_contract(f, resid, calc)
@@ -912,7 +949,8 @@ def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, depth: int) -> Derivation
     return _contract_extras(f, gamma1, calc)
 
 
-def _principal_case(d1, x1, d2, x2, calc: Calculus, depth: int) -> Derivation:
+def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
+                    depth: int) -> Derivation:
     a = x1.formula
     r1, r2 = x1.roles, x2.roles
     rr = r1 & r2
@@ -930,7 +968,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, depth: int) -> Derivation:
             _hit("neg")
             y1 = IFormula(f.preimage(r1), body)
             y2 = IFormula(f.preimage(r2), body)
-            e = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, depth + 1)
+            e = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh, depth + 1)
             return b_neg(e, rr, f, body)
 
         case Conj(u, left, right) | AConj(u, left, right):
@@ -939,9 +977,9 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, depth: int) -> Derivation:
             if pos1 and pos2:
                 _hit(f"{tag}-pos-pos")
                 e1 = _cut2(d1.premises[0], IFormula(r1, left), 1,
-                           d2.premises[0], IFormula(r2, left), 1, calc, depth + 1)
+                           d2.premises[0], IFormula(r2, left), 1, calc, fresh, depth + 1)
                 e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, depth + 1)
+                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, depth + 1)
                 return b_add_pos(e1, e2, rr, a)
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             side = "l" if dn.rule.endswith("neg-l") else "r"
@@ -949,7 +987,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, depth: int) -> Derivation:
             branch = left if side == "l" else right
             k = 0 if side == "l" else 1
             e = _cut2(dp.premises[k], IFormula(xp.roles, branch), 1,
-                      dn.premises[0], IFormula(xn.roles, branch), 1, calc, depth + 1)
+                      dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh, depth + 1)
             return b_add_neg(e, rr, a, side)
 
         case MConj(u, left, right):
@@ -957,16 +995,16 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, depth: int) -> Derivation:
             if pos1 and pos2:
                 _hit("tensor-pos-pos")
                 e1 = _cut2(d1.premises[0], IFormula(r1, left), 1,
-                           d2.premises[0], IFormula(r2, left), 1, calc, depth + 1)
+                           d2.premises[0], IFormula(r2, left), 1, calc, fresh, depth + 1)
                 e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, depth + 1)
+                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, depth + 1)
                 return b_mconj_pos(e1, e2, rr, a)
             _hit("tensor-pos-neg" if pos1 else "tensor-neg-pos")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             e1 = _cut2(dp.premises[0], IFormula(xp.roles, left), 1,
-                       dn.premises[0], IFormula(xn.roles, left), 1, calc, depth + 1)
+                       dn.premises[0], IFormula(xn.roles, left), 1, calc, fresh, depth + 1)
             e2 = _cut2(dp.premises[1], IFormula(xp.roles, right), 1,
-                       e1, IFormula(xn.roles, right), 1, calc, depth + 1)
+                       e1, IFormula(xn.roles, right), 1, calc, fresh, depth + 1)
             return b_mconj_neg(e2, rr, a)
 
         case Impl(f, u, left, right):
@@ -974,17 +1012,18 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, depth: int) -> Derivation:
             if pos1 and pos2:
                 _hit("imp-pos-pos")
                 e1 = _cut2(d1.premises[0], IFormula(f.preimage(r1), left), 1,
-                           d2.premises[0], IFormula(f.preimage(r2), left), 1, calc, depth + 1)
+                           d2.premises[0], IFormula(f.preimage(r2), left), 1,
+                           calc, fresh, depth + 1)
                 e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, depth + 1)
+                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, depth + 1)
                 return b_imp_pos(e1, e2, rr, a)
             _hit("imp-pos-neg" if pos1 else "imp-neg-pos")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             e1 = _cut2(dp.premises[0], IFormula(f.preimage(xp.roles), left), 1,
                        dn.premises[0], IFormula(f.preimage(xn.roles), left), 1,
-                       calc, depth + 1)
+                       calc, fresh, depth + 1)
             e2 = _cut2(dp.premises[1], IFormula(xp.roles, right), 1,
-                       e1, IFormula(xn.roles, right), 1, calc, depth + 1)
+                       e1, IFormula(xn.roles, right), 1, calc, fresh, depth + 1)
             return b_imp_neg(e2, rr, a)
 
         case Bang(u, body):
@@ -993,39 +1032,39 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, depth: int) -> Derivation:
             if d1.rule != "bang-pos" or d2.rule != "bang-pos":
                 raise KernelError("cut2_residual: ! principal case without promotions")
             e = _cut2(d1.premises[0], IFormula(r1, body), 1,
-                      d2.premises[0], IFormula(r2, body), 1, calc, depth + 1)
+                      d2.premises[0], IFormula(r2, body), 1, calc, fresh, depth + 1)
             return b_bang_pos(e, rr, a)
 
         case Forall(u, xv, body):
             pos1, pos2 = u.contains(r1), u.contains(r2)
             if pos1 and pos2:
                 _hit("forall-pos-pos")
-                z = fresh_var(xv)
-                p1 = _realign_eigen(d1, z)
-                p2 = _realign_eigen(d2, z)
+                z = fresh(xv)
+                p1 = _realign_eigen(d1, z, fresh)
+                p2 = _realign_eigen(d2, z, fresh)
                 bz = substitute(body, xv, Var(z))
-                e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, depth + 1)
+                e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, fresh, depth + 1)
                 return b_forall_pos(e, rr, a, z)
             _hit("forall-pos-neg")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             t = dn.witness
             y = dp.eigen if dp.eigen is not None else xv
-            p = subst_derivation(dp.premises[0], y, t)
+            p = subst_derivation(dp.premises[0], y, t, fresh)
             bt = substitute(body, xv, t)
             e = _cut2(p, IFormula(xp.roles, bt), 1,
-                      dn.premises[0], IFormula(xn.roles, bt), 1, calc, depth + 1)
+                      dn.premises[0], IFormula(xn.roles, bt), 1, calc, fresh, depth + 1)
             return b_forall_neg(e, rr, a, t)
 
     raise KernelError(f"cut2_residual: unsupported principal case {d1.rule}/{d2.rule}")
 
 
-def _realign_eigen(d: Derivation, z: str) -> Derivation:
+def _realign_eigen(d: Derivation, z: str, fresh: FreshNames) -> Derivation:
     """Premise of a forall-pos node with its eigenvariable renamed to z."""
     item = _principal_item(d)
     y = d.eigen if d.eigen is not None else item.formula.var
     if y == z:
         return d.premises[0]
-    return subst_derivation(d.premises[0], y, Var(z))
+    return subst_derivation(d.premises[0], y, Var(z), fresh)
 
 
 # -------------------------------------------------------------- mp-cut
@@ -1052,8 +1091,9 @@ def mp_cut(ds: list[Derivation], indices: list[int], calc: Calculus) -> Derivati
         return cut1(ds[0], indices[0], calc)
     acc = ds[0]
     occ = occs[0]
+    fresh = FreshNames(lambda: _names(*ds))
     for d, oc in zip(ds[1:], occs[1:]):
-        acc = _cut2(acc, occ, 1, d, oc, 1, calc, 0)
+        acc = _cut2(acc, occ, 1, d, oc, 1, calc, fresh, 0)
         occ = IFormula(occ.roles & oc.roles, a)
     return _cut1(acc, occ, 1, calc)
 
@@ -1073,7 +1113,7 @@ def split_roles(d: Derivation, index: int, r1: int, r2: int, calc: Calculus) -> 
     a = item.formula
     comp = rl.full_set(calc.n) & ~item.roles
     w = axiom_multi(a, [comp, r1, r2], calc)
-    e = _cut2(d, item, 1, w, IFormula(comp, a), 1, calc, 0)
+    e = _cut2(d, item, 1, w, IFormula(comp, a), 1, calc, FreshNames(lambda: _names(d)), 0)
     return _cut1(e, IFormula(0, a), 1, calc)
 
 
@@ -1087,18 +1127,16 @@ def search(items: Sequent, calc: Calculus, depth: int) -> Derivation | None:
     for the structural calculi a miss is not a refutation.  Contraction is
     never searched.
     """
-    memo: dict = {}
-    return _search(tuple(items), calc, depth, memo)
+    items = tuple(items)
+    fresh = FreshNames(lambda: names_in(it.formula for it in items))
+    return _search(items, calc, depth, {}, fresh)
 
 
-def _seq_key(items: Sequent):
-    return tuple(sorted((it.roles, fmt_formula(it.formula)) for it in items))
-
-
-def _search(items: Sequent, calc: Calculus, depth: int, memo: dict) -> Derivation | None:
+def _search(items: Sequent, calc: Calculus, depth: int, memo: dict,
+            fresh: FreshNames) -> Derivation | None:
     if depth <= 0:
         return None
-    key = _seq_key(items)
+    key = frozenset(seq_counts(items).items())  # the multiset of items
     known = memo.get(key)
     if known is not None:
         found, tried = known
@@ -1106,7 +1144,7 @@ def _search(items: Sequent, calc: Calculus, depth: int, memo: dict) -> Derivatio
             return found
         if tried >= depth:
             return None
-    out = _search_raw(items, calc, depth, memo)
+    out = _search_raw(items, calc, depth, memo, fresh)
     memo[key] = (out, depth)
     return out
 
@@ -1115,7 +1153,7 @@ def _candidate_ok(items: Sequent, calc: Calculus) -> bool:
     return calc.kind != "mrlj" or is_intuitionistic(items, calc.j)
 
 
-def _search_raw(items, calc, depth, memo):
+def _search_raw(items, calc, depth, memo, fresh):
     if items and isinstance(items[0].formula, Atom):
         a0 = items[0].formula
         if all(it.formula == a0 for it in items) \
@@ -1131,7 +1169,7 @@ def _search_raw(items, calc, depth, memo):
         def rec1(premise, build):
             if not _candidate_ok(premise, calc):
                 return None
-            p = _search(premise, calc, depth - 1, memo)
+            p = _search(premise, calc, depth - 1, memo, fresh)
             return build(p) if p is not None else None
 
         match a:
@@ -1145,8 +1183,8 @@ def _search_raw(items, calc, depth, memo):
                     p1 = ctx + (IFormula(r, left),)
                     p2 = ctx + (IFormula(r, right),)
                     if _candidate_ok(p1, calc) and _candidate_ok(p2, calc):
-                        s1 = _search(p1, calc, depth - 1, memo)
-                        s2 = _search(p2, calc, depth - 1, memo) if s1 else None
+                        s1 = _search(p1, calc, depth - 1, memo, fresh)
+                        s2 = _search(p2, calc, depth - 1, memo, fresh) if s1 else None
                         if s1 and s2:
                             return b_add_pos(s1, s2, r, a)
                 else:
@@ -1164,8 +1202,8 @@ def _search_raw(items, calc, depth, memo):
                         p2 = g2 + (IFormula(r, right),)
                         if not (_candidate_ok(p1, calc) and _candidate_ok(p2, calc)):
                             continue
-                        s1 = _search(p1, calc, depth - 1, memo)
-                        s2 = _search(p2, calc, depth - 1, memo) if s1 else None
+                        s1 = _search(p1, calc, depth - 1, memo, fresh)
+                        s2 = _search(p2, calc, depth - 1, memo, fresh) if s1 else None
                         if s1 and s2:
                             return b_mconj_pos(s1, s2, r, a)
                 else:
@@ -1183,8 +1221,8 @@ def _search_raw(items, calc, depth, memo):
                         p2 = g2 + (IFormula(r, right),)
                         if not (_candidate_ok(p1, calc) and _candidate_ok(p2, calc)):
                             continue
-                        s1 = _search(p1, calc, depth - 1, memo)
-                        s2 = _search(p2, calc, depth - 1, memo) if s1 else None
+                        s1 = _search(p1, calc, depth - 1, memo, fresh)
+                        s2 = _search(p2, calc, depth - 1, memo, fresh) if s1 else None
                         if s1 and s2:
                             return b_imp_pos(s1, s2, r, a)
                 else:
@@ -1209,7 +1247,7 @@ def _search_raw(items, calc, depth, memo):
                         return out
             case Forall(u, xv, body):
                 if u.contains(r):
-                    y = xv if xv not in seq_free_vars(ctx) else fresh_var(xv)
+                    y = xv if xv not in seq_free_vars(ctx) else fresh(xv)
                     out = rec1(ctx + (IFormula(r, substitute(body, xv, Var(y))),),
                                lambda p: b_forall_pos(p, r, a, y))
                     if out:
@@ -1223,7 +1261,7 @@ def _search_raw(items, calc, depth, memo):
         if not linear:
             out = None
             if _candidate_ok(ctx, calc):
-                p = _search(ctx, calc, depth - 1, memo)
+                p = _search(ctx, calc, depth - 1, memo, fresh)
                 out = b_weaken(p, it, calc) if p is not None else None
             if out:
                 return out
@@ -1263,6 +1301,18 @@ def entailment(a: Formula, b: Formula, r: int, calc: Calculus,
 
 
 def derivation_to_obj(d: Derivation) -> dict:
+    texts: dict = {}  # each distinct formula is printed once per call
+
+    def fmt(a: Formula) -> str:
+        text = texts.get(a)
+        if text is None:
+            text = texts[a] = fmt_formula(a)
+        return text
+
+    return _to_obj(d, fmt)
+
+
+def _to_obj(d: Derivation, fmt) -> dict:
     inst: dict = {}
     if d.principal is not None:
         inst["principal"] = d.principal
@@ -1273,10 +1323,10 @@ def derivation_to_obj(d: Derivation) -> dict:
         inst["eigen"] = d.eigen
     return {
         "rule": d.rule,
-        "conclusion": [{"roles": rl.members(it.roles), "formula": fmt_formula(it.formula)}
+        "conclusion": [{"roles": rl.members(it.roles), "formula": fmt(it.formula)}
                        for it in d.conclusion],
         "inst": inst,
-        "premises": [derivation_to_obj(p) for p in d.premises],
+        "premises": [_to_obj(p, fmt) for p in d.premises],
     }
 
 
@@ -1285,6 +1335,18 @@ def derivation_to_json(d: Derivation, pretty: bool = False) -> str:
 
 
 def derivation_from_obj(obj: dict, n: int | None = None) -> Derivation:
+    formulas: dict = {}  # each distinct formula text is parsed once per call
+
+    def parse(text: str) -> Formula:
+        a = formulas.get(text)
+        if a is None:
+            a = formulas[text] = parse_formula(text, n)
+        return a
+
+    return _from_obj(obj, parse)
+
+
+def _from_obj(obj: dict, parse) -> Derivation:
     if "conclusion" not in obj:
         raise KernelError("derivation JSON has no \"conclusion\"")
     items = []
@@ -1292,7 +1354,7 @@ def derivation_from_obj(obj: dict, n: int | None = None) -> Derivation:
         mask = 0
         for r in entry["roles"]:
             mask |= 1 << r
-        items.append(IFormula(mask, parse_formula(entry["formula"], n)))
+        items.append(IFormula(mask, parse(entry["formula"])))
     inst = obj.get("inst", {})
     witness = None
     if "witness" in inst:
@@ -1301,7 +1363,7 @@ def derivation_from_obj(obj: dict, n: int | None = None) -> Derivation:
     return Derivation(
         obj["rule"],
         tuple(items),
-        tuple(derivation_from_obj(p, n) for p in obj.get("premises", [])),
+        tuple(_from_obj(p, parse) for p in obj.get("premises", [])),
         inst.get("principal"),
         witness=witness,
         eigen=inst.get("eigen"),

@@ -18,10 +18,9 @@ as constants otherwise.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
-from dataclasses import dataclass
+import weakref
 
 from .roles import (
     Endo,
@@ -39,16 +38,59 @@ class FormulaError(ValueError):
     pass
 
 
+# ----------------------------------------------------- hash-consed nodes
+
+
+class Node:
+    """An immutable, hash-consed syntax node.
+
+    Constructing a node looks up ``(class, *fields)`` in a weak table and
+    returns the live node it finds, so structurally equal nodes are one
+    object: ``==`` and ``hash`` are identity's, O(1) at any depth.  The
+    table holds its nodes weakly, so no result can depend on it.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = Node._table.get(key)
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, "
+                                f"got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            Node._table[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__))
+
+
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Node):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
@@ -66,55 +108,58 @@ def fmt_term(t: Term, bound: frozenset = frozenset()) -> str:
 # ------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Node):
+    __slots__ = __match_args__ = ("label", "args")
     label: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __new__(cls, label: str, args: tuple[Term, ...] = ()):
+        return super().__new__(cls, label, args)
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Node):
+    __slots__ = __match_args__ = ("f", "body")
     f: Endo
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Conj:
+class Conj(Node):
+    __slots__ = __match_args__ = ("u", "left", "right")
     u: Ultra
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Impl:
+class Impl(Node):
+    __slots__ = __match_args__ = ("f", "u", "left", "right")
     f: Endo
     u: Ultra
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class AConj:
+class AConj(Node):
+    __slots__ = __match_args__ = ("u", "left", "right")
     u: Ultra
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class MConj:
+class MConj(Node):
+    __slots__ = __match_args__ = ("u", "left", "right")
     u: Ultra
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Bang:
+class Bang(Node):
+    __slots__ = __match_args__ = ("u", "body")
     u: Ultra
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Node):
+    __slots__ = __match_args__ = ("u", "var", "body")
     u: Ultra
     var: str
     body: "Formula"
@@ -152,17 +197,62 @@ def free_vars(a: Formula) -> frozenset[str]:
     raise FormulaError(f"not a formula: {a!r}")
 
 
-_fresh_counter = itertools.count(1)
+def _suffix(name: str) -> int:
+    _, sep, k = name.rpartition("~")
+    return int(k) if sep and k.isascii() and k.isdigit() else 0
 
 
-def fresh_var(base: str = "x") -> str:
-    """A globally fresh variable name (used when renaming eigenvariables)."""
-    stem = base.split("~")[0]
-    return f"{stem}~{next(_fresh_counter)}"
+class FreshNames:
+    """Variable names ``stem~k`` numbered by one counter, for one call.
+
+    The counter starts above every ``~k`` suffix among the names ``taken()``
+    returns, so no name it gives occurs in the call's inputs.  ``taken`` is
+    called when the first name is asked for, so calls that need no fresh
+    name never collect the input names.
+    """
+
+    def __init__(self, taken=tuple):
+        self._taken = taken
+        self._next = 0
+
+    def __call__(self, base: str = "x") -> str:
+        if not self._next:
+            self._next = 1 + max(map(_suffix, self._taken()), default=0)
+        k = self._next
+        self._next += 1
+        return f"{base.split('~')[0]}~{k}"
+
+
+def names_in(formulas) -> set[str]:
+    """Every variable, constant and binder name occurring in the formulas."""
+    out: set[str] = set()
+    seen: set = set()
+    stack = list(formulas)
+    while stack:
+        a = stack.pop()
+        if a in seen:
+            continue
+        seen.add(a)
+        match a:
+            case Atom(_, args):
+                out.update(t.name for t in args)
+            case Forall(_, x, body):
+                out.add(x)
+                stack.append(body)
+            case Neg(_, body) | Bang(_, body):
+                stack.append(body)
+            case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
+                stack += (l, r)
+    return out
 
 
 def substitute(a: Formula, x: str, t: Term) -> Formula:
-    """A[t/x], capture-avoiding."""
+    """A[t/x], capture-avoiding.
+
+    A binder y that would capture t is renamed to the smallest ``y~k`` that
+    is not free in its body and is not t, so the result depends on A, x and
+    t alone.
+    """
     match a:
         case Atom(label, args):
             return Atom(label, tuple(t if isinstance(s, Var) and s.name == x else s for s in args))
@@ -181,23 +271,21 @@ def substitute(a: Formula, x: str, t: Term) -> Formula:
         case Forall(u, y, body):
             if y == x:
                 return a
-            if isinstance(t, Var) and t.name == y and x in free_vars(body):
-                z = fresh_var(y)
+            if isinstance(t, Var) and t.name == y and x in (fv := free_vars(body)):
+                stem, k = y.split("~")[0], 1
+                while (z := f"{stem}~{k}") in fv or z == y:
+                    k += 1
                 body = substitute(body, y, Var(z))
                 return Forall(u, z, substitute(body, x, t))
             return Forall(u, y, substitute(body, x, t))
     raise FormulaError(f"not a formula: {a!r}")
 
 
-def rename_var(a: Formula, x: str, y: str) -> Formula:
-    return substitute(a, x, Var(y))
-
-
 # ------------------------------------------------------------ i-formulas
 
 
-@dataclass(frozen=True)
-class IFormula:
+class IFormula(Node):
+    __slots__ = __match_args__ = ("roles", "formula")
     roles: int
     formula: Formula
 
@@ -218,17 +306,21 @@ def seq_equal(a: Sequent, b: Sequent) -> bool:
 
 
 def seq_minus(a: Sequent, b: Sequent) -> Sequent | None:
-    """Multiset difference a - b, or None if b is not contained in a."""
-    counts = seq_counts(a)
-    for it in b:
-        if counts.get(it, 0) == 0:
-            return None
-        counts[it] -= 1
+    """Multiset difference a - b, or None if b is not contained in a.
+
+    The last occurrences in a are the ones removed; the rest keep their order.
+    """
+    drop = seq_counts(b)
     out = []
-    for it in a:
-        if counts.get(it, 0) > 0:
-            counts[it] -= 1
+    for it in reversed(a):
+        k = drop.get(it)
+        if k:
+            drop[it] = k - 1
+        else:
             out.append(it)
+    if any(drop.values()):
+        return None
+    out.reverse()
     return tuple(out)
 
 

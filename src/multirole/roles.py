@@ -231,20 +231,11 @@ class Ultra:
 def push_ultra(f: Endo, u: Ultra) -> Ultra:
     """The pushforward f(U) = { R | f^{-1}(R) in U }.
 
-    For a principal U at r this is the principal ultrafilter at f(r);
-    push_ultra computes it from the definition and cross-checks.
+    For a principal U at r this is the principal ultrafilter at f(r).
     """
     if not 0 <= u.r < f.n:
         raise RoleError(f"ultrafilter @{u.r} outside universe of {f.n} roles")
-    principal = Ultra(f(u.r))
-    for cand in range(f.n):
-        ok = all(
-            u.contains(f.preimage(mask)) == bool(mask & (1 << cand))
-            for mask in (1 << cand, full_set(f.n) & ~(1 << cand))
-        )
-        if ok and cand != principal.r:
-            raise RoleError("pushforward is not principal at f(r)")  # unreachable
-    return principal
+    return Ultra(f(u.r))
 
 
 def fmt_ultra(u: Ultra) -> str:

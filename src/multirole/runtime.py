@@ -624,6 +624,8 @@ class Pool:
 
     def chan_split(self, ep: Endpoint, part: int, spawned_cmds,
                    spawn_reg: str = "ep") -> Endpoint:
+        if not ep.live:
+            raise LinearityFault("split of a consumed endpoint")
         if part & ~ep.roles:
             raise NotDisjointSplit("split part is not a subset of the endpoint roles")
         self._consume(ep)
@@ -636,6 +638,8 @@ class Pool:
         return ep_keep
 
     def chan_1_cut(self, ep: Endpoint) -> None:
+        if not ep.live:
+            raise LinearityFault("cut on a consumed endpoint")
         if ep.roles != 0:
             raise NonEmptyRoles("only an empty-role-set endpoint can be removed")
         self._consume(ep)

@@ -177,6 +177,7 @@ def fmt_session(s: SessionType) -> str:
 # -------------------------------------------------------------- parsing
 
 _TOKEN = re.compile(r"\(|\)|@|,|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _COMBINATORS = ("mconj", "aconj", "option", "repseq", "repeat")
 
 
@@ -233,9 +234,9 @@ class _P:
                 return SMConj(r, a, b) if t == "mconj" else SAConj(r, a, b)
             self.expect(")")
             return {"option": OptionT, "repseq": Repseq, "repeat": Repeat}[t](r, a)
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
+        if not _IDENT.fullmatch(t):
             raise SessionError(f"unexpected token {t!r}")
-        # message atom: label(role [, role] [, payload])
+        # message atom: label(role [, role] [, payload]), or gather(role, label [, payload])
         label = t
         self.expect("(")
         args: list[str] = [self.next()]
@@ -246,6 +247,9 @@ class _P:
         payload = "unit"
         if args and args[-1] in PAYLOADS:
             payload = args.pop()
+        if label == "gather" and len(args) == 2 and args[0].isdigit() \
+                and _IDENT.fullmatch(args[1]):
+            return Gather(args[1], int(args[0]), payload)
         if not args or not all(a.isdigit() for a in args) or len(args) > 2:
             raise SessionError(f"bad argument list for atom {label}")
         if len(args) == 1:

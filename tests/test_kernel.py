@@ -215,6 +215,46 @@ class TestQuantifier:
         K.check(e, calc)
         assert e.conclusion == d.conclusion  # zz does not occur
 
+    def test_transformer_output_is_history_independent(self):
+        # eigenvariables are numbered per call, so repeating a call repeats its output
+        rng = random.Random(1)
+        calc = K.LMRL(3)
+        full = rl.full_set(3)
+        renamed = 0
+        for _ in range(60):
+            a = rand_formula(rng, calc, 3, rng.randrange(4))
+            r1 = rng.randrange(1 << 3)
+            r2 = (full & ~r1) | (rng.randrange(1 << 3) & r1)
+            d1 = K.axiom_multi(a, [r1, full & ~r1], calc)
+            d2 = K.axiom_multi(a, [r2, full & ~r2], calc)
+            i1 = d1.conclusion.index(IFormula(r1, a))
+            i2 = d2.conclusion.index(IFormula(r2, a))
+            cut2 = [K.derivation_to_json(K.cut2_residual(d1, i1, d2, i2, calc))
+                    for _ in range(2)]
+            comps = rand_partition(rng, 3, 3)
+            ds = [K.axiom_multi(a, [full & ~c, c], calc) for c in comps]
+            idx = [d.conclusion.index(IFormula(full & ~c, a)) for d, c in zip(ds, comps)]
+            mp = [K.derivation_to_json(K.mp_cut(ds, idx, calc)) for _ in range(2)]
+            assert cut2[0] == cut2[1]
+            assert mp[0] == mp[1]
+            renamed += "~" in cut2[0] + mp[0]
+        assert renamed
+
+    def test_eigenvariables_numbered_above_input_names(self):
+        calc = K.LMRL(2)
+        a = Forall(Ultra(0), "x~7", Atom("p", (Var("x~7"),)))
+        d1 = K.axiom_multi(a, [1, 2], calc)
+        d2 = K.axiom_fullset(a, calc)
+        e = K.cut2_residual(d1, d1.conclusion.index(IFormula(1, a)), d2, 0, calc)
+        K.check(e, calc)
+        eigens = set()
+        stack = [e]
+        while stack:
+            d = stack.pop()
+            stack += d.premises
+            eigens.add(d.eigen)
+        assert "x~8" in eigens and "x~1" not in eigens
+
 
 class TestSearch:
     def test_atoms_partition_derivable(self):

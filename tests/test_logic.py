@@ -1,3 +1,5 @@
+import gc
+import pickle
 import random
 
 import pytest
@@ -11,11 +13,11 @@ from multirole.logic import (
     Conj,
     Const,
     Forall,
+    FreshNames,
     IFormula,
     MConj,
     Neg,
     Var,
-    fresh_var,
     free_vars,
     fmt_formula,
     fmt_sequent,
@@ -80,7 +82,8 @@ class TestSizeVars:
         assert free_vars(parse_formula("(forall @0 x (p x y))")) == set()
 
     def test_fresh_var_distinct(self):
-        names = {fresh_var("x") for _ in range(50)}
+        fresh = FreshNames()
+        names = {fresh("x") for _ in range(50)}
         assert len(names) == 50
 
 
@@ -101,6 +104,14 @@ class TestSubstitute:
         assert isinstance(g, Forall)
         assert g.var != "x"
         assert free_vars(g) == {"x"}
+
+    def test_capture_avoidance_picks_smallest_free_name(self):
+        # x~1 is free in the body, so the binder becomes x~2, on every call
+        u = Ultra(0)
+        f = Forall(u, "x", Conj(u, Atom("p", (Var("x"), Var("x~1"))), Atom("q", (Var("y"),))))
+        g = substitute(f, "y", Var("x"))
+        assert g.var == "x~2"
+        assert substitute(f, "y", Var("x")) is g
 
 
 class TestSequents:
@@ -128,3 +139,39 @@ class TestSequents:
     def test_fmt(self):
         s = (IFormula(1, Atom("a")),)
         assert fmt_sequent(s) == "|- <0>a"
+
+
+class TestHashConsing:
+    def test_equal_nodes_are_one_object(self):
+        a = parse_formula("(forall @1 x (tensor @0 (p x) (bang @1 b)))")
+        b = MConj(Ultra(0), Atom("p", (Var("x"),)), Bang(Ultra(1), Atom("b")))
+        assert a.body is b
+        assert IFormula(3, a) is IFormula(3, parse_formula(fmt_formula(a)))
+        assert pickle.loads(pickle.dumps(IFormula(3, a))) is IFormula(3, a)
+        assert Var("x") is not Const("x")
+
+    def test_nodes_are_immutable(self):
+        a = Atom("a")
+        with pytest.raises(AttributeError):
+            a.label = "b"
+        with pytest.raises(AttributeError):
+            del a.args
+        assert repr(IFormula(1, a)) == "IFormula(roles=1, formula=Atom(label='a', args=()))"
+
+    def test_table_holds_nodes_weakly(self):
+        gc.collect()
+        before = len(lg.Node._table)
+        for k in range(1000):
+            Neg(Endo((1, 0)), Atom(f"unique{k}", (Var(f"v~{k}"),)))
+        gc.collect()
+        assert len(lg.Node._table) == before
+
+    def test_deep_formula_hashes_without_recursion(self):
+        swap = Endo((1, 0))
+        a, b = Atom("a"), Atom("a")
+        for _ in range(5000):
+            a, b = Neg(swap, a), Neg(swap, b)
+        items = (IFormula(1, a), IFormula(1, b))
+        assert a == b and hash(a) == hash(b)
+        assert seq_counts(items) == {IFormula(1, a): 2}
+        assert seq_equal(items, items[::-1])

@@ -243,3 +243,27 @@ class TestSynthFuzz:
             res = pool.run()
             assert res.status == "done", (sn.fmt_session(s), res.detail)
             assert all(ok for _, ok in pool.audit_log)
+
+
+class TestConsumedEndpoints:
+    def _endpoint(self, roles):
+        """A pool of one channel and the caller's endpoint carrying `roles`."""
+        pool = Pool(2)
+        ep = pool.chan_create(0b11 & ~roles, parse_session("a(0, 1)", 2), ())
+        return pool, ep
+
+    def test_second_1cut_is_a_linearity_fault(self):
+        pool, ep = self._endpoint(0)
+        pool.chan_1_cut(ep)
+        events = len(pool.trace)
+        with pytest.raises(LinearityFault):
+            pool.chan_1_cut(ep)
+        assert len(pool.trace) == events
+
+    def test_split_of_a_split_endpoint_is_a_linearity_fault(self):
+        pool, ep = self._endpoint(0b11)
+        pool.chan_split(ep, 0b01, ())
+        events = len(pool.trace)
+        with pytest.raises(LinearityFault):
+            pool.chan_split(ep, 0b01, ())
+        assert len(pool.trace) == events

@@ -41,6 +41,24 @@ class TestParse:
     def test_one_role_atom_is_bcast(self):
         assert parse_session("query(0)", 3) == Bcast("query", 0)
 
+    def test_gather_roundtrip(self):
+        s = Append(Msg("title", 1, 0), Append(Gather("tick", 2, "int"), Gather("ack", 0)))
+        text = fmt_session(s)
+        assert text == "title(1, 0)@gather(2, tick, int)@gather(0, ack)"
+        assert parse_session(text, 3) == s
+
+    def test_gather_with_two_roles_is_msg(self):
+        assert parse_session("gather(0, 1)", 3) == Msg("gather", 0, 1)
+
+    def test_random_roundtrip_with_gather(self):
+        rng = random.Random(22)
+        gathers = 0
+        for _ in range(100):
+            s = rand_session(rng, 3, 2)
+            gathers += "gather(" in fmt_session(s)
+            assert parse_session(fmt_session(s), 3) == s
+        assert gathers
+
     def test_payload_tag(self):
         assert parse_session("quote(0, 1, int)", 2) == Msg("quote", 0, 1, "int")
 
