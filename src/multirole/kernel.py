@@ -16,7 +16,7 @@ nodes and are themselves checkable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import roles as rl
 from .logic import (
@@ -139,11 +139,25 @@ class Derivation:
     principal: int | None = None
     witness: Term | None = None
     eigen: str | None = None
-    height: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        h = 1 + max((p.height for p in self.premises), default=0)
-        object.__setattr__(self, "height", h)
+    @property
+    def height(self) -> int:
+        """Rules on the longest branch; computed on first access, bottom-up
+        with an explicit stack, and cached on every node it visits."""
+        stack = [self]
+        while stack:
+            d = stack[-1]
+            if "_height" in d.__dict__:
+                stack.pop()
+                continue
+            todo = [p for p in d.premises if "_height" not in p.__dict__]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            d.__dict__["_height"] = 1 + max(
+                (p.__dict__["_height"] for p in d.premises), default=0)
+        return self.__dict__["_height"]
 
 
 def rule_tags(d: Derivation) -> set[str]:

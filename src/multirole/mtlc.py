@@ -241,29 +241,57 @@ Expr = (EVar | ERc | EUnit | EBool | EInt | EStr | EConst | EPair | ELPair
         | EFst | ESnd | ELet | ELam | ELLam | EApp | EFix | EIf)
 
 
+_RES_PARTS = {
+    EConst: lambda e: e.args,
+    EPair: lambda e: (e.left, e.right),
+    ELPair: lambda e: (e.left, e.right),
+    EApp: lambda e: (e.fun, e.arg),
+    EFst: lambda e: (e.body,),
+    ESnd: lambda e: (e.body,),
+    ELet: lambda e: (e.pair, e.body),
+    ELam: lambda e: (e.body,),
+    ELLam: lambda e: (e.body,),
+    EFix: lambda e: (e.value,),
+    EIf: lambda e: (e.cond, e.then),  # both branches hold the same resources
+}
+
+
+def resources(e: Expr) -> tuple[int, ...]:
+    """The endpoint ids of the resource constants in an expression, one per
+    occurrence.
+
+    Cached on each node on first request, so a step's new nodes are counted
+    once and untouched subtrees not again; built from the children's cached
+    tuples with an explicit stack, so depth is bounded by memory alone.
+    """
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        d = node.__dict__
+        if "_res" in d:
+            stack.pop()
+            continue
+        parts = _RES_PARTS.get(type(node))
+        if parts is None:
+            stack.pop()
+            d["_res"] = (node.ep.eid,) if isinstance(node, ERc) else ()
+            continue
+        kids = parts(node)
+        todo = [k for k in kids if "_res" not in k.__dict__]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        out = ()
+        for k in kids:
+            out += k.__dict__["_res"]
+        d["_res"] = out
+    return e.__dict__["_res"]
+
+
 def rho(e: Expr) -> Counter:
     """The multiset of resource constants occurring in an expression."""
-    match e:
-        case ERc(ep):
-            return Counter({ep.eid: 1})
-        case EVar() | EUnit() | EBool() | EInt() | EStr():
-            return Counter()
-        case EConst(_, args):
-            out = Counter()
-            for a in args:
-                out += rho(a)
-            return out
-        case EPair(a, b) | ELPair(a, b) | EApp(a, b):
-            return rho(a) + rho(b)
-        case EFst(b) | ESnd(b):
-            return rho(b)
-        case ELet(_, _, p, b):
-            return rho(p) + rho(b)
-        case ELam(_, _, b) | ELLam(_, _, b) | EFix(_, _, b):
-            return rho(b)
-        case EIf(c, a, _b):
-            return rho(c) + rho(a)  # both branches hold the same resources
-    raise TypeError(f"unknown expression {e!r}")
+    return Counter(resources(e))
 
 
 def free_evars(e: Expr) -> set[str]:
@@ -290,15 +318,21 @@ def free_evars(e: Expr) -> set[str]:
     raise TypeError(f"unknown expression {e!r}")
 
 
-_SUBST_FRESH = [0]
-
-
-def _freshen(x: str) -> str:
-    _SUBST_FRESH[0] += 1
-    return f"{x.split('~')[0]}~{_SUBST_FRESH[0]}"
+def _fresh(x: str, taken) -> str:
+    """The smallest ``x~k`` (k >= 1, stem of x) not in taken."""
+    stem, k = x.split("~")[0], 1
+    while (z := f"{stem}~{k}") in taken:
+        k += 1
+    return z
 
 
 def esubst(e: Expr, x: str, v: Expr) -> Expr:
+    """e[v/x], capture-avoiding.
+
+    A binder that would capture v is renamed to the smallest ``y~k`` not
+    free in its body or in v and not x, so the result depends on e, x and v
+    alone.
+    """
     fv = free_evars(v)
 
     def go(e: Expr, x: str) -> Expr:
@@ -326,7 +360,9 @@ def esubst(e: Expr, x: str, v: Expr) -> Expr:
                 if x in (x1, x2):
                     return ELet(x1, x2, p2, b)
                 if x1 in fv or x2 in fv:
-                    n1, n2 = _freshen(x1), _freshen(x2)
+                    taken = fv | free_evars(b) | {x}
+                    n1 = _fresh(x1, taken)
+                    n2 = _fresh(x2, taken | {n1})
                     b = esubst(esubst(b, x1, EVar(n1)), x2, EVar(n2))
                     x1, x2 = n1, n2
                 return ELet(x1, x2, p2, go(b, x))
@@ -335,7 +371,7 @@ def esubst(e: Expr, x: str, v: Expr) -> Expr:
                 if y == x:
                     return e
                 if y in fv:
-                    ny = _freshen(y)
+                    ny = _fresh(y, fv | free_evars(b) | {x})
                     b = esubst(b, y, EVar(ny))
                     y = ny
                 return ctor(y, t, go(b, x))
@@ -518,9 +554,10 @@ def sig_result(name: str, args: list[Viewtype], n: int) -> Viewtype:
 
 def _avoid(x: str, body: Expr, delta) -> tuple[str, Expr]:
     """Alpha-rename a binder that would shadow a linear-context entry;
-    otherwise the shadowed resource could be dropped unnoticed."""
+    otherwise the shadowed resource could be dropped unnoticed.  The new name
+    is the smallest ``x~k`` not free in the body and not in the context."""
     if x in delta:
-        x2 = _freshen(x)
+        x2 = _fresh(x, free_evars(body) | delta.keys())
         return x2, esubst(body, x, EVar(x2))
     return x, body
 
@@ -594,7 +631,7 @@ def _check(e: Expr, gamma, delta, n) -> tuple[Viewtype, dict]:
                     raise MtlcTypeError("ty-let", f"linear variable {x} unused")
             return t, d2
         case ELam(x, tx, body):
-            if rho(body):
+            if resources(body):
                 raise MtlcTypeError("ty-lam-i", "non-linear function holds resources")
             x, body = _avoid(x, body, delta)
             inner = dict(delta)
@@ -637,7 +674,7 @@ def _check(e: Expr, gamma, delta, n) -> tuple[Viewtype, dict]:
         case EFix(x, tx, v):
             if not is_value(v) and not isinstance(v, EVar):
                 raise MtlcTypeError("ty-fix", "fixpoint body must be a value")
-            if rho(v):
+            if resources(v):
                 raise MtlcTypeError("ty-fix", "fixpoint body holds resources")
             if is_linear(tx):
                 raise MtlcTypeError("ty-fix", "fixpoint at a linear type")
@@ -673,182 +710,6 @@ def _check(e: Expr, gamma, delta, n) -> tuple[Viewtype, dict]:
                 ts.append(ta)
             return sig_result(name, ts, n), d
     raise MtlcTypeError("ty", f"unknown expression {e!r}")
-
-
-def typecheck_declarative(e: Expr, gamma=None, delta=None, n: int = 2) -> Viewtype:
-    """Reference checker with explicit context splits (exponential; small terms).
-
-    Used to validate the threaded algorithmic checker: it enumerates every
-    way of dividing the linear context at each two-subterm node.
-    """
-    gamma = dict(gamma or {})
-    delta = dict(delta or {})
-
-    def splits(d: dict):
-        keys = sorted(d)
-        for mask in range(1 << len(keys)):
-            left = {k: d[k] for i, k in enumerate(keys) if mask & (1 << i)}
-            right = {k: d[k] for i, k in enumerate(keys) if not mask & (1 << i)}
-            yield left, right
-
-    def chk(e: Expr, d: dict) -> Viewtype:
-        match e:
-            case EVar(x):
-                if x in d:
-                    if set(d) != {x}:
-                        raise MtlcTypeError("ty-var", "leftover linear context")
-                    return d[x]
-                if x in gamma and not d:
-                    return gamma[x]
-                raise MtlcTypeError("ty-var", f"unbound or leftover at {x}")
-            case EUnit() | EBool() | EInt() | EStr() | ERc():
-                if d:
-                    raise MtlcTypeError("ty-lit", "leftover linear context")
-                t, _ = _check(e, gamma, {}, n)
-                return t
-            case EPair(a, b) | ELPair(a, b) | EApp(a, b):
-                errs = None
-                for dl, dr in splits(d):
-                    try:
-                        t1 = chk(a, dl)
-                        t2 = chk(b, dr)
-                    except MtlcTypeError as ex:
-                        errs = ex
-                        continue
-                    match e:
-                        case EPair():
-                            if is_linear(t1) or is_linear(t2):
-                                raise MtlcTypeError("ty-pair", "linear part")
-                            return TPair(t1, t2)
-                        case ELPair():
-                            return TLPair(t1, t2)
-                        case EApp():
-                            if isinstance(t1, (TFunN, TFunL)) and compat(t2, t1.dom):
-                                return t1.cod
-                            errs = MtlcTypeError("ty-app", f"{t1} to {t2}")
-                raise errs or MtlcTypeError("ty-split", "no valid context split")
-            case EFst(b):
-                t = chk(b, d)
-                if isinstance(t, TPair):
-                    return t.left
-                raise MtlcTypeError("ty-fst", str(t))
-            case ESnd(b):
-                t = chk(b, d)
-                if isinstance(t, TPair):
-                    return t.right
-                raise MtlcTypeError("ty-snd", str(t))
-            case ELet(x1, x2, p, b):
-                errs = None
-                for dl, dr in splits(d):
-                    try:
-                        tp = chk(p, dl)
-                        if not isinstance(tp, TLPair):
-                            raise MtlcTypeError("ty-let", str(tp))
-                        y1, b1 = _avoid(x1, b, dr)
-                        y2, b1 = _avoid(x2, b1, dr)
-                        inner = dict(dr)
-                        saved = {}
-                        for y, ty in ((y1, tp.left), (y2, tp.right)):
-                            if is_linear(ty):
-                                inner[y] = ty
-                            else:
-                                saved[y] = gamma.get(y)
-                                gamma[y] = ty
-                        try:
-                            return chk(b1, inner)
-                        finally:
-                            for y, old in saved.items():
-                                if old is None:
-                                    del gamma[y]
-                                else:
-                                    gamma[y] = old
-                    except MtlcTypeError as ex:
-                        errs = ex
-                raise errs or MtlcTypeError("ty-split", "no valid context split")
-            case ELam(x, tx, body):
-                if rho(body) or d:
-                    raise MtlcTypeError("ty-lam-i", "resources or linear capture")
-                if is_linear(tx):
-                    return TFunN(tx, chk(body, {x: tx}))
-                old = gamma.get(x)
-                gamma[x] = tx
-                try:
-                    return TFunN(tx, chk(body, {}))
-                finally:
-                    if old is None:
-                        del gamma[x]
-                    else:
-                        gamma[x] = old
-            case ELLam(x, tx, body):
-                x, body = _avoid(x, body, d)
-                if is_linear(tx):
-                    inner = dict(d)
-                    inner[x] = tx
-                    return TFunL(tx, chk(body, inner))
-                old = gamma.get(x)
-                gamma[x] = tx
-                try:
-                    return TFunL(tx, chk(body, d))
-                finally:
-                    if old is None:
-                        del gamma[x]
-                    else:
-                        gamma[x] = old
-            case EIf(c, a, b):
-                errs = None
-                if rho(a) != rho(b):
-                    raise MtlcTypeError("ty-if", "branch resources differ")
-                for dl, dr in splits(d):
-                    try:
-                        tc = chk(c, dl)
-                        if not isinstance(tc, TBool):
-                            raise MtlcTypeError("ty-if", str(tc))
-                        t1 = chk(a, dr)
-                        t2 = chk(b, dr)
-                    except MtlcTypeError as ex:
-                        errs = ex
-                        continue
-                    if t1 == t2:
-                        return t1
-                    if isinstance(t1, (TInt, TIntIdx)) and isinstance(t2, (TInt, TIntIdx)):
-                        return TInt()
-                    errs = MtlcTypeError("ty-if", f"{t1} vs {t2}")
-                raise errs or MtlcTypeError("ty-split", "no valid context split")
-            case EFix(x, tx, v):
-                t, _ = _check(e, gamma, dict(d), n)
-                if d:
-                    raise MtlcTypeError("ty-fix", "leftover linear context")
-                return t
-            case EConst(name, args):
-                if not args:
-                    if d:
-                        raise MtlcTypeError("ty-const", "leftover linear context")
-                    return sig_result(name, [], n)
-                errs = None
-                for dl, dr in splits(d):
-                    try:
-                        if len(args) == 1:
-                            if dr:
-                                raise MtlcTypeError("ty-const", "leftover")
-                            return sig_result(name, [chk(args[0], dl)], n)
-                        if len(args) == 2:
-                            return sig_result(name, [chk(args[0], dl), chk(args[1], dr)], n)
-                        # three arguments: nest the split
-                        for dll, dlr in splits(dl):
-                            try:
-                                return sig_result(
-                                    name,
-                                    [chk(args[0], dll), chk(args[1], dlr), chk(args[2], dr)],
-                                    n)
-                            except MtlcTypeError as ex:
-                                errs = ex
-                        raise errs or MtlcTypeError("ty-split", "no split")
-                    except MtlcTypeError as ex:
-                        errs = ex
-                raise errs or MtlcTypeError("ty-split", "no valid context split")
-        raise MtlcTypeError("ty", f"unknown expression {e!r}")
-
-    return chk(e, delta)
 
 
 # ------------------------------------------------------- canonical forms
@@ -1082,7 +943,7 @@ def pool_rho(pool: Pool) -> Counter:
     for t in pool.active_threads.values():
         m = getattr(t, "mtlc", None)
         if m is not None:
-            out += rho(m.expr)
+            out.update(resources(m.expr))
     return out
 
 

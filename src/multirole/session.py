@@ -153,7 +153,11 @@ def fmt_session(s: SessionType) -> str:
         case Bcast(label, f, p):
             return atom(label, [f], p)
         case Gather(label, t, p):
-            return f"gather({t}, {label}" + (f", {p})" if p != "unit" else ")")
+            # a payload-named label needs its payload printed, or the parser
+            # reads the label as the payload of a Bcast named gather
+            if p == "unit" and label not in PAYLOADS:
+                return f"gather({t}, {label})"
+            return f"gather({t}, {label}, {p})"
         case Nil():
             return "nil"
         case Append(a, b):

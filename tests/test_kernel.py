@@ -90,6 +90,17 @@ class TestCheck:
         assert not K.check_ok(bad, calc)
 
 
+    def test_height_deeper_than_recursion_limit(self):
+        leaf = K.b_id((IFormula(1, A), IFormula(2, A)))
+        d = leaf
+        for _ in range(5000):
+            d = K.Derivation("weaken", leaf.conclusion, (d,), 0)
+        assert d.height == 5001
+        # above and below a node whose height is already cached
+        assert K.Derivation("cut", (), (d, leaf)).height == 5002
+        assert d.premises[0].height == 5000
+
+
 class TestAxioms:
     @pytest.mark.parametrize("kind,n", [("mrl", 2), ("mrl", 3), ("lmrl", 2), ("lmrl", 3)])
     def test_axiom_multi_fuzz(self, kind, n):

@@ -1,5 +1,6 @@
-"""The runtime's live-pool counters against a full recount, and the work one
-step does against the length of the run's history."""
+"""The runtime's live-pool counters and the calculus's cached resources
+against a full recount, and the work one step does against the length of
+the run's history."""
 
 import random
 
@@ -9,7 +10,9 @@ from multirole import runtime as rt
 from multirole import session as sn
 
 from helpers import (
+    chain_program,
     decisions_view,
+    eval_recounting_rho,
     preset_decisions,
     rand_partition,
     rand_session,
@@ -75,6 +78,24 @@ class TestRecountOracle:
             pool = recount_every_event(rt.Pool(2, seed=i))
             M.MtlcThread(pool, e, M.retype_thread, expected=M.typecheck(e, n=2))
             assert pool.run().status == "done"
+
+    def test_mtlc_resources_of_criterion_10_pools(self):
+        # criterion 10's programs and seeds
+        for i, src in enumerate((PING_PONG, MCONJ, CUT2)):
+            res, _, steps = eval_recounting_rho(M.parse_program(src, 2), seed=i)
+            assert res.status == "done" and steps
+        rng = random.Random(11)
+        for i in range(47):
+            res, val, steps = eval_recounting_rho(_rand_chain_program(rng), seed=i)
+            assert res.status == "done" and val == M.EUnit() and steps
+
+    def test_mtlc_resources_of_chains(self):
+        for length in (10, 40, 160):
+            expr, total = chain_program(random.Random(length), length)
+            res, val, steps = eval_recounting_rho(expr, seed=length)
+            assert res.status == "done"
+            assert val == M.EInt(total)
+            assert steps > length
 
     def test_demo2_deadlock(self):
         pool = recount_every_event(rt.Pool(2, allow_demo=True))

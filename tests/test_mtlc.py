@@ -39,10 +39,11 @@ from multirole.mtlc import (
     parse_program,
     rho,
     typecheck,
-    typecheck_declarative,
 )
 from multirole.runtime import Endpoint, Pool, sync_events
 from multirole.session import parse_session
+
+from helpers import rho_recount, typecheck_declarative
 
 SES = '(chan {0} "a(0,1)@b(1,0)")'
 
@@ -72,29 +73,6 @@ class TestRho:
                 b = sub()
                 return EIf(EBool(True), b, b)
 
-    def oracle(self, e):
-        # iterative traversal, independent of rho's recursion
-        out = Counter()
-        stack = [e]
-        while stack:
-            cur = stack.pop()
-            match cur:
-                case ERc(ep):
-                    out[ep.eid] += 1
-                case ELPair(a, b) | EPair(a, b) | M.EApp(a, b):
-                    stack += [a, b]
-                case ELet(_, _, p, b):
-                    stack += [p, b]
-                case ELLam(_, _, b) | ELam(_, _, b) | M.EFix(_, _, b):
-                    stack.append(b)
-                case EConst(_, args):
-                    stack += list(args)
-                case EIf(c, a, _):
-                    stack += [c, a]
-                case M.EFst(b) | M.ESnd(b):
-                    stack.append(b)
-        return out
-
     def test_rho_matches_oracle(self):
         rng = random.Random(5)
         pool = Pool(2)
@@ -102,13 +80,22 @@ class TestRho:
         eps = [Endpoint(ch, 1) for _ in range(4)]
         for _ in range(100):
             e = self.rand_expr(rng, eps, rng.randrange(1, 5))
-            assert rho(e) == self.oracle(e)
+            assert rho(e) == rho_recount(e)
 
     def test_if_branches_counted_once(self):
         pool = Pool(2)
         ch = pool.new_channel(M.norm(parse_session("a(0, 1)", 2)))
         ep = Endpoint(ch, 1)
         e = EIf(EBool(True), ERc(ep), ERc(ep))
+        assert rho(e) == Counter({ep.eid: 1})
+
+    def test_deeper_than_recursion_limit(self):
+        pool = Pool(2)
+        ch = pool.new_channel(M.norm(parse_session("a(0, 1)", 2)))
+        ep = Endpoint(ch, 1)
+        e = ERc(ep)
+        for i in range(5000):
+            e = EConst("iadd", (e, EInt(i)))
         assert rho(e) == Counter({ep.eid: 1})
 
 
@@ -248,6 +235,26 @@ class TestDeclarativeAgreement:
                 assert t1 == t2
                 agreed += 1
         assert agreed >= 10  # the generator must produce typable terms too
+
+
+class TestFreshNames:
+    def test_shadowing_binder_name_is_history_independent(self):
+        src = f"(llam (c {SES}) (llam (c {SES}) unit))"
+        msgs = []
+        for _ in range(2):
+            with pytest.raises(MtlcTypeError) as exc:
+                typecheck(prog(src))
+            msgs.append(str(exc.value))
+        assert msgs == ["(ty-lam-l) linear parameter c~1 unused"] * 2
+
+    def test_capturing_binder_takes_smallest_free_name(self):
+        def lam_y(*free):
+            return ELam("y", TInt(), EConst("iadd", (EVar("x"), EVar("y")) + free))
+
+        assert M.esubst(lam_y(), "x", EVar("y")) == ELam(
+            "y~1", TInt(), EConst("iadd", (EVar("y"), EVar("y~1"))))
+        assert M.esubst(lam_y(EVar("y~1")), "x", EVar("y")) == ELam(
+            "y~2", TInt(), EConst("iadd", (EVar("y"), EVar("y~2"), EVar("y~1"))))
 
 
 class TestCanonicalForms:

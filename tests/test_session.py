@@ -47,6 +47,12 @@ class TestParse:
         assert text == "title(1, 0)@gather(2, tick, int)@gather(0, ack)"
         assert parse_session(text, 3) == s
 
+    @pytest.mark.parametrize("s", [
+        Gather("unit", 2), Gather("int", 2), Gather("str", 2),
+        Bcast("gather", 2, "int"), Bcast("gather", 2, "str"), Bcast("gather", 2)])
+    def test_gather_named_like_a_payload_roundtrip(self, s):
+        assert parse_session(fmt_session(s), 3) == s
+
     def test_gather_with_two_roles_is_msg(self):
         assert parse_session("gather(0, 1)", 3) == Msg("gather", 0, 1)
 
