@@ -6,7 +6,7 @@ randomness) and prints machine-readable JSON (JSONL for traces); --pretty
 switches to indented output. Exit codes are a stable contract:
 
     0  success
-    1  input error (parse failure, type error, check failure, not found)
+    1  input error (usage, parse failure, type error, check failure, not found)
     2  deadlock detected
     3  runtime fault
 """
@@ -34,6 +34,20 @@ def _emit(obj, pretty: bool) -> None:
 def _fail(msg: str, code: int = EXIT_INPUT) -> int:
     print(json.dumps({"error": msg}), file=sys.stderr)
     return code
+
+
+class UsageError(Exception):
+    """A command line that names no valid command, or that lacks a file or
+    option its action needs."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError: the stock one prints
+    usage and exits 2, which is the deadlock code.  Subparsers are built
+    with the class of their parent, so they raise it too."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _calculus(args) -> kn.Calculus:
@@ -64,45 +78,70 @@ def _locate(d: kn.Derivation, roleset: int, formula) -> int:
 # ---------------------------------------------------------------- prove
 
 
+def _files(args, count: int | None) -> list[str]:
+    """The derivation files of `mrl prove`: exactly count of them, or one or
+    more when count is None."""
+    got = len(args.files)
+    if not (got > 0 if count is None else got == count):
+        want = "one or more" if count is None else count
+        raise UsageError(f"prove {args.action} takes {want} derivation "
+                         f"file(s), got {got}")
+    return args.files
+
+
+def _option(args, name: str) -> str:
+    value = getattr(args, name)
+    if value is None:
+        raise UsageError(f"prove {args.action} needs --{name}")
+    return value
+
+
+def _rolesets(args, count: int) -> list[int]:
+    if len(args.at) != count:
+        raise UsageError(f"prove {args.action} needs --at with one role set "
+                         f"per derivation ({count}), got {len(args.at)}")
+    return [rl.parse_roleset(r) for r in args.at]
+
+
 def cmd_prove(args) -> int:
-    calc = _calculus(args)
     try:
+        calc = _calculus(args)
         match args.action:
             case "check":
-                d = _load_derivation(args.files[0])
+                (path,) = _files(args, 1)
+                d = _load_derivation(path)
                 kn.check(d, calc)
                 _emit({"ok": True, "rules": sorted(kn.rule_tags(d)),
                        "height": d.height}, args.pretty)
                 return EXIT_OK
             case "cut":
-                d = _load_derivation(args.files[0])
-                f = lg.parse_formula(args.on)
+                (path,) = _files(args, 1)
+                f = lg.parse_formula(_option(args, "on"))
+                d = _load_derivation(path)
                 out = kn.cut1(d, _locate(d, 0, f), calc)
             case "cutres":
-                d1 = _load_derivation(args.files[0])
-                d2 = _load_derivation(args.files[1])
-                f = lg.parse_formula(args.on)
-                r1, r2 = (rl.parse_roleset(r) for r in args.at)
+                paths = _files(args, 2)
+                f = lg.parse_formula(_option(args, "on"))
+                r1, r2 = _rolesets(args, 2)
+                d1, d2 = (_load_derivation(p) for p in paths)
                 out = kn.cut2_residual(d1, _locate(d1, r1, f),
                                        d2, _locate(d2, r2, f), calc)
             case "mpcut":
-                ds = [_load_derivation(p) for p in args.files]
-                f = lg.parse_formula(args.on)
-                rs = [rl.parse_roleset(r) for r in args.at]
-                if len(rs) != len(ds):
-                    return _fail("--at needs one role set per derivation")
+                paths = _files(args, None)
+                f = lg.parse_formula(_option(args, "on"))
+                rs = _rolesets(args, len(paths))
+                ds = [_load_derivation(p) for p in paths]
                 idx = [_locate(d, r, f) for d, r in zip(ds, rs)]
                 out = kn.mp_cut(ds, idx, calc)
             case "search":
-                with open(args.sequent, encoding="utf-8") as fh:
+                _files(args, 0)
+                with open(_option(args, "sequent"), encoding="utf-8") as fh:
                     items = lg.sequent_from_json(fh.read())
                 found = kn.search(items, calc, args.depth)
                 if found is None:
                     print(json.dumps({"found": False}))
                     return EXIT_INPUT
                 out = found
-            case _:
-                return _fail(f"unknown prove action {args.action!r}")
     except (OSError, kn.KernelError, kn.CheckError, lg.FormulaError,
             rl.RoleError, json.JSONDecodeError, ValueError) as e:
         return _fail(str(e))
@@ -119,6 +158,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_session(args) -> int:
+    if args.action == "simulate" and not args.script:
+        raise UsageError("session simulate needs a script file")
     try:
         with open(args.protocol, encoding="utf-8") as fh:
             n, sessions = sn.parse_protocol(fh.read())
@@ -141,6 +182,8 @@ def cmd_session(args) -> int:
         return EXIT_OK
 
     # simulate
+    if not sessions:
+        return _fail("the protocol defines no session")
     name = args.session or next(iter(sessions))
     if name not in sessions:
         return _fail(f"no session named {name!r}")
@@ -239,7 +282,7 @@ def cmd_mtlc(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mrl", description=__doc__)
+    ap = _Parser(prog="mrl", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -254,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--calculus", choices=["mrl", "mrlj", "lmrl"], default="lmrl")
     pv.add_argument("--j", metavar="@r", help="ultrafilter for mrlj")
     pv.add_argument("--on", metavar="FORMULA", help="cut formula (s-expression)")
-    pv.add_argument("--at", nargs="*", default=[], metavar="ROLESET",
+    pv.add_argument("--at", nargs="*", default=(), metavar="ROLESET",
                     help="role sets carrying the cut formula")
     pv.add_argument("--sequent", metavar="FILE", help="sequent JSON for search")
     pv.add_argument("--depth", type=int, default=6, metavar="K")
@@ -289,11 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+PARSER = build_parser()  # parsing never changes it, and no default is mutable
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "session" and args.action == "simulate" and not args.script:
-        return _fail("simulate needs a script file")
-    return args.fn(args)
+    try:
+        args = PARSER.parse_args(argv)
+        return args.fn(args)
+    except UsageError as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from .logic import (
     seq_equal,
     seq_free_vars,
     seq_minus,
+    sequent_from_obj,
     size,
     substitute,
 )
@@ -161,9 +162,13 @@ class Derivation:
 
 
 def rule_tags(d: Derivation) -> set[str]:
-    out = {d.rule}
-    for p in d.premises:
-        out |= rule_tags(p)
+    """The rules used anywhere in d, collected with an explicit stack."""
+    out = set()
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        out.add(node.rule)
+        stack += node.premises
     return out
 
 
@@ -1357,30 +1362,39 @@ def derivation_from_obj(obj: dict, n: int | None = None) -> Derivation:
             a = formulas[text] = parse_formula(text, n)
         return a
 
-    return _from_obj(obj, parse)
+    return _from_obj(obj, parse, n)
 
 
-def _from_obj(obj: dict, parse) -> Derivation:
-    if "conclusion" not in obj:
-        raise KernelError("derivation JSON has no \"conclusion\"")
-    items = []
-    for entry in obj["conclusion"]:
-        mask = 0
-        for r in entry["roles"]:
-            mask |= 1 << r
-        items.append(IFormula(mask, parse(entry["formula"])))
-    inst = obj.get("inst", {})
+def _from_obj(obj, parse, n: int | None) -> Derivation:
+    try:
+        rule, conclusion = obj["rule"], obj["conclusion"]
+        inst, premises = obj.get("inst", {}), obj.get("premises", [])
+        principal, eigen = inst.get("principal"), inst.get("eigen")
+    except KeyError as e:
+        raise KernelError(f'derivation JSON has no "{e.args[0]}"') from None
+    except (TypeError, AttributeError):
+        raise KernelError('a derivation JSON node and its "inst" must be '
+                          'objects') from None
+    if not (isinstance(rule, str) and isinstance(premises, list)
+            and (principal is None or type(principal) is int)
+            and (eigen is None or isinstance(eigen, str))):
+        raise KernelError('a derivation JSON node\'s "rule", "premises", '
+                          '"principal" or "eigen" has the wrong type')
     witness = None
     if "witness" in inst:
+        name = inst["witness"]
+        if not isinstance(name, str):
+            raise KernelError(f"derivation JSON node {rule}: the witness "
+                              "must be a string")
         kind = inst.get("witness_kind", "const")
-        witness = Var(inst["witness"]) if kind == "var" else Const(inst["witness"])
+        witness = Var(name) if kind == "var" else Const(name)
     return Derivation(
-        obj["rule"],
-        tuple(items),
-        tuple(_from_obj(p, parse) for p in obj.get("premises", [])),
-        inst.get("principal"),
+        rule,
+        sequent_from_obj(conclusion, parse, n),
+        tuple(_from_obj(p, parse, n) for p in premises),
+        principal,
         witness=witness,
-        eigen=inst.get("eigen"),
+        eigen=eigen,
     )
 
 

@@ -23,6 +23,7 @@ import re
 import weakref
 
 from .roles import (
+    MAX_ROLES,
     Endo,
     RoleError,
     Ultra,
@@ -480,14 +481,38 @@ def sequent_from_json(text: str, n: int | None = None) -> Sequent:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormulaError(f"bad sequent JSON: {e}") from e
+    return sequent_from_obj(raw, lambda t: parse_formula(t, n), n)
+
+
+def sequent_from_obj(raw, parse, n: int | None = None) -> Sequent:
+    """Decode a JSON array of ``{"roles": [r, ...], "formula": text}`` items,
+    the shape of a sequent file and of a derivation node's conclusion.
+
+    parse turns a formula text into a formula (the kernel passes one that
+    parses each distinct text once per call).  Raise FormulaError when an
+    item is malformed or names a role outside 0..n-1 (0..MAX_ROLES-1 when
+    n is None).
+    """
     if not isinstance(raw, list):
         raise FormulaError("sequent JSON must be an array")
+    limit = MAX_ROLES if n is None else n
     items = []
     for entry in raw:
+        try:
+            roles, text = entry["roles"], entry["formula"]
+        except (KeyError, TypeError):
+            raise FormulaError('each sequent JSON item needs "roles" and '
+                               '"formula"') from None
+        if not isinstance(text, str):
+            raise FormulaError('an item\'s "formula" must be a string')
         mask = 0
-        for r in entry["roles"]:
-            if n is not None and not 0 <= r < n:
-                raise FormulaError(f"role {r} outside universe of {n} roles")
-            mask |= 1 << r
-        items.append(IFormula(mask, parse_formula(entry["formula"], n)))
+        try:
+            for r in roles:
+                if not 0 <= r < limit:
+                    raise FormulaError(f"role {r} outside universe of {limit} roles")
+                mask |= 1 << r
+        except TypeError:
+            raise FormulaError('an item\'s "roles" must be a list of role '
+                               'numbers') from None
+        items.append(IFormula(mask, parse(text)))
     return tuple(items)

@@ -1070,7 +1070,7 @@ def parse_expr(tree, n: int) -> Expr:
             return EBool(True)
         case "false":
             return EBool(False)
-        case str(t) if t.lstrip("-").isdigit():
+        case str(t) if t.removeprefix("-").isdecimal():
             return EInt(int(t))
         case str(t) if t.startswith('"'):
             return EStr(t.strip('"'))

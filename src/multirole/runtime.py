@@ -1017,7 +1017,7 @@ class _SP:
                 nxt = self.peek()
                 if nxt is not None and nxt not in (";", ")", "|"):
                     raw = self.next()
-                    value = int(raw) if raw.isdigit() else raw
+                    value = int(raw) if raw.isdecimal() else raw
                     return CSend(value)
                 return CSend()
             case "recv":
@@ -1035,8 +1035,10 @@ class _SP:
                 self.expect(")")
                 return COffer(left, right)
             case "loop":
-                k = int(self.next())
-                return CLoop(k, self.block())
+                k = self.next()
+                if not k.isdecimal():
+                    raise RuntimeFault(f"loop expects a count, got {k!r}")
+                return CLoop(int(k), self.block())
             case "offer_loop":
                 return COfferLoop(self.block())
             case "mconj":

@@ -207,7 +207,7 @@ class _P:
 
     def role(self) -> int:
         t = self.next()
-        if not t.isdigit():
+        if not t.isdecimal():
             raise SessionError(f"expected a role number, got {t!r}")
         return int(t)
 
@@ -251,10 +251,10 @@ class _P:
         payload = "unit"
         if args and args[-1] in PAYLOADS:
             payload = args.pop()
-        if label == "gather" and len(args) == 2 and args[0].isdigit() \
+        if label == "gather" and len(args) == 2 and args[0].isdecimal() \
                 and _IDENT.fullmatch(args[1]):
             return Gather(args[1], int(args[0]), payload)
-        if not args or not all(a.isdigit() for a in args) or len(args) > 2:
+        if not args or not all(a.isdecimal() for a in args) or len(args) > 2:
             raise SessionError(f"bad argument list for atom {label}")
         if len(args) == 1:
             return Bcast(label, int(args[0]), payload)

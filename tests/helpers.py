@@ -124,6 +124,25 @@ def rand_nonempty_partition(rng: random.Random, n: int, k: int) -> list[int]:
     return parts
 
 
+# i-formula JSON items that are not {"roles": [role, ...], "formula": text}
+MALFORMED_ITEMS = [
+    {"roles": [0]},
+    {"formula": "a"},
+    "a",
+    None,
+    [[0], "a"],
+    {"roles": 0, "formula": "a"},
+    {"roles": "0", "formula": "a"},
+    {"roles": ["0"], "formula": "a"},
+    {"roles": [0.0], "formula": "a"},
+    {"roles": [-1], "formula": "a"},
+    {"roles": [64], "formula": "a"},
+    {"roles": [0], "formula": 3},
+    {"roles": [0], "formula": ["a"]},
+    {"roles": [0], "formula": None},
+]
+
+
 # ------------------------------------------------------------- sessions
 
 _LABELS = ["msg", "ack", "token", "ping", "blob", "tick", "quote"]

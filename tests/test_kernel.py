@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from multirole import kernel as K
+from multirole import logic as lg
 from multirole import roles as rl
 from multirole.logic import (
     Atom,
@@ -19,7 +21,7 @@ from multirole.logic import (
 )
 from multirole.roles import Endo, Ultra
 
-from helpers import rand_formula, rand_partition
+from helpers import MALFORMED_ITEMS, rand_formula, rand_partition
 
 
 A = Atom("a")
@@ -91,14 +93,24 @@ class TestCheck:
 
 
     def test_height_deeper_than_recursion_limit(self):
-        leaf = K.b_id((IFormula(1, A), IFormula(2, A)))
-        d = leaf
-        for _ in range(5000):
-            d = K.Derivation("weaken", leaf.conclusion, (d,), 0)
+        leaf, d = weaken_chain(5000)
         assert d.height == 5001
         # above and below a node whose height is already cached
         assert K.Derivation("cut", (), (d, leaf)).height == 5002
         assert d.premises[0].height == 5000
+
+    def test_rule_tags_deeper_than_recursion_limit(self):
+        _, d = weaken_chain(5000)
+        assert K.rule_tags(d) == {"id", "weaken"}
+
+
+def weaken_chain(k: int):
+    """An id leaf under k weakenings: a derivation of k + 1 rules."""
+    leaf = K.b_id((IFormula(1, A), IFormula(2, A)))
+    d = leaf
+    for _ in range(k):
+        d = K.Derivation("weaken", leaf.conclusion, (d,), 0)
+    return leaf, d
 
 
 class TestAxioms:
@@ -296,3 +308,43 @@ class TestJson:
             d2 = K.derivation_from_json(K.derivation_to_json(d))
             assert d2 == d
             K.check(d2, calc)
+
+    def test_parses_each_formula_text_once(self, monkeypatch):
+        calls = []
+
+        def parse(text, n=None):
+            calls.append(text)
+            return parse_formula(text, n)
+
+        monkeypatch.setattr(K, "parse_formula", parse)
+        _, d = weaken_chain(50)
+        assert K.derivation_from_json(K.derivation_to_json(d)) == d
+        assert calls == ["a"]
+
+    @pytest.mark.parametrize("item", MALFORMED_ITEMS)
+    def test_malformed_conclusion_item(self, item):
+        good = {"roles": [0], "formula": "a"}
+        leaf = {"rule": "id", "conclusion": [good, item]}
+        for obj in (leaf, {"rule": "weaken", "conclusion": [good],
+                           "inst": {"principal": 0}, "premises": [leaf]}):
+            with pytest.raises(lg.FormulaError):
+                K.derivation_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("node", [
+        [], "id", {"conclusion": []}, {"rule": "id"},
+        {"rule": ["id"], "conclusion": []},
+        {"rule": "id", "conclusion": [], "inst": []},
+        {"rule": "id", "conclusion": [], "inst": {"principal": "0"}},
+        {"rule": "id", "conclusion": [], "inst": {"principal": True}},
+        {"rule": "forall-pos", "conclusion": [], "inst": {"eigen": 5}},
+        {"rule": "forall-neg", "conclusion": [], "inst": {"witness": ["x"]}},
+        {"rule": "forall-neg", "conclusion": [], "inst": {"witness": 1}},
+        {"rule": "id", "conclusion": [], "premises": 3},
+        {"rule": "id", "conclusion": [], "premises": [7]},
+    ])
+    def test_malformed_node(self, node):
+        wrapped = {"rule": "weaken", "conclusion": [],
+                   "inst": {"principal": 0}, "premises": [node]}
+        for obj in (node, wrapped):
+            with pytest.raises(K.KernelError):
+                K.derivation_from_json(json.dumps(obj))

@@ -1,4 +1,5 @@
 import gc
+import json
 import pickle
 import random
 
@@ -29,7 +30,7 @@ from multirole.logic import (
 )
 from multirole.roles import Endo, Ultra
 
-from helpers import rand_formula
+from helpers import MALFORMED_ITEMS, rand_formula
 
 
 class TestParseFmt:
@@ -135,6 +136,18 @@ class TestSequents:
         s = tuple(IFormula(rng.randrange(4), rand_formula(rng, calc, 2, 3))
                   for _ in range(4))
         assert seq_equal(lg.sequent_from_json(lg.sequent_to_json(s)), s)
+
+    @pytest.mark.parametrize("item", MALFORMED_ITEMS)
+    def test_malformed_json_item(self, item):
+        text = json.dumps([{"roles": [0], "formula": "a"}, item])
+        with pytest.raises(lg.FormulaError):
+            lg.sequent_from_json(text)
+
+    def test_json_role_outside_universe(self):
+        text = json.dumps([{"roles": [2], "formula": "a"}])
+        assert lg.sequent_from_json(text)[0].roles == 4
+        with pytest.raises(lg.FormulaError, match="outside universe of 2"):
+            lg.sequent_from_json(text, 2)
 
     def test_fmt(self):
         s = (IFormula(1, Atom("a")),)
