@@ -60,9 +60,12 @@ def _calculus(args) -> kn.Calculus:
             return kn.LMRL(args.roles)
 
 
-def _load_derivation(path: str) -> kn.Derivation:
+def _load_derivation(path: str, calc: kn.Calculus) -> kn.Derivation:
+    """A derivation read from a file and checked in calc."""
     with open(path, encoding="utf-8") as fh:
-        return kn.derivation_from_json(fh.read())
+        d = kn.derivation_from_json(fh.read())
+    kn.check(d, calc)
+    return d
 
 
 def _locate(d: kn.Derivation, roleset: int, formula) -> int:
@@ -109,28 +112,27 @@ def cmd_prove(args) -> int:
         match args.action:
             case "check":
                 (path,) = _files(args, 1)
-                d = _load_derivation(path)
-                kn.check(d, calc)
+                d = _load_derivation(path, calc)
                 _emit({"ok": True, "rules": sorted(kn.rule_tags(d)),
                        "height": d.height}, args.pretty)
                 return EXIT_OK
             case "cut":
                 (path,) = _files(args, 1)
                 f = lg.parse_formula(_option(args, "on"))
-                d = _load_derivation(path)
+                d = _load_derivation(path, calc)
                 out = kn.cut1(d, _locate(d, 0, f), calc)
             case "cutres":
                 paths = _files(args, 2)
                 f = lg.parse_formula(_option(args, "on"))
                 r1, r2 = _rolesets(args, 2)
-                d1, d2 = (_load_derivation(p) for p in paths)
+                d1, d2 = (_load_derivation(p, calc) for p in paths)
                 out = kn.cut2_residual(d1, _locate(d1, r1, f),
                                        d2, _locate(d2, r2, f), calc)
             case "mpcut":
                 paths = _files(args, None)
                 f = lg.parse_formula(_option(args, "on"))
                 rs = _rolesets(args, len(paths))
-                ds = [_load_derivation(p) for p in paths]
+                ds = [_load_derivation(p, calc) for p in paths]
                 idx = [_locate(d, r, f) for d, r in zip(ds, rs)]
                 out = kn.mp_cut(ds, idx, calc)
             case "search":
@@ -142,14 +144,17 @@ def cmd_prove(args) -> int:
                     print(json.dumps({"found": False}))
                     return EXIT_INPUT
                 out = found
+        try:
+            kn.check(out, calc)  # never emit an unchecked derivation
+        except kn.CheckError as e:  # from checked inputs: the kernel is at fault
+            return _fail(f"emitted derivation fails its check: {e}", EXIT_FAULT)
+        text = kn.derivation_to_json(out, pretty=args.pretty)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except (OSError, kn.KernelError, kn.CheckError, lg.FormulaError,
             rl.RoleError, json.JSONDecodeError, ValueError) as e:
         return _fail(str(e))
-    kn.check(out, calc)  # never emit an unchecked derivation
-    text = kn.derivation_to_json(out, pretty=args.pretty)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -341,6 +346,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as e:
         return _fail(str(e))
+    except RecursionError:  # the readers recurse once per level of nesting
+        return _fail("input nests too deeply")
 
 
 if __name__ == "__main__":

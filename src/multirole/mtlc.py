@@ -240,6 +240,22 @@ class EIf:
 Expr = (EVar | ERc | EUnit | EBool | EInt | EStr | EConst | EPair | ELPair
         | EFst | ESnd | ELet | ELam | ELLam | EApp | EFix | EIf)
 
+_VALUE_LEAVES = (EUnit, EBool, EInt, EStr, ERc, ELam, ELLam, EFix)
+
+
+class _Rules(dict):
+    """A traversal's rules keyed by node class: one lookup finds a node's
+    rule, and a class without one gets the fallback.  Rules reach their
+    children through the table, not through the traversal's entry point,
+    so each level of nesting costs one frame."""
+
+    def __init__(self, fallback, rules):
+        super().__init__(rules)
+        self.fallback = fallback
+
+    def __missing__(self, cls):
+        return self.fallback
+
 
 _RES_PARTS = {
     EConst: lambda e: e.args,
@@ -333,72 +349,75 @@ def esubst(e: Expr, x: str, v: Expr) -> Expr:
     free in its body or in v and not x, so the result depends on e, x and v
     alone.
     """
-    fv = free_evars(v)
+    return _SUBST[type(e)](e, x, v, free_evars(v))
 
-    def go(e: Expr, x: str) -> Expr:
-        match e:
-            case EVar(y):
-                return v if y == x else e
-            case ERc() | EUnit() | EBool() | EInt() | EStr():
-                return e
-            case EConst(name, args):
-                return EConst(name, tuple(go(a, x) for a in args))
-            case EPair(a, b):
-                return EPair(go(a, x), go(b, x))
-            case ELPair(a, b):
-                return ELPair(go(a, x), go(b, x))
-            case EFst(b):
-                return EFst(go(b, x))
-            case ESnd(b):
-                return ESnd(go(b, x))
-            case EApp(a, b):
-                return EApp(go(a, x), go(b, x))
-            case EIf(c, a, b):
-                return EIf(go(c, x), go(a, x), go(b, x))
-            case ELet(x1, x2, p, b):
-                p2 = go(p, x)
-                if x in (x1, x2):
-                    return ELet(x1, x2, p2, b)
-                if x1 in fv or x2 in fv:
-                    taken = fv | free_evars(b) | {x}
-                    n1 = _fresh(x1, taken)
-                    n2 = _fresh(x2, taken | {n1})
-                    b = esubst(esubst(b, x1, EVar(n1)), x2, EVar(n2))
-                    x1, x2 = n1, n2
-                return ELet(x1, x2, p2, go(b, x))
-            case ELam(y, t, b) | ELLam(y, t, b) | EFix(y, t, b):
-                ctor = type(e)
-                if y == x:
-                    return e
-                if y in fv:
-                    ny = _fresh(y, fv | free_evars(b) | {x})
-                    b = esubst(b, y, EVar(ny))
-                    y = ny
-                return ctor(y, t, go(b, x))
-        raise TypeError(f"unknown expression {e!r}")
 
-    return go(e, x)
+# The substitution rules take (e, x, v, fv), where fv holds v's free variables.
+def _subst_const(e, x, v, fv):
+    args = []
+    for a in e.args:
+        args.append(_SUBST[type(a)](a, x, v, fv))
+    return EConst(e.name, tuple(args))
+
+
+def _subst_let(e, x, v, fv):
+    x1, x2, p, b = e.x1, e.x2, e.pair, e.body
+    p2 = _SUBST[type(p)](p, x, v, fv)
+    if x in (x1, x2):
+        return ELet(x1, x2, p2, b)
+    if x1 in fv or x2 in fv:
+        taken = fv | free_evars(b) | {x}
+        n1 = _fresh(x1, taken)
+        n2 = _fresh(x2, taken | {n1})
+        b = esubst(esubst(b, x1, EVar(n1)), x2, EVar(n2))
+        x1, x2 = n1, n2
+    return ELet(x1, x2, p2, _SUBST[type(b)](b, x, v, fv))
+
+
+def _subst_binder(e, x, v, fv):
+    y, b = e.x, (e.value if type(e) is EFix else e.body)
+    if y == x:
+        return e
+    if y in fv:
+        ny = _fresh(y, fv | free_evars(b) | {x})
+        b = esubst(b, y, EVar(ny))
+        y = ny
+    return type(e)(y, e.t, _SUBST[type(b)](b, x, v, fv))
+
+
+def _subst_unknown(e, x, v, fv):
+    raise TypeError(f"unknown expression {e!r}")
+
+
+_SUBST = _Rules(_subst_unknown, {
+    EVar: lambda e, x, v, fv: v if e.name == x else e,
+    **dict.fromkeys((ERc, EUnit, EBool, EInt, EStr), lambda e, x, v, fv: e),
+    EConst: _subst_const,
+    **dict.fromkeys((EPair, ELPair), lambda e, x, v, fv: type(e)(
+        _SUBST[type(e.left)](e.left, x, v, fv), _SUBST[type(e.right)](e.right, x, v, fv))),
+    EApp: lambda e, x, v, fv: EApp(_SUBST[type(e.fun)](e.fun, x, v, fv),
+                                   _SUBST[type(e.arg)](e.arg, x, v, fv)),
+    **dict.fromkeys((EFst, ESnd), lambda e, x, v, fv: type(e)(
+        _SUBST[type(e.body)](e.body, x, v, fv))),
+    EIf: lambda e, x, v, fv: EIf(_SUBST[type(e.cond)](e.cond, x, v, fv),
+                                 _SUBST[type(e.then)](e.then, x, v, fv),
+                                 _SUBST[type(e.els)](e.els, x, v, fv)),
+    ELet: _subst_let, ELam: _subst_binder, ELLam: _subst_binder, EFix: _subst_binder,
+})
+
+_IS_VALUE = _Rules(lambda e: False, {
+    **dict.fromkeys(_VALUE_LEAVES, lambda e: True),
+    **dict.fromkeys((EPair, ELPair), lambda e: _IS_VALUE[type(e.left)](e.left)
+                    and _IS_VALUE[type(e.right)](e.right)),
+    **dict.fromkeys((EVar, EConst, EFst, ESnd, ELet, EApp, EIf), lambda e: False),
+})
 
 
 def is_value(e: Expr) -> bool:
-    match e:
-        case EUnit() | EBool() | EInt() | EStr() | ERc() | ELam() | ELLam() | EFix():
-            return True
-        case EPair(a, b) | ELPair(a, b):
-            return is_value(a) and is_value(b)
-        case _:
-            return False
+    return _IS_VALUE[type(e)](e)
 
 
 # ----------------------------------------------------------- signatures
-
-_PURE_CONSTS = {"iadd", "randbit", "thread_create"}
-_CHAN_CONSTS = {
-    "chan_create", "chan_sync", "chan_skip", "chan_send", "chan_recv",
-    "chan_aconj_l", "chan_aconj_r", "chan_mconj", "chan_mdisj_l",
-    "chan_mdisj_r", "chan_1_cut", "chan_2_cut", "chan_3_cut", "chan_2_cutres",
-}
-CONSTS = _PURE_CONSTS | _CHAN_CONSTS
 
 
 def _chan_arg(rule: str, t: Viewtype) -> TChan:
@@ -415,138 +434,172 @@ def _action_head(rule: str, t: TChan) -> SessionType:
 
 def sig_result(name: str, args: list[Viewtype], n: int) -> Viewtype:
     """Instantiate a constant's c-type schema at the given argument types."""
+    return _signature(name, len(args), n)(name, args, n)
+
+
+def _signature(name: str, arity: int, n: int):
+    """The rule giving the result type of a constant applied to arity
+    arguments; it takes (name, args, n)."""
+    rl.check_universe(n)
+    try:
+        k, rule = _SIGS[name]
+    except KeyError:
+        raise MtlcTypeError(name, "unknown constant") from None
+    if arity != k:
+        raise MtlcTypeError(name, f"expects {k} arguments, got {arity}")
+    return rule
+
+
+def _sig_iadd(name, args, n):
+    for a in args:
+        if not isinstance(a, (TInt, TIntIdx)):
+            raise MtlcTypeError(name, f"integer expected, got {a}")
+    a, b = args
+    if isinstance(a, TIntIdx) and isinstance(b, TIntIdx):
+        return TIntIdx(a.i + b.i)
+    return TInt()
+
+
+def _sig_thread_create(name, args, n):
+    if args[0] != TFunL(TUnit(), TUnit()):
+        raise MtlcTypeError(name, f"expects a linear 1 -o 1 function, got {args[0]}")
+    return TUnit()
+
+
+def _sig_create(name, args, n):
+    match args[0]:
+        case TFunL(TChan(roles_, cursor), TUnit()):
+            return TChan(rl.full_set(n) & ~roles_, cursor)
+    raise MtlcTypeError(name, f"expects chan(R,S) -o 1, got {args[0]}")
+
+
+def _sig_sync(name, args, n):
+    t = _chan_arg(name, args[0])
+    head = _action_head(name, t)
+    if len(t.cursor) != 1 or not isinstance(head, (Msg, Bcast, Gather)):
+        raise MtlcTypeError(name, "sync consumes a single final action")
+    return TUnit()
+
+
+def _message(name, arg, kind, why):
+    """The endpoint type arg and its head: a message these roles take as
+    kind, with more of the session to follow."""
+    t = _chan_arg(name, arg)
+    head = _action_head(name, t)
+    if len(t.cursor) < 2 or not isinstance(head, (Msg, Bcast, Gather)) \
+            or next_actions(head, t.roles).kind != kind:
+        raise MtlcTypeError(name, why)
+    return t, head
+
+
+def _sig_skip(name, args, n):
+    t, _ = _message(name, args[0], "skip", "skip applies to uninvolved non-final actions")
+    return TChan(t.roles, t.cursor[1:])
+
+
+def _sig_send(name, args, n):
+    t, head = _message(name, args[0], "send", "these roles do not send here")
+    want = _PAYLOAD_T[head.payload]
+    if not compat(args[1], want):
+        raise MtlcTypeError(name, f"payload {args[1]} does not fit {want}")
+    return TChan(t.roles, t.cursor[1:])
+
+
+def _sig_recv(name, args, n):
+    t, head = _message(name, args[0], "recv", "these roles do not receive here")
+    return TLPair(_PAYLOAD_T[head.payload], TChan(t.roles, t.cursor[1:]))
+
+
+def _sig_aconj(name, args, n):
+    t = _chan_arg(name, args[0])
+    head = _action_head(name, t)
+    if not isinstance(head, (SAConj, OptionT, Repseq)) \
+            or next_actions(head, t.roles).kind != "choose":
+        raise MtlcTypeError(name, "these roles do not decide here")
+    side = name[-1]
+    match head:
+        case SAConj(_, a, b):
+            cont = norm(a if side == "l" else b)
+        case OptionT(_, a):
+            cont = norm(a) if side == "l" else ()
+        case Repseq(_, a):
+            cont = (norm(a) + (head,)) if side == "l" else ()
+    return TChan(t.roles, cont + t.cursor[1:])
+
+
+def _sig_mconj(name, args, n):
+    t = _chan_arg(name, args[0])
+    head = _action_head(name, t)
+    if not isinstance(head, SMConj) or len(t.cursor) != 1 \
+            or next_actions(head, t.roles).kind != "fork-conj":
+        raise MtlcTypeError(name, "mconj requires the deciding roles at a final tensor")
+    return TLPair(TChan(t.roles, norm(head.left)),
+                  TChan(t.roles, norm(head.right)))
+
+
+def _sig_mdisj(name, args, n):
+    t = _chan_arg(name, args[0])
+    head = _action_head(name, t)
+    if not isinstance(head, SMConj) or len(t.cursor) != 1 \
+            or next_actions(head, t.roles).kind != "fork-disj":
+        raise MtlcTypeError(name, "mdisj is for non-deciding roles at a final tensor")
+    keep, give = (head.left, head.right) if name.endswith("l") \
+        else (head.right, head.left)
+    if args[1] != TFunL(TChan(t.roles, norm(give)), TUnit()):
+        raise MtlcTypeError(name, f"second argument must consume the "
+                            f"{'right' if name.endswith('l') else 'left'} endpoint")
+    return TChan(t.roles, norm(keep))
+
+
+def _sig_1_cut(name, args, n):
+    if _chan_arg(name, args[0]).roles != 0:
+        raise MtlcTypeError(name, "only an empty-role-set endpoint can be dropped")
+    return TUnit()
+
+
+def _sig_2_cut(name, args, n):
+    t1, t2 = (_chan_arg(name, a) for a in args)
+    if t1.cursor != t2.cursor:
+        raise MtlcTypeError(name, "endpoint sessions differ")
+    if t2.roles != rl.full_set(n) & ~t1.roles:
+        raise MtlcTypeError(name, "role sets are not complementary")
+    return TUnit()
+
+
+def _sig_3_cut(name, args, n):
+    ts = [_chan_arg(name, a) for a in args]
+    if len({t.cursor for t in ts}) != 1:
+        raise MtlcTypeError(name, "endpoint sessions differ")
     full = rl.full_set(n)
+    if not rl.partition_check([full & ~t.roles for t in ts], n):
+        raise MtlcTypeError(name, "complements must partition the universe")
+    return TUnit()
 
-    def arity(k: int):
-        if len(args) != k:
-            raise MtlcTypeError(name, f"expects {k} arguments, got {len(args)}")
 
-    match name:
-        case "iadd":
-            arity(2)
-            for a in args:
-                if not isinstance(a, (TInt, TIntIdx)):
-                    raise MtlcTypeError(name, f"integer expected, got {a}")
-            if all(isinstance(a, TIntIdx) for a in args):
-                return TIntIdx(args[0].i + args[1].i)
-            return TInt()
-        case "randbit":
-            arity(0)
-            return TBool()
-        case "thread_create":
-            arity(1)
-            if args[0] != TFunL(TUnit(), TUnit()):
-                raise MtlcTypeError(name, f"expects a linear 1 -o 1 function, got {args[0]}")
-            return TUnit()
-        case "chan_create":
-            arity(1)
-            match args[0]:
-                case TFunL(TChan(roles_, cursor), TUnit()):
-                    return TChan(full & ~roles_, cursor)
-            raise MtlcTypeError(name, f"expects chan(R,S) -o 1, got {args[0]}")
-        case "chan_sync":
-            arity(1)
-            t = _chan_arg(name, args[0])
-            head = _action_head(name, t)
-            if len(t.cursor) != 1 or not isinstance(head, (Msg, Bcast, Gather)):
-                raise MtlcTypeError(name, "sync consumes a single final action")
-            return TUnit()
-        case "chan_skip":
-            arity(1)
-            t = _chan_arg(name, args[0])
-            head = _action_head(name, t)
-            if len(t.cursor) < 2 or not isinstance(head, (Msg, Bcast, Gather)) \
-                    or next_actions(head, t.roles).kind != "skip":
-                raise MtlcTypeError(name, "skip applies to uninvolved non-final actions")
-            return TChan(t.roles, t.cursor[1:])
-        case "chan_send":
-            arity(2)
-            t = _chan_arg(name, args[0])
-            head = _action_head(name, t)
-            if len(t.cursor) < 2 or not isinstance(head, (Msg, Bcast, Gather)) \
-                    or next_actions(head, t.roles).kind != "send":
-                raise MtlcTypeError(name, "these roles do not send here")
-            want = _PAYLOAD_T[head.payload]
-            if not compat(args[1], want):
-                raise MtlcTypeError(name, f"payload {args[1]} does not fit {want}")
-            return TChan(t.roles, t.cursor[1:])
-        case "chan_recv":
-            arity(1)
-            t = _chan_arg(name, args[0])
-            head = _action_head(name, t)
-            if len(t.cursor) < 2 or not isinstance(head, (Msg, Bcast, Gather)) \
-                    or next_actions(head, t.roles).kind != "recv":
-                raise MtlcTypeError(name, "these roles do not receive here")
-            return TLPair(_PAYLOAD_T[head.payload], TChan(t.roles, t.cursor[1:]))
-        case "chan_aconj_l" | "chan_aconj_r":
-            arity(1)
-            t = _chan_arg(name, args[0])
-            head = _action_head(name, t)
-            if not isinstance(head, (SAConj, OptionT, Repseq)) \
-                    or next_actions(head, t.roles).kind != "choose":
-                raise MtlcTypeError(name, "these roles do not decide here")
-            side = name[-1]
-            match head:
-                case SAConj(_, a, b):
-                    cont = norm(a if side == "l" else b)
-                case OptionT(_, a):
-                    cont = norm(a) if side == "l" else ()
-                case Repseq(_, a):
-                    cont = (norm(a) + (head,)) if side == "l" else ()
-            return TChan(t.roles, cont + t.cursor[1:])
-        case "chan_mconj":
-            arity(1)
-            t = _chan_arg(name, args[0])
-            head = _action_head(name, t)
-            if not isinstance(head, SMConj) or len(t.cursor) != 1 \
-                    or next_actions(head, t.roles).kind != "fork-conj":
-                raise MtlcTypeError(name, "mconj requires the deciding roles at a final tensor")
-            return TLPair(TChan(t.roles, norm(head.left)),
-                          TChan(t.roles, norm(head.right)))
-        case "chan_mdisj_l" | "chan_mdisj_r":
-            arity(2)
-            t = _chan_arg(name, args[0])
-            head = _action_head(name, t)
-            if not isinstance(head, SMConj) or len(t.cursor) != 1 \
-                    or next_actions(head, t.roles).kind != "fork-disj":
-                raise MtlcTypeError(name, "mdisj is for non-deciding roles at a final tensor")
-            keep, give = (head.left, head.right) if name.endswith("l") \
-                else (head.right, head.left)
-            if args[1] != TFunL(TChan(t.roles, norm(give)), TUnit()):
-                raise MtlcTypeError(name, f"second argument must consume the "
-                                    f"{'right' if name.endswith('l') else 'left'} endpoint")
-            return TChan(t.roles, norm(keep))
-        case "chan_1_cut":
-            arity(1)
-            t = _chan_arg(name, args[0])
-            if t.roles != 0:
-                raise MtlcTypeError(name, "only an empty-role-set endpoint can be dropped")
-            return TUnit()
-        case "chan_2_cut":
-            arity(2)
-            t1, t2 = (_chan_arg(name, a) for a in args)
-            if t1.cursor != t2.cursor:
-                raise MtlcTypeError(name, "endpoint sessions differ")
-            if t2.roles != full & ~t1.roles:
-                raise MtlcTypeError(name, "role sets are not complementary")
-            return TUnit()
-        case "chan_3_cut":
-            arity(3)
-            ts = [_chan_arg(name, a) for a in args]
-            if len({t.cursor for t in ts}) != 1:
-                raise MtlcTypeError(name, "endpoint sessions differ")
-            if not rl.partition_check([full & ~t.roles for t in ts], n):
-                raise MtlcTypeError(name, "complements must partition the universe")
-            return TUnit()
-        case "chan_2_cutres":
-            arity(2)
-            t1, t2 = (_chan_arg(name, a) for a in args)
-            if t1.cursor != t2.cursor:
-                raise MtlcTypeError(name, "endpoint sessions differ")
-            if (full & ~t1.roles) & (full & ~t2.roles):
-                raise MtlcTypeError(name, "complements must be disjoint")
-            return TChan(t1.roles & t2.roles, t1.cursor)
-    raise MtlcTypeError(name, "unknown constant")
+def _sig_2_cutres(name, args, n):
+    t1, t2 = (_chan_arg(name, a) for a in args)
+    if t1.cursor != t2.cursor:
+        raise MtlcTypeError(name, "endpoint sessions differ")
+    full = rl.full_set(n)
+    if (full & ~t1.roles) & (full & ~t2.roles):
+        raise MtlcTypeError(name, "complements must be disjoint")
+    return TChan(t1.roles & t2.roles, t1.cursor)
+
+
+# each constant's arity and signature rule
+_SIGS = {
+    "iadd": (2, _sig_iadd), "randbit": (0, lambda name, args, n: TBool()),
+    "thread_create": (1, _sig_thread_create), "chan_create": (1, _sig_create),
+    "chan_sync": (1, _sig_sync), "chan_skip": (1, _sig_skip),
+    "chan_send": (2, _sig_send), "chan_recv": (1, _sig_recv),
+    "chan_aconj_l": (1, _sig_aconj), "chan_aconj_r": (1, _sig_aconj),
+    "chan_mconj": (1, _sig_mconj),
+    "chan_mdisj_l": (2, _sig_mdisj), "chan_mdisj_r": (2, _sig_mdisj),
+    "chan_1_cut": (1, _sig_1_cut), "chan_2_cut": (2, _sig_2_cut),
+    "chan_3_cut": (3, _sig_3_cut), "chan_2_cutres": (2, _sig_2_cutres),
+}
+CONSTS = set(_SIGS)
+_CHAN_CONSTS = {name for name in CONSTS if name.startswith("chan_")}
 
 
 # ---------------------------------------------------------- typechecker
@@ -564,152 +617,173 @@ def _avoid(x: str, body: Expr, delta) -> tuple[str, Expr]:
 
 def typecheck(e: Expr, gamma: dict[str, Viewtype] | None = None,
               delta: dict[str, Viewtype] | None = None, n: int = 2) -> Viewtype:
-    t, left = _check(e, dict(gamma or {}), dict(delta or {}), n)
+    t, left = _CHECK[type(e)](e, dict(gamma or {}), dict(delta or {}), n)
     if left:
         raise MtlcTypeError("ty-linear", f"unused linear variables: {sorted(left)}")
     return t
 
 
 def _check(e: Expr, gamma, delta, n) -> tuple[Viewtype, dict]:
-    match e:
-        case EVar(x):
-            if x in delta:
-                rest = dict(delta)
-                t = rest.pop(x)
-                return t, rest
-            if x in gamma:
-                return gamma[x], delta
-            raise MtlcTypeError("ty-var", f"unbound variable {x}")
-        case ERc(ep):
-            return TChan(ep.roles, ep.channel.cursor), delta
-        case EUnit():
-            return TUnit(), delta
-        case EBool(_):
-            return TBool(), delta
-        case EInt(i):
-            return TIntIdx(i), delta
-        case EStr(_):
-            return TStr(), delta
-        case EPair(a, b):
-            t1, d1 = _check(a, gamma, delta, n)
-            t2, d2 = _check(b, gamma, d1, n)
-            if is_linear(t1) or is_linear(t2):
-                raise MtlcTypeError("ty-pair", "non-linear pairs cannot hold linear parts")
-            return TPair(t1, t2), d2
-        case ELPair(a, b):
-            t1, d1 = _check(a, gamma, delta, n)
-            t2, d2 = _check(b, gamma, d1, n)
-            return TLPair(t1, t2), d2
-        case EFst(b):
-            t, d = _check(b, gamma, delta, n)
-            if not isinstance(t, TPair):
-                raise MtlcTypeError("ty-fst", f"projection from non-pair {t}")
-            return t.left, d
-        case ESnd(b):
-            t, d = _check(b, gamma, delta, n)
-            if not isinstance(t, TPair):
-                raise MtlcTypeError("ty-snd", f"projection from non-pair {t}")
-            return t.right, d
-        case ELet(x1, x2, p, b):
-            tp, d1 = _check(p, gamma, delta, n)
-            if not isinstance(tp, TLPair):
-                raise MtlcTypeError("ty-let", f"let-pair on non-tensor {tp}")
-            x1, b = _avoid(x1, b, d1)
-            x2, b = _avoid(x2, b, d1)
-            inner = dict(d1)
-            g = gamma
-            for x, tx in ((x1, tp.left), (x2, tp.right)):
-                if is_linear(tx):
-                    inner[x] = tx
-                else:
-                    if g is gamma:
-                        g = dict(gamma)
-                    g[x] = tx
-            t, d2 = _check(b, g, inner, n)
-            for x, tx in ((x1, tp.left), (x2, tp.right)):
-                if is_linear(tx) and x in d2:
-                    raise MtlcTypeError("ty-let", f"linear variable {x} unused")
-            return t, d2
-        case ELam(x, tx, body):
-            if resources(body):
-                raise MtlcTypeError("ty-lam-i", "non-linear function holds resources")
-            x, body = _avoid(x, body, delta)
-            inner = dict(delta)
-            g = gamma
-            if is_linear(tx):
-                inner[x] = tx
-            else:
+    return _CHECK[type(e)](e, gamma, delta, n)
+
+
+# The typing rules take (e, gamma, delta, n) and return e's type and the
+# linear context left over.
+def _check_var(e, gamma, delta, n):
+    x = e.name
+    if x in delta:
+        rest = dict(delta)
+        t = rest.pop(x)
+        return t, rest
+    if x in gamma:
+        return gamma[x], delta
+    raise MtlcTypeError("ty-var", f"unbound variable {x}")
+
+
+def _check_pair(e, gamma, delta, n):
+    """EPair and ELPair."""
+    a, b = e.left, e.right
+    t1, d1 = _CHECK[type(a)](a, gamma, delta, n)
+    t2, d2 = _CHECK[type(b)](b, gamma, d1, n)
+    if type(e) is ELPair:
+        return TLPair(t1, t2), d2
+    if is_linear(t1) or is_linear(t2):
+        raise MtlcTypeError("ty-pair", "non-linear pairs cannot hold linear parts")
+    return TPair(t1, t2), d2
+
+
+def _check_proj(e, gamma, delta, n):
+    """EFst and ESnd."""
+    b = e.body
+    t, d = _CHECK[type(b)](b, gamma, delta, n)
+    fst = type(e) is EFst
+    if not isinstance(t, TPair):
+        raise MtlcTypeError("ty-fst" if fst else "ty-snd", f"projection from non-pair {t}")
+    return t.left if fst else t.right, d
+
+
+def _check_let(e, gamma, delta, n):
+    p = e.pair
+    tp, d1 = _CHECK[type(p)](p, gamma, delta, n)
+    if not isinstance(tp, TLPair):
+        raise MtlcTypeError("ty-let", f"let-pair on non-tensor {tp}")
+    x1, b = _avoid(e.x1, e.body, d1)
+    x2, b = _avoid(e.x2, b, d1)
+    inner = dict(d1)
+    g = gamma
+    for x, tx in ((x1, tp.left), (x2, tp.right)):
+        if is_linear(tx):
+            inner[x] = tx
+        else:
+            if g is gamma:
                 g = dict(gamma)
-                g[x] = tx
-            t, d2 = _check(body, g, inner, n)
-            if is_linear(tx) and x in d2:
-                raise MtlcTypeError("ty-lam-i", f"linear parameter {x} unused")
-            d2.pop(x, None)
-            if d2 != delta:
-                raise MtlcTypeError("ty-lam-i",
-                                    "non-linear function captures linear variables")
-            return TFunN(tx, t), delta
-        case ELLam(x, tx, body):
-            x, body = _avoid(x, body, delta)
-            inner = dict(delta)
-            g = gamma
-            if is_linear(tx):
-                inner[x] = tx
-            else:
-                g = dict(gamma)
-                g[x] = tx
-            t, d2 = _check(body, g, inner, n)
-            if is_linear(tx) and x in d2:
-                raise MtlcTypeError("ty-lam-l", f"linear parameter {x} unused")
-            d2.pop(x, None)
-            return TFunL(tx, t), d2
-        case EApp(f, a):
-            tf, d1 = _check(f, gamma, delta, n)
-            if not isinstance(tf, (TFunN, TFunL)):
-                raise MtlcTypeError("ty-app", f"application of non-function {tf}")
-            ta, d2 = _check(a, gamma, d1, n)
-            if not compat(ta, tf.dom):
-                raise MtlcTypeError("ty-app", f"argument {ta} does not fit {tf.dom}")
-            return tf.cod, d2
-        case EFix(x, tx, v):
-            if not is_value(v) and not isinstance(v, EVar):
-                raise MtlcTypeError("ty-fix", "fixpoint body must be a value")
-            if resources(v):
-                raise MtlcTypeError("ty-fix", "fixpoint body holds resources")
-            if is_linear(tx):
-                raise MtlcTypeError("ty-fix", "fixpoint at a linear type")
-            x, v = _avoid(x, v, delta)
-            g = dict(gamma)
             g[x] = tx
-            t, d2 = _check(v, g, delta, n)
-            if d2 != delta:
-                raise MtlcTypeError("ty-fix", "fixpoint body consumes linear context")
-            if not compat(t, tx):
-                raise MtlcTypeError("ty-fix", f"body type {t} differs from {tx}")
-            return tx, delta
-        case EIf(c, a, b):
-            tc, d0 = _check(c, gamma, delta, n)
-            if not isinstance(tc, TBool):
-                raise MtlcTypeError("ty-if", f"condition of type {tc}")
-            if rho(a) != rho(b):
-                raise MtlcTypeError("ty-if", "branches hold different resources")
-            t1, d1 = _check(a, gamma, d0, n)
-            t2, d2 = _check(b, gamma, d0, n)
-            if d1 != d2:
-                raise MtlcTypeError("ty-if", "branches consume different linear variables")
-            if t1 == t2:
-                return t1, d1
-            if isinstance(t1, (TInt, TIntIdx)) and isinstance(t2, (TInt, TIntIdx)):
-                return TInt(), d1
-            raise MtlcTypeError("ty-if", f"branch types differ: {t1} vs {t2}")
-        case EConst(name, args):
-            ts = []
-            d = delta
-            for a in args:
-                ta, d = _check(a, gamma, d, n)
-                ts.append(ta)
-            return sig_result(name, ts, n), d
+    t, d2 = _CHECK[type(b)](b, g, inner, n)
+    for x, tx in ((x1, tp.left), (x2, tp.right)):
+        if is_linear(tx) and x in d2:
+            raise MtlcTypeError("ty-let", f"linear variable {x} unused")
+    return t, d2
+
+
+def _check_lam(e, gamma, delta, n):
+    """ELam (rule ty-lam-i) and ELLam (ty-lam-l)."""
+    linear = type(e) is ELLam
+    rule = "ty-lam-l" if linear else "ty-lam-i"
+    if not linear and resources(e.body):
+        raise MtlcTypeError(rule, "non-linear function holds resources")
+    tx = e.t
+    x, body = _avoid(e.x, e.body, delta)
+    inner = dict(delta)
+    g = gamma
+    if is_linear(tx):
+        inner[x] = tx
+    else:
+        g = dict(gamma)
+        g[x] = tx
+    t, d2 = _CHECK[type(body)](body, g, inner, n)
+    if is_linear(tx) and x in d2:
+        raise MtlcTypeError(rule, f"linear parameter {x} unused")
+    d2.pop(x, None)
+    if linear:
+        return TFunL(tx, t), d2
+    if d2 != delta:
+        raise MtlcTypeError(rule, "non-linear function captures linear variables")
+    return TFunN(tx, t), delta
+
+
+def _check_app(e, gamma, delta, n):
+    f, a = e.fun, e.arg
+    tf, d1 = _CHECK[type(f)](f, gamma, delta, n)
+    if not isinstance(tf, (TFunN, TFunL)):
+        raise MtlcTypeError("ty-app", f"application of non-function {tf}")
+    ta, d2 = _CHECK[type(a)](a, gamma, d1, n)
+    if not compat(ta, tf.dom):
+        raise MtlcTypeError("ty-app", f"argument {ta} does not fit {tf.dom}")
+    return tf.cod, d2
+
+
+def _check_fix(e, gamma, delta, n):
+    tx, v = e.t, e.value
+    if not is_value(v) and not isinstance(v, EVar):
+        raise MtlcTypeError("ty-fix", "fixpoint body must be a value")
+    if resources(v):
+        raise MtlcTypeError("ty-fix", "fixpoint body holds resources")
+    if is_linear(tx):
+        raise MtlcTypeError("ty-fix", "fixpoint at a linear type")
+    x, v = _avoid(e.x, v, delta)
+    g = dict(gamma)
+    g[x] = tx
+    t, d2 = _CHECK[type(v)](v, g, delta, n)
+    if d2 != delta:
+        raise MtlcTypeError("ty-fix", "fixpoint body consumes linear context")
+    if not compat(t, tx):
+        raise MtlcTypeError("ty-fix", f"body type {t} differs from {tx}")
+    return tx, delta
+
+
+def _check_if(e, gamma, delta, n):
+    c, a, b = e.cond, e.then, e.els
+    tc, d0 = _CHECK[type(c)](c, gamma, delta, n)
+    if not isinstance(tc, TBool):
+        raise MtlcTypeError("ty-if", f"condition of type {tc}")
+    if rho(a) != rho(b):
+        raise MtlcTypeError("ty-if", "branches hold different resources")
+    t1, d1 = _CHECK[type(a)](a, gamma, d0, n)
+    t2, d2 = _CHECK[type(b)](b, gamma, d0, n)
+    if d1 != d2:
+        raise MtlcTypeError("ty-if", "branches consume different linear variables")
+    if t1 == t2:
+        return t1, d1
+    if isinstance(t1, (TInt, TIntIdx)) and isinstance(t2, (TInt, TIntIdx)):
+        return TInt(), d1
+    raise MtlcTypeError("ty-if", f"branch types differ: {t1} vs {t2}")
+
+
+def _check_const(e, gamma, delta, n):
+    ts = []
+    d = delta
+    for a in e.args:
+        ta, d = _CHECK[type(a)](a, gamma, d, n)
+        ts.append(ta)
+    # the rule is called from here, not through sig_result, to save a frame
+    return _signature(e.name, len(ts), n)(e.name, ts, n), d
+
+
+def _check_unknown(e, gamma, delta, n):
     raise MtlcTypeError("ty", f"unknown expression {e!r}")
+
+
+_CHECK = _Rules(_check_unknown, {
+    EVar: _check_var,
+    ERc: lambda e, gamma, delta, n: (TChan(e.ep.roles, e.ep.channel.cursor), delta),
+    EUnit: lambda e, gamma, delta, n: (TUnit(), delta),
+    EBool: lambda e, gamma, delta, n: (TBool(), delta),
+    EInt: lambda e, gamma, delta, n: (TIntIdx(e.value), delta),
+    EStr: lambda e, gamma, delta, n: (TStr(), delta),
+    EPair: _check_pair, ELPair: _check_pair, EFst: _check_proj, ESnd: _check_proj,
+    ELet: _check_let, ELam: _check_lam, ELLam: _check_lam, EApp: _check_app,
+    EFix: _check_fix, EIf: _check_if, EConst: _check_const,
+})
 
 
 # ------------------------------------------------------- canonical forms
@@ -745,50 +819,79 @@ def canonical_form(v: Expr, t: Viewtype) -> str:
 
 def _decompose(e: Expr):
     """Find the leftmost redex; returns (redex, rebuild) or None for values."""
-    if is_value(e):
-        return None
+    return _DECOMPOSE[type(e)](e)
 
-    def wrap(sub: Expr, rebuild):
-        got = _decompose(sub)
-        if got is None:
-            return None
+
+# The decomposition rules look for a redex in a node's parts first, left to right.
+def _decompose_pair(e):
+    a, b = e.left, e.right
+    if got := _DECOMPOSE[type(a)](a):
         r, rb = got
-        return r, lambda v: rebuild(rb(v))
+        return r, lambda v: type(e)(rb(v), b)
+    if got := _DECOMPOSE[type(b)](b):
+        r, rb = got
+        return r, lambda v: type(e)(a, rb(v))
+    return None
 
-    match e:
-        case EPair(a, b) | ELPair(a, b):
-            ctor = type(e)
-            if not is_value(a):
-                return wrap(a, lambda a2: ctor(a2, b))
-            return wrap(b, lambda b2: ctor(a, b2))
-        case EFst(b) | ESnd(b):
-            ctor = type(e)
-            if not is_value(b):
-                return wrap(b, lambda b2: ctor(b2))
-            return e, lambda v: v
-        case EApp(f, a):
-            if not is_value(f):
-                return wrap(f, lambda f2: EApp(f2, a))
-            if not is_value(a):
-                return wrap(a, lambda a2: EApp(f, a2))
-            return e, lambda v: v
-        case ELet(x1, x2, p, b):
-            if not is_value(p):
-                return wrap(p, lambda p2: ELet(x1, x2, p2, b))
-            return e, lambda v: v
-        case EIf(c, a, b):
-            if not is_value(c):
-                return wrap(c, lambda c2: EIf(c2, a, b))
-            return e, lambda v: v
-        case EConst(name, args):
-            for i, a in enumerate(args):
-                if not is_value(a):
-                    return wrap(a, lambda a2, i=i: EConst(
-                        name, args[:i] + (a2,) + args[i + 1:]))
-            return e, lambda v: v
-        case EVar(x):
-            raise StuckNonRedex(f"free variable {x}")
+
+def _decompose_app(e):
+    f, a = e.fun, e.arg
+    if got := _DECOMPOSE[type(f)](f):
+        r, rb = got
+        return r, lambda v: EApp(rb(v), a)
+    if got := _DECOMPOSE[type(a)](a):
+        r, rb = got
+        return r, lambda v: EApp(f, rb(v))
+    return e, lambda v: v
+
+
+def _decompose_const(e):
+    name, args = e.name, e.args
+    for i, a in enumerate(args):
+        if got := _DECOMPOSE[type(a)](a):
+            r, rb = got
+            return r, lambda v: EConst(name, args[:i] + (rb(v),) + args[i + 1:])
+    return e, lambda v: v
+
+
+def _decompose_proj(e):
+    b = e.body
+    if got := _DECOMPOSE[type(b)](b):
+        r, rb = got
+        return r, lambda v: type(e)(rb(v))
+    return e, lambda v: v
+
+
+def _decompose_let(e):
+    p = e.pair
+    if got := _DECOMPOSE[type(p)](p):
+        r, rb = got
+        return r, lambda v: ELet(e.x1, e.x2, rb(v), e.body)
+    return e, lambda v: v
+
+
+def _decompose_if(e):
+    c = e.cond
+    if got := _DECOMPOSE[type(c)](c):
+        r, rb = got
+        return r, lambda v: EIf(rb(v), e.then, e.els)
+    return e, lambda v: v
+
+
+def _decompose_var(e):
+    raise StuckNonRedex(f"free variable {e.name}")
+
+
+def _decompose_unknown(e):
     raise StuckNonRedex(f"cannot decompose {e!r}")
+
+
+_DECOMPOSE = _Rules(_decompose_unknown, {
+    **dict.fromkeys(_VALUE_LEAVES, lambda e: None),
+    EVar: _decompose_var, EPair: _decompose_pair, ELPair: _decompose_pair,
+    EApp: _decompose_app, EConst: _decompose_const, EFst: _decompose_proj,
+    ESnd: _decompose_proj, ELet: _decompose_let, EIf: _decompose_if,
+})
 
 
 def _py_value(v: Expr):

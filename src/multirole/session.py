@@ -388,33 +388,32 @@ class Action:
     payload: str | None = None
 
 
+def _message_action(s: Msg, roleset: int) -> Action:
+    frm, to = roleset & (1 << s.frm), roleset & (1 << s.to)
+    kind = "send" if frm and not to else "recv" if to and not frm else "skip"
+    return Action(kind, s.label, s.frm, s.to, payload=s.payload)
+
+
+# the classification of each head constructor, by session node class
+_ACTIONS = {
+    Nil: lambda s, roleset: Action("done"),
+    Append: lambda s, roleset: Action("append"),
+    Msg: _message_action,
+    Bcast: lambda s, roleset: Action("send" if roleset & (1 << s.frm) else "recv",
+                                     s.label, frm=s.frm, payload=s.payload),
+    Gather: lambda s, roleset: Action("recv" if roleset & (1 << s.to) else "send",
+                                      s.label, to=s.to, payload=s.payload),
+    **dict.fromkeys((SAConj, OptionT, Repseq, Repeat), lambda s, roleset: Action(
+        "choose" if roleset & (1 << s.r) else "offer", role=s.r)),
+    SMConj: lambda s, roleset: Action("fork-conj" if roleset & (1 << s.r) else "fork-disj",
+                                      role=s.r),
+}
+
+
 def next_actions(s: SessionType, roleset: int) -> Action:
     """Classify the head constructor of s as seen from one role set."""
-
-    def holds(r: int) -> bool:
-        return bool(roleset & (1 << r))
-
-    match s:
-        case Nil():
-            return Action("done")
-        case Append(_, _):
-            return Action("append")
-        case Msg(label, f, t, p):
-            if holds(f) and not holds(t):
-                return Action("send", label, f, t, payload=p)
-            if holds(t) and not holds(f):
-                return Action("recv", label, f, t, payload=p)
-            return Action("skip", label, f, t, payload=p)
-        case Bcast(label, f, p):
-            if holds(f):
-                return Action("send", label, frm=f, payload=p)
-            return Action("recv", label, frm=f, payload=p)
-        case Gather(label, t, p):
-            if holds(t):
-                return Action("recv", label, to=t, payload=p)
-            return Action("send", label, to=t, payload=p)
-        case SAConj(r, _, _) | OptionT(r, _) | Repseq(r, _) | Repeat(r, _):
-            return Action("choose" if holds(r) else "offer", role=r)
-        case SMConj(r, _, _):
-            return Action("fork-conj" if holds(r) else "fork-disj", role=r)
-    raise SessionError(f"unknown session node {s!r}")
+    try:
+        rule = _ACTIONS[type(s)]
+    except KeyError:
+        raise SessionError(f"unknown session node {s!r}") from None
+    return rule(s, roleset)

@@ -225,6 +225,41 @@ def decisions_view(preset: dict[int, tuple]) -> dict[int, rt.Decisions]:
 # --------------------------------------------------------------- oracles
 
 
+def next_actions_match(s, roleset: int) -> sn.Action:
+    """session.next_actions as a chain of match cases, the form it had before
+    its rules were put in a table keyed by node class; the reference for
+    that table."""
+
+    def holds(r: int) -> bool:
+        return bool(roleset & (1 << r))
+
+    match s:
+        case sn.Nil():
+            return sn.Action("done")
+        case sn.Append(_, _):
+            return sn.Action("append")
+        case sn.Msg(label, f, t, p):
+            if holds(f) and not holds(t):
+                return sn.Action("send", label, f, t, payload=p)
+            if holds(t) and not holds(f):
+                return sn.Action("recv", label, f, t, payload=p)
+            return sn.Action("skip", label, f, t, payload=p)
+        case sn.Bcast(label, f, p):
+            if holds(f):
+                return sn.Action("send", label, frm=f, payload=p)
+            return sn.Action("recv", label, frm=f, payload=p)
+        case sn.Gather(label, t, p):
+            if holds(t):
+                return sn.Action("recv", label, to=t, payload=p)
+            return sn.Action("send", label, to=t, payload=p)
+        case sn.SAConj(r, _, _) | sn.OptionT(r, _) | sn.Repseq(r, _) | sn.Repeat(r, _):
+            return sn.Action("choose" if holds(r) else "offer", role=r)
+        case sn.SMConj(r, _, _):
+            return sn.Action("fork-conj" if holds(r) else "fork-disj", role=r)
+    raise sn.SessionError(f"unknown session node {s!r}")
+
+
+
 def recount_every_event(pool: rt.Pool) -> rt.Pool:
     """After every event of the pool, recount the live pool from the full
     registries and compare it with the pool's counters and audit entry."""

@@ -108,6 +108,41 @@ class TestProve:
         assert (code, out) == (1, "")
         assert error in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["cut", "BAD", "--on", "a"],
+        ["cutres", "BAD", "AX", "--on", "a", "--at", "{0}", "{1}"],
+        ["mpcut", "AX", "BAD", "--on", "a", "--at", "{0}", "{1}"],
+    ])
+    def test_cut_checks_its_inputs(self, capsys, tmp_path, axiom_file, argv):
+        # well-formed, but an id whose role sets do not partition the universe
+        bad = write(tmp_path / "bad.json", json.dumps(
+            {"rule": "id", "conclusion": [{"roles": [0], "formula": "a"}] * 2}))
+        argv = [{"AX": axiom_file, "BAD": bad}.get(a, a) for a in argv]
+        code, out, err = run(capsys, "prove", *argv)
+        assert (code, out) == (1, "")
+        assert "partition" in json.loads(err)["error"]
+
+    def test_output_failing_its_check_is_a_kernel_fault(self, capsys, monkeypatch,
+                                                        tmp_path, axiom_file):
+        leaf = kn.derivation_from_json(Path(axiom_file).read_text())
+        monkeypatch.setattr(kn, "cut2_residual",
+                            lambda *_: kn.Derivation("id", leaf.conclusion[:1]))
+        code, out, err = run(capsys, "prove", "cutres", axiom_file, axiom_file,
+                             "--on", "a", "--at", "{0}", "{1}")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"].startswith("emitted derivation fails its check")
+
+    def test_check_too_deep(self, capsys, tmp_path, axiom_file):
+        # 1200 weakenings over the id of axiom_file, nested as the writer nests
+        leaf = json.loads(Path(axiom_file).read_text())
+        node = {"rule": "weaken", "conclusion": leaf["conclusion"],
+                "inst": {"principal": 0}, "premises": ["HOLE"]}
+        head, tail = json.dumps(node).split('"HOLE"')
+        path = write(tmp_path / "deep.json", head * 1200 + json.dumps(leaf) + tail * 1200)
+        code, out, err = run(capsys, "prove", "check", path)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "input nests too deeply"}
+
     def test_search_not_found(self, capsys, tmp_path):
         items = (lg.IFormula(1, A),)  # lone <{0}>a: complement missing
         path = write(tmp_path / "seq.json", lg.sequent_to_json(items))
@@ -148,6 +183,13 @@ class TestSession:
         code, _, err = run(capsys, "session", "check", path)
         assert code == 1
         assert "roles N" in json.loads(err)["error"]
+
+    def test_check_too_deep(self, capsys, tmp_path):
+        messages = "@".join(["m(0, 1)"] * 1200)
+        path = write(tmp_path / "p.mrl", f"roles 2\nsession long = {messages}\n")
+        code, out, err = run(capsys, "session", "check", path)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "input nests too deeply"}
 
     def test_simulate(self, capsys, tmp_path):
         p = write(tmp_path / "p.mrl", PROTOCOL)
@@ -330,8 +372,15 @@ def mutate(rng: random.Random, text: str, donors: list[str]) -> str:
 
 
 def test_mutation_fuzz(capsys, tmp_path):
-    """Mutated inputs of five commands: every call returns 0..3 without
+    """Mutated inputs of eight commands: every call returns 0..3 without
     raising, and every non-zero exit prints JSON."""
+
+    def call(case, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), (case, argv)
+        if code:
+            json.loads((err.strip() or out.strip()).splitlines()[-1])
+
     derivations = [
         kn.derivation_to_json(kn.axiom_multi(A, [1, 2], kn.LMRL(2))),
         kn.derivation_to_json(kn.axiom_multi(lg.parse_formula(
@@ -366,7 +415,23 @@ def test_mutation_fuzz(capsys, tmp_path):
             case 4:
                 m.write_text(mutate(rng, MTLC_OK, donors), encoding="utf-8")
                 argv = ["mtlc", "run", str(m)]
-        code, out, err = run(capsys, *argv)
-        assert code in (0, 1, 2, 3), (case, argv)
-        if code:
-            json.loads((err.strip() or out.strip()).splitlines()[-1])
+        call(case, argv)
+
+    # the cut actions: one mutated derivation, and for the binary cuts an
+    # intact second one carrying the cut formula at the complementary role set
+    cut_on = "(tensor @0 a (bang @1 b))"
+    f = lg.parse_formula(cut_on)
+    erasable = kn.derivation_to_json(kn.axiom_multi(f, [0, 3], kn.LMRL(2)))
+    split = kn.derivation_to_json(kn.axiom_multi(f, [1, 2], kn.LMRL(2)))
+    donors += [erasable, split]
+    other = write(tmp_path / "d2.json", split)
+    rng = random.Random(0)
+    for case in range(1500):
+        action = ("cut", "cutres", "mpcut")[case % 3]
+        if action == "cut":
+            d.write_text(mutate(rng, erasable, donors), encoding="utf-8")
+            argv = ["prove", "cut", str(d), "--on", cut_on]
+        else:
+            d.write_text(mutate(rng, split, donors), encoding="utf-8")
+            argv = ["prove", action, str(d), other, "--on", cut_on, "--at", "{0}", "{1}"]
+        call(case, argv)

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from multirole import mtlc as M
+from multirole import roles as rl
 from multirole.mtlc import (
     ClassificationImpossible,
     EBool,
@@ -97,6 +98,67 @@ class TestRho:
         for i in range(5000):
             e = EConst("iadd", (e, EInt(i)))
         assert rho(e) == Counter({ep.eid: 1})
+
+
+def iadd_chain(depth: int, bottom=EInt(0)):
+    """(iadd (iadd ... bottom 1) 1), depth applications deep."""
+    e = bottom
+    for _ in range(depth):
+        e = EConst("iadd", (e, EInt(1)))
+    return e
+
+
+class TestDepth:
+    """Every traversal spends one frame per level of nesting, so these fit
+    under the default recursion limit of 1000 frames."""
+
+    def test_typecheck_iadd_chain(self):
+        assert typecheck(iadd_chain(900)) == TIntIdx(900)
+
+    def test_typecheck_application_chain(self):
+        e = EInt(0)
+        for _ in range(400):
+            e = M.EApp(ELam("y", TInt(), EVar("y")), e)
+        assert typecheck(e) == TInt()
+
+    def test_esubst_iadd_chain(self):
+        e = M.esubst(iadd_chain(400, EVar("x")), "x", EInt(7))
+        depth = 0
+        while isinstance(e, EConst):  # == would recurse twice per level
+            e, depth = e.args[0], depth + 1
+        assert (e, depth) == (EInt(7), 400)
+
+    def test_eval_pool_iadd_chain(self):
+        res, value = eval_pool(iadd_chain(400))
+        assert (res.status, value) == ("done", EInt(400))
+
+
+class TestDispatch:
+    def test_every_expression_class_has_a_rule(self):
+        classes = set(M.Expr.__args__)
+        for table in (M._CHECK, M._SUBST, M._IS_VALUE, M._DECOMPOSE):
+            assert set(table) == classes
+        assert set(M._SIGS) == M.CONSTS
+
+    @pytest.mark.parametrize("e", [7, EPair(EInt(1), 7)])
+    def test_unknown_node(self, e):
+        with pytest.raises(MtlcTypeError, match=r"^\(ty\) unknown expression 7$"):
+            typecheck(e)
+        with pytest.raises(TypeError, match=r"^unknown expression 7$"):
+            M.esubst(e, "x", EInt(0))
+        assert not M.is_value(e)
+        with pytest.raises(M.StuckNonRedex, match=r"^cannot decompose 7$"):
+            M._decompose(e)
+
+    def test_constant_faults(self):
+        with pytest.raises(MtlcTypeError, match=r"^\(iadd\) expects 2 arguments, got 1$"):
+            typecheck(EConst("iadd", (EInt(1),)))
+        with pytest.raises(MtlcTypeError, match=r"^\(chan_send\) expects 2 arguments, got 0$"):
+            M.sig_result("chan_send", [], 2)
+        with pytest.raises(MtlcTypeError, match=r"^\(nope\) unknown constant$"):
+            typecheck(EConst("nope", ()))
+        with pytest.raises(rl.RoleError, match="universe size"):
+            typecheck(EConst("randbit", ()), n=0)
 
 
 class TestTypes:

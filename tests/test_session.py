@@ -26,7 +26,7 @@ from multirole.session import (
     parse_session,
 )
 
-from helpers import rand_session
+from helpers import next_actions_match, rand_session
 
 EX1 = ("title(1, 0)@quote(0, 1)@quote(0, 2)@"
        "contrib(1, 2)@option(2, proof(2, 0)@receipt(0, 2))")
@@ -175,6 +175,30 @@ class TestNextActions:
         s = parse_session("mconj(0, a(1, 0), b(2, 0))", 3)
         assert next_actions(s, 0b001).kind == "fork-conj"
         assert next_actions(s, 0b110).kind == "fork-disj"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_table_agrees_with_match_oracle(self, n):
+        """Every session node kind, at every role, against every role set."""
+        nodes = [Nil(), Append(Nil(), Nil())]
+        for p in sn.PAYLOADS:
+            nodes += [Msg("m", f, t, p) for f in range(n) for t in range(n) if f != t]
+            nodes += [Bcast("b", r, p) for r in range(n)]
+            nodes += [Gather("g", r, p) for r in range(n)]
+        for r in range(n):
+            nodes += [SMConj(r, Nil(), Nil()), SAConj(r, Nil(), Nil()),
+                      OptionT(r, Nil()), Repseq(r, Nil()), sn.Repeat(r, Nil())]
+        assert {type(s) for s in nodes} == set(sn.SessionType.__args__)
+        for s in nodes:
+            for roleset in range(1 << n):
+                assert next_actions(s, roleset) == next_actions_match(s, roleset), (s, roleset)
+
+    def test_every_node_class_has_a_rule(self):
+        assert set(sn._ACTIONS) == set(sn.SessionType.__args__)
+
+    def test_unknown_node(self):
+        for classify in (next_actions, next_actions_match):
+            with pytest.raises(sn.SessionError, match=r"^unknown session node 'x'$"):
+                classify("x", 1)
 
 
 class TestCheckSession:
