@@ -225,6 +225,13 @@ def _is_why_not(it: IFormula) -> bool:
     return isinstance(it.formula, Bang) and not it.formula.u.contains(it.roles)
 
 
+def _introduced(roles_: int, a: MConj | Impl) -> tuple[IFormula, IFormula]:
+    """The two i-formulas a multiplicative rule on <R>a introduces:
+    <R>A, <R>B for A (x) B, and <f^-1(R)>A, <R>B for A -o_f B."""
+    left = a.f.preimage(roles_) if isinstance(a, Impl) else roles_
+    return IFormula(left, a.left), IFormula(roles_, a.right)
+
+
 def _expect(cond: bool, path, reason: str) -> None:
     if not cond:
         raise CheckError(path, reason)
@@ -293,31 +300,24 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -
                     path, f"({d.rule}): left premise mismatch")
             _expect(seq_equal(d.premises[1].conclusion, ctx + (IFormula(roles_, a.right),)),
                     path, f"({d.rule}): right premise mismatch")
-        case "mconj-neg":
-            _expect(isinstance(a, MConj), path, "principal must be multiplicative conjunction")
-            _expect(not a.u.contains(roles_), path, "(mconj-neg) needs R not in U")
-            one_premise_is(ctx + (IFormula(roles_, a.left), IFormula(roles_, a.right)))
-        case "mconj-pos" | "imp-pos":
-            if d.rule == "mconj-pos":
-                _expect(isinstance(a, MConj), path, "principal must be multiplicative conjunction")
-                new_l = IFormula(roles_, a.left)
-            else:
+        case "mconj-neg" | "mconj-pos" | "imp-neg" | "imp-pos":
+            if d.rule.startswith("imp"):
                 _expect(isinstance(a, Impl), path, "principal must be implication")
-                new_l = IFormula(a.f.preimage(roles_), a.left)
-            _expect(a.u.contains(roles_), path, f"({d.rule}) needs R in U")
-            arity(2)
-            new_r = IFormula(roles_, a.right)
-            g1 = seq_minus(d.premises[0].conclusion, (new_l,))
-            g2 = seq_minus(d.premises[1].conclusion, (new_r,))
-            _expect(g1 is not None and g2 is not None, path,
-                    f"({d.rule}): premises missing the introduced i-formulas")
-            _expect(seq_equal(g1 + g2, ctx), path,
-                    f"({d.rule}): context split does not reassemble the conclusion")
-        case "imp-neg":
-            _expect(isinstance(a, Impl), path, "principal must be implication")
-            _expect(not a.u.contains(roles_), path, "(imp-neg) needs R not in U")
-            one_premise_is(ctx + (IFormula(a.f.preimage(roles_), a.left),
-                                  IFormula(roles_, a.right)))
+            else:
+                _expect(isinstance(a, MConj), path, "principal must be multiplicative conjunction")
+            new_l, new_r = _introduced(roles_, a)
+            if d.rule.endswith("-neg"):
+                _expect(not a.u.contains(roles_), path, f"({d.rule}) needs R not in U")
+                one_premise_is(ctx + (new_l, new_r))
+            else:
+                _expect(a.u.contains(roles_), path, f"({d.rule}) needs R in U")
+                arity(2)
+                g1 = seq_minus(d.premises[0].conclusion, (new_l,))
+                g2 = seq_minus(d.premises[1].conclusion, (new_r,))
+                _expect(g1 is not None and g2 is not None, path,
+                        f"({d.rule}): premises missing the introduced i-formulas")
+                _expect(seq_equal(g1 + g2, ctx), path,
+                        f"({d.rule}): context split does not reassemble the conclusion")
         case "bang-pos":
             _expect(isinstance(a, Bang), path, "principal must be of ! shape")
             _expect(a.u.contains(roles_), path, "(bang-pos) needs R in U")
@@ -433,30 +433,19 @@ def b_add_pos(d1: Derivation, d2: Derivation, roles_: int, a: Conj | AConj) -> D
     return Derivation(f"{base}-pos", concl, (d1, d2), len(concl) - 1)
 
 
-def b_mconj_neg(d: Derivation, roles_: int, a: MConj) -> Derivation:
-    consumed = (IFormula(roles_, a.left), IFormula(roles_, a.right))
-    concl = _take(d.conclusion, consumed, "mconj-neg") + (IFormula(roles_, a),)
-    return Derivation("mconj-neg", concl, (d,), len(concl) - 1)
+def b_mult_neg(d: Derivation, roles_: int, a: MConj | Impl) -> Derivation:
+    base = "imp" if isinstance(a, Impl) else "mconj"
+    concl = _take(d.conclusion, _introduced(roles_, a), f"{base}-neg") + (IFormula(roles_, a),)
+    return Derivation(f"{base}-neg", concl, (d,), len(concl) - 1)
 
 
-def b_mconj_pos(d1: Derivation, d2: Derivation, roles_: int, a: MConj) -> Derivation:
-    g1 = _take(d1.conclusion, (IFormula(roles_, a.left),), "mconj-pos")
-    g2 = _take(d2.conclusion, (IFormula(roles_, a.right),), "mconj-pos")
+def b_mult_pos(d1: Derivation, d2: Derivation, roles_: int, a: MConj | Impl) -> Derivation:
+    base = "imp" if isinstance(a, Impl) else "mconj"
+    new_l, new_r = _introduced(roles_, a)
+    g1 = _take(d1.conclusion, (new_l,), f"{base}-pos")
+    g2 = _take(d2.conclusion, (new_r,), f"{base}-pos")
     concl = g1 + g2 + (IFormula(roles_, a),)
-    return Derivation("mconj-pos", concl, (d1, d2), len(concl) - 1)
-
-
-def b_imp_neg(d: Derivation, roles_: int, a: Impl) -> Derivation:
-    consumed = (IFormula(a.f.preimage(roles_), a.left), IFormula(roles_, a.right))
-    concl = _take(d.conclusion, consumed, "imp-neg") + (IFormula(roles_, a),)
-    return Derivation("imp-neg", concl, (d,), len(concl) - 1)
-
-
-def b_imp_pos(d1: Derivation, d2: Derivation, roles_: int, a: Impl) -> Derivation:
-    g1 = _take(d1.conclusion, (IFormula(a.f.preimage(roles_), a.left),), "imp-pos")
-    g2 = _take(d2.conclusion, (IFormula(roles_, a.right),), "imp-pos")
-    concl = g1 + g2 + (IFormula(roles_, a),)
-    return Derivation("imp-pos", concl, (d1, d2), len(concl) - 1)
+    return Derivation(f"{base}-pos", concl, (d1, d2), len(concl) - 1)
 
 
 def b_bang_pos(d: Derivation, roles_: int, a: Bang) -> Derivation:
@@ -575,23 +564,14 @@ def _axiom(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
                     d1 = b_add_neg(d1, p, a, "l")
                     d2 = b_add_neg(d2, p, a, "r")
             return b_add_pos(d1, d2, parts[i], a)
-        case MConj(u, left, right):
+        case MConj(u, left, right) | Impl(_, u, left, right):
             i = _pos_index(u, parts)
-            d1 = _axiom(left, parts, calc)
+            d1 = _axiom(left, [_introduced(p, a)[0].roles for p in parts], calc)
             d2 = _axiom(right, parts, calc)
-            d = b_mconj_pos(d1, d2, parts[i], a)
+            d = b_mult_pos(d1, d2, parts[i], a)
             for j, p in enumerate(parts):
                 if j != i:
-                    d = b_mconj_neg(d, p, a)
-            return d
-        case Impl(f, u, left, right):
-            i = _pos_index(u, parts)
-            d1 = _axiom(left, [f.preimage(p) for p in parts], calc)
-            d2 = _axiom(right, parts, calc)
-            d = b_imp_pos(d1, d2, parts[i], a)
-            for j, p in enumerate(parts):
-                if j != i:
-                    d = b_imp_neg(d, p, a)
+                    d = b_mult_neg(d, p, a)
             return d
         case Bang(u, body):
             i = _pos_index(u, parts)
@@ -651,11 +631,7 @@ def _cut1(d: Derivation, x: IFormula, n: int, calc: Calculus) -> Derivation:
             case "conj-neg-r" | "aconj-neg-r":
                 e = _cut1(p, x, n - 1, calc)
                 return _cut1(e, IFormula(0, a.right), 1, calc)
-            case "mconj-neg":
-                e = _cut1(p, x, n - 1, calc)
-                e = _cut1(e, IFormula(0, a.left), 1, calc)
-                return _cut1(e, IFormula(0, a.right), 1, calc)
-            case "imp-neg":
+            case "mconj-neg" | "imp-neg":
                 e = _cut1(p, x, n - 1, calc)
                 e = _cut1(e, IFormula(0, a.left), 1, calc)
                 return _cut1(e, IFormula(0, a.right), 1, calc)
@@ -669,33 +645,43 @@ def _cut1(d: Derivation, x: IFormula, n: int, calc: Calculus) -> Derivation:
                 raise KernelError(f"cut1: rule {d.rule} cannot introduce an empty-role "
                                   "i-formula positively")
     # commutative case: the principal is some other i-formula
-    return _rebuild_minus(d, x, n, calc, lambda p, m: _cut1(p, x, m, calc))
+    return _commute(d, x, n, (), lambda p, m: _cut1(p, x, m, calc), calc, None)
 
 
-def _rebuild_minus(d: Derivation, x: IFormula, n: int, calc: Calculus, recurse):
-    """Rebuild a non-principal node with m copies of x removed from each premise."""
-    new_concl = seq_minus(d.conclusion, (x,) * n)
-    if new_concl is None:
+def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calculus,
+             fresh: FreshNames | None) -> Derivation:
+    """Cut n tracked copies of x out of d's premises and reapply d's rule.
+
+    sub(p, m) cuts m copies out of premise p and adds the items extra to it
+    (a 2-cut's other context and residual; nothing for a 1-cut).  A
+    context-splitting rule sends each premise the copies its context holds;
+    when both premises receive some, extra arrives twice and one copy of it
+    is contracted away.
+    """
+    item = _principal_item(d)
+    if d.rule == "forall-pos":
+        # extra may mention the eigenvariable; freshen it first
+        y = d.eigen if d.eigen is not None else item.formula.var
+        if y in seq_free_vars(extra):
+            z = fresh(y)
+            prem = subst_derivation(d.premises[0], y, Var(z), fresh)
+            d = Derivation(d.rule, d.conclusion, (prem,), d.principal, eigen=z)
+    concl = seq_minus(d.conclusion, (x,) * n)
+    if concl is None:
         raise KernelError("internal: tracked occurrences missing from sequent")
-    if d.rule in ("conj-pos", "aconj-pos"):
-        prems = tuple(recurse(p, n) for p in d.premises)
-    elif d.rule in ("mconj-pos", "imp-pos"):
-        item = _principal_item(d)
-        a = item.formula
-        if d.rule == "mconj-pos":
-            new_items = [(IFormula(item.roles, a.left),), (IFormula(item.roles, a.right),)]
-        else:
-            new_items = [(IFormula(a.f.preimage(item.roles), a.left),),
-                         (IFormula(item.roles, a.right),)]
-        c0 = seq_counts(seq_minus(d.premises[0].conclusion, new_items[0]) or ()).get(x, 0)
+    ms = (n,) * len(d.premises)
+    split = d.rule in ("mconj-pos", "imp-pos")
+    if split:
+        new_l, _ = _introduced(item.roles, item.formula)
+        c0 = seq_counts(seq_minus(d.premises[0].conclusion, (new_l,)) or ()).get(x, 0)
         m0 = min(c0, n)
         ms = (m0, n - m0)
-        prems = tuple(recurse(p, m) if m else p for p, m in zip(d.premises, ms))
-    else:
-        prems = tuple(recurse(p, n) for p in d.premises)
-    new_principal = new_concl.index(_principal_item(d))
-    return Derivation(d.rule, new_concl, prems, new_principal,
-                      witness=d.witness, eigen=d.eigen)
+    prems = tuple(sub(p, m) if m else p for p, m in zip(d.premises, ms))
+    dup = split and all(ms)
+    concl += extra * 2 if dup else extra
+    out = Derivation(d.rule, concl, prems, concl.index(item),
+                     witness=d.witness, eigen=d.eigen)
+    return _contract_extras(out, extra, calc) if dup else out
 
 
 # ------------------------------------------------- 2-cut with residual
@@ -724,10 +710,7 @@ def cut2_residual(d1: Derivation, i1: int, d2: Derivation, i2: int,
     full = rl.full_set(calc.n)
     if (full & ~x1.roles) & (full & ~x2.roles):
         raise KernelError("cut2_residual: complements of the role sets overlap")
-    return _cut2(d1, x1, 1, d2, x2, 1, calc, FreshNames(lambda: _names(d1, d2)), 0)
-
-
-_MAX_CUT_DEPTH = 100_000
+    return _cut2(d1, x1, 1, d2, x2, 1, calc, FreshNames(lambda: _names(d1, d2)))
 
 
 def _swap_for_linear(d1, x1, n1, d2, x2, n2, calc):
@@ -735,8 +718,8 @@ def _swap_for_linear(d1, x1, n1, d2, x2, n2, calc):
     a = x1.formula
     if calc.linear and isinstance(a, Bang) and not a.u.contains(x1.roles) \
             and a.u.contains(x2.roles):
-        return d2, x2, n2, d1, x1, n1, True
-    return d1, x1, n1, d2, x2, n2, False
+        return d2, x2, n2, d1, x1, n1
+    return d1, x1, n1, d2, x2, n2
 
 
 def _merge_weaken(d: Derivation, items: Sequent, calc: Calculus) -> Derivation:
@@ -757,13 +740,9 @@ def _is_principal_on(d: Derivation, x: IFormula) -> bool:
     return _principal_item(d) == x
 
 
-def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
-          depth: int) -> Derivation:
+def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames) -> Derivation:
     """Derive (C1 - n1*x1) u (C2 - n2*x2) u {<R1 n R2>A}."""
-    if depth > _MAX_CUT_DEPTH:
-        raise KernelError("cut2_residual: recursion guard tripped "
-                          "(pathological structural-rule tower)")
-    d1, x1, n1, d2, x2, n2, _ = _swap_for_linear(d1, x1, n1, d2, x2, n2, calc)
+    d1, x1, n1, d2, x2, n2 = _swap_for_linear(d1, x1, n1, d2, x2, n2, calc)
     a = x1.formula
     resid = IFormula(x1.roles & x2.roles, a)
 
@@ -779,188 +758,80 @@ def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
         d2, n2 = b_id(seq_minus(d2.conclusion, (x2,) * (n2 - 1))), 1
 
     if not _is_principal_on(d1, x1):
-        return _push(d1, x1, n1, d2, x2, n2, calc, fresh, depth, into=1)
+        return _push(d1, x1, n1, d2, x2, n2, calc, fresh, into=1)
 
     # side 1 is at its principal occurrence; handle side-1 structural rules
     if d1.rule in ("weaken", "bang-neg-weaken") and _principal_item(d1) == x1:
-        return _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, fresh, depth + 1)
+        return _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, fresh)
     if d1.rule in ("contract", "bang-neg-contract") and _principal_item(d1) == x1:
-        return _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, fresh, depth + 1)
+        return _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, fresh)
     if d1.rule == "bang-neg-derelict" and _principal_item(d1) == x1:
         # only reachable when both sides are ?-sided; cannot happen since
         # at least one role set contains the head role
         raise KernelError("cut2_residual: dereliction on a positive-side occurrence")
     if n1 > 1 and d1.rule != "id":
-        return _stray_trick(d1, x1, n1, d2, x2, n2, calc, fresh, depth, into=1)
+        return _push(d1, x1, n1, d2, x2, n2, calc, fresh, into=1)
 
     if not _is_principal_on(d2, x2):
-        return _push(d2, x2, n2, d1, x1, n1, calc, fresh, depth, into=2)
+        return _push(d2, x2, n2, d1, x1, n1, calc, fresh, into=2)
 
     if d2.rule in ("weaken", "bang-neg-weaken") and _principal_item(d2) == x2:
         if d2.rule == "bang-neg-weaken":
             _hit("bang-weaken")
-        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, fresh, depth + 1)
+        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, fresh)
     if d2.rule in ("contract", "bang-neg-contract") and _principal_item(d2) == x2:
         if d2.rule == "bang-neg-contract":
             _hit("bang-contract")
-        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, fresh, depth + 1)
+        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, fresh)
     if d2.rule == "bang-neg-derelict" and _principal_item(d2) == x2:
-        return _derelict_case(d1, x1, d2, x2, n2, calc, fresh, depth)
+        return _derelict_case(d1, x1, d2, x2, n2, calc, fresh)
     if n2 > 1 and d2.rule != "id":
-        return _stray_trick(d2, x2, n2, d1, x1, n1, calc, fresh, depth, into=2)
+        return _push(d2, x2, n2, d1, x1, n1, calc, fresh, into=2)
 
-    return _principal_case(d1, x1, d2, x2, calc, fresh, depth)
+    return _principal_case(d1, x1, d2, x2, calc, fresh)
 
 
-def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames, depth: int,
+def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames,
           into: int) -> Derivation:
-    """Commutative case: push the cut into the premises of side `into`.
+    """Push the cut into the premises of side `into` (ds, xs, ns).
 
-    do/xo/no is the other (fixed) side; merged items may be duplicated when
-    a context-splitting rule hosts tracked copies in both premises, and the
-    duplicates are contracted away afterwards.
+    do/xo/no is the other (fixed) side.  When ds's principal is another
+    i-formula, this is the commutative case.  When it is a tracked copy
+    while stray copies remain, the strays are cut out of the premises, the
+    rule is reapplied (which reintroduces a single occurrence at the root)
+    and that occurrence is cut; the doubly-merged other context is then
+    contracted away.  Only the structural calculi can have strays (linear
+    tracked copies are ?-shaped and never principal in a logical rule).
     """
-    merged = seq_minus(do.conclusion, (xo,) * no)
-    resid = IFormula(xs.roles & xo.roles, xs.formula)
+    extra = seq_minus(do.conclusion, (xo,) * no) + (IFormula(xs.roles & xo.roles, xs.formula),)
 
     def sub(p, m):
         if into == 1:
-            return _cut2(p, xs, m, do, xo, no, calc, fresh, depth + 1)
-        return _cut2(do, xo, no, p, xs, m, calc, fresh, depth + 1)
+            return _cut2(p, xs, m, do, xo, no, calc, fresh)
+        return _cut2(do, xo, no, p, xs, m, calc, fresh)
 
-    d = ds
-    if d.rule == "forall-pos":
-        # the merged context may mention the eigenvariable; freshen it first
-        item = _principal_item(d)
-        y = d.eigen if d.eigen is not None else item.formula.var
-        if y in seq_free_vars(merged + (resid,)):
-            z = fresh(y)
-            prem = subst_derivation(d.premises[0], y, Var(z), fresh)
-            d = Derivation(d.rule, d.conclusion, (prem,), d.principal, eigen=z)
-
-    new_concl = seq_minus(d.conclusion, (xs,) * ns) + merged + (resid,)
-    item = _principal_item(d)
-    a = item.formula
-
-    if d.rule in ("conj-pos", "aconj-pos"):
-        prems = tuple(sub(p, ns) for p in d.premises)
-        new_principal = new_concl.index(item)
-        return Derivation(d.rule, new_concl, prems, new_principal,
-                          witness=d.witness, eigen=d.eigen)
-
-    if d.rule in ("mconj-pos", "imp-pos"):
-        if d.rule == "mconj-pos":
-            new0 = (IFormula(item.roles, a.left),)
-        else:
-            new0 = (IFormula(a.f.preimage(item.roles), a.left),)
-        c0 = seq_counts(seq_minus(d.premises[0].conclusion, new0) or ()).get(xs, 0)
-        m0 = min(c0, ns)
-        ms = (m0, ns - m0)
-        prems = []
-        dup = 0
-        for p, m in zip(d.premises, ms):
-            if m:
-                prems.append(sub(p, m))
-                dup += 1
-            else:
-                prems.append(p)
-        if d.rule == "mconj-pos":
-            out = b_mconj_pos(prems[0], prems[1], item.roles, a)
-        else:
-            out = b_imp_pos(prems[0], prems[1], item.roles, a)
-        if dup == 2:
-            out = _contract_extras(out, merged + (resid,), calc)
-        return out
-
-    # single-premise rules: the tracked copies all live in the one premise
-    prems = (sub(d.premises[0], ns),)
-    new_principal = new_concl.index(item)
-    return Derivation(d.rule, new_concl, prems, new_principal,
-                      witness=d.witness, eigen=d.eigen)
-
-
-def _stray_trick(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames, depth: int,
-                 into: int) -> Derivation:
-    """A logical rule applies to a tracked occurrence while stray copies remain.
-
-    Cut the strays out of the premises first, reapply the rule (which
-    reintroduces a single occurrence at the root), then cut that occurrence;
-    the doubly-merged other context is contracted away.  Only the structural
-    calculi can reach this (linear tracked copies are ?-shaped and never
-    principal in a logical rule).
-    """
+    if _principal_item(ds) != xs:
+        return _commute(ds, xs, ns, extra, sub, calc, fresh)
     if calc.linear:
         raise KernelError("cut2_residual: stray linear occurrences at a logical rule")
-
-    def sub(p, m):
-        if into == 1:
-            return _cut2(p, xs, m, do, xo, no, calc, fresh, depth + 1)
-        return _cut2(do, xo, no, p, xs, m, calc, fresh, depth + 1)
-
-    merged = seq_minus(do.conclusion, (xo,) * no)
-    resid = IFormula(xs.roles & xo.roles, xs.formula)
-    item = _principal_item(ds)
-    a = item.formula
-    rebuilt = None
-    match ds.rule:
-        case "neg":
-            rebuilt = b_neg(sub(ds.premises[0], ns - 1), item.roles, a.f, a.body)
-        case "conj-neg-l":
-            rebuilt = b_add_neg(sub(ds.premises[0], ns - 1), item.roles, a, "l")
-        case "conj-neg-r":
-            rebuilt = b_add_neg(sub(ds.premises[0], ns - 1), item.roles, a, "r")
-        case "conj-pos":
-            rebuilt = b_add_pos(sub(ds.premises[0], ns - 1),
-                                sub(ds.premises[1], ns - 1), item.roles, a)
-        case "imp-neg":
-            rebuilt = b_imp_neg(sub(ds.premises[0], ns - 1), item.roles, a)
-        case "imp-pos":
-            new0 = (IFormula(a.f.preimage(item.roles), a.left),)
-            c0 = seq_counts(seq_minus(ds.premises[0].conclusion, new0) or ()).get(xs, 0)
-            m0 = min(c0, ns - 1)
-            p0 = sub(ds.premises[0], m0) if m0 else ds.premises[0]
-            m1 = ns - 1 - m0
-            p1 = sub(ds.premises[1], m1) if m1 else ds.premises[1]
-            rebuilt = b_imp_pos(p0, p1, item.roles, a)
-            if m0 and m1:
-                rebuilt = _contract_extras(rebuilt, merged + (resid,), calc)
-        case "forall-neg":
-            rebuilt = b_forall_neg(sub(ds.premises[0], ns - 1), item.roles, a, ds.witness)
-        case "forall-pos":
-            y = ds.eigen if ds.eigen is not None else a.var
-            prem = ds.premises[0]
-            if y in seq_free_vars(merged + (resid,)):
-                z = fresh(y)
-                prem = subst_derivation(prem, y, Var(z), fresh)
-                y = z
-            rebuilt = b_forall_pos(sub(prem, ns - 1), item.roles, a, y)
-        case _:
-            raise KernelError(f"cut2_residual: unsupported stray case {ds.rule}")
-    if ns == 1:
-        # nothing was actually cut in the rebuild; avoid an infinite loop
-        raise KernelError("internal: stray trick invoked with a single occurrence")
-    if into == 1:
-        out = _cut2(rebuilt, xs, 1, do, xo, no, calc, fresh, depth + 1)
-    else:
-        out = _cut2(do, xo, no, rebuilt, xs, 1, calc, fresh, depth + 1)
-    return _contract_extras(out, merged + (resid,), calc)
+    rebuilt = _commute(ds, xs, ns - 1, extra, sub, calc, fresh)
+    return _contract_extras(sub(rebuilt, 1), extra, calc)
 
 
-def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
-                   depth: int) -> Derivation:
+def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames) -> Derivation:
     """! on side 1 (promoted) against a dereliction of a tracked copy on side 2."""
     _hit("bang-derelict")
     a = x1.formula  # Bang
     resid = IFormula(x1.roles & x2.roles, a)
     sub_body = IFormula(x2.roles, a.body)
     prem2 = d2.premises[0]  # ... (n2-1 copies of x2), <R2>body
-    e = _cut2(d1, x1, 1, prem2, x2, n2 - 1, calc, fresh, depth + 1)
+    e = _cut2(d1, x1, 1, prem2, x2, n2 - 1, calc, fresh)
     # e proves gamma1, (C2 - n2*x2), <R2>body, resid  with gamma1 = ?(ctx of d1)
     if d1.rule != "bang-pos":
         raise KernelError("cut2_residual: promoted side does not end in bang-pos")
     d11 = d1.premises[0]
     x1_body = IFormula(x1.roles, a.body)
-    f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, fresh, depth + 1)
+    f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, fresh)
     # f proves gamma1, gamma1, (C2 - n2*x2), resid, <R1 n R2>body
     f = b_bang_derelict(f, resid.roles, a)
     f = b_contract(f, resid, calc)
@@ -968,8 +839,7 @@ def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
     return _contract_extras(f, gamma1, calc)
 
 
-def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
-                    depth: int) -> Derivation:
+def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Derivation:
     a = x1.formula
     r1, r2 = x1.roles, x2.roles
     rr = r1 & r2
@@ -987,7 +857,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
             _hit("neg")
             y1 = IFormula(f.preimage(r1), body)
             y2 = IFormula(f.preimage(r2), body)
-            e = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh, depth + 1)
+            e = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh)
             return b_neg(e, rr, f, body)
 
         case Conj(u, left, right) | AConj(u, left, right):
@@ -996,9 +866,9 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
             if pos1 and pos2:
                 _hit(f"{tag}-pos-pos")
                 e1 = _cut2(d1.premises[0], IFormula(r1, left), 1,
-                           d2.premises[0], IFormula(r2, left), 1, calc, fresh, depth + 1)
+                           d2.premises[0], IFormula(r2, left), 1, calc, fresh)
                 e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, depth + 1)
+                           d2.premises[1], IFormula(r2, right), 1, calc, fresh)
                 return b_add_pos(e1, e2, rr, a)
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             side = "l" if dn.rule.endswith("neg-l") else "r"
@@ -1006,44 +876,26 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
             branch = left if side == "l" else right
             k = 0 if side == "l" else 1
             e = _cut2(dp.premises[k], IFormula(xp.roles, branch), 1,
-                      dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh, depth + 1)
+                      dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh)
             return b_add_neg(e, rr, a, side)
 
-        case MConj(u, left, right):
+        case MConj(u, _, _) | Impl(_, u, _, _):
+            tag = "imp" if isinstance(a, Impl) else "tensor"
             pos1, pos2 = u.contains(r1), u.contains(r2)
             if pos1 and pos2:
-                _hit("tensor-pos-pos")
-                e1 = _cut2(d1.premises[0], IFormula(r1, left), 1,
-                           d2.premises[0], IFormula(r2, left), 1, calc, fresh, depth + 1)
-                e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, depth + 1)
-                return b_mconj_pos(e1, e2, rr, a)
-            _hit("tensor-pos-neg" if pos1 else "tensor-neg-pos")
+                _hit(f"{tag}-pos-pos")
+                y1, z1 = _introduced(r1, a)
+                y2, z2 = _introduced(r2, a)
+                e1 = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh)
+                e2 = _cut2(d1.premises[1], z1, 1, d2.premises[1], z2, 1, calc, fresh)
+                return b_mult_pos(e1, e2, rr, a)
+            _hit(f"{tag}-pos-neg" if pos1 else f"{tag}-neg-pos")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
-            e1 = _cut2(dp.premises[0], IFormula(xp.roles, left), 1,
-                       dn.premises[0], IFormula(xn.roles, left), 1, calc, fresh, depth + 1)
-            e2 = _cut2(dp.premises[1], IFormula(xp.roles, right), 1,
-                       e1, IFormula(xn.roles, right), 1, calc, fresh, depth + 1)
-            return b_mconj_neg(e2, rr, a)
-
-        case Impl(f, u, left, right):
-            pos1, pos2 = u.contains(r1), u.contains(r2)
-            if pos1 and pos2:
-                _hit("imp-pos-pos")
-                e1 = _cut2(d1.premises[0], IFormula(f.preimage(r1), left), 1,
-                           d2.premises[0], IFormula(f.preimage(r2), left), 1,
-                           calc, fresh, depth + 1)
-                e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, depth + 1)
-                return b_imp_pos(e1, e2, rr, a)
-            _hit("imp-pos-neg" if pos1 else "imp-neg-pos")
-            dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
-            e1 = _cut2(dp.premises[0], IFormula(f.preimage(xp.roles), left), 1,
-                       dn.premises[0], IFormula(f.preimage(xn.roles), left), 1,
-                       calc, fresh, depth + 1)
-            e2 = _cut2(dp.premises[1], IFormula(xp.roles, right), 1,
-                       e1, IFormula(xn.roles, right), 1, calc, fresh, depth + 1)
-            return b_imp_neg(e2, rr, a)
+            yp, zp = _introduced(xp.roles, a)
+            yn, zn = _introduced(xn.roles, a)
+            e1 = _cut2(dp.premises[0], yp, 1, dn.premises[0], yn, 1, calc, fresh)
+            e2 = _cut2(dp.premises[1], zp, 1, e1, zn, 1, calc, fresh)
+            return b_mult_neg(e2, rr, a)
 
         case Bang(u, body):
             # both sides promoted (both role sets contain the head role)
@@ -1051,7 +903,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
             if d1.rule != "bang-pos" or d2.rule != "bang-pos":
                 raise KernelError("cut2_residual: ! principal case without promotions")
             e = _cut2(d1.premises[0], IFormula(r1, body), 1,
-                      d2.premises[0], IFormula(r2, body), 1, calc, fresh, depth + 1)
+                      d2.premises[0], IFormula(r2, body), 1, calc, fresh)
             return b_bang_pos(e, rr, a)
 
         case Forall(u, xv, body):
@@ -1062,7 +914,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
                 p1 = _realign_eigen(d1, z, fresh)
                 p2 = _realign_eigen(d2, z, fresh)
                 bz = substitute(body, xv, Var(z))
-                e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, fresh, depth + 1)
+                e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, fresh)
                 return b_forall_pos(e, rr, a, z)
             _hit("forall-pos-neg")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
@@ -1071,7 +923,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
             p = subst_derivation(dp.premises[0], y, t, fresh)
             bt = substitute(body, xv, t)
             e = _cut2(p, IFormula(xp.roles, bt), 1,
-                      dn.premises[0], IFormula(xn.roles, bt), 1, calc, fresh, depth + 1)
+                      dn.premises[0], IFormula(xn.roles, bt), 1, calc, fresh)
             return b_forall_neg(e, rr, a, t)
 
     raise KernelError(f"cut2_residual: unsupported principal case {d1.rule}/{d2.rule}")
@@ -1112,7 +964,7 @@ def mp_cut(ds: list[Derivation], indices: list[int], calc: Calculus) -> Derivati
     occ = occs[0]
     fresh = FreshNames(lambda: _names(*ds))
     for d, oc in zip(ds[1:], occs[1:]):
-        acc = _cut2(acc, occ, 1, d, oc, 1, calc, fresh, 0)
+        acc = _cut2(acc, occ, 1, d, oc, 1, calc, fresh)
         occ = IFormula(occ.roles & oc.roles, a)
     return _cut1(acc, occ, 1, calc)
 
@@ -1132,7 +984,7 @@ def split_roles(d: Derivation, index: int, r1: int, r2: int, calc: Calculus) -> 
     a = item.formula
     comp = rl.full_set(calc.n) & ~item.roles
     w = axiom_multi(a, [comp, r1, r2], calc)
-    e = _cut2(d, item, 1, w, IFormula(comp, a), 1, calc, FreshNames(lambda: _names(d)), 0)
+    e = _cut2(d, item, 1, w, IFormula(comp, a), 1, calc, FreshNames(lambda: _names(d)))
     return _cut1(e, IFormula(0, a), 1, calc)
 
 
@@ -1212,41 +1064,22 @@ def _search_raw(items, calc, depth, memo, fresh):
                                    lambda p, s=side: b_add_neg(p, r, a, s))
                         if out:
                             return out
-            case MConj(u, left, right):
+            case MConj(u, _, _) | Impl(_, u, _, _):
+                new_l, new_r = _introduced(r, a)
                 if u.contains(r):
                     for mask in range(1 << len(ctx)):
                         g1 = tuple(c for k, c in enumerate(ctx) if mask & (1 << k))
                         g2 = tuple(c for k, c in enumerate(ctx) if not mask & (1 << k))
-                        p1 = g1 + (IFormula(r, left),)
-                        p2 = g2 + (IFormula(r, right),)
+                        p1 = g1 + (new_l,)
+                        p2 = g2 + (new_r,)
                         if not (_candidate_ok(p1, calc) and _candidate_ok(p2, calc)):
                             continue
                         s1 = _search(p1, calc, depth - 1, memo, fresh)
                         s2 = _search(p2, calc, depth - 1, memo, fresh) if s1 else None
                         if s1 and s2:
-                            return b_mconj_pos(s1, s2, r, a)
+                            return b_mult_pos(s1, s2, r, a)
                 else:
-                    out = rec1(ctx + (IFormula(r, left), IFormula(r, right)),
-                               lambda p: b_mconj_neg(p, r, a))
-                    if out:
-                        return out
-            case Impl(f, u, left, right):
-                fl = IFormula(f.preimage(r), left)
-                if u.contains(r):
-                    for mask in range(1 << len(ctx)):
-                        g1 = tuple(c for k, c in enumerate(ctx) if mask & (1 << k))
-                        g2 = tuple(c for k, c in enumerate(ctx) if not mask & (1 << k))
-                        p1 = g1 + (fl,)
-                        p2 = g2 + (IFormula(r, right),)
-                        if not (_candidate_ok(p1, calc) and _candidate_ok(p2, calc)):
-                            continue
-                        s1 = _search(p1, calc, depth - 1, memo, fresh)
-                        s2 = _search(p2, calc, depth - 1, memo, fresh) if s1 else None
-                        if s1 and s2:
-                            return b_imp_pos(s1, s2, r, a)
-                else:
-                    out = rec1(ctx + (fl, IFormula(r, right)),
-                               lambda p: b_imp_neg(p, r, a))
+                    out = rec1(ctx + (new_l, new_r), lambda p: b_mult_neg(p, r, a))
                     if out:
                         return out
             case Bang(u, body):

@@ -53,10 +53,6 @@ def complement(mask: int, n: int) -> int:
     return full_set(n) & ~mask
 
 
-def is_disjoint(a: int, b: int) -> bool:
-    return not (a & b)
-
-
 def disjoint_union(a: int, b: int) -> int:
     """Union of two role sets, raising if they overlap."""
     if a & b:

@@ -7,6 +7,7 @@ from multirole import kernel as K
 from multirole import logic as lg
 from multirole import roles as rl
 from multirole.logic import (
+    Impl,
     Atom,
     Bang,
     Conj,
@@ -348,3 +349,255 @@ class TestJson:
         for obj in (node, wrapped):
             with pytest.raises(K.KernelError):
                 K.derivation_from_json(json.dumps(obj))
+
+
+# ------------------------------------------- branch pins (strays, ⊸, splits)
+
+
+C = Atom("c")
+SWAP = Endo((1, 0))
+IDENT = Endo((0, 1))
+U0 = Ultra(0)
+
+
+def cut_free(d):
+    return not any(r.startswith("cut") for r in K.rule_tags(d))
+
+
+def stray(d, calc):
+    """d with a stray copy of its root's principal item x: x is weakened into
+    every premise, the root rule is reapplied, and the copies the context
+    gained are contracted into x again."""
+    x = d.conclusion[d.principal]
+    prems = tuple(K.b_weaken(p, x, calc) for p in d.premises)
+    extra = len(prems) if d.rule in ("mconj-pos", "imp-pos") else 1
+    concl = seq_minus(d.conclusion, (x,)) + (x,) * (extra + 1)
+    out = K.Derivation(d.rule, concl, prems, len(concl) - 1,
+                       witness=d.witness, eigen=d.eigen)
+    for _ in range(extra):
+        out = K.b_contract(out, x, calc)
+    K.check(out, calc)
+    return out
+
+
+def doubled(d, x, calc):
+    """d, a context-splitting node, with x weakened into both premises and
+    the two copies contracted into one."""
+    prems = tuple(K.b_weaken(p, x, calc) for p in d.premises)
+    out = K.Derivation(d.rule, d.conclusion + (x, x), prems, d.principal)
+    out = K.b_contract(out, x, calc)
+    K.check(out, calc)
+    return out
+
+
+def checked_cut2(d1, x1, d2, x2, calc, swap=False):
+    """cut2_residual of x1 in d1 against x2 in d2 (or the other way round),
+    checked, cut-free and with the conclusion the cut theorem predicts."""
+    if swap:
+        d1, x1, d2, x2 = d2, x2, d1, x1
+    e = K.cut2_residual(d1, d1.conclusion.index(x1), d2, d2.conclusion.index(x2), calc)
+    K.check(e, calc)
+    assert cut_free(e)
+    want = seq_minus(d1.conclusion, (x1,)) + seq_minus(d2.conclusion, (x2,)) \
+        + (IFormula(x1.roles & x2.roles, x1.formula),)
+    assert seq_equal(e.conclusion, want)
+    return e
+
+
+def _stray_neg():
+    a = Neg(SWAP, A)
+    return K.MRL(2), K.axiom_multi(a, [2, 1], K.MRL(2)), K.axiom_multi(a, [2, 1], K.MRL(2))
+
+
+def _stray_conj_neg(side):
+    calc = K.MRL(2)
+    a = Conj(U0, A, B)
+    d = K.b_add_neg(K.axiom_multi(A if side == "l" else B, [2, 1], calc), 2, a, side)
+    return calc, d, K.axiom_multi(a, [1, 2], calc)
+
+
+def _stray_conj_pos():
+    calc = K.MRL(2)
+    a = Conj(U0, A, B)
+    return calc, K.axiom_multi(a, [1, 2], calc), K.axiom_multi(a, [2, 1], calc)
+
+
+def _stray_forall_neg():
+    calc = K.MRL(2)
+    a = Forall(U0, "x", Atom("p", (Var("x"),)))
+    d = K.b_forall_neg(K.axiom_multi(Atom("p", (Const("k"),)), [1, 2], calc),
+                       2, a, Const("k"))
+    return calc, d, K.axiom_multi(a, [1, 2], calc)
+
+
+def _stray_forall_pos(clash):
+    calc = K.MRL(2)
+    a = Forall(U0, "x", Atom("p", (Var("x"),)))
+    other = K.axiom_multi(a, [2, 1], calc)
+    if clash:  # the other side's context mentions the eigenvariable x
+        other = K.b_weaken(other, IFormula(1, Atom("q", (Var("x"),))), calc)
+    return calc, K.axiom_multi(a, [1, 2], calc), other
+
+
+def _stray_imp_neg():
+    calc = K.MRLJ(2, Ultra(0))
+    a = Impl(IDENT, U0, A, B)
+    return calc, K.axiom_multi(a, [1, 2], calc), K.axiom_multi(a, [2, 1], calc)
+
+
+def _stray_imp_pos():
+    calc = K.MRLJ(2, Ultra(1))
+    a = Impl(SWAP, U0, A, B)
+    d = K.axiom_multi(a, [1, 2], calc)
+    assert d.rule == "imp-neg"
+    return calc, d.premises[0], K.axiom_multi(a, [2, 1], calc)
+
+
+STRAY_CASES = {
+    "neg": _stray_neg,
+    "conj-neg-l": lambda: _stray_conj_neg("l"),
+    "conj-neg-r": lambda: _stray_conj_neg("r"),
+    "conj-pos": _stray_conj_pos,
+    "imp-neg": _stray_imp_neg,
+    "imp-pos": _stray_imp_pos,
+    "forall-neg": _stray_forall_neg,
+    "forall-pos": lambda: _stray_forall_pos(False),
+    "forall-pos-clash": lambda: _stray_forall_pos(True),
+}
+
+
+class TestStrayCopies:
+    """A logical rule introducing a tracked occurrence while stray copies of
+    it remain in the premises (structural calculi only)."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["side1", "side2"])
+    @pytest.mark.parametrize("case", STRAY_CASES)
+    def test_stray_case(self, case, swap):
+        calc, d, other = STRAY_CASES[case]()
+        rule = case.removesuffix("-clash")
+        assert d.rule == rule
+        x = d.conclusion[d.principal]
+        d1 = stray(d, calc)
+        # the other side carries the copy whose complement is disjoint from x's
+        full = rl.full_set(calc.n)
+        x2 = next(it for it in other.conclusion
+                  if it.formula == x.formula and not (full & ~x.roles & ~it.roles))
+        checked_cut2(d1, x, other, x2, calc, swap)
+
+
+class TestContextSplit:
+    """Tracked copies in both premises of a context-splitting node."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["side1", "side2"])
+    def test_imp_pos_both_premises(self, swap):
+        calc = K.MRLJ(2, Ultra(0))
+        node = K.axiom_multi(Impl(IDENT, U0, A, B), [1, 2], calc).premises[0]
+        assert node.rule == "imp-pos"
+        x = IFormula(2, C)
+        d1 = doubled(node, x, calc)
+        checked_cut2(d1, x, K.axiom_multi(C, [1, 2], calc), IFormula(1, C), calc, swap)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["side1", "side2"])
+    def test_mconj_pos_both_premises(self, swap):
+        calc = K.LMRL(2)
+        node = K.axiom_multi(lg.MConj(U0, A, B), [1, 2], calc).premises[0]
+        assert node.rule == "mconj-pos"
+        bang = Bang(U0, C)
+        x = IFormula(2, bang)  # ?-shaped: {1} is not in @0
+        d1 = doubled(node, x, calc)
+        other = K.axiom_multi(bang, [1, 2], calc)
+        assert other.rule == "bang-pos"
+        checked_cut2(d1, x, other, IFormula(1, bang), calc, swap)
+
+    def test_cut1_through_imp_pos(self):
+        calc = K.MRLJ(2, Ultra(1))
+        a = Impl(SWAP, U0, A, B)
+        d = K.axiom_multi(a, [0, 3], calc)
+        assert d.rule == "imp-neg" and d.premises[0].rule == "imp-pos"
+        e = K.cut1(d, d.conclusion.index(IFormula(0, a)), calc)
+        K.check(e, calc)
+        assert cut_free(e)
+        assert seq_equal(e.conclusion, (IFormula(3, a),))
+
+
+class TestImplication:
+    """The ⊸ cases of the axiom, the checker and the principal 2-cut."""
+
+    CALC = K.MRLJ(2, Ultra(1))
+    IMP = Impl(SWAP, U0, A, B)
+
+    @pytest.mark.parametrize("parts", [[1, 2], [2, 1], [3, 0], [0, 3]])
+    def test_axiom(self, parts):
+        d = K.axiom_multi(self.IMP, parts, self.CALC)
+        K.check(d, self.CALC)
+        assert cut_free(d)
+        assert seq_equal(d.conclusion, tuple(IFormula(p, self.IMP) for p in parts))
+        assert {"imp-pos", "imp-neg"} <= K.rule_tags(d)
+
+    @pytest.mark.parametrize("r1,r2,label", [(1, 3, "imp-pos-pos"), (1, 2, "imp-pos-neg"),
+                                             (2, 1, "imp-neg-pos")])
+    def test_principal_cut(self, r1, r2, label):
+        full = rl.full_set(2)
+        d1 = K.axiom_multi(self.IMP, [r1, full & ~r1], self.CALC)
+        d2 = K.axiom_multi(self.IMP, [r2, full & ~r2], self.CALC)
+        K.reset_case_hits()
+        checked_cut2(d1, IFormula(r1, self.IMP), d2, IFormula(r2, self.IMP), self.CALC)
+        assert K.case_hits.get(label)
+
+    def test_mp_cut(self):
+        full = rl.full_set(2)
+        ds = [K.axiom_multi(self.IMP, [full & ~c, c], self.CALC) for c in (1, 2)]
+        e = K.mp_cut(ds, [d.conclusion.index(IFormula(full & ~c, self.IMP))
+                          for d, c in zip(ds, (1, 2))], self.CALC)
+        K.check(e, self.CALC)
+        assert cut_free(e)
+        assert seq_equal(e.conclusion, (IFormula(1, self.IMP), IFormula(2, self.IMP)))
+
+    @pytest.mark.parametrize("rule,reason", [
+        ("imp-neg", "principal must be implication"),
+        ("imp-pos", "principal must be implication"),
+        ("mconj-neg", "principal must be multiplicative conjunction"),
+        ("mconj-pos", "principal must be multiplicative conjunction"),
+    ])
+    def test_check_names_the_connective(self, rule, reason):
+        calc = self.CALC if rule.startswith("imp") else K.LMRL(2)
+        a = self.IMP if rule.startswith("imp") else lg.MConj(U0, A, B)
+        d = K.axiom_multi(a, [1, 2], calc)
+        node = d if d.rule == rule else d.premises[0]
+        assert node.rule == rule
+        # the same node with its principal formula replaced by a negation
+        wrong = IFormula(node.conclusion[node.principal].roles, Neg(IDENT, A))
+        concl = node.conclusion[:-1] + (wrong,)
+        bad = K.Derivation(node.rule, concl, node.premises, len(concl) - 1)
+        with pytest.raises(K.CheckError) as err:
+            K.check(bad, calc)
+        assert err.value.reason == reason
+
+
+class TestSearchSplits:
+    """Both multiplicative connectives in search, negative side first and
+    positive side first."""
+
+    @pytest.mark.parametrize("parts", [[2, 1], [1, 2]])
+    def test_mconj(self, parts):
+        calc = K.LMRL(2)
+        a = lg.MConj(U0, A, B)
+        items = tuple(IFormula(p, a) for p in parts)
+        d = K.search(items, calc, 5)
+        assert d is not None
+        K.check(d, calc)
+        assert cut_free(d)
+        assert seq_equal(d.conclusion, items)
+        assert {"mconj-pos", "mconj-neg"} <= K.rule_tags(d)
+
+    @pytest.mark.parametrize("parts", [[2, 1], [1, 2]])
+    def test_imp(self, parts):
+        calc = K.MRLJ(2, Ultra(1))
+        a = Impl(SWAP, U0, A, B)
+        items = tuple(IFormula(p, a) for p in parts)
+        d = K.search(items, calc, 5)
+        assert d is not None
+        K.check(d, calc)
+        assert cut_free(d)
+        assert seq_equal(d.conclusion, items)
+        assert {"imp-pos", "imp-neg"} <= K.rule_tags(d)
