@@ -27,11 +27,13 @@ from .logic import (
     Const,
     Forall,
     Formula,
+    FormulaError,
     FreshNames,
     IFormula,
     Impl,
     MConj,
     Neg,
+    Node,
     Sequent,
     Term,
     Var,
@@ -40,6 +42,7 @@ from .logic import (
     free_vars,
     names_in,
     parse_formula,
+    roles_from_obj,
     seq_counts,
     seq_equal,
     seq_free_vars,
@@ -48,7 +51,7 @@ from .logic import (
     size,
     substitute,
 )
-from .roles import Endo, Ultra
+from .roles import MAX_ROLES, Endo, RoleError, Ultra
 
 
 class KernelError(Exception):
@@ -132,44 +135,63 @@ _ALLOWED_RULES = {
 # ---------------------------------------------------------- derivations
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Node):
+    """One rule application: its conclusion, its premises and the rule's
+    instance data (principal index, witness term, eigenvariable).
+
+    Derivations are hash-consed like formulas, so equal subderivations are
+    one object and a derivation is a DAG.  Every traversal keeps the nodes
+    it has seen and visits each distinct node once.
+    """
+
+    __match_args__ = ("rule", "conclusion", "premises", "principal", "witness", "eigen")
+    __slots__ = __match_args__ + ("_height",)
     rule: str
     conclusion: Sequent
-    premises: tuple["Derivation", ...] = ()
-    principal: int | None = None
-    witness: Term | None = None
-    eigen: str | None = None
+    premises: tuple["Derivation", ...]
+    principal: int | None
+    witness: Term | None
+    eigen: str | None
+
+    def __new__(cls, rule: str, conclusion: Sequent, premises=(), principal=None,
+                witness=None, eigen=None):
+        return super().__new__(cls, rule, tuple(conclusion), tuple(premises), principal,
+                               witness, eigen)
 
     @property
     def height(self) -> int:
         """Rules on the longest branch; computed on first access, bottom-up
-        with an explicit stack, and cached on every node it visits."""
+        with an explicit stack, and kept on every node it visits."""
         stack = [self]
         while stack:
             d = stack[-1]
-            if "_height" in d.__dict__:
+            if hasattr(d, "_height"):
                 stack.pop()
                 continue
-            todo = [p for p in d.premises if "_height" not in p.__dict__]
+            todo = [p for p in d.premises if not hasattr(p, "_height")]
             if todo:
                 stack += todo
                 continue
             stack.pop()
-            d.__dict__["_height"] = 1 + max(
-                (p.__dict__["_height"] for p in d.premises), default=0)
-        return self.__dict__["_height"]
+            object.__setattr__(d, "_height", 1 + max((p._height for p in d.premises), default=0))
+        return self._height
+
+
+def _nodes(*ds: Derivation):
+    """Each distinct node of the derivations, once."""
+    seen = set()
+    stack = list(ds)
+    while stack:
+        d = stack.pop()
+        if d not in seen:
+            seen.add(d)
+            yield d
+            stack += d.premises
 
 
 def rule_tags(d: Derivation) -> set[str]:
-    """The rules used anywhere in d, collected with an explicit stack."""
-    out = set()
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        out.add(node.rule)
-        stack += node.premises
-    return out
+    """The rules used anywhere in d."""
+    return {node.rule for node in _nodes(d)}
 
 
 def _principal_item(d: Derivation) -> IFormula:
@@ -190,11 +212,11 @@ def _formula_ok(a: Formula, calc: Calculus, ok: set) -> str | None:
     all its nodes are added to ok.
     """
     allowed = _ALLOWED_CONNECTIVES[calc.kind]
-    good = []
+    good: set = set()
     stack = [a]
     while stack:
         b = stack.pop()
-        if b in ok:
+        if b in ok or b in good:
             continue
         if not isinstance(b, allowed):
             return f"connective {type(b).__name__} not in calculus {calc.kind}"
@@ -215,7 +237,7 @@ def _formula_ok(a: Formula, calc: Calculus, ok: set) -> str | None:
                 if not 0 <= u.r < calc.n:
                     return f"ultrafilter @{u.r} outside universe"
                 stack += (r, l)
-        good.append(b)
+        good.add(b)
     ok.update(good)
     return None
 
@@ -232,34 +254,39 @@ def _introduced(roles_: int, a: MConj | Impl) -> tuple[IFormula, IFormula]:
     return IFormula(left, a.left), IFormula(roles_, a.right)
 
 
-def _expect(cond: bool, path, reason: str) -> None:
+def _expect(cond: bool, path, reason: str, *args) -> None:
+    """Raise CheckError(path, reason.format(*args)) unless cond; the
+    message is formatted only then."""
     if not cond:
-        raise CheckError(path, reason)
+        raise CheckError(path, reason.format(*args) if args else reason)
+
+
+def _arity(d: Derivation, path, k: int) -> None:
+    _expect(len(d.premises) == k, path, "rule {} expects {} premises, got {}",
+            d.rule, k, len(d.premises))
+
+
+def _one_premise_is(d: Derivation, path, expected: Sequent) -> None:
+    _arity(d, path, 1)
+    _expect(seq_equal(d.premises[0].conclusion, expected), path,
+            "rule {}: premise does not match schema", d.rule)
 
 
 def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -> None:
     _expect(d.rule in _ALLOWED_RULES[calc.kind], path,
-            f"rule {d.rule} not available in {calc.kind}")
-    full = rl.full_set(calc.n)
+            "rule {} not available in {}", d.rule, calc.kind)
+    full = (1 << calc.n) - 1
     for it in d.conclusion:
         _expect(0 <= it.roles <= full, path, "role set outside universe")
-        bad = _formula_ok(it.formula, calc, ok)
-        _expect(bad is None, path, bad or "")
+        if it.formula not in ok:
+            bad = _formula_ok(it.formula, calc, ok)
+            _expect(bad is None, path, bad or "")
     if calc.kind == "mrlj":
         _expect(is_intuitionistic(d.conclusion, calc.j), path,
                 "sequent is not J-intuitionistic")
 
-    def arity(k: int) -> None:
-        _expect(len(d.premises) == k, path,
-                f"rule {d.rule} expects {k} premises, got {len(d.premises)}")
-
-    def one_premise_is(expected: Sequent) -> None:
-        arity(1)
-        _expect(seq_equal(d.premises[0].conclusion, expected), path,
-                f"rule {d.rule}: premise does not match schema")
-
     if d.rule == "id":
-        arity(0)
+        _arity(d, path, 0)
         _expect(len(d.conclusion) >= 1, path, "(id) needs at least one i-formula")
         first = d.conclusion[0].formula
         _expect(isinstance(first, Atom), path, "(id) items must be primitive")
@@ -276,30 +303,30 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -
 
     match d.rule:
         case "weaken":
-            one_premise_is(ctx)
+            _one_premise_is(d, path, ctx)
         case "contract":
-            arity(1)
+            _arity(d, path, 1)
             _expect(seq_equal(d.premises[0].conclusion, d.conclusion + (item,)),
                     path, "(contract): premise must hold one extra copy")
         case "neg":
             _expect(isinstance(a, Neg), path, "(neg) principal must be a negation")
-            one_premise_is(ctx + (IFormula(a.f.preimage(roles_), a.body),))
+            _one_premise_is(d, path, ctx + (IFormula(a.f.preimage(roles_), a.body),))
         case "conj-neg-l" | "aconj-neg-l":
             _expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
-            _expect(not a.u.contains(roles_), path, f"({d.rule}) needs R not in U")
-            one_premise_is(ctx + (IFormula(roles_, a.left),))
+            _expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.left),))
         case "conj-neg-r" | "aconj-neg-r":
             _expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
-            _expect(not a.u.contains(roles_), path, f"({d.rule}) needs R not in U")
-            one_premise_is(ctx + (IFormula(roles_, a.right),))
+            _expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.right),))
         case "conj-pos" | "aconj-pos":
             _expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
-            _expect(a.u.contains(roles_), path, f"({d.rule}) needs R in U")
-            arity(2)
+            _expect(a.u.contains(roles_), path, "({}) needs R in U", d.rule)
+            _arity(d, path, 2)
             _expect(seq_equal(d.premises[0].conclusion, ctx + (IFormula(roles_, a.left),)),
-                    path, f"({d.rule}): left premise mismatch")
+                    path, "({}): left premise mismatch", d.rule)
             _expect(seq_equal(d.premises[1].conclusion, ctx + (IFormula(roles_, a.right),)),
-                    path, f"({d.rule}): right premise mismatch")
+                    path, "({}): right premise mismatch", d.rule)
         case "mconj-neg" | "mconj-pos" | "imp-neg" | "imp-pos":
             if d.rule.startswith("imp"):
                 _expect(isinstance(a, Impl), path, "principal must be implication")
@@ -307,43 +334,44 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -
                 _expect(isinstance(a, MConj), path, "principal must be multiplicative conjunction")
             new_l, new_r = _introduced(roles_, a)
             if d.rule.endswith("-neg"):
-                _expect(not a.u.contains(roles_), path, f"({d.rule}) needs R not in U")
-                one_premise_is(ctx + (new_l, new_r))
+                _expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
+                _one_premise_is(d, path, ctx + (new_l, new_r))
             else:
-                _expect(a.u.contains(roles_), path, f"({d.rule}) needs R in U")
-                arity(2)
+                _expect(a.u.contains(roles_), path, "({}) needs R in U", d.rule)
+                _arity(d, path, 2)
                 g1 = seq_minus(d.premises[0].conclusion, (new_l,))
                 g2 = seq_minus(d.premises[1].conclusion, (new_r,))
                 _expect(g1 is not None and g2 is not None, path,
-                        f"({d.rule}): premises missing the introduced i-formulas")
+                        "({}): premises missing the introduced i-formulas", d.rule)
                 _expect(seq_equal(g1 + g2, ctx), path,
-                        f"({d.rule}): context split does not reassemble the conclusion")
+                        "({}): context split does not reassemble the conclusion", d.rule)
         case "bang-pos":
             _expect(isinstance(a, Bang), path, "principal must be of ! shape")
             _expect(a.u.contains(roles_), path, "(bang-pos) needs R in U")
             for it in ctx:
                 _expect(_is_why_not(it), path,
                         "(bang-pos) context must consist of <R'>!_U' B' with R' not in U'")
-            one_premise_is(ctx + (IFormula(roles_, a.body),))
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.body),))
         case "bang-neg-weaken":
             _expect(isinstance(a, Bang), path, "principal must be of ! shape")
             _expect(not a.u.contains(roles_), path, "(bang-neg-weaken) needs R not in U")
-            one_premise_is(ctx)
+            _one_premise_is(d, path, ctx)
         case "bang-neg-derelict":
             _expect(isinstance(a, Bang), path, "principal must be of ! shape")
             _expect(not a.u.contains(roles_), path, "(bang-neg-derelict) needs R not in U")
-            one_premise_is(ctx + (IFormula(roles_, a.body),))
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.body),))
         case "bang-neg-contract":
             _expect(isinstance(a, Bang), path, "principal must be of ! shape")
             _expect(not a.u.contains(roles_), path, "(bang-neg-contract) needs R not in U")
-            arity(1)
+            _arity(d, path, 1)
             _expect(seq_equal(d.premises[0].conclusion, d.conclusion + (item,)),
                     path, "(bang-neg-contract): premise must hold one extra copy")
         case "forall-neg":
             _expect(isinstance(a, Forall), path, "principal must be universal")
             _expect(not a.u.contains(roles_), path, "(forall-neg) needs R not in U")
             _expect(d.witness is not None, path, "(forall-neg) needs a witness term")
-            one_premise_is(ctx + (IFormula(roles_, substitute(a.body, a.var, d.witness)),))
+            body = substitute(a.body, a.var, d.witness)
+            _one_premise_is(d, path, ctx + (IFormula(roles_, body),))
         case "forall-pos":
             _expect(isinstance(a, Forall), path, "principal must be universal")
             _expect(a.u.contains(roles_), path, "(forall-pos) needs R in U")
@@ -352,17 +380,26 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -
                     "(forall-pos) eigenvariable occurs free in the context")
             _expect(y == a.var or y not in (free_vars(a.body) - {a.var}), path,
                     "(forall-pos) eigenvariable captured in the body")
-            one_premise_is(ctx + (IFormula(roles_, substitute(a.body, a.var, Var(y))),))
+            body = substitute(a.body, a.var, Var(y))
+            _one_premise_is(d, path, ctx + (IFormula(roles_, body),))
         case _:
             raise CheckError(path, f"unknown rule {d.rule}")
 
 
 def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
-    """Raise CheckError at the first node, in preorder, violating its rule schema."""
+    """Raise CheckError at the first node, in preorder, violating its rule schema.
+
+    A node met again is skipped: its first occurrence, and every node below
+    it, came earlier in preorder and passed.
+    """
     ok: set = set()  # formulas found well-formed in calc during this call
+    seen: set = set()
     stack = [(d, path)]
     while stack:
         node, at = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         _check_node(node, calc, at, ok)
         for i in range(len(node.premises) - 1, -1, -1):
             stack.append((node.premises[i], at + (i,)))
@@ -478,10 +515,7 @@ def _names(*ds: Derivation) -> set[str]:
     """Every name occurring in the derivations."""
     names: set[str] = set()
     formulas: set = set()
-    stack = list(ds)
-    while stack:
-        d = stack.pop()
-        stack += d.premises
+    for d in _nodes(*ds):
         formulas.update(it.formula for it in d.conclusion)
         if d.eigen is not None:
             names.add(d.eigen)
@@ -552,6 +586,8 @@ def _axiom(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
             return b_id(tuple(IFormula(p, a) for p in parts))
         case Neg(f, body):
             d = _axiom(body, [f.preimage(p) for p in parts], calc)
+            if calc.j is not None:  # the premise's J-item leaves before the conclusion's comes
+                parts = sorted(parts, key=lambda p: not calc.j.contains(f.preimage(p)))
             for p in parts:
                 d = b_neg(d, p, f, body)
             return d
@@ -566,6 +602,11 @@ def _axiom(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
             return b_add_pos(d1, d2, parts[i], a)
         case MConj(u, left, right) | Impl(_, u, left, right):
             i = _pos_index(u, parts)
+            if calc.j is not None and not calc.j.contains(a.f.preimage(parts[i])):
+                # the J-items of both premises would meet in its conclusion
+                raise KernelError(
+                    f"axiom_multi: {fmt_sequent(tuple(IFormula(p, a) for p in parts))} has no "
+                    f"J-intuitionistic derivation in mrlj with J = @{calc.j.r}")
             d1 = _axiom(left, [_introduced(p, a)[0].roles for p in parts], calc)
             d2 = _axiom(right, parts, calc)
             d = b_mult_pos(d1, d2, parts[i], a)
@@ -1150,43 +1191,134 @@ def entailment(a: Formula, b: Formula, r: int, calc: Calculus,
 
 
 # ----------------------------------------------------------------- JSON
+#
+# A derivation file is {"formulas": [...], "nodes": [...], "root": k}.
+# Each distinct term and formula is one entry of "formulas", each distinct
+# node one entry of "nodes", and an entry names others by their index in
+# its own table, which is always smaller than its own index:
+#
+#   ["var", name]   ["const", name]   ["atom", label, term...]
+#   ["not", endo, body]   ["and" | "with" | "tensor", u, left, right]
+#   ["imp", endo, u, left, right]   ["bang", u, body]   ["forall", u, x, body]
+#
+# with an endo written as its table [f(0), ..., f(n-1)] and an ultrafilter
+# as its role.  A node is {"rule": r, "conclusion": [[roles, formula], ...],
+# "premises": [node, ...]}, plus "principal", "witness" (a term) and
+# "eigen" when it has them; "premises" is left out when empty.  The reader
+# also takes the nested format, where each node holds its premises and
+# formula texts.
+
+_SYNTAX = {  # each head: its class and the kinds of its fields
+    "var": (Var, ("name",)),
+    "const": (Const, ("name",)),
+    "atom": (Atom, ("name", "terms")),
+    "not": (Neg, ("endo", "formula")),
+    "and": (Conj, ("ultra", "formula", "formula")),
+    "imp": (Impl, ("endo", "ultra", "formula", "formula")),
+    "with": (AConj, ("ultra", "formula", "formula")),
+    "tensor": (MConj, ("ultra", "formula", "formula")),
+    "bang": (Bang, ("ultra", "formula")),
+    "forall": (Forall, ("ultra", "name", "formula")),
+}
+_HEADS = {cls: (head, kinds) for head, (cls, kinds) in _SYNTAX.items()}
+_FIELD_NAMES = {"name": "a name", "ultra": "an ultrafilter's role", "endo": "an endo table",
+                "formula": "an earlier formula entry", "term": "an earlier term entry"}
+_TERMS = (Var, Const)
+
+
+def _children(a: Formula | Term) -> tuple:
+    match a:
+        case Atom(_, args):
+            return args
+        case Neg(_, body) | Bang(_, body) | Forall(_, _, body):
+            return (body,)
+        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
+            return (l, r)
+    return ()
+
+
+def _postorder(root, children, index: dict, add) -> int:
+    """Index root and everything below it that index lacks, children first
+    and left to right; add(x) writes x's entry and returns its index."""
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        if x in index:
+            stack.pop()
+            continue
+        todo = [c for c in children(x) if c not in index]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
+        index[x] = add(x)
+    return index[root]
 
 
 def derivation_to_obj(d: Derivation) -> dict:
-    texts: dict = {}  # each distinct formula is printed once per call
+    """d as a table of its distinct formulas and nodes (format above)."""
+    formulas: list = []
+    nodes: list = []
+    findex: dict = {}
+    nindex: dict = {}
+    members: dict = {}  # each role set's list of roles, made once per call
 
-    def fmt(a: Formula) -> str:
-        text = texts.get(a)
-        if text is None:
-            text = texts[a] = fmt_formula(a)
-        return text
+    def add_formula(a) -> int:
+        head, kinds = _HEADS[type(a)]
+        entry = [head]
+        for kind, v in zip(kinds, [getattr(a, k) for k in a.__match_args__]):
+            if kind == "formula":
+                entry.append(findex[v])
+            elif kind == "terms":
+                entry += [findex[t] for t in v]
+            elif kind == "endo":
+                entry.append(list(v.table))
+            elif kind == "ultra":
+                entry.append(v.r)
+            else:
+                entry.append(v)
+        formulas.append(entry)
+        return len(formulas) - 1
 
-    return _to_obj(d, fmt)
+    def formula(a) -> int:
+        k = findex.get(a)
+        return _postorder(a, _children, findex, add_formula) if k is None else k
 
+    def add_node(node: Derivation) -> int:
+        conclusion = []
+        for it in node.conclusion:
+            roles_, k = members.get(it.roles), findex.get(it.formula)
+            if roles_ is None:
+                roles_ = members[it.roles] = rl.members(it.roles)
+            conclusion.append([roles_, formula(it.formula) if k is None else k])
+        entry: dict = {"rule": node.rule, "conclusion": conclusion}
+        if node.premises:
+            entry["premises"] = [nindex[p] for p in node.premises]
+        if node.principal is not None:
+            entry["principal"] = node.principal
+        if node.witness is not None:
+            entry["witness"] = formula(node.witness)
+        if node.eigen is not None:
+            entry["eigen"] = node.eigen
+        nodes.append(entry)
+        return len(nodes) - 1
 
-def _to_obj(d: Derivation, fmt) -> dict:
-    inst: dict = {}
-    if d.principal is not None:
-        inst["principal"] = d.principal
-    if d.witness is not None:
-        inst["witness"] = d.witness.name
-        inst["witness_kind"] = "var" if isinstance(d.witness, Var) else "const"
-    if d.eigen is not None:
-        inst["eigen"] = d.eigen
-    return {
-        "rule": d.rule,
-        "conclusion": [{"roles": rl.members(it.roles), "formula": fmt(it.formula)}
-                       for it in d.conclusion],
-        "inst": inst,
-        "premises": [_to_obj(p, fmt) for p in d.premises],
-    }
+    root = _postorder(d, lambda node: node.premises, nindex, add_node)
+    return {"formulas": formulas, "nodes": nodes, "root": root}
 
 
 def derivation_to_json(d: Derivation, pretty: bool = False) -> str:
-    return json.dumps(derivation_to_obj(d), indent=2 if pretty else None)
+    if pretty:
+        return json.dumps(derivation_to_obj(d), indent=2)
+    return json.dumps(derivation_to_obj(d), separators=(",", ":"))
 
 
-def derivation_from_obj(obj: dict, n: int | None = None) -> Derivation:
+def derivation_from_obj(obj, n: int | None = None) -> Derivation:
+    """Read a derivation in the table format or the nested one; raise
+    KernelError or FormulaError on malformed input.  n, when given, is the
+    size of the role universe every role, endo and ultrafilter must fit."""
+    if isinstance(obj, dict) and "nodes" in obj:
+        return _from_table(obj, n)
     formulas: dict = {}  # each distinct formula text is parsed once per call
 
     def parse(text: str) -> Formula:
@@ -1196,6 +1328,92 @@ def derivation_from_obj(obj: dict, n: int | None = None) -> Derivation:
         return a
 
     return _from_obj(obj, parse, n)
+
+
+def _from_table(obj: dict, n: int | None) -> Derivation:
+    try:
+        formulas, nodes, root = obj["formulas"], obj["nodes"], obj["root"]
+    except KeyError as e:
+        raise KernelError(f'derivation JSON has no "{e.args[0]}"') from None
+    if not (isinstance(formulas, list) and isinstance(nodes, list)):
+        raise KernelError('a derivation JSON\'s "formulas" and "nodes" must be arrays')
+    syntax: list = []
+    for entry in formulas:
+        syntax.append(_syntax_entry(entry, syntax, n))
+    built: list = []
+    for entry in nodes:
+        built.append(_node_entry(entry, syntax, built, n))
+    if not (type(root) is int and 0 <= root < len(built)):
+        raise KernelError(f"derivation JSON root {root!r} is not a node index")
+    return built[root]
+
+
+def _syntax_entry(entry, syntax: list, n: int | None) -> Formula | Term:
+    """Formula table entry k = len(syntax), whose entries below k are read."""
+    k = len(syntax)
+    if not (isinstance(entry, list) and entry and isinstance(entry[0], str)
+            and entry[0] in _SYNTAX):
+        raise FormulaError(f"formula entry {k} is not [head, ...] with a known head")
+    cls, kinds = _SYNTAX[entry[0]]
+    args = entry[1:]
+    if kinds[-1] == "terms":  # an atom: its label, then any number of terms
+        kinds = ("name",) + ("term",) * (len(args) - 1)
+    if len(args) != len(kinds):
+        raise FormulaError(f"formula entry {k}: {entry[0]} takes {len(kinds)} fields")
+    limit = MAX_ROLES if n is None else n
+    fields = []
+    for kind, v in zip(kinds, args):
+        if kind == "name" and isinstance(v, str):
+            fields.append(v)
+        elif kind == "ultra" and type(v) is int and 0 <= v < limit:
+            fields.append(Ultra(v))
+        elif kind == "endo" and isinstance(v, list) and all(type(r) is int for r in v) \
+                and (n is None or len(v) == n):
+            try:
+                fields.append(Endo(tuple(v)))
+            except RoleError as e:
+                raise FormulaError(f"formula entry {k}: {e}") from None
+        elif kind in ("formula", "term") and type(v) is int and 0 <= v < k \
+                and isinstance(syntax[v], _TERMS) == (kind == "term"):
+            fields.append(syntax[v])
+        else:
+            raise FormulaError(f"formula entry {k}: {v!r} is not {_FIELD_NAMES[kind]}")
+    if cls is Atom:
+        return Atom(fields[0], tuple(fields[1:]))
+    return cls(*fields)
+
+
+def _node_entry(entry, syntax: list, built: list, n: int | None) -> Derivation:
+    """Node table entry k = len(built), whose nodes below k are read."""
+    k = len(built)
+    if not isinstance(entry, dict):
+        raise KernelError(f"derivation JSON node {k} must be an object")
+    try:
+        rule, conclusion = entry["rule"], entry["conclusion"]
+    except KeyError as e:
+        raise KernelError(f'derivation JSON node {k} has no "{e.args[0]}"') from None
+    premises = entry.get("premises", [])
+    principal, witness, eigen = entry.get("principal"), entry.get("witness"), entry.get("eigen")
+    if not (isinstance(rule, str) and isinstance(conclusion, list)
+            and (principal is None or type(principal) is int)
+            and (eigen is None or isinstance(eigen, str))):
+        raise KernelError(f'derivation JSON node {k}: its "rule", "conclusion", '
+                          '"principal" or "eigen" has the wrong type')
+    if not (isinstance(premises, list) and all(type(p) is int and 0 <= p < k for p in premises)):
+        raise KernelError(f'derivation JSON node {k}: "premises" must list earlier nodes')
+    if witness is not None:
+        if not (type(witness) is int and 0 <= witness < len(syntax)
+                and isinstance(syntax[witness], _TERMS)):
+            raise KernelError(f"derivation JSON node {k}: the witness must be a term entry")
+        witness = syntax[witness]
+    items = []
+    for item in conclusion:
+        if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int
+                and 0 <= item[1] < len(syntax) and not isinstance(syntax[item[1]], _TERMS)):
+            raise FormulaError(f"derivation JSON node {k}: a conclusion item must be "
+                               "[roles, formula entry]")
+        items.append(IFormula(roles_from_obj(item[0], n), syntax[item[1]]))
+    return Derivation(rule, items, [built[p] for p in premises], principal, witness, eigen)
 
 
 def _from_obj(obj, parse, n: int | None) -> Derivation:

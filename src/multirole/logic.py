@@ -48,24 +48,28 @@ class Node:
     Constructing a node looks up ``(class, *fields)`` in a weak table and
     returns the live node it finds, so structurally equal nodes are one
     object: ``==`` and ``hash`` are identity's, O(1) at any depth.  The
-    table holds its nodes weakly, so no result can depend on it.
+    table holds its nodes weakly, so no result can depend on it.  The
+    fields are the names in ``__match_args__``; a class may add slots
+    after them for values computed from the fields.
     """
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
-    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    _table: dict = {}  # key -> weakref.KeyedRef to the live node
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = Node._table.get(key)
+        ref = Node._table.get(key)
+        node = None if ref is None else ref()
         if node is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, "
+            names = cls.__match_args__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
                                 f"got {len(fields)}")
             node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
+            for name, value in zip(names, fields):
                 object.__setattr__(node, name, value)
-            Node._table[key] = node
+            Node._table[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
     def __setattr__(self, name, value):
@@ -75,11 +79,17 @@ class Node:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+        return type(self), tuple(getattr(self, k) for k in self.__match_args__)
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__,
-                           ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__))
+                           ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__))
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    """Drop the entry of a node that died, unless a new node took its key."""
+    if Node._table.get(ref.key) is ref:
+        del Node._table[ref.key]
 
 
 # ---------------------------------------------------------------- terms
@@ -186,16 +196,28 @@ def size(a: Formula) -> int:
 
 
 def free_vars(a: Formula) -> frozenset[str]:
+    return _free_vars(a, {})
+
+
+def _free_vars(a: Formula, done: dict) -> frozenset[str]:
+    """done maps the subformulas seen in this call to their free variables,
+    so a subformula that a's DAG shares is visited once."""
+    out = done.get(a)
+    if out is not None:
+        return out
     match a:
         case Atom(_, args):
-            return frozenset(t.name for t in args if isinstance(t, Var))
+            out = frozenset(t.name for t in args if isinstance(t, Var))
         case Neg(_, body) | Bang(_, body):
-            return free_vars(body)
+            out = _free_vars(body, done)
         case Forall(_, x, body):
-            return free_vars(body) - {x}
+            out = _free_vars(body, done) - {x}
         case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
-            return free_vars(l) | free_vars(r)
-    raise FormulaError(f"not a formula: {a!r}")
+            out = _free_vars(l, done) | _free_vars(r, done)
+        case _:
+            raise FormulaError(f"not a formula: {a!r}")
+    done[a] = out
+    return out
 
 
 def _suffix(name: str) -> int:
@@ -254,32 +276,44 @@ def substitute(a: Formula, x: str, t: Term) -> Formula:
     is not free in its body and is not t, so the result depends on A, x and
     t alone.
     """
+    return _substitute(a, x, t, {})
+
+
+def _substitute(a: Formula, x: str, t: Term, done: dict) -> Formula:
+    """done maps the subformulas seen in this call to their results, so a
+    subformula that a's DAG shares is substituted once."""
+    out = done.get(a)
+    if out is not None:
+        return out
     match a:
         case Atom(label, args):
-            return Atom(label, tuple(t if isinstance(s, Var) and s.name == x else s for s in args))
+            out = Atom(label, tuple(t if isinstance(s, Var) and s.name == x else s for s in args))
         case Neg(f, body):
-            return Neg(f, substitute(body, x, t))
+            out = Neg(f, _substitute(body, x, t, done))
         case Bang(u, body):
-            return Bang(u, substitute(body, x, t))
+            out = Bang(u, _substitute(body, x, t, done))
         case Conj(u, l, r):
-            return Conj(u, substitute(l, x, t), substitute(r, x, t))
+            out = Conj(u, _substitute(l, x, t, done), _substitute(r, x, t, done))
         case AConj(u, l, r):
-            return AConj(u, substitute(l, x, t), substitute(r, x, t))
+            out = AConj(u, _substitute(l, x, t, done), _substitute(r, x, t, done))
         case MConj(u, l, r):
-            return MConj(u, substitute(l, x, t), substitute(r, x, t))
+            out = MConj(u, _substitute(l, x, t, done), _substitute(r, x, t, done))
         case Impl(f, u, l, r):
-            return Impl(f, u, substitute(l, x, t), substitute(r, x, t))
+            out = Impl(f, u, _substitute(l, x, t, done), _substitute(r, x, t, done))
         case Forall(u, y, body):
             if y == x:
-                return a
-            if isinstance(t, Var) and t.name == y and x in (fv := free_vars(body)):
+                out = a
+            elif isinstance(t, Var) and t.name == y and x in (fv := free_vars(body)):
                 stem, k = y.split("~")[0], 1
                 while (z := f"{stem}~{k}") in fv or z == y:
                     k += 1
-                body = substitute(body, y, Var(z))
-                return Forall(u, z, substitute(body, x, t))
-            return Forall(u, y, substitute(body, x, t))
-    raise FormulaError(f"not a formula: {a!r}")
+                out = Forall(u, z, _substitute(substitute(body, y, Var(z)), x, t, done))
+            else:
+                out = Forall(u, y, _substitute(body, x, t, done))
+        case _:
+            raise FormulaError(f"not a formula: {a!r}")
+    done[a] = out
+    return out
 
 
 # ------------------------------------------------------------ i-formulas
@@ -326,9 +360,10 @@ def seq_minus(a: Sequent, b: Sequent) -> Sequent | None:
 
 
 def seq_free_vars(items: Sequent) -> frozenset[str]:
+    done: dict = {}
     out: frozenset[str] = frozenset()
     for it in items:
-        out |= free_vars(it.formula)
+        out |= _free_vars(it.formula, done)
     return out
 
 
@@ -495,7 +530,6 @@ def sequent_from_obj(raw, parse, n: int | None = None) -> Sequent:
     """
     if not isinstance(raw, list):
         raise FormulaError("sequent JSON must be an array")
-    limit = MAX_ROLES if n is None else n
     items = []
     for entry in raw:
         try:
@@ -505,14 +539,22 @@ def sequent_from_obj(raw, parse, n: int | None = None) -> Sequent:
                                '"formula"') from None
         if not isinstance(text, str):
             raise FormulaError('an item\'s "formula" must be a string')
-        mask = 0
-        try:
-            for r in roles:
-                if not 0 <= r < limit:
-                    raise FormulaError(f"role {r} outside universe of {limit} roles")
-                mask |= 1 << r
-        except TypeError:
-            raise FormulaError('an item\'s "roles" must be a list of role '
-                               'numbers') from None
-        items.append(IFormula(mask, parse(text)))
+        items.append(IFormula(roles_from_obj(roles, n), parse(text)))
     return tuple(items)
+
+
+def roles_from_obj(roles, n: int | None = None) -> int:
+    """The role set of a JSON list of role numbers.  Raise FormulaError when
+    roles is no such list or names a role outside 0..n-1 (0..MAX_ROLES-1
+    when n is None)."""
+    limit = MAX_ROLES if n is None else n
+    mask = 0
+    try:
+        for r in roles:
+            if not 0 <= r < limit:
+                raise FormulaError(f"role {r} outside universe of {limit} roles")
+            mask |= 1 << r
+    except TypeError:
+        raise FormulaError('an item\'s "roles" must be a list of role '
+                           'numbers') from None
+    return mask

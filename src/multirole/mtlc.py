@@ -29,7 +29,7 @@ from .session import (
     SAConj,
     SessionType,
     SMConj,
-    next_actions,
+    next_kind,
     parse_session,
 )
 
@@ -487,7 +487,7 @@ def _message(name, arg, kind, why):
     t = _chan_arg(name, arg)
     head = _action_head(name, t)
     if len(t.cursor) < 2 or not isinstance(head, (Msg, Bcast, Gather)) \
-            or next_actions(head, t.roles).kind != kind:
+            or next_kind(head, t.roles) != kind:
         raise MtlcTypeError(name, why)
     return t, head
 
@@ -514,7 +514,7 @@ def _sig_aconj(name, args, n):
     t = _chan_arg(name, args[0])
     head = _action_head(name, t)
     if not isinstance(head, (SAConj, OptionT, Repseq)) \
-            or next_actions(head, t.roles).kind != "choose":
+            or next_kind(head, t.roles) != "choose":
         raise MtlcTypeError(name, "these roles do not decide here")
     side = name[-1]
     match head:
@@ -531,7 +531,7 @@ def _sig_mconj(name, args, n):
     t = _chan_arg(name, args[0])
     head = _action_head(name, t)
     if not isinstance(head, SMConj) or len(t.cursor) != 1 \
-            or next_actions(head, t.roles).kind != "fork-conj":
+            or next_kind(head, t.roles) != "fork-conj":
         raise MtlcTypeError(name, "mconj requires the deciding roles at a final tensor")
     return TLPair(TChan(t.roles, norm(head.left)),
                   TChan(t.roles, norm(head.right)))
@@ -541,7 +541,7 @@ def _sig_mdisj(name, args, n):
     t = _chan_arg(name, args[0])
     head = _action_head(name, t)
     if not isinstance(head, SMConj) or len(t.cursor) != 1 \
-            or next_actions(head, t.roles).kind != "fork-disj":
+            or next_kind(head, t.roles) != "fork-disj":
         raise MtlcTypeError(name, "mdisj is for non-deciding roles at a final tensor")
     keep, give = (head.left, head.right) if name.endswith("l") \
         else (head.right, head.left)

@@ -34,7 +34,7 @@ from .session import (
     SAConj,
     SessionType,
     SMConj,
-    next_actions,
+    next_kind,
 )
 
 
@@ -496,13 +496,13 @@ class Pool:
         recv_threads: list[Thread] = []
         frm = to = None
         for ep, t, blk in members:
-            act = next_actions(head, ep.roles)
+            kind = next_kind(head, ep.roles)
             if blk.kind != "sync":
                 raise ProtocolMismatch(
                     f"thread {t.tid} blocked on {blk.op} but head is "
                     f"{sn.fmt_session(head)}")
             if blk.op == "send":
-                if act.kind != "send":
+                if kind != "send":
                     raise RoleMismatch(
                         f"thread {t.tid} sends but roles {rl.fmt_roleset(ep.roles)} "
                         f"are not the sender of {sn.fmt_session(head)}")
@@ -511,15 +511,15 @@ class Pool:
                         f"payload {blk.payload!r} does not fit tag {head.payload}")
                 payloads.append(blk.payload)
             elif blk.op == "recv":
-                if act.kind != "recv":
+                if kind != "recv":
                     raise RoleMismatch(
                         f"thread {t.tid} receives but roles {rl.fmt_roleset(ep.roles)} "
                         f"are not the receiver of {sn.fmt_session(head)}")
                 recv_threads.append(t)
             else:  # plain sync performs whatever the classification says
-                if act.kind == "send":
+                if kind == "send":
                     payloads.append(_DEFAULT_PAYLOAD[head.payload])
-                elif act.kind == "recv":
+                elif kind == "recv":
                     recv_threads.append(t)
         if isinstance(head, Msg):
             frm, to = head.frm, head.to
@@ -540,11 +540,11 @@ class Pool:
     def _fire_choice(self, ch: Channel, head, members) -> None:
         side = None
         for ep, t, blk in members:
-            act = next_actions(head, ep.roles)
+            kind = next_kind(head, ep.roles)
             if blk.kind != "choice":
                 raise ProtocolMismatch(
                     f"thread {t.tid} blocked on {blk.op} but head is a choice")
-            if act.kind == "choose":
+            if kind == "choose":
                 if blk.op != "choose":
                     raise RoleMismatch(f"thread {t.tid} must choose at "
                                        f"{sn.fmt_session(head)}")
@@ -583,8 +583,8 @@ class Pool:
         for ep, t, blk in members:
             ep_a = self.new_endpoint(ch_a, ep.roles)
             ep_b = self.new_endpoint(ch_b, ep.roles)
-            act = next_actions(head, ep.roles)
-            if act.kind == "fork-conj":
+            kind = next_kind(head, ep.roles)
+            if kind == "fork-conj":
                 if blk.op != "mconj":
                     raise RoleMismatch(f"thread {t.tid} holds role {head.r} and "
                                        "must call mconj")
@@ -768,7 +768,7 @@ def _exec(pool: Pool, t: Thread, cmds: tuple):
                 if not isinstance(head, (Msg, Bcast, Gather)):
                     raise ProtocolMismatch(
                         f"send at non-action head {sn.fmt_session(head)}")
-                if next_actions(head, ep.roles).kind != "send":
+                if next_kind(head, ep.roles) != "send":
                     raise RoleMismatch(
                         f"roles {rl.fmt_roleset(ep.roles)} cannot send "
                         f"{sn.fmt_session(head)}")
@@ -781,7 +781,7 @@ def _exec(pool: Pool, t: Thread, cmds: tuple):
                 if not isinstance(head, (Msg, Bcast, Gather)):
                     raise ProtocolMismatch(
                         f"recv at non-action head {sn.fmt_session(head)}")
-                if next_actions(head, ep.roles).kind != "recv":
+                if next_kind(head, ep.roles) != "recv":
                     raise RoleMismatch(
                         f"roles {rl.fmt_roleset(ep.roles)} cannot receive "
                         f"{sn.fmt_session(head)}")
@@ -789,13 +789,13 @@ def _exec(pool: Pool, t: Thread, cmds: tuple):
             case CChoose(side, reg):
                 ep = _reg(t, reg)
                 head = _head(ep)
-                if next_actions(head, ep.roles).kind != "choose":
+                if next_kind(head, ep.roles) != "choose":
                     raise RoleMismatch("only the deciding role set may choose here")
                 yield _Block("choice", ep, "choose", side=side)
             case COffer(left, right, reg):
                 ep = _reg(t, reg)
                 head = _head(ep)
-                if next_actions(head, ep.roles).kind != "offer":
+                if next_kind(head, ep.roles) != "offer":
                     raise RoleMismatch("the deciding role set cannot offer")
                 side = yield _Block("choice", ep, "offer")
                 yield from _exec(pool, t, left if side == "l" else right)
@@ -821,7 +821,7 @@ def _exec(pool: Pool, t: Thread, cmds: tuple):
                     yield from _exec(pool, t, body)
             case CMconj(first, second, reg):
                 ep = _reg(t, reg)
-                if next_actions(_head(ep), ep.roles).kind != "fork-conj":
+                if next_kind(_head(ep), ep.roles) != "fork-conj":
                     raise RoleMismatch("mconj requires the deciding role")
                 ep_a, ep_b = yield _Block("mconj", ep, "mconj")
                 t.regs[reg] = ep_a
@@ -830,7 +830,7 @@ def _exec(pool: Pool, t: Thread, cmds: tuple):
                 yield from _exec(pool, t, second)
             case CMdisj(side, spawned, reg):
                 ep = _reg(t, reg)
-                if next_actions(_head(ep), ep.roles).kind != "fork-disj":
+                if next_kind(_head(ep), ep.roles) != "fork-disj":
                     raise RoleMismatch("mdisj is for non-deciding role sets")
 
                 def spawn(give, spawned=spawned, reg=reg):
@@ -931,21 +931,21 @@ def synthesize(segs: tuple[SessionType, ...], roleset: int,
     if not segs:
         return ()
     head, rest = segs[0], segs[1:]
-    act = next_actions(head, roleset)
+    kind = next_kind(head, roleset)
     match head:
         case Msg() | Bcast() | Gather():
             cmd = {"send": CSend(_DEFAULT_PAYLOAD[head.payload]),
-                   "recv": CRecv(), "skip": CSync()}[act.kind]
+                   "recv": CRecv(), "skip": CSync()}[kind]
             return (cmd,) + synthesize(rest, roleset, dec)
         case SAConj(_, a, b):
-            if act.kind == "choose":
+            if kind == "choose":
                 side = dec.side()
                 branch = a if side == "l" else b
                 return (CChoose(side),) + synthesize(norm(branch) + rest, roleset, dec)
             return (COffer(synthesize(norm(a) + rest, roleset, dec),
                            synthesize(norm(b) + rest, roleset, dec)),)
         case OptionT(_, a):
-            if act.kind == "choose":
+            if kind == "choose":
                 side = dec.side()
                 cont = (norm(a) + rest) if side == "l" else rest
                 return (CChoose(side),) + synthesize(cont, roleset, dec)
@@ -953,7 +953,7 @@ def synthesize(segs: tuple[SessionType, ...], roleset: int,
                            synthesize(rest, roleset, dec)),)
         case Repseq(_, a):
             body = synthesize(norm(a), roleset, dec)
-            if act.kind == "choose":
+            if kind == "choose":
                 return (CLoop(dec.loop(), body),) + synthesize(rest, roleset, dec)
             return (COfferLoop(body),) + synthesize(rest, roleset, dec)
         case SMConj(_, a, b):
@@ -961,7 +961,7 @@ def synthesize(segs: tuple[SessionType, ...], roleset: int,
                 raise ProtocolMismatch("mconj(...) must end its session")
             left = synthesize(norm(a), roleset, dec)
             right = synthesize(norm(b), roleset, dec)
-            if act.kind == "fork-conj":
+            if kind == "fork-conj":
                 return (CMconj(left, right),)
             return (CMdisj("l", right),) + left
         case Repeat():

@@ -388,32 +388,46 @@ class Action:
     payload: str | None = None
 
 
-def _message_action(s: Msg, roleset: int) -> Action:
+def _message_kind(s: Msg, roleset: int) -> str:
     frm, to = roleset & (1 << s.frm), roleset & (1 << s.to)
-    kind = "send" if frm and not to else "recv" if to and not frm else "skip"
-    return Action(kind, s.label, s.frm, s.to, payload=s.payload)
+    return "send" if frm and not to else "recv" if to and not frm else "skip"
 
 
-# the classification of each head constructor, by session node class
+def _decider_kind(s, roleset: int) -> str:
+    return "choose" if roleset & (1 << s.r) else "offer"
+
+
+# each head constructor, by session node class: its action kind as seen
+# from a role set, and the other fields of its Action
 _ACTIONS = {
-    Nil: lambda s, roleset: Action("done"),
-    Append: lambda s, roleset: Action("append"),
-    Msg: _message_action,
-    Bcast: lambda s, roleset: Action("send" if roleset & (1 << s.frm) else "recv",
-                                     s.label, frm=s.frm, payload=s.payload),
-    Gather: lambda s, roleset: Action("recv" if roleset & (1 << s.to) else "send",
-                                      s.label, to=s.to, payload=s.payload),
-    **dict.fromkeys((SAConj, OptionT, Repseq, Repeat), lambda s, roleset: Action(
-        "choose" if roleset & (1 << s.r) else "offer", role=s.r)),
-    SMConj: lambda s, roleset: Action("fork-conj" if roleset & (1 << s.r) else "fork-disj",
-                                      role=s.r),
+    Nil: (lambda s, roleset: "done", lambda s: {}),
+    Append: (lambda s, roleset: "append", lambda s: {}),
+    Msg: (_message_kind,
+          lambda s: dict(label=s.label, frm=s.frm, to=s.to, payload=s.payload)),
+    Bcast: (lambda s, roleset: "send" if roleset & (1 << s.frm) else "recv",
+            lambda s: dict(label=s.label, frm=s.frm, payload=s.payload)),
+    Gather: (lambda s, roleset: "recv" if roleset & (1 << s.to) else "send",
+             lambda s: dict(label=s.label, to=s.to, payload=s.payload)),
+    **dict.fromkeys((SAConj, OptionT, Repseq, Repeat),
+                    (_decider_kind, lambda s: dict(role=s.r))),
+    SMConj: (lambda s, roleset: "fork-conj" if roleset & (1 << s.r) else "fork-disj",
+             lambda s: dict(role=s.r)),
 }
+
+
+def _rules(s: SessionType):
+    try:
+        return _ACTIONS[type(s)]
+    except KeyError:
+        raise SessionError(f"unknown session node {s!r}") from None
+
+
+def next_kind(s: SessionType, roleset: int) -> str:
+    """The kind of next_actions(s, roleset), without building the Action."""
+    return _rules(s)[0](s, roleset)
 
 
 def next_actions(s: SessionType, roleset: int) -> Action:
     """Classify the head constructor of s as seen from one role set."""
-    try:
-        rule = _ACTIONS[type(s)]
-    except KeyError:
-        raise SessionError(f"unknown session node {s!r}") from None
-    return rule(s, roleset)
+    kind, fields = _rules(s)
+    return Action(kind(s, roleset), **fields(s))

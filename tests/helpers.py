@@ -6,6 +6,7 @@ every test is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -20,10 +21,12 @@ from multirole.logic import (
     Bang,
     Conj,
     Forall,
+    IFormula,
     Impl,
     MConj,
     Neg,
     Var,
+    fmt_formula,
 )
 from multirole.mtlc import (
     EApp,
@@ -122,6 +125,107 @@ def rand_nonempty_partition(rng: random.Random, n: int, k: int) -> list[int]:
     for r in rs[k:]:
         parts[rng.randrange(k)] |= 1 << r
     return parts
+
+
+# ---------------------------------------------------------- derivations
+
+
+def nested_obj(d: K.Derivation) -> dict:
+    """d in the nested derivation format the kernel still reads: each node
+    holds its premises and its conclusion's formula texts.  The oracle for
+    the kernel's table format; it recurses once per rule level."""
+    inst: dict = {}
+    if d.principal is not None:
+        inst["principal"] = d.principal
+    if d.witness is not None:
+        inst["witness"] = d.witness.name
+        inst["witness_kind"] = "var" if isinstance(d.witness, Var) else "const"
+    if d.eigen is not None:
+        inst["eigen"] = d.eigen
+    return {
+        "rule": d.rule,
+        "conclusion": [{"roles": rl.members(it.roles), "formula": fmt_formula(it.formula)}
+                       for it in d.conclusion],
+        "inst": inst,
+        "premises": [nested_obj(p) for p in d.premises],
+    }
+
+
+def nested_json(d: K.Derivation) -> str:
+    return json.dumps(nested_obj(d))
+
+
+def deep_derivation(rules: int) -> K.Derivation:
+    """An MRL(2) derivation `rules` rules tall: an (id) under weakenings and
+    contractions of <{}>b, taken in turn."""
+    calc = K.MRL(2)
+    extra = IFormula(0, Atom("b"))
+    d = K.b_weaken(K.b_id((IFormula(1, Atom("a")), IFormula(2, Atom("a")))), extra, calc)
+    for k in range(rules - 2):
+        d = K.b_weaken(d, extra, calc) if k % 2 == 0 else K.b_contract(d, extra, calc)
+    return d
+
+
+def malformed_tables() -> list[tuple[str, dict]]:
+    """Derivation files in the table format, each broken in one place:
+    (what is broken, the file's JSON object)."""
+    a = Forall(Ultra(0), "x", Atom("p", (Var("x"),)))
+    base = K.derivation_to_obj(K.axiom_multi(a, [1, 2], K.LMRL(2)))
+    # formulas: 0 var x, 1 atom p(x), 2 forall; nodes: 0 id, 1 forall-neg, 2 forall-pos
+    assert [f[0] for f in base["formulas"]] == ["var", "atom", "forall"]
+    assert [n["rule"] for n in base["nodes"]] == ["id", "forall-neg", "forall-pos"]
+    cases = [
+        ("premise is a later node", "nodes", 1, "premises", [2]),
+        ("premise is the node itself", "nodes", 1, "premises", [1]),
+        ("premise index is negative", "nodes", 1, "premises", [-1]),
+        ("premise index is a bool", "nodes", 1, "premises", [True]),
+        ("premises is not a list", "nodes", 1, "premises", 0),
+        ("principal is a string", "nodes", 1, "principal", "1"),
+        ("principal is a bool", "nodes", 1, "principal", True),
+        ("rule is not a string", "nodes", 0, "rule", ["id"]),
+        ("eigen is not a string", "nodes", 2, "eigen", 5),
+        ("witness is a name", "nodes", 1, "witness", "x"),
+        ("witness is a formula entry", "nodes", 1, "witness", 1),
+        ("witness is past the table", "nodes", 1, "witness", 3),
+        ("conclusion is not a list", "nodes", 0, "conclusion", {"roles": [0]}),
+        ("conclusion item is an object", "nodes", 0, "conclusion",
+         [{"roles": [0], "formula": 1}, [[1], 1]]),
+        ("conclusion formula is text", "nodes", 0, "conclusion", [[[0], "p"], [[1], 1]]),
+        ("conclusion formula is past the table", "nodes", 0, "conclusion",
+         [[[0], 3], [[1], 1]]),
+        ("conclusion formula is a term", "nodes", 0, "conclusion", [[[0], 0], [[1], 1]]),
+        ("role outside the universe", "nodes", 0, "conclusion", [[[64], 1], [[1], 1]]),
+        ("roles is not a list", "nodes", 0, "conclusion", [[0, 1], [[1], 1]]),
+        ("unknown head", "formulas", 1, 0, "frob"),
+        ("head is not a string", "formulas", 1, 0, 7),
+        ("formula child is a later entry", "formulas", 2, 3, 2),
+        ("formula child is a term", "formulas", 2, 3, 0),
+        ("atom argument is a formula", "formulas", 1, 2, 1),
+        ("atom label is not a string", "formulas", 1, 1, 3),
+        ("ultrafilter outside the universe", "formulas", 2, 1, 64),
+        ("ultrafilter is text", "formulas", 2, 1, "@0"),
+        ("variable name is not a string", "formulas", 0, 1, None),
+    ]
+    out = []
+    for name, table, k, field, value in cases:
+        obj = json.loads(json.dumps(base))
+        obj[table][k][field] = value
+        out.append((name, obj))
+    out += [
+        ("node is a list", dict(base, nodes=[["id", []]])),
+        ("node has no rule", dict(base, nodes=[{"conclusion": []}])),
+        ("formula entry is empty", dict(base, formulas=[[]])),
+        ("formula entry lacks a field", dict(base, formulas=[["forall", 0, "x"]])),
+        ("endo outside the universe", dict(base, formulas=[["atom", "a"], ["not", [0, 5], 0]])),
+        ("endo is not a list", dict(base, formulas=[["atom", "a"], ["not", "[0,1]", 0]])),
+        ("endo is empty", dict(base, formulas=[["atom", "a"], ["not", [], 0]])),
+        ("formulas is not a list", dict(base, formulas={})),
+        ("root is past the table", dict(base, root=3)),
+        ("root is a string", dict(base, root="2")),
+        ("no root", {"formulas": base["formulas"], "nodes": base["nodes"]}),
+        ("no formulas", {"nodes": base["nodes"], "root": 2}),
+    ]
+    return out
 
 
 # i-formula JSON items that are not {"roles": [role, ...], "formula": text}

@@ -12,6 +12,8 @@ from multirole import kernel as kn
 from multirole import logic as lg
 from multirole.cli import main
 
+from helpers import deep_derivation, malformed_tables, nested_obj
+
 A = lg.parse_formula("a")
 B = lg.parse_formula("b")
 
@@ -133,8 +135,8 @@ class TestProve:
         assert json.loads(err)["error"].startswith("emitted derivation fails its check")
 
     def test_check_too_deep(self, capsys, tmp_path, axiom_file):
-        # 1200 weakenings over the id of axiom_file, nested as the writer nests
-        leaf = json.loads(Path(axiom_file).read_text())
+        # 1200 weakenings over the id of axiom_file, in the nested format
+        leaf = nested_obj(kn.derivation_from_json(Path(axiom_file).read_text()))
         node = {"rule": "weaken", "conclusion": leaf["conclusion"],
                 "inst": {"principal": 0}, "premises": ["HOLE"]}
         head, tail = json.dumps(node).split('"HOLE"')
@@ -142,6 +144,20 @@ class TestProve:
         code, out, err = run(capsys, "prove", "check", path)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "input nests too deeply"}
+
+    def test_check_deeper_than_recursion_limit(self, capsys, tmp_path):
+        path = write(tmp_path / "deep.json", kn.derivation_to_json(deep_derivation(5000)))
+        code, out, _ = run(capsys, "prove", "check", path, "--calculus", "mrl")
+        assert code == 0
+        assert json.loads(out) == {"ok": True, "rules": ["contract", "id", "weaken"],
+                                   "height": 5000}
+
+    @pytest.mark.parametrize("name,obj", malformed_tables())
+    def test_check_malformed_table(self, capsys, tmp_path, name, obj):
+        path = write(tmp_path / "bad.json", json.dumps(obj))
+        code, out, err = run(capsys, "prove", "check", path)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]
 
     def test_search_not_found(self, capsys, tmp_path):
         items = (lg.IFormula(1, A),)  # lone <{0}>a: complement missing

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multirole import kernel as K
 from multirole import logic as lg
@@ -22,7 +24,14 @@ from multirole.logic import (
 )
 from multirole.roles import Endo, Ultra
 
-from helpers import MALFORMED_ITEMS, rand_formula, rand_partition
+from helpers import (
+    MALFORMED_ITEMS,
+    deep_derivation,
+    malformed_tables,
+    nested_json,
+    rand_formula,
+    rand_partition,
+)
 
 
 A = Atom("a")
@@ -280,6 +289,59 @@ class TestQuantifier:
         assert "x~8" in eigens and "x~1" not in eigens
 
 
+def shared_conj(k: int) -> K.Derivation:
+    """|- <{0,1}>C_k with C_0 = a and C_i+1 = C_i and C_i, in MRL: a tree of
+    2^k leaves, and k + 1 distinct nodes."""
+    a, d = A, K.b_id((IFormula(3, A),))
+    for _ in range(k):
+        d = K.b_add_pos(d, d, 3, Conj(U0, a, a))
+        a = Conj(U0, a, a)
+    return d
+
+
+class TestSharing:
+    def test_equal_derivations_are_one_object(self):
+        items = (IFormula(1, A), IFormula(2, A))
+        assert K.Derivation("id", items) is K.b_id(list(items))
+        calc = K.LMRL(2)
+        d = K.axiom_multi(Neg(SWAP, A), [1, 2], calc)
+        assert K.axiom_multi(Neg(SWAP, A), [1, 2], calc) is d
+
+    def test_traversals_visit_each_distinct_node_once(self, monkeypatch):
+        d = shared_conj(60)
+        assert d.height == 61
+        assert K.rule_tags(d) == {"id", "conj-pos"}
+        visited = []
+        check_node = K._check_node
+        monkeypatch.setattr(K, "_check_node",
+                            lambda node, *args: check_node(visited.append(node) or node, *args))
+        K.check(d, K.MRL(2))
+        assert len(visited) == len(set(visited)) == 61
+        text = K.derivation_to_json(d)
+        assert len(json.loads(text)["nodes"]) == 61
+        assert K.derivation_from_json(text) is d
+
+    def test_quantifier_rules_over_shared_subformulas(self):
+        # free variables and substitution in formulas of 2^60 leaves as trees
+        calc = K.MRL(2)
+        d = shared_conj(60)
+        c = d.conclusion[0].formula
+        p = Forall(U0, "x", Conj(U0, c, Atom("p", (Var("x"),))))
+        d = K.b_weaken(d, IFormula(2, Conj(U0, c, Atom("p", (Const("k"),)))), calc)
+        d = K.b_forall_neg(d, 2, p, Const("k"))
+        d = K.b_forall_pos(K.b_weaken(d, IFormula(1, B), calc), 1, Forall(U0, "x", B), "x")
+        K.check(d, calc)
+        assert K.derivation_from_json(K.derivation_to_json(d)) is d
+
+    def test_check_fails_at_the_first_occurrence_of_a_shared_node(self):
+        bad = K.Derivation("weaken", (IFormula(3, A),), (), 0)  # no premise
+        d = K.Derivation("conj-pos", (IFormula(3, Conj(U0, A, A)),), (bad, bad), 0)
+        with pytest.raises(K.CheckError) as err:
+            K.check(d, K.MRL(2))
+        assert err.value.path == (0,)
+        assert err.value.reason == "rule weaken expects 1 premises, got 0"
+
+
 class TestSearch:
     def test_atoms_partition_derivable(self):
         calc = K.LMRL(3)
@@ -319,8 +381,39 @@ class TestJson:
 
         monkeypatch.setattr(K, "parse_formula", parse)
         _, d = weaken_chain(50)
-        assert K.derivation_from_json(K.derivation_to_json(d)) == d
+        assert K.derivation_from_json(nested_json(d)) == d  # the format with texts
         assert calls == ["a"]
+
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2**32 - 1))
+    def test_axioms_and_cuts_read_back_as_the_same_object(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3])
+        calc = rng.choice([K.LMRL(n), K.MRL(n)])
+        full = rl.full_set(n)
+        a = rand_formula(rng, calc, n, rng.randrange(5))
+        r1 = rng.randrange(1 << n)
+        r2 = (full & ~r1) | (rng.randrange(1 << n) & r1)
+        d1 = K.axiom_multi(a, [r1, full & ~r1], calc)
+        d2 = K.axiom_multi(a, [r2, full & ~r2], calc)
+        e = K.cut2_residual(d1, d1.conclusion.index(IFormula(r1, a)),
+                            d2, d2.conclusion.index(IFormula(r2, a)), calc)
+        for d in (d1, e):
+            assert K.derivation_from_json(K.derivation_to_json(d)) is d
+            assert K.derivation_from_json(K.derivation_to_json(d, pretty=True), n) is d
+            assert K.derivation_from_json(nested_json(d)) is d  # the oracle's format
+
+    def test_deeper_than_recursion_limit(self):
+        d = deep_derivation(5000)
+        assert d.height == 5000
+        text = K.derivation_to_json(d)
+        assert K.derivation_from_json(text) is d
+        K.check(K.derivation_from_json(text), K.MRL(2))
+
+    @pytest.mark.parametrize("name,obj", malformed_tables())
+    def test_malformed_table(self, name, obj):
+        with pytest.raises((K.KernelError, lg.FormulaError)):
+            K.derivation_from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("item", MALFORMED_ITEMS)
     def test_malformed_conclusion_item(self, item):
@@ -601,3 +694,55 @@ class TestSearchSplits:
         assert cut_free(d)
         assert seq_equal(d.conclusion, items)
         assert {"imp-pos", "imp-neg"} <= K.rule_tags(d)
+
+
+class TestMrljIntuitionistic:
+    """MRLJ axioms and splits keep every sequent J-intuitionistic, or raise."""
+
+    def test_probe(self):
+        # n, J, a formula of up to 3 connectives and a partition into 1..3
+        # parts per seed; the first part is split into a subset and its rest
+        outcomes = {"checked": 0, "refused": 0}
+        for seed in range(2000):
+            rng = random.Random(seed)
+            n = rng.choice([2, 3])
+            calc = K.MRLJ(n, Ultra(rng.randrange(n)))
+            a = rand_formula(rng, calc, n, rng.randrange(4))
+            parts = rand_partition(rng, n, rng.randrange(1, 4))
+            try:
+                d = K.axiom_multi(a, parts, calc)
+                K.check(d, calc)
+                r = parts[0]
+                sub = rng.randrange(1 << n) & r
+                e = K.split_roles(d, d.conclusion.index(IFormula(r, a)), sub, r & ~sub, calc)
+                K.check(e, calc)
+                assert seq_equal(e.conclusion, (IFormula(sub, a), IFormula(r & ~sub, a))
+                                 + tuple(IFormula(p, a) for p in parts[1:]))
+                outcomes["checked"] += 1
+            except K.KernelError as err:  # a CheckError names no such thing
+                assert "has no J-intuitionistic derivation" in str(err)
+                outcomes["refused"] += 1
+        assert outcomes["checked"] > 1500 and outcomes["refused"] > 0
+
+    def test_negation_introduced_in_a_j_order(self):
+        calc = K.MRLJ(2, Ultra(1))
+        a = parse_formula("(not [1,0] a)")
+        d = K.axiom_multi(a, [2, 0, 1], calc)
+        K.check(d, calc)
+        assert seq_equal(d.conclusion, (IFormula(2, a), IFormula(0, a), IFormula(1, a)))
+
+    @pytest.mark.parametrize("text,parts", [("(imp [0,0] @1 a c)", [2, 1]),
+                                            ("(imp [0,1] @0 c c)", [0, 2, 1])])
+    def test_implication_without_a_j_order_raises(self, text, parts):
+        calc = K.MRLJ(2, Ultra(1))
+        with pytest.raises(K.KernelError, match=r"^axiom_multi: \|- .* has no J-intuitionistic "
+                                                 r"derivation in mrlj with J = @1$"):
+            K.axiom_multi(parse_formula(text), parts, calc)
+
+    def test_split_refused_with_its_axiom(self):
+        calc = K.MRLJ(2, Ultra(1))
+        a = parse_formula("(imp [0,1] @0 c c)")
+        d = K.axiom_multi(a, [3, 0], calc)
+        K.check(d, calc)
+        with pytest.raises(K.KernelError, match="has no J-intuitionistic derivation"):
+            K.split_roles(d, d.conclusion.index(IFormula(3, a)), 2, 1, calc)

@@ -22,6 +22,7 @@ from multirole.session import (
     encode_lmrl,
     fmt_session,
     next_actions,
+    next_kind,
     parse_protocol,
     parse_session,
 )
@@ -178,7 +179,8 @@ class TestNextActions:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_table_agrees_with_match_oracle(self, n):
-        """Every session node kind, at every role, against every role set."""
+        """Every session node kind, at every role, against every role set;
+        next_kind agrees with the kind of next_actions."""
         nodes = [Nil(), Append(Nil(), Nil())]
         for p in sn.PAYLOADS:
             nodes += [Msg("m", f, t, p) for f in range(n) for t in range(n) if f != t]
@@ -191,12 +193,13 @@ class TestNextActions:
         for s in nodes:
             for roleset in range(1 << n):
                 assert next_actions(s, roleset) == next_actions_match(s, roleset), (s, roleset)
+                assert next_kind(s, roleset) == next_actions(s, roleset).kind, (s, roleset)
 
     def test_every_node_class_has_a_rule(self):
         assert set(sn._ACTIONS) == set(sn.SessionType.__args__)
 
     def test_unknown_node(self):
-        for classify in (next_actions, next_actions_match):
+        for classify in (next_actions, next_kind, next_actions_match):
             with pytest.raises(sn.SessionError, match=r"^unknown session node 'x'$"):
                 classify("x", 1)
 
