@@ -5,12 +5,14 @@ The classical calculus (MRL) has structural rules; the intuitionistic one
 i-formula whose role set belongs to J; the linear one (LMRL) drops the
 structural rules and adds the multiplicative/exponential connectives.
 
-Derivations are immutable trees.  check() validates each node against its
+Derivations are immutable and hash-consed, so a derivation is a DAG whose
+equal subderivations are one node.  check() validates each node against its
 rule schema using multiset sequent arithmetic, so transformers are free to
 order conclusion items however is convenient.  The transformers
 (axiom_fullset/axiom_multi, split_roles, cut1, cut2_residual, mp_cut) are
 executable admissibility proofs: their outputs contain only primitive rule
-nodes and are themselves checkable.
+nodes and are themselves checkable.  Every traversal and transformer call
+visits or reduces each distinct node once.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .logic import (
     Forall,
     Formula,
     FormulaError,
+    FormulaTable,
     FreshNames,
     IFormula,
     Impl,
@@ -39,9 +42,11 @@ from .logic import (
     Var,
     fmt_formula,
     fmt_sequent,
+    formulas_from_table,
     free_vars,
     names_in,
     parse_formula,
+    postorder,
     roles_from_obj,
     seq_counts,
     seq_equal,
@@ -51,7 +56,7 @@ from .logic import (
     size,
     substitute,
 )
-from .roles import MAX_ROLES, Endo, RoleError, Ultra
+from .roles import Endo, Ultra
 
 
 class KernelError(Exception):
@@ -534,6 +539,16 @@ def subst_derivation(d: Derivation, x: str, t: Term,
     """
     if fresh is None:
         fresh = FreshNames(lambda: _names(d) | {x, t.name})
+    return _subst_derivation(d, x, t, fresh, {})
+
+
+def _subst_derivation(d: Derivation, x: str, t: Term, fresh: FreshNames,
+                      done: dict) -> Derivation:
+    """done maps the (node, x, t) seen in this call to their results, so a
+    node that d's DAG shares is substituted once."""
+    out = done.get((d, x, t))
+    if out is not None:
+        return out
     tvars = {t.name} if isinstance(t, Var) else set()
     eigen = d.eigen
     node = d
@@ -542,20 +557,21 @@ def subst_derivation(d: Derivation, x: str, t: Term,
         y = eigen if eigen is not None else a.var
         if y == x or y in tvars:
             z = fresh(y)
-            prem = subst_derivation(d.premises[0], y, Var(z), fresh)
+            prem = _subst_derivation(d.premises[0], y, Var(z), fresh, done)
             node = Derivation(d.rule, d.conclusion, (prem,), d.principal, eigen=z)
             eigen = z
     witness = node.witness
     if isinstance(witness, Var) and witness.name == x:
         witness = t
-    return Derivation(
+    out = done[d, x, t] = Derivation(
         node.rule,
         tuple(IFormula(it.roles, substitute(it.formula, x, t)) for it in node.conclusion),
-        tuple(subst_derivation(p, x, t, fresh) for p in node.premises),
+        tuple(_subst_derivation(p, x, t, fresh, done) for p in node.premises),
         node.principal,
         witness=witness,
         eigen=eigen,
     )
+    return out
 
 
 # ----------------------------------------------------- axiom procedures
@@ -570,7 +586,7 @@ def axiom_multi(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
     """
     if not rl.partition_check(parts, calc.n):
         raise KernelError("axiom_multi: role sets do not partition the universe")
-    return _axiom(a, list(parts), calc)
+    return _axiom(a, tuple(parts), calc, {})
 
 
 def _pos_index(u: Ultra, parts: list[int]) -> int:
@@ -580,12 +596,21 @@ def _pos_index(u: Ultra, parts: list[int]) -> int:
     raise KernelError("no part contains the head role")  # unreachable for partitions
 
 
-def _axiom(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
+def _axiom(a: Formula, parts: tuple[int, ...], calc: Calculus, done: dict) -> Derivation:
+    """done maps the (formula, parts) seen in this call to their results, so a
+    subformula that a's DAG shares is derived once."""
+    out = done.get((a, parts))
+    if out is None:
+        out = done[a, parts] = _axiom_step(a, parts, calc, done)
+    return out
+
+
+def _axiom_step(a: Formula, parts: tuple[int, ...], calc: Calculus, done: dict) -> Derivation:
     match a:
         case Atom():
             return b_id(tuple(IFormula(p, a) for p in parts))
         case Neg(f, body):
-            d = _axiom(body, [f.preimage(p) for p in parts], calc)
+            d = _axiom(body, tuple(f.preimage(p) for p in parts), calc, done)
             if calc.j is not None:  # the premise's J-item leaves before the conclusion's comes
                 parts = sorted(parts, key=lambda p: not calc.j.contains(f.preimage(p)))
             for p in parts:
@@ -593,8 +618,8 @@ def _axiom(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
             return d
         case Conj(u, left, right) | AConj(u, left, right):
             i = _pos_index(u, parts)
-            d1 = _axiom(left, parts, calc)
-            d2 = _axiom(right, parts, calc)
+            d1 = _axiom(left, parts, calc, done)
+            d2 = _axiom(right, parts, calc, done)
             for j, p in enumerate(parts):
                 if j != i:
                     d1 = b_add_neg(d1, p, a, "l")
@@ -602,13 +627,14 @@ def _axiom(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
             return b_add_pos(d1, d2, parts[i], a)
         case MConj(u, left, right) | Impl(_, u, left, right):
             i = _pos_index(u, parts)
-            if calc.j is not None and not calc.j.contains(a.f.preimage(parts[i])):
+            lefts = tuple(_introduced(p, a)[0].roles for p in parts)
+            if calc.j is not None and not calc.j.contains(lefts[i]):
                 # the J-items of both premises would meet in its conclusion
                 raise KernelError(
                     f"axiom_multi: {fmt_sequent(tuple(IFormula(p, a) for p in parts))} has no "
                     f"J-intuitionistic derivation in mrlj with J = @{calc.j.r}")
-            d1 = _axiom(left, [_introduced(p, a)[0].roles for p in parts], calc)
-            d2 = _axiom(right, parts, calc)
+            d1 = _axiom(left, lefts, calc, done)
+            d2 = _axiom(right, parts, calc, done)
             d = b_mult_pos(d1, d2, parts[i], a)
             for j, p in enumerate(parts):
                 if j != i:
@@ -616,14 +642,14 @@ def _axiom(a: Formula, parts: list[int], calc: Calculus) -> Derivation:
             return d
         case Bang(u, body):
             i = _pos_index(u, parts)
-            d = _axiom(body, parts, calc)
+            d = _axiom(body, parts, calc, done)
             for j, p in enumerate(parts):
                 if j != i:
                     d = b_bang_derelict(d, p, a)
             return b_bang_pos(d, parts[i], a)
         case Forall(u, x, _):
             i = _pos_index(u, parts)
-            d = _axiom(a.body, parts, calc)
+            d = _axiom(a.body, parts, calc, done)
             for j, p in enumerate(parts):
                 if j != i:
                     d = b_forall_neg(d, p, a, Var(x))
@@ -646,12 +672,26 @@ def cut1(d: Derivation, index: int, calc: Calculus) -> Derivation:
     item = d.conclusion[index]
     if item.roles != 0:
         raise KernelError("cut1: designated i-formula must carry the empty role set")
-    return _cut1(d, item, 1, calc)
+    return _cut1(d, item, 1, calc, {})
 
 
-def _cut1(d: Derivation, x: IFormula, n: int, calc: Calculus) -> Derivation:
+# Each transformer call keeps one memo, keyed on the interned arguments of
+# its _cut1 (d, x, n) and _cut2 (d1, x1, n1, d2, x2, n2) calls, so a
+# subderivation that a DAG shares is cut once per call and not once per
+# path to it.  A result is a derivation of a sequent fixed by its key, so
+# it stays valid wherever it is reused.
+
+
+def _cut1(d: Derivation, x: IFormula, n: int, calc: Calculus, memo: dict) -> Derivation:
     if n == 0:
         return d
+    out = memo.get((d, x, n))
+    if out is None:
+        out = memo[d, x, n] = _cut1_step(d, x, n, calc, memo)
+    return out
+
+
+def _cut1_step(d: Derivation, x: IFormula, n: int, calc: Calculus, memo: dict) -> Derivation:
     a = x.formula
     if d.rule == "id":
         return b_id(seq_minus(d.conclusion, (x,) * n))
@@ -660,33 +700,33 @@ def _cut1(d: Derivation, x: IFormula, n: int, calc: Calculus) -> Derivation:
         p = d.premises[0]
         match d.rule:
             case "weaken" | "bang-neg-weaken":
-                return _cut1(p, x, n - 1, calc)
+                return _cut1(p, x, n - 1, calc, memo)
             case "contract" | "bang-neg-contract":
-                return _cut1(p, x, n + 1, calc)
+                return _cut1(p, x, n + 1, calc, memo)
             case "neg":
-                e = _cut1(p, x, n - 1, calc)
-                return _cut1(e, IFormula(0, a.body), 1, calc)
+                e = _cut1(p, x, n - 1, calc, memo)
+                return _cut1(e, IFormula(0, a.body), 1, calc, memo)
             case "conj-neg-l" | "aconj-neg-l":
-                e = _cut1(p, x, n - 1, calc)
-                return _cut1(e, IFormula(0, a.left), 1, calc)
+                e = _cut1(p, x, n - 1, calc, memo)
+                return _cut1(e, IFormula(0, a.left), 1, calc, memo)
             case "conj-neg-r" | "aconj-neg-r":
-                e = _cut1(p, x, n - 1, calc)
-                return _cut1(e, IFormula(0, a.right), 1, calc)
+                e = _cut1(p, x, n - 1, calc, memo)
+                return _cut1(e, IFormula(0, a.right), 1, calc, memo)
             case "mconj-neg" | "imp-neg":
-                e = _cut1(p, x, n - 1, calc)
-                e = _cut1(e, IFormula(0, a.left), 1, calc)
-                return _cut1(e, IFormula(0, a.right), 1, calc)
+                e = _cut1(p, x, n - 1, calc, memo)
+                e = _cut1(e, IFormula(0, a.left), 1, calc, memo)
+                return _cut1(e, IFormula(0, a.right), 1, calc, memo)
             case "bang-neg-derelict":
-                e = _cut1(p, x, n - 1, calc)
-                return _cut1(e, IFormula(0, a.body), 1, calc)
+                e = _cut1(p, x, n - 1, calc, memo)
+                return _cut1(e, IFormula(0, a.body), 1, calc, memo)
             case "forall-neg":
-                e = _cut1(p, x, n - 1, calc)
-                return _cut1(e, IFormula(0, substitute(a.body, a.var, d.witness)), 1, calc)
+                e = _cut1(p, x, n - 1, calc, memo)
+                return _cut1(e, IFormula(0, substitute(a.body, a.var, d.witness)), 1, calc, memo)
             case _:
                 raise KernelError(f"cut1: rule {d.rule} cannot introduce an empty-role "
                                   "i-formula positively")
     # commutative case: the principal is some other i-formula
-    return _commute(d, x, n, (), lambda p, m: _cut1(p, x, m, calc), calc, None)
+    return _commute(d, x, n, (), lambda p, m: _cut1(p, x, m, calc, memo), calc, None)
 
 
 def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calculus,
@@ -717,7 +757,9 @@ def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calc
         c0 = seq_counts(seq_minus(d.premises[0].conclusion, (new_l,)) or ()).get(x, 0)
         m0 = min(c0, n)
         ms = (m0, n - m0)
-    prems = tuple(sub(p, m) if m else p for p, m in zip(d.premises, ms))
+    prems = []  # a loop, not a generator: one frame less per level of recursion
+    for p, m in zip(d.premises, ms):
+        prems.append(sub(p, m) if m else p)
     dup = split and all(ms)
     concl += extra * 2 if dup else extra
     out = Derivation(d.rule, concl, prems, concl.index(item),
@@ -751,7 +793,7 @@ def cut2_residual(d1: Derivation, i1: int, d2: Derivation, i2: int,
     full = rl.full_set(calc.n)
     if (full & ~x1.roles) & (full & ~x2.roles):
         raise KernelError("cut2_residual: complements of the role sets overlap")
-    return _cut2(d1, x1, 1, d2, x2, 1, calc, FreshNames(lambda: _names(d1, d2)))
+    return _cut2(d1, x1, 1, d2, x2, 1, calc, FreshNames(lambda: _names(d1, d2)), {})
 
 
 def _swap_for_linear(d1, x1, n1, d2, x2, n2, calc):
@@ -781,58 +823,59 @@ def _is_principal_on(d: Derivation, x: IFormula) -> bool:
     return _principal_item(d) == x
 
 
-def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames) -> Derivation:
+def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
+          memo: dict) -> Derivation:
     """Derive (C1 - n1*x1) u (C2 - n2*x2) u {<R1 n R2>A}."""
+    key = (d1, x1, n1, d2, x2, n2)
+    out = memo.get(key)
+    if out is not None:
+        return out
     d1, x1, n1, d2, x2, n2 = _swap_for_linear(d1, x1, n1, d2, x2, n2, calc)
-    a = x1.formula
-    resid = IFormula(x1.roles & x2.roles, a)
-
-    if n1 == 0:
-        return _merge_weaken(d1, seq_minus(d2.conclusion, (x2,) * n2) + (resid,), calc)
-    if n2 == 0:
-        return _merge_weaken(d2, seq_minus(d1.conclusion, (x1,) * n1) + (resid,), calc)
-
+    resid = IFormula(x1.roles & x2.roles, x1.formula)
     # stray copies at an (id) node can only be <{}>-occurrences; drop them
     if d1.rule == "id" and n1 > 1:
         d1, n1 = b_id(seq_minus(d1.conclusion, (x1,) * (n1 - 1))), 1
     if d2.rule == "id" and n2 > 1:
         d2, n2 = b_id(seq_minus(d2.conclusion, (x2,) * (n2 - 1))), 1
 
-    if not _is_principal_on(d1, x1):
-        return _push(d1, x1, n1, d2, x2, n2, calc, fresh, into=1)
-
+    if n1 == 0:
+        out = _merge_weaken(d1, seq_minus(d2.conclusion, (x2,) * n2) + (resid,), calc)
+    elif n2 == 0:
+        out = _merge_weaken(d2, seq_minus(d1.conclusion, (x1,) * n1) + (resid,), calc)
+    elif not _is_principal_on(d1, x1):
+        out = _push(d1, x1, n1, d2, x2, n2, calc, fresh, memo, into=1)
     # side 1 is at its principal occurrence; handle side-1 structural rules
-    if d1.rule in ("weaken", "bang-neg-weaken") and _principal_item(d1) == x1:
-        return _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, fresh)
-    if d1.rule in ("contract", "bang-neg-contract") and _principal_item(d1) == x1:
-        return _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, fresh)
-    if d1.rule == "bang-neg-derelict" and _principal_item(d1) == x1:
+    elif d1.rule in ("weaken", "bang-neg-weaken") and _principal_item(d1) == x1:
+        out = _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, fresh, memo)
+    elif d1.rule in ("contract", "bang-neg-contract") and _principal_item(d1) == x1:
+        out = _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, fresh, memo)
+    elif d1.rule == "bang-neg-derelict" and _principal_item(d1) == x1:
         # only reachable when both sides are ?-sided; cannot happen since
         # at least one role set contains the head role
         raise KernelError("cut2_residual: dereliction on a positive-side occurrence")
-    if n1 > 1 and d1.rule != "id":
-        return _push(d1, x1, n1, d2, x2, n2, calc, fresh, into=1)
-
-    if not _is_principal_on(d2, x2):
-        return _push(d2, x2, n2, d1, x1, n1, calc, fresh, into=2)
-
-    if d2.rule in ("weaken", "bang-neg-weaken") and _principal_item(d2) == x2:
+    elif n1 > 1 and d1.rule != "id":
+        out = _push(d1, x1, n1, d2, x2, n2, calc, fresh, memo, into=1)
+    elif not _is_principal_on(d2, x2):
+        out = _push(d2, x2, n2, d1, x1, n1, calc, fresh, memo, into=2)
+    elif d2.rule in ("weaken", "bang-neg-weaken") and _principal_item(d2) == x2:
         if d2.rule == "bang-neg-weaken":
             _hit("bang-weaken")
-        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, fresh)
-    if d2.rule in ("contract", "bang-neg-contract") and _principal_item(d2) == x2:
+        out = _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, fresh, memo)
+    elif d2.rule in ("contract", "bang-neg-contract") and _principal_item(d2) == x2:
         if d2.rule == "bang-neg-contract":
             _hit("bang-contract")
-        return _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, fresh)
-    if d2.rule == "bang-neg-derelict" and _principal_item(d2) == x2:
-        return _derelict_case(d1, x1, d2, x2, n2, calc, fresh)
-    if n2 > 1 and d2.rule != "id":
-        return _push(d2, x2, n2, d1, x1, n1, calc, fresh, into=2)
+        out = _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, fresh, memo)
+    elif d2.rule == "bang-neg-derelict" and _principal_item(d2) == x2:
+        out = _derelict_case(d1, x1, d2, x2, n2, calc, fresh, memo)
+    elif n2 > 1 and d2.rule != "id":
+        out = _push(d2, x2, n2, d1, x1, n1, calc, fresh, memo, into=2)
+    else:
+        out = _principal_case(d1, x1, d2, x2, calc, fresh, memo)
+    memo[key] = out
+    return out
 
-    return _principal_case(d1, x1, d2, x2, calc, fresh)
 
-
-def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames,
+def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames, memo: dict,
           into: int) -> Derivation:
     """Push the cut into the premises of side `into` (ds, xs, ns).
 
@@ -848,8 +891,8 @@ def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames,
 
     def sub(p, m):
         if into == 1:
-            return _cut2(p, xs, m, do, xo, no, calc, fresh)
-        return _cut2(do, xo, no, p, xs, m, calc, fresh)
+            return _cut2(p, xs, m, do, xo, no, calc, fresh, memo)
+        return _cut2(do, xo, no, p, xs, m, calc, fresh, memo)
 
     if _principal_item(ds) != xs:
         return _commute(ds, xs, ns, extra, sub, calc, fresh)
@@ -859,20 +902,21 @@ def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames,
     return _contract_extras(sub(rebuilt, 1), extra, calc)
 
 
-def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames) -> Derivation:
+def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
+                   memo: dict) -> Derivation:
     """! on side 1 (promoted) against a dereliction of a tracked copy on side 2."""
     _hit("bang-derelict")
     a = x1.formula  # Bang
     resid = IFormula(x1.roles & x2.roles, a)
     sub_body = IFormula(x2.roles, a.body)
     prem2 = d2.premises[0]  # ... (n2-1 copies of x2), <R2>body
-    e = _cut2(d1, x1, 1, prem2, x2, n2 - 1, calc, fresh)
+    e = _cut2(d1, x1, 1, prem2, x2, n2 - 1, calc, fresh, memo)
     # e proves gamma1, (C2 - n2*x2), <R2>body, resid  with gamma1 = ?(ctx of d1)
     if d1.rule != "bang-pos":
         raise KernelError("cut2_residual: promoted side does not end in bang-pos")
     d11 = d1.premises[0]
     x1_body = IFormula(x1.roles, a.body)
-    f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, fresh)
+    f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, fresh, memo)
     # f proves gamma1, gamma1, (C2 - n2*x2), resid, <R1 n R2>body
     f = b_bang_derelict(f, resid.roles, a)
     f = b_contract(f, resid, calc)
@@ -880,7 +924,8 @@ def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames) -> Der
     return _contract_extras(f, gamma1, calc)
 
 
-def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Derivation:
+def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
+                    memo: dict) -> Derivation:
     a = x1.formula
     r1, r2 = x1.roles, x2.roles
     rr = r1 & r2
@@ -898,7 +943,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Deriva
             _hit("neg")
             y1 = IFormula(f.preimage(r1), body)
             y2 = IFormula(f.preimage(r2), body)
-            e = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh)
+            e = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh, memo)
             return b_neg(e, rr, f, body)
 
         case Conj(u, left, right) | AConj(u, left, right):
@@ -907,9 +952,9 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Deriva
             if pos1 and pos2:
                 _hit(f"{tag}-pos-pos")
                 e1 = _cut2(d1.premises[0], IFormula(r1, left), 1,
-                           d2.premises[0], IFormula(r2, left), 1, calc, fresh)
+                           d2.premises[0], IFormula(r2, left), 1, calc, fresh, memo)
                 e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, fresh)
+                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, memo)
                 return b_add_pos(e1, e2, rr, a)
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             side = "l" if dn.rule.endswith("neg-l") else "r"
@@ -917,7 +962,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Deriva
             branch = left if side == "l" else right
             k = 0 if side == "l" else 1
             e = _cut2(dp.premises[k], IFormula(xp.roles, branch), 1,
-                      dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh)
+                      dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh, memo)
             return b_add_neg(e, rr, a, side)
 
         case MConj(u, _, _) | Impl(_, u, _, _):
@@ -927,15 +972,15 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Deriva
                 _hit(f"{tag}-pos-pos")
                 y1, z1 = _introduced(r1, a)
                 y2, z2 = _introduced(r2, a)
-                e1 = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh)
-                e2 = _cut2(d1.premises[1], z1, 1, d2.premises[1], z2, 1, calc, fresh)
+                e1 = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh, memo)
+                e2 = _cut2(d1.premises[1], z1, 1, d2.premises[1], z2, 1, calc, fresh, memo)
                 return b_mult_pos(e1, e2, rr, a)
             _hit(f"{tag}-pos-neg" if pos1 else f"{tag}-neg-pos")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             yp, zp = _introduced(xp.roles, a)
             yn, zn = _introduced(xn.roles, a)
-            e1 = _cut2(dp.premises[0], yp, 1, dn.premises[0], yn, 1, calc, fresh)
-            e2 = _cut2(dp.premises[1], zp, 1, e1, zn, 1, calc, fresh)
+            e1 = _cut2(dp.premises[0], yp, 1, dn.premises[0], yn, 1, calc, fresh, memo)
+            e2 = _cut2(dp.premises[1], zp, 1, e1, zn, 1, calc, fresh, memo)
             return b_mult_neg(e2, rr, a)
 
         case Bang(u, body):
@@ -944,7 +989,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Deriva
             if d1.rule != "bang-pos" or d2.rule != "bang-pos":
                 raise KernelError("cut2_residual: ! principal case without promotions")
             e = _cut2(d1.premises[0], IFormula(r1, body), 1,
-                      d2.premises[0], IFormula(r2, body), 1, calc, fresh)
+                      d2.premises[0], IFormula(r2, body), 1, calc, fresh, memo)
             return b_bang_pos(e, rr, a)
 
         case Forall(u, xv, body):
@@ -955,7 +1000,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Deriva
                 p1 = _realign_eigen(d1, z, fresh)
                 p2 = _realign_eigen(d2, z, fresh)
                 bz = substitute(body, xv, Var(z))
-                e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, fresh)
+                e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, fresh, memo)
                 return b_forall_pos(e, rr, a, z)
             _hit("forall-pos-neg")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
@@ -964,7 +1009,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames) -> Deriva
             p = subst_derivation(dp.premises[0], y, t, fresh)
             bt = substitute(body, xv, t)
             e = _cut2(p, IFormula(xp.roles, bt), 1,
-                      dn.premises[0], IFormula(xn.roles, bt), 1, calc, fresh)
+                      dn.premises[0], IFormula(xn.roles, bt), 1, calc, fresh, memo)
             return b_forall_neg(e, rr, a, t)
 
     raise KernelError(f"cut2_residual: unsupported principal case {d1.rule}/{d2.rule}")
@@ -1004,10 +1049,11 @@ def mp_cut(ds: list[Derivation], indices: list[int], calc: Calculus) -> Derivati
     acc = ds[0]
     occ = occs[0]
     fresh = FreshNames(lambda: _names(*ds))
+    memo: dict = {}
     for d, oc in zip(ds[1:], occs[1:]):
-        acc = _cut2(acc, occ, 1, d, oc, 1, calc, fresh)
+        acc = _cut2(acc, occ, 1, d, oc, 1, calc, fresh, memo)
         occ = IFormula(occ.roles & oc.roles, a)
-    return _cut1(acc, occ, 1, calc)
+    return _cut1(acc, occ, 1, calc, memo)
 
 
 # --------------------------------------------------------- split roles
@@ -1025,8 +1071,9 @@ def split_roles(d: Derivation, index: int, r1: int, r2: int, calc: Calculus) -> 
     a = item.formula
     comp = rl.full_set(calc.n) & ~item.roles
     w = axiom_multi(a, [comp, r1, r2], calc)
-    e = _cut2(d, item, 1, w, IFormula(comp, a), 1, calc, FreshNames(lambda: _names(d)))
-    return _cut1(e, IFormula(0, a), 1, calc)
+    memo: dict = {}
+    e = _cut2(d, item, 1, w, IFormula(comp, a), 1, calc, FreshNames(lambda: _names(d)), memo)
+    return _cut1(e, IFormula(0, a), 1, calc, memo)
 
 
 # --------------------------------------------------------------- search
@@ -1193,118 +1240,43 @@ def entailment(a: Formula, b: Formula, r: int, calc: Calculus,
 # ----------------------------------------------------------------- JSON
 #
 # A derivation file is {"formulas": [...], "nodes": [...], "root": k}.
-# Each distinct term and formula is one entry of "formulas", each distinct
-# node one entry of "nodes", and an entry names others by their index in
-# its own table, which is always smaller than its own index:
-#
-#   ["var", name]   ["const", name]   ["atom", label, term...]
-#   ["not", endo, body]   ["and" | "with" | "tensor", u, left, right]
-#   ["imp", endo, u, left, right]   ["bang", u, body]   ["forall", u, x, body]
-#
-# with an endo written as its table [f(0), ..., f(n-1)] and an ultrafilter
-# as its role.  A node is {"rule": r, "conclusion": [[roles, formula], ...],
-# "premises": [node, ...]}, plus "principal", "witness" (a term) and
-# "eigen" when it has them; "premises" is left out when empty.  The reader
-# also takes the nested format, where each node holds its premises and
-# formula texts.
-
-_SYNTAX = {  # each head: its class and the kinds of its fields
-    "var": (Var, ("name",)),
-    "const": (Const, ("name",)),
-    "atom": (Atom, ("name", "terms")),
-    "not": (Neg, ("endo", "formula")),
-    "and": (Conj, ("ultra", "formula", "formula")),
-    "imp": (Impl, ("endo", "ultra", "formula", "formula")),
-    "with": (AConj, ("ultra", "formula", "formula")),
-    "tensor": (MConj, ("ultra", "formula", "formula")),
-    "bang": (Bang, ("ultra", "formula")),
-    "forall": (Forall, ("ultra", "name", "formula")),
-}
-_HEADS = {cls: (head, kinds) for head, (cls, kinds) in _SYNTAX.items()}
-_FIELD_NAMES = {"name": "a name", "ultra": "an ultrafilter's role", "endo": "an endo table",
-                "formula": "an earlier formula entry", "term": "an earlier term entry"}
-_TERMS = (Var, Const)
-
-
-def _children(a: Formula | Term) -> tuple:
-    match a:
-        case Atom(_, args):
-            return args
-        case Neg(_, body) | Bang(_, body) | Forall(_, _, body):
-            return (body,)
-        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
-            return (l, r)
-    return ()
-
-
-def _postorder(root, children, index: dict, add) -> int:
-    """Index root and everything below it that index lacks, children first
-    and left to right; add(x) writes x's entry and returns its index."""
-    stack = [root]
-    while stack:
-        x = stack[-1]
-        if x in index:
-            stack.pop()
-            continue
-        todo = [c for c in children(x) if c not in index]
-        if todo:
-            stack += reversed(todo)
-            continue
-        stack.pop()
-        index[x] = add(x)
-    return index[root]
+# "formulas" is a formula table (see logic), with one entry per distinct
+# term and formula; "nodes" has one entry per distinct node, and a node's
+# premises are indices of earlier nodes.  A node is {"rule": r,
+# "conclusion": [[roles, formula], ...], "premises": [node, ...]}, plus
+# "principal", "witness" (a term) and "eigen" when it has them; "premises"
+# is left out when empty.  The reader also takes the nested format, where
+# each node holds its premises and formula texts.
 
 
 def derivation_to_obj(d: Derivation) -> dict:
     """d as a table of its distinct formulas and nodes (format above)."""
-    formulas: list = []
+    formulas = FormulaTable()
     nodes: list = []
-    findex: dict = {}
     nindex: dict = {}
     members: dict = {}  # each role set's list of roles, made once per call
-
-    def add_formula(a) -> int:
-        head, kinds = _HEADS[type(a)]
-        entry = [head]
-        for kind, v in zip(kinds, [getattr(a, k) for k in a.__match_args__]):
-            if kind == "formula":
-                entry.append(findex[v])
-            elif kind == "terms":
-                entry += [findex[t] for t in v]
-            elif kind == "endo":
-                entry.append(list(v.table))
-            elif kind == "ultra":
-                entry.append(v.r)
-            else:
-                entry.append(v)
-        formulas.append(entry)
-        return len(formulas) - 1
-
-    def formula(a) -> int:
-        k = findex.get(a)
-        return _postorder(a, _children, findex, add_formula) if k is None else k
 
     def add_node(node: Derivation) -> int:
         conclusion = []
         for it in node.conclusion:
-            roles_, k = members.get(it.roles), findex.get(it.formula)
+            roles_ = members.get(it.roles)
             if roles_ is None:
                 roles_ = members[it.roles] = rl.members(it.roles)
-            conclusion.append([roles_, formula(it.formula) if k is None else k])
+            conclusion.append([roles_, formulas.index(it.formula)])
         entry: dict = {"rule": node.rule, "conclusion": conclusion}
         if node.premises:
             entry["premises"] = [nindex[p] for p in node.premises]
         if node.principal is not None:
             entry["principal"] = node.principal
         if node.witness is not None:
-            entry["witness"] = formula(node.witness)
+            entry["witness"] = formulas.index(node.witness)
         if node.eigen is not None:
             entry["eigen"] = node.eigen
         nodes.append(entry)
         return len(nodes) - 1
 
-    root = _postorder(d, lambda node: node.premises, nindex, add_node)
-    return {"formulas": formulas, "nodes": nodes, "root": root}
+    root = postorder(d, lambda node: node.premises, nindex, add_node)
+    return {"formulas": formulas.entries, "nodes": nodes, "root": root}
 
 
 def derivation_to_json(d: Derivation, pretty: bool = False) -> str:
@@ -1335,52 +1307,15 @@ def _from_table(obj: dict, n: int | None) -> Derivation:
         formulas, nodes, root = obj["formulas"], obj["nodes"], obj["root"]
     except KeyError as e:
         raise KernelError(f'derivation JSON has no "{e.args[0]}"') from None
-    if not (isinstance(formulas, list) and isinstance(nodes, list)):
-        raise KernelError('a derivation JSON\'s "formulas" and "nodes" must be arrays')
-    syntax: list = []
-    for entry in formulas:
-        syntax.append(_syntax_entry(entry, syntax, n))
+    if not isinstance(nodes, list):
+        raise KernelError('a derivation JSON\'s "nodes" must be an array')
+    syntax = formulas_from_table(formulas, n)
     built: list = []
     for entry in nodes:
         built.append(_node_entry(entry, syntax, built, n))
     if not (type(root) is int and 0 <= root < len(built)):
         raise KernelError(f"derivation JSON root {root!r} is not a node index")
     return built[root]
-
-
-def _syntax_entry(entry, syntax: list, n: int | None) -> Formula | Term:
-    """Formula table entry k = len(syntax), whose entries below k are read."""
-    k = len(syntax)
-    if not (isinstance(entry, list) and entry and isinstance(entry[0], str)
-            and entry[0] in _SYNTAX):
-        raise FormulaError(f"formula entry {k} is not [head, ...] with a known head")
-    cls, kinds = _SYNTAX[entry[0]]
-    args = entry[1:]
-    if kinds[-1] == "terms":  # an atom: its label, then any number of terms
-        kinds = ("name",) + ("term",) * (len(args) - 1)
-    if len(args) != len(kinds):
-        raise FormulaError(f"formula entry {k}: {entry[0]} takes {len(kinds)} fields")
-    limit = MAX_ROLES if n is None else n
-    fields = []
-    for kind, v in zip(kinds, args):
-        if kind == "name" and isinstance(v, str):
-            fields.append(v)
-        elif kind == "ultra" and type(v) is int and 0 <= v < limit:
-            fields.append(Ultra(v))
-        elif kind == "endo" and isinstance(v, list) and all(type(r) is int for r in v) \
-                and (n is None or len(v) == n):
-            try:
-                fields.append(Endo(tuple(v)))
-            except RoleError as e:
-                raise FormulaError(f"formula entry {k}: {e}") from None
-        elif kind in ("formula", "term") and type(v) is int and 0 <= v < k \
-                and isinstance(syntax[v], _TERMS) == (kind == "term"):
-            fields.append(syntax[v])
-        else:
-            raise FormulaError(f"formula entry {k}: {v!r} is not {_FIELD_NAMES[kind]}")
-    if cls is Atom:
-        return Atom(fields[0], tuple(fields[1:]))
-    return cls(*fields)
 
 
 def _node_entry(entry, syntax: list, built: list, n: int | None) -> Derivation:
@@ -1403,13 +1338,13 @@ def _node_entry(entry, syntax: list, built: list, n: int | None) -> Derivation:
         raise KernelError(f'derivation JSON node {k}: "premises" must list earlier nodes')
     if witness is not None:
         if not (type(witness) is int and 0 <= witness < len(syntax)
-                and isinstance(syntax[witness], _TERMS)):
+                and isinstance(syntax[witness], Term)):
             raise KernelError(f"derivation JSON node {k}: the witness must be a term entry")
         witness = syntax[witness]
     items = []
     for item in conclusion:
         if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int
-                and 0 <= item[1] < len(syntax) and not isinstance(syntax[item[1]], _TERMS)):
+                and 0 <= item[1] < len(syntax) and not isinstance(syntax[item[1]], Term)):
             raise FormulaError(f"derivation JSON node {k}: a conclusion item must be "
                                "[roles, formula entry]")
         items.append(IFormula(roles_from_obj(item[0], n), syntax[item[1]]))

@@ -55,12 +55,11 @@ class Node:
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
-    _table: dict = {}  # key -> weakref.KeyedRef to the live node
+    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        ref = Node._table.get(key)
-        node = None if ref is None else ref()
+        node = Node._table.get(key)
         if node is None:
             names = cls.__match_args__
             if len(fields) != len(names):
@@ -69,7 +68,7 @@ class Node:
             node = object.__new__(cls)
             for name, value in zip(names, fields):
                 object.__setattr__(node, name, value)
-            Node._table[key] = weakref.KeyedRef(node, _forget, key)
+            Node._table[key] = node
         return node
 
     def __setattr__(self, name, value):
@@ -84,12 +83,6 @@ class Node:
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__,
                            ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__))
-
-
-def _forget(ref: weakref.KeyedRef) -> None:
-    """Drop the entry of a node that died, unless a new node took its key."""
-    if Node._table.get(ref.key) is ref:
-        del Node._table[ref.key]
 
 
 # ---------------------------------------------------------------- terms
@@ -500,6 +493,143 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
     if p.peek() is not None:
         raise FormulaError(f"trailing input: {p.peek()!r}")
     return out
+
+
+# ------------------------------------------------------- formula tables
+#
+# A formula table is a JSON list with one entry per distinct term and
+# formula; an entry names others by their index in the table, which is
+# always smaller than its own:
+#
+#   ["var", name]   ["const", name]   ["atom", label, term...]
+#   ["not", endo, body]   ["and" | "with" | "tensor", u, left, right]
+#   ["imp", endo, u, left, right]   ["bang", u, body]   ["forall", u, x, body]
+#
+# with an endo written as its table [f(0), ..., f(n-1)] and an ultrafilter
+# as its role.
+
+_SYNTAX = {  # each head: its class and the kinds of its fields
+    "var": (Var, ("name",)),
+    "const": (Const, ("name",)),
+    "atom": (Atom, ("name", "terms")),
+    "not": (Neg, ("endo", "formula")),
+    "and": (Conj, ("ultra", "formula", "formula")),
+    "imp": (Impl, ("endo", "ultra", "formula", "formula")),
+    "with": (AConj, ("ultra", "formula", "formula")),
+    "tensor": (MConj, ("ultra", "formula", "formula")),
+    "bang": (Bang, ("ultra", "formula")),
+    "forall": (Forall, ("ultra", "name", "formula")),
+}
+_HEADS = {cls: (head, kinds) for head, (cls, kinds) in _SYNTAX.items()}
+_FIELD_NAMES = {"name": "a name", "ultra": "an ultrafilter's role", "endo": "an endo table",
+                "formula": "an earlier formula entry", "term": "an earlier term entry"}
+
+
+def _children(a: Formula | Term) -> tuple:
+    match a:
+        case Atom(_, args):
+            return args
+        case Neg(_, body) | Bang(_, body) | Forall(_, _, body):
+            return (body,)
+        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
+            return (l, r)
+    return ()
+
+
+def postorder(root, children, index: dict, add) -> int:
+    """Index root and everything below it that index lacks, children first
+    and left to right, without recursion; add(x) writes x's entry and
+    returns its index."""
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        if x in index:
+            stack.pop()
+            continue
+        todo = [c for c in children(x) if c not in index]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
+        index[x] = add(x)
+    return index[root]
+
+
+class FormulaTable:
+    """A formula table being written: index(a) is a's entry, made on first
+    use together with the entries of everything below a."""
+
+    def __init__(self):
+        self.entries: list = []
+        self._index: dict = {}
+
+    def index(self, a: Formula | Term) -> int:
+        k = self._index.get(a)
+        return postorder(a, _children, self._index, self._add) if k is None else k
+
+    def _add(self, a: Formula | Term) -> int:
+        head, kinds = _HEADS[type(a)]
+        entry = [head]
+        for kind, v in zip(kinds, [getattr(a, k) for k in a.__match_args__]):
+            if kind == "formula":
+                entry.append(self._index[v])
+            elif kind == "terms":
+                entry += [self._index[t] for t in v]
+            elif kind == "endo":
+                entry.append(list(v.table))
+            elif kind == "ultra":
+                entry.append(v.r)
+            else:
+                entry.append(v)
+        self.entries.append(entry)
+        return len(self.entries) - 1
+
+
+def formulas_from_table(entries, n: int | None = None) -> list:
+    """The terms and formulas of a formula table, in its order.  Raise
+    FormulaError on a malformed table, or when n is given and an endo or
+    ultrafilter does not fit a universe of n roles."""
+    if not isinstance(entries, list):
+        raise FormulaError("a formula table must be an array")
+    out: list = []
+    for entry in entries:
+        out.append(_table_entry(entry, out, n))
+    return out
+
+
+def _table_entry(entry, done: list, n: int | None) -> Formula | Term:
+    """Entry k = len(done) of a formula table, whose entries below k are done."""
+    k = len(done)
+    if not (isinstance(entry, list) and entry and isinstance(entry[0], str)
+            and entry[0] in _SYNTAX):
+        raise FormulaError(f"formula entry {k} is not [head, ...] with a known head")
+    cls, kinds = _SYNTAX[entry[0]]
+    args = entry[1:]
+    if kinds[-1] == "terms":  # an atom: its label, then any number of terms
+        kinds = ("name",) + ("term",) * (len(args) - 1)
+    if len(args) != len(kinds):
+        raise FormulaError(f"formula entry {k}: {entry[0]} takes {len(kinds)} fields")
+    limit = MAX_ROLES if n is None else n
+    fields = []
+    for kind, v in zip(kinds, args):
+        if kind == "name" and isinstance(v, str):
+            fields.append(v)
+        elif kind == "ultra" and type(v) is int and 0 <= v < limit:
+            fields.append(Ultra(v))
+        elif kind == "endo" and isinstance(v, list) and all(type(r) is int for r in v) \
+                and (n is None or len(v) == n):
+            try:
+                fields.append(Endo(tuple(v)))
+            except RoleError as e:
+                raise FormulaError(f"formula entry {k}: {e}") from None
+        elif kind in ("formula", "term") and type(v) is int and 0 <= v < k \
+                and isinstance(done[v], Term) == (kind == "term"):
+            fields.append(done[v])
+        else:
+            raise FormulaError(f"formula entry {k}: {v!r} is not {_FIELD_NAMES[kind]}")
+    if cls is Atom:
+        return Atom(fields[0], tuple(fields[1:]))
+    return cls(*fields)
 
 
 # --------------------------------------------------------- sequent JSON

@@ -166,6 +166,35 @@ def deep_derivation(rules: int) -> K.Derivation:
     return d
 
 
+def shared_conj(k: int, extra: IFormula | None = None, a: Atom = Atom("a")) -> K.Derivation:
+    """|- <{0,1}>C_k with C_0 = a and C_i+1 = C_i and C_i in MRL(2), plus the
+    item extra weakened in at the top when given: a tree of 2^k leaves, and
+    k + 1 (or k + 2) distinct nodes."""
+    d = K.b_id((IFormula(3, a),))
+    if extra is not None:
+        d = K.b_weaken(d, extra, K.MRL(2))
+    for _ in range(k):
+        d = K.b_add_pos(d, d, 3, Conj(rl.Ultra(0), a, a))
+        a = Conj(rl.Ultra(0), a, a)
+    return d
+
+
+def work_bound(monkeypatch, module, name: str, limit: int) -> list[int]:
+    """Count the calls of module.name for the rest of the test, and fail the
+    call past the limit-th, so a blow-up fails fast and does not hang."""
+    calls = [0]
+    f = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"{name} called more than {limit} times")
+        return f(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def malformed_tables() -> list[tuple[str, dict]]:
     """Derivation files in the table format, each broken in one place:
     (what is broken, the file's JSON object)."""

@@ -12,7 +12,8 @@ from multirole import kernel as kn
 from multirole import logic as lg
 from multirole.cli import main
 
-from helpers import deep_derivation, malformed_tables, nested_obj
+from helpers import (deep_derivation, malformed_tables, nested_obj, shared_conj,
+                     work_bound)
 
 A = lg.parse_formula("a")
 B = lg.parse_formula("b")
@@ -151,6 +152,23 @@ class TestProve:
         assert code == 0
         assert json.loads(out) == {"ok": True, "rules": ["contract", "id", "weaken"],
                                    "height": 5000}
+
+    @pytest.mark.parametrize("action", ["cut", "cutres", "mpcut"])
+    def test_cut_of_a_shared_derivation(self, capsys, monkeypatch, tmp_path, action):
+        # a file of 42 nodes whose tree has 2^40 leaves: every cut reduces
+        # each shared node once
+        k = 40
+        d = shared_conj(k, lg.IFormula(0 if action == "cut" else 2, B))
+        ax = kn.axiom_multi(B, [1, 2], kn.MRL(2))
+        files = [write(tmp_path / "d.json", kn.derivation_to_json(d))]
+        if action != "cut":
+            files += [write(tmp_path / "ax.json", kn.derivation_to_json(ax)),
+                      "--at", "{1}", "{0}"]
+        commutes = work_bound(monkeypatch, kn, "_commute", 4 * k)
+        code, out, _ = run(capsys, "prove", action, *files, "--on", "b", "--calculus", "mrl")
+        assert code == 0
+        assert commutes[0] >= k
+        kn.check(kn.derivation_from_json(out), kn.MRL(2))
 
     @pytest.mark.parametrize("name,obj", malformed_tables())
     def test_check_malformed_table(self, capsys, tmp_path, name, obj):

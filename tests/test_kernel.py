@@ -31,6 +31,8 @@ from helpers import (
     nested_json,
     rand_formula,
     rand_partition,
+    shared_conj,
+    work_bound,
 )
 
 
@@ -289,16 +291,6 @@ class TestQuantifier:
         assert "x~8" in eigens and "x~1" not in eigens
 
 
-def shared_conj(k: int) -> K.Derivation:
-    """|- <{0,1}>C_k with C_0 = a and C_i+1 = C_i and C_i, in MRL: a tree of
-    2^k leaves, and k + 1 distinct nodes."""
-    a, d = A, K.b_id((IFormula(3, A),))
-    for _ in range(k):
-        d = K.b_add_pos(d, d, 3, Conj(U0, a, a))
-        a = Conj(U0, a, a)
-    return d
-
-
 class TestSharing:
     def test_equal_derivations_are_one_object(self):
         items = (IFormula(1, A), IFormula(2, A))
@@ -332,6 +324,35 @@ class TestSharing:
         d = K.b_forall_pos(K.b_weaken(d, IFormula(1, B), calc), 1, Forall(U0, "x", B), "x")
         K.check(d, calc)
         assert K.derivation_from_json(K.derivation_to_json(d)) is d
+
+    @pytest.mark.parametrize("how", ["cut1", "cut2_residual", "mp_cut", "split_roles"])
+    def test_cuts_reduce_each_shared_node_once(self, monkeypatch, how):
+        # k + 2 distinct nodes, 2^k as a tree: each transformer call keeps a
+        # memo of its reductions, so the work grows with k and not with 2^k
+        k, calc = 40, K.MRL(2)
+        ax = K.axiom_multi(B, [1, 2], calc)
+        d = shared_conj(k, IFormula(0 if how == "cut1" else 2, B))
+        i, j = d.conclusion.index(IFormula(d.conclusion[0].roles, B)), 0
+        for name in ("_commute", "_principal_case", "_axiom_step"):
+            work_bound(monkeypatch, K, name, 8 * k)
+        match how:
+            case "cut1":
+                out = K.cut1(d, i, calc)
+                assert out is shared_conj(k)
+            case "cut2_residual":
+                out = K.cut2_residual(d, i, ax, j, calc)
+            case "mp_cut":
+                out = K.mp_cut([d, ax], [i, j], calc)
+            case "split_roles":
+                out = K.split_roles(d, 1 - i, 1, 2, calc)
+        K.check(out, calc)
+        assert len(list(K._nodes(out))) <= 8 * k
+
+    def test_subst_derivation_substitutes_each_shared_node_once(self, monkeypatch):
+        k = 40
+        d = shared_conj(k, a=Atom("p", (Var("x"),)))
+        work_bound(monkeypatch, K, "_subst_derivation", 3 * k)
+        assert K.subst_derivation(d, "x", Const("c")) is shared_conj(k, a=Atom("p", (Const("c"),)))
 
     def test_check_fails_at_the_first_occurrence_of_a_shared_node(self):
         bad = K.Derivation("weaken", (IFormula(3, A),), (), 0)  # no premise
@@ -738,6 +759,15 @@ class TestMrljIntuitionistic:
         with pytest.raises(K.KernelError, match=r"^axiom_multi: \|- .* has no J-intuitionistic "
                                                  r"derivation in mrlj with J = @1$"):
             K.axiom_multi(parse_formula(text), parts, calc)
+
+    def test_tensor_is_no_mrlj_connective(self):
+        # axiom_multi builds what it can and leaves the connective to check
+        calc = K.MRLJ(2, Ultra(1))
+        a = parse_formula("(tensor @0 a b)")
+        with pytest.raises(K.CheckError, match="rule mconj-pos not available in mrlj"):
+            K.check(K.axiom_multi(a, [3], calc), calc)
+        with pytest.raises(K.KernelError, match="has no J-intuitionistic derivation"):
+            K.axiom_multi(a, [1, 2], calc)
 
     def test_split_refused_with_its_axiom(self):
         calc = K.MRLJ(2, Ultra(1))
