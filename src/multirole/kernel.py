@@ -40,8 +40,7 @@ from .logic import (
     Sequent,
     Term,
     Var,
-    fmt_formula,
-    fmt_sequent,
+    fmt_brief,
     formulas_from_table,
     free_vars,
     names_in,
@@ -428,8 +427,8 @@ def check_ok(d: Derivation, calc: Calculus) -> bool:
 def _take(items: Sequent, consumed: Sequent, rule: str) -> Sequent:
     left = seq_minus(items, consumed)
     if left is None:
-        raise KernelError(f"builder {rule}: premise {fmt_sequent(items)} lacks "
-                          f"{fmt_sequent(consumed)}")
+        raise KernelError(f"builder {rule}: premise {fmt_brief(items)} lacks "
+                          f"{fmt_brief(consumed)}")
     return left
 
 
@@ -441,7 +440,7 @@ def b_weaken(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
     rule = "bang-neg-weaken" if calc.linear else "weaken"
     if calc.linear and not _is_why_not(item):
         raise KernelError(f"cannot weaken non-? item into a linear derivation: "
-                          f"{fmt_formula(item.formula)}")
+                          f"{fmt_brief(item.formula)}")
     concl = d.conclusion + (item,)
     return Derivation(rule, concl, (d,), len(concl) - 1)
 
@@ -631,7 +630,7 @@ def _axiom_step(a: Formula, parts: tuple[int, ...], calc: Calculus, done: dict) 
             if calc.j is not None and not calc.j.contains(lefts[i]):
                 # the J-items of both premises would meet in its conclusion
                 raise KernelError(
-                    f"axiom_multi: {fmt_sequent(tuple(IFormula(p, a) for p in parts))} has no "
+                    f"axiom_multi: {fmt_brief(tuple(IFormula(p, a) for p in parts))} has no "
                     f"J-intuitionistic derivation in mrlj with J = @{calc.j.r}")
             d1 = _axiom(left, lefts, calc, done)
             d2 = _axiom(right, parts, calc, done)

@@ -81,8 +81,45 @@ class Node:
         return type(self), tuple(getattr(self, k) for k in self.__match_args__)
 
     def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__name__,
-                           ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__))
+        return _unfold([self], _repr_parts, BRIEF)
+
+
+BRIEF = 240  # characters of a node or formula that a repr or a message shows
+
+
+def _unfold(todo: list, parts, limit: int) -> str:
+    """The text of todo: strings as they are, any other item replaced by
+    parts(item), which may hold items in turn.  Unfolded without recursion
+    and cut after limit characters (marked with an ellipsis), so the work
+    is bounded by the limit even where a DAG unfolds to a huge tree."""
+    out, size = [], 0
+    todo.reverse()
+    while todo:
+        x = todo.pop()
+        if type(x) is not str:
+            todo += reversed(parts(x))
+            continue
+        out.append(x)
+        size += len(x)
+        if size > limit:
+            return "".join(out)[:limit] + "…"
+    return "".join(out)
+
+
+def _repr_parts(x) -> list:
+    """A value's repr as parts, with nodes and tuples still to unfold."""
+    sub = lambda v: v if isinstance(v, (Node, tuple)) else repr(v)
+    if isinstance(x, Node):
+        out = [type(x).__name__ + "("]
+        for i, k in enumerate(x.__match_args__):
+            out += [", " * (i > 0) + k + "=", sub(getattr(x, k))]
+        return out + [")"]
+    if isinstance(x, tuple):
+        out = ["("]
+        for i, v in enumerate(x):
+            out += [", " * (i > 0), sub(v)]
+        return out + ["," * (len(x) == 1) + ")"]
+    return [repr(x)]
 
 
 # ---------------------------------------------------------------- terms
@@ -393,6 +430,44 @@ def fmt_iformula(it: IFormula) -> str:
 
 def fmt_sequent(items: Sequent) -> str:
     return "|- " + ", ".join(fmt_iformula(it) for it in items)
+
+
+def _formula_parts(item) -> list:
+    """A (formula, bound variables) item's text as parts, with its
+    subformulas still to unfold."""
+    a, bound = item
+    match a:
+        case Atom(label, args):
+            if not args:
+                return [label]
+            return ["(%s %s)" % (label, " ".join(fmt_term(t, bound) for t in args))]
+        case Neg(f, body):
+            return [f"(not {fmt_endo(f)} ", (body, bound), ")"]
+        case Conj(u, l, r):
+            return [f"(and {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
+        case Impl(f, u, l, r):
+            return [f"(imp {fmt_endo(f)} {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
+        case AConj(u, l, r):
+            return [f"(with {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
+        case MConj(u, l, r):
+            return [f"(tensor {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
+        case Bang(u, body):
+            return [f"(bang {fmt_ultra(u)} ", (body, bound), ")"]
+        case Forall(u, x, body):
+            return [f"(forall {fmt_ultra(u)} {x} ", (body, bound | {x}), ")"]
+    raise FormulaError(f"not a formula: {a!r}")
+
+
+def fmt_brief(x: Formula | Sequent, limit: int = BRIEF) -> str:
+    """fmt_formula of a formula or fmt_sequent of a sequent, for messages:
+    cut after limit characters, marked with an ellipsis."""
+    todo = [(x, frozenset())]
+    if isinstance(x, tuple):
+        todo = ["|- "]
+        for i, it in enumerate(x):
+            todo += [", " * (i > 0), "<%s>" % ",".join(map(str, members(it.roles))),
+                     (it.formula, frozenset())]
+    return _unfold(todo, _formula_parts, limit)
 
 
 # -------------------------------------------------------------- parsing

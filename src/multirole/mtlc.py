@@ -1,10 +1,17 @@
 """A small linear lambda calculus over multiparty channels.
 
-Expressions are immutable; evaluation is substitution-based small-step, so
-the whole pool can be retyped between any two steps (the debug mode behind
---retype-every-step).  Channel effects are delegated to the runtime module:
-each calculus thread is a generator joining a runtime Pool and blocking on
-the same matching engine as scripted threads.
+Expressions are immutable.  Each thread runs on an environment machine: a
+program node or a value under an environment of closed values, and a stack
+of frames, so a step binds or looks up and never rebuilds or substitutes
+into the program.  Its reductions are those of substitution-based
+small-step evaluation, in the same order, and a state can be read back as
+the expression that evaluation would hold (MtlcThread.expr).  The whole
+pool can be retyped between any two steps (the debug mode behind
+--retype-every-step): each part of a state is typed as a closure, its term
+under the types of its environment's values, which by the substitution
+lemma is the judgement of the read-back.  Channel effects are delegated to
+the runtime module: each calculus thread is a generator joining a runtime
+Pool and blocking on the same matching engine as scripted threads.
 
 Types split into non-linear types (bool, int, indexed int, str, unit,
 T1*T2, ->) and linear viewtypes (chan(R,S), tensor pairs, -o).  The
@@ -257,17 +264,35 @@ class _Rules(dict):
         return self.fallback
 
 
+@dataclass(frozen=True, eq=False)
+class Clo:
+    """A runtime closure: a term and the closed values of its free
+    variables.  It stands for the term with its environment substituted and
+    is typed and counted as that term; equality is identity."""
+    term: Expr
+    env: dict
+
+
+# Each composite expression class: its children in order, and its
+# constructor from new children.  A binder (_BINDS) binds in its last child.
+_SHAPE = {
+    EConst: (lambda e: e.args, lambda e, k: EConst(e.name, tuple(k))),
+    EPair: (lambda e: (e.left, e.right), lambda e, k: EPair(*k)),
+    ELPair: (lambda e: (e.left, e.right), lambda e, k: ELPair(*k)),
+    EApp: (lambda e: (e.fun, e.arg), lambda e, k: EApp(*k)),
+    EFst: (lambda e: (e.body,), lambda e, k: EFst(*k)),
+    ESnd: (lambda e: (e.body,), lambda e, k: ESnd(*k)),
+    EIf: (lambda e: (e.cond, e.then, e.els), lambda e, k: EIf(*k)),
+    ELet: (lambda e: (e.pair, e.body), lambda e, k: ELet(e.x1, e.x2, *k)),
+    ELam: (lambda e: (e.body,), lambda e, k: ELam(e.x, e.t, *k)),
+    ELLam: (lambda e: (e.body,), lambda e, k: ELLam(e.x, e.t, *k)),
+    EFix: (lambda e: (e.value,), lambda e, k: EFix(e.x, e.t, *k)),
+}
+_BINDS = {ELet: lambda e: (e.x1, e.x2),
+          **dict.fromkeys((ELam, ELLam, EFix), lambda e: (e.x,))}
+
 _RES_PARTS = {
-    EConst: lambda e: e.args,
-    EPair: lambda e: (e.left, e.right),
-    ELPair: lambda e: (e.left, e.right),
-    EApp: lambda e: (e.fun, e.arg),
-    EFst: lambda e: (e.body,),
-    ESnd: lambda e: (e.body,),
-    ELet: lambda e: (e.pair, e.body),
-    ELam: lambda e: (e.body,),
-    ELLam: lambda e: (e.body,),
-    EFix: lambda e: (e.value,),
+    **{cls: kids for cls, (kids, _) in _SHAPE.items()},
     EIf: lambda e: (e.cond, e.then),  # both branches hold the same resources
 }
 
@@ -290,7 +315,8 @@ def resources(e: Expr) -> tuple[int, ...]:
         parts = _RES_PARTS.get(type(node))
         if parts is None:
             stack.pop()
-            d["_res"] = (node.ep.eid,) if isinstance(node, ERc) else ()
+            d["_res"] = ((node.ep.eid,) if isinstance(node, ERc) else
+                         _held(node.term, node.env, _FreeVars()) if type(node) is Clo else ())
             continue
         kids = parts(node)
         todo = [k for k in kids if "_res" not in k.__dict__]
@@ -310,28 +336,81 @@ def rho(e: Expr) -> Counter:
     return Counter(resources(e))
 
 
-def free_evars(e: Expr) -> set[str]:
-    match e:
-        case EVar(x):
-            return {x}
-        case ERc() | EUnit() | EBool() | EInt() | EStr():
-            return set()
-        case EConst(_, args):
-            out = set()
-            for a in args:
-                out |= free_evars(a)
-            return out
-        case EPair(a, b) | ELPair(a, b) | EApp(a, b):
-            return free_evars(a) | free_evars(b)
-        case EFst(b) | ESnd(b):
-            return free_evars(b)
-        case ELet(x1, x2, p, b):
-            return free_evars(p) | (free_evars(b) - {x1, x2})
-        case ELam(x, _, b) | ELLam(x, _, b) | EFix(x, _, b):
-            return free_evars(b) - {x}
-        case EIf(c, a, b):
-            return free_evars(c) | free_evars(a) | free_evars(b)
-    raise TypeError(f"unknown expression {e!r}")
+class _FreeVars:
+    """Free variables as bit masks over a table of variable names, cached per
+    node (with the node, so that its id stays its own).  A thread keeps one
+    (with the threads it spawns) for as long as it runs: a program's spine
+    holds free-variable sets of every length, too many to keep on the
+    nodes."""
+
+    def __init__(self):
+        self.bits: dict[str, int] = {}
+        self.masks: dict[int, tuple] = {}
+
+    def bit(self, x: str) -> int:
+        return self.bits.setdefault(x, 1 << len(self.bits))
+
+    def names(self, mask: int) -> list[str]:
+        return [x for x, b in self.bits.items() if mask & b]
+
+    def __call__(self, e: Expr) -> tuple[int, int, int]:
+        """e's free variables, those free in the parts resources() counts,
+        and those free there more than once; built without recursion."""
+        masks = self.masks
+        stack = [(e, False)]
+        while stack:
+            node, ready = stack.pop()  # ready: its children are done
+            if id(node) in masks:
+                continue
+            cls = type(node)
+            if cls not in _SHAPE:
+                m = (b := self.bit(node.name), b, 0) if cls is EVar else (0, 0, 0)
+            elif ready:
+                m = self.join(node, [masks[id(k)][1] for k in _SHAPE[cls][0](node)])
+            else:
+                stack.append((node, True))
+                stack += [(k, False) for k in _SHAPE[cls][0](node)]
+                continue
+            masks[id(node)] = (node, m)
+        return masks[id(e)][1]
+
+    def join(self, node: Expr, kids: list[tuple]) -> tuple[int, int, int]:
+        """The masks of node from those of its children."""
+        cls = type(node)
+        free = once = twice = 0
+        if cls in _BINDS or cls is EIf:
+            bound = 0
+            for x in _BINDS[cls](node) if cls in _BINDS else ():
+                bound |= self.bit(x)
+            f, o, t = kids[-1]
+            # a binder binds in its last child; an if counts its condition
+            # and then-branch only, as resources() does
+            kids = kids[:-1] + [(f & ~bound, 0, 0) if cls is EIf else
+                                (f & ~bound, o & ~bound, t & ~bound)]
+        for f, o, t in kids:
+            free |= f
+            twice |= t | once & o
+            once |= o
+        return free, once, twice
+
+
+def free_evars(e: Expr) -> frozenset[str]:
+    fv = _FreeVars()
+    return frozenset(fv.names(fv(e)[0]))
+
+
+def _held(term: Expr, env: dict, fv: _FreeVars, masks=None) -> tuple[int, ...]:
+    """resources() of term with the closed values of env substituted; masks
+    are term's free-variable masks over fv's table, when already known."""
+    out = resources(term)
+    if env:
+        _, once, twice = masks or fv(term)
+        for x in fv.names(once):
+            if x in env and (r := resources(env[x])):
+                if twice & fv.bits[x]:  # rare: count on the substituted term
+                    return resources(_read(term, env))
+                out += r
+    return out
 
 
 def _fresh(x: str, taken) -> str:
@@ -670,15 +749,23 @@ def _check_let(e, gamma, delta, n):
     x1, b = _avoid(e.x1, e.body, d1)
     x2, b = _avoid(e.x2, b, d1)
     inner = dict(d1)
-    g = gamma
+    # non-linear binders are bound in gamma itself for the body and unbound
+    # after it: a copy per let would cost the context's size
+    shadowed = {}
     for x, tx in ((x1, tp.left), (x2, tp.right)):
         if is_linear(tx):
             inner[x] = tx
         else:
-            if g is gamma:
-                g = dict(gamma)
-            g[x] = tx
-    t, d2 = _CHECK[type(b)](b, g, inner, n)
+            shadowed.setdefault(x, gamma.get(x))
+            gamma[x] = tx
+    try:
+        t, d2 = _CHECK[type(b)](b, gamma, inner, n)
+    finally:
+        for x, old in shadowed.items():
+            if old is None:
+                del gamma[x]
+            else:
+                gamma[x] = old
     for x, tx in ((x1, tp.left), (x2, tp.right)):
         if is_linear(tx) and x in d2:
             raise MtlcTypeError("ty-let", f"linear variable {x} unused")
@@ -783,7 +870,35 @@ _CHECK = _Rules(_check_unknown, {
     EPair: _check_pair, ELPair: _check_pair, EFst: _check_proj, ESnd: _check_proj,
     ELet: _check_let, ELam: _check_lam, ELLam: _check_lam, EApp: _check_app,
     EFix: _check_fix, EIf: _check_if, EConst: _check_const,
+    Clo: lambda e, gamma, delta, n: (_closure_type(e.term, e.env, n, None, _clo_free(e)),
+                                     delta),
 })
+
+
+def _clo_free(c: Clo) -> list[str]:
+    """The free variables of a closure's term, found once per closure."""
+    d = c.__dict__
+    if "_free" not in d:
+        fv = _FreeVars()
+        d["_free"] = fv.names(fv(c.term)[0])
+    return d["_free"]
+
+
+def _closure_type(term: Expr, env: dict, n: int, hole: Viewtype | None = None,
+                  free: list[str] = ()) -> Viewtype:
+    """The type of term with the closed values of env substituted (and the
+    hole at the given type): term typed through typecheck under the types of
+    its free variables' values.  By the substitution lemma this is the
+    judgement of the substituted term."""
+    gamma, delta = {}, {}
+    if hole is not None:
+        (delta if is_linear(hole) else gamma)[_HOLE.name] = hole
+    for x in free if env else ():
+        if x in env:  # else typecheck reports it unbound
+            v = env[x]
+            t = _CHECK[type(v)](v, _EMPTY, _EMPTY, n)[0]
+            (delta if is_linear(t) else gamma)[x] = t
+    return typecheck(term, gamma, delta, n)
 
 
 # ------------------------------------------------------- canonical forms
@@ -817,83 +932,6 @@ def canonical_form(v: Expr, t: Viewtype) -> str:
 # ------------------------------------------------------------ evaluation
 
 
-def _decompose(e: Expr):
-    """Find the leftmost redex; returns (redex, rebuild) or None for values."""
-    return _DECOMPOSE[type(e)](e)
-
-
-# The decomposition rules look for a redex in a node's parts first, left to right.
-def _decompose_pair(e):
-    a, b = e.left, e.right
-    if got := _DECOMPOSE[type(a)](a):
-        r, rb = got
-        return r, lambda v: type(e)(rb(v), b)
-    if got := _DECOMPOSE[type(b)](b):
-        r, rb = got
-        return r, lambda v: type(e)(a, rb(v))
-    return None
-
-
-def _decompose_app(e):
-    f, a = e.fun, e.arg
-    if got := _DECOMPOSE[type(f)](f):
-        r, rb = got
-        return r, lambda v: EApp(rb(v), a)
-    if got := _DECOMPOSE[type(a)](a):
-        r, rb = got
-        return r, lambda v: EApp(f, rb(v))
-    return e, lambda v: v
-
-
-def _decompose_const(e):
-    name, args = e.name, e.args
-    for i, a in enumerate(args):
-        if got := _DECOMPOSE[type(a)](a):
-            r, rb = got
-            return r, lambda v: EConst(name, args[:i] + (rb(v),) + args[i + 1:])
-    return e, lambda v: v
-
-
-def _decompose_proj(e):
-    b = e.body
-    if got := _DECOMPOSE[type(b)](b):
-        r, rb = got
-        return r, lambda v: type(e)(rb(v))
-    return e, lambda v: v
-
-
-def _decompose_let(e):
-    p = e.pair
-    if got := _DECOMPOSE[type(p)](p):
-        r, rb = got
-        return r, lambda v: ELet(e.x1, e.x2, rb(v), e.body)
-    return e, lambda v: v
-
-
-def _decompose_if(e):
-    c = e.cond
-    if got := _DECOMPOSE[type(c)](c):
-        r, rb = got
-        return r, lambda v: EIf(rb(v), e.then, e.els)
-    return e, lambda v: v
-
-
-def _decompose_var(e):
-    raise StuckNonRedex(f"free variable {e.name}")
-
-
-def _decompose_unknown(e):
-    raise StuckNonRedex(f"cannot decompose {e!r}")
-
-
-_DECOMPOSE = _Rules(_decompose_unknown, {
-    **dict.fromkeys(_VALUE_LEAVES, lambda e: None),
-    EVar: _decompose_var, EPair: _decompose_pair, ELPair: _decompose_pair,
-    EApp: _decompose_app, EConst: _decompose_const, EFst: _decompose_proj,
-    ESnd: _decompose_proj, ELet: _decompose_let, EIf: _decompose_if,
-})
-
-
 def _py_value(v: Expr):
     match v:
         case EUnit():
@@ -920,13 +958,59 @@ def _lift(value) -> Expr:
     raise StuckNonRedex(f"cannot lift payload {value!r}")
 
 
-def _apply(f: Expr, a: Expr) -> Expr:
-    match f:
-        case ELam(x, _, body) | ELLam(x, _, body):
-            return esubst(body, x, a)
-        case EFix(x, _, v):
-            return EApp(esubst(v, x, f), a)
-    raise StuckNonRedex(f"application of non-function {f!r}")
+# Threads run on an environment machine, after the CEK machine of Felleisen
+# and Friedman.  A state is a control, a term under an environment or a
+# value, and a continuation: a linked list of frames (node, env, values,
+# next) in which node's first children have evaluated to the values, the
+# next one is being evaluated and the rest wait under env.  Environments
+# map variables to closed values (literals, endpoints, pairs and closures),
+# so a step binds and looks up and never rebuilds a program node.  A state
+# stands for the closed expression substitution would have reached: the
+# control, then each frame's node with its hole (at the child being
+# evaluated) filled by the part inside it, each with its environment
+# substituted.
+
+_HOLE = EVar("[ ]")  # a frame's hole; no parsed program can name it
+_EMPTY: dict = {}
+_SELF = (EUnit, EBool, EInt, EStr, ERc, Clo)  # they evaluate to themselves
+_CLOSES = (ELam, ELLam, EFix)  # they evaluate to closures
+_FRAMED = _SHAPE.keys() - set(_CLOSES)  # their children are evaluated first
+
+
+def _read(term: Expr, env: dict, hole: Expr | None = None) -> Expr:
+    """term with the closed values of env substituted and the hole filled,
+    if a filling is given.  Values are closed, so no binder needs renaming."""
+    out, todo = [], [(term, env)]
+    while todo:
+        item = todo.pop()
+        if type(item) is not tuple:  # item's rebuilt children end out
+            kids, make = _SHAPE[type(item)]
+            i = len(out) - len(kids(item))
+            node = make(item, out[i:])
+            del out[i:]
+            out.append(node)
+            continue
+        e, env = item
+        cls = type(e)
+        if cls is Clo:
+            todo.append((e.term, e.env))
+        elif cls is EVar:
+            if e.name in env:
+                todo.append((env[e.name], _EMPTY))
+            else:
+                out.append(hole if e is _HOLE and hole is not None else e)
+        elif cls in _SHAPE:
+            todo.append(e)
+            kids = _SHAPE[cls][0](e)
+            bound = _BINDS[cls](e) if cls in _BINDS else ()
+            for i in range(len(kids) - 1, -1, -1):
+                if i == len(kids) - 1 and not env.keys().isdisjoint(bound):
+                    todo.append((kids[i], {x: v for x, v in env.items() if x not in bound}))
+                else:
+                    todo.append((kids[i], env))
+        else:
+            out.append(e)
+    return out[0]
 
 
 class MtlcThread:
@@ -934,49 +1018,144 @@ class MtlcThread:
 
     def __init__(self, pool: Pool, expr: Expr, hook=None, expected: Viewtype | None = None):
         self.pool = pool
-        self.expr = expr
         self.hook = hook
         self.expected = TUnit() if expected is None else expected
+        # (term, env, value, continuation), the value standing when term is
+        # None; saved after every reduction, and steps in between do not
+        # change what it stands for
+        self.state = (expr, {}, None, None)
+        self._parts = self._held = (None, None)  # (state, its parts / resources)
+        self._fv = _FreeVars()
         self.thread = pool.add_thread(self._gen)
         self.thread.mtlc = self  # used for pool retyping
 
+    def parts(self) -> list[tuple]:
+        """The state as closures (term, env, term's free-variable masks),
+        innermost first, built once per state.  A frame joins the part
+        inside it when they share an environment or that part is a value;
+        otherwise it starts a new part, with the hole."""
+        if self._parts[0] is not self.state:
+            fv, out = self._fv, []
+            term, env, val, k = self.state
+            term, env, masks = (val, None, (0, 0, 0)) if term is None else (term, env, fv(term))
+            while k is not None:
+                node, fenv, vals, k = k
+                if env is not None and fenv is not env:
+                    out.append((term, env, masks))
+                    term, masks = _HOLE, (b := fv.bit(_HOLE.name), b, 0)
+                env = fenv
+                kids, make = _SHAPE[type(node)]
+                rest = kids(node)[len(vals) + 1:]
+                term = make(node, vals + (term,) + rest)
+                masks = fv.join(node, [(0, 0, 0)] * len(vals) + [masks] + [fv(r) for r in rest])
+            out.append((term, _EMPTY if env is None else env, masks))
+            self._parts = (self.state, out)
+        return self._parts[1]
+
+    def held(self) -> tuple[int, ...]:
+        """resources() of the expression the state stands for."""
+        if self._held[0] is not self.state:
+            out = ()
+            for term, env, masks in self.parts():
+                out += _held(term, env, self._fv, masks)
+            self._held = (self.state, out)
+        return self._held[1]
+
+    @property
+    def expr(self) -> Expr:
+        """The closed expression the state stands for (read-back)."""
+        out = None
+        for term, env, _ in self.parts():
+            out = _read(term, env, out)
+        return out
+
+    def state_type(self) -> Viewtype:
+        """The type of the expression the state stands for: each part typed
+        under its environment, its hole at the type of the part inside it."""
+        ty = None
+        for term, env, masks in self.parts():
+            ty = _closure_type(term, env, self.pool.n, ty, self._fv.names(masks[0]))
+        return ty
+
     def _gen(self, t):
         pool = self.pool
+        term, env, val, k = self.state
         while True:
-            got = _decompose(self.expr)
-            if got is None:
-                return
-            redex, rebuild = got
+            if term is None:  # return val to the innermost frame
+                if k is None:
+                    self.state = (None, None, val, None)
+                    return
+                node, fenv, vals, k = k
+                vals += (val,)
+            else:
+                cls = type(term)
+                if cls in _FRAMED:
+                    node, fenv, vals = term, env, ()
+                else:
+                    if cls is EVar:
+                        if term.name not in env:
+                            raise StuckNonRedex(f"free variable {term.name}")
+                        val = env[term.name]
+                    elif cls in _CLOSES:
+                        val = Clo(term, env)
+                    elif cls in _SELF:
+                        val = term
+                    else:
+                        raise StuckNonRedex(f"cannot decompose {term!r}")
+                    term = None
+                    continue
+            kids, make = _SHAPE[type(node)]
+            kids = kids(node)
+            if len(vals) < (1 if type(node) in (ELet, EIf) else len(kids)):
+                k = (node, fenv, vals, k)
+                term, env = kids[len(vals)], fenv
+                continue
+            term = None
+            redex = make(node, vals + kids[len(vals):])
+            if type(redex) in (EPair, ELPair):  # a pair of values is a value
+                val = redex
+                continue
             effect = None
             match redex:
-                case EApp(f, a):
-                    out = _apply(f, a)
+                case EApp(Clo(ELam(x, _, body) | ELLam(x, _, body), cenv), a):
+                    term, env = body, {**cenv, x: a}
+                case EApp(Clo(EFix(x, _, v), cenv) as f, a):
+                    term, env = EApp(v, a), {**cenv, x: f}
+                case EApp(f, _):
+                    raise StuckNonRedex(f"application of non-function {_read(f, _EMPTY)!r}")
                 case EFst(EPair(a, _)):
-                    out = a
+                    val = a
                 case ESnd(EPair(_, b)):
-                    out = b
+                    val = b
                 case ELet(x1, x2, ELPair(a, b), body):
-                    out = esubst(esubst(body, x1, a), x2, b)
+                    term, env = body, {**fenv, x2: b, x1: a}
                 case EIf(EBool(c), a, b):
-                    out = a if c else b
+                    term, env = (a if c else b), fenv
                 case EConst("iadd", (EInt(i), EInt(j))):
-                    out = EInt(i + j)
+                    val = EInt(i + j)
                 case EConst("randbit", ()):
-                    out = EBool(bool(pool.rng.randrange(2)))
+                    val = EBool(bool(pool.rng.randrange(2)))
                 case EConst("thread_create", (f,)):
-                    MtlcThread(pool, EApp(f, EUnit()), self.hook)
+                    self._spawn(f, EUnit())
                     pool._event("PR1", action="thread")
-                    out = EUnit()
+                    val = EUnit()
                 case EConst(name, args) if name in _CHAN_CONSTS:
-                    out, effect = self._channel_op(name, args)
+                    val, effect = self._channel_op(name, args)
                 case _:
-                    raise StuckNonRedex(f"no reduction for {redex!r}")
+                    raise StuckNonRedex(f"no reduction for {_read(redex, fenv)!r}")
             if effect is not None:
                 result = yield effect
-                out = out(result)
-            self.expr = rebuild(out)
+                val = val(result)
+            self.state = (term, env, val, k)
             if self.hook:
                 self.hook(self.pool, self)
+
+    def _spawn(self, f, arg) -> MtlcThread:
+        """A thread applying value f to arg.  It runs parts of this thread's
+        program, so it shares this thread's free-variable table."""
+        nt = type(self)(self.pool, EApp(f, arg), self.hook)
+        nt._fv = self._fv
+        return nt
 
     def _channel_op(self, name: str, args: tuple):
         pool = self.pool
@@ -994,7 +1173,7 @@ class MtlcThread:
                 ch = pool.new_channel(tf.dom.cursor)
                 spawned = pool.new_endpoint(ch, part)
                 mine = pool.new_endpoint(ch, pool.full & ~part)
-                nt = MtlcThread(pool, EApp(f, ERc(spawned)), self.hook)
+                nt = self._spawn(f, ERc(spawned))
                 pool._event("PR3", chan=ch.cid, action="create", to=nt.thread.tid,
                             label=rl.fmt_roleset(part))
                 return ERc(mine), None
@@ -1022,7 +1201,7 @@ class MtlcThread:
                 ep, f = ep_of(args[0]), args[1]
 
                 def spawn(give, f=f):
-                    MtlcThread(pool, EApp(f, ERc(give)), self.hook)
+                    self._spawn(f, ERc(give))
 
                 return (lambda keep: ERc(keep)), \
                     _Block("mconj", ep, "mdisj", side=name[-1], spawn=spawn)
@@ -1046,7 +1225,7 @@ def pool_rho(pool: Pool) -> Counter:
     for t in pool.active_threads.values():
         m = getattr(t, "mtlc", None)
         if m is not None:
-            out.update(resources(m.expr))
+            out.update(m.held())
     return out
 
 
@@ -1067,7 +1246,7 @@ def retype_thread(pool: Pool, mt: MtlcThread) -> None:
     """
     if not res_ok(pool):
         raise MtlcTypeError("ty-pool", "an endpoint is held more than once")
-    ty = typecheck(mt.expr, n=pool.n)
+    ty = mt.state_type()
     if not compat(ty, mt.expected):
         raise MtlcTypeError("ty-pool",
                             f"thread {mt.thread.tid} type {ty} drifted from {mt.expected}")
@@ -1081,7 +1260,7 @@ def retype_pool(pool: Pool) -> None:
         m = getattr(t, "mtlc", None)
         if m is None:
             continue
-        ty = typecheck(m.expr, n=pool.n)
+        ty = m.state_type()
         if not compat(ty, m.expected):
             raise MtlcTypeError("ty-pool",
                                 f"thread {t.tid} has type {ty}, expected {m.expected}")

@@ -641,6 +641,171 @@ def eval_recounting_rho(expr, n: int = 2, seed: int = 0):
     return res, mt.expr, steps[0]
 
 
+# ------------------------------------------------ mtlc substitution stepper
+#
+# The stepper mtlc ran before its environment machine: find the leftmost
+# redex, contract it, substitute into the rest of the expression and rebuild
+# it.  Each step costs the size of the whole expression.  It is the oracle
+# the machine's traces, values and per-step states are compared with.
+
+
+def _decompose(e: Expr):
+    """Find the leftmost redex; returns (redex, rebuild) or None for values."""
+    return _DECOMPOSE[type(e)](e)
+
+
+# The decomposition rules look for a redex in a node's parts first, left to right.
+def _decompose_pair(e):
+    a, b = e.left, e.right
+    if got := _DECOMPOSE[type(a)](a):
+        r, rb = got
+        return r, lambda v: type(e)(rb(v), b)
+    if got := _DECOMPOSE[type(b)](b):
+        r, rb = got
+        return r, lambda v: type(e)(a, rb(v))
+    return None
+
+
+def _decompose_app(e):
+    f, a = e.fun, e.arg
+    if got := _DECOMPOSE[type(f)](f):
+        r, rb = got
+        return r, lambda v: EApp(rb(v), a)
+    if got := _DECOMPOSE[type(a)](a):
+        r, rb = got
+        return r, lambda v: EApp(f, rb(v))
+    return e, lambda v: v
+
+
+def _decompose_const(e):
+    name, args = e.name, e.args
+    for i, a in enumerate(args):
+        if got := _DECOMPOSE[type(a)](a):
+            r, rb = got
+            return r, lambda v: EConst(name, args[:i] + (rb(v),) + args[i + 1:])
+    return e, lambda v: v
+
+
+def _decompose_proj(e):
+    b = e.body
+    if got := _DECOMPOSE[type(b)](b):
+        r, rb = got
+        return r, lambda v: type(e)(rb(v))
+    return e, lambda v: v
+
+
+def _decompose_let(e):
+    p = e.pair
+    if got := _DECOMPOSE[type(p)](p):
+        r, rb = got
+        return r, lambda v: ELet(e.x1, e.x2, rb(v), e.body)
+    return e, lambda v: v
+
+
+def _decompose_if(e):
+    c = e.cond
+    if got := _DECOMPOSE[type(c)](c):
+        r, rb = got
+        return r, lambda v: EIf(rb(v), e.then, e.els)
+    return e, lambda v: v
+
+
+def _decompose_var(e):
+    raise M.StuckNonRedex(f"free variable {e.name}")
+
+
+def _decompose_unknown(e):
+    raise M.StuckNonRedex(f"cannot decompose {e!r}")
+
+
+_DECOMPOSE = M._Rules(_decompose_unknown, {
+    **dict.fromkeys(M._VALUE_LEAVES, lambda e: None),
+    EVar: _decompose_var, EPair: _decompose_pair, ELPair: _decompose_pair,
+    EApp: _decompose_app, EConst: _decompose_const, EFst: _decompose_proj,
+    ESnd: _decompose_proj, ELet: _decompose_let, EIf: _decompose_if,
+})
+
+
+def _apply(f: Expr, a: Expr) -> Expr:
+    match f:
+        case ELam(x, _, body) | ELLam(x, _, body):
+            return M.esubst(body, x, a)
+        case EFix(x, _, v):
+            return EApp(M.esubst(v, x, f), a)
+    raise M.StuckNonRedex(f"application of non-function {f!r}")
+
+
+class SubstThread(M.MtlcThread):
+    """An mtlc thread stepped by substitution: its state is the whole
+    expression, which the pool's retyping and resource counting see as one
+    closure with an empty environment."""
+
+    expr = None  # an attribute, not the machine's read-back
+
+    def __init__(self, pool, expr, hook=None, expected=None):
+        self.expr = expr
+        super().__init__(pool, expr, hook, expected)
+
+    def parts(self):
+        return [(self.expr, {}, (0, 0, 0))]  # no environment, so no masks needed
+
+    def held(self):
+        return M.resources(self.expr)
+
+    def _gen(self, t):
+        pool = self.pool
+        while True:
+            got = _decompose(self.expr)
+            if got is None:
+                return
+            redex, rebuild = got
+            effect = None
+            match redex:
+                case EApp(f, a):
+                    out = _apply(f, a)
+                case EFst(EPair(a, _)):
+                    out = a
+                case ESnd(EPair(_, b)):
+                    out = b
+                case ELet(x1, x2, ELPair(a, b), body):
+                    out = M.esubst(M.esubst(body, x1, a), x2, b)
+                case EIf(EBool(c), a, b):
+                    out = a if c else b
+                case EConst("iadd", (EInt(i), EInt(j))):
+                    out = EInt(i + j)
+                case EConst("randbit", ()):
+                    out = EBool(bool(pool.rng.randrange(2)))
+                case EConst("thread_create", (f,)):
+                    SubstThread(pool, EApp(f, EUnit()), self.hook)
+                    pool._event("PR1", action="thread")
+                    out = EUnit()
+                case EConst(name, args) if name in M._CHAN_CONSTS:
+                    out, effect = self._channel_op(name, args)
+                case _:
+                    raise M.StuckNonRedex(f"no reduction for {redex!r}")
+            if effect is not None:
+                result = yield effect
+                out = out(result)
+            self.expr = rebuild(out)
+            if self.hook:
+                self.hook(self.pool, self)
+
+
+def subst_eval_pool(expr, n: int = 2, seed: int = 0, max_steps: int = 10000,
+                    retype_every_step: bool = False):
+    """mtlc.eval_pool on the substitution stepper."""
+    pool = rt.Pool(n, seed=seed)
+    main_type = M.typecheck(expr, n=n)
+    hook = M.retype_thread if retype_every_step else None
+    st = SubstThread(pool, expr, hook, expected=main_type)
+    if retype_every_step:
+        M.retype_pool(pool)
+    result = pool.run(max_steps=max_steps)
+    if retype_every_step:
+        M.retype_pool(pool)
+    return result, st.expr
+
+
 def _chain_party(cursor, roleset, chan, acc, ctr):
     head, rest = cursor[0], cursor[1:]
     if not rest:
@@ -676,3 +841,91 @@ def chain_program(rng: random.Random, length: int):
                        _chain_party(segs, inner_roles, EVar("c0"), EInt(0), ctr)))
     outer = _chain_party(segs, outer_roles, EConst("chan_create", (inner,)), EInt(0), ctr)
     return outer, total
+
+
+def rand_int_src(rng: random.Random, depth: int, ivars: tuple = (), tag: str = "") -> str:
+    """The source of a random closed-over-ivars mtlc expression of type int.
+    It reaches closures with environments (curried and shadowing lambdas,
+    let-pairs), fix, if on randbit and thread_create."""
+    if depth <= 0 or rng.random() < 0.2:
+        if ivars and rng.random() < 0.6:
+            return rng.choice(ivars)
+        return str(rng.randrange(10))
+    d = depth - 1
+    sub = lambda vs=ivars: rand_int_src(rng, d, vs, tag + str(rng.randrange(3)))
+    x = f"x{tag}"
+    match rng.randrange(9):
+        case 0:
+            return f"(iadd {sub()} {sub()})"
+        case 1:
+            return f"(if (randbit) {sub()} {sub()})"
+        case 2:
+            return f"(app (lam ({x} int) {sub(ivars + (x,))}) {sub()})"
+        case 3:  # a curried closure applied twice, its inner lambda shadowing x
+            return (f"(app (app (lam ({x} int) (lam ({x} int) "
+                    f"{sub(ivars + (x,))})) {sub()}) {sub()})")
+        case 4:
+            return f"(let ({x} u{tag}) (tensor {sub()} unit) {sub(ivars + (x,))})"
+        case 5:
+            return f"(fst (pair {sub()} true))"
+        case 6:
+            return (f"(app (fix (loop{tag} (-> int int)) (lam ({x} int) "
+                    f"(if (randbit) {x} (app loop{tag} (iadd {x} 1))))) {sub()})")
+        case 7:
+            return f"(app (llam (u{tag} 1) {sub()}) (thread_create (llam (w{tag} 1) unit)))"
+        case _:
+            # the argument's body uses only its parameter: retyping rejects a
+            # function whose result type gained an index (compat has no case
+            # for function types)
+            return (f"(app (lam (f{tag} (-> int int)) (app f{tag} {sub()})) "
+                    f"(lam ({x} int) (iadd {x} {rng.randrange(10)})))")
+
+
+def rand_mtlc_program(rng: random.Random) -> tuple[str, int]:
+    """A random well-typed mtlc program and its universe size.  Each takes
+    one channel pattern (ping-pong, mconj with mdisj_l or mdisj_r, 1-cut,
+    2-cut, 3-cut, 2-cut with residual, or none) with random int expressions
+    as its payloads and results."""
+    e = lambda vs=(): rand_int_src(rng, rng.randrange(4), vs, str(rng.randrange(100)))
+    side, keep, give = rng.choice([("l", "x", "y"), ("r", "y", "x")])
+    programs = [
+        (f'''(let (v c2)
+               (chan_recv (chan_create (llam (c (chan {{0}} "ping(0,1,int)@pong(1,0)"))
+                  (chan_sync (chan_send c {e()})))))
+             (app (llam (u 1) (iadd v {e(("v",))})) (chan_sync c2)))''', 2),
+        (f'''(let (a b)
+               (chan_mconj (chan_send
+                  (chan_create (llam (c (chan {{1}} "q(0,1,int)@(mconj(0, x(1,0), y(1,0)))"))
+                     (let (u c2) (chan_recv c)
+                        (chan_sync (chan_mdisj_{side} c2
+                           (llam (g (chan {{1}} "{give}(1,0)")) (chan_sync g)))))))
+                  {e()}))
+             (app (llam (u 1) (chan_sync b)) (chan_sync a)))''', 2),
+        (f'''(app (llam (u 1) {e()})
+               (chan_1_cut (chan_create (llam (c (chan {{0,1}} "m(0,1,int)"))
+                  (chan_sync c)))))''', 2),
+        (f'''(app (llam (u 1) {e()})
+              (chan_2_cut
+                (chan_create (llam (c (chan {{0}} "m(0,1,int)@r(1,0)"))
+                   (chan_sync (chan_send c {e()}))))
+                (chan_create (llam (d (chan {{1}} "m(0,1,int)@r(1,0)"))
+                   (let (v d2) (chan_recv d)
+                      (app (llam (w int) (chan_sync d2)) {e(("v",))}))))))''', 2),
+        (f'''(app (llam (u 1) {e()})
+              (chan_3_cut
+                (chan_create (llam (c (chan {{0}} "m(0,1,int)@r(1,2)"))
+                   (chan_sync (chan_send c {e()}))))
+                (chan_create (llam (c (chan {{1}} "m(0,1,int)@r(1,2)"))
+                   (let (v k) (chan_recv c) (app (llam (w int) (chan_sync k)) v))))
+                (chan_create (llam (c (chan {{2}} "m(0,1,int)@r(1,2)"))
+                   (chan_sync (chan_skip c))))))''', 3),
+        (f'''(let (v k)
+               (chan_recv (chan_skip (chan_2_cutres
+                  (chan_create (llam (c (chan {{0}} "m(0,1,int)@r(1,2,int)@e(0,2)"))
+                     (chan_sync (chan_skip (chan_send c {e()})))))
+                  (chan_create (llam (c (chan {{1}} "m(0,1,int)@r(1,2,int)@e(0,2)"))
+                     (let (v k) (chan_recv c) (chan_sync (chan_send k {e(("v",))}))))))))
+             (app (llam (u 1) (iadd v {e(("v",))})) (chan_sync k)))''', 3),
+        (e(), 2),
+    ]
+    return rng.choice(programs)

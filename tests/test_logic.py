@@ -30,7 +30,7 @@ from multirole.logic import (
 )
 from multirole.roles import Endo, Ultra
 
-from helpers import MALFORMED_ITEMS, rand_formula
+from helpers import MALFORMED_ITEMS, rand_formula, shared_conj, work_bound
 
 
 class TestParseFmt:
@@ -188,3 +188,49 @@ class TestHashConsing:
         assert a == b and hash(a) == hash(b)
         assert seq_counts(items) == {IFormula(1, a): 2}
         assert seq_equal(items, items[::-1])
+
+
+class TestBoundedText:
+    """Reprs and kernel messages print a formula DAG as a tree cut at
+    lg.BRIEF characters, so their work is bounded by that length; the full
+    text is fmt_formula's.  shared_conj(40)'s conclusion has 41 distinct
+    nodes and a tree of 2^41 leaves."""
+
+    def test_repr_of_a_shared_formula(self, monkeypatch):
+        concl = shared_conj(40).conclusion
+        work_bound(monkeypatch, lg, "_repr_parts", lg.BRIEF)
+        text = repr(concl)
+        assert text.startswith("(IFormula(roles=3, formula=Conj(u=Ultra(")
+        assert text.endswith("\u2026,)") and len(text) == len("(") + lg.BRIEF + len("\u2026,)")
+
+    def test_builder_messages_on_a_shared_formula(self, monkeypatch):
+        d = shared_conj(40)
+        work_bound(monkeypatch, lg, "_formula_parts", 2 * lg.BRIEF)
+        with pytest.raises(K.KernelError) as err:
+            K.b_weaken(d, IFormula(1, Atom("b")), K.LMRL(2))
+        assert str(err.value).startswith("cannot weaken non-? item")
+        with pytest.raises(K.KernelError) as err:
+            K.b_contract(d, IFormula(1, Atom("b")), K.MRL(2))
+        msg = str(err.value)
+        assert msg.startswith("builder contract: premise |- <0,1>(and @0 (and @0 ")
+        assert msg.endswith("\u2026 lacks |- <0>b") and len(msg) < 2 * lg.BRIEF
+
+    def test_brief_text_is_a_cut_of_the_full_text(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            calc = rng.choice([K.MRL(2), K.LMRL(2), K.MRLJ(2, Ultra(0))])
+            items = tuple(IFormula(rng.randrange(4), rand_formula(rng, calc, 2, rng.randrange(6)))
+                          for _ in range(rng.randrange(1, 4)))
+            limit = rng.randrange(1, 120)
+            for x, full in ((items[0].formula, fmt_formula(items[0].formula)),
+                            (items, fmt_sequent(items))):
+                cut = full if len(full) <= limit else full[:limit] + "\u2026"
+                assert lg.fmt_brief(x, limit) == cut
+
+    def test_deep_formula(self):
+        swap = Endo((1, 0))
+        a = Atom("a")
+        for _ in range(5000):
+            a = Neg(swap, a)
+        assert lg.fmt_brief(a, 30) == ("(not [1,0] " * 5000)[:30] + "\u2026"
+        assert repr(a).startswith("Neg(f=Endo(") and repr(a).endswith("\u2026")

@@ -41,10 +41,20 @@ from multirole.mtlc import (
     rho,
     typecheck,
 )
+from multirole import runtime as rt
 from multirole.runtime import Endpoint, Pool, sync_events
 from multirole.session import parse_session
 
-from helpers import rho_recount, typecheck_declarative
+import helpers
+from helpers import (
+    SubstThread,
+    chain_program,
+    rand_mtlc_program,
+    rho_recount,
+    subst_eval_pool,
+    typecheck_declarative,
+    work_bound,
+)
 
 SES = '(chan {0} "a(0,1)@b(1,0)")'
 
@@ -90,6 +100,17 @@ class TestRho:
         e = EIf(EBool(True), ERc(ep), ERc(ep))
         assert rho(e) == Counter({ep.eid: 1})
 
+    def test_shared_subterms(self):
+        # 2^60 paths through 61 distinct nodes
+        e = EConst("iadd", (EVar("x"), EInt(1)))
+        for _ in range(60):
+            e = EIf(EBool(True), e, e)
+        assert free_evars(e) == {"x"}
+        pool = Pool(2)
+        ch = pool.new_channel(M.norm(parse_session("a(0, 1)", 2)))
+        ep = Endpoint(ch, 1)
+        assert M._held(e, {"x": ERc(ep)}, M._FreeVars()) == (ep.eid,)
+
     def test_deeper_than_recursion_limit(self):
         pool = Pool(2)
         ch = pool.new_channel(M.norm(parse_session("a(0, 1)", 2)))
@@ -132,12 +153,32 @@ class TestDepth:
         res, value = eval_pool(iadd_chain(400))
         assert (res.status, value) == ("done", EInt(400))
 
+    # The machine loops, so only memory bounds how deep a program it runs
+    # (eval_pool would typecheck these first, and typecheck recurses).
+    def test_machine_iadd_chain(self):
+        pool = Pool(2)
+        mt = M.MtlcThread(pool, iadd_chain(5000))
+        assert pool.run().status == "done"
+        assert mt.expr == EInt(5000)
+
+    def test_machine_application_chain(self):
+        e = EInt(7)
+        for _ in range(5000):
+            e = M.EApp(ELam("y", TInt(), EVar("y")), e)
+        pool = Pool(2)
+        mt = M.MtlcThread(pool, e)
+        assert pool.run().status == "done"
+        assert mt.expr == EInt(7)
+
 
 class TestDispatch:
     def test_every_expression_class_has_a_rule(self):
         classes = set(M.Expr.__args__)
-        for table in (M._CHECK, M._SUBST, M._IS_VALUE, M._DECOMPOSE):
+        for table in (M._SUBST, M._IS_VALUE, helpers._DECOMPOSE):
             assert set(table) == classes
+        # closures are typed as the terms they stand for
+        assert set(M._CHECK) == classes | {M.Clo}
+        assert set(M._SHAPE) == classes - {EVar, ERc, EUnit, EBool, EInt, EStr}
         assert set(M._SIGS) == M.CONSTS
 
     @pytest.mark.parametrize("e", [7, EPair(EInt(1), 7)])
@@ -148,7 +189,11 @@ class TestDispatch:
             M.esubst(e, "x", EInt(0))
         assert not M.is_value(e)
         with pytest.raises(M.StuckNonRedex, match=r"^cannot decompose 7$"):
-            M._decompose(e)
+            helpers._decompose(e)
+        pool = Pool(2)
+        M.MtlcThread(pool, e)
+        with pytest.raises(M.StuckNonRedex, match=r"^cannot decompose 7$"):
+            pool.run()
 
     def test_constant_faults(self):
         with pytest.raises(MtlcTypeError, match=r"^\(iadd\) expects 2 arguments, got 1$"):
@@ -430,3 +475,115 @@ class TestParser:
     def test_free_evars(self):
         e = prog("(llam (x 1) (tensor x y))")
         assert free_evars(e) == {"y"}
+
+
+def _judge(f):
+    """(True, f's result), or (False, the rule) when f raises MtlcTypeError."""
+    try:
+        return True, f()
+    except MtlcTypeError as e:
+        return False, e.rule
+
+
+class TestMachineAgainstOracle:
+    """The environment machine against the substitution stepper it replaced
+    (helpers.subst_eval_pool): byte-identical traces, equal values and
+    numbers of reductions, and after every reduction the same retype verdict
+    and type, with the machine's closure typing equal to typecheck of its
+    read-back and the pool's resources equal to a recount of the read-backs."""
+
+    def recorder(self, steps, n):
+        retype = M.retype_thread
+
+        def hook(pool, mt):
+            if type(mt) is M.MtlcThread:
+                assert _judge(mt.state_type) == _judge(lambda: typecheck(mt.expr, n=n))
+                recount = Counter()
+                for t in pool.active_threads.values():
+                    recount += rho_recount(t.mtlc.expr)
+                assert M.pool_rho(pool) == recount
+            steps.append((M.res_ok(pool), _judge(mt.state_type)))
+            retype(pool, mt)
+
+        return hook
+
+    def retyped(self, e, n=2, seed=0):
+        """Both steppers with per-step retyping; the machine's run."""
+        runs = []
+        for evaluate in (eval_pool, subst_eval_pool):
+            steps = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(M, "retype_thread", self.recorder(steps, n))
+                res, val = evaluate(e, n=n, seed=seed, retype_every_step=True)
+            runs.append((rt.trace_jsonl(res.trace), res.status, val, steps))
+        assert runs[0] == runs[1]
+        assert all(ok and typed for ok, (typed, _) in runs[0][3])
+        return runs[0]
+
+    def test_criterion_10_pools(self):
+        from test_acceptance import CUT2, MCONJ, PING_PONG, _rand_chain_program
+
+        for i, src in enumerate((PING_PONG, MCONJ, CUT2)):
+            self.retyped(prog(src), seed=i)
+        rng = random.Random(11)
+        for i in range(47):
+            _, status, val, _ = self.retyped(_rand_chain_program(rng), seed=i)
+            assert (status, val) == ("done", EUnit())
+
+    @pytest.mark.parametrize("length", [10, 40, 160])
+    def test_retyped_chains(self, length):
+        expr, total = chain_program(random.Random(length), length)
+        _, status, val, _ = self.retyped(expr, seed=length)
+        assert (status, val) == ("done", EInt(total))
+
+    def test_random_corpus(self):
+        rng = random.Random(3)
+        reached = Counter()
+        for i in range(150):
+            src, n = rand_mtlc_program(rng)
+            reached.update(set(M._TOK.findall(src)))
+            _, status, _, _ = self.retyped(prog(src, n), n, seed=i)
+            assert status == "done"
+        for construct in ("fix", "if", "randbit", "thread_create", "chan_mconj", "chan_mdisj_l",
+                          "chan_mdisj_r", "chan_1_cut", "chan_2_cut", "chan_3_cut",
+                          "chan_2_cutres"):
+            assert reached[construct] >= 5, construct
+
+    @pytest.mark.parametrize("length", [10, 20, 40, 80, 160, 320, 640])
+    def test_plain_chains(self, length):
+        expr, total = chain_program(random.Random(length), length)
+        runs = []
+        for cls in (M.MtlcThread, SubstThread):
+            reductions = []
+            pool = Pool(2, seed=length)
+            mt = cls(pool, expr, lambda pool, mt: reductions.append(pool.step_no))
+            res = pool.run()
+            runs.append((rt.trace_jsonl(res.trace), res.status, mt.expr, reductions))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == EInt(total)
+
+    def test_duplicated_endpoint_is_counted_twice(self):
+        # an ill-typed state: the resource count still equals the read-back's
+        pool = Pool(2)
+        ch = pool.new_channel(M.norm(parse_session("a(0, 1)", 2)))
+        ep = pool.new_endpoint(ch, 1)
+        seen = []
+
+        def hook(pool, mt):
+            seen.append((M.pool_rho(pool), rho_recount(mt.expr), M.res_ok(pool)))
+
+        # after the first reduction the pair is the control; after the
+        # second it waits in a frame while the control runs under another
+        # environment
+        body = EPair(M.EApp(ELam("y", TInt(), EVar("y")), EInt(5)), EPair(EVar("c"), EVar("c")))
+        e = M.EApp(ELLam("c", TChan(1, ()), body), ERc(ep))
+        M.MtlcThread(pool, M.EApp(ELam("u", TUnit(), EUnit()), e), hook)
+        assert pool.run().status == "done"
+        twice = (Counter({ep.eid: 2}), Counter({ep.eid: 2}), False)
+        assert seen == [twice, twice, (Counter(), Counter(), True)]
+
+    def test_plain_evaluation_substitutes_nothing(self, monkeypatch):
+        expr, total = chain_program(random.Random(640), 640)
+        calls = work_bound(monkeypatch, M, "esubst", 0)
+        res, val = eval_pool(expr, seed=640)
+        assert (res.status, val, calls[0]) == ("done", EInt(total), 0)
