@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import roles as rl
 from .logic import (
+    BRIEF,
     AConj,
     Atom,
     Bang,
@@ -40,7 +41,8 @@ from .logic import (
     Sequent,
     Term,
     Var,
-    fmt_brief,
+    fmt_formula,
+    fmt_sequent,
     formulas_from_table,
     free_vars,
     names_in,
@@ -427,8 +429,8 @@ def check_ok(d: Derivation, calc: Calculus) -> bool:
 def _take(items: Sequent, consumed: Sequent, rule: str) -> Sequent:
     left = seq_minus(items, consumed)
     if left is None:
-        raise KernelError(f"builder {rule}: premise {fmt_brief(items)} lacks "
-                          f"{fmt_brief(consumed)}")
+        raise KernelError(f"builder {rule}: premise {fmt_sequent(items, BRIEF)} lacks "
+                          f"{fmt_sequent(consumed, BRIEF)}")
     return left
 
 
@@ -440,7 +442,7 @@ def b_weaken(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
     rule = "bang-neg-weaken" if calc.linear else "weaken"
     if calc.linear and not _is_why_not(item):
         raise KernelError(f"cannot weaken non-? item into a linear derivation: "
-                          f"{fmt_brief(item.formula)}")
+                          f"{fmt_formula(item.formula, limit=BRIEF)}")
     concl = d.conclusion + (item,)
     return Derivation(rule, concl, (d,), len(concl) - 1)
 
@@ -630,8 +632,8 @@ def _axiom_step(a: Formula, parts: tuple[int, ...], calc: Calculus, done: dict) 
             if calc.j is not None and not calc.j.contains(lefts[i]):
                 # the J-items of both premises would meet in its conclusion
                 raise KernelError(
-                    f"axiom_multi: {fmt_brief(tuple(IFormula(p, a) for p in parts))} has no "
-                    f"J-intuitionistic derivation in mrlj with J = @{calc.j.r}")
+                    f"axiom_multi: {fmt_sequent(tuple(IFormula(p, a) for p in parts), BRIEF)} "
+                    f"has no J-intuitionistic derivation in mrlj with J = @{calc.j.r}")
             d1 = _axiom(left, lefts, calc, done)
             d2 = _axiom(right, parts, calc, done)
             d = b_mult_pos(d1, d2, parts[i], a)

@@ -87,11 +87,12 @@ class Node:
 BRIEF = 240  # characters of a node or formula that a repr or a message shows
 
 
-def _unfold(todo: list, parts, limit: int) -> str:
+def _unfold(todo: list, parts, limit: int | None = None) -> str:
     """The text of todo: strings as they are, any other item replaced by
-    parts(item), which may hold items in turn.  Unfolded without recursion
-    and cut after limit characters (marked with an ellipsis), so the work
-    is bounded by the limit even where a DAG unfolds to a huge tree."""
+    parts(item), which may hold items in turn.  Unfolded without recursion,
+    so depth is bounded by memory alone; given a limit, cut after that many
+    characters (marked with an ellipsis), so the work is bounded by the
+    limit even where a DAG unfolds to a huge tree."""
     out, size = [], 0
     todo.reverse()
     while todo:
@@ -100,9 +101,10 @@ def _unfold(todo: list, parts, limit: int) -> str:
             todo += reversed(parts(x))
             continue
         out.append(x)
-        size += len(x)
-        if size > limit:
-            return "".join(out)[:limit] + "…"
+        if limit is not None:
+            size += len(x)
+            if size > limit:
+                return "".join(out)[:limit] + "…"
     return "".join(out)
 
 
@@ -400,41 +402,27 @@ def seq_free_vars(items: Sequent) -> frozenset[str]:
 # ------------------------------------------------------------- printing
 
 
-def fmt_formula(a: Formula, bound: frozenset = frozenset()) -> str:
-    match a:
-        case Atom(label, args):
-            if not args:
-                return label
-            return "(%s %s)" % (label, " ".join(fmt_term(t, bound) for t in args))
-        case Neg(f, body):
-            return f"(not {fmt_endo(f)} {fmt_formula(body, bound)})"
-        case Conj(u, l, r):
-            return f"(and {fmt_ultra(u)} {fmt_formula(l, bound)} {fmt_formula(r, bound)})"
-        case Impl(f, u, l, r):
-            return (f"(imp {fmt_endo(f)} {fmt_ultra(u)} "
-                    f"{fmt_formula(l, bound)} {fmt_formula(r, bound)})")
-        case AConj(u, l, r):
-            return f"(with {fmt_ultra(u)} {fmt_formula(l, bound)} {fmt_formula(r, bound)})"
-        case MConj(u, l, r):
-            return f"(tensor {fmt_ultra(u)} {fmt_formula(l, bound)} {fmt_formula(r, bound)})"
-        case Bang(u, body):
-            return f"(bang {fmt_ultra(u)} {fmt_formula(body, bound)})"
-        case Forall(u, x, body):
-            return f"(forall {fmt_ultra(u)} {x} {fmt_formula(body, bound | {x})})"
-    raise FormulaError(f"not a formula: {a!r}")
+def fmt_formula(a: Formula, bound: frozenset = frozenset(), limit: int | None = None) -> str:
+    """a's text; given a limit, cut after that many characters (for messages)."""
+    return _unfold([(a, bound)], _formula_parts, limit)
 
 
-def fmt_iformula(it: IFormula) -> str:
-    return "<%s>%s" % (",".join(map(str, members(it.roles))), fmt_formula(it.formula))
+def fmt_iformula(it: IFormula, limit: int | None = None) -> str:
+    return _unfold([it], _formula_parts, limit)
 
 
-def fmt_sequent(items: Sequent) -> str:
-    return "|- " + ", ".join(fmt_iformula(it) for it in items)
+def fmt_sequent(items: Sequent, limit: int | None = None) -> str:
+    todo = ["|- "]
+    for i, it in enumerate(items):
+        todo += [", " * (i > 0), it]
+    return _unfold(todo, _formula_parts, limit)
 
 
 def _formula_parts(item) -> list:
-    """A (formula, bound variables) item's text as parts, with its
-    subformulas still to unfold."""
+    """An i-formula's or a (formula, bound variables) item's text as parts,
+    with its subformulas still to unfold."""
+    if type(item) is IFormula:
+        return ["<%s>" % ",".join(map(str, members(item.roles))), (item.formula, frozenset())]
     a, bound = item
     match a:
         case Atom(label, args):
@@ -456,18 +444,6 @@ def _formula_parts(item) -> list:
         case Forall(u, x, body):
             return [f"(forall {fmt_ultra(u)} {x} ", (body, bound | {x}), ")"]
     raise FormulaError(f"not a formula: {a!r}")
-
-
-def fmt_brief(x: Formula | Sequent, limit: int = BRIEF) -> str:
-    """fmt_formula of a formula or fmt_sequent of a sequent, for messages:
-    cut after limit characters, marked with an ellipsis."""
-    todo = [(x, frozenset())]
-    if isinstance(x, tuple):
-        todo = ["|- "]
-        for i, it in enumerate(x):
-            todo += [", " * (i > 0), "<%s>" % ",".join(map(str, members(it.roles))),
-                     (it.formula, frozenset())]
-    return _unfold(todo, _formula_parts, limit)
 
 
 # -------------------------------------------------------------- parsing

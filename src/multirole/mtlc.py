@@ -270,7 +270,7 @@ class Clo:
     variables.  It stands for the term with its environment substituted and
     is typed and counted as that term; equality is identity."""
     term: Expr
-    env: dict
+    env: tuple | None
 
 
 # Each composite expression class: its children in order, and its
@@ -316,7 +316,7 @@ def resources(e: Expr) -> tuple[int, ...]:
         if parts is None:
             stack.pop()
             d["_res"] = ((node.ep.eid,) if isinstance(node, ERc) else
-                         _held(node.term, node.env, _FreeVars()) if type(node) is Clo else ())
+                         _held(node.term, node.env) if type(node) is Clo else ())
             continue
         kids = parts(node)
         todo = [k for k in kids if "_res" not in k.__dict__]
@@ -337,77 +337,87 @@ def rho(e: Expr) -> Counter:
 
 
 class _FreeVars:
-    """Free variables as bit masks over a table of variable names, cached per
-    node (with the node, so that its id stays its own).  A thread keeps one
-    (with the threads it spawns) for as long as it runs: a program's spine
-    holds free-variable sets of every length, too many to keep on the
-    nodes."""
+    """Free variables as bit masks over a table of variable names.  Each
+    composite node caches its masks on itself, so those of nodes built while
+    a program runs die with them; a spine holds free-variable sets of every
+    length, too many to keep as sets.  The module keeps one table (_FV): it
+    only interns names, and a name's bit never changes, so cached masks stay
+    valid and no result depends on what ran before."""
 
     def __init__(self):
         self.bits: dict[str, int] = {}
-        self.masks: dict[int, tuple] = {}
+        self.order: list[str] = []
 
     def bit(self, x: str) -> int:
-        return self.bits.setdefault(x, 1 << len(self.bits))
+        if x not in self.bits:
+            self.bits[x] = 1 << len(self.order)
+            self.order.append(x)
+        return self.bits[x]
 
     def names(self, mask: int) -> list[str]:
-        return [x for x, b in self.bits.items() if mask & b]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.order[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def known(self, e: Expr) -> tuple[int, int, int] | None:
+        """e's masks if e is a leaf or they are cached, else None."""
+        cls = type(e)
+        if cls is EVar:
+            return (b := self.bit(e.name), b, 0)
+        return e.__dict__.get("_fv") if cls in _SHAPE else (0, 0, 0)
 
     def __call__(self, e: Expr) -> tuple[int, int, int]:
         """e's free variables, those free in the parts resources() counts,
         and those free there more than once; built without recursion."""
-        masks = self.masks
-        stack = [(e, False)]
+        stack = [e]
         while stack:
-            node, ready = stack.pop()  # ready: its children are done
-            if id(node) in masks:
+            node = stack[-1]
+            if self.known(node) is not None:
+                stack.pop()
                 continue
+            kids = _SHAPE[type(node)][0](node)
+            todo = [k for k in kids if self.known(k) is None]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            kids = [self.known(k) for k in kids]
             cls = type(node)
-            if cls not in _SHAPE:
-                m = (b := self.bit(node.name), b, 0) if cls is EVar else (0, 0, 0)
-            elif ready:
-                m = self.join(node, [masks[id(k)][1] for k in _SHAPE[cls][0](node)])
-            else:
-                stack.append((node, True))
-                stack += [(k, False) for k in _SHAPE[cls][0](node)]
-                continue
-            masks[id(node)] = (node, m)
-        return masks[id(e)][1]
+            if cls in _BINDS or cls is EIf:
+                bound = 0
+                for x in _BINDS[cls](node) if cls in _BINDS else ():
+                    bound |= self.bit(x)
+                f, o, t = kids[-1]
+                # a binder binds in its last child; an if counts its
+                # condition and then-branch only, as resources() does
+                kids[-1] = (f & ~bound, 0, 0) if cls is EIf else (f & ~bound, o & ~bound, t & ~bound)
+            free = once = twice = 0
+            for f, o, t in kids:
+                free |= f
+                twice |= t | once & o
+                once |= o
+            node.__dict__["_fv"] = (free, once, twice)
+        return self.known(e)
 
-    def join(self, node: Expr, kids: list[tuple]) -> tuple[int, int, int]:
-        """The masks of node from those of its children."""
-        cls = type(node)
-        free = once = twice = 0
-        if cls in _BINDS or cls is EIf:
-            bound = 0
-            for x in _BINDS[cls](node) if cls in _BINDS else ():
-                bound |= self.bit(x)
-            f, o, t = kids[-1]
-            # a binder binds in its last child; an if counts its condition
-            # and then-branch only, as resources() does
-            kids = kids[:-1] + [(f & ~bound, 0, 0) if cls is EIf else
-                                (f & ~bound, o & ~bound, t & ~bound)]
-        for f, o, t in kids:
-            free |= f
-            twice |= t | once & o
-            once |= o
-        return free, once, twice
+
+_FV = _FreeVars()
 
 
 def free_evars(e: Expr) -> frozenset[str]:
-    fv = _FreeVars()
-    return frozenset(fv.names(fv(e)[0]))
+    return frozenset(_FV.names(_FV(e)[0]))
 
 
-def _held(term: Expr, env: dict, fv: _FreeVars, masks=None) -> tuple[int, ...]:
-    """resources() of term with the closed values of env substituted; masks
-    are term's free-variable masks over fv's table, when already known."""
+def _held(term: Expr, env) -> tuple[int, ...]:
+    """resources() of term with the closed values of env substituted."""
     out = resources(term)
-    if env:
-        _, once, twice = masks or fv(term)
-        for x in fv.names(once):
-            if x in env and (r := resources(env[x])):
-                if twice & fv.bits[x]:  # rare: count on the substituted term
+    if env is not None:
+        _, once, twice = _FV(term)
+        for x in _FV.names(once):
+            if (b := _lookup(env, x)) and (r := resources(b[1])):
+                if twice & _FV.bits[x]:  # rare: count on the substituted term
                     return resources(_read(term, env))
                 out += r
     return out
@@ -870,22 +880,11 @@ _CHECK = _Rules(_check_unknown, {
     EPair: _check_pair, ELPair: _check_pair, EFst: _check_proj, ESnd: _check_proj,
     ELet: _check_let, ELam: _check_lam, ELLam: _check_lam, EApp: _check_app,
     EFix: _check_fix, EIf: _check_if, EConst: _check_const,
-    Clo: lambda e, gamma, delta, n: (_closure_type(e.term, e.env, n, None, _clo_free(e)),
-                                     delta),
+    Clo: lambda e, gamma, delta, n: (_closure_type(e.term, e.env, n), delta),
 })
 
 
-def _clo_free(c: Clo) -> list[str]:
-    """The free variables of a closure's term, found once per closure."""
-    d = c.__dict__
-    if "_free" not in d:
-        fv = _FreeVars()
-        d["_free"] = fv.names(fv(c.term)[0])
-    return d["_free"]
-
-
-def _closure_type(term: Expr, env: dict, n: int, hole: Viewtype | None = None,
-                  free: list[str] = ()) -> Viewtype:
+def _closure_type(term: Expr, env, n: int, hole: Viewtype | None = None) -> Viewtype:
     """The type of term with the closed values of env substituted (and the
     hole at the given type): term typed through typecheck under the types of
     its free variables' values.  By the substitution lemma this is the
@@ -893,11 +892,11 @@ def _closure_type(term: Expr, env: dict, n: int, hole: Viewtype | None = None,
     gamma, delta = {}, {}
     if hole is not None:
         (delta if is_linear(hole) else gamma)[_HOLE.name] = hole
-    for x in free if env else ():
-        if x in env:  # else typecheck reports it unbound
-            v = env[x]
-            t = _CHECK[type(v)](v, _EMPTY, _EMPTY, n)[0]
-            (delta if is_linear(t) else gamma)[x] = t
+    if env is not None:
+        for x in _FV.names(_FV(term)[0]):
+            if b := _lookup(env, x):  # else typecheck reports it unbound
+                t = _CHECK[type(b[1])](b[1], _EMPTY, _EMPTY, n)[0]
+                (delta if is_linear(t) else gamma)[x] = t
     return typecheck(term, gamma, delta, n)
 
 
@@ -963,12 +962,54 @@ def _lift(value) -> Expr:
 # value, and a continuation: a linked list of frames (node, env, values,
 # next) in which node's first children have evaluated to the values, the
 # next one is being evaluated and the rest wait under env.  Environments
-# map variables to closed values (literals, endpoints, pairs and closures),
+# bind variables to closed values (literals, endpoints, pairs and closures),
 # so a step binds and looks up and never rebuilds a program node.  A state
 # stands for the closed expression substitution would have reached: the
 # control, then each frame's node with its hole (at the child being
 # evaluated) filled by the part inside it, each with its environment
 # substituted.
+#
+# An environment is None (empty) or (log, n): the first n bindings made in
+# a log, which keeps each name's bindings newest first, as a linked list of
+# (index, value, older).  Environments extended from one another share a
+# log: extending the newest one adds to the log in O(1), and a lookup skips
+# only bindings made after its environment.  Extending an older one (a
+# closure's, say, once the program has bound more) first copies the
+# bindings it sees into a new log.
+
+
+class _Log(dict):
+    size = 0  # the number of bindings made in the log
+
+
+def _bind(env, x: str, v: Expr):
+    """env with x bound to v."""
+    log, n = env or (_Log(), 0)
+    if log.size != n:
+        log = _Log()
+        for y, w in _bindings(env).items():
+            log[y] = (log.size, w, None)
+            log.size += 1
+        n = log.size
+    log[x] = (n, v, log.get(x))
+    log.size = n + 1
+    return log, n + 1
+
+
+def _lookup(env, x: str) -> tuple | None:
+    """x's binding (index, value, older) in env, if any."""
+    if env is None:
+        return None
+    got = env[0].get(x)
+    while got is not None and got[0] >= env[1]:
+        got = got[2]
+    return got
+
+
+def _bindings(env) -> dict:
+    """env as a dict from names to values."""
+    return {} if env is None else {x: got[1] for x in env[0] if (got := _lookup(env, x))}
+
 
 _HOLE = EVar("[ ]")  # a frame's hole; no parsed program can name it
 _EMPTY: dict = {}
@@ -977,10 +1018,10 @@ _CLOSES = (ELam, ELLam, EFix)  # they evaluate to closures
 _FRAMED = _SHAPE.keys() - set(_CLOSES)  # their children are evaluated first
 
 
-def _read(term: Expr, env: dict, hole: Expr | None = None) -> Expr:
+def _read(term: Expr, env, hole: Expr | None = None) -> Expr:
     """term with the closed values of env substituted and the hole filled,
     if a filling is given.  Values are closed, so no binder needs renaming."""
-    out, todo = [], [(term, env)]
+    out, todo = [], [(term, _bindings(env))]
     while todo:
         item = todo.pop()
         if type(item) is not tuple:  # item's rebuilt children end out
@@ -993,7 +1034,7 @@ def _read(term: Expr, env: dict, hole: Expr | None = None) -> Expr:
         e, env = item
         cls = type(e)
         if cls is Clo:
-            todo.append((e.term, e.env))
+            todo.append((e.term, _bindings(e.env)))
         elif cls is EVar:
             if e.name in env:
                 todo.append((env[e.name], _EMPTY))
@@ -1023,32 +1064,21 @@ class MtlcThread:
         # (term, env, value, continuation), the value standing when term is
         # None; saved after every reduction, and steps in between do not
         # change what it stands for
-        self.state = (expr, {}, None, None)
+        self.state = (expr, None, None, None)
         self._parts = self._held = (None, None)  # (state, its parts / resources)
-        self._fv = _FreeVars()
         self.thread = pool.add_thread(self._gen)
         self.thread.mtlc = self  # used for pool retyping
 
     def parts(self) -> list[tuple]:
-        """The state as closures (term, env, term's free-variable masks),
-        innermost first, built once per state.  A frame joins the part
-        inside it when they share an environment or that part is a value;
-        otherwise it starts a new part, with the hole."""
+        """The state as closures (term, env), innermost first: the control
+        and each frame's node with its hole, built once per state."""
         if self._parts[0] is not self.state:
-            fv, out = self._fv, []
             term, env, val, k = self.state
-            term, env, masks = (val, None, (0, 0, 0)) if term is None else (term, env, fv(term))
+            out = [(val, None) if term is None else (term, env)]
             while k is not None:
                 node, fenv, vals, k = k
-                if env is not None and fenv is not env:
-                    out.append((term, env, masks))
-                    term, masks = _HOLE, (b := fv.bit(_HOLE.name), b, 0)
-                env = fenv
                 kids, make = _SHAPE[type(node)]
-                rest = kids(node)[len(vals) + 1:]
-                term = make(node, vals + (term,) + rest)
-                masks = fv.join(node, [(0, 0, 0)] * len(vals) + [masks] + [fv(r) for r in rest])
-            out.append((term, _EMPTY if env is None else env, masks))
+                out.append((make(node, vals + (_HOLE,) + kids(node)[len(vals) + 1:]), fenv))
             self._parts = (self.state, out)
         return self._parts[1]
 
@@ -1056,8 +1086,8 @@ class MtlcThread:
         """resources() of the expression the state stands for."""
         if self._held[0] is not self.state:
             out = ()
-            for term, env, masks in self.parts():
-                out += _held(term, env, self._fv, masks)
+            for term, env in self.parts():
+                out += _held(term, env)
             self._held = (self.state, out)
         return self._held[1]
 
@@ -1065,7 +1095,7 @@ class MtlcThread:
     def expr(self) -> Expr:
         """The closed expression the state stands for (read-back)."""
         out = None
-        for term, env, _ in self.parts():
+        for term, env in self.parts():
             out = _read(term, env, out)
         return out
 
@@ -1073,8 +1103,8 @@ class MtlcThread:
         """The type of the expression the state stands for: each part typed
         under its environment, its hole at the type of the part inside it."""
         ty = None
-        for term, env, masks in self.parts():
-            ty = _closure_type(term, env, self.pool.n, ty, self._fv.names(masks[0]))
+        for term, env in self.parts():
+            ty = _closure_type(term, env, self.pool.n, ty)
         return ty
 
     def _gen(self, t):
@@ -1093,9 +1123,9 @@ class MtlcThread:
                     node, fenv, vals = term, env, ()
                 else:
                     if cls is EVar:
-                        if term.name not in env:
+                        if not (got := _lookup(env, term.name)):
                             raise StuckNonRedex(f"free variable {term.name}")
-                        val = env[term.name]
+                        val = got[1]
                     elif cls in _CLOSES:
                         val = Clo(term, env)
                     elif cls in _SELF:
@@ -1118,17 +1148,17 @@ class MtlcThread:
             effect = None
             match redex:
                 case EApp(Clo(ELam(x, _, body) | ELLam(x, _, body), cenv), a):
-                    term, env = body, {**cenv, x: a}
+                    term, env = body, _bind(cenv, x, a)
                 case EApp(Clo(EFix(x, _, v), cenv) as f, a):
-                    term, env = EApp(v, a), {**cenv, x: f}
+                    term, env = EApp(v, a), _bind(cenv, x, f)
                 case EApp(f, _):
-                    raise StuckNonRedex(f"application of non-function {_read(f, _EMPTY)!r}")
+                    raise StuckNonRedex(f"application of non-function {_read(f, None)!r}")
                 case EFst(EPair(a, _)):
                     val = a
                 case ESnd(EPair(_, b)):
                     val = b
                 case ELet(x1, x2, ELPair(a, b), body):
-                    term, env = body, {**fenv, x2: b, x1: a}
+                    term, env = body, _bind(_bind(fenv, x2, b), x1, a)
                 case EIf(EBool(c), a, b):
                     term, env = (a if c else b), fenv
                 case EConst("iadd", (EInt(i), EInt(j))):
@@ -1151,11 +1181,8 @@ class MtlcThread:
                 self.hook(self.pool, self)
 
     def _spawn(self, f, arg) -> MtlcThread:
-        """A thread applying value f to arg.  It runs parts of this thread's
-        program, so it shares this thread's free-variable table."""
-        nt = type(self)(self.pool, EApp(f, arg), self.hook)
-        nt._fv = self._fv
-        return nt
+        """A thread of this thread's class applying value f to arg."""
+        return type(self)(self.pool, EApp(f, arg), self.hook)
 
     def _channel_op(self, name: str, args: tuple):
         pool = self.pool

@@ -747,7 +747,7 @@ class SubstThread(M.MtlcThread):
         super().__init__(pool, expr, hook, expected)
 
     def parts(self):
-        return [(self.expr, {}, (0, 0, 0))]  # no environment, so no masks needed
+        return [(self.expr, None)]
 
     def held(self):
         return M.resources(self.expr)

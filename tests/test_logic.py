@@ -192,8 +192,8 @@ class TestHashConsing:
 
 class TestBoundedText:
     """Reprs and kernel messages print a formula DAG as a tree cut at
-    lg.BRIEF characters, so their work is bounded by that length; the full
-    text is fmt_formula's.  shared_conj(40)'s conclusion has 41 distinct
+    lg.BRIEF characters, so their work is bounded by that length; files and
+    the CLI print the full text.  shared_conj(40)'s conclusion has 41 distinct
     nodes and a tree of 2^41 leaves."""
 
     def test_repr_of_a_shared_formula(self, monkeypatch):
@@ -215,22 +215,23 @@ class TestBoundedText:
         assert msg.startswith("builder contract: premise |- <0,1>(and @0 (and @0 ")
         assert msg.endswith("\u2026 lacks |- <0>b") and len(msg) < 2 * lg.BRIEF
 
-    def test_brief_text_is_a_cut_of_the_full_text(self):
+    def test_limited_text_is_a_cut_of_the_full_text(self):
         rng = random.Random(4)
         for _ in range(300):
             calc = rng.choice([K.MRL(2), K.LMRL(2), K.MRLJ(2, Ultra(0))])
             items = tuple(IFormula(rng.randrange(4), rand_formula(rng, calc, 2, rng.randrange(6)))
                           for _ in range(rng.randrange(1, 4)))
             limit = rng.randrange(1, 120)
-            for x, full in ((items[0].formula, fmt_formula(items[0].formula)),
-                            (items, fmt_sequent(items))):
+            for fmt, x in ((fmt_formula, items[0].formula), (fmt_sequent, items)):
+                full = fmt(x)
                 cut = full if len(full) <= limit else full[:limit] + "\u2026"
-                assert lg.fmt_brief(x, limit) == cut
+                assert fmt(x, limit=limit) == cut
 
     def test_deep_formula(self):
         swap = Endo((1, 0))
         a = Atom("a")
         for _ in range(5000):
             a = Neg(swap, a)
-        assert lg.fmt_brief(a, 30) == ("(not [1,0] " * 5000)[:30] + "\u2026"
+        assert fmt_formula(a) == "(not [1,0] " * 5000 + "a" + ")" * 5000
+        assert fmt_formula(a, limit=30) == ("(not [1,0] " * 5000)[:30] + "\u2026"
         assert repr(a).startswith("Neg(f=Endo(") and repr(a).endswith("\u2026")

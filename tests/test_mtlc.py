@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -109,7 +110,7 @@ class TestRho:
         pool = Pool(2)
         ch = pool.new_channel(M.norm(parse_session("a(0, 1)", 2)))
         ep = Endpoint(ch, 1)
-        assert M._held(e, {"x": ERc(ep)}, M._FreeVars()) == (ep.eid,)
+        assert M._held(e, M._bind(None, "x", ERc(ep))) == (ep.eid,)
 
     def test_deeper_than_recursion_limit(self):
         pool = Pool(2)
@@ -483,6 +484,35 @@ def _judge(f):
         return True, f()
     except MtlcTypeError as e:
         return False, e.rule
+
+
+class TestEnvironment:
+    def test_extending_the_newest_environment_shares_its_log(self):
+        e1 = M._bind(None, "x", EInt(1))
+        e2 = M._bind(e1, "y", EInt(2))
+        e3 = M._bind(e2, "x", EInt(3))
+        assert e1[0] is e2[0] is e3[0]
+        assert M._bindings(e1) == {"x": EInt(1)}
+        assert M._bindings(e2) == {"x": EInt(1), "y": EInt(2)}
+        assert M._bindings(e3) == {"x": EInt(3), "y": EInt(2)}
+        assert M._lookup(e2, "x")[1] == EInt(1) and M._lookup(e1, "y") is None
+
+    def test_extending_an_older_environment_copies_what_it_sees(self):
+        e1 = M._bind(M._bind(None, "x", EInt(1)), "x", EInt(2))
+        e2 = M._bind(e1, "y", EInt(3))
+        e3 = M._bind(e1, "z", EInt(4))
+        assert e3[0] is not e1[0]
+        assert M._bindings(e3) == {"x": EInt(2), "z": EInt(4)}
+        assert M._bindings(e2) == {"x": EInt(2), "y": EInt(3)}
+
+    def test_masks_die_with_their_node(self):
+        # the masks table is kept for the whole process, the nodes are not
+        e = M.EApp(ELam("y", TInt(), EVar("y")), EVar("z"))
+        z = M._FV.bit("z")
+        assert M._FV(e) == (z, z, 0)
+        ref = weakref.ref(e)
+        del e
+        assert ref() is None
 
 
 class TestMachineAgainstOracle:
