@@ -452,8 +452,9 @@ def b_contract(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
     if calc.linear and not _is_why_not(item):
         raise KernelError("cannot contract non-? item in a linear derivation")
     concl = _take(d.conclusion, (item,), rule)
-    idx = concl.index(item)
-    return Derivation(rule, concl, (d,), idx)
+    if item not in concl:
+        raise KernelError(f"builder {rule}: premise lacks a second {fmt_sequent((item,), BRIEF)}")
+    return Derivation(rule, concl, (d,), concl.index(item))
 
 
 def b_neg(d: Derivation, roles_: int, f: Endo, body: Formula) -> Derivation:

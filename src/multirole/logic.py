@@ -407,10 +407,6 @@ def fmt_formula(a: Formula, bound: frozenset = frozenset(), limit: int | None = 
     return _unfold([(a, bound)], _formula_parts, limit)
 
 
-def fmt_iformula(it: IFormula, limit: int | None = None) -> str:
-    return _unfold([it], _formula_parts, limit)
-
-
 def fmt_sequent(items: Sequent, limit: int | None = None) -> str:
     todo = ["|- "]
     for i, it in enumerate(items):

@@ -5,18 +5,17 @@ program node or a value under an environment of closed values, and a stack
 of frames, so a step binds or looks up and never rebuilds or substitutes
 into the program.  Its reductions are those of substitution-based
 small-step evaluation, in the same order, and a state can be read back as
-the expression that evaluation would hold (MtlcThread.expr).  The whole
-pool can be retyped between any two steps (the debug mode behind
---retype-every-step): each part of a state is typed as a closure, its term
-under the types of its environment's values, which by the substitution
-lemma is the judgement of the read-back.  Channel effects are delegated to
-the runtime module: each calculus thread is a generator joining a runtime
-Pool and blocking on the same matching engine as scripted threads.
+the expression that evaluation would hold (MtlcThread.expr).  Retyping
+after every reduction (--retype-every-step) notes the program's judgements
+once, and then checks at each step only what the step changed
+(MtlcThread.judge).  Channel effects are delegated to the runtime module:
+each calculus thread is a generator joining a runtime Pool and blocking on
+the same matching engine as scripted threads.
 
 Types split into non-linear types (bool, int, indexed int, str, unit,
-T1*T2, ->) and linear viewtypes (chan(R,S), tensor pairs, -o).  The
-typechecker is algorithmic: the linear context is threaded through subterms
-and each rule reports what it consumed.
+T1*T2, ->) and linear viewtypes (chan(R,S), tensor pairs, -o), ordered by
+subtyping (compat).  The typechecker is algorithmic: the linear context is
+threaded through subterms and each rule reports what it consumed.
 """
 
 from __future__ import annotations
@@ -120,16 +119,29 @@ def is_linear(t: Viewtype) -> bool:
     return isinstance(t, (TChan, TLPair, TFunL))
 
 
-def compat(new: Viewtype, old: Viewtype) -> bool:
-    """Type preservation up to losing int indices (if-joins forget them)."""
-    if new == old:
-        return True
-    if isinstance(old, TInt) and isinstance(new, (TInt, TIntIdx)):
-        return True
-    match (new, old):
-        case (TPair(a, b), TPair(c, d)) | (TLPair(a, b), TLPair(c, d)):
-            return compat(a, c) and compat(b, d)
-    return False
+def compat(sub: Viewtype, sup: Viewtype) -> bool:
+    """Subtyping: sub <: sup when sup is their least upper bound."""
+    return sub is sup or sub == sup or _join(sub, sup) == sup
+
+
+def _join(a: Viewtype, b: Viewtype, up: bool = True) -> Viewtype | None:
+    """The least upper bound of two types (the greatest lower bound if not
+    up), or None: int(i) <: int; pairs, tensors and codomains are covariant,
+    and domains are contravariant."""
+    if a == b:
+        return a
+    match a, b:
+        case TIntIdx(), TIntIdx():
+            return TInt() if up else None
+        case (TIntIdx(), TInt()) | (TInt(), TIntIdx()):
+            return TInt() if up else a if type(a) is TIntIdx else b
+        case (TPair(l1, r1), TPair(l2, r2)) | (TLPair(l1, r1), TLPair(l2, r2)):
+            left, right = _join(l1, l2, up), _join(r1, r2, up)
+        case (TFunN(l1, r1), TFunN(l2, r2)) | (TFunL(l1, r1), TFunL(l2, r2)):
+            left, right = _join(l1, l2, not up), _join(r1, r2, up)
+        case _:
+            return None
+    return None if left is None or right is None else type(a)(left, right)
 
 
 _PAYLOAD_T = {"unit": TUnit(), "int": TInt(), "str": TStr()}
@@ -299,7 +311,7 @@ _RES_PARTS = {
 
 def resources(e: Expr) -> tuple[int, ...]:
     """The endpoint ids of the resource constants in an expression, one per
-    occurrence.
+    occurrence; a closure's are those of the term it stands for.
 
     Cached on each node on first request, so a step's new nodes are counted
     once and untouched subtrees not again; built from the children's cached
@@ -316,7 +328,7 @@ def resources(e: Expr) -> tuple[int, ...]:
         if parts is None:
             stack.pop()
             d["_res"] = ((node.ep.eid,) if isinstance(node, ERc) else
-                         _held(node.term, node.env) if type(node) is Clo else ())
+                         resources(_read(node.term, node.env)) if type(node) is Clo else ())
             continue
         kids = parts(node)
         todo = [k for k in kids if "_res" not in k.__dict__]
@@ -335,164 +347,6 @@ def rho(e: Expr) -> Counter:
     """The multiset of resource constants occurring in an expression."""
     return Counter(resources(e))
 
-
-class _FreeVars:
-    """Free variables as bit masks over a table of variable names.  Each
-    composite node caches its masks on itself, so those of nodes built while
-    a program runs die with them; a spine holds free-variable sets of every
-    length, too many to keep as sets.  The module keeps one table (_FV): it
-    only interns names, and a name's bit never changes, so cached masks stay
-    valid and no result depends on what ran before."""
-
-    def __init__(self):
-        self.bits: dict[str, int] = {}
-        self.order: list[str] = []
-
-    def bit(self, x: str) -> int:
-        if x not in self.bits:
-            self.bits[x] = 1 << len(self.order)
-            self.order.append(x)
-        return self.bits[x]
-
-    def names(self, mask: int) -> list[str]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.order[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-    def known(self, e: Expr) -> tuple[int, int, int] | None:
-        """e's masks if e is a leaf or they are cached, else None."""
-        cls = type(e)
-        if cls is EVar:
-            return (b := self.bit(e.name), b, 0)
-        return e.__dict__.get("_fv") if cls in _SHAPE else (0, 0, 0)
-
-    def __call__(self, e: Expr) -> tuple[int, int, int]:
-        """e's free variables, those free in the parts resources() counts,
-        and those free there more than once; built without recursion."""
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if self.known(node) is not None:
-                stack.pop()
-                continue
-            kids = _SHAPE[type(node)][0](node)
-            todo = [k for k in kids if self.known(k) is None]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            kids = [self.known(k) for k in kids]
-            cls = type(node)
-            if cls in _BINDS or cls is EIf:
-                bound = 0
-                for x in _BINDS[cls](node) if cls in _BINDS else ():
-                    bound |= self.bit(x)
-                f, o, t = kids[-1]
-                # a binder binds in its last child; an if counts its
-                # condition and then-branch only, as resources() does
-                kids[-1] = (f & ~bound, 0, 0) if cls is EIf else (f & ~bound, o & ~bound, t & ~bound)
-            free = once = twice = 0
-            for f, o, t in kids:
-                free |= f
-                twice |= t | once & o
-                once |= o
-            node.__dict__["_fv"] = (free, once, twice)
-        return self.known(e)
-
-
-_FV = _FreeVars()
-
-
-def free_evars(e: Expr) -> frozenset[str]:
-    return frozenset(_FV.names(_FV(e)[0]))
-
-
-def _held(term: Expr, env) -> tuple[int, ...]:
-    """resources() of term with the closed values of env substituted."""
-    out = resources(term)
-    if env is not None:
-        _, once, twice = _FV(term)
-        for x in _FV.names(once):
-            if (b := _lookup(env, x)) and (r := resources(b[1])):
-                if twice & _FV.bits[x]:  # rare: count on the substituted term
-                    return resources(_read(term, env))
-                out += r
-    return out
-
-
-def _fresh(x: str, taken) -> str:
-    """The smallest ``x~k`` (k >= 1, stem of x) not in taken."""
-    stem, k = x.split("~")[0], 1
-    while (z := f"{stem}~{k}") in taken:
-        k += 1
-    return z
-
-
-def esubst(e: Expr, x: str, v: Expr) -> Expr:
-    """e[v/x], capture-avoiding.
-
-    A binder that would capture v is renamed to the smallest ``y~k`` not
-    free in its body or in v and not x, so the result depends on e, x and v
-    alone.
-    """
-    return _SUBST[type(e)](e, x, v, free_evars(v))
-
-
-# The substitution rules take (e, x, v, fv), where fv holds v's free variables.
-def _subst_const(e, x, v, fv):
-    args = []
-    for a in e.args:
-        args.append(_SUBST[type(a)](a, x, v, fv))
-    return EConst(e.name, tuple(args))
-
-
-def _subst_let(e, x, v, fv):
-    x1, x2, p, b = e.x1, e.x2, e.pair, e.body
-    p2 = _SUBST[type(p)](p, x, v, fv)
-    if x in (x1, x2):
-        return ELet(x1, x2, p2, b)
-    if x1 in fv or x2 in fv:
-        taken = fv | free_evars(b) | {x}
-        n1 = _fresh(x1, taken)
-        n2 = _fresh(x2, taken | {n1})
-        b = esubst(esubst(b, x1, EVar(n1)), x2, EVar(n2))
-        x1, x2 = n1, n2
-    return ELet(x1, x2, p2, _SUBST[type(b)](b, x, v, fv))
-
-
-def _subst_binder(e, x, v, fv):
-    y, b = e.x, (e.value if type(e) is EFix else e.body)
-    if y == x:
-        return e
-    if y in fv:
-        ny = _fresh(y, fv | free_evars(b) | {x})
-        b = esubst(b, y, EVar(ny))
-        y = ny
-    return type(e)(y, e.t, _SUBST[type(b)](b, x, v, fv))
-
-
-def _subst_unknown(e, x, v, fv):
-    raise TypeError(f"unknown expression {e!r}")
-
-
-_SUBST = _Rules(_subst_unknown, {
-    EVar: lambda e, x, v, fv: v if e.name == x else e,
-    **dict.fromkeys((ERc, EUnit, EBool, EInt, EStr), lambda e, x, v, fv: e),
-    EConst: _subst_const,
-    **dict.fromkeys((EPair, ELPair), lambda e, x, v, fv: type(e)(
-        _SUBST[type(e.left)](e.left, x, v, fv), _SUBST[type(e.right)](e.right, x, v, fv))),
-    EApp: lambda e, x, v, fv: EApp(_SUBST[type(e.fun)](e.fun, x, v, fv),
-                                   _SUBST[type(e.arg)](e.arg, x, v, fv)),
-    **dict.fromkeys((EFst, ESnd), lambda e, x, v, fv: type(e)(
-        _SUBST[type(e.body)](e.body, x, v, fv))),
-    EIf: lambda e, x, v, fv: EIf(_SUBST[type(e.cond)](e.cond, x, v, fv),
-                                 _SUBST[type(e.then)](e.then, x, v, fv),
-                                 _SUBST[type(e.els)](e.els, x, v, fv)),
-    ELet: _subst_let, ELam: _subst_binder, ELLam: _subst_binder, EFix: _subst_binder,
-})
 
 _IS_VALUE = _Rules(lambda e: False, {
     **dict.fromkeys(_VALUE_LEAVES, lambda e: True),
@@ -694,71 +548,74 @@ _CHAN_CONSTS = {name for name in CONSTS if name.startswith("chan_")}
 # ---------------------------------------------------------- typechecker
 
 
-def _avoid(x: str, body: Expr, delta) -> tuple[str, Expr]:
-    """Alpha-rename a binder that would shadow a linear-context entry;
-    otherwise the shadowed resource could be dropped unnoticed.  The new name
-    is the smallest ``x~k`` not free in the body and not in the context."""
-    if x in delta:
-        x2 = _fresh(x, free_evars(body) | delta.keys())
-        return x2, esubst(body, x, EVar(x2))
-    return x, body
+class _Typing:
+    """A typing run: its universe size, and what to do with each node's
+    judgement (a judging run, _Judgements, notes them)."""
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @staticmethod
+    def noted(e, t, delta, left):
+        return t, left
 
 
 def typecheck(e: Expr, gamma: dict[str, Viewtype] | None = None,
               delta: dict[str, Viewtype] | None = None, n: int = 2) -> Viewtype:
-    t, left = _CHECK[type(e)](e, dict(gamma or {}), dict(delta or {}), n)
+    return _typed(e, gamma, delta, _Typing(n))
+
+
+def _typed(e: Expr, gamma, delta, cx: _Typing) -> Viewtype:
+    t, left = _CHECK[type(e)](e, dict(gamma or {}), dict(delta or {}), cx)
     if left:
         raise MtlcTypeError("ty-linear", f"unused linear variables: {sorted(left)}")
     return t
 
 
-def _check(e: Expr, gamma, delta, n) -> tuple[Viewtype, dict]:
-    return _CHECK[type(e)](e, gamma, delta, n)
-
-
-# The typing rules take (e, gamma, delta, n) and return e's type and the
-# linear context left over.
-def _check_var(e, gamma, delta, n):
+# The typing rules take (e, gamma, delta, cx) and return e's type and the
+# linear context left over, through cx.noted.
+def _check_var(e, gamma, delta, cx):
     x = e.name
     if x in delta:
         rest = dict(delta)
-        t = rest.pop(x)
-        return t, rest
+        return cx.noted(e, rest.pop(x), delta, rest)
     if x in gamma:
-        return gamma[x], delta
+        return cx.noted(e, gamma[x], delta, delta)
     raise MtlcTypeError("ty-var", f"unbound variable {x}")
 
 
-def _check_pair(e, gamma, delta, n):
+def _check_pair(e, gamma, delta, cx):
     """EPair and ELPair."""
     a, b = e.left, e.right
-    t1, d1 = _CHECK[type(a)](a, gamma, delta, n)
-    t2, d2 = _CHECK[type(b)](b, gamma, d1, n)
+    t1, d1 = _CHECK[type(a)](a, gamma, delta, cx)
+    t2, d2 = _CHECK[type(b)](b, gamma, d1, cx)
     if type(e) is ELPair:
-        return TLPair(t1, t2), d2
+        return cx.noted(e, TLPair(t1, t2), delta, d2)
     if is_linear(t1) or is_linear(t2):
         raise MtlcTypeError("ty-pair", "non-linear pairs cannot hold linear parts")
-    return TPair(t1, t2), d2
+    return cx.noted(e, TPair(t1, t2), delta, d2)
 
 
-def _check_proj(e, gamma, delta, n):
+def _check_proj(e, gamma, delta, cx):
     """EFst and ESnd."""
     b = e.body
-    t, d = _CHECK[type(b)](b, gamma, delta, n)
+    t, d = _CHECK[type(b)](b, gamma, delta, cx)
     fst = type(e) is EFst
     if not isinstance(t, TPair):
         raise MtlcTypeError("ty-fst" if fst else "ty-snd", f"projection from non-pair {t}")
-    return t.left if fst else t.right, d
+    return cx.noted(e, t.left if fst else t.right, delta, d)
 
 
-def _check_let(e, gamma, delta, n):
+def _check_let(e, gamma, delta, cx):
     p = e.pair
-    tp, d1 = _CHECK[type(p)](p, gamma, delta, n)
+    tp, d1 = _CHECK[type(p)](p, gamma, delta, cx)
     if not isinstance(tp, TLPair):
         raise MtlcTypeError("ty-let", f"let-pair on non-tensor {tp}")
-    x1, b = _avoid(e.x1, e.body, d1)
-    x2, b = _avoid(e.x2, b, d1)
+    x1, x2, b = e.x1, e.x2, e.body
     inner = dict(d1)
+    # the binders hide the linear entries they shadow until the body is typed
+    hidden = {x: inner.pop(x) for x in (x1, x2) if x in inner}
     # non-linear binders are bound in gamma itself for the body and unbound
     # after it: a copy per let would cost the context's size
     shadowed = {}
@@ -769,7 +626,7 @@ def _check_let(e, gamma, delta, n):
             shadowed.setdefault(x, gamma.get(x))
             gamma[x] = tx
     try:
-        t, d2 = _CHECK[type(b)](b, gamma, inner, n)
+        t, d2 = _CHECK[type(b)](b, gamma, inner, cx)
     finally:
         for x, old in shadowed.items():
             if old is None:
@@ -779,47 +636,54 @@ def _check_let(e, gamma, delta, n):
     for x, tx in ((x1, tp.left), (x2, tp.right)):
         if is_linear(tx) and x in d2:
             raise MtlcTypeError("ty-let", f"linear variable {x} unused")
-    return t, d2
+    d2.update(hidden)
+    if type(cx) is _Judgements:
+        cx.bind(b, {x2: tp.right, x1: tp.left})
+    return cx.noted(e, t, delta, d2)
 
 
-def _check_lam(e, gamma, delta, n):
+def _check_lam(e, gamma, delta, cx):
     """ELam (rule ty-lam-i) and ELLam (ty-lam-l)."""
     linear = type(e) is ELLam
     rule = "ty-lam-l" if linear else "ty-lam-i"
     if not linear and resources(e.body):
         raise MtlcTypeError(rule, "non-linear function holds resources")
-    tx = e.t
-    x, body = _avoid(e.x, e.body, delta)
+    tx, x, body = e.t, e.x, e.body
     inner = dict(delta)
+    hidden = inner.pop(x, None)  # a linear entry the parameter shadows
     g = gamma
     if is_linear(tx):
         inner[x] = tx
     else:
         g = dict(gamma)
         g[x] = tx
-    t, d2 = _CHECK[type(body)](body, g, inner, n)
+    t, d2 = _CHECK[type(body)](body, g, inner, cx)
     if is_linear(tx) and x in d2:
         raise MtlcTypeError(rule, f"linear parameter {x} unused")
     d2.pop(x, None)
+    if hidden is not None:
+        d2[x] = hidden
+    if type(cx) is _Judgements:
+        cx.bind(body, {x: tx})
     if linear:
-        return TFunL(tx, t), d2
+        return cx.noted(e, TFunL(tx, t), delta, d2)
     if d2 != delta:
         raise MtlcTypeError(rule, "non-linear function captures linear variables")
-    return TFunN(tx, t), delta
+    return cx.noted(e, TFunN(tx, t), delta, delta)
 
 
-def _check_app(e, gamma, delta, n):
+def _check_app(e, gamma, delta, cx):
     f, a = e.fun, e.arg
-    tf, d1 = _CHECK[type(f)](f, gamma, delta, n)
+    tf, d1 = _CHECK[type(f)](f, gamma, delta, cx)
     if not isinstance(tf, (TFunN, TFunL)):
         raise MtlcTypeError("ty-app", f"application of non-function {tf}")
-    ta, d2 = _CHECK[type(a)](a, gamma, d1, n)
+    ta, d2 = _CHECK[type(a)](a, gamma, d1, cx)
     if not compat(ta, tf.dom):
         raise MtlcTypeError("ty-app", f"argument {ta} does not fit {tf.dom}")
-    return tf.cod, d2
+    return cx.noted(e, tf.cod, delta, d2)
 
 
-def _check_fix(e, gamma, delta, n):
+def _check_fix(e, gamma, delta, cx):
     tx, v = e.t, e.value
     if not is_value(v) and not isinstance(v, EVar):
         raise MtlcTypeError("ty-fix", "fixpoint body must be a value")
@@ -827,77 +691,151 @@ def _check_fix(e, gamma, delta, n):
         raise MtlcTypeError("ty-fix", "fixpoint body holds resources")
     if is_linear(tx):
         raise MtlcTypeError("ty-fix", "fixpoint at a linear type")
-    x, v = _avoid(e.x, v, delta)
+    x, d = e.x, dict(delta)
+    d.pop(x, None)  # a linear entry the binder shadows
     g = dict(gamma)
     g[x] = tx
-    t, d2 = _CHECK[type(v)](v, g, delta, n)
-    if d2 != delta:
+    t, d2 = _CHECK[type(v)](v, g, d, cx)
+    if d2 != d:
         raise MtlcTypeError("ty-fix", "fixpoint body consumes linear context")
     if not compat(t, tx):
         raise MtlcTypeError("ty-fix", f"body type {t} differs from {tx}")
-    return tx, delta
+    if type(cx) is _Judgements:
+        cx.bind(v, {x: tx})
+    return cx.noted(e, tx, delta, delta)
 
 
-def _check_if(e, gamma, delta, n):
+def _check_if(e, gamma, delta, cx):
     c, a, b = e.cond, e.then, e.els
-    tc, d0 = _CHECK[type(c)](c, gamma, delta, n)
+    tc, d0 = _CHECK[type(c)](c, gamma, delta, cx)
     if not isinstance(tc, TBool):
         raise MtlcTypeError("ty-if", f"condition of type {tc}")
     if rho(a) != rho(b):
         raise MtlcTypeError("ty-if", "branches hold different resources")
-    t1, d1 = _CHECK[type(a)](a, gamma, d0, n)
-    t2, d2 = _CHECK[type(b)](b, gamma, d0, n)
+    t1, d1 = _CHECK[type(a)](a, gamma, d0, cx)
+    t2, d2 = _CHECK[type(b)](b, gamma, d0, cx)
     if d1 != d2:
         raise MtlcTypeError("ty-if", "branches consume different linear variables")
-    if t1 == t2:
-        return t1, d1
-    if isinstance(t1, (TInt, TIntIdx)) and isinstance(t2, (TInt, TIntIdx)):
-        return TInt(), d1
-    raise MtlcTypeError("ty-if", f"branch types differ: {t1} vs {t2}")
+    t = _join(t1, t2)
+    if t is None:
+        raise MtlcTypeError("ty-if", f"branch types differ: {t1} vs {t2}")
+    if type(cx) is _Judgements:
+        cx.bind(a, {})
+        cx.bind(b, {})
+    return cx.noted(e, t, delta, d1)
 
 
-def _check_const(e, gamma, delta, n):
+def _check_const(e, gamma, delta, cx):
     ts = []
     d = delta
     for a in e.args:
-        ta, d = _CHECK[type(a)](a, gamma, d, n)
+        ta, d = _CHECK[type(a)](a, gamma, d, cx)
         ts.append(ta)
     # the rule is called from here, not through sig_result, to save a frame
-    return _signature(e.name, len(ts), n)(e.name, ts, n), d
+    return cx.noted(e, _signature(e.name, len(ts), cx.n)(e.name, ts, cx.n), delta, d)
 
 
-def _check_unknown(e, gamma, delta, n):
+def _check_unknown(e, gamma, delta, cx):
     raise MtlcTypeError("ty", f"unknown expression {e!r}")
 
 
 _CHECK = _Rules(_check_unknown, {
     EVar: _check_var,
-    ERc: lambda e, gamma, delta, n: (TChan(e.ep.roles, e.ep.channel.cursor), delta),
-    EUnit: lambda e, gamma, delta, n: (TUnit(), delta),
-    EBool: lambda e, gamma, delta, n: (TBool(), delta),
-    EInt: lambda e, gamma, delta, n: (TIntIdx(e.value), delta),
-    EStr: lambda e, gamma, delta, n: (TStr(), delta),
+    ERc: lambda e, gamma, delta, cx: cx.noted(e, TChan(e.ep.roles, e.ep.channel.cursor),
+                                              delta, delta),
+    EUnit: lambda e, gamma, delta, cx: cx.noted(e, TUnit(), delta, delta),
+    EBool: lambda e, gamma, delta, cx: cx.noted(e, TBool(), delta, delta),
+    EInt: lambda e, gamma, delta, cx: cx.noted(e, TIntIdx(e.value), delta, delta),
+    EStr: lambda e, gamma, delta, cx: cx.noted(e, TStr(), delta, delta),
     EPair: _check_pair, ELPair: _check_pair, EFst: _check_proj, ESnd: _check_proj,
     ELet: _check_let, ELam: _check_lam, ELLam: _check_lam, EApp: _check_app,
     EFix: _check_fix, EIf: _check_if, EConst: _check_const,
-    Clo: lambda e, gamma, delta, n: (_closure_type(e.term, e.env, n), delta),
+    # a closure is typed as the closed term it stands for
+    Clo: lambda e, gamma, delta, cx: (typecheck(_read(e.term, e.env), n=cx.n), delta),
 })
 
 
-def _closure_type(term: Expr, env, n: int, hole: Viewtype | None = None) -> Viewtype:
-    """The type of term with the closed values of env substituted (and the
-    hole at the given type): term typed through typecheck under the types of
-    its free variables' values.  By the substitution lemma this is the
-    judgement of the substituted term."""
-    gamma, delta = {}, {}
-    if hole is not None:
-        (delta if is_linear(hole) else gamma)[_HOLE.name] = hole
-    if env is not None:
-        for x in _FV.names(_FV(term)[0]):
-            if b := _lookup(env, x):  # else typecheck reports it unbound
-                t = _CHECK[type(b[1])](b[1], _EMPTY, _EMPTY, n)[0]
-                (delta if is_linear(t) else gamma)[x] = t
-    return typecheck(term, gamma, delta, n)
+class _Unjudged(Exception):
+    """A part of a state that the run's judgements do not cover."""
+
+
+class _Judgements(dict):
+    """A run's typing derivation, noted while its program is typed once:
+    each node's id maps to (node, type, the linear variables it consumes,
+    the binders whose values a reduction binds before it), or to None where
+    a node shared by two places has two judgements.  A body is typed under
+    its binders' types, so by the substitution lemma its type is, up to
+    subtyping, that of the body under any environment whose values fit them.
+    The methods judge parts of a machine state from the notes, or raise
+    _Unjudged."""
+
+    def __init__(self, n: int, root: Expr):
+        super().__init__()
+        self.n, self.plain = n, _Typing(n)
+        _typed(root, None, None, self)
+
+    def noted(self, e: Expr, t: Viewtype, delta: dict, left: dict):
+        # e consumes what of delta is not left
+        lin = () if len(left) == len(delta) else tuple(x for x in delta if x not in left)
+        got = self.get(id(e), ())
+        if got == ():
+            self[id(e)] = (e, t, lin, None)
+        elif got is not None and got[1:3] != (t, lin):
+            self[id(e)] = None
+        return t, left
+
+    def bind(self, body: Expr, binds: dict) -> None:
+        if (got := self.get(id(body))) is not None:
+            binds = tuple(binds.items())
+            self[id(body)] = got[:3] + (binds,) if got[3] in (None, binds) else None
+
+    def of(self, e: Expr) -> tuple:
+        if (got := self.get(id(e))) is None:
+            raise _Unjudged
+        return got
+
+    def term(self, e: Expr, env) -> tuple[Viewtype, tuple]:
+        """The type and resources of a control term under env: a body or a
+        branch, each value its reduction bound checked at its binder, or a
+        function applied to a value (a fixpoint unfolded, a thread spawned)."""
+        got = self.get(id(e))
+        if got is not None:
+            for x, tx in got[3] or ():
+                if (b := _lookup(env, x)) is None:
+                    raise _Unjudged
+                if not compat(t := self.value(b[1])[0], tx):
+                    raise MtlcTypeError("ty-bind", f"{x} bound to a {t}, which does not fit {tx}")
+            return got[1], self.held(e, env)
+        if type(e) is not EApp:
+            raise _Unjudged
+        tf, hf = self.term(e.fun, env) if id(e.fun) in self else self.value(e.fun)
+        ta, ha = self.value(e.arg)
+        if not isinstance(tf, (TFunN, TFunL)) or not compat(ta, tf.dom):
+            raise MtlcTypeError("ty-app", f"{tf} applied to {ta}")
+        return tf.cod, hf + ha
+
+    def held(self, e: Expr, env, bound=()) -> tuple[int, ...]:
+        """resources() of program node e under env but for the variables
+        bound: its constants and those of the linear variables' values."""
+        out = resources(e)
+        for x in self.of(e)[2]:
+            if x not in bound:
+                if (b := _lookup(env, x)) is None:
+                    raise _Unjudged
+                out += self.value(b[1])[1]
+        return out
+
+    def value(self, v: Expr) -> tuple[Viewtype, tuple]:
+        """The type and resources of a value."""
+        cls = type(v)
+        if cls is Clo:
+            return self.of(v.term)[1], self.held(v.term, v.env)
+        if cls is EPair or cls is ELPair:
+            (t1, h1), (t2, h2) = self.value(v.left), self.value(v.right)
+            return (TPair if cls is EPair else TLPair)(t1, t2), h1 + h2
+        if cls not in _SELF:
+            raise _Unjudged  # not a value
+        return _CHECK[cls](v, _EMPTY, _EMPTY, self.plain)[0], (v.ep.eid,) if cls is ERc else ()
 
 
 # ------------------------------------------------------- canonical forms
@@ -1057,55 +995,102 @@ def _read(term: Expr, env, hole: Expr | None = None) -> Expr:
 class MtlcThread:
     """Adapter joining an expression to a runtime Pool as a generator thread."""
 
+    _notes = None  # the run's _Judgements, from the first retyping on
+    _parent = None  # the thread that spawned this one, whose notes it shares
+    _frames = None  # (index, top): the frames judged so far, see judge()
+
     def __init__(self, pool: Pool, expr: Expr, hook=None, expected: Viewtype | None = None):
         self.pool = pool
         self.hook = hook
+        self.root = expr
         self.expected = TUnit() if expected is None else expected
         # (term, env, value, continuation), the value standing when term is
         # None; saved after every reduction, and steps in between do not
         # change what it stands for
         self.state = (expr, None, None, None)
-        self._parts = self._held = (None, None)  # (state, its parts / resources)
+        self._held = (None, None)  # (state, its resources)
         self.thread = pool.add_thread(self._gen)
         self.thread.mtlc = self  # used for pool retyping
 
-    def parts(self) -> list[tuple]:
-        """The state as closures (term, env), innermost first: the control
-        and each frame's node with its hole, built once per state."""
-        if self._parts[0] is not self.state:
-            term, env, val, k = self.state
-            out = [(val, None) if term is None else (term, env)]
-            while k is not None:
-                node, fenv, vals, k = k
-                kids, make = _SHAPE[type(node)]
-                out.append((make(node, vals + (_HOLE,) + kids(node)[len(vals) + 1:]), fenv))
-            self._parts = (self.state, out)
-        return self._parts[1]
-
     def held(self) -> tuple[int, ...]:
-        """resources() of the expression the state stands for."""
+        """resources() of the expression the state stands for: as the last
+        retyping of this state counted them, else on its read-back."""
         if self._held[0] is not self.state:
-            out = ()
-            for term, env in self.parts():
-                out += _held(term, env)
-            self._held = (self.state, out)
+            self._held = (self.state, resources(self.expr))
         return self._held[1]
 
     @property
     def expr(self) -> Expr:
-        """The closed expression the state stands for (read-back)."""
-        out = None
-        for term, env in self.parts():
-            out = _read(term, env, out)
+        """The closed expression the state stands for (read-back): the
+        control, then each frame's node with the part inside it at its hole,
+        each with its environment substituted."""
+        term, env, val, k = self.state
+        out = _read(val, None) if term is None else _read(term, env)
+        while k is not None:
+            node, fenv, vals, k = k
+            kids, make = _SHAPE[type(node)]
+            out = _read(make(node, vals + (_HOLE,) + kids(node)[len(vals) + 1:]), fenv, out)
         return out
 
-    def state_type(self) -> Viewtype:
-        """The type of the expression the state stands for: each part typed
-        under its environment, its hole at the type of the part inside it."""
-        ty = None
-        for term, env in self.parts():
-            ty = _closure_type(term, env, self.pool.n, ty)
+    def judge(self) -> Viewtype:
+        """Retype the state, and count its resources for held().  Each frame
+        is judged once from the notes (_Judgements), when first seen: its
+        hole's type, its node's, which must fit the hole below, and the
+        resources from it down.  A step checks its control at the top hole
+        and each value it bound at its binder.  By the replacement lemma this
+        is the type of the read-back, or a supertype where a binder's type
+        stands in for a value's refined one.  A state the notes do not cover
+        is typed on its read-back."""
+        try:
+            ty, held = self._judge_state()
+        except _Unjudged:
+            e = self.expr
+            ty, held = typecheck(e, n=self.pool.n), resources(e)
+        if not compat(ty, self.expected):
+            raise MtlcTypeError("ty-pool",
+                                f"thread {self.thread.tid} type {ty} drifted from {self.expected}")
+        self._held = (self.state, held)
         return ty
+
+    def _judgements(self) -> _Judgements:
+        if self._notes is None:
+            self._notes = (self._parent._judgements() if self._parent is not None
+                           else _Judgements(self.pool.n, self.root))
+        return self._notes
+
+    def _judge_state(self) -> tuple[Viewtype, tuple]:
+        notes = self._judgements()
+        term, env, val, k = self.state
+        # a judged frame is (frame, hole type, resources from it down, the
+        # judged frame below, the thread's type), indexed by the frame's id;
+        # the index keeps its frames alive, so no id is reused
+        index, top = self._frames or ({}, None)
+        self._frames = None  # until this judgement succeeds
+        new = []
+        while k is not None and id(k) not in index:
+            new.append(k)
+            k = k[3]
+        below = None if k is None else index[id(k)]
+        while top is not below:  # forget the frames popped since
+            del index[id(top[0])]
+            top = top[3]
+        for k in reversed(new):
+            node, fenv, vals, _ = k
+            cls = type(node)
+            kids = _SHAPE[cls][0](node)
+            ty = _fits(notes.of(node)[1], below)
+            held = sum((notes.value(v)[1] for v in vals), () if below is None else below[2])
+            # an if counts its condition and then-branch only, as resources() does
+            for c in kids[len(vals) + 1:2 if cls is EIf else None]:
+                held += notes.held(c, fenv, (node.x1, node.x2) if cls is ELet else ())
+            below = index[id(k)] = (k, notes.of(kids[len(vals)])[1], held, below,
+                                    ty if below is None else below[4])
+        self._frames = (index, below)
+        ty, held = notes.value(val) if term is None else notes.term(term, env)
+        if below is None:
+            return ty, held
+        _fits(ty, below)
+        return below[4], held + below[2]
 
     def _gen(self, t):
         pool = self.pool
@@ -1182,7 +1167,9 @@ class MtlcThread:
 
     def _spawn(self, f, arg) -> MtlcThread:
         """A thread of this thread's class applying value f to arg."""
-        return type(self)(self.pool, EApp(f, arg), self.hook)
+        nt = type(self)(self.pool, EApp(f, arg), self.hook)
+        nt._parent = self
+        return nt
 
     def _channel_op(self, name: str, args: tuple):
         pool = self.pool
@@ -1195,9 +1182,11 @@ class MtlcThread:
         match name:
             case "chan_create":
                 f = args[0]
-                tf = typecheck(f, n=pool.n)
-                part = tf.dom.roles
-                ch = pool.new_channel(tf.dom.cursor)
+                lam = f.term if type(f) is Clo else f
+                if type(lam) is not ELLam or type(lam.t) is not TChan:
+                    raise StuckNonRedex(f"chan_create: chan(R,S) -o 1 expected, got {f!r}")
+                part = lam.t.roles
+                ch = pool.new_channel(lam.t.cursor)
                 spawned = pool.new_endpoint(ch, part)
                 mine = pool.new_endpoint(ch, pool.full & ~part)
                 nt = self._spawn(f, ERc(spawned))
@@ -1247,61 +1236,67 @@ class MtlcThread:
         raise StuckNonRedex(f"unknown channel constant {name}")
 
 
+def _fits(ty: Viewtype, below) -> Viewtype:
+    """ty, if it fits the hole of the judged frame below (if any)."""
+    if below is not None and not compat(ty, below[1]):
+        raise MtlcTypeError("ty-hole", f"{ty} does not fit its hole, of type {below[1]}")
+    return ty
+
+
+def _threads(pool: Pool):
+    """The pool's unfinished calculus threads."""
+    for t in pool.active_threads.values():
+        if (m := getattr(t, "mtlc", None)) is not None:
+            yield m
+
+
 def pool_rho(pool: Pool) -> Counter:
     out = Counter()
-    for t in pool.active_threads.values():
-        m = getattr(t, "mtlc", None)
-        if m is not None:
-            out.update(m.held())
+    for m in _threads(pool):
+        out.update(m.held())
     return out
 
 
 def res_ok(pool: Pool) -> bool:
     """Each live endpoint held at most once across the pool (RES membership)."""
-    held = pool_rho(pool)
-    return all(c == 1 for c in held.values())
+    held = [eid for m in _threads(pool) for eid in m.held()]
+    return len(held) == len(set(held))
 
 
 def retype_thread(pool: Pool, mt: MtlcThread) -> None:
     """Per-step debug hook: the stepping thread stays well-typed and the
     pool as a whole stays within the resource discipline.
 
-    Only the thread that just reduced is retyped: between a synchronisation
-    firing and the other participants resuming, their expressions still show
-    the pre-fire operation, so whole-pool retyping is meaningful only at
-    quiescence (see retype_pool).
+    Only the thread that just reduced is retyped, with any thread it
+    spawned: between a synchronisation firing and the other participants
+    resuming, their expressions still show the pre-fire operation, so
+    whole-pool retyping is meaningful only at quiescence (see retype_pool).
     """
-    if not res_ok(pool):
-        raise MtlcTypeError("ty-pool", "an endpoint is held more than once")
-    ty = mt.state_type()
-    if not compat(ty, mt.expected):
-        raise MtlcTypeError("ty-pool",
-                            f"thread {mt.thread.tid} type {ty} drifted from {mt.expected}")
+    mt.judge()
+    retype_pool(pool, every=False)
 
 
-def retype_pool(pool: Pool) -> None:
-    """Assert every unfinished calculus thread still has its declared type."""
+def retype_pool(pool: Pool, every: bool = True) -> None:
+    """Assert every unfinished calculus thread (or every one not retyped
+    yet) still has its declared type, and each live endpoint is held once."""
+    for m in _threads(pool):
+        if every or m._held[0] is None:
+            m.judge()
     if not res_ok(pool):
         raise MtlcTypeError("ty-pool", "an endpoint is held more than once")
-    for t in pool.active_threads.values():
-        m = getattr(t, "mtlc", None)
-        if m is None:
-            continue
-        ty = m.state_type()
-        if not compat(ty, m.expected):
-            raise MtlcTypeError("ty-pool",
-                                f"thread {t.tid} has type {ty}, expected {m.expected}")
 
 
 def eval_pool(expr: Expr, n: int = 2, seed: int = 0, max_steps: int = 10000,
               retype_every_step: bool = False):
     """Evaluate a closed main expression as thread 0 of a fresh pool."""
     pool = Pool(n, seed=seed)
-    main_type = typecheck(expr, n=n)
-    hook = retype_thread if retype_every_step else None
-    mt = MtlcThread(pool, expr, hook, expected=main_type)
-    if retype_every_step:
+    if retype_every_step:  # typed once, noting its judgements for the steps
+        notes = _Judgements(n, expr)
+        mt = MtlcThread(pool, expr, retype_thread, expected=notes.of(expr)[1])
+        mt._notes = notes
         retype_pool(pool)
+    else:
+        mt = MtlcThread(pool, expr, expected=typecheck(expr, n=n))
     result = pool.run(max_steps=max_steps)
     if retype_every_step:
         retype_pool(pool)

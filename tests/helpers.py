@@ -58,8 +58,6 @@ from multirole.mtlc import (
     TPair,
     TUnit,
     Viewtype,
-    _avoid,
-    _check,
     compat,
     is_linear,
     rho,
@@ -421,6 +419,115 @@ def recount_every_event(pool: rt.Pool) -> rt.Pool:
 
 
 # ------------------------------------------------------------------ mtlc
+#
+# Capture-avoiding substitution, for the substitution stepper and the
+# declarative checker below; the calculus itself never substitutes.
+
+
+def free_evars(e: Expr) -> frozenset[str]:
+    """The free variables of an expression, built without recursion; a node
+    shared within it is visited once."""
+    free: dict[int, frozenset] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        cls = type(node)
+        if cls not in M._SHAPE:
+            free[id(node)] = frozenset((node.name,)) if cls is EVar else frozenset()
+            stack.pop()
+            continue
+        kids = M._SHAPE[cls][0](node)
+        todo = [k for k in kids if id(k) not in free]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        sets = [free[id(k)] for k in kids]
+        if cls in M._BINDS:  # a binder binds in its last child
+            sets[-1] = sets[-1].difference(M._BINDS[cls](node))
+        free[id(node)] = frozenset().union(*sets)
+    return free[id(e)]
+
+
+def _fresh(x: str, taken) -> str:
+    """The smallest ``x~k`` (k >= 1, stem of x) not in taken."""
+    stem, k = x.split("~")[0], 1
+    while (z := f"{stem}~{k}") in taken:
+        k += 1
+    return z
+
+
+def esubst(e: Expr, x: str, v: Expr) -> Expr:
+    """e[v/x], capture-avoiding.
+
+    A binder that would capture v is renamed to the smallest ``y~k`` not
+    free in its body or in v and not x, so the result depends on e, x and v
+    alone.
+    """
+    return _SUBST[type(e)](e, x, v, free_evars(v))
+
+
+# The substitution rules take (e, x, v, fv), where fv holds v's free variables.
+def _subst_const(e, x, v, fv):
+    args = []
+    for a in e.args:
+        args.append(_SUBST[type(a)](a, x, v, fv))
+    return EConst(e.name, tuple(args))
+
+
+def _subst_let(e, x, v, fv):
+    x1, x2, p, b = e.x1, e.x2, e.pair, e.body
+    p2 = _SUBST[type(p)](p, x, v, fv)
+    if x in (x1, x2):
+        return ELet(x1, x2, p2, b)
+    if x1 in fv or x2 in fv:
+        taken = fv | free_evars(b) | {x}
+        n1 = _fresh(x1, taken)
+        n2 = _fresh(x2, taken | {n1})
+        b = esubst(esubst(b, x1, EVar(n1)), x2, EVar(n2))
+        x1, x2 = n1, n2
+    return ELet(x1, x2, p2, _SUBST[type(b)](b, x, v, fv))
+
+
+def _subst_binder(e, x, v, fv):
+    y, b = e.x, (e.value if type(e) is EFix else e.body)
+    if y == x:
+        return e
+    if y in fv:
+        ny = _fresh(y, fv | free_evars(b) | {x})
+        b = esubst(b, y, EVar(ny))
+        y = ny
+    return type(e)(y, e.t, _SUBST[type(b)](b, x, v, fv))
+
+
+def _subst_unknown(e, x, v, fv):
+    raise TypeError(f"unknown expression {e!r}")
+
+
+_SUBST = M._Rules(_subst_unknown, {
+    EVar: lambda e, x, v, fv: v if e.name == x else e,
+    **dict.fromkeys((ERc, EUnit, EBool, EInt, EStr), lambda e, x, v, fv: e),
+    EConst: _subst_const,
+    **dict.fromkeys((EPair, ELPair), lambda e, x, v, fv: type(e)(
+        _SUBST[type(e.left)](e.left, x, v, fv), _SUBST[type(e.right)](e.right, x, v, fv))),
+    EApp: lambda e, x, v, fv: EApp(_SUBST[type(e.fun)](e.fun, x, v, fv),
+                                   _SUBST[type(e.arg)](e.arg, x, v, fv)),
+    **dict.fromkeys((EFst, ESnd), lambda e, x, v, fv: type(e)(
+        _SUBST[type(e.body)](e.body, x, v, fv))),
+    EIf: lambda e, x, v, fv: EIf(_SUBST[type(e.cond)](e.cond, x, v, fv),
+                                 _SUBST[type(e.then)](e.then, x, v, fv),
+                                 _SUBST[type(e.els)](e.els, x, v, fv)),
+    ELet: _subst_let, ELam: _subst_binder, ELLam: _subst_binder, EFix: _subst_binder,
+})
+
+def _avoid(x: str, body: Expr, delta) -> tuple[str, Expr]:
+    """Alpha-rename a binder that would shadow a linear-context entry;
+    otherwise the shadowed resource could be dropped unnoticed.  The new name
+    is the smallest ``x~k`` not free in the body and not in the context."""
+    if x in delta:
+        x2 = _fresh(x, free_evars(body) | delta.keys())
+        return x2, esubst(body, x, EVar(x2))
+    return x, body
 
 
 def typecheck_declarative(e: Expr, gamma=None, delta=None, n: int = 2) -> Viewtype:
@@ -452,8 +559,7 @@ def typecheck_declarative(e: Expr, gamma=None, delta=None, n: int = 2) -> Viewty
             case EUnit() | EBool() | EInt() | EStr() | ERc():
                 if d:
                     raise MtlcTypeError("ty-lit", "leftover linear context")
-                t, _ = _check(e, gamma, {}, n)
-                return t
+                return M.typecheck(e, gamma, {}, n)
             case EPair(a, b) | ELPair(a, b) | EApp(a, b):
                 errs = None
                 for dl, dr in splits(d):
@@ -556,17 +662,14 @@ def typecheck_declarative(e: Expr, gamma=None, delta=None, n: int = 2) -> Viewty
                     except MtlcTypeError as ex:
                         errs = ex
                         continue
-                    if t1 == t2:
-                        return t1
-                    if isinstance(t1, (TInt, TIntIdx)) and isinstance(t2, (TInt, TIntIdx)):
-                        return TInt()
+                    if (t := M._join(t1, t2)) is not None:
+                        return t
                     errs = MtlcTypeError("ty-if", f"{t1} vs {t2}")
                 raise errs or MtlcTypeError("ty-split", "no valid context split")
             case EFix(x, tx, v):
-                t, _ = _check(e, gamma, dict(d), n)
                 if d:
                     raise MtlcTypeError("ty-fix", "leftover linear context")
-                return t
+                return M.typecheck(e, gamma, {}, n)
             case EConst(name, args):
                 if not args:
                     if d:
@@ -729,16 +832,15 @@ _DECOMPOSE = M._Rules(_decompose_unknown, {
 def _apply(f: Expr, a: Expr) -> Expr:
     match f:
         case ELam(x, _, body) | ELLam(x, _, body):
-            return M.esubst(body, x, a)
+            return esubst(body, x, a)
         case EFix(x, _, v):
-            return EApp(M.esubst(v, x, f), a)
+            return EApp(esubst(v, x, f), a)
     raise M.StuckNonRedex(f"application of non-function {f!r}")
 
 
 class SubstThread(M.MtlcThread):
     """An mtlc thread stepped by substitution: its state is the whole
-    expression, which the pool's retyping and resource counting see as one
-    closure with an empty environment."""
+    expression, which the pool's retyping types and counts as it is."""
 
     expr = None  # an attribute, not the machine's read-back
 
@@ -746,8 +848,8 @@ class SubstThread(M.MtlcThread):
         self.expr = expr
         super().__init__(pool, expr, hook, expected)
 
-    def parts(self):
-        return [(self.expr, None)]
+    def _judge_state(self):
+        return M.typecheck(self.expr, n=self.pool.n), M.resources(self.expr)
 
     def held(self):
         return M.resources(self.expr)
@@ -768,7 +870,7 @@ class SubstThread(M.MtlcThread):
                 case ESnd(EPair(_, b)):
                     out = b
                 case ELet(x1, x2, ELPair(a, b), body):
-                    out = M.esubst(M.esubst(body, x1, a), x2, b)
+                    out = esubst(esubst(body, x1, a), x2, b)
                 case EIf(EBool(c), a, b):
                     out = a if c else b
                 case EConst("iadd", (EInt(i), EInt(j))):
@@ -804,6 +906,64 @@ def subst_eval_pool(expr, n: int = 2, seed: int = 0, max_steps: int = 10000,
     if retype_every_step:
         M.retype_pool(pool)
     return result, st.expr
+
+
+# ---------------------------------------------- mtlc closure retyping oracle
+#
+# How mtlc retyped a state before it noted judgements: each part of the
+# state, the control and each frame's node with a hole at the child being
+# evaluated, is typed as a closure, its term under the types of its
+# environment's values, with the hole at the type of the part inside it.
+# By the substitution lemma this is the judgement of the read-back.  Each
+# step costs the size of the whole state.  It is the oracle MtlcThread.judge
+# is compared with.
+
+
+def closure_type(term: Expr, env, n: int, hole: Viewtype | None = None) -> Viewtype:
+    gamma, delta = {}, {}
+    if hole is not None:
+        (delta if is_linear(hole) else gamma)[M._HOLE.name] = hole
+    for x in free_evars(term):
+        if b := M._lookup(env, x):  # else typecheck reports it unbound
+            t = M.typecheck(b[1], n=n)
+            (delta if is_linear(t) else gamma)[x] = t
+    return M.typecheck(term, gamma, delta, n)
+
+
+def state_parts(mt: M.MtlcThread) -> list[tuple]:
+    """A machine state as closures (term, env), innermost first: the control
+    and each frame's node with its hole."""
+    if isinstance(mt, SubstThread):
+        return [(mt.expr, None)]
+    term, env, val, k = mt.state
+    out = [(val, None) if term is None else (term, env)]
+    while k is not None:
+        node, fenv, vals, k = k
+        kids, make = M._SHAPE[type(node)]
+        out.append((make(node, vals + (M._HOLE,) + kids(node)[len(vals) + 1:]), fenv))
+    return out
+
+
+def state_type(mt: M.MtlcThread) -> Viewtype:
+    """The type of the expression mt's state stands for, by closure typing;
+    MtlcTypeError if it has none or it does not fit mt's declared type."""
+    ty = None
+    for term, env in state_parts(mt):
+        ty = closure_type(term, env, mt.pool.n, ty)
+    if not compat(ty, mt.expected):
+        raise MtlcTypeError("ty-pool", f"thread {mt.thread.tid} type {ty} drifted "
+                            f"from {mt.expected}")
+    return ty
+
+
+def erase(t: Viewtype) -> Viewtype:
+    """t with every int index forgotten."""
+    match t:
+        case TIntIdx():
+            return TInt()
+        case TPair(a, b) | TLPair(a, b) | TFunN(a, b) | TFunL(a, b):
+            return type(t)(erase(a), erase(b))
+    return t
 
 
 def _chain_party(cursor, roleset, chan, acc, ctr):
@@ -874,11 +1034,11 @@ def rand_int_src(rng: random.Random, depth: int, ivars: tuple = (), tag: str = "
         case 7:
             return f"(app (llam (u{tag} 1) {sub()}) (thread_create (llam (w{tag} 1) unit)))"
         case _:
-            # the argument's body uses only its parameter: retyping rejects a
-            # function whose result type gained an index (compat has no case
-            # for function types)
+            # a function argument whose body may use only ints it captures:
+            # its result type is int under its binders, and refined (int(i))
+            # once those ints are bound, which only subtyping accepts
             return (f"(app (lam (f{tag} (-> int int)) (app f{tag} {sub()})) "
-                    f"(lam ({x} int) (iadd {x} {rng.randrange(10)})))")
+                    f"(lam ({x} int) {sub(ivars + (x,))}))")
 
 
 def rand_mtlc_program(rng: random.Random) -> tuple[str, int]:

@@ -69,6 +69,11 @@ class TestCheck:
         K.check(d, mrl)
         assert seq_equal(d.conclusion, (IFormula(1, A), IFormula(2, A)))
 
+    def test_contract_needs_two_copies(self):
+        d = shared_conj(3)
+        with pytest.raises(K.KernelError, match=r"^builder contract: premise lacks a second "):
+            K.b_contract(d, d.conclusion[0], K.MRL(2))
+
     def test_neg_preimage(self):
         calc = K.LMRL(2)
         f = Endo((1, 0))
