@@ -4,9 +4,14 @@ Channels are synchronous: every live endpoint of a channel must be blocked
 on a compatible primitive before the head action fires, and all cursors
 advance together (so the remaining protocol is a property of the channel,
 not of individual endpoints).  Threads are Python generators that yield
-blocking requests; the scheduler resumes runnable threads (seed-shuffled,
-which never affects synchronization order) and then fires the matching set
-with the lowest channel id.
+blocking requests.  The scheduler resumes runnable threads in creation
+order, seed-shuffled (which never affects synchronization order), until
+every thread is blocked or finished, and then fires the lowest channel id
+whose live endpoints are all blocked.  It finds both without scanning the
+pool: a ready list holds the threads made or unblocked since the last pass,
+and a min-heap holds the ids of channels that a thread blocked on or whose
+endpoint set changed, so the work per event does not grow with the number
+of live threads and channels.
 
 Thread programs are usually small command lists (see the C* dataclasses and
 parse_script), but any generator yielding _Block requests can join a pool —
@@ -19,6 +24,8 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import attrgetter
 
 from . import roles as rl
 from . import session as sn
@@ -87,13 +94,14 @@ class LinearityFault(RuntimeFault):
 
 def norm(s: SessionType) -> tuple[SessionType, ...]:
     """Flatten sequential composition into a list of segments, dropping nil."""
-    match s:
-        case Nil():
-            return ()
-        case Append(a, b):
-            return norm(a) + norm(b)
-        case _:
-            return (s,)
+    out, todo = [], [s]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Append):
+            todo += (s.rest, s.first)
+        elif not isinstance(s, Nil):
+            out.append(s)
+    return tuple(out)
 
 
 class Channel:
@@ -119,6 +127,7 @@ class Endpoint:
 
 
 _DEFAULT_PAYLOAD = {"unit": None, "int": 7, "str": "m"}
+_SYNC_ACTIONS = {Msg: "msg", Bcast: "bcast", Gather: "gather"}  # trace names
 
 
 def _payload_ok(tag: str, value) -> bool:
@@ -276,7 +285,7 @@ class _Block:
 class Service:
     name: str
     roleset: int
-    session: SessionType
+    cursor: tuple[SessionType, ...]  # norm() of the session
     acceptor: tuple
 
 
@@ -288,6 +297,9 @@ class Thread:
         self.block: _Block | None = None
         self.resume_value = None
         self.finished = False
+
+
+_TID = attrgetter("tid")
 
 
 class Pool:
@@ -307,6 +319,10 @@ class Pool:
         self._live_eps = 0  # live endpoints on open channels
         self._dirty: dict[int, Channel] = {}  # endpoint set changed since the last event
         self._blocked: dict[int, Thread] = {}  # eid -> the thread blocked on it
+        self._ready: list[Thread] = []  # made or unblocked since the last pass
+        # min-heap of ids of channels a thread blocked on or whose endpoint set
+        # changed; an id not fireable when it reaches the top is dropped
+        self._cands: list[int] = []
         self.services: dict[str, Service] = {}
         self.trace: list[dict] = []
         self.audit_log: list[tuple[int, bool]] = []
@@ -325,6 +341,7 @@ class Pool:
         t.regs = dict(regs or {})
         t.gen = make_gen(t)
         self.threads[tid] = self.active_threads[tid] = t
+        self._ready.append(t)
         return t
 
     def add_script_thread(self, cmds, regs=None) -> Thread:
@@ -332,7 +349,7 @@ class Pool:
 
     def service_create(self, name: str, roleset: int, session: SessionType,
                        acceptor) -> Service:
-        svc = Service(name, roleset, session, tuple(acceptor))
+        svc = Service(name, roleset, norm(session), tuple(acceptor))
         self.services[name] = svc
         return svc
 
@@ -383,25 +400,26 @@ class Pool:
         return self._live_eps
 
     def relaxed(self) -> bool:
-        ne = self.live_endpoints()
-        if ne == 0:
-            return True  # zero-channel convention
-        return self.live_threads() + self.live_channels() >= ne + 1
+        ne = self._live_eps  # no endpoint: the zero-channel convention
+        return ne == 0 or len(self.active_threads) + len(self.open_channels) >= ne + 1
 
     def check_invariants(self) -> None:
-        """Re-check the channels whose endpoint set changed since the last event."""
+        """Re-check the channels whose endpoint set changed since the last
+        event, and offer them to the scheduler as candidates to fire."""
         dirty, self._dirty = self._dirty, {}
-        for ch in dirty.values():
+        for cid, ch in dirty.items():
             if not ch.live:
                 continue
+            heappush(self._cands, cid)
             parts = [e.roles for e in ch.endpoints if e.live]
             if not rl.partition_check(parts, self.n):
                 raise RuntimeFault(
                     f"channel {ch.cid}: endpoint role sets do not partition the universe")
 
-    def _event(self, rule: str, **kw) -> None:
-        ev = {"step": self.step_no, "rule": rule}
-        ev.update({k: v for k, v in kw.items() if v is not None})
+    def _event(self, rule: str, payload=None, **kw) -> None:
+        ev = {"step": self.step_no, "rule": rule, **kw}
+        if payload is not None:  # a unit payload is left out of the record
+            ev["payload"] = payload
         self.trace.append(ev)
         self.step_no += 1
         self.check_invariants()
@@ -411,10 +429,8 @@ class Pool:
 
     def _resume(self, t: Thread) -> None:
         value, t.resume_value = t.resume_value, None
-        t.block = None
         try:
             t.block = t.gen.send(value)
-            self._blocked[t.block.ep.eid] = t
         except StopIteration:
             t.finished = True
             del self.active_threads[t.tid]
@@ -424,38 +440,53 @@ class Pool:
                     raise LinearityFault(
                         f"thread {t.tid} exited holding an unfinished endpoint "
                         f"at roles {rl.fmt_roleset(ep.roles)}")
+            return
+        ep = t.block.ep
+        self._blocked[ep.eid] = t
+        heappush(self._cands, ep.channel.cid)
 
     def _runnable(self) -> list[Thread]:
-        return [t for t in self.active_threads.values() if t.block is None]
+        """The threads made or unblocked since the last pass, in creation order."""
+        ready, self._ready = self._ready, []
+        if len(ready) > 1:
+            ready.sort(key=_TID)
+        return ready
 
     def _cleanup_channels(self) -> None:
         for ch in self._finished.values():
             self._retire(ch)
         self._finished.clear()
 
+    def _members(self, cid: int):
+        """Channel cid with its blocked members, if it is open and every live
+        endpoint of it is blocked; else None."""
+        ch = self.open_channels.get(cid)
+        if ch is None:
+            return None
+        blocked = self._blocked
+        eps = [e for e in ch.endpoints if e.live]
+        if all(e.eid in blocked for e in eps):
+            return ch, [(e, blocked[e.eid], blocked[e.eid].block) for e in eps]
+        return None
+
     def _matching_set(self):
         """The fireable channel with the lowest id, with its blocked members."""
-        blocked = self._blocked
-        for cid in sorted({t.block.ep.channel.cid for t in blocked.values()}):
-            ch = self.open_channels.get(cid)
-            if ch is None:
-                continue
-            eps = [e for e in ch.endpoints if e.live]
-            if all(e.eid in blocked for e in eps):
-                return ch, [(e, blocked[e.eid], blocked[e.eid].block) for e in eps]
+        cands = self._cands
+        while cands:
+            m = self._members(cands[0])
+            if m is not None:
+                return m  # stays on the heap: firing it unblocks its members
+            heappop(cands)
         return None
 
     def run(self, max_steps: int | None = 10000):  # None: no cap
         try:
             while True:
-                ran = True
-                while ran:
-                    ran = False
-                    runnable = self._runnable()
-                    self.rng.shuffle(runnable)
+                while runnable := self._runnable():
+                    if len(runnable) > 1:  # shuffle draws nothing for fewer
+                        self.rng.shuffle(runnable)
                     for t in runnable:
                         self._resume(t)
-                        ran = True
                 self._cleanup_channels()
                 if not self.active_threads:
                     return RunResult("done", self.trace, None, self)
@@ -477,6 +508,7 @@ class Pool:
         for ep, t, _ in members:
             t.block = None
             del self._blocked[ep.eid]
+            self._ready.append(t)
         head = ch.cursor[0]
         match head:
             case Msg() | Bcast() | Gather():
@@ -533,8 +565,7 @@ class Pool:
         for _, t, _ in members:
             t.resume_value = value if t in recv_threads else None
         self._advance(ch, ch.cursor[1:])
-        self._event("PR4", chan=ch.cid,
-                    action={Msg: "msg", Bcast: "bcast", Gather: "gather"}[type(head)],
+        self._event("PR4", chan=ch.cid, action=_SYNC_ACTIONS[type(head)],
                     frm=frm, to=to, label=head.label, payload=value)
 
     def _fire_choice(self, ch: Channel, head, members) -> None:
@@ -615,7 +646,7 @@ class Pool:
         svc = self.services.get(name)
         if svc is None:
             raise UnknownService(f"no service named {name!r}")
-        ch = self.new_channel(norm(svc.session))
+        ch = self.new_channel(svc.cursor)
         mine = self.new_endpoint(ch, svc.roleset)
         spawned = self.new_endpoint(ch, self.full & ~svc.roleset)
         t = self.add_script_thread(svc.acceptor, {"ep": spawned})
@@ -751,128 +782,168 @@ def _reg(t: Thread, name: str) -> Endpoint:
     return ep
 
 
+def _action_head(ep: Endpoint, what: str) -> SessionType:
+    head = _head(ep)
+    if not isinstance(head, (Msg, Bcast, Gather)):
+        raise ProtocolMismatch(f"{what} at non-action head {sn.fmt_session(head)}")
+    return head
+
+
+def _repseq_head(ep: Endpoint, what: str) -> None:
+    if not isinstance(_head(ep), Repseq):
+        raise ProtocolMismatch(f"{what} at a non-repseq head")
+
+
+# One function per command class: a command that waits returns a generator
+# yielding _Block requests, one that acts at once returns None.
+
+def _sync(pool: Pool, t: Thread, cmd: CSync):
+    ep = _reg(t, cmd.reg)
+    _action_head(ep, "sync")
+    yield _Block("sync", ep, "sync")
+
+
+def _send(pool: Pool, t: Thread, cmd: CSend):
+    ep = _reg(t, cmd.reg)
+    head = _action_head(ep, "send")
+    if next_kind(head, ep.roles) != "send":
+        raise RoleMismatch(
+            f"roles {rl.fmt_roleset(ep.roles)} cannot send {sn.fmt_session(head)}")
+    value = _DEFAULT_PAYLOAD[head.payload] if cmd.payload is None \
+        and head.payload != "unit" else cmd.payload
+    yield _Block("sync", ep, "send", payload=value)
+
+
+def _recv(pool: Pool, t: Thread, cmd: CRecv):
+    ep = _reg(t, cmd.reg)
+    head = _action_head(ep, "recv")
+    if next_kind(head, ep.roles) != "recv":
+        raise RoleMismatch(
+            f"roles {rl.fmt_roleset(ep.roles)} cannot receive {sn.fmt_session(head)}")
+    yield _Block("sync", ep, "recv")
+
+
+def _choose(pool: Pool, t: Thread, cmd: CChoose):
+    ep = _reg(t, cmd.reg)
+    if next_kind(_head(ep), ep.roles) != "choose":
+        raise RoleMismatch("only the deciding role set may choose here")
+    yield _Block("choice", ep, "choose", side=cmd.side)
+
+
+def _offer(pool: Pool, t: Thread, cmd: COffer):
+    ep = _reg(t, cmd.reg)
+    if next_kind(_head(ep), ep.roles) != "offer":
+        raise RoleMismatch("the deciding role set cannot offer")
+    side = yield _Block("choice", ep, "offer")
+    yield from _exec(pool, t, cmd.left if side == "l" else cmd.right)
+
+
+def _loop(pool: Pool, t: Thread, cmd: CLoop):
+    for _ in range(cmd.count):
+        ep = _reg(t, cmd.reg)
+        _repseq_head(ep, "loop")
+        yield _Block("choice", ep, "choose", side="l")
+        yield from _exec(pool, t, cmd.body)
+    ep = _reg(t, cmd.reg)
+    _repseq_head(ep, "loop exit")
+    yield _Block("choice", ep, "choose", side="r")
+
+
+def _offer_loop(pool: Pool, t: Thread, cmd: COfferLoop):
+    while True:
+        ep = _reg(t, cmd.reg)
+        _repseq_head(ep, "offer_loop")
+        if (yield _Block("choice", ep, "offer")) == "r":
+            return
+        yield from _exec(pool, t, cmd.body)
+
+
+def _mconj(pool: Pool, t: Thread, cmd: CMconj):
+    ep = _reg(t, cmd.reg)
+    if next_kind(_head(ep), ep.roles) != "fork-conj":
+        raise RoleMismatch("mconj requires the deciding role")
+    ep_a, ep_b = yield _Block("mconj", ep, "mconj")
+    t.regs[cmd.reg] = ep_a
+    yield from _exec(pool, t, cmd.first)
+    t.regs[cmd.reg] = ep_b
+    yield from _exec(pool, t, cmd.second)
+
+
+def _mdisj(pool: Pool, t: Thread, cmd: CMdisj):
+    ep = _reg(t, cmd.reg)
+    if next_kind(_head(ep), ep.roles) != "fork-disj":
+        raise RoleMismatch("mdisj is for non-deciding role sets")
+
+    def spawn(give):
+        pool.add_script_thread(cmd.spawned, {cmd.reg: give})
+
+    t.regs[cmd.reg] = yield _Block("mconj", ep, "mdisj", side=cmd.side, spawn=spawn)
+
+
+def _append(pool: Pool, t: Thread, cmd: CAppend):
+    ep = _reg(t, cmd.reg)
+    if not ep.channel.cursor:
+        raise ProtocolMismatch("append on a finished session")
+    tail = ep.channel.cursor[1:]
+    yield from _exec(pool, t, cmd.body)
+    if _reg(t, cmd.reg).channel.cursor != tail:
+        raise SubprotocolUnfinished("append block did not consume exactly its sub-session")
+
+
+def _split(pool: Pool, t: Thread, cmd: CSplit) -> None:
+    t.regs[cmd.reg] = pool.chan_split(_reg(t, cmd.reg), cmd.part, cmd.spawned, cmd.reg)
+
+
+def _cut1(pool: Pool, t: Thread, cmd: CCut1) -> None:
+    pool.chan_1_cut(_reg(t, cmd.reg))
+    del t.regs[cmd.reg]
+
+
+def _cut2(pool: Pool, t: Thread, cmd: CCut2) -> None:
+    pool.chan_2_cut(_reg(t, cmd.reg_a), _reg(t, cmd.reg_b))
+    del t.regs[cmd.reg_a], t.regs[cmd.reg_b]
+
+
+def _cut3(pool: Pool, t: Thread, cmd: CCut3) -> None:
+    pool.chan_3_cut(_reg(t, cmd.reg_a), _reg(t, cmd.reg_b), _reg(t, cmd.reg_c))
+    del t.regs[cmd.reg_a], t.regs[cmd.reg_b], t.regs[cmd.reg_c]
+
+
+def _cutres(pool: Pool, t: Thread, cmd: CCutRes) -> None:
+    resid = pool.chan_2_cutres(_reg(t, cmd.reg_a), _reg(t, cmd.reg_b))
+    del t.regs[cmd.reg_a], t.regs[cmd.reg_b]
+    t.regs[cmd.out] = resid
+
+
+def _chan_create(pool: Pool, t: Thread, cmd: CChanCreate) -> None:
+    t.regs[cmd.out] = pool.chan_create(cmd.part, cmd.session, cmd.acceptor)
+
+
+def _service_request(pool: Pool, t: Thread, cmd: CServiceRequest) -> None:
+    t.regs[cmd.out] = pool.service_request(cmd.name)
+
+
+def _chan2_demo(pool: Pool, t: Thread, cmd: CChan2Demo) -> None:
+    t.regs[cmd.out1], t.regs[cmd.out2] = pool.chan2_create_demo(
+        cmd.part1, cmd.session1, cmd.part2, cmd.session2, cmd.acceptor)
+
+
+_STEPS = {CSync: _sync, CSend: _send, CRecv: _recv, CChoose: _choose, COffer: _offer,
+          CLoop: _loop, COfferLoop: _offer_loop, CMconj: _mconj, CMdisj: _mdisj,
+          CAppend: _append, CSplit: _split, CCut1: _cut1, CCut2: _cut2, CCut3: _cut3,
+          CCutRes: _cutres, CChanCreate: _chan_create,
+          CServiceRequest: _service_request, CChan2Demo: _chan2_demo}
+
+
 def _exec(pool: Pool, t: Thread, cmds: tuple):
     """Generator interpreting one command block; yields _Block to wait."""
     for cmd in cmds:
-        match cmd:
-            case CSync(reg):
-                ep = _reg(t, reg)
-                head = _head(ep)
-                if not isinstance(head, (Msg, Bcast, Gather)):
-                    raise ProtocolMismatch(
-                        f"sync at non-action head {sn.fmt_session(head)}")
-                yield _Block("sync", ep, "sync")
-            case CSend(payload, reg):
-                ep = _reg(t, reg)
-                head = _head(ep)
-                if not isinstance(head, (Msg, Bcast, Gather)):
-                    raise ProtocolMismatch(
-                        f"send at non-action head {sn.fmt_session(head)}")
-                if next_kind(head, ep.roles) != "send":
-                    raise RoleMismatch(
-                        f"roles {rl.fmt_roleset(ep.roles)} cannot send "
-                        f"{sn.fmt_session(head)}")
-                value = _DEFAULT_PAYLOAD[head.payload] if payload is None \
-                    and head.payload != "unit" else payload
-                yield _Block("sync", ep, "send", payload=value)
-            case CRecv(reg):
-                ep = _reg(t, reg)
-                head = _head(ep)
-                if not isinstance(head, (Msg, Bcast, Gather)):
-                    raise ProtocolMismatch(
-                        f"recv at non-action head {sn.fmt_session(head)}")
-                if next_kind(head, ep.roles) != "recv":
-                    raise RoleMismatch(
-                        f"roles {rl.fmt_roleset(ep.roles)} cannot receive "
-                        f"{sn.fmt_session(head)}")
-                yield _Block("sync", ep, "recv")
-            case CChoose(side, reg):
-                ep = _reg(t, reg)
-                head = _head(ep)
-                if next_kind(head, ep.roles) != "choose":
-                    raise RoleMismatch("only the deciding role set may choose here")
-                yield _Block("choice", ep, "choose", side=side)
-            case COffer(left, right, reg):
-                ep = _reg(t, reg)
-                head = _head(ep)
-                if next_kind(head, ep.roles) != "offer":
-                    raise RoleMismatch("the deciding role set cannot offer")
-                side = yield _Block("choice", ep, "offer")
-                yield from _exec(pool, t, left if side == "l" else right)
-            case CLoop(count, body, reg):
-                for _ in range(count):
-                    ep = _reg(t, reg)
-                    if not isinstance(_head(ep), Repseq):
-                        raise ProtocolMismatch("loop at a non-repseq head")
-                    yield _Block("choice", ep, "choose", side="l")
-                    yield from _exec(pool, t, body)
-                ep = _reg(t, reg)
-                if not isinstance(_head(ep), Repseq):
-                    raise ProtocolMismatch("loop exit at a non-repseq head")
-                yield _Block("choice", ep, "choose", side="r")
-            case COfferLoop(body, reg):
-                while True:
-                    ep = _reg(t, reg)
-                    if not isinstance(_head(ep), Repseq):
-                        raise ProtocolMismatch("offer_loop at a non-repseq head")
-                    side = yield _Block("choice", ep, "offer")
-                    if side == "r":
-                        break
-                    yield from _exec(pool, t, body)
-            case CMconj(first, second, reg):
-                ep = _reg(t, reg)
-                if next_kind(_head(ep), ep.roles) != "fork-conj":
-                    raise RoleMismatch("mconj requires the deciding role")
-                ep_a, ep_b = yield _Block("mconj", ep, "mconj")
-                t.regs[reg] = ep_a
-                yield from _exec(pool, t, first)
-                t.regs[reg] = ep_b
-                yield from _exec(pool, t, second)
-            case CMdisj(side, spawned, reg):
-                ep = _reg(t, reg)
-                if next_kind(_head(ep), ep.roles) != "fork-disj":
-                    raise RoleMismatch("mdisj is for non-deciding role sets")
-
-                def spawn(give, spawned=spawned, reg=reg):
-                    pool.add_script_thread(spawned, {reg: give})
-
-                t.regs[reg] = yield _Block("mconj", ep, "mdisj", side=side,
-                                           spawn=spawn)
-            case CAppend(body, reg):
-                ep = _reg(t, reg)
-                if not ep.channel.cursor:
-                    raise ProtocolMismatch("append on a finished session")
-                tail = ep.channel.cursor[1:]
-                yield from _exec(pool, t, body)
-                ep = _reg(t, reg)
-                if ep.channel.cursor != tail:
-                    raise SubprotocolUnfinished(
-                        "append block did not consume exactly its sub-session")
-            case CSplit(part, spawned, reg):
-                ep = _reg(t, reg)
-                t.regs[reg] = pool.chan_split(ep, part, spawned, reg)
-            case CCut1(reg):
-                pool.chan_1_cut(_reg(t, reg))
-                del t.regs[reg]
-            case CCut2(reg_a, reg_b):
-                pool.chan_2_cut(_reg(t, reg_a), _reg(t, reg_b))
-                del t.regs[reg_a], t.regs[reg_b]
-            case CCut3(reg_a, reg_b, reg_c):
-                pool.chan_3_cut(_reg(t, reg_a), _reg(t, reg_b), _reg(t, reg_c))
-                del t.regs[reg_a], t.regs[reg_b], t.regs[reg_c]
-            case CCutRes(reg_a, reg_b, out):
-                resid = pool.chan_2_cutres(_reg(t, reg_a), _reg(t, reg_b))
-                del t.regs[reg_a], t.regs[reg_b]
-                t.regs[out] = resid
-            case CChanCreate(part, session_, acceptor, out):
-                t.regs[out] = pool.chan_create(part, session_, acceptor)
-            case CServiceRequest(name, out):
-                t.regs[out] = pool.service_request(name)
-            case CChan2Demo(p1, s1, p2, s2, acceptor, out1, out2):
-                e1, e2 = pool.chan2_create_demo(p1, s1, p2, s2, acceptor)
-                t.regs[out1], t.regs[out2] = e1, e2
-            case _:
-                raise RuntimeFault(f"unknown command {cmd!r}")
+        try:
+            step = _STEPS[type(cmd)]
+        except KeyError:
+            raise RuntimeFault(f"unknown command {cmd!r}") from None
+        if (wait := step(pool, t, cmd)) is not None:
+            yield from wait
 
 
 # --------------------------------------------------------- bootstrap
