@@ -608,6 +608,8 @@ def _check_proj(e, gamma, delta, cx):
 
 
 def _check_let(e, gamma, delta, cx):
+    if e.x1 == e.x2:  # evaluation binds the first; the body would see the second
+        raise MtlcTypeError("ty-let", f"let binds {e.x1} twice")
     p = e.pair
     tp, d1 = _CHECK[type(p)](p, gamma, delta, cx)
     if not isinstance(tp, TLPair):

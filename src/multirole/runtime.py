@@ -10,8 +10,8 @@ every thread is blocked or finished, and then fires the lowest channel id
 whose live endpoints are all blocked.  It finds both without scanning the
 pool: a ready list holds the threads made or unblocked since the last pass,
 and a min-heap holds the ids of channels that a thread blocked on or whose
-endpoint set changed, so the work per event does not grow with the number
-of live threads and channels.
+endpoint set changed, so the threads and channels examined per event do not
+grow with the number of live ones.
 
 Thread programs are usually small command lists (see the C* dataclasses and
 parse_script), but any generator yielding _Block requests can join a pool —
@@ -446,10 +446,12 @@ class Pool:
         heappush(self._cands, ep.channel.cid)
 
     def _runnable(self) -> list[Thread]:
-        """The threads made or unblocked since the last pass, in creation order."""
+        """The threads made or unblocked since the last pass, in creation
+        order, seed-shuffled."""
         ready, self._ready = self._ready, []
-        if len(ready) > 1:
+        if len(ready) > 1:  # shuffle draws nothing for fewer
             ready.sort(key=_TID)
+            self.rng.shuffle(ready)
         return ready
 
     def _cleanup_channels(self) -> None:
@@ -483,8 +485,6 @@ class Pool:
         try:
             while True:
                 while runnable := self._runnable():
-                    if len(runnable) > 1:  # shuffle draws nothing for fewer
-                        self.rng.shuffle(runnable)
                     for t in runnable:
                         self._resume(t)
                 self._cleanup_channels()

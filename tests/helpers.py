@@ -391,6 +391,28 @@ def next_actions_match(s, roleset: int) -> sn.Action:
 
 
 
+class RescanPool(rt.Pool):
+    """A pool that finds runnable threads and the channel to fire by scanning
+    the live pool on every event, as Pool.run did before its ready list and
+    candidate heap; the reference for both."""
+
+    def _runnable(self) -> list[rt.Thread]:
+        runnable = [t for t in self.active_threads.values() if t.block is None]
+        self.rng.shuffle(runnable)
+        return runnable
+
+    def _matching_set(self):
+        blocked = self._blocked
+        for cid in sorted({t.block.ep.channel.cid for t in blocked.values()}):
+            ch = self.open_channels.get(cid)
+            if ch is None:
+                continue
+            eps = [e for e in ch.endpoints if e.live]
+            if all(e.eid in blocked for e in eps):
+                return ch, [(e, blocked[e.eid], blocked[e.eid].block) for e in eps]
+        return None
+
+
 def recount_every_event(pool: rt.Pool) -> rt.Pool:
     """After every event of the pool, recount the live pool from the full
     registries and compare it with the pool's counters and audit entry."""
@@ -592,6 +614,8 @@ def typecheck_declarative(e: Expr, gamma=None, delta=None, n: int = 2) -> Viewty
                     return t.right
                 raise MtlcTypeError("ty-snd", str(t))
             case ELet(x1, x2, p, b):
+                if x1 == x2:
+                    raise MtlcTypeError("ty-let", f"let binds {x1} twice")
                 errs = None
                 for dl, dr in splits(d):
                     try:

@@ -298,6 +298,14 @@ class TestTypecheck:
         e = prog(f"(llam (c {SES}) (app (llam (c {SES}) (chan_sync (chan_send c unit))) c))")
         assert typecheck(e) == TFunL(typecheck(prog(f"(llam (c {SES}) c)")).dom, TUnit())
 
+    def test_let_binding_one_name_twice_is_rejected(self):
+        # evaluation binds the first component, so the body must not see the second
+        for src in ("(let (a a) (tensor true 1) (iadd a 1))",
+                    f"(llam (c {SES}) (let (a a) (tensor 1 c) a))"):
+            for check in (typecheck, typecheck_declarative):
+                with pytest.raises(MtlcTypeError, match=r"^\(ty-let\) let binds a twice$"):
+                    check(prog(src))
+
     def test_nonlinear_lam_cannot_capture_linear(self):
         e = prog(f"(llam (c {SES}) (app (lam (u 1) (chan_send c unit)) unit))")
         with pytest.raises(MtlcTypeError, match="ty-lam-i|ty-var"):

@@ -267,3 +267,15 @@ class TestConsumedEndpoints:
         with pytest.raises(LinearityFault):
             pool.chan_split(ep, 0b01, ())
         assert len(pool.trace) == events
+
+
+def test_norm_is_linear_and_not_recursive():
+    # 5000 segments nested either way, past the default recursion limit;
+    # built with Append directly, since parse_session recurses per segment
+    msgs = [sn.Msg(f"m{i}", i % 2, 1 - i % 2, "unit") for i in range(5000)]
+    right = left = sn.Nil()
+    for m in reversed(msgs):
+        right = sn.Append(m, right)
+    for m in msgs:
+        left = sn.Append(left, m)
+    assert norm(right) == norm(left) == tuple(msgs)
