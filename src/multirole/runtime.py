@@ -299,9 +299,6 @@ class Thread:
         self.finished = False
 
 
-_TID = attrgetter("tid")
-
-
 class Pool:
     def __init__(self, n: int, seed: int = 0, allow_demo: bool = False):
         rl.check_universe(n)
@@ -450,7 +447,7 @@ class Pool:
         order, seed-shuffled."""
         ready, self._ready = self._ready, []
         if len(ready) > 1:  # shuffle draws nothing for fewer
-            ready.sort(key=_TID)
+            ready.sort(key=attrgetter("tid"))
             self.rng.shuffle(ready)
         return ready
 
@@ -459,9 +456,9 @@ class Pool:
             self._retire(ch)
         self._finished.clear()
 
-    def _members(self, cid: int):
-        """Channel cid with its blocked members, if it is open and every live
-        endpoint of it is blocked; else None."""
+    def _fireable(self, cid: int):
+        """Channel cid with its blocked members, if it is open and all its live
+        endpoints are blocked; else None."""
         ch = self.open_channels.get(cid)
         if ch is None:
             return None
@@ -475,7 +472,7 @@ class Pool:
         """The fireable channel with the lowest id, with its blocked members."""
         cands = self._cands
         while cands:
-            m = self._members(cands[0])
+            m = self._fireable(cands[0])
             if m is not None:
                 return m  # stays on the heap: firing it unblocks its members
             heappop(cands)
@@ -794,9 +791,6 @@ def _repseq_head(ep: Endpoint, what: str) -> None:
         raise ProtocolMismatch(f"{what} at a non-repseq head")
 
 
-# One function per command class: a command that waits returns a generator
-# yielding _Block requests, one that acts at once returns None.
-
 def _sync(pool: Pool, t: Thread, cmd: CSync):
     ep = _reg(t, cmd.reg)
     _action_head(ep, "sync")
@@ -936,7 +930,9 @@ _STEPS = {CSync: _sync, CSend: _send, CRecv: _recv, CChoose: _choose, COffer: _o
 
 
 def _exec(pool: Pool, t: Thread, cmds: tuple):
-    """Generator interpreting one command block; yields _Block to wait."""
+    """Generator interpreting one command block; yields _Block to wait.
+    The function _STEPS holds for a command's class returns a generator if
+    the command waits, else None, having done the command."""
     for cmd in cmds:
         try:
             step = _STEPS[type(cmd)]

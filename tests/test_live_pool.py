@@ -223,7 +223,7 @@ def test_scheduling_work_per_event_does_not_grow_with_open_channels(monkeypatch)
         return counted
 
     monkeypatch.setattr(rt.Pool, "_resume", counting(rt.Pool._resume))
-    monkeypatch.setattr(rt.Pool, "_members", counting(rt.Pool._members))
+    monkeypatch.setattr(rt.Pool, "_fireable", counting(rt.Pool._fireable))
     runs = []
     for channels in (100, 200, 400):
         work[0] = 0
