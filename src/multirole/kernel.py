@@ -41,6 +41,7 @@ from .logic import (
     Sequent,
     Term,
     Var,
+    _substitute,
     fmt_formula,
     fmt_sequent,
     formulas_from_table,
@@ -546,9 +547,13 @@ def subst_derivation(d: Derivation, x: str, t: Term,
 
 def _subst_derivation(d: Derivation, x: str, t: Term, fresh: FreshNames,
                       done: dict) -> Derivation:
-    """done maps the (node, x, t) seen in this call to their results, so a
-    node that d's DAG shares is substituted once."""
-    out = done.get((d, x, t))
+    """done maps each (x, t) substituted in this call to one memo of the
+    nodes and formulas substituted so far, so a node or formula that the
+    DAG shares is substituted once per (x, t)."""
+    memo = done.get((x, t))
+    if memo is None:
+        memo = done[x, t] = {}
+    out = memo.get(d)
     if out is not None:
         return out
     tvars = {t.name} if isinstance(t, Var) else set()
@@ -565,9 +570,9 @@ def _subst_derivation(d: Derivation, x: str, t: Term, fresh: FreshNames,
     witness = node.witness
     if isinstance(witness, Var) and witness.name == x:
         witness = t
-    out = done[d, x, t] = Derivation(
+    out = memo[d] = Derivation(
         node.rule,
-        tuple(IFormula(it.roles, substitute(it.formula, x, t)) for it in node.conclusion),
+        tuple(IFormula(it.roles, _substitute(it.formula, x, t, memo)) for it in node.conclusion),
         tuple(_subst_derivation(p, x, t, fresh, done) for p in node.premises),
         node.principal,
         witness=witness,
@@ -600,33 +605,33 @@ def _pos_index(u: Ultra, parts: list[int]) -> int:
 
 def _axiom(a: Formula, parts: tuple[int, ...], calc: Calculus, done: dict) -> Derivation:
     """done maps the (formula, parts) seen in this call to their results, so a
-    subformula that a's DAG shares is derived once."""
-    out = done.get((a, parts))
-    if out is None:
-        out = done[a, parts] = _axiom_step(a, parts, calc, done)
-    return out
+    subformula that a's DAG shares is derived once.  A postorder with an
+    explicit stack, so depth is bounded by memory alone: an entry is a key
+    and, once its premises are pushed, their keys."""
+    stack: list = [((a, parts), None)]
+    while stack:
+        key, prems = stack.pop()
+        if key in done:
+            continue
+        if prems is None:
+            prems = _axiom_premises(*key, calc)
+            stack.append((key, prems))
+            stack += [(k, None) for k in reversed(prems)]
+        else:
+            done[key] = _axiom_rule(*key, calc, [done[k] for k in prems])
+    return done[a, parts]
 
 
-def _axiom_step(a: Formula, parts: tuple[int, ...], calc: Calculus, done: dict) -> Derivation:
+def _axiom_premises(a: Formula, parts: tuple[int, ...], calc: Calculus) -> tuple:
+    """The (formula, parts) keys whose derivations _axiom_rule builds on, in
+    the order they are derived."""
     match a:
         case Atom():
-            return b_id(tuple(IFormula(p, a) for p in parts))
+            return ()
         case Neg(f, body):
-            d = _axiom(body, tuple(f.preimage(p) for p in parts), calc, done)
-            if calc.j is not None:  # the premise's J-item leaves before the conclusion's comes
-                parts = sorted(parts, key=lambda p: not calc.j.contains(f.preimage(p)))
-            for p in parts:
-                d = b_neg(d, p, f, body)
-            return d
-        case Conj(u, left, right) | AConj(u, left, right):
-            i = _pos_index(u, parts)
-            d1 = _axiom(left, parts, calc, done)
-            d2 = _axiom(right, parts, calc, done)
-            for j, p in enumerate(parts):
-                if j != i:
-                    d1 = b_add_neg(d1, p, a, "l")
-                    d2 = b_add_neg(d2, p, a, "r")
-            return b_add_pos(d1, d2, parts[i], a)
+            return ((body, tuple(f.preimage(p) for p in parts)),)
+        case Conj(_, left, right) | AConj(_, left, right):
+            return ((left, parts), (right, parts))
         case MConj(u, left, right) | Impl(_, u, left, right):
             i = _pos_index(u, parts)
             lefts = tuple(_introduced(p, a)[0].roles for p in parts)
@@ -635,28 +640,55 @@ def _axiom_step(a: Formula, parts: tuple[int, ...], calc: Calculus, done: dict) 
                 raise KernelError(
                     f"axiom_multi: {fmt_sequent(tuple(IFormula(p, a) for p in parts), BRIEF)} "
                     f"has no J-intuitionistic derivation in mrlj with J = @{calc.j.r}")
-            d1 = _axiom(left, lefts, calc, done)
-            d2 = _axiom(right, parts, calc, done)
-            d = b_mult_pos(d1, d2, parts[i], a)
+            return ((left, lefts), (right, parts))
+        case Bang(_, body) | Forall(_, _, body):
+            return ((body, parts),)
+    raise KernelError(f"axiom_multi: unsupported formula {a!r}")
+
+
+def _axiom_rule(a: Formula, parts: tuple[int, ...], calc: Calculus, prems: list) -> Derivation:
+    """The derivation of |- <p>a for p in parts, given the derivations of
+    the keys _axiom_premises gave, in its order."""
+    match a:
+        case Atom():
+            return b_id(tuple(IFormula(p, a) for p in parts))
+        case Neg(f, body):
+            d = prems[0]
+            if calc.j is not None:  # the premise's J-item leaves before the conclusion's comes
+                parts = sorted(parts, key=lambda p: not calc.j.contains(f.preimage(p)))
+            for p in parts:
+                d = b_neg(d, p, f, body)
+            return d
+        case Conj(u, _, _) | AConj(u, _, _):
+            i = _pos_index(u, parts)
+            d1, d2 = prems
+            for j, p in enumerate(parts):
+                if j != i:
+                    d1 = b_add_neg(d1, p, a, "l")
+                    d2 = b_add_neg(d2, p, a, "r")
+            return b_add_pos(d1, d2, parts[i], a)
+        case MConj(u, _, _) | Impl(_, u, _, _):
+            i = _pos_index(u, parts)
+            d = b_mult_pos(*prems, parts[i], a)
             for j, p in enumerate(parts):
                 if j != i:
                     d = b_mult_neg(d, p, a)
             return d
-        case Bang(u, body):
+        case Bang(u, _):
             i = _pos_index(u, parts)
-            d = _axiom(body, parts, calc, done)
+            d = prems[0]
             for j, p in enumerate(parts):
                 if j != i:
                     d = b_bang_derelict(d, p, a)
             return b_bang_pos(d, parts[i], a)
         case Forall(u, x, _):
             i = _pos_index(u, parts)
-            d = _axiom(a.body, parts, calc, done)
+            d = prems[0]
             for j, p in enumerate(parts):
                 if j != i:
                     d = b_forall_neg(d, p, a, Var(x))
             return b_forall_pos(d, parts[i], a, x)
-    raise KernelError(f"axiom_multi: unsupported formula {a!r}")
+    raise KernelError(f"axiom_multi: unsupported formula {a!r}")  # unreachable: _axiom_premises raised first
 
 
 def axiom_fullset(a: Formula, calc: Calculus) -> Derivation:
@@ -756,7 +788,7 @@ def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calc
     split = d.rule in ("mconj-pos", "imp-pos")
     if split:
         new_l, _ = _introduced(item.roles, item.formula)
-        c0 = seq_counts(seq_minus(d.premises[0].conclusion, (new_l,)) or ()).get(x, 0)
+        c0 = (seq_minus(d.premises[0].conclusion, (new_l,)) or ()).count(x)
         m0 = min(c0, n)
         ms = (m0, n - m0)
     prems = []  # a loop, not a generator: one frame less per level of recursion

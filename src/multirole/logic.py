@@ -45,30 +45,36 @@ class FormulaError(ValueError):
 class Node:
     """An immutable, hash-consed syntax node.
 
-    Constructing a node looks up ``(class, *fields)`` in a weak table and
-    returns the live node it finds, so structurally equal nodes are one
-    object: ``==`` and ``hash`` are identity's, O(1) at any depth.  The
-    table holds its nodes weakly, so no result can depend on it.  The
-    fields are the names in ``__match_args__``; a class may add slots
-    after them for values computed from the fields.
+    Constructing a node looks up ``(class, *fields)`` in a table and returns
+    the live node it finds, so structurally equal nodes are one object:
+    ``==`` and ``hash`` are identity's, O(1) at any depth.  The table is a
+    plain dict from each key to a weak reference to its node, so a hit is
+    one dict lookup and one call of the reference; the table holds no node
+    alive, so no result can depend on it.  A node's death removes its entry
+    (``_forget``).  The fields are the names in ``__match_args__``; a class
+    may add slots after them for values computed from the fields.
     """
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
-    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    _table: dict = {}  # (class, *fields) -> a _Ref to the live node
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = Node._table.get(key)
-        if node is None:
-            names = cls.__match_args__
-            if len(fields) != len(names):
-                raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
-                                f"got {len(fields)}")
-            node = object.__new__(cls)
-            for name, value in zip(names, fields):
-                object.__setattr__(node, name, value)
-            Node._table[key] = node
+        ref = Node._table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        names = cls.__match_args__
+        if len(fields) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
+                            f"got {len(fields)}")
+        node = object.__new__(cls)
+        for name, value in zip(names, fields):
+            object.__setattr__(node, name, value)
+        ref = Node._table[key] = _Ref(node, _forget)
+        ref.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -82,6 +88,23 @@ class Node:
 
     def __repr__(self) -> str:
         return _unfold([self], _repr_parts, BRIEF)
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's table key, like
+    weakref.KeyedRef, whose constructor runs Python code on every miss."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table: dict = Node._table) -> None:
+    """The callback of every table reference: remove its node's entry when
+    the node dies, unless the entry already holds a newer node's reference
+    (one made for the same key after this node died, before this ran).  The
+    table is bound at definition, so nodes that die while the interpreter
+    tears the module down still find it."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 BRIEF = 240  # characters of a node or formula that a repr or a message shows
@@ -359,6 +382,11 @@ class IFormula(Node):
 
 Sequent = tuple[IFormula, ...]
 
+# Multiset arithmetic on sequents.  Items are hash-consed, so equal items
+# are one object, and the C-level tuple and list methods (count, remove,
+# ==) that compare by identity first find them without building a count
+# table; a sequent holds a handful of items.
+
 
 def seq_counts(items: Sequent) -> dict:
     counts: dict = {}
@@ -369,7 +397,7 @@ def seq_counts(items: Sequent) -> dict:
 
 def seq_equal(a: Sequent, b: Sequent) -> bool:
     """Multiset equality: order-insensitive, multiplicity-sensitive."""
-    return len(a) == len(b) and seq_counts(a) == seq_counts(b)
+    return len(a) == len(b) and (a == b or seq_minus(a, b) is not None)
 
 
 def seq_minus(a: Sequent, b: Sequent) -> Sequent | None:
@@ -377,18 +405,15 @@ def seq_minus(a: Sequent, b: Sequent) -> Sequent | None:
 
     The last occurrences in a are the ones removed; the rest keep their order.
     """
-    drop = seq_counts(b)
-    out = []
-    for it in reversed(a):
-        k = drop.get(it)
-        if k:
-            drop[it] = k - 1
-        else:
-            out.append(it)
-    if any(drop.values()):
+    rest = list(a)
+    rest.reverse()  # so remove() takes the last occurrence
+    try:
+        for it in b:
+            rest.remove(it)
+    except ValueError:
         return None
-    out.reverse()
-    return tuple(out)
+    rest.reverse()
+    return tuple(rest)
 
 
 def seq_free_vars(items: Sequent) -> frozenset[str]:

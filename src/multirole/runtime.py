@@ -279,6 +279,7 @@ class _Block:
     side: str | None = None
     payload: object = None
     spawn: object = None  # callable(endpoint) -> None, used by mdisj
+    action: str | None = None  # next_kind of the head, where the blocking op checked it
 
 
 @dataclass
@@ -525,11 +526,14 @@ class Pool:
         recv_threads: list[Thread] = []
         frm = to = None
         for ep, t, blk in members:
-            kind = next_kind(head, ep.roles)
             if blk.kind != "sync":
                 raise ProtocolMismatch(
                     f"thread {t.tid} blocked on {blk.op} but head is "
                     f"{sn.fmt_session(head)}")
+            # the head has not moved since the op blocked: a channel's cursor
+            # advances only when it fires, and _merge re-homes endpoints only
+            # between channels with equal cursors
+            kind = blk.action or next_kind(head, ep.roles)
             if blk.op == "send":
                 if kind != "send":
                     raise RoleMismatch(
@@ -805,7 +809,7 @@ def _send(pool: Pool, t: Thread, cmd: CSend):
             f"roles {rl.fmt_roleset(ep.roles)} cannot send {sn.fmt_session(head)}")
     value = _DEFAULT_PAYLOAD[head.payload] if cmd.payload is None \
         and head.payload != "unit" else cmd.payload
-    yield _Block("sync", ep, "send", payload=value)
+    yield _Block("sync", ep, "send", payload=value, action="send")
 
 
 def _recv(pool: Pool, t: Thread, cmd: CRecv):
@@ -814,7 +818,7 @@ def _recv(pool: Pool, t: Thread, cmd: CRecv):
     if next_kind(head, ep.roles) != "recv":
         raise RoleMismatch(
             f"roles {rl.fmt_roleset(ep.roles)} cannot receive {sn.fmt_session(head)}")
-    yield _Block("sync", ep, "recv")
+    yield _Block("sync", ep, "recv", action="recv")
 
 
 def _choose(pool: Pool, t: Thread, cmd: CChoose):

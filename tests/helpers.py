@@ -125,6 +125,31 @@ def rand_nonempty_partition(rng: random.Random, n: int, k: int) -> list[int]:
     return parts
 
 
+def rand_sequent(rng: random.Random, pool: list, size: int) -> tuple:
+    """size items drawn from pool with replacement, so items repeat."""
+    return tuple(rng.choice(pool) for _ in range(size))
+
+
+def counter_minus(a: tuple, b: tuple) -> tuple | None:
+    """The oracle of logic.seq_minus, by Counter: None unless b is contained
+    in a, else a with the last occurrences of b's items dropped."""
+    drop = Counter(b)
+    if drop - Counter(a):
+        return None
+    out = []
+    for it in reversed(a):
+        if drop[it]:
+            drop[it] -= 1
+        else:
+            out.append(it)
+    return tuple(reversed(out))
+
+
+def counter_equal(a: tuple, b: tuple) -> bool:
+    """The oracle of logic.seq_equal."""
+    return Counter(a) == Counter(b)
+
+
 # ---------------------------------------------------------- derivations
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -148,6 +149,20 @@ class TestAxioms:
         d = K.axiom_fullset(Bang(Ultra(1), A), calc)
         K.check(d, calc)
         assert seq_equal(d.conclusion, (IFormula(7, Bang(Ultra(1), A)),))
+
+    def test_deep_chain_at_the_default_recursion_limit(self):
+        # _axiom is a loop: a Neg chain 3000 deep derives, checks and
+        # round-trips through JSON under the interpreter's default limit
+        assert sys.getrecursionlimit() <= 1000
+        a = A
+        for _ in range(3000):
+            a = Neg(Endo((1, 0)), a)
+        calc = K.MRL(2)
+        d = K.axiom_multi(a, [1, 2], calc)
+        assert d.height == 6001
+        K.check(d, calc)
+        assert seq_equal(d.conclusion, (IFormula(1, a), IFormula(2, a)))
+        assert K.derivation_from_json(K.derivation_to_json(d), 2) is d
 
     def test_axiom_multi_rejects_non_partition(self):
         calc = K.LMRL(2)
@@ -338,7 +353,7 @@ class TestSharing:
         ax = K.axiom_multi(B, [1, 2], calc)
         d = shared_conj(k, IFormula(0 if how == "cut1" else 2, B))
         i, j = d.conclusion.index(IFormula(d.conclusion[0].roles, B)), 0
-        for name in ("_commute", "_principal_case", "_axiom_step"):
+        for name in ("_commute", "_principal_case", "_axiom_rule"):
             work_bound(monkeypatch, K, name, 8 * k)
         match how:
             case "cut1":

@@ -2,6 +2,7 @@ import gc
 import json
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,8 @@ from multirole.logic import (
 )
 from multirole.roles import Endo, Ultra
 
-from helpers import MALFORMED_ITEMS, rand_formula, shared_conj, work_bound
+from helpers import (MALFORMED_ITEMS, counter_equal, counter_minus, rand_formula, rand_sequent,
+                     shared_conj, work_bound)
 
 
 class TestParseFmt:
@@ -130,6 +132,33 @@ class TestSequents:
         out = seq_minus(s, (IFormula(1, a),))
         assert seq_equal(out, (IFormula(1, a), IFormula(2, a)))
 
+    def test_arithmetic_agrees_with_counter_oracle(self):
+        # seq_minus, seq_equal and _commute's count of the copies left in a
+        # premise (seq_minus then tuple.count) compare items by identity
+        rng = random.Random(11)
+        a, b = Atom("a"), Atom("b")
+        pool = [IFormula(r, f) for r in (0, 1, 2) for f in (a, b, Neg(Endo((1, 0)), a))]
+        contained = 0
+        for _ in range(2000):
+            s = rand_sequent(rng, pool[:rng.randrange(1, len(pool) + 1)], rng.randrange(8))
+            if s and rng.random() < 0.6:  # a sub-multiset of s, shuffled
+                t = list(rng.sample(s, rng.randrange(len(s) + 1)))
+            else:
+                t = list(rand_sequent(rng, pool, rng.randrange(4)))
+            rng.shuffle(t)
+            t = tuple(t)
+            want = counter_minus(s, t)
+            assert seq_minus(s, t) == want  # the same items, in the same order
+            contained += want is not None
+            assert seq_equal(s, t) == counter_equal(s, t)
+            u = list(s)
+            rng.shuffle(u)
+            assert seq_equal(s, tuple(u)) and seq_equal(tuple(u), s)
+            x, new = rng.choice(pool), rng.choice(pool)
+            assert (seq_minus(s, (new,)) or ()).count(x) == \
+                (Counter(counter_minus(s, (new,)) or ())[x])
+        assert 500 < contained < 1900
+
     def test_json_roundtrip(self):
         rng = random.Random(3)
         calc = K.LMRL(2)
@@ -178,6 +207,35 @@ class TestHashConsing:
             Neg(Endo((1, 0)), Atom(f"unique{k}", (Var(f"v~{k}"),)))
         gc.collect()
         assert len(lg.Node._table) == before
+
+    def test_dead_node_leaves_the_table(self):
+        key = (Atom, "dies", ())
+        node = Atom("dies")
+        assert lg.Node._table[key]() is node
+        del node
+        assert key not in lg.Node._table
+        again = Atom("dies")  # made afresh, with the same fields
+        assert lg.Node._table[key]() is again
+        assert (again.label, again.args) == ("dies", ())
+        assert Atom("dies") is again
+
+    def test_late_callback_keeps_a_newer_entry(self):
+        # a reference whose node died before its callback ran: the next
+        # construction finds it dead, makes a new node and a new entry, and
+        # the old reference's callback must leave that entry alone
+        key = (Atom, "late", ())
+        node = Atom("late")
+        old = lg.Node._table[key]
+        del node
+        assert old() is None and key not in lg.Node._table
+        lg.Node._table[key] = old  # as if its callback had not run yet
+        node = Atom("late")
+        newer = lg.Node._table[key]
+        assert newer is not old and newer() is node
+        lg._forget(old)
+        assert lg.Node._table[key] is newer
+        del node
+        assert key not in lg.Node._table
 
     def test_deep_formula_hashes_without_recursion(self):
         swap = Endo((1, 0))
