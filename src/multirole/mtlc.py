@@ -3,14 +3,16 @@
 Expressions are immutable.  Each thread runs on an environment machine: a
 program node or a value under an environment of closed values, and a stack
 of frames, so a step binds or looks up and never rebuilds or substitutes
-into the program.  Its reductions are those of substitution-based
-small-step evaluation, in the same order, and a state can be read back as
-the expression that evaluation would hold (MtlcThread.expr).  Retyping
-after every reduction (--retype-every-step) notes the program's judgements
-once, and then checks at each step only what the step changed
-(MtlcThread.judge).  Channel effects are delegated to the runtime module:
-each calculus thread is a generator joining a runtime Pool and blocking on
-the same matching engine as scripted threads.
+into the program; a reduction dispatches on its frame's node class and
+builds no redex.  Its reductions are those of substitution-based small-step
+evaluation, in the same order, and a state can be read back as the
+expression that evaluation would hold (MtlcThread.expr).  Retyping after
+every reduction (--retype-every-step) notes the program's judgements once,
+and then checks at each step only what the step changed (MtlcThread.judge),
+fitting values to types without building theirs (_Judgements.fit).  Channel
+effects are delegated to the runtime module: each calculus thread is a
+generator joining a runtime Pool and blocking on the same matching engine as
+scripted threads.
 
 Types split into non-linear types (bool, int, indexed int, str, unit,
 T1*T2, ->) and linear viewtypes (chan(R,S), tensor pairs, -o), ordered by
@@ -805,16 +807,16 @@ class _Judgements(dict):
             for x, tx in got[3] or ():
                 if (b := _lookup(env, x)) is None:
                     raise _Unjudged
-                if not compat(t := self.value(b[1])[0], tx):
-                    raise MtlcTypeError("ty-bind", f"{x} bound to a {t}, which does not fit {tx}")
+                if not self.fit(b[1], tx):
+                    raise MtlcTypeError("ty-bind", f"{x} bound to a {self.value(b[1])[0]}, "
+                                        f"which does not fit {tx}")
             return got[1], self.held(e, env)
         if type(e) is not EApp:
             raise _Unjudged
         tf, hf = self.term(e.fun, env) if id(e.fun) in self else self.value(e.fun)
-        ta, ha = self.value(e.arg)
-        if not isinstance(tf, (TFunN, TFunL)) or not compat(ta, tf.dom):
-            raise MtlcTypeError("ty-app", f"{tf} applied to {ta}")
-        return tf.cod, hf + ha
+        if not isinstance(tf, (TFunN, TFunL)) or not self.fit(e.arg, tf.dom):
+            raise MtlcTypeError("ty-app", f"{tf} applied to {self.value(e.arg)[0]}")
+        return tf.cod, hf + self.held_of(e.arg)
 
     def held(self, e: Expr, env, bound=()) -> tuple[int, ...]:
         """resources() of program node e under env but for the variables
@@ -824,20 +826,43 @@ class _Judgements(dict):
             if x not in bound:
                 if (b := _lookup(env, x)) is None:
                     raise _Unjudged
-                out += self.value(b[1])[1]
+                out += self.held_of(b[1])
         return out
 
     def value(self, v: Expr) -> tuple[Viewtype, tuple]:
         """The type and resources of a value."""
+        held, cls = self.held_of(v), type(v)  # held_of raises _Unjudged on a non-value
+        if cls is EPair or cls is ELPair:
+            t = (TPair if cls is EPair else TLPair)(self.value(v.left)[0], self.value(v.right)[0])
+        else:
+            t = self.of(v.term)[1] if cls is Clo else _CHECK[cls](v, _EMPTY, _EMPTY, self.plain)[0]
+        return t, held
+
+    def fit(self, v: Expr, t: Viewtype) -> bool:
+        """compat(self.value(v)[0], t), decided from the value itself: an
+        int by its literal, an endpoint by its roles and its channel's
+        cursor, a pair by its components, a closure by its term's type."""
+        cls = type(v)
+        if cls is EInt:
+            return type(t) is TInt or type(t) is TIntIdx and t.i == v.value
+        if cls is ERc:
+            return type(t) is TChan and t.roles == v.ep.roles and t.cursor == v.ep.channel.cursor
+        if cls is EPair or cls is ELPair:
+            return type(t) is (TPair if cls is EPair else TLPair) \
+                and self.fit(v.left, t.left) and self.fit(v.right, t.right)
+        return compat(self.of(v.term)[1] if cls is Clo else self.value(v)[0], t)
+
+    def held_of(self, v: Expr) -> tuple[int, ...]:
+        """The resources of a value: its endpoints, and a closure's are those
+        of the term it stands for."""
         cls = type(v)
         if cls is Clo:
-            return self.of(v.term)[1], self.held(v.term, v.env)
+            return self.held(v.term, v.env)
         if cls is EPair or cls is ELPair:
-            (t1, h1), (t2, h2) = self.value(v.left), self.value(v.right)
-            return (TPair if cls is EPair else TLPair)(t1, t2), h1 + h2
+            return self.held_of(v.left) + self.held_of(v.right)
         if cls not in _SELF:
             raise _Unjudged  # not a value
-        return _CHECK[cls](v, _EMPTY, _EMPTY, self.plain)[0], (v.ep.eid,) if cls is ERc else ()
+        return (v.ep.eid,) if cls is ERc else ()
 
 
 # ------------------------------------------------------- canonical forms
@@ -1000,6 +1025,7 @@ class MtlcThread:
     _notes = None  # the run's _Judgements, from the first retyping on
     _parent = None  # the thread that spawned this one, whose notes it shares
     _frames = None  # (index, top): the frames judged so far, see judge()
+    _fitted = None  # the type judge() last found to fit expected
 
     def __init__(self, pool: Pool, expr: Expr, hook=None, expected: Viewtype | None = None):
         self.pool = pool
@@ -1048,10 +1074,11 @@ class MtlcThread:
         except _Unjudged:
             e = self.expr
             ty, held = typecheck(e, n=self.pool.n), resources(e)
-        if not compat(ty, self.expected):
+        # the bottom frame's type is one object from step to step
+        if ty is not self._fitted and not compat(ty, self.expected):
             raise MtlcTypeError("ty-pool",
                                 f"thread {self.thread.tid} type {ty} drifted from {self.expected}")
-        self._held = (self.state, held)
+        self._fitted, self._held = ty, (self.state, held)
         return ty
 
     def _judgements(self) -> _Judgements:
@@ -1081,14 +1108,19 @@ class MtlcThread:
             cls = type(node)
             kids = _SHAPE[cls][0](node)
             ty = _fits(notes.of(node)[1], below)
-            held = sum((notes.value(v)[1] for v in vals), () if below is None else below[2])
+            held = sum((notes.held_of(v) for v in vals), () if below is None else below[2])
             # an if counts its condition and then-branch only, as resources() does
             for c in kids[len(vals) + 1:2 if cls is EIf else None]:
                 held += notes.held(c, fenv, (node.x1, node.x2) if cls is ELet else ())
             below = index[id(k)] = (k, notes.of(kids[len(vals)])[1], held, below,
                                     ty if below is None else below[4])
         self._frames = (index, below)
-        ty, held = notes.value(val) if term is None else notes.term(term, env)
+        if term is not None:
+            ty, held = notes.term(term, env)
+        elif below is None or not notes.fit(val, below[1]):
+            ty, held = notes.value(val)  # a final value, or one to word a misfit with
+        else:  # a value that fits its hole is judged without building its type
+            ty, held = below[1], notes.held_of(val)
         if below is None:
             return ty, held
         _fits(ty, below)
@@ -1121,45 +1153,48 @@ class MtlcThread:
                         raise StuckNonRedex(f"cannot decompose {term!r}")
                     term = None
                     continue
-            kids, make = _SHAPE[type(node)]
-            kids = kids(node)
-            if len(vals) < (1 if type(node) in (ELet, EIf) else len(kids)):
+            cls = type(node)
+            kids = _SHAPE[cls][0](node)
+            if len(vals) < (1 if cls is ELet or cls is EIf else len(kids)):
                 k = (node, fenv, vals, k)
                 term, env = kids[len(vals)], fenv
                 continue
-            term = None
-            redex = make(node, vals + kids[len(vals):])
-            if type(redex) in (EPair, ELPair):  # a pair of values is a value
-                val = redex
-                continue
-            effect = None
-            match redex:
-                case EApp(Clo(ELam(x, _, body) | ELLam(x, _, body), cenv), a):
-                    term, env = body, _bind(cenv, x, a)
-                case EApp(Clo(EFix(x, _, v), cenv) as f, a):
-                    term, env = EApp(v, a), _bind(cenv, x, f)
-                case EApp(f, _):
+            # reduce: node's evaluated children are vals, the rest wait in fenv
+            term = effect = None
+            if cls is EApp:
+                f, a = vals
+                if type(f) is not Clo:
                     raise StuckNonRedex(f"application of non-function {_read(f, None)!r}")
-                case EFst(EPair(a, _)):
-                    val = a
-                case ESnd(EPair(_, b)):
-                    val = b
-                case ELet(x1, x2, ELPair(a, b), body):
-                    term, env = body, _bind(_bind(fenv, x2, b), x1, a)
-                case EIf(EBool(c), a, b):
-                    term, env = (a if c else b), fenv
-                case EConst("iadd", (EInt(i), EInt(j))):
-                    val = EInt(i + j)
-                case EConst("randbit", ()):
-                    val = EBool(bool(pool.rng.randrange(2)))
-                case EConst("thread_create", (f,)):
-                    self._spawn(f, EUnit())
-                    pool._event("PR1", action="thread")
-                    val = EUnit()
-                case EConst(name, args) if name in _CHAN_CONSTS:
-                    val, effect = self._channel_op(name, args)
-                case _:
-                    raise StuckNonRedex(f"no reduction for {_read(redex, fenv)!r}")
+                lam = f.term
+                if type(lam) is EFix:
+                    term, env = EApp(lam.value, a), _bind(f.env, lam.x, f)
+                else:
+                    term, env = lam.body, _bind(f.env, lam.x, a)
+            elif cls is EConst and node.name in _CHAN_CONSTS:
+                val, effect = self._channel_op(node.name, vals)
+            elif cls is EConst and node.name == "iadd" and len(vals) == 2 \
+                    and type(vals[0]) is type(vals[1]) is EInt:
+                val = EInt(vals[0].value + vals[1].value)
+            elif cls is EConst and node.name == "randbit" and not vals:
+                val = EBool(bool(pool.rng.randrange(2)))
+            elif cls is EConst and node.name == "thread_create" and len(vals) == 1:
+                self._spawn(vals[0], EUnit())
+                pool._event("PR1", action="thread")
+                val = EUnit()
+            elif cls is ELet and type(p := vals[0]) is ELPair:
+                term, env = node.body, _bind(_bind(fenv, node.x2, p.right), node.x1, p.left)
+            elif cls is EPair or cls is ELPair:  # a pair of values is a value
+                val = cls(*vals)
+                continue
+            elif cls is EIf and type(c := vals[0]) is EBool:
+                term, env = (node.then if c.value else node.els), fenv
+            elif cls is EFst and type(p := vals[0]) is EPair:
+                val = p.left
+            elif cls is ESnd and type(p := vals[0]) is EPair:
+                val = p.right
+            else:  # the redex is built only to word the fault
+                redex = _SHAPE[cls][1](node, vals + kids[len(vals):])
+                raise StuckNonRedex(f"no reduction for {_read(redex, fenv)!r}")
             if effect is not None:
                 result = yield effect
                 val = val(result)

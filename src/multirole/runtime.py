@@ -319,8 +319,10 @@ class Pool:
         self._blocked: dict[int, Thread] = {}  # eid -> the thread blocked on it
         self._ready: list[Thread] = []  # made or unblocked since the last pass
         # min-heap of ids of channels a thread blocked on or whose endpoint set
-        # changed; an id not fireable when it reaches the top is dropped
+        # changed, each there once; an id not fireable when it reaches the top
+        # is dropped
         self._cands: list[int] = []
+        self._pending: set[int] = set()  # the ids on _cands
         self.services: dict[str, Service] = {}
         self.trace: list[dict] = []
         self.audit_log: list[tuple[int, bool]] = []
@@ -408,7 +410,7 @@ class Pool:
         for cid, ch in dirty.items():
             if not ch.live:
                 continue
-            heappush(self._cands, cid)
+            self._offer(cid)
             parts = [e.roles for e in ch.endpoints if e.live]
             if not rl.partition_check(parts, self.n):
                 raise RuntimeFault(
@@ -441,7 +443,13 @@ class Pool:
             return
         ep = t.block.ep
         self._blocked[ep.eid] = t
-        heappush(self._cands, ep.channel.cid)
+        self._offer(ep.channel.cid)
+
+    def _offer(self, cid: int) -> None:
+        """Put channel cid on the candidate heap, unless it is there."""
+        if cid not in self._pending:
+            self._pending.add(cid)
+            heappush(self._cands, cid)
 
     def _runnable(self) -> list[Thread]:
         """The threads made or unblocked since the last pass, in creation
@@ -476,7 +484,7 @@ class Pool:
             m = self._fireable(cands[0])
             if m is not None:
                 return m  # stays on the heap: firing it unblocks its members
-            heappop(cands)
+            self._pending.remove(heappop(cands))
         return None
 
     def run(self, max_steps: int | None = 10000):  # None: no cap

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -741,29 +742,62 @@ class TestMrljIntuitionistic:
     """MRLJ axioms and splits keep every sequent J-intuitionistic, or raise."""
 
     def test_probe(self):
-        # n, J, a formula of up to 3 connectives and a partition into 1..3
-        # parts per seed; the first part is split into a subset and its rest
-        outcomes = {"checked": 0, "refused": 0}
+        # n, J and a formula of up to 3 connectives per seed, and the axioms
+        # of three transformers: a partition into 1..3 parts whose first part
+        # is split into a subset and its rest; <R1>A cut against <R2>A with
+        # disjoint complements, leaving <R1 n R2>A; and a multiparty cut of
+        # 2..3 premises whose complements partition the universe.  Each output
+        # checks with the conclusion the transformer promises, or an axiom it
+        # needs is refused.
+        outcomes = Counter()
         for seed in range(2000):
             rng = random.Random(seed)
             n = rng.choice([2, 3])
+            full = rl.full_set(n)
             calc = K.MRLJ(n, Ultra(rng.randrange(n)))
             a = rand_formula(rng, calc, n, rng.randrange(4))
             parts = rand_partition(rng, n, rng.randrange(1, 4))
-            try:
+            r, sub = parts[0], rng.randrange(1 << n) & parts[0]
+            r1 = rng.randrange(1 << n)
+            r2 = (full & ~r1) | (rng.randrange(1 << n) & r1)
+            comps = rand_partition(rng, n, rng.choice([2, 3]))
+
+            def axiom(parts):
                 d = K.axiom_multi(a, parts, calc)
                 K.check(d, calc)
-                r = parts[0]
-                sub = rng.randrange(1 << n) & r
+                return d
+
+            def split_roles():
+                d = axiom(parts)
                 e = K.split_roles(d, d.conclusion.index(IFormula(r, a)), sub, r & ~sub, calc)
-                K.check(e, calc)
-                assert seq_equal(e.conclusion, (IFormula(sub, a), IFormula(r & ~sub, a))
-                                 + tuple(IFormula(p, a) for p in parts[1:]))
-                outcomes["checked"] += 1
-            except K.KernelError as err:  # a CheckError names no such thing
-                assert "has no J-intuitionistic derivation" in str(err)
-                outcomes["refused"] += 1
-        assert outcomes["checked"] > 1500 and outcomes["refused"] > 0
+                return e, (IFormula(sub, a), IFormula(r & ~sub, a)) \
+                    + tuple(IFormula(p, a) for p in parts[1:])
+
+            def cut2_residual():
+                d1, d2 = axiom([r1, full & ~r1]), axiom([r2, full & ~r2])
+                e = K.cut2_residual(d1, d1.conclusion.index(IFormula(r1, a)),
+                                    d2, d2.conclusion.index(IFormula(r2, a)), calc)
+                return e, (IFormula(full & ~r1, a), IFormula(full & ~r2, a),
+                           IFormula(r1 & r2, a))
+
+            def mp_cut():
+                ds = [axiom([full & ~c, c]) for c in comps]
+                e = K.mp_cut(ds, [d.conclusion.index(IFormula(full & ~c, a))
+                                  for d, c in zip(ds, comps)], calc)
+                return e, tuple(IFormula(c, a) for c in comps)
+
+            for transform in (split_roles, cut2_residual, mp_cut):
+                try:
+                    e, want = transform()
+                    K.check(e, calc)
+                    assert seq_equal(e.conclusion, want)
+                    outcomes[transform.__name__, "checked"] += 1
+                except K.KernelError as err:  # a CheckError names no such thing
+                    assert str(err).startswith("axiom_multi: ") \
+                        and "has no J-intuitionistic derivation" in str(err)
+                    outcomes[transform.__name__, "refused"] += 1
+        for transform in ("split_roles", "cut2_residual", "mp_cut"):
+            assert outcomes[transform, "checked"] > 1500 and outcomes[transform, "refused"] > 0
 
     def test_negation_introduced_in_a_j_order(self):
         calc = K.MRLJ(2, Ultra(1))

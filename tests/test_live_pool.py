@@ -262,6 +262,34 @@ def test_scheduler_agrees_with_rescanning_oracle(monkeypatch):
         assert g[1:] == w[1:]
 
 
+def test_candidate_heap_holds_each_channel_once():
+    checked = [0]
+
+    def each_event(pool):
+        event = pool._event
+
+        def check(*args, **kw):
+            event(*args, **kw)
+            cands = pool._cands
+            assert len(cands) == len(set(cands)), sorted(cands)
+            assert set(cands) == pool._pending
+            checked[0] += 1
+
+        pool._event = check
+        return pool
+
+    pools = [*criterion_8_pools(), *criterion_9_pools(), long_pool(100, seed=100)]
+    pools += [p for seed in range(8) for p in scheduling_corner_pools(seed)]
+    for pool in pools:
+        assert each_event(pool).run().status == "done"
+    for i, src in enumerate((PING_PONG, MCONJ, CUT2)):
+        e = M.parse_program(src, 2)
+        pool = each_event(rt.Pool(2, seed=i))
+        M.MtlcThread(pool, e, expected=M.typecheck(e, n=2))
+        assert pool.run().status == "done"
+    assert checked[0] > 1000
+
+
 def test_endpoint_ids_are_numbered_per_pool():
     def eids():
         s = sn.parse_session(EX3, 3)

@@ -567,6 +567,64 @@ class TestEnvironment:
         assert ref() is None
 
 
+class TestFit:
+    """_Judgements.fit, which fits a value to a type without building the
+    value's type, against compat on the type value builds; held_of against
+    value and a recount of the value's read-back."""
+
+    def test_fit_agrees_with_value(self):
+        pool = Pool(2)
+        ab, a = (M.norm(parse_session(s, 2)) for s in ("a(0,1)@b(1,0)", "a(0,1)"))
+        ch1, ch2 = pool.new_channel(ab), pool.new_channel(a)
+        eps = [ERc(pool.new_endpoint(ch, r)) for ch, r in ((ch1, 1), (ch1, 2), (ch2, 1))]
+        root = prog('(tensor (llam (c (chan {0} "a(0,1)")) (llam (u 1) c))'
+                    ' (pair (lam (x int) x) (lam (x (int 3)) 5)))')
+        notes = M._Judgements(2, root)
+        # the inner llam consumes the endpoint its closure captures
+        clos = [M.Clo(root.left.body, M._bind(None, "c", ep)) for ep in eps]
+        clos += [M.Clo(f, None) for f in (root.left, root.right.left, root.right.right)]
+        rng = random.Random(14)
+
+        def value(depth=2):
+            leaves = [lambda: EInt(rng.randrange(4)), lambda: EBool(rng.random() < 0.5),
+                      lambda: EStr("s"), EUnit, lambda: rng.choice(eps), lambda: rng.choice(clos)]
+            if depth:
+                leaves += [lambda: EPair(value(depth - 1), value(depth - 1)),
+                           lambda: ELPair(value(depth - 1), value(depth - 1))]
+            return rng.choice(leaves)()
+
+        def near(t):
+            """t, or a sub-, super- or unrelated type near it."""
+            match t:
+                case TIntIdx(i):
+                    return rng.choice([t, TInt(), TIntIdx(i + 1)])
+                case TInt():
+                    return rng.choice([t, TIntIdx(rng.randrange(4))])
+                case TChan(roles, cursor):  # other roles or another cursor
+                    return rng.choice([t, TChan(roles ^ 3, cursor), TChan(roles, cursor[1:]),
+                                       TChan(roles, ab)])
+                case TPair(l, r) | TLPair(l, r) | TFunN(l, r) | TFunL(l, r):
+                    other = {TPair: TLPair, TLPair: TPair, TFunN: TFunL, TFunL: TFunN}
+                    return rng.choice([type(t)(near(l), near(r)), other[type(t)](l, r)])
+            return rng.choice([t, TUnit(), TBool(), TStr()])
+
+        seen = Counter()
+        for _ in range(3000):
+            v = value()
+            ty, held = notes.value(v)
+            assert notes.held_of(v) == held
+            assert Counter(held) == rho_recount(M._read(v, None))
+            for t in (ty, near(ty), near(ty), notes.value(value())[0]):
+                fits = notes.fit(v, t)
+                assert fits == compat(ty, t), (v, t)
+                seen[type(v), fits] += 1
+        for cls in (EInt, EBool, EStr, EUnit, ERc, M.Clo, EPair, ELPair):
+            assert seen[cls, True] and seen[cls, False], cls
+        for judge in (notes.value, notes.held_of, lambda v: notes.fit(v, TInt())):
+            with pytest.raises(M._Unjudged):  # not a value
+                judge(EVar("x"))
+
+
 class TestMachineAgainstOracle:
     """The environment machine against the substitution stepper it replaced
     (helpers.subst_eval_pool): byte-identical traces, equal values and
@@ -660,6 +718,29 @@ class TestMachineAgainstOracle:
         assert typecheck(e) == TInt()
         _, status, val, _ = self.retyped(e)
         assert (status, val) == ("done", EInt(5))
+
+    @pytest.mark.parametrize("src,fault", [
+        ("(app 1 2)", "application of non-function EInt(value=1)"),
+        ("(fst 1)", "no reduction for EFst(body=EInt(value=1))"),
+        ("(snd 1)", "no reduction for ESnd(body=EInt(value=1))"),
+        ("(let (a b) 1 unit)",
+         "no reduction for ELet(x1='a', x2='b', pair=EInt(value=1), body=EUnit())"),
+        ("(if 1 2 3)",
+         "no reduction for EIf(cond=EInt(value=1), then=EInt(value=2), els=EInt(value=3))"),
+        ("(iadd true 1)",
+         "no reduction for EConst(name='iadd', args=(EBool(value=True), EInt(value=1)))"),
+        # the redex is worded with its frame's environment substituted
+        ("(app (lam (y int) (if y y 2)) 1)",
+         "no reduction for EIf(cond=EInt(value=1), then=EInt(value=1), els=EInt(value=2))"),
+    ])
+    def test_stuck_redex(self, src, fault):
+        # untyped programs: both steppers stop at the same redex, worded alike
+        for cls in (M.MtlcThread, SubstThread):
+            pool = Pool(2)
+            cls(pool, prog(src))
+            with pytest.raises(M.StuckNonRedex) as err:
+                pool.run()
+            assert str(err.value) == fault
 
     def unjudged(self, monkeypatch) -> list[int]:
         """The steps whose state the run's notes do not cover."""
