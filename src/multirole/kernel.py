@@ -92,6 +92,9 @@ class Calculus:
             raise KernelError(f"unknown calculus {self.kind!r}")
         if self.kind == "mrlj" and self.j is None:
             raise KernelError("mrlj requires the intuitionistic ultrafilter J")
+        if self.j is not None and self.j.r >= self.n:
+            raise KernelError(f"ultrafilter J = @{self.j.r} outside universe of "
+                              f"{self.n} roles")
 
     @property
     def linear(self) -> bool:

@@ -745,18 +745,23 @@ def sequent_from_obj(raw, parse, n: int | None = None) -> Sequent:
     return tuple(items)
 
 
+_NOT_ROLES = 'an item\'s "roles" must be a list of role numbers'
+
+
 def roles_from_obj(roles, n: int | None = None) -> int:
-    """The role set of a JSON list of role numbers.  Raise FormulaError when
-    roles is no such list or names a role outside 0..n-1 (0..MAX_ROLES-1
-    when n is None)."""
+    """The role set of a JSON list of distinct role numbers.  Raise
+    FormulaError when roles is no such list, holds a bool, lists a role
+    twice or names a role outside 0..n-1 (0..MAX_ROLES-1 when n is None)."""
     limit = MAX_ROLES if n is None else n
+    if not isinstance(roles, list):
+        raise FormulaError(_NOT_ROLES)
     mask = 0
-    try:
-        for r in roles:
-            if not 0 <= r < limit:
-                raise FormulaError(f"role {r} outside universe of {limit} roles")
-            mask |= 1 << r
-    except TypeError:
-        raise FormulaError('an item\'s "roles" must be a list of role '
-                           'numbers') from None
+    for r in roles:
+        if type(r) is not int:  # a bool is an int to isinstance
+            raise FormulaError(_NOT_ROLES)
+        if not 0 <= r < limit:
+            raise FormulaError(f"role {r} outside universe of {limit} roles")
+        if mask >> r & 1:
+            raise FormulaError(f"role {r} listed twice")
+        mask |= 1 << r
     return mask

@@ -62,13 +62,14 @@ def disjoint_union(a: int, b: int) -> int:
 
 def partition_check(masks: list[int] | tuple[int, ...], n: int) -> bool:
     """True iff the given role sets are pairwise disjoint and cover 0..n-1."""
-    seen = 0
+    full, seen = full_set(n), 0
     for m in masks:
-        check_roleset(m, n)
+        if m < 0 or m & ~full:
+            check_roleset(m, n)  # raises
         if seen & m:
             return False
         seen |= m
-    return seen == full_set(n)
+    return seen == full
 
 
 def fmt_roleset(mask: int) -> str:

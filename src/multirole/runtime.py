@@ -271,7 +271,7 @@ Command = (CSync | CSend | CRecv | CChoose | COffer | CLoop | COfferLoop | CMcon
 # ------------------------------------------------------- blocked state
 
 
-@dataclass
+@dataclass(slots=True)
 class _Block:
     kind: str  # "sync" | "choice" | "mconj"
     ep: Endpoint
@@ -349,6 +349,7 @@ class Pool:
 
     def service_create(self, name: str, roleset: int, session: SessionType,
                        acceptor) -> Service:
+        rl.check_roleset(roleset, self.n)
         svc = Service(name, roleset, norm(session), tuple(acceptor))
         self.services[name] = svc
         return svc
@@ -405,7 +406,10 @@ class Pool:
 
     def check_invariants(self) -> None:
         """Re-check the channels whose endpoint set changed since the last
-        event, and offer them to the scheduler as candidates to fire."""
+        event, and offer them to the scheduler as candidates to fire; with
+        none changed, there is nothing to do."""
+        if not self._dirty:
+            return
         dirty, self._dirty = self._dirty, {}
         for cid, ch in dirty.items():
             if not ch.live:
@@ -461,6 +465,8 @@ class Pool:
         return ready
 
     def _cleanup_channels(self) -> None:
+        if not self._finished:
+            return
         for ch in self._finished.values():
             self._retire(ch)
         self._finished.clear()
@@ -472,10 +478,14 @@ class Pool:
         if ch is None:
             return None
         blocked = self._blocked
-        eps = [e for e in ch.endpoints if e.live]
-        if all(e.eid in blocked for e in eps):
-            return ch, [(e, blocked[e.eid], blocked[e.eid].block) for e in eps]
-        return None
+        members = []
+        for e in ch.endpoints:
+            if e.live:
+                t = blocked.get(e.eid)
+                if t is None:
+                    return None
+                members.append((e, t, t.block))
+        return ch, members
 
     def _matching_set(self):
         """The fireable channel with the lowest id, with its blocked members."""
@@ -516,18 +526,13 @@ class Pool:
             del self._blocked[ep.eid]
             self._ready.append(t)
         head = ch.cursor[0]
-        match head:
-            case Msg() | Bcast() | Gather():
-                self._fire_sync(ch, head, members)
-            case SAConj() | OptionT() | Repseq():
-                self._fire_choice(ch, head, members)
-            case SMConj():
-                self._fire_mconj(ch, head, members)
-            case Repeat():
+        rule = _FIRES.get(type(head))
+        if rule is None:
+            if isinstance(head, Repeat):
                 raise ProtocolMismatch("repeat(...) sessions are not runnable; "
                                        "bound them with repseq or unroll")
-            case _:
-                raise ProtocolMismatch(f"cannot fire head {sn.fmt_session(head)}")
+            raise ProtocolMismatch(f"cannot fire head {sn.fmt_session(head)}")
+        rule(self, ch, head, members)
 
     def _fire_sync(self, ch: Channel, head, members) -> None:
         payloads: list = []
@@ -751,6 +756,12 @@ class Pool:
         return mine1, mine2
 
 
+# the firing rule of each runnable head, by session node class
+_FIRES = {**dict.fromkeys((Msg, Bcast, Gather), Pool._fire_sync),
+          **dict.fromkeys((SAConj, OptionT, Repseq), Pool._fire_choice),
+          SMConj: Pool._fire_mconj}
+
+
 @dataclass
 class RunResult:
     status: str  # "done" | "deadlock" | "fault"
@@ -806,7 +817,7 @@ def _repseq_head(ep: Endpoint, what: str) -> None:
 def _sync(pool: Pool, t: Thread, cmd: CSync):
     ep = _reg(t, cmd.reg)
     _action_head(ep, "sync")
-    yield _Block("sync", ep, "sync")
+    return _Block("sync", ep, "sync")
 
 
 def _send(pool: Pool, t: Thread, cmd: CSend):
@@ -817,7 +828,7 @@ def _send(pool: Pool, t: Thread, cmd: CSend):
             f"roles {rl.fmt_roleset(ep.roles)} cannot send {sn.fmt_session(head)}")
     value = _DEFAULT_PAYLOAD[head.payload] if cmd.payload is None \
         and head.payload != "unit" else cmd.payload
-    yield _Block("sync", ep, "send", payload=value, action="send")
+    return _Block("sync", ep, "send", payload=value, action="send")
 
 
 def _recv(pool: Pool, t: Thread, cmd: CRecv):
@@ -826,14 +837,14 @@ def _recv(pool: Pool, t: Thread, cmd: CRecv):
     if next_kind(head, ep.roles) != "recv":
         raise RoleMismatch(
             f"roles {rl.fmt_roleset(ep.roles)} cannot receive {sn.fmt_session(head)}")
-    yield _Block("sync", ep, "recv", action="recv")
+    return _Block("sync", ep, "recv", action="recv")
 
 
 def _choose(pool: Pool, t: Thread, cmd: CChoose):
     ep = _reg(t, cmd.reg)
     if next_kind(_head(ep), ep.roles) != "choose":
         raise RoleMismatch("only the deciding role set may choose here")
-    yield _Block("choice", ep, "choose", side=cmd.side)
+    return _Block("choice", ep, "choose", side=cmd.side)
 
 
 def _offer(pool: Pool, t: Thread, cmd: COffer):
@@ -943,14 +954,21 @@ _STEPS = {CSync: _sync, CSend: _send, CRecv: _recv, CChoose: _choose, COffer: _o
 
 def _exec(pool: Pool, t: Thread, cmds: tuple):
     """Generator interpreting one command block; yields _Block to wait.
-    The function _STEPS holds for a command's class returns a generator if
-    the command waits, else None, having done the command."""
+    The function _STEPS holds for a command's class does the command and
+    returns None if it does not wait, the _Block if it waits once and does
+    nothing after (sync, send, recv, choose: the block goes straight to the
+    scheduler), else a generator that yields its blocks.  Pool._fire finds
+    the rule that fires a channel in _FIRES, by the class of its head, the
+    same way."""
     for cmd in cmds:
         try:
             step = _STEPS[type(cmd)]
         except KeyError:
             raise RuntimeFault(f"unknown command {cmd!r}") from None
-        if (wait := step(pool, t, cmd)) is not None:
+        wait = step(pool, t, cmd)
+        if type(wait) is _Block:
+            yield wait
+        elif wait is not None:
             yield from wait
 
 

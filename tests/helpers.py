@@ -277,6 +277,10 @@ def malformed_tables() -> list[tuple[str, dict]]:
         ("no root", {"formulas": base["formulas"], "nodes": base["nodes"]}),
         ("no formulas", {"nodes": base["nodes"], "root": 2}),
     ]
+    for name, roles in (("role is a bool", [True]), ("role listed twice", [0, 0])):
+        obj = json.loads(json.dumps(base))
+        obj["nodes"][0]["conclusion"] = [[roles, 1], [[1], 1]]
+        out.append((name, obj))
     return out
 
 
@@ -296,6 +300,8 @@ MALFORMED_ITEMS = [
     {"roles": [0], "formula": 3},
     {"roles": [0], "formula": ["a"]},
     {"roles": [0], "formula": None},
+    {"roles": [True], "formula": "a"},
+    {"roles": [0, 0], "formula": "a"},
 ]
 
 

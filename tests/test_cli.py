@@ -104,6 +104,8 @@ class TestProve:
         (["check", "AX", "--roles", "99"], "universe size must be in 1..64, got 99"),
         (["check", "AX", "--calculus", "mrlj", "--j", "zz"],
          "bad ultrafilter syntax: 'zz'"),
+        (["check", "AX", "--calculus", "mrlj", "--j", "@5"],
+         "ultrafilter J = @5 outside universe of 2 roles"),
     ])
     def test_argument_faults(self, capsys, axiom_file, argv, error):
         argv = [axiom_file if a == "AX" else a for a in argv]

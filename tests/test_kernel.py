@@ -101,6 +101,16 @@ class TestCheck:
             K.check(d, mrlj)
         K.check(d, K.MRL(2))
 
+    @pytest.mark.parametrize("r", [2, 5, 64])
+    def test_mrlj_ultrafilter_outside_the_universe(self, r):
+        # with J outside the universe no role set lies in J, and the side
+        # condition above would hold of every sequent
+        with pytest.raises(K.KernelError, match=f"J = @{r} outside universe of 2 roles"):
+            K.MRLJ(2, Ultra(r))
+        with pytest.raises(K.KernelError, match="outside universe"):
+            K.Calculus("mrl", 2, Ultra(r))
+        K.MRLJ(2, Ultra(1))
+
     def test_check_reports_path(self):
         calc = K.LMRL(2)
         bad = K.Derivation("id", (IFormula(1, A), IFormula(1, A)))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from multirole import roles as rl
 from multirole import runtime as rt
 from multirole import session as sn
 from multirole.runtime import (
@@ -19,6 +20,7 @@ from multirole.runtime import (
     Pool,
     ProtocolMismatch,
     RoleMismatch,
+    RuntimeFault,
     message_keys,
     norm,
     parse_script,
@@ -267,6 +269,54 @@ class TestConsumedEndpoints:
         with pytest.raises(LinearityFault):
             pool.chan_split(ep, 0b01, ())
         assert len(pool.trace) == events
+
+
+class TestFaultTexts:
+    """The faults the scheduler raises while firing and auditing, with their
+    exact texts."""
+
+    def _fault(self, pool):
+        res = pool.run()
+        assert res.status == "fault"
+        return res.detail
+
+    def test_repeat_head_reaching_a_fire(self):
+        s = parse_session("repeat(0, a(0, 1))", 2)
+        pool = Pool(2)
+        pool.add_script_thread((rt.CChanCreate(0b10, s, (rt.COffer((), ()),)),
+                                CChoose("l")))
+        assert self._fault(pool) == ("repeat(...) sessions are not runnable; "
+                                     "bound them with repseq or unroll")
+
+    def test_head_without_a_firing_rule(self):
+        pool = Pool(2)
+        ch = pool.new_channel((sn.Nil(),))
+
+        def party(ep):
+            def gen(t):
+                yield rt._Block("sync", ep, "sync")
+            return gen
+
+        for roles in (0b01, 0b10):
+            pool.add_thread(party(pool.new_endpoint(ch, roles)))
+        assert self._fault(pool) == "cannot fire head nil"
+
+    def test_endpoints_that_stop_partitioning_the_universe(self):
+        pool = Pool(2)
+        ep = pool.chan_create(0, parse_session("a(0, 1)", 2), ())
+        pool.new_endpoint(ep.channel, 0b01)  # overlaps ep at role 0
+        with pytest.raises(RuntimeFault) as e:
+            pool.chan_split(ep, 0b01, ())
+        assert type(e.value) is RuntimeFault
+        assert str(e.value) == \
+            "channel 0: endpoint role sets do not partition the universe"
+
+
+def test_service_role_set_outside_the_universe_is_refused():
+    pool = Pool(2)
+    with pytest.raises(rl.RoleError, match="role set 0x4 not within universe of 2 roles"):
+        pool.service_create("svc", 0b100, parse_session("a(0, 1)", 2), ())
+    assert pool.services == {}
 
 
 def test_norm_is_linear_and_not_recursive():
