@@ -17,7 +17,10 @@ scripted threads.
 Types split into non-linear types (bool, int, indexed int, str, unit,
 T1*T2, ->) and linear viewtypes (chan(R,S), tensor pairs, -o), ordered by
 subtyping (compat).  The typechecker is algorithmic: the linear context is
-threaded through subterms and each rule reports what it consumed.
+threaded through subterms and each rule reports what it consumed.  A
+channel type's cursor steps by the runtime's rule: the signatures of the
+endpoint operations take it from session.advance and session.forks, which
+build every cursor and continuation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 from . import roles as rl
 from . import runtime as rt
-from .runtime import Endpoint, Pool, _Block, norm
+from .runtime import Endpoint, Pool, _Block
 from .session import (
     Bcast,
     Gather,
@@ -35,9 +38,12 @@ from .session import (
     OptionT,
     Repseq,
     SAConj,
+    SessionError,
     SessionType,
-    SMConj,
+    advance,
+    forks,
     next_kind,
+    norm,
     parse_session,
 )
 
@@ -439,7 +445,7 @@ def _message(name, arg, kind, why):
 
 def _sig_skip(name, args, n):
     t, _ = _message(name, args[0], "skip", "skip applies to uninvolved non-final actions")
-    return TChan(t.roles, t.cursor[1:])
+    return TChan(t.roles, advance(t.cursor))
 
 
 def _sig_send(name, args, n):
@@ -447,12 +453,12 @@ def _sig_send(name, args, n):
     want = _PAYLOAD_T[head.payload]
     if not compat(args[1], want):
         raise MtlcTypeError(name, f"payload {args[1]} does not fit {want}")
-    return TChan(t.roles, t.cursor[1:])
+    return TChan(t.roles, advance(t.cursor))
 
 
 def _sig_recv(name, args, n):
     t, head = _message(name, args[0], "recv", "these roles do not receive here")
-    return TLPair(_PAYLOAD_T[head.payload], TChan(t.roles, t.cursor[1:]))
+    return TLPair(_PAYLOAD_T[head.payload], TChan(t.roles, advance(t.cursor)))
 
 
 def _sig_aconj(name, args, n):
@@ -461,39 +467,36 @@ def _sig_aconj(name, args, n):
     if not isinstance(head, (SAConj, OptionT, Repseq)) \
             or next_kind(head, t.roles) != "choose":
         raise MtlcTypeError(name, "these roles do not decide here")
-    side = name[-1]
-    match head:
-        case SAConj(_, a, b):
-            cont = norm(a if side == "l" else b)
-        case OptionT(_, a):
-            cont = norm(a) if side == "l" else ()
-        case Repseq(_, a):
-            cont = (norm(a) + (head,)) if side == "l" else ()
-    return TChan(t.roles, cont + t.cursor[1:])
+    return TChan(t.roles, advance(t.cursor, name[-1]))
+
+
+def _forked(name, arg, kind, why):
+    """The two endpoint types a final mconj head of arg splits into, for
+    roles that take the head as kind."""
+    t = _chan_arg(name, arg)
+    head = _action_head(name, t)
+    if next_kind(head, t.roles) != kind:  # only an mconj head forks
+        raise MtlcTypeError(name, why)
+    try:
+        left, right = forks(t.cursor)
+    except SessionError:
+        raise MtlcTypeError(name, why) from None
+    return TChan(t.roles, left), TChan(t.roles, right)
 
 
 def _sig_mconj(name, args, n):
-    t = _chan_arg(name, args[0])
-    head = _action_head(name, t)
-    if not isinstance(head, SMConj) or len(t.cursor) != 1 \
-            or next_kind(head, t.roles) != "fork-conj":
-        raise MtlcTypeError(name, "mconj requires the deciding roles at a final tensor")
-    return TLPair(TChan(t.roles, norm(head.left)),
-                  TChan(t.roles, norm(head.right)))
+    return TLPair(*_forked(name, args[0], "fork-conj",
+                           "mconj requires the deciding roles at a final tensor"))
 
 
 def _sig_mdisj(name, args, n):
-    t = _chan_arg(name, args[0])
-    head = _action_head(name, t)
-    if not isinstance(head, SMConj) or len(t.cursor) != 1 \
-            or next_kind(head, t.roles) != "fork-disj":
-        raise MtlcTypeError(name, "mdisj is for non-deciding roles at a final tensor")
-    keep, give = (head.left, head.right) if name.endswith("l") \
-        else (head.right, head.left)
-    if args[1] != TFunL(TChan(t.roles, norm(give)), TUnit()):
+    left, right = _forked(name, args[0], "fork-disj",
+                          "mdisj is for non-deciding roles at a final tensor")
+    keep, give = (left, right) if name.endswith("l") else (right, left)
+    if args[1] != TFunL(give, TUnit()):
         raise MtlcTypeError(name, f"second argument must consume the "
                             f"{'right' if name.endswith('l') else 'left'} endpoint")
-    return TChan(t.roles, norm(keep))
+    return keep
 
 
 def _sig_1_cut(name, args, n):
@@ -1391,7 +1394,7 @@ def parse_type(tree, n: int) -> Viewtype:
             return TIntIdx(int(i))
         case ["chan", roleset, spec]:
             s = parse_session(spec.strip('"'), n)
-            return TChan(rl.parse_roleset(roleset), norm(s))
+            return TChan(rl.parse_roleset(roleset, n), norm(s))
         case ["pair", a, b]:
             return TPair(parse_type(a, n), parse_type(b, n))
         case ["tensor", a, b]:

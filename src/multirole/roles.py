@@ -90,6 +90,8 @@ def parse_roleset(text: str, n: int | None = None) -> int:
             r = int(part)
             if n is not None and not 0 <= r < n:
                 raise RoleError(f"role {r} outside universe of {n} roles")
+            if mask >> r & 1:
+                raise RoleError(f"role {r} listed twice")
             mask |= 1 << r
     if n is not None:
         check_roleset(mask, n)

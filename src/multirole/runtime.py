@@ -16,6 +16,8 @@ grow with the number of live ones.
 Thread programs are usually small command lists (see the C* dataclasses and
 parse_script), but any generator yielding _Block requests can join a pool —
 the lambda-calculus evaluator reuses this engine.
+A fire and script synthesis take a channel's next cursor from
+session.advance or session.forks: only the session module builds cursors.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from operator import attrgetter
 from . import roles as rl
 from . import session as sn
 from .session import (
-    Append,
     Bcast,
     Gather,
     Msg,
-    Nil,
     OptionT,
     Repseq,
     Repeat,
@@ -42,6 +42,7 @@ from .session import (
     SessionType,
     SMConj,
     next_kind,
+    norm,
 )
 
 
@@ -92,18 +93,6 @@ class LinearityFault(RuntimeFault):
 # ----------------------------------------------------------- channels
 
 
-def norm(s: SessionType) -> tuple[SessionType, ...]:
-    """Flatten sequential composition into a list of segments, dropping nil."""
-    out, todo = [], [s]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Append):
-            todo += (s.rest, s.first)
-        elif not isinstance(s, Nil):
-            out.append(s)
-    return tuple(out)
-
-
 class Channel:
     def __init__(self, cid: int, cursor: tuple[SessionType, ...]):
         self.cid = cid
@@ -128,6 +117,14 @@ class Endpoint:
 
 _DEFAULT_PAYLOAD = {"unit": None, "int": 7, "str": "m"}
 _SYNC_ACTIONS = {Msg: "msg", Bcast: "bcast", Gather: "gather"}  # trace names
+
+
+def _forks(cursor: tuple[SessionType, ...]) -> tuple[tuple[SessionType, ...], ...]:
+    """sn.forks, refusing an mconj that does not end its session as a fault."""
+    try:
+        return sn.forks(cursor)
+    except sn.SessionError as e:
+        raise ProtocolMismatch(str(e)) from None
 
 
 def _payload_ok(tag: str, value) -> bool:
@@ -578,7 +575,7 @@ class Pool:
             value = payloads
         for _, t, _ in members:
             t.resume_value = value if t in recv_threads else None
-        self._advance(ch, ch.cursor[1:])
+        self._advance(ch, sn.advance(ch.cursor))
         self._event("PR4", chan=ch.cid, action=_SYNC_ACTIONS[type(head)],
                     frm=frm, to=to, label=head.label, payload=value)
 
@@ -599,31 +596,17 @@ class Pool:
                                    f"{sn.fmt_session(head)}")
         if side not in ("l", "r"):
             raise ProtocolMismatch("choice fired without a chooser")
-        rest = ch.cursor[1:]
-        silent = False
-        match head:
-            case SAConj(_, a, b):
-                cursor = norm(a if side == "l" else b) + rest
-            case OptionT(_, a):
-                cursor = (norm(a) + rest) if side == "l" else rest
-            case Repseq(_, a):
-                if side == "l":
-                    cursor = norm(a) + ch.cursor  # body, then the loop again
-                    silent = True  # loop continuation is bookkeeping, not an exchange
-                else:
-                    cursor = rest
-        self._advance(ch, cursor)
+        self._advance(ch, sn.advance(ch.cursor, side))
         for _, t, _ in members:
             t.resume_value = side
-        if not silent:
+        # going round a loop again is bookkeeping, not an exchange
+        if side == "r" or not isinstance(head, Repseq):
             self._event("PR4", chan=ch.cid, action="choice", label=side)
 
     def _fire_mconj(self, ch: Channel, head: SMConj, members) -> None:
-        if ch.cursor[1:]:
-            raise ProtocolMismatch(
-                "mconj(...) must be the last segment of its session")
-        ch_a = self.new_channel(norm(head.left))
-        ch_b = self.new_channel(norm(head.right))
+        left, right = _forks(ch.cursor)
+        ch_a = self.new_channel(left)
+        ch_b = self.new_channel(right)
         self._retire(ch)
         for ep, t, blk in members:
             ep_a = self.new_endpoint(ch_a, ep.roles)
@@ -746,6 +729,8 @@ class Pool:
         if not self.allow_demo:
             raise DemoDisabled("chan2_create is deliberately unsafe; "
                                "enable it with allow_demo")
+        rl.check_roleset(part1, self.n)
+        rl.check_roleset(part2, self.n)
         ch1 = self.new_channel(norm(session1))
         ch2 = self.new_channel(norm(session2))
         sp1, mine1 = self.new_endpoint(ch1, part1), self.new_endpoint(ch1, self.full & ~part1)
@@ -1023,47 +1008,47 @@ class Decisions:
 
 def synthesize(segs: tuple[SessionType, ...], roleset: int,
                dec: Decisions | None = None) -> tuple[Command, ...]:
-    """A protocol-following command list for one role set."""
-    dec = dec or Decisions()
-    if not segs:
-        return ()
-    head, rest = segs[0], segs[1:]
-    kind = next_kind(head, roleset)
-    match head:
-        case Msg() | Bcast() | Gather():
-            cmd = {"send": CSend(_DEFAULT_PAYLOAD[head.payload]),
-                   "recv": CRecv(), "skip": CSync()}[kind]
-            return (cmd,) + synthesize(rest, roleset, dec)
-        case SAConj(_, a, b):
-            if kind == "choose":
+    """A protocol-following command list for one role set.  It draws the
+    decisions in protocol order: a loop's body's, then its count, then
+    those of what follows."""
+    return _script(segs, 0, roleset, dec or Decisions())
+
+
+def _script(cursor: tuple[SessionType, ...], stop: int, roleset: int,
+            dec: Decisions) -> tuple[Command, ...]:
+    """The commands that take cursor down to its last stop segments: the
+    loop a body goes back to, or nothing."""
+    cmds: list[Command] = []
+    while len(cursor) > stop:
+        head = cursor[0]
+        kind = next_kind(head, roleset)
+        match head:
+            case Msg() | Bcast() | Gather():
+                cmds.append(CSend(_DEFAULT_PAYLOAD[head.payload]) if kind == "send"
+                            else CRecv() if kind == "recv" else CSync())
+                cursor = sn.advance(cursor)
+            case SAConj() | OptionT():
+                if kind == "offer":  # each branch goes on to the end
+                    cmds.append(COffer(*(_script(sn.advance(cursor, side), stop, roleset, dec)
+                                         for side in "lr")))
+                    break
                 side = dec.side()
-                branch = a if side == "l" else b
-                return (CChoose(side),) + synthesize(norm(branch) + rest, roleset, dec)
-            return (COffer(synthesize(norm(a) + rest, roleset, dec),
-                           synthesize(norm(b) + rest, roleset, dec)),)
-        case OptionT(_, a):
-            if kind == "choose":
-                side = dec.side()
-                cont = (norm(a) + rest) if side == "l" else rest
-                return (CChoose(side),) + synthesize(cont, roleset, dec)
-            return (COffer(synthesize(norm(a) + rest, roleset, dec),
-                           synthesize(rest, roleset, dec)),)
-        case Repseq(_, a):
-            body = synthesize(norm(a), roleset, dec)
-            if kind == "choose":
-                return (CLoop(dec.loop(), body),) + synthesize(rest, roleset, dec)
-            return (COfferLoop(body),) + synthesize(rest, roleset, dec)
-        case SMConj(_, a, b):
-            if rest:
-                raise ProtocolMismatch("mconj(...) must end its session")
-            left = synthesize(norm(a), roleset, dec)
-            right = synthesize(norm(b), roleset, dec)
-            if kind == "fork-conj":
-                return (CMconj(left, right),)
-            return (CMdisj("l", right),) + left
-        case Repeat():
-            raise ProtocolMismatch("repeat(...) sessions are not runnable")
-    raise RuntimeFault(f"cannot synthesize for {sn.fmt_session(head)}")
+                cmds.append(CChoose(side))
+                cursor = sn.advance(cursor, side)
+            case Repseq():
+                body = _script(sn.advance(cursor, "l"), len(cursor), roleset, dec)
+                cmds.append(CLoop(dec.loop(), body) if kind == "choose" else COfferLoop(body))
+                cursor = sn.advance(cursor, "r")
+            case SMConj():
+                left, right = (_script(c, 0, roleset, dec) for c in _forks(cursor))
+                cmds += (CMconj(left, right),) if kind == "fork-conj" \
+                    else (CMdisj("l", right),) + left
+                break
+            case Repeat():
+                raise ProtocolMismatch("repeat(...) sessions are not runnable")
+            case _:
+                raise RuntimeFault(f"cannot synthesize for {sn.fmt_session(head)}")
+    return tuple(cmds)
 
 
 # ------------------------------------------------------- script parser

@@ -3,9 +3,10 @@
 A session type describes one protocol followed by all endpoints of a
 channel; each endpoint sees it through its own role set.  The module
 provides the protocol DSL (`title(1, 0)@quote(0, 1)@...`), the encoding
-into linear formulas, the coherence check for endpoint typings, and the
+into linear formulas, the coherence check for endpoint typings, the
 per-role-set classification of the head constructor that drives the
-runtime.
+runtime, and the cursors that say what is left of a session as its heads
+fire (norm, advance, forks), which no other module builds.
 """
 
 from __future__ import annotations
@@ -314,48 +315,29 @@ def atom_label(s: Msg | Bcast | Gather) -> str:
 
 
 def encode_lmrl(s: SessionType, unroll: int = 0) -> Formula:
-    return encode_lmrl_annotated(s, unroll)[0]
-
-
-def encode_lmrl_annotated(s: SessionType, unroll: int = 0,
-                          path: tuple = ()) -> tuple[Formula, list[tuple]]:
     """Encode a session as a linear formula over principal ultrafilters.
-
-    Returns the formula and the paths ('l'/'r' steps from the root) of the
-    tensor nodes that stand for sequential composition (@), which the logic
-    itself does not distinguish from parallel tensors.
-    """
-    seq: list[tuple] = []
+    Sequential composition (@) becomes a tensor at @0, which the logic does
+    not tell apart from a parallel one; a repseq unrolls `unroll` times."""
     match s:
         case Msg() | Bcast() | Gather():
-            return Atom(atom_label(s)), seq
+            return Atom(atom_label(s))
         case Nil():
-            return Atom("nil"), seq
+            return Atom("nil")
         case Append(a, b):
-            fa, sa = encode_lmrl_annotated(a, unroll, path + ("l",))
-            fb, sb = encode_lmrl_annotated(b, unroll, path + ("r",))
-            return MConj(Ultra(0), fa, fb), [path] + sa + sb
+            return MConj(Ultra(0), encode_lmrl(a, unroll), encode_lmrl(b, unroll))
         case SMConj(r, a, b):
-            fa, sa = encode_lmrl_annotated(a, unroll, path + ("l",))
-            fb, sb = encode_lmrl_annotated(b, unroll, path + ("r",))
-            return MConj(Ultra(r), fa, fb), sa + sb
+            return MConj(Ultra(r), encode_lmrl(a, unroll), encode_lmrl(b, unroll))
         case SAConj(r, a, b):
-            fa, sa = encode_lmrl_annotated(a, unroll, path + ("l",))
-            fb, sb = encode_lmrl_annotated(b, unroll, path + ("r",))
-            return AConj(Ultra(r), fa, fb), sa + sb
+            return AConj(Ultra(r), encode_lmrl(a, unroll), encode_lmrl(b, unroll))
         case OptionT(r, a):
-            fa, sa = encode_lmrl_annotated(a, unroll, path + ("l",))
-            return AConj(Ultra(r), fa, Atom("nil")), sa
+            return AConj(Ultra(r), encode_lmrl(a, unroll), Atom("nil"))
         case Repseq(r, a):
             if unroll == 0:
-                return Atom("nil"), seq
-            body, sa = encode_lmrl_annotated(a, unroll, path + ("l", "l"))
-            tail, st = encode_lmrl_annotated(s, unroll - 1, path + ("l", "r"))
-            step = MConj(Ultra(0), body, tail)
-            return AConj(Ultra(r), step, Atom("nil")), [path + ("l",)] + sa + st
+                return Atom("nil")
+            step = MConj(Ultra(0), encode_lmrl(a, unroll), encode_lmrl(s, unroll - 1))
+            return AConj(Ultra(r), step, Atom("nil"))
         case Repeat(r, a):
-            fa, sa = encode_lmrl_annotated(a, unroll, path + ("l",))
-            return Bang(Ultra(r), fa), sa
+            return Bang(Ultra(r), encode_lmrl(a, unroll))
     raise SessionError(f"unknown session node {s!r}")
 
 
@@ -373,6 +355,54 @@ def coherence_check(endpoints: list[EndpointType], n: int) -> None:
                 f"{fmt_session(e.session)} differs from {fmt_session(s0)}")
     if not rl.partition_check([e.roles for e in endpoints], n):
         raise NotPartition("endpoint role sets do not partition the universe")
+
+
+# ------------------------------------------------------------ cursors
+# A cursor is what is left of a session, a tuple of segments whose first is
+# the head; runtime channels and mtlc channel types hold one.
+
+
+def norm(s: SessionType) -> tuple[SessionType, ...]:
+    """Flatten sequential composition into a list of segments, dropping nil."""
+    out, todo = [], [s]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Append):
+            todo += (s.rest, s.first)
+        elif not isinstance(s, Nil):
+            out.append(s)
+    return tuple(out)
+
+
+def advance(cursor: tuple[SessionType, ...],
+            side: str | None = None) -> tuple[SessionType, ...]:
+    """The cursor after its head fires.  A message (side None) leaves the
+    rest.  A choice (aconj, option, repseq) taking side 'l' or 'r' leaves
+    that branch, then the rest: option's r branch is empty, and repseq's l
+    branch is its body, then the loop again."""
+    head = cursor[0]
+    if side is None:
+        if isinstance(head, (Msg, Bcast, Gather)):
+            return cursor[1:]
+    else:
+        match head:
+            case SAConj(_, a, b):
+                return norm(a if side == "l" else b) + cursor[1:]
+            case OptionT(_, a):
+                return norm(a) + cursor[1:] if side == "l" else cursor[1:]
+            case Repseq(_, a):
+                return norm(a) + cursor if side == "l" else cursor[1:]
+    raise SessionError(f"cannot advance past {fmt_session(head)} with side {side!r}")
+
+
+def forks(cursor: tuple[SessionType, ...]) -> tuple[tuple[SessionType, ...], ...]:
+    """The two cursors a final mconj head splits into, left then right."""
+    head = cursor[0]
+    if not isinstance(head, SMConj):
+        raise SessionError(f"{fmt_session(head)} does not fork")
+    if len(cursor) != 1:
+        raise SessionError("mconj(...) must end its session")
+    return norm(head.left), norm(head.right)
 
 
 # ----------------------------------------------------------- actions

@@ -337,6 +337,13 @@ class TestMtlc:
         assert code == 1
         assert "ty-var" in json.loads(err)["error"]
 
+    def test_chan_role_set_outside_the_universe(self, capsys, tmp_path):
+        path = write(tmp_path / "m.mrl", '(chan_sync (chan_create (llam (c (chan {5} '
+                                         '"a(0,1)")) (chan_sync c))))')
+        code, out, err = run(capsys, "mtlc", "run", path, "--roles", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "role 5 outside universe of 2 roles"}
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [

@@ -516,6 +516,10 @@ class TestParser:
         with pytest.raises(MtlcTypeError, match="arguments"):
             typecheck(prog("(chan_send)"))
 
+    def test_chan_role_set_outside_the_universe(self):
+        with pytest.raises(rl.RoleError, match=r"^role 5 outside universe of 2 roles$"):
+            prog('(llam (c (chan {5} "a(0,1)")) (chan_sync c))', 2)
+
     def test_free_evars(self):
         e = prog("(llam (x 1) (tensor x y))")
         assert free_evars(e) == {"y"}

@@ -19,6 +19,11 @@ class TestRolesets:
         for mask in range(16):
             assert rl.parse_roleset(rl.fmt_roleset(mask)) == mask
 
+    @pytest.mark.parametrize("text, n", [("{1,1}", None), ("{0, 2, 0}", 3)])
+    def test_repeated_role_refused(self, text, n):
+        with pytest.raises(RoleError, match=r"^role \d listed twice$"):
+            rl.parse_roleset(text, n)
+
     def test_members_complement(self):
         assert rl.members(0b101) == [0, 2]
         assert rl.complement(0b101, 3) == 0b010

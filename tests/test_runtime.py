@@ -150,6 +150,15 @@ class TestDemo:
         res = self._demo_pool(("a", "b")).run()
         assert res.status == "done"
 
+    @pytest.mark.parametrize("part1, part2", [(0b100, 0b10), (0b10, 0b100)])
+    def test_role_set_outside_the_universe_is_refused(self, part1, part2):
+        pool = Pool(2, allow_demo=True)
+        s = parse_session("a(0, 1)", 2)
+        pool.add_script_thread((rt.CChan2Demo(part1, s, part2, s, ()),))
+        with pytest.raises(rl.RoleError, match="role set 0x4 not within universe of 2 roles"):
+            pool.run()
+        assert pool.channels == {}
+
 
 class TestCuts:
     def _direct(self, s, decs, seed=0):
@@ -301,6 +310,15 @@ class TestFaultTexts:
             pool.add_thread(party(pool.new_endpoint(ch, roles)))
         assert self._fault(pool) == "cannot fire head nil"
 
+    def test_mconj_that_does_not_end_its_session(self):
+        s = parse_session("mconj(0, x(1, 0), y(1, 0))@b(0, 1)", 2)
+        pool = pool_from_scripts(2, s, [(0b01, (rt.CMconj((), ()),)),
+                                        (0b10, (rt.CMdisj("l", ()),))])
+        assert self._fault(pool) == "mconj(...) must end its session"
+        with pytest.raises(ProtocolMismatch, match=r"^mconj\(\.\.\.\) must end its session$"):
+            synthesize(norm(s), 0b01)
+        assert pool.channels.keys() == {0}  # refused before forking
+
     def test_endpoints_that_stop_partitioning_the_universe(self):
         pool = Pool(2)
         ep = pool.chan_create(0, parse_session("a(0, 1)", 2), ())
@@ -329,3 +347,15 @@ def test_norm_is_linear_and_not_recursive():
     for m in msgs:
         left = sn.Append(left, m)
     assert norm(right) == norm(left) == tuple(msgs)
+
+
+def test_synthesize_is_not_recursive_in_the_session_length():
+    # 5000 messages, past the default recursion limit; synthesize recursed
+    # once per message
+    s = sn.Nil()
+    for i in range(5000):
+        s = sn.Append(sn.Msg(f"m{i}", i % 2, 1 - i % 2, "unit"), s)
+    segs = norm(s)
+    res = pool_from_scripts(2, s, [(p, synthesize(segs, p)) for p in (0b01, 0b10)]).run()
+    assert res.status == "done"
+    assert len(sync_events(res.trace)) == 5000

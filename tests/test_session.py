@@ -17,12 +17,15 @@ from multirole.session import (
     SMConj,
     SessionMismatch,
     NotPartition,
+    advance,
     check_session,
     coherence_check,
     encode_lmrl,
     fmt_session,
+    forks,
     next_actions,
     next_kind,
+    norm,
     parse_protocol,
     parse_session,
 )
@@ -210,3 +213,52 @@ class TestCheckSession:
         for _ in range(50):
             n = rng.choice([2, 3])
             check_session(rand_session(rng, n, 2), n)
+
+
+def _cur(text: str) -> tuple:
+    return norm(parse_session(text, 3))
+
+
+class TestCursor:
+    """What each head leaves behind when it fires: the one rule the runtime
+    and the calculus's channel types step by."""
+
+    @pytest.mark.parametrize("cursor, side, after", [
+        ("a(0, 1)@b(1, 0)", None, "b(1, 0)"),
+        ("a(0)@b(1, 0)", None, "b(1, 0)"),
+        ("gather(2, a)@b(1, 0)", None, "b(1, 0)"),
+        ("a(0, 1)", None, "nil"),
+        ("aconj(0, x(0, 1)@y(1, 0), z(1, 2))@b(1, 0)", "l", "x(0, 1)@y(1, 0)@b(1, 0)"),
+        ("aconj(0, x(0, 1)@y(1, 0), z(1, 2))@b(1, 0)", "r", "z(1, 2)@b(1, 0)"),
+        ("option(1, x(0, 1)@y(1, 0))@b(1, 0)", "l", "x(0, 1)@y(1, 0)@b(1, 0)"),
+        ("option(1, x(0, 1)@y(1, 0))@b(1, 0)", "r", "b(1, 0)"),
+        ("repseq(2, x(2, 0)@y(0, 2))@b(1, 0)", "l",
+         "x(2, 0)@y(0, 2)@repseq(2, x(2, 0)@y(0, 2))@b(1, 0)"),
+        ("repseq(2, x(2, 0)@y(0, 2))@b(1, 0)", "r", "b(1, 0)"),
+        ("repseq(2, nil)@b(1, 0)", "l", "repseq(2, nil)@b(1, 0)"),
+    ])
+    def test_advance_by_head(self, cursor, side, after):
+        assert advance(_cur(cursor), side) == _cur(after)
+
+    def test_final_mconj_forks_into_its_two_sessions(self):
+        left, right = forks(_cur("mconj(0, x(1, 0)@y(0, 1), z(2, 0))"))
+        assert (left, right) == (_cur("x(1, 0)@y(0, 1)"), _cur("z(2, 0)"))
+
+    def test_mconj_that_does_not_end_its_session_does_not_fork(self):
+        with pytest.raises(sn.SessionError, match=r"^mconj\(\.\.\.\) must end its session$"):
+            forks(_cur("mconj(0, x(1, 0), z(2, 0))@b(1, 0)"))
+
+    @pytest.mark.parametrize("cursor, side", [
+        ("a(0, 1)", "l"),
+        ("aconj(0, x(0, 1), z(1, 2))", None),
+        ("repseq(2, x(2, 0))", None),
+        ("mconj(0, x(1, 0), z(2, 0))", None),
+        ("repeat(0, x(0, 1))", "l"),
+    ])
+    def test_advance_refuses_a_head_it_cannot_take_that_way(self, cursor, side):
+        with pytest.raises(sn.SessionError, match="^cannot advance past "):
+            advance(_cur(cursor), side)
+
+    def test_only_mconj_forks(self):
+        with pytest.raises(sn.SessionError, match=r"^a\(0, 1\) does not fork$"):
+            forks(_cur("a(0, 1)"))
