@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as e:
         return _fail(str(e))
-    except RecursionError:  # the readers recurse once per level of nesting
+    except RecursionError:  # json.loads, the session and mtlc readers and passes still recurse
         return _fail("input nests too deeply")
 
 

@@ -47,14 +47,12 @@ from .logic import (
     formulas_from_table,
     free_vars,
     names_in,
-    parse_formula,
     postorder,
     roles_from_obj,
     seq_counts,
     seq_equal,
     seq_free_vars,
     seq_minus,
-    sequent_from_obj,
     size,
     substitute,
 )
@@ -1282,8 +1280,8 @@ def entailment(a: Formula, b: Formula, r: int, calc: Calculus,
 # premises are indices of earlier nodes.  A node is {"rule": r,
 # "conclusion": [[roles, formula], ...], "premises": [node, ...]}, plus
 # "principal", "witness" (a term) and "eigen" when it has them; "premises"
-# is left out when empty.  The reader also takes the nested format, where
-# each node holds its premises and formula texts.
+# is left out when empty.  This is the one format: the reader refuses any
+# other shape, and reads any depth of nodes and formulas with loops.
 
 
 def derivation_to_obj(d: Derivation) -> dict:
@@ -1323,23 +1321,11 @@ def derivation_to_json(d: Derivation, pretty: bool = False) -> str:
 
 
 def derivation_from_obj(obj, n: int | None = None) -> Derivation:
-    """Read a derivation in the table format or the nested one; raise
-    KernelError or FormulaError on malformed input.  n, when given, is the
-    size of the role universe every role, endo and ultrafilter must fit."""
-    if isinstance(obj, dict) and "nodes" in obj:
-        return _from_table(obj, n)
-    formulas: dict = {}  # each distinct formula text is parsed once per call
-
-    def parse(text: str) -> Formula:
-        a = formulas.get(text)
-        if a is None:
-            a = formulas[text] = parse_formula(text, n)
-        return a
-
-    return _from_obj(obj, parse, n)
-
-
-def _from_table(obj: dict, n: int | None) -> Derivation:
+    """Read a derivation in the table format; raise KernelError or
+    FormulaError on malformed input.  n, when given, is the size of the role
+    universe every role, endo and ultrafilter must fit."""
+    if not isinstance(obj, dict):
+        raise KernelError("derivation JSON must be an object")
     try:
         formulas, nodes, root = obj["formulas"], obj["nodes"], obj["root"]
     except KeyError as e:
@@ -1386,39 +1372,6 @@ def _node_entry(entry, syntax: list, built: list, n: int | None) -> Derivation:
                                "[roles, formula entry]")
         items.append(IFormula(roles_from_obj(item[0], n), syntax[item[1]]))
     return Derivation(rule, items, [built[p] for p in premises], principal, witness, eigen)
-
-
-def _from_obj(obj, parse, n: int | None) -> Derivation:
-    try:
-        rule, conclusion = obj["rule"], obj["conclusion"]
-        inst, premises = obj.get("inst", {}), obj.get("premises", [])
-        principal, eigen = inst.get("principal"), inst.get("eigen")
-    except KeyError as e:
-        raise KernelError(f'derivation JSON has no "{e.args[0]}"') from None
-    except (TypeError, AttributeError):
-        raise KernelError('a derivation JSON node and its "inst" must be '
-                          'objects') from None
-    if not (isinstance(rule, str) and isinstance(premises, list)
-            and (principal is None or type(principal) is int)
-            and (eigen is None or isinstance(eigen, str))):
-        raise KernelError('a derivation JSON node\'s "rule", "premises", '
-                          '"principal" or "eigen" has the wrong type')
-    witness = None
-    if "witness" in inst:
-        name = inst["witness"]
-        if not isinstance(name, str):
-            raise KernelError(f"derivation JSON node {rule}: the witness "
-                              "must be a string")
-        kind = inst.get("witness_kind", "const")
-        witness = Var(name) if kind == "var" else Const(name)
-    return Derivation(
-        rule,
-        sequent_from_obj(conclusion, parse, n),
-        tuple(_from_obj(p, parse, n) for p in premises),
-        principal,
-        witness=witness,
-        eigen=eigen,
-    )
 
 
 def derivation_from_json(text: str, n: int | None = None) -> Derivation:

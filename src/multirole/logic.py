@@ -13,7 +13,7 @@ Concrete syntax is prefix s-expressions::
     ENDO ::= '[' n {',' n} ']'    UF ::= '@' n
 
 Term identifiers parse as variables when bound by an enclosing forall and
-as constants otherwise.
+as constants otherwise; ``$x`` is the free variable x.
 """
 
 from __future__ import annotations
@@ -424,6 +424,33 @@ def seq_free_vars(items: Sequent) -> frozenset[str]:
     return out
 
 
+# ---------------------------------------------------------------- syntax
+#
+# The one description of the formula syntax: each head, the class it
+# builds and the kinds of that class's fields, in order.  The text form
+# writes a connective as (head field...), with its formulas last, and
+# an atom as label or (label term...); the formula table below writes
+# the same fields as a JSON entry.
+
+_SYNTAX = {  # each head: its class and the kinds of its fields
+    "var": (Var, ("name",)),
+    "const": (Const, ("name",)),
+    "atom": (Atom, ("name", "terms")),
+    "not": (Neg, ("endo", "formula")),
+    "and": (Conj, ("ultra", "formula", "formula")),
+    "imp": (Impl, ("endo", "ultra", "formula", "formula")),
+    "with": (AConj, ("ultra", "formula", "formula")),
+    "tensor": (MConj, ("ultra", "formula", "formula")),
+    "bang": (Bang, ("ultra", "formula")),
+    "forall": (Forall, ("ultra", "name", "formula")),
+}
+_HEADS = {cls: (head, kinds) for head, (cls, kinds) in _SYNTAX.items()}
+KEYWORDS = {head for head, (_, kinds) in _SYNTAX.items() if "formula" in kinds}
+# how the text form reads (and names in its messages) and prints each kind
+# of field that is not a formula; a connective's name field is a binder
+_READ = {"endo": ("endo", parse_endo), "ultra": ("ultrafilter", parse_ultra)}
+_FMT = {"endo": fmt_endo, "ultra": fmt_ultra, "name": str}
+
 # ------------------------------------------------------------- printing
 
 
@@ -445,126 +472,99 @@ def _formula_parts(item) -> list:
     if type(item) is IFormula:
         return ["<%s>" % ",".join(map(str, members(item.roles))), (item.formula, frozenset())]
     a, bound = item
-    match a:
-        case Atom(label, args):
-            if not args:
-                return [label]
-            return ["(%s %s)" % (label, " ".join(fmt_term(t, bound) for t in args))]
-        case Neg(f, body):
-            return [f"(not {fmt_endo(f)} ", (body, bound), ")"]
-        case Conj(u, l, r):
-            return [f"(and {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
-        case Impl(f, u, l, r):
-            return [f"(imp {fmt_endo(f)} {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
-        case AConj(u, l, r):
-            return [f"(with {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
-        case MConj(u, l, r):
-            return [f"(tensor {fmt_ultra(u)} ", (l, bound), " ", (r, bound), ")"]
-        case Bang(u, body):
-            return [f"(bang {fmt_ultra(u)} ", (body, bound), ")"]
-        case Forall(u, x, body):
-            return [f"(forall {fmt_ultra(u)} {x} ", (body, bound | {x}), ")"]
-    raise FormulaError(f"not a formula: {a!r}")
+    if type(a) is Atom:
+        if not a.args:
+            return [a.label]
+        return ["(%s %s)" % (a.label, " ".join(fmt_term(t, bound) for t in a.args))]
+    head, kinds = _HEADS.get(type(a), ("", ()))
+    if head not in KEYWORDS:
+        raise FormulaError(f"not a formula: {a!r}")
+    out, text = [], "(" + head
+    for kind, name in zip(kinds, a.__match_args__):
+        v = getattr(a, name)
+        if kind == "formula":
+            out += (text + " ", (v, bound))
+            text = ""
+        else:
+            if kind == "name":
+                bound = bound | {v}  # a binder's name scopes over its body
+            text += " " + _FMT[kind](v)
+    out.append(text + ")")
+    return out
 
 
 # -------------------------------------------------------------- parsing
 
 _TOKEN_RE = re.compile(r"\(|\)|\[[^\]]*\]|@\d+|\$?[A-Za-z_][A-Za-z0-9_~']*|\S")
-
-KEYWORDS = {"not", "and", "imp", "with", "tensor", "bang", "forall"}
-
-
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text)
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], n: int | None):
-        self.toks = tokens
-        self.pos = 0
-        self.n = n
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise FormulaError(f"expected {tok!r}, got {got!r}")
-
-    def ident(self) -> str:
-        tok = self.next()
-        if not re.match(r"^\$?[A-Za-z_][A-Za-z0-9_~']*$", tok) or tok in KEYWORDS:
-            raise FormulaError(f"expected identifier, got {tok!r}")
-        return tok
-
-    def endo(self) -> Endo:
-        tok = self.next()
-        try:
-            return parse_endo(tok, self.n)
-        except (RoleError, ValueError) as e:
-            raise FormulaError(f"bad endo {tok!r}: {e}") from e
-
-    def ultra(self) -> Ultra:
-        tok = self.next()
-        try:
-            return parse_ultra(tok, self.n)
-        except (RoleError, ValueError) as e:
-            raise FormulaError(f"bad ultrafilter {tok!r}: {e}") from e
-
-    def term(self, bound: frozenset) -> Term:
-        name = self.ident()
-        if name.startswith("$"):
-            return Var(name[1:])  # explicitly marked free variable
-        return Var(name) if name in bound else Const(name)
-
-    def formula(self, bound: frozenset) -> Formula:
-        tok = self.next()
-        if tok != "(":
-            if tok == ")":
-                raise FormulaError("unexpected ')'")
-            return Atom(tok)
-        head = self.next()
-        match head:
-            case "not":
-                out: Formula = Neg(self.endo(), self.formula(bound))
-            case "and":
-                out = Conj(self.ultra(), self.formula(bound), self.formula(bound))
-            case "imp":
-                f = self.endo()
-                out = Impl(f, self.ultra(), self.formula(bound), self.formula(bound))
-            case "with":
-                out = AConj(self.ultra(), self.formula(bound), self.formula(bound))
-            case "tensor":
-                out = MConj(self.ultra(), self.formula(bound), self.formula(bound))
-            case "bang":
-                out = Bang(self.ultra(), self.formula(bound))
-            case "forall":
-                u = self.ultra()
-                x = self.ident()
-                out = Forall(u, x, self.formula(bound | {x}))
-            case _:
-                args = []
-                while self.peek() != ")":
-                    args.append(self.term(bound))
-                out = Atom(head, tuple(args))
-        self.expect(")")
-        return out
+_IDENT_RE = re.compile(r"\$?[A-Za-z_][A-Za-z0-9_~']*")
 
 
 def parse_formula(text: str, n: int | None = None) -> Formula:
-    p = _Parser(_tokenize(text), n)
-    out = p.formula(frozenset())
-    if p.peek() is not None:
-        raise FormulaError(f"trailing input: {p.peek()!r}")
-    return out
+    """The formula that text writes, read by one loop: a connective's head
+    and leading fields open a frame, and the frame closes into a node once
+    its formulas are read, so depth is bounded by memory alone.  Raise
+    FormulaError on malformed text, or when n is given and an endo or
+    ultrafilter does not fit a universe of n roles."""
+    toks = _TOKEN_RE.findall(text)
+    toks.reverse()  # so toks.pop() takes the next token
+    stack: list = []  # per open connective: its class, fields, arity and outer bound names
+    bound: frozenset = frozenset()
+    try:
+        while True:
+            tok = toks.pop()
+            if tok != "(":
+                if tok == ")":
+                    raise FormulaError("unexpected ')'")
+                out = Atom(tok)
+            elif (head := toks.pop()) in KEYWORDS:
+                cls, kinds = _SYNTAX[head]
+                fields: list = []
+                stack.append((cls, fields, len(kinds), bound))
+                for kind in kinds:
+                    if kind == "formula":
+                        break
+                    tok = toks.pop()
+                    if kind == "name":
+                        fields.append(_ident(tok))
+                        bound = bound | {tok}  # a binder's name scopes over its body
+                        continue
+                    what, read = _READ[kind]
+                    try:
+                        fields.append(read(tok, n))
+                    except (RoleError, ValueError) as e:
+                        raise FormulaError(f"bad {what} {tok!r}: {e}") from e
+                continue
+            else:
+                args = []
+                while toks[-1] != ")":
+                    name = _ident(toks.pop())
+                    if name.startswith("$"):
+                        args.append(Var(name[1:]))  # explicitly marked free variable
+                    else:
+                        args.append(Var(name) if name in bound else Const(name))
+                toks.pop()
+                out = Atom(head, tuple(args))
+            while stack:  # out is the next formula of the innermost open connective
+                cls, fields, arity, outer = stack[-1]
+                fields.append(out)
+                if len(fields) < arity:
+                    break
+                stack.pop()
+                if (tok := toks.pop()) != ")":
+                    raise FormulaError(f"expected ')', got {tok!r}")
+                out, bound = cls(*fields), outer
+            else:
+                if toks:
+                    raise FormulaError(f"trailing input: {toks[-1]!r}")
+                return out
+    except IndexError:  # toks ran out
+        raise FormulaError("unexpected end of input") from None
+
+
+def _ident(tok: str) -> str:
+    if tok in KEYWORDS or not _IDENT_RE.fullmatch(tok):
+        raise FormulaError(f"expected identifier, got {tok!r}")
+    return tok
 
 
 # ------------------------------------------------------- formula tables
@@ -580,32 +580,15 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
 # with an endo written as its table [f(0), ..., f(n-1)] and an ultrafilter
 # as its role.
 
-_SYNTAX = {  # each head: its class and the kinds of its fields
-    "var": (Var, ("name",)),
-    "const": (Const, ("name",)),
-    "atom": (Atom, ("name", "terms")),
-    "not": (Neg, ("endo", "formula")),
-    "and": (Conj, ("ultra", "formula", "formula")),
-    "imp": (Impl, ("endo", "ultra", "formula", "formula")),
-    "with": (AConj, ("ultra", "formula", "formula")),
-    "tensor": (MConj, ("ultra", "formula", "formula")),
-    "bang": (Bang, ("ultra", "formula")),
-    "forall": (Forall, ("ultra", "name", "formula")),
-}
-_HEADS = {cls: (head, kinds) for head, (cls, kinds) in _SYNTAX.items()}
 _FIELD_NAMES = {"name": "a name", "ultra": "an ultrafilter's role", "endo": "an endo table",
                 "formula": "an earlier formula entry", "term": "an earlier term entry"}
 
 
-def _children(a: Formula | Term) -> tuple:
-    match a:
-        case Atom(_, args):
-            return args
-        case Neg(_, body) | Bang(_, body) | Forall(_, _, body):
-            return (body,)
-        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
-            return (l, r)
-    return ()
+def _children(a: Formula | Term):
+    if type(a) is Atom:
+        return a.args
+    kinds = _HEADS[type(a)][1]
+    return [getattr(a, k) for kind, k in zip(kinds, a.__match_args__) if kind == "formula"]
 
 
 def postorder(root, children, index: dict, add) -> int:
@@ -714,34 +697,26 @@ def sequent_to_json(items: Sequent) -> str:
 
 
 def sequent_from_json(text: str, n: int | None = None) -> Sequent:
+    """Decode a sequent file: a JSON array of ``{"roles": [r, ...],
+    "formula": text}`` items.  Raise FormulaError when the JSON or an item
+    is malformed, or an item names a role outside 0..n-1 (0..MAX_ROLES-1
+    when n is None)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormulaError(f"bad sequent JSON: {e}") from e
-    return sequent_from_obj(raw, lambda t: parse_formula(t, n), n)
-
-
-def sequent_from_obj(raw, parse, n: int | None = None) -> Sequent:
-    """Decode a JSON array of ``{"roles": [r, ...], "formula": text}`` items,
-    the shape of a sequent file and of a derivation node's conclusion.
-
-    parse turns a formula text into a formula (the kernel passes one that
-    parses each distinct text once per call).  Raise FormulaError when an
-    item is malformed or names a role outside 0..n-1 (0..MAX_ROLES-1 when
-    n is None).
-    """
     if not isinstance(raw, list):
         raise FormulaError("sequent JSON must be an array")
     items = []
     for entry in raw:
         try:
-            roles, text = entry["roles"], entry["formula"]
+            roles, formula = entry["roles"], entry["formula"]
         except (KeyError, TypeError):
             raise FormulaError('each sequent JSON item needs "roles" and '
                                '"formula"') from None
-        if not isinstance(text, str):
+        if not isinstance(formula, str):
             raise FormulaError('an item\'s "formula" must be a string')
-        items.append(IFormula(roles_from_obj(roles, n), parse(text)))
+        items.append(IFormula(roles_from_obj(roles, n), parse_formula(formula, n)))
     return tuple(items)
 
 

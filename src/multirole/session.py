@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from . import roles as rl
-from .logic import AConj, Atom, Bang, Formula, MConj
+from .logic import AConj, Atom, Bang, Formula, MConj, _unfold
 from .roles import Ultra
 
 
@@ -143,10 +143,15 @@ def check_session(s: SessionType, n: int) -> None:
 
 
 def fmt_session(s: SessionType) -> str:
-    def atom(label: str, parts: list, payload: str) -> str:
+    return _unfold([s], _session_parts)
+
+
+def _session_parts(s: SessionType) -> list:
+    """s's text as parts, with its subsessions still to unfold."""
+    def atom(label: str, parts: list, payload: str) -> list:
         if payload != "unit":
             parts = parts + [payload]
-        return f"{label}({', '.join(str(p) for p in parts)})"
+        return [f"{label}({', '.join(str(p) for p in parts)})"]
 
     match s:
         case Msg(label, f, t, p):
@@ -157,25 +162,18 @@ def fmt_session(s: SessionType) -> str:
             # a payload-named label needs its payload printed, or the parser
             # reads the label as the payload of a Bcast named gather
             if p == "unit" and label not in PAYLOADS:
-                return f"gather({t}, {label})"
-            return f"gather({t}, {label}, {p})"
+                return [f"gather({t}, {label})"]
+            return [f"gather({t}, {label}, {p})"]
         case Nil():
-            return "nil"
+            return ["nil"]
         case Append(a, b):
-            left = fmt_session(a)
             if isinstance(a, Append):
-                left = f"({left})"
-            return f"{left}@{fmt_session(b)}"
-        case SMConj(r, a, b):
-            return f"mconj({r}, {fmt_session(a)}, {fmt_session(b)})"
-        case SAConj(r, a, b):
-            return f"aconj({r}, {fmt_session(a)}, {fmt_session(b)})"
-        case OptionT(r, a):
-            return f"option({r}, {fmt_session(a)})"
-        case Repseq(r, a):
-            return f"repseq({r}, {fmt_session(a)})"
-        case Repeat(r, a):
-            return f"repeat({r}, {fmt_session(a)})"
+                return ["(", a, ")@", b]
+            return [a, "@", b]
+        case SMConj(r, a, b) | SAConj(r, a, b):
+            return [f"{_NAMES[type(s)]}({r}, ", a, ", ", b, ")"]
+        case OptionT(r, a) | Repseq(r, a) | Repeat(r, a):
+            return [f"{_NAMES[type(s)]}({r}, ", a, ")"]
     raise SessionError(f"unknown session node {s!r}")
 
 
@@ -183,7 +181,9 @@ def fmt_session(s: SessionType) -> str:
 
 _TOKEN = re.compile(r"\(|\)|@|,|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_COMBINATORS = ("mconj", "aconj", "option", "repseq", "repeat")
+_COMBINATORS = {"mconj": SMConj, "aconj": SAConj, "option": OptionT,
+                "repseq": Repseq, "repeat": Repeat}
+_NAMES = {cls: name for name, cls in _COMBINATORS.items()}
 
 
 class _P:
@@ -227,18 +227,19 @@ class _P:
             return s
         if t == "nil":
             return Nil()
-        if t in _COMBINATORS:
+        cls = _COMBINATORS.get(t)
+        if cls is not None:
             self.expect("(")
             r = self.role()
             self.expect(",")
             a = self.session()
-            if t in ("mconj", "aconj"):
+            if cls in (SMConj, SAConj):
                 self.expect(",")
                 b = self.session()
                 self.expect(")")
-                return SMConj(r, a, b) if t == "mconj" else SAConj(r, a, b)
+                return cls(r, a, b)
             self.expect(")")
-            return {"option": OptionT, "repseq": Repseq, "repeat": Repeat}[t](r, a)
+            return cls(r, a)
         if not _IDENT.fullmatch(t):
             raise SessionError(f"unexpected token {t!r}")
         # message atom: label(role [, role] [, payload]), or gather(role, label [, payload])

@@ -26,7 +26,6 @@ from multirole.logic import (
     MConj,
     Neg,
     Var,
-    fmt_formula,
 )
 from multirole.mtlc import (
     EApp,
@@ -153,31 +152,6 @@ def counter_equal(a: tuple, b: tuple) -> bool:
 # ---------------------------------------------------------- derivations
 
 
-def nested_obj(d: K.Derivation) -> dict:
-    """d in the nested derivation format the kernel still reads: each node
-    holds its premises and its conclusion's formula texts.  The oracle for
-    the kernel's table format; it recurses once per rule level."""
-    inst: dict = {}
-    if d.principal is not None:
-        inst["principal"] = d.principal
-    if d.witness is not None:
-        inst["witness"] = d.witness.name
-        inst["witness_kind"] = "var" if isinstance(d.witness, Var) else "const"
-    if d.eigen is not None:
-        inst["eigen"] = d.eigen
-    return {
-        "rule": d.rule,
-        "conclusion": [{"roles": rl.members(it.roles), "formula": fmt_formula(it.formula)}
-                       for it in d.conclusion],
-        "inst": inst,
-        "premises": [nested_obj(p) for p in d.premises],
-    }
-
-
-def nested_json(d: K.Derivation) -> str:
-    return json.dumps(nested_obj(d))
-
-
 def deep_derivation(rules: int) -> K.Derivation:
     """An MRL(2) derivation `rules` rules tall: an (id) under weakenings and
     contractions of <{}>b, taken in turn."""
@@ -218,9 +192,9 @@ def work_bound(monkeypatch, module, name: str, limit: int) -> list[int]:
     return calls
 
 
-def malformed_tables() -> list[tuple[str, dict]]:
-    """Derivation files in the table format, each broken in one place:
-    (what is broken, the file's JSON object)."""
+def malformed_tables() -> list[tuple[str, object]]:
+    """Derivation files in the table format, each broken in one place, and
+    files in other shapes: (what is broken, the file's JSON value)."""
     a = Forall(Ultra(0), "x", Atom("p", (Var("x"),)))
     base = K.derivation_to_obj(K.axiom_multi(a, [1, 2], K.LMRL(2)))
     # formulas: 0 var x, 1 atom p(x), 2 forall; nodes: 0 id, 1 forall-neg, 2 forall-pos
@@ -281,6 +255,12 @@ def malformed_tables() -> list[tuple[str, dict]]:
         obj = json.loads(json.dumps(base))
         obj["nodes"][0]["conclusion"] = [[roles, 1], [[1], 1]]
         out.append((name, obj))
+    out += [
+        ("the file is an array", [base["formulas"], base["nodes"], base["root"]]),
+        ("an object in the old nested shape", {  # nodes holding premises and texts
+            "rule": "id", "inst": {}, "premises": [],
+            "conclusion": [{"roles": [0], "formula": "a"}, {"roles": [1], "formula": "a"}]}),
+    ]
     return out
 
 

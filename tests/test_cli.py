@@ -10,10 +10,10 @@ import pytest
 from multirole import cli
 from multirole import kernel as kn
 from multirole import logic as lg
+from multirole import roles as rl
 from multirole.cli import main
 
-from helpers import (deep_derivation, malformed_tables, nested_obj, shared_conj,
-                     work_bound)
+from helpers import deep_derivation, malformed_tables, shared_conj, work_bound
 
 A = lg.parse_formula("a")
 B = lg.parse_formula("b")
@@ -80,7 +80,8 @@ class TestProve:
         kn.check(kn.derivation_from_json(out), kn.LMRL(2))
 
     def test_check_without_conclusion(self, capsys, tmp_path):
-        path = write(tmp_path / "d.json", json.dumps({"rule": "id"}))
+        obj = {"formulas": [["atom", "a"]], "nodes": [{"rule": "id"}], "root": 0}
+        path = write(tmp_path / "d.json", json.dumps(obj))
         code, _, err = run(capsys, "prove", "check", path)
         assert code == 1
         assert "conclusion" in json.loads(err)["error"]
@@ -120,8 +121,8 @@ class TestProve:
     ])
     def test_cut_checks_its_inputs(self, capsys, tmp_path, axiom_file, argv):
         # well-formed, but an id whose role sets do not partition the universe
-        bad = write(tmp_path / "bad.json", json.dumps(
-            {"rule": "id", "conclusion": [{"roles": [0], "formula": "a"}] * 2}))
+        bad = write(tmp_path / "bad.json", kn.derivation_to_json(
+            kn.Derivation("id", [lg.IFormula(1, A)] * 2)))
         argv = [{"AX": axiom_file, "BAD": bad}.get(a, a) for a in argv]
         code, out, err = run(capsys, "prove", *argv)
         assert (code, out) == (1, "")
@@ -137,16 +138,27 @@ class TestProve:
         assert (code, out) == (3, "")
         assert json.loads(err)["error"].startswith("emitted derivation fails its check")
 
-    def test_check_too_deep(self, capsys, tmp_path, axiom_file):
-        # 1200 weakenings over the id of axiom_file, in the nested format
-        leaf = nested_obj(kn.derivation_from_json(Path(axiom_file).read_text()))
-        node = {"rule": "weaken", "conclusion": leaf["conclusion"],
-                "inst": {"principal": 0}, "premises": ["HOLE"]}
-        head, tail = json.dumps(node).split('"HOLE"')
-        path = write(tmp_path / "deep.json", head * 1200 + json.dumps(leaf) + tail * 1200)
+    def test_check_too_deep(self, capsys, tmp_path):
+        # JSON nested past the stdlib decoder's limit: json.loads itself
+        # recurses, and its RecursionError maps to this error
+        deep = "[" * 1200 + "]" * 1200
+        path = write(tmp_path / "deep.json", f'{{"formulas": {deep}, "nodes": [], "root": 0}}')
         code, out, err = run(capsys, "prove", "check", path)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "input nests too deeply"}
+
+    def test_search_a_sequent_deeper_than_recursion_limit(self, capsys, tmp_path):
+        chain = A
+        for _ in range(3000):
+            chain = lg.Neg(rl.Endo((1, 0)), chain)
+        items = (lg.IFormula(3, lg.Atom("p")), lg.IFormula(1, chain))
+        path = write(tmp_path / "seq.json", lg.sequent_to_json(items))
+        code, out, _ = run(capsys, "prove", "search", "--sequent", path,
+                           "--calculus", "mrl", "--roles", "2", "--depth", "3")
+        assert code == 0
+        d = kn.derivation_from_json(out)
+        assert lg.seq_equal(d.conclusion, items)
+        kn.check(d, kn.MRL(2))
 
     def test_check_deeper_than_recursion_limit(self, capsys, tmp_path):
         path = write(tmp_path / "deep.json", kn.derivation_to_json(deep_derivation(5000)))

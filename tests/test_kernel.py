@@ -30,7 +30,6 @@ from helpers import (
     MALFORMED_ITEMS,
     deep_derivation,
     malformed_tables,
-    nested_json,
     rand_formula,
     rand_partition,
     shared_conj,
@@ -424,18 +423,6 @@ class TestJson:
             assert d2 == d
             K.check(d2, calc)
 
-    def test_parses_each_formula_text_once(self, monkeypatch):
-        calls = []
-
-        def parse(text, n=None):
-            calls.append(text)
-            return parse_formula(text, n)
-
-        monkeypatch.setattr(K, "parse_formula", parse)
-        _, d = weaken_chain(50)
-        assert K.derivation_from_json(nested_json(d)) == d  # the format with texts
-        assert calls == ["a"]
-
     @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(0, 2**32 - 1))
     def test_axioms_and_cuts_read_back_as_the_same_object(self, seed):
@@ -453,7 +440,6 @@ class TestJson:
         for d in (d1, e):
             assert K.derivation_from_json(K.derivation_to_json(d)) is d
             assert K.derivation_from_json(K.derivation_to_json(d, pretty=True), n) is d
-            assert K.derivation_from_json(nested_json(d)) is d  # the oracle's format
 
     def test_deeper_than_recursion_limit(self):
         d = deep_derivation(5000)
@@ -467,12 +453,25 @@ class TestJson:
         with pytest.raises((K.KernelError, lg.FormulaError)):
             K.derivation_from_json(json.dumps(obj))
 
+    def test_refuses_files_that_are_not_tables(self):
+        shapes = dict(malformed_tables())
+        for name, msg in (("the file is an array", "derivation JSON must be an object"),
+                          ("an object in the old nested shape",
+                           'derivation JSON has no "formulas"')):
+            with pytest.raises(K.KernelError) as err:
+                K.derivation_from_json(json.dumps(shapes[name]))
+            assert str(err.value) == msg
+
     @pytest.mark.parametrize("item", MALFORMED_ITEMS)
     def test_malformed_conclusion_item(self, item):
-        good = {"roles": [0], "formula": "a"}
-        leaf = {"rule": "id", "conclusion": [good, item]}
-        for obj in (leaf, {"rule": "weaken", "conclusion": [good],
-                           "inst": {"principal": 0}, "premises": [leaf]}):
+        # a conclusion item is [roles, formula entry]: none of these is one,
+        # whether a leaf holds it or a node above a well-formed leaf
+        good = [[0], 0]
+        leaf = {"rule": "id", "conclusion": [good]}
+        for nodes in ([dict(leaf, conclusion=[good, item])],
+                      [leaf, {"rule": "weaken", "conclusion": [good, item],
+                              "principal": 1, "premises": [0]}]):
+            obj = {"formulas": [["atom", "a"]], "nodes": nodes, "root": len(nodes) - 1}
             with pytest.raises(lg.FormulaError):
                 K.derivation_from_json(json.dumps(obj))
 
@@ -489,6 +488,8 @@ class TestJson:
         {"rule": "id", "conclusion": [], "premises": [7]},
     ])
     def test_malformed_node(self, node):
+        # nodes in the retired nested format, alone or under a nested parent:
+        # neither is a table, so both are refused
         wrapped = {"rule": "weaken", "conclusion": [],
                    "inst": {"principal": 0}, "premises": [node]}
         for obj in (node, wrapped):

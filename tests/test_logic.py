@@ -2,9 +2,12 @@ import gc
 import json
 import pickle
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multirole import kernel as K
 from multirole import logic as lg
@@ -66,9 +69,44 @@ class TestParseFmt:
                 assert parse_formula(fmt_formula(f)) == f
 
     def test_parse_errors(self):
-        for bad in ["(not a)", "(and a b)", "(forall @0 (p))", "(", "))"]:
-            with pytest.raises(lg.FormulaError):
+        for bad, msg in [
+            ("(not a)", "bad endo 'a': bad endo syntax: 'a'"),
+            ("(and a b)", "bad ultrafilter 'a': bad ultrafilter syntax: 'a'"),
+            ("(forall @0 (p))", "expected identifier, got '('"),
+            ("(", "unexpected end of input"),
+            ("))", "unexpected ')'"),
+            ("(not [1,0] a", "unexpected end of input"),
+            ("(tensor @0 a b c)", "expected ')', got 'c'"),
+            ("(forall @0 and (p and))", "expected identifier, got 'and'"),
+            ("(p x) b", "trailing input: 'b'"),
+        ]:
+            with pytest.raises(lg.FormulaError) as err:
                 parse_formula(bad)
+            assert str(err.value) == msg
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_roundtrip_is_identity(self, seed):
+        rng = random.Random(seed)
+        calc = rng.choice([K.MRL(3), K.MRLJ(3, Ultra(0)), K.LMRL(3)])
+        f = rand_formula(rng, calc, 3, rng.randrange(7))
+        assert parse_formula(fmt_formula(f), 3) is f
+
+    def test_binder_scope(self):
+        # the forall binds x in its body only: the right conjunct's x is a constant
+        f = parse_formula("(and @0 (forall @0 x (p x)) (p x))")
+        assert f.left.body == Atom("p", (Var("x"),))
+        assert f.right == Atom("p", (Const("x"),))
+        assert parse_formula("(forall @0 x (p $y x))").body.args == (Var("y"), Var("x"))
+
+    def test_deeper_than_recursion_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+        a = b = Atom("p", (Var("x"),))
+        for k in range(5000):
+            a = Neg(Endo((1, 0)), a)
+            b = Forall(Ultra(0), "x", b) if k % 2 else MConj(Ultra(1), b, Atom("q"))
+        for f in (a, b):
+            assert parse_formula(fmt_formula(f)) is f
 
 
 class TestSizeVars:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -103,6 +104,21 @@ class TestParse:
             n = rng.choice([2, 3])
             s = rand_session(rng, n, 2, allow_gather=False)
             assert parse_session(fmt_session(s), n) == s
+
+    def test_fmt_deeper_than_recursion_limit(self):
+        # 5000 messages nested to the right, as the parser reads them, and to the left
+        assert sys.getrecursionlimit() <= 1000
+        msgs = [Msg(f"m{i}", i % 2, 1 - i % 2, "int" if i % 3 else "unit") for i in range(5000)]
+        texts = [fmt_session(m) for m in msgs]
+        right = msgs[-1]
+        for m in reversed(msgs[:-1]):
+            right = Append(m, right)
+        assert fmt_session(right) == "@".join(texts)
+        left = msgs[0]
+        for m in msgs[1:]:
+            left = Append(left, m)
+        assert fmt_session(left) == \
+            "(" * 4998 + texts[0] + "".join(f"@{t})" for t in texts[1:-1]) + "@" + texts[-1]
 
     def test_protocol_file(self):
         n, sessions = parse_protocol(f"roles 3\nsession buy = {EX1}\n")
