@@ -41,6 +41,7 @@ from .logic import (
     Sequent,
     Term,
     Var,
+    _children,
     _substitute,
     fmt_formula,
     fmt_sequent,
@@ -56,7 +57,7 @@ from .logic import (
     size,
     substitute,
 )
-from .roles import Endo, Ultra
+from .roles import Ultra
 
 
 class KernelError(Exception):
@@ -255,13 +256,6 @@ def _is_why_not(it: IFormula) -> bool:
     return isinstance(it.formula, Bang) and not it.formula.u.contains(it.roles)
 
 
-def _introduced(roles_: int, a: MConj | Impl) -> tuple[IFormula, IFormula]:
-    """The two i-formulas a multiplicative rule on <R>a introduces:
-    <R>A, <R>B for A (x) B, and <f^-1(R)>A, <R>B for A -o_f B."""
-    left = a.f.preimage(roles_) if isinstance(a, Impl) else roles_
-    return IFormula(left, a.left), IFormula(roles_, a.right)
-
-
 def _expect(cond: bool, path, reason: str, *args) -> None:
     """Raise CheckError(path, reason.format(*args)) unless cond; the
     message is formatted only then."""
@@ -274,10 +268,67 @@ def _arity(d: Derivation, path, k: int) -> None:
             d.rule, k, len(d.premises))
 
 
-def _one_premise_is(d: Derivation, path, expected: Sequent) -> None:
-    _arity(d, path, 1)
-    _expect(seq_equal(d.premises[0].conclusion, expected), path,
-            "rule {}: premise does not match schema", d.rule)
+# ---------------------------------------------------------------- rules
+#
+# The one description of every rule but (id).  Each rule gives the class
+# of its principal formula <R>A; its polarity: R must lie in A's
+# ultrafilter U (True), outside it (False), or either (None); whether the
+# premises divide the context between them (else each premise holds all
+# of it); and what each premise holds beside the context, as a function
+# of R, A, the witness and the eigenvariable.  Checking, building, search
+# and the cuts all read this table.  Within a connective, search tries
+# rules in table order, so a dereliction comes before a weakening and the
+# structural rules come last.
+
+_RULES = {  # rule: principal class, polarity, split, additions
+    "neg": (Neg, None, False, lambda r, a, w, y: ((IFormula(a.f.preimage(r), a.body),),)),
+    "conj-neg-l": (Conj, False, False, lambda r, a, w, y: ((IFormula(r, a.left),),)),
+    "conj-neg-r": (Conj, False, False, lambda r, a, w, y: ((IFormula(r, a.right),),)),
+    "conj-pos": (Conj, True, False,
+                 lambda r, a, w, y: ((IFormula(r, a.left),), (IFormula(r, a.right),))),
+    "imp-neg": (Impl, False, False,
+                lambda r, a, w, y: ((IFormula(a.f.preimage(r), a.left), IFormula(r, a.right)),)),
+    "imp-pos": (Impl, True, True,
+                lambda r, a, w, y: ((IFormula(a.f.preimage(r), a.left),), (IFormula(r, a.right),))),
+    "aconj-neg-l": (AConj, False, False, lambda r, a, w, y: ((IFormula(r, a.left),),)),
+    "aconj-neg-r": (AConj, False, False, lambda r, a, w, y: ((IFormula(r, a.right),),)),
+    "aconj-pos": (AConj, True, False,
+                  lambda r, a, w, y: ((IFormula(r, a.left),), (IFormula(r, a.right),))),
+    "mconj-neg": (MConj, False, False,
+                  lambda r, a, w, y: ((IFormula(r, a.left), IFormula(r, a.right)),)),
+    "mconj-pos": (MConj, True, True,
+                  lambda r, a, w, y: ((IFormula(r, a.left),), (IFormula(r, a.right),))),
+    "bang-pos": (Bang, True, False, lambda r, a, w, y: ((IFormula(r, a.body),),)),
+    "bang-neg-derelict": (Bang, False, False, lambda r, a, w, y: ((IFormula(r, a.body),),)),
+    "bang-neg-weaken": (Bang, False, False, lambda r, a, w, y: ((),)),
+    "bang-neg-contract": (Bang, False, False, lambda r, a, w, y: ((IFormula(r, a),) * 2,)),
+    "forall-neg": (Forall, False, False,
+                   lambda r, a, w, y: ((IFormula(r, substitute(a.body, a.var, w)),),)),
+    "forall-pos": (Forall, True, False,
+                   lambda r, a, w, y: ((IFormula(r, substitute(a.body, a.var, Var(y))),),)),
+    "weaken": (Formula, None, False, lambda r, a, w, y: ((),)),
+    "contract": (Formula, None, False, lambda r, a, w, y: ((IFormula(r, a),) * 2,)),
+}
+_CONTRACTIONS = frozenset({"contract", "bang-neg-contract"})
+# the rules search tries on an item of each class
+_INTRODUCING = {cls: tuple(rule for rule, (c, *_) in _RULES.items()
+                           if issubclass(cls, c) and rule not in _CONTRACTIONS)
+                for cls in Formula.__args__}
+_CLASS_TEXTS = {
+    Neg: "(neg) principal must be a negation",
+    Conj: "principal must be additive conjunction",
+    AConj: "principal must be additive conjunction",
+    Impl: "principal must be implication",
+    MConj: "principal must be multiplicative conjunction",
+    Bang: "principal must be of ! shape",
+    Forall: "principal must be universal",
+}
+
+
+def _additions(rule: str, item: IFormula, witness: Term | None = None,
+               eigen: str | None = None) -> tuple[Sequent, ...]:
+    """What each premise of rule on item holds beside the context."""
+    return _RULES[rule][3](item.roles, item.formula, witness, eigen)
 
 
 def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -> None:
@@ -306,92 +357,44 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -
 
     item = _principal_item(d)
     ctx = _ctx(d)
-    roles_ = item.roles
     a = item.formula
-
-    match d.rule:
-        case "weaken":
-            _one_premise_is(d, path, ctx)
-        case "contract":
-            _arity(d, path, 1)
-            _expect(seq_equal(d.premises[0].conclusion, d.conclusion + (item,)),
-                    path, "(contract): premise must hold one extra copy")
-        case "neg":
-            _expect(isinstance(a, Neg), path, "(neg) principal must be a negation")
-            _one_premise_is(d, path, ctx + (IFormula(a.f.preimage(roles_), a.body),))
-        case "conj-neg-l" | "aconj-neg-l":
-            _expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
-            _expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
-            _one_premise_is(d, path, ctx + (IFormula(roles_, a.left),))
-        case "conj-neg-r" | "aconj-neg-r":
-            _expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
-            _expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
-            _one_premise_is(d, path, ctx + (IFormula(roles_, a.right),))
-        case "conj-pos" | "aconj-pos":
-            _expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
-            _expect(a.u.contains(roles_), path, "({}) needs R in U", d.rule)
-            _arity(d, path, 2)
-            _expect(seq_equal(d.premises[0].conclusion, ctx + (IFormula(roles_, a.left),)),
-                    path, "({}): left premise mismatch", d.rule)
-            _expect(seq_equal(d.premises[1].conclusion, ctx + (IFormula(roles_, a.right),)),
-                    path, "({}): right premise mismatch", d.rule)
-        case "mconj-neg" | "mconj-pos" | "imp-neg" | "imp-pos":
-            if d.rule.startswith("imp"):
-                _expect(isinstance(a, Impl), path, "principal must be implication")
-            else:
-                _expect(isinstance(a, MConj), path, "principal must be multiplicative conjunction")
-            new_l, new_r = _introduced(roles_, a)
-            if d.rule.endswith("-neg"):
-                _expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
-                _one_premise_is(d, path, ctx + (new_l, new_r))
-            else:
-                _expect(a.u.contains(roles_), path, "({}) needs R in U", d.rule)
-                _arity(d, path, 2)
-                g1 = seq_minus(d.premises[0].conclusion, (new_l,))
-                g2 = seq_minus(d.premises[1].conclusion, (new_r,))
-                _expect(g1 is not None and g2 is not None, path,
-                        "({}): premises missing the introduced i-formulas", d.rule)
-                _expect(seq_equal(g1 + g2, ctx), path,
-                        "({}): context split does not reassemble the conclusion", d.rule)
-        case "bang-pos":
-            _expect(isinstance(a, Bang), path, "principal must be of ! shape")
-            _expect(a.u.contains(roles_), path, "(bang-pos) needs R in U")
-            for it in ctx:
-                _expect(_is_why_not(it), path,
-                        "(bang-pos) context must consist of <R'>!_U' B' with R' not in U'")
-            _one_premise_is(d, path, ctx + (IFormula(roles_, a.body),))
-        case "bang-neg-weaken":
-            _expect(isinstance(a, Bang), path, "principal must be of ! shape")
-            _expect(not a.u.contains(roles_), path, "(bang-neg-weaken) needs R not in U")
-            _one_premise_is(d, path, ctx)
-        case "bang-neg-derelict":
-            _expect(isinstance(a, Bang), path, "principal must be of ! shape")
-            _expect(not a.u.contains(roles_), path, "(bang-neg-derelict) needs R not in U")
-            _one_premise_is(d, path, ctx + (IFormula(roles_, a.body),))
-        case "bang-neg-contract":
-            _expect(isinstance(a, Bang), path, "principal must be of ! shape")
-            _expect(not a.u.contains(roles_), path, "(bang-neg-contract) needs R not in U")
-            _arity(d, path, 1)
-            _expect(seq_equal(d.premises[0].conclusion, d.conclusion + (item,)),
-                    path, "(bang-neg-contract): premise must hold one extra copy")
-        case "forall-neg":
-            _expect(isinstance(a, Forall), path, "principal must be universal")
-            _expect(not a.u.contains(roles_), path, "(forall-neg) needs R not in U")
-            _expect(d.witness is not None, path, "(forall-neg) needs a witness term")
-            body = substitute(a.body, a.var, d.witness)
-            _one_premise_is(d, path, ctx + (IFormula(roles_, body),))
-        case "forall-pos":
-            _expect(isinstance(a, Forall), path, "principal must be universal")
-            _expect(a.u.contains(roles_), path, "(forall-pos) needs R in U")
-            y = d.eigen if d.eigen is not None else a.var
-            _expect(y not in seq_free_vars(ctx), path,
-                    "(forall-pos) eigenvariable occurs free in the context")
-            _expect(y == a.var or y not in (free_vars(a.body) - {a.var}), path,
-                    "(forall-pos) eigenvariable captured in the body")
-            body = substitute(a.body, a.var, Var(y))
-            _one_premise_is(d, path, ctx + (IFormula(roles_, body),))
-        case _:
-            raise CheckError(path, f"unknown rule {d.rule}")
+    cls, positive, split, adds = _RULES[d.rule]
+    if not isinstance(a, cls):
+        raise CheckError(path, _CLASS_TEXTS[cls])
+    if positive is not None:
+        _expect(a.u.contains(item.roles) == positive, path,
+                "({}) needs R in U" if positive else "({}) needs R not in U", d.rule)
+    y = None
+    if d.rule == "bang-pos":
+        for it in ctx:
+            _expect(_is_why_not(it), path,
+                    "(bang-pos) context must consist of <R'>!_U' B' with R' not in U'")
+    elif d.rule == "forall-neg":
+        _expect(d.witness is not None, path, "(forall-neg) needs a witness term")
+    elif d.rule == "forall-pos":
+        y = d.eigen if d.eigen is not None else a.var
+        _expect(y not in seq_free_vars(ctx), path,
+                "(forall-pos) eigenvariable occurs free in the context")
+        _expect(y == a.var or y not in (free_vars(a.body) - {a.var}), path,
+                "(forall-pos) eigenvariable captured in the body")
+    added = adds(item.roles, a, d.witness, y)
+    _arity(d, path, len(added))
+    if split:
+        g1 = seq_minus(d.premises[0].conclusion, added[0])
+        g2 = seq_minus(d.premises[1].conclusion, added[1])
+        _expect(g1 is not None and g2 is not None, path,
+                "({}): premises missing the introduced i-formulas", d.rule)
+        _expect(seq_equal(g1 + g2, ctx), path,
+                "({}): context split does not reassemble the conclusion", d.rule)
+        return
+    if d.rule in _CONTRACTIONS:
+        texts = ("({}): premise must hold one extra copy",)
+    elif len(added) == 1:
+        texts = ("rule {}: premise does not match schema",)
+    else:
+        texts = ("({}): left premise mismatch", "({}): right premise mismatch")
+    for p, add, text in zip(d.premises, added, texts):
+        _expect(seq_equal(p.conclusion, ctx + add), path, text, d.rule)
 
 
 def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
@@ -425,7 +428,7 @@ def check_ok(d: Derivation, calc: Calculus) -> bool:
 #
 # Builders assemble a node from already-built premises.  They locate the
 # items to consume by value (multiset arithmetic), so callers never track
-# positions.  The principal formula is always appended last.
+# positions.
 
 
 def _take(items: Sequent, consumed: Sequent, rule: str) -> Sequent:
@@ -440,13 +443,27 @@ def b_id(items) -> Derivation:
     return Derivation("id", tuple(items))
 
 
+def b_rule(rule: str, premises, item: IFormula, witness: Term | None = None,
+           eigen: str | None = None) -> Derivation:
+    """rule applied to item above premises: the context is what the
+    premises hold beyond the rule's additions, and item comes last."""
+    _, _, split, adds = _RULES[rule]
+    added = adds(item.roles, item.formula, witness, eigen)
+    if split:
+        ctx: Sequent = ()
+        for p, add in zip(premises, added):
+            ctx += _take(p.conclusion, add, rule)
+    else:
+        ctx = _take(premises[0].conclusion, added[0], rule)
+    concl = ctx + (item,)
+    return Derivation(rule, concl, premises, len(concl) - 1, witness=witness, eigen=eigen)
+
+
 def b_weaken(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
-    rule = "bang-neg-weaken" if calc.linear else "weaken"
     if calc.linear and not _is_why_not(item):
         raise KernelError(f"cannot weaken non-? item into a linear derivation: "
                           f"{fmt_formula(item.formula, limit=BRIEF)}")
-    concl = d.conclusion + (item,)
-    return Derivation(rule, concl, (d,), len(concl) - 1)
+    return b_rule("bang-neg-weaken" if calc.linear else "weaken", (d,), item)
 
 
 def b_contract(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
@@ -457,64 +474,6 @@ def b_contract(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
     if item not in concl:
         raise KernelError(f"builder {rule}: premise lacks a second {fmt_sequent((item,), BRIEF)}")
     return Derivation(rule, concl, (d,), concl.index(item))
-
-
-def b_neg(d: Derivation, roles_: int, f: Endo, body: Formula) -> Derivation:
-    sub = IFormula(f.preimage(roles_), body)
-    concl = _take(d.conclusion, (sub,), "neg") + (IFormula(roles_, Neg(f, body)),)
-    return Derivation("neg", concl, (d,), len(concl) - 1)
-
-
-def b_add_neg(d: Derivation, roles_: int, a: Conj | AConj, side: str) -> Derivation:
-    sub = IFormula(roles_, a.left if side == "l" else a.right)
-    base = "aconj" if isinstance(a, AConj) else "conj"
-    concl = _take(d.conclusion, (sub,), f"{base}-neg-{side}") + (IFormula(roles_, a),)
-    return Derivation(f"{base}-neg-{side}", concl, (d,), len(concl) - 1)
-
-
-def b_add_pos(d1: Derivation, d2: Derivation, roles_: int, a: Conj | AConj) -> Derivation:
-    base = "aconj" if isinstance(a, AConj) else "conj"
-    ctx = _take(d1.conclusion, (IFormula(roles_, a.left),), f"{base}-pos")
-    concl = ctx + (IFormula(roles_, a),)
-    return Derivation(f"{base}-pos", concl, (d1, d2), len(concl) - 1)
-
-
-def b_mult_neg(d: Derivation, roles_: int, a: MConj | Impl) -> Derivation:
-    base = "imp" if isinstance(a, Impl) else "mconj"
-    concl = _take(d.conclusion, _introduced(roles_, a), f"{base}-neg") + (IFormula(roles_, a),)
-    return Derivation(f"{base}-neg", concl, (d,), len(concl) - 1)
-
-
-def b_mult_pos(d1: Derivation, d2: Derivation, roles_: int, a: MConj | Impl) -> Derivation:
-    base = "imp" if isinstance(a, Impl) else "mconj"
-    new_l, new_r = _introduced(roles_, a)
-    g1 = _take(d1.conclusion, (new_l,), f"{base}-pos")
-    g2 = _take(d2.conclusion, (new_r,), f"{base}-pos")
-    concl = g1 + g2 + (IFormula(roles_, a),)
-    return Derivation(f"{base}-pos", concl, (d1, d2), len(concl) - 1)
-
-
-def b_bang_pos(d: Derivation, roles_: int, a: Bang) -> Derivation:
-    concl = _take(d.conclusion, (IFormula(roles_, a.body),), "bang-pos") + (IFormula(roles_, a),)
-    return Derivation("bang-pos", concl, (d,), len(concl) - 1)
-
-
-def b_bang_derelict(d: Derivation, roles_: int, a: Bang) -> Derivation:
-    concl = _take(d.conclusion, (IFormula(roles_, a.body),), "bang-neg-derelict") \
-        + (IFormula(roles_, a),)
-    return Derivation("bang-neg-derelict", concl, (d,), len(concl) - 1)
-
-
-def b_forall_neg(d: Derivation, roles_: int, a: Forall, witness: Term) -> Derivation:
-    sub = IFormula(roles_, substitute(a.body, a.var, witness))
-    concl = _take(d.conclusion, (sub,), "forall-neg") + (IFormula(roles_, a),)
-    return Derivation("forall-neg", concl, (d,), len(concl) - 1, witness=witness)
-
-
-def b_forall_pos(d: Derivation, roles_: int, a: Forall, eigen: str) -> Derivation:
-    sub = IFormula(roles_, substitute(a.body, a.var, Var(eigen)))
-    concl = _take(d.conclusion, (sub,), "forall-pos") + (IFormula(roles_, a),)
-    return Derivation("forall-pos", concl, (d,), len(concl) - 1, eigen=eigen)
 
 
 # --------------------------------------------- derivation-wide renaming
@@ -635,7 +594,8 @@ def _axiom_premises(a: Formula, parts: tuple[int, ...], calc: Calculus) -> tuple
             return ((left, parts), (right, parts))
         case MConj(u, left, right) | Impl(_, u, left, right):
             i = _pos_index(u, parts)
-            lefts = tuple(_introduced(p, a)[0].roles for p in parts)
+            pos = "imp-pos" if isinstance(a, Impl) else "mconj-pos"
+            lefts = tuple(_additions(pos, IFormula(p, a))[0][0].roles for p in parts)
             if calc.j is not None and not calc.j.contains(lefts[i]):
                 # the J-items of both premises would meet in its conclusion
                 raise KernelError(
@@ -653,42 +613,44 @@ def _axiom_rule(a: Formula, parts: tuple[int, ...], calc: Calculus, prems: list)
     match a:
         case Atom():
             return b_id(tuple(IFormula(p, a) for p in parts))
-        case Neg(f, body):
+        case Neg(f, _):
             d = prems[0]
             if calc.j is not None:  # the premise's J-item leaves before the conclusion's comes
                 parts = sorted(parts, key=lambda p: not calc.j.contains(f.preimage(p)))
             for p in parts:
-                d = b_neg(d, p, f, body)
+                d = b_rule("neg", (d,), IFormula(p, a))
             return d
         case Conj(u, _, _) | AConj(u, _, _):
+            base = "aconj" if isinstance(a, AConj) else "conj"
             i = _pos_index(u, parts)
             d1, d2 = prems
             for j, p in enumerate(parts):
                 if j != i:
-                    d1 = b_add_neg(d1, p, a, "l")
-                    d2 = b_add_neg(d2, p, a, "r")
-            return b_add_pos(d1, d2, parts[i], a)
+                    d1 = b_rule(f"{base}-neg-l", (d1,), IFormula(p, a))
+                    d2 = b_rule(f"{base}-neg-r", (d2,), IFormula(p, a))
+            return b_rule(f"{base}-pos", (d1, d2), IFormula(parts[i], a))
         case MConj(u, _, _) | Impl(_, u, _, _):
+            base = "imp" if isinstance(a, Impl) else "mconj"
             i = _pos_index(u, parts)
-            d = b_mult_pos(*prems, parts[i], a)
+            d = b_rule(f"{base}-pos", prems, IFormula(parts[i], a))
             for j, p in enumerate(parts):
                 if j != i:
-                    d = b_mult_neg(d, p, a)
+                    d = b_rule(f"{base}-neg", (d,), IFormula(p, a))
             return d
         case Bang(u, _):
             i = _pos_index(u, parts)
             d = prems[0]
             for j, p in enumerate(parts):
                 if j != i:
-                    d = b_bang_derelict(d, p, a)
-            return b_bang_pos(d, parts[i], a)
+                    d = b_rule("bang-neg-derelict", (d,), IFormula(p, a))
+            return b_rule("bang-pos", (d,), IFormula(parts[i], a))
         case Forall(u, x, _):
             i = _pos_index(u, parts)
             d = prems[0]
             for j, p in enumerate(parts):
                 if j != i:
-                    d = b_forall_neg(d, p, a, Var(x))
-            return b_forall_pos(d, parts[i], a, x)
+                    d = b_rule("forall-neg", (d,), IFormula(p, a), witness=Var(x))
+            return b_rule("forall-pos", (d,), IFormula(parts[i], a), eigen=x)
     raise KernelError(f"axiom_multi: unsupported formula {a!r}")  # unreachable: _axiom_premises raised first
 
 
@@ -727,41 +689,21 @@ def _cut1(d: Derivation, x: IFormula, n: int, calc: Calculus, memo: dict) -> Der
 
 
 def _cut1_step(d: Derivation, x: IFormula, n: int, calc: Calculus, memo: dict) -> Derivation:
-    a = x.formula
     if d.rule == "id":
         return b_id(seq_minus(d.conclusion, (x,) * n))
-    principal = _principal_item(d)
-    if principal == x:
-        p = d.premises[0]
-        match d.rule:
-            case "weaken" | "bang-neg-weaken":
-                return _cut1(p, x, n - 1, calc, memo)
-            case "contract" | "bang-neg-contract":
-                return _cut1(p, x, n + 1, calc, memo)
-            case "neg":
-                e = _cut1(p, x, n - 1, calc, memo)
-                return _cut1(e, IFormula(0, a.body), 1, calc, memo)
-            case "conj-neg-l" | "aconj-neg-l":
-                e = _cut1(p, x, n - 1, calc, memo)
-                return _cut1(e, IFormula(0, a.left), 1, calc, memo)
-            case "conj-neg-r" | "aconj-neg-r":
-                e = _cut1(p, x, n - 1, calc, memo)
-                return _cut1(e, IFormula(0, a.right), 1, calc, memo)
-            case "mconj-neg" | "imp-neg":
-                e = _cut1(p, x, n - 1, calc, memo)
-                e = _cut1(e, IFormula(0, a.left), 1, calc, memo)
-                return _cut1(e, IFormula(0, a.right), 1, calc, memo)
-            case "bang-neg-derelict":
-                e = _cut1(p, x, n - 1, calc, memo)
-                return _cut1(e, IFormula(0, a.body), 1, calc, memo)
-            case "forall-neg":
-                e = _cut1(p, x, n - 1, calc, memo)
-                return _cut1(e, IFormula(0, substitute(a.body, a.var, d.witness)), 1, calc, memo)
-            case _:
-                raise KernelError(f"cut1: rule {d.rule} cannot introduce an empty-role "
-                                  "i-formula positively")
-    # commutative case: the principal is some other i-formula
-    return _commute(d, x, n, (), lambda p, m: _cut1(p, x, m, calc, memo), calc, None)
+    if _principal_item(d) != x:  # commutative case: the principal is some other i-formula
+        return _commute(d, x, n, (), lambda p, m: _cut1(p, x, m, calc, memo), calc, None)
+    p = d.premises[0]
+    if d.rule in _CONTRACTIONS:
+        return _cut1(p, x, n + 1, calc, memo)
+    if _RULES[d.rule][1]:
+        raise KernelError(f"cut1: rule {d.rule} cannot introduce an empty-role "
+                          "i-formula positively")
+    # x introduced negatively: cut the other copies, then what the rule added
+    e = _cut1(p, x, n - 1, calc, memo)
+    for y in _additions(d.rule, x, d.witness, d.eigen)[0]:
+        e = _cut1(e, y, 1, calc, memo)
+    return e
 
 
 def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calculus,
@@ -786,10 +728,10 @@ def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calc
     if concl is None:
         raise KernelError("internal: tracked occurrences missing from sequent")
     ms = (n,) * len(d.premises)
-    split = d.rule in ("mconj-pos", "imp-pos")
+    split = _RULES[d.rule][2]
     if split:
-        new_l, _ = _introduced(item.roles, item.formula)
-        c0 = (seq_minus(d.premises[0].conclusion, (new_l,)) or ()).count(x)
+        new_l = _additions(d.rule, item, d.witness, d.eigen)[0]
+        c0 = (seq_minus(d.premises[0].conclusion, new_l) or ()).count(x)
         m0 = min(c0, n)
         ms = (m0, n - m0)
     prems = []  # a loop, not a generator: one frame less per level of recursion
@@ -953,7 +895,7 @@ def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
     x1_body = IFormula(x1.roles, a.body)
     f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, fresh, memo)
     # f proves gamma1, gamma1, (C2 - n2*x2), resid, <R1 n R2>body
-    f = b_bang_derelict(f, resid.roles, a)
+    f = b_rule("bang-neg-derelict", (f,), resid)
     f = b_contract(f, resid, calc)
     gamma1 = seq_minus(d1.conclusion, (x1,))
     return _contract_extras(f, gamma1, calc)
@@ -974,58 +916,41 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
             items = seq_minus(d1.conclusion, (x1,)) + seq_minus(d2.conclusion, (x2,)) + (resid,)
             return b_id(items)
 
-        case Neg(f, body):
+        case Neg():
             _hit("neg")
-            y1 = IFormula(f.preimage(r1), body)
-            y2 = IFormula(f.preimage(r2), body)
-            e = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh, memo)
-            return b_neg(e, rr, f, body)
 
         case Conj(u, left, right) | AConj(u, left, right):
             tag = "with" if isinstance(a, AConj) else "conj"
             pos1, pos2 = u.contains(r1), u.contains(r2)
-            if pos1 and pos2:
-                _hit(f"{tag}-pos-pos")
-                e1 = _cut2(d1.premises[0], IFormula(r1, left), 1,
-                           d2.premises[0], IFormula(r2, left), 1, calc, fresh, memo)
-                e2 = _cut2(d1.premises[1], IFormula(r1, right), 1,
-                           d2.premises[1], IFormula(r2, right), 1, calc, fresh, memo)
-                return b_add_pos(e1, e2, rr, a)
-            dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
-            side = "l" if dn.rule.endswith("neg-l") else "r"
-            _hit(f"{tag}-pos-neg{side}")
-            branch = left if side == "l" else right
-            k = 0 if side == "l" else 1
-            e = _cut2(dp.premises[k], IFormula(xp.roles, branch), 1,
-                      dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh, memo)
-            return b_add_neg(e, rr, a, side)
+            if not (pos1 and pos2):
+                dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
+                side = "l" if dn.rule.endswith("neg-l") else "r"
+                _hit(f"{tag}-pos-neg{side}")
+                branch = left if side == "l" else right
+                k = 0 if side == "l" else 1
+                e = _cut2(dp.premises[k], IFormula(xp.roles, branch), 1,
+                          dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh, memo)
+                return b_rule(dn.rule, (e,), resid)
+            _hit(f"{tag}-pos-pos")
 
         case MConj(u, _, _) | Impl(_, u, _, _):
             tag = "imp" if isinstance(a, Impl) else "tensor"
             pos1, pos2 = u.contains(r1), u.contains(r2)
-            if pos1 and pos2:
-                _hit(f"{tag}-pos-pos")
-                y1, z1 = _introduced(r1, a)
-                y2, z2 = _introduced(r2, a)
-                e1 = _cut2(d1.premises[0], y1, 1, d2.premises[0], y2, 1, calc, fresh, memo)
-                e2 = _cut2(d1.premises[1], z1, 1, d2.premises[1], z2, 1, calc, fresh, memo)
-                return b_mult_pos(e1, e2, rr, a)
-            _hit(f"{tag}-pos-neg" if pos1 else f"{tag}-neg-pos")
-            dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
-            yp, zp = _introduced(xp.roles, a)
-            yn, zn = _introduced(xn.roles, a)
-            e1 = _cut2(dp.premises[0], yp, 1, dn.premises[0], yn, 1, calc, fresh, memo)
-            e2 = _cut2(dp.premises[1], zp, 1, e1, zn, 1, calc, fresh, memo)
-            return b_mult_neg(e2, rr, a)
+            if not (pos1 and pos2):
+                _hit(f"{tag}-pos-neg" if pos1 else f"{tag}-neg-pos")
+                dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
+                (yp,), (zp,) = _additions(dp.rule, xp)
+                ((yn, zn),) = _additions(dn.rule, xn)
+                e1 = _cut2(dp.premises[0], yp, 1, dn.premises[0], yn, 1, calc, fresh, memo)
+                e2 = _cut2(dp.premises[1], zp, 1, e1, zn, 1, calc, fresh, memo)
+                return b_rule(dn.rule, (e2,), resid)
+            _hit(f"{tag}-pos-pos")
 
-        case Bang(u, body):
+        case Bang():
             # both sides promoted (both role sets contain the head role)
             _hit("bang-pos-pos")
             if d1.rule != "bang-pos" or d2.rule != "bang-pos":
                 raise KernelError("cut2_residual: ! principal case without promotions")
-            e = _cut2(d1.premises[0], IFormula(r1, body), 1,
-                      d2.premises[0], IFormula(r2, body), 1, calc, fresh, memo)
-            return b_bang_pos(e, rr, a)
 
         case Forall(u, xv, body):
             pos1, pos2 = u.contains(r1), u.contains(r2)
@@ -1036,7 +961,7 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
                 p2 = _realign_eigen(d2, z, fresh)
                 bz = substitute(body, xv, Var(z))
                 e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, fresh, memo)
-                return b_forall_pos(e, rr, a, z)
+                return b_rule("forall-pos", (e,), resid, eigen=z)
             _hit("forall-pos-neg")
             dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
             t = dn.witness
@@ -1045,9 +970,18 @@ def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
             bt = substitute(body, xv, t)
             e = _cut2(p, IFormula(xp.roles, bt), 1,
                       dn.premises[0], IFormula(xn.roles, bt), 1, calc, fresh, memo)
-            return b_forall_neg(e, rr, a, t)
+            return b_rule("forall-neg", (e,), resid, witness=t)
 
-    raise KernelError(f"cut2_residual: unsupported principal case {d1.rule}/{d2.rule}")
+        case _:
+            raise KernelError(f"cut2_residual: unsupported principal case {d1.rule}/{d2.rule}")
+
+    # both sides introduce a by one rule: cut premise i of one against
+    # premise i of the other, at what the rule added to each
+    add1, add2 = _additions(d1.rule, x1), _additions(d2.rule, x2)
+    cuts = []  # a loop, not a generator: one frame less per level of recursion
+    for p1, (y1,), p2, (y2,) in zip(d1.premises, add1, d2.premises, add2):
+        cuts.append(_cut2(p1, y1, 1, p2, y2, 1, calc, fresh, memo))
+    return b_rule(d1.rule, cuts, resid)
 
 
 def _realign_eigen(d: Derivation, z: str, fresh: FreshNames) -> Derivation:
@@ -1143,8 +1077,8 @@ def _search(items: Sequent, calc: Calculus, depth: int, memo: dict,
     return out
 
 
-def _candidate_ok(items: Sequent, calc: Calculus) -> bool:
-    return calc.kind != "mrlj" or is_intuitionistic(items, calc.j)
+def _candidates_ok(premises: list, calc: Calculus) -> bool:
+    return calc.kind != "mrlj" or all(is_intuitionistic(p, calc.j) for p in premises)
 
 
 def _search_raw(items, calc, depth, memo, fresh):
@@ -1154,115 +1088,63 @@ def _search_raw(items, calc, depth, memo, fresh):
                 and rl.partition_check([it.roles for it in items], calc.n):
             return b_id(items)
 
-    linear = calc.linear
+    allowed = _ALLOWED_RULES[calc.kind]
     for i, it in enumerate(items):
         ctx = items[:i] + items[i + 1 :]
-        r = it.roles
         a = it.formula
-
-        def rec1(premise, build):
-            if not _candidate_ok(premise, calc):
-                return None
-            p = _search(premise, calc, depth - 1, memo, fresh)
-            return build(p) if p is not None else None
-
-        match a:
-            case Neg(f, body):
-                out = rec1(ctx + (IFormula(f.preimage(r), body),),
-                           lambda p: b_neg(p, r, f, body))
-                if out:
-                    return out
-            case Conj(u, left, right) | AConj(u, left, right):
-                if u.contains(r):
-                    p1 = ctx + (IFormula(r, left),)
-                    p2 = ctx + (IFormula(r, right),)
-                    if _candidate_ok(p1, calc) and _candidate_ok(p2, calc):
-                        s1 = _search(p1, calc, depth - 1, memo, fresh)
-                        s2 = _search(p2, calc, depth - 1, memo, fresh) if s1 else None
-                        if s1 and s2:
-                            return b_add_pos(s1, s2, r, a)
-                else:
-                    for side, branch in (("l", left), ("r", right)):
-                        out = rec1(ctx + (IFormula(r, branch),),
-                                   lambda p, s=side: b_add_neg(p, r, a, s))
-                        if out:
-                            return out
-            case MConj(u, _, _) | Impl(_, u, _, _):
-                new_l, new_r = _introduced(r, a)
-                if u.contains(r):
-                    for mask in range(1 << len(ctx)):
-                        g1 = tuple(c for k, c in enumerate(ctx) if mask & (1 << k))
-                        g2 = tuple(c for k, c in enumerate(ctx) if not mask & (1 << k))
-                        p1 = g1 + (new_l,)
-                        p2 = g2 + (new_r,)
-                        if not (_candidate_ok(p1, calc) and _candidate_ok(p2, calc)):
-                            continue
-                        s1 = _search(p1, calc, depth - 1, memo, fresh)
-                        s2 = _search(p2, calc, depth - 1, memo, fresh) if s1 else None
-                        if s1 and s2:
-                            return b_mult_pos(s1, s2, r, a)
-                else:
-                    out = rec1(ctx + (new_l, new_r), lambda p: b_mult_neg(p, r, a))
-                    if out:
-                        return out
-            case Bang(u, body):
-                if u.contains(r):
-                    if all(_is_why_not(c) for c in ctx):
-                        out = rec1(ctx + (IFormula(r, body),),
-                                   lambda p: b_bang_pos(p, r, a))
-                        if out:
-                            return out
-                else:
-                    out = rec1(ctx + (IFormula(r, body),),
-                               lambda p: b_bang_derelict(p, r, a))
-                    if out:
-                        return out
-                    out = rec1(ctx, lambda p: b_weaken(p, it, calc))
-                    if out:
-                        return out
-            case Forall(u, xv, body):
-                if u.contains(r):
-                    y = xv if xv not in seq_free_vars(ctx) else fresh(xv)
-                    out = rec1(ctx + (IFormula(r, substitute(body, xv, Var(y))),),
-                               lambda p: b_forall_pos(p, r, a, y))
-                    if out:
-                        return out
-                else:
-                    for t in _witness_candidates(items):
-                        out = rec1(ctx + (IFormula(r, substitute(body, xv, t)),),
-                                   lambda p, w=t: b_forall_neg(p, r, a, w))
-                        if out:
-                            return out
-        if not linear:
-            out = None
-            if _candidate_ok(ctx, calc):
-                p = _search(ctx, calc, depth - 1, memo, fresh)
-                out = b_weaken(p, it, calc) if p is not None else None
-            if out:
-                return out
+        for rule in _INTRODUCING[type(a)]:
+            _, positive, split, adds = _RULES[rule]
+            if rule not in allowed or positive is not None and a.u.contains(it.roles) != positive:
+                continue
+            if rule == "bang-pos" and not all(_is_why_not(c) for c in ctx):
+                continue
+            if rule == "forall-neg":
+                instances = [(t, None) for t in _witness_candidates(items)]
+            elif rule == "forall-pos":
+                y = a.var if a.var not in seq_free_vars(ctx) else fresh(a.var)
+                instances = [(None, y)]
+            else:
+                instances = [(None, None)]
+            for w, y in instances:
+                added = adds(it.roles, a, w, y)
+                for ctxs in _splits(ctx) if split else ((ctx,) * len(added),):
+                    premises = [c + add for c, add in zip(ctxs, added)]
+                    if not _candidates_ok(premises, calc):
+                        continue
+                    found = []
+                    for p in premises:
+                        s = _search(p, calc, depth - 1, memo, fresh)
+                        if s is None:
+                            break
+                        found.append(s)
+                    else:
+                        return b_rule(rule, found, it, w, y)
     return None
 
 
+def _splits(ctx: Sequent):
+    """Each division of ctx into the contexts of two premises, by mask."""
+    for mask in range(1 << len(ctx)):
+        yield (tuple(c for k, c in enumerate(ctx) if mask & (1 << k)),
+               tuple(c for k, c in enumerate(ctx) if not mask & (1 << k)))
+
+
 def _witness_candidates(items: Sequent) -> list[Term]:
-    names: list[str] = []
-
-    def walk(a: Formula):
-        match a:
-            case Atom(_, args):
-                for t in args:
-                    if t.name not in names:
-                        names.append(t.name)
-            case Neg(_, b) | Bang(_, b) | Forall(_, _, b):
-                walk(b)
-            case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
-                walk(l)
-                walk(r)
-
-    for it in items:
-        walk(it.formula)
-    out: list[Term] = [Const(n) for n in names]
-    out.append(Const("c0"))
-    return out
+    """The terms items name, in order of first occurrence, then c0: a loop,
+    so the depth of the items is bounded by memory alone."""
+    names: dict[str, None] = {}  # an ordered set
+    seen: set = set()
+    stack = [it.formula for it in reversed(items)]
+    while stack:
+        a = stack.pop()
+        if a in seen:
+            continue
+        seen.add(a)
+        if isinstance(a, Atom):
+            names.update(dict.fromkeys(t.name for t in a.args))
+        else:
+            stack += reversed(_children(a))
+    return [Const(n) for n in names] + [Const("c0")]
 
 
 def entailment(a: Formula, b: Formula, r: int, calc: Calculus,

@@ -515,7 +515,7 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
             if tok != "(":
                 if tok == ")":
                     raise FormulaError("unexpected ')'")
-                out = Atom(tok)
+                out = Atom(_label(tok))
             elif (head := toks.pop()) in KEYWORDS:
                 cls, kinds = _SYNTAX[head]
                 fields: list = []
@@ -525,6 +525,8 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
                         break
                     tok = toks.pop()
                     if kind == "name":
+                        if tok.startswith("$"):  # a binder binds a plain name
+                            raise FormulaError(f"expected identifier, got {tok!r}")
                         fields.append(_ident(tok))
                         bound = bound | {tok}  # a binder's name scopes over its body
                         continue
@@ -543,7 +545,7 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
                     else:
                         args.append(Var(name) if name in bound else Const(name))
                 toks.pop()
-                out = Atom(head, tuple(args))
+                out = Atom(_label(head), tuple(args))
             while stack:  # out is the next formula of the innermost open connective
                 cls, fields, arity, outer = stack[-1]
                 fields.append(out)
@@ -563,6 +565,14 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
 
 def _ident(tok: str) -> str:
     if tok in KEYWORDS or not _IDENT_RE.fullmatch(tok):
+        raise FormulaError(f"expected identifier, got {tok!r}")
+    return tok
+
+
+def _label(tok: str) -> str:
+    """An atom's label: any identifier, keywords included, since a bare
+    keyword prints back as itself."""
+    if not _IDENT_RE.fullmatch(tok):
         raise FormulaError(f"expected identifier, got {tok!r}")
     return tok
 

@@ -11,6 +11,7 @@ import random
 from collections import Counter
 
 from multirole import kernel as K
+from multirole import logic as lg
 from multirole import mtlc as M
 from multirole import roles as rl
 from multirole import runtime as rt
@@ -26,6 +27,11 @@ from multirole.logic import (
     MConj,
     Neg,
     Var,
+    free_vars,
+    seq_equal,
+    seq_free_vars,
+    seq_minus,
+    substitute,
 )
 from multirole.mtlc import (
     EApp,
@@ -171,7 +177,7 @@ def shared_conj(k: int, extra: IFormula | None = None, a: Atom = Atom("a")) -> K
     if extra is not None:
         d = K.b_weaken(d, extra, K.MRL(2))
     for _ in range(k):
-        d = K.b_add_pos(d, d, 3, Conj(rl.Ultra(0), a, a))
+        d = K.b_rule("conj-pos", (d, d), IFormula(3, Conj(rl.Ultra(0), a, a)))
         a = Conj(rl.Ultra(0), a, a)
     return d
 
@@ -190,6 +196,263 @@ def work_bound(monkeypatch, module, name: str, limit: int) -> list[int]:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+# --------------------------------------------- kernel reference oracles
+#
+# The kernel's per-rule checker and search from before its rule table,
+# kept as differential oracles for K.check and K.search: each writes every
+# rule out by hand.
+
+
+def _introduced(roles_: int, a: MConj | Impl) -> tuple[IFormula, IFormula]:
+    left = a.f.preimage(roles_) if isinstance(a, Impl) else roles_
+    return IFormula(left, a.left), IFormula(roles_, a.right)
+
+
+def _one_premise_is(d, path, expected) -> None:
+    K._arity(d, path, 1)
+    K._expect(seq_equal(d.premises[0].conclusion, expected), path,
+              "rule {}: premise does not match schema", d.rule)
+
+
+def _check_node_reference(d, calc, path, ok) -> None:
+    expect = K._expect
+    expect(d.rule in K._ALLOWED_RULES[calc.kind], path,
+           "rule {} not available in {}", d.rule, calc.kind)
+    full = (1 << calc.n) - 1
+    for it in d.conclusion:
+        expect(0 <= it.roles <= full, path, "role set outside universe")
+        if it.formula not in ok:
+            bad = K._formula_ok(it.formula, calc, ok)
+            expect(bad is None, path, bad or "")
+    if calc.kind == "mrlj":
+        expect(K.is_intuitionistic(d.conclusion, calc.j), path,
+               "sequent is not J-intuitionistic")
+
+    if d.rule == "id":
+        K._arity(d, path, 0)
+        expect(len(d.conclusion) >= 1, path, "(id) needs at least one i-formula")
+        first = d.conclusion[0].formula
+        expect(isinstance(first, Atom), path, "(id) items must be primitive")
+        for it in d.conclusion:
+            expect(it.formula == first, path, "(id) items must share one primitive formula")
+        expect(rl.partition_check([it.roles for it in d.conclusion], calc.n),
+               path, "(id) role sets must partition the universe")
+        return
+
+    item = K._principal_item(d)
+    ctx = K._ctx(d)
+    roles_ = item.roles
+    a = item.formula
+
+    match d.rule:
+        case "weaken":
+            _one_premise_is(d, path, ctx)
+        case "contract":
+            K._arity(d, path, 1)
+            expect(seq_equal(d.premises[0].conclusion, d.conclusion + (item,)),
+                   path, "(contract): premise must hold one extra copy")
+        case "neg":
+            expect(isinstance(a, Neg), path, "(neg) principal must be a negation")
+            _one_premise_is(d, path, ctx + (IFormula(a.f.preimage(roles_), a.body),))
+        case "conj-neg-l" | "aconj-neg-l":
+            expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
+            expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.left),))
+        case "conj-neg-r" | "aconj-neg-r":
+            expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
+            expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.right),))
+        case "conj-pos" | "aconj-pos":
+            expect(isinstance(a, (Conj, AConj)), path, "principal must be additive conjunction")
+            expect(a.u.contains(roles_), path, "({}) needs R in U", d.rule)
+            K._arity(d, path, 2)
+            expect(seq_equal(d.premises[0].conclusion, ctx + (IFormula(roles_, a.left),)),
+                   path, "({}): left premise mismatch", d.rule)
+            expect(seq_equal(d.premises[1].conclusion, ctx + (IFormula(roles_, a.right),)),
+                   path, "({}): right premise mismatch", d.rule)
+        case "mconj-neg" | "mconj-pos" | "imp-neg" | "imp-pos":
+            if d.rule.startswith("imp"):
+                expect(isinstance(a, Impl), path, "principal must be implication")
+            else:
+                expect(isinstance(a, MConj), path, "principal must be multiplicative conjunction")
+            new_l, new_r = _introduced(roles_, a)
+            if d.rule.endswith("-neg"):
+                expect(not a.u.contains(roles_), path, "({}) needs R not in U", d.rule)
+                _one_premise_is(d, path, ctx + (new_l, new_r))
+            else:
+                expect(a.u.contains(roles_), path, "({}) needs R in U", d.rule)
+                K._arity(d, path, 2)
+                g1 = seq_minus(d.premises[0].conclusion, (new_l,))
+                g2 = seq_minus(d.premises[1].conclusion, (new_r,))
+                expect(g1 is not None and g2 is not None, path,
+                       "({}): premises missing the introduced i-formulas", d.rule)
+                expect(seq_equal(g1 + g2, ctx), path,
+                       "({}): context split does not reassemble the conclusion", d.rule)
+        case "bang-pos":
+            expect(isinstance(a, Bang), path, "principal must be of ! shape")
+            expect(a.u.contains(roles_), path, "(bang-pos) needs R in U")
+            for it in ctx:
+                expect(K._is_why_not(it), path,
+                       "(bang-pos) context must consist of <R'>!_U' B' with R' not in U'")
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.body),))
+        case "bang-neg-weaken":
+            expect(isinstance(a, Bang), path, "principal must be of ! shape")
+            expect(not a.u.contains(roles_), path, "(bang-neg-weaken) needs R not in U")
+            _one_premise_is(d, path, ctx)
+        case "bang-neg-derelict":
+            expect(isinstance(a, Bang), path, "principal must be of ! shape")
+            expect(not a.u.contains(roles_), path, "(bang-neg-derelict) needs R not in U")
+            _one_premise_is(d, path, ctx + (IFormula(roles_, a.body),))
+        case "bang-neg-contract":
+            expect(isinstance(a, Bang), path, "principal must be of ! shape")
+            expect(not a.u.contains(roles_), path, "(bang-neg-contract) needs R not in U")
+            K._arity(d, path, 1)
+            expect(seq_equal(d.premises[0].conclusion, d.conclusion + (item,)),
+                   path, "(bang-neg-contract): premise must hold one extra copy")
+        case "forall-neg":
+            expect(isinstance(a, Forall), path, "principal must be universal")
+            expect(not a.u.contains(roles_), path, "(forall-neg) needs R not in U")
+            expect(d.witness is not None, path, "(forall-neg) needs a witness term")
+            body = substitute(a.body, a.var, d.witness)
+            _one_premise_is(d, path, ctx + (IFormula(roles_, body),))
+        case "forall-pos":
+            expect(isinstance(a, Forall), path, "principal must be universal")
+            expect(a.u.contains(roles_), path, "(forall-pos) needs R in U")
+            y = d.eigen if d.eigen is not None else a.var
+            expect(y not in seq_free_vars(ctx), path,
+                   "(forall-pos) eigenvariable occurs free in the context")
+            expect(y == a.var or y not in (free_vars(a.body) - {a.var}), path,
+                   "(forall-pos) eigenvariable captured in the body")
+            body = substitute(a.body, a.var, Var(y))
+            _one_premise_is(d, path, ctx + (IFormula(roles_, body),))
+        case _:
+            raise K.CheckError(path, f"unknown rule {d.rule}")
+
+
+def check_reference(d: K.Derivation, calc) -> None:
+    """K.check by the per-rule checker: raise the same CheckError."""
+    ok: set = set()
+    seen: set = set()
+    stack = [(d, ())]
+    while stack:
+        node, at = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        _check_node_reference(node, calc, at, ok)
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((node.premises[i], at + (i,)))
+
+
+def search_reference(items, calc, depth: int):
+    """K.search by the per-connective search: the same derivation or None."""
+    items = tuple(items)
+    fresh = lg.FreshNames(lambda: lg.names_in(it.formula for it in items))
+    return _search_reference(items, calc, depth, {}, fresh)
+
+
+def _search_reference(items, calc, depth, memo, fresh):
+    if depth <= 0:
+        return None
+    key = frozenset(lg.seq_counts(items).items())
+    known = memo.get(key)
+    if known is not None:
+        found, tried = known
+        if found is not None:
+            return found
+        if tried >= depth:
+            return None
+    out = _search_raw_reference(items, calc, depth, memo, fresh)
+    memo[key] = (out, depth)
+    return out
+
+
+def _search_raw_reference(items, calc, depth, memo, fresh):
+    if items and isinstance(items[0].formula, Atom):
+        a0 = items[0].formula
+        if all(it.formula == a0 for it in items) \
+                and rl.partition_check([it.roles for it in items], calc.n):
+            return K.b_id(items)
+
+    def ok(premise):
+        return calc.kind != "mrlj" or K.is_intuitionistic(premise, calc.j)
+
+    def sub(premise):
+        return _search_reference(premise, calc, depth - 1, memo, fresh)
+
+    for i, it in enumerate(items):
+        ctx = items[:i] + items[i + 1 :]
+        r = it.roles
+        a = it.formula
+
+        def rec1(premise, build):
+            if not ok(premise):
+                return None
+            p = sub(premise)
+            return build(p) if p is not None else None
+
+        def rule1(rule, premise, **instance):
+            return rec1(premise, lambda p: K.b_rule(rule, (p,), it, **instance))
+
+        out = None
+        match a:
+            case Neg(f, body):
+                out = rule1("neg", ctx + (IFormula(f.preimage(r), body),))
+            case Conj(u, left, right) | AConj(u, left, right):
+                base = "aconj" if isinstance(a, AConj) else "conj"
+                if u.contains(r):
+                    p1, p2 = ctx + (IFormula(r, left),), ctx + (IFormula(r, right),)
+                    if ok(p1) and ok(p2):
+                        s1 = sub(p1)
+                        s2 = sub(p2) if s1 else None
+                        if s1 and s2:
+                            return K.b_rule(f"{base}-pos", (s1, s2), it)
+                else:
+                    out = rule1(f"{base}-neg-l", ctx + (IFormula(r, left),)) \
+                        or rule1(f"{base}-neg-r", ctx + (IFormula(r, right),))
+            case MConj(u, _, _) | Impl(_, u, _, _):
+                base = "imp" if isinstance(a, Impl) else "mconj"
+                new_l, new_r = _introduced(r, a)
+                if u.contains(r):
+                    for mask in range(1 << len(ctx)):
+                        g1 = tuple(c for k, c in enumerate(ctx) if mask & (1 << k))
+                        g2 = tuple(c for k, c in enumerate(ctx) if not mask & (1 << k))
+                        p1, p2 = g1 + (new_l,), g2 + (new_r,)
+                        if not (ok(p1) and ok(p2)):
+                            continue
+                        s1 = sub(p1)
+                        s2 = sub(p2) if s1 else None
+                        if s1 and s2:
+                            return K.b_rule(f"{base}-pos", (s1, s2), it)
+                else:
+                    out = rule1(f"{base}-neg", ctx + (new_l, new_r))
+            case Bang(u, body):
+                if u.contains(r):
+                    if all(K._is_why_not(c) for c in ctx):
+                        out = rule1("bang-pos", ctx + (IFormula(r, body),))
+                else:
+                    out = rule1("bang-neg-derelict", ctx + (IFormula(r, body),)) \
+                        or rec1(ctx, lambda p: K.b_weaken(p, it, calc))
+            case Forall(u, xv, body):
+                if u.contains(r):
+                    y = xv if xv not in seq_free_vars(ctx) else fresh(xv)
+                    out = rule1("forall-pos", ctx + (IFormula(r, substitute(body, xv, Var(y))),),
+                                eigen=y)
+                else:
+                    for t in K._witness_candidates(items):
+                        out = rule1("forall-neg", ctx + (IFormula(r, substitute(body, xv, t)),),
+                                    witness=t)
+                        if out:
+                            break
+        if out:
+            return out
+        if not calc.linear:
+            out = rec1(ctx, lambda p: K.b_weaken(p, it, calc))
+            if out:
+                return out
+    return None
 
 
 def malformed_tables() -> list[tuple[str, object]]:

@@ -28,10 +28,12 @@ from multirole.roles import Endo, Ultra
 
 from helpers import (
     MALFORMED_ITEMS,
+    check_reference,
     deep_derivation,
     malformed_tables,
     rand_formula,
     rand_partition,
+    search_reference,
     shared_conj,
     work_bound,
 )
@@ -79,7 +81,7 @@ class TestCheck:
         calc = K.LMRL(2)
         f = Endo((1, 0))
         d = K.b_id((IFormula(1, A), IFormula(2, A)))
-        e = K.b_neg(d, f.preimage(1), f, A)
+        e = K.b_rule("neg", (d,), IFormula(f.preimage(1), Neg(f, A)))
         K.check(e, calc)
         assert IFormula(f.preimage(1), Neg(f, A)) in e.conclusion
 
@@ -350,8 +352,9 @@ class TestSharing:
         c = d.conclusion[0].formula
         p = Forall(U0, "x", Conj(U0, c, Atom("p", (Var("x"),))))
         d = K.b_weaken(d, IFormula(2, Conj(U0, c, Atom("p", (Const("k"),)))), calc)
-        d = K.b_forall_neg(d, 2, p, Const("k"))
-        d = K.b_forall_pos(K.b_weaken(d, IFormula(1, B), calc), 1, Forall(U0, "x", B), "x")
+        d = K.b_rule("forall-neg", (d,), IFormula(2, p), witness=Const("k"))
+        d = K.b_rule("forall-pos", (K.b_weaken(d, IFormula(1, B), calc),),
+                     IFormula(1, Forall(U0, "x", B)), eigen="x")
         K.check(d, calc)
         assert K.derivation_from_json(K.derivation_to_json(d)) is d
 
@@ -558,7 +561,8 @@ def _stray_neg():
 def _stray_conj_neg(side):
     calc = K.MRL(2)
     a = Conj(U0, A, B)
-    d = K.b_add_neg(K.axiom_multi(A if side == "l" else B, [2, 1], calc), 2, a, side)
+    d = K.b_rule(f"conj-neg-{side}", (K.axiom_multi(A if side == "l" else B, [2, 1], calc),),
+                 IFormula(2, a))
     return calc, d, K.axiom_multi(a, [1, 2], calc)
 
 
@@ -571,8 +575,8 @@ def _stray_conj_pos():
 def _stray_forall_neg():
     calc = K.MRL(2)
     a = Forall(U0, "x", Atom("p", (Var("x"),)))
-    d = K.b_forall_neg(K.axiom_multi(Atom("p", (Const("k"),)), [1, 2], calc),
-                       2, a, Const("k"))
+    d = K.b_rule("forall-neg", (K.axiom_multi(Atom("p", (Const("k"),)), [1, 2], calc),),
+                 IFormula(2, a), witness=Const("k"))
     return calc, d, K.axiom_multi(a, [1, 2], calc)
 
 
@@ -841,3 +845,129 @@ class TestMrljIntuitionistic:
         K.check(d, calc)
         with pytest.raises(K.KernelError, match="has no J-intuitionistic derivation"):
             K.split_roles(d, d.conclusion.index(IFormula(3, a)), 2, 1, calc)
+
+
+def _replace(d: K.Derivation, old: K.Derivation, new: K.Derivation) -> K.Derivation:
+    """d with every occurrence of the node old replaced by new."""
+    memo: dict = {old: new}
+
+    def walk(node):
+        if node not in memo:
+            memo[node] = K.Derivation(node.rule, node.conclusion,
+                                      [walk(p) for p in node.premises],
+                                      node.principal, node.witness, node.eigen)
+        return memo[node]
+
+    return walk(d)
+
+
+def _mutant(rng: random.Random, d: K.Derivation, calc) -> K.Derivation:
+    """d with one node changed in one way: its rule renamed, its premises
+    cut short, reversed or replaced, one conclusion role set changed, its
+    principal index moved, or its witness or eigenvariable toggled."""
+    nodes = list(K._nodes(d))
+    v = rng.choice(nodes)
+    rule, concl, prems = v.rule, v.conclusion, v.premises
+    principal, witness, eigen = v.principal, v.witness, v.eigen
+    match rng.randrange(8):
+        case 0:
+            rule = rng.choice(sorted(K._ALLOWED_RULES[calc.kind]))
+        case 1:
+            prems = prems[:-1]
+        case 2:
+            prems = prems[::-1]
+        case 3:
+            k = rng.randrange(len(prems) + 1)
+            prems = prems[:k] + (rng.choice(nodes),) + prems[k + 1:]
+        case 4:
+            k = rng.randrange(len(concl))
+            item = IFormula(rng.randrange((1 << calc.n) + 1), concl[k].formula)
+            concl = concl[:k] + (item,) + concl[k + 1:]
+        case 5:
+            principal = rng.choice([None, *range(-1, len(concl) + 1)])
+        case 6:
+            witness = None if witness is not None else rng.choice([Const("k"), Var("x")])
+        case _:
+            eigen = None if eigen is not None else rng.choice(["x", "y"])
+    return _replace(d, v, K.Derivation(rule, concl, prems, principal, witness, eigen))
+
+
+def _verdict(check, d, calc):
+    try:
+        check(d, calc)
+    except K.KernelError as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+class TestRuleTableOracles:
+    """The table-driven checker and search against the per-rule ones."""
+
+    CALCS = [K.MRL(2), K.MRL(3), K.MRLJ(2, Ultra(0)), K.MRLJ(3, Ultra(0)),
+             K.LMRL(2), K.LMRL(3)]
+
+    def test_check_agrees_with_the_reference_on_mutants(self):
+        rng = random.Random(0)
+        verdicts = []
+        while len(verdicts) < 2400:
+            calc = rng.choice(self.CALCS)
+            a = rand_formula(rng, calc, calc.n, rng.randrange(4))
+            try:
+                d = K.axiom_multi(a, rand_partition(rng, calc.n, rng.choice([2, 3])), calc)
+            except K.KernelError:  # an mrlj split with no J order
+                continue
+            for _ in range(6):
+                m = _mutant(rng, d, calc)
+                got = _verdict(K.check, m, calc)
+                assert got == _verdict(check_reference, m, calc)
+                verdicts.append(got)
+        reasons = Counter(v for v in verdicts if v is not None)
+        assert verdicts.count(None) > 500 and len(reasons) > 60
+
+    def test_search_agrees_with_the_reference(self):
+        rng = random.Random(0)
+        found = 0
+        for _ in range(400):
+            calc = rng.choice([c for c in self.CALCS if c.n == 2])
+            a = rand_formula(rng, calc, 2, rng.randrange(3))
+            items = [IFormula(p, a) for p in rand_partition(rng, 2, rng.choice([1, 2, 3]))]
+            if rng.random() < 0.5:
+                items.append(IFormula(rng.randrange(4), rand_formula(rng, calc, 2, 1)))
+            rng.shuffle(items)
+            depth = rng.randrange(1, 6)
+            got = K.search(items, calc, depth)
+            assert got is search_reference(items, calc, depth)
+            found += got is not None
+        assert 100 < found < 300
+
+    def test_side_conditions(self):
+        mrl, lmrl = K.MRL(2), K.LMRL(2)
+        bang = Bang(U0, A)
+        promoted = K.axiom_multi(bang, [1, 2], lmrl)
+        p = Forall(U0, "x", Atom("p", (Var("x"),)))
+        free_x = K.b_weaken(K.axiom_multi(p, [1, 2], mrl).premises[0],
+                            IFormula(2, Atom("q", (Var("x"),))), mrl)
+        q = K.axiom_multi(Forall(U0, "x", Atom("p", (Var("x"), Var("y")))), [3], mrl)
+        for calc, d, reason in [
+            (lmrl, K.Derivation("bang-pos", (IFormula(3, bang), IFormula(1, bang)),
+                                promoted.premises, 1),
+             "(bang-pos) context must consist of <R'>!_U' B' with R' not in U'"),
+            (mrl, K.b_rule("forall-pos", (free_x,), IFormula(1, p), eigen="x"),
+             "(forall-pos) eigenvariable occurs free in the context"),
+            (mrl, K.Derivation(q.rule, q.conclusion, q.premises, q.principal, eigen="y"),
+             "(forall-pos) eigenvariable captured in the body"),
+        ]:
+            want = ("CheckError", f"at node []: {reason}")
+            assert _verdict(K.check, d, calc) == _verdict(check_reference, d, calc) == want
+
+    def test_witness_candidates_beside_a_deep_formula(self):
+        # the candidates are collected by a loop, at the default recursion limit
+        deep = parse_formula("(q k)")
+        for _ in range(3000):
+            deep = Neg(SWAP, deep)
+        items = (IFormula(1, parse_formula("(forall @1 x (p x))")),
+                 IFormula(2, parse_formula("(p c)")), IFormula(1, deep))
+        calc = K.MRL(2)
+        d = K.search(items, calc, 3)
+        K.check(d, calc)
+        assert K.rule_tags(d) == {"id", "weaken", "forall-neg"}

@@ -84,6 +84,13 @@ class TestParseFmt:
                 parse_formula(bad)
             assert str(err.value) == msg
 
+    def test_labels_and_binders_must_be_identifiers(self):
+        for bad, tok in [("(()", "("), ("())", ")"), ("@0", "@0"), ("[0,1]", "[0,1]"),
+                         ("(forall @0 $x (p x))", "$x")]:
+            with pytest.raises(lg.FormulaError) as err:
+                parse_formula(bad)
+            assert str(err.value) == f"expected identifier, got {tok!r}"
+
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1))
     def test_random_roundtrip_is_identity(self, seed):
