@@ -173,11 +173,7 @@ def cmd_session(args) -> int:
 
     if args.action == "check":
         report = {"roles": n, "sessions": {}}
-        for name, s in sessions.items():
-            try:
-                sn.check_session(s, n)
-            except sn.SessionError as e:
-                return _fail(f"session {name}: {e}")
+        for name, s in sessions.items():  # parse_protocol checked each against n
             enc = sn.encode_lmrl(s, unroll=args.unroll)
             report["sessions"][name] = {
                 "session": sn.fmt_session(s),
@@ -346,7 +342,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as e:
         return _fail(str(e))
-    except RecursionError:  # json.loads, the session and mtlc readers and passes still recurse
+    except RecursionError:  # json.loads, the mtlc reader and typechecker and the cuts still recurse
         return _fail("input nests too deeply")
 
 

@@ -203,9 +203,10 @@ def rule_tags(d: Derivation) -> set[str]:
     return {node.rule for node in _nodes(d)}
 
 
-def _principal_item(d: Derivation) -> IFormula:
+def _principal_item(d: Derivation, path: tuple[int, ...] = ()) -> IFormula:
+    """d's principal item; a bad index is reported at path, d's own."""
     if d.principal is None or not 0 <= d.principal < len(d.conclusion):
-        raise CheckError((), f"rule {d.rule}: bad principal index {d.principal}")
+        raise CheckError(path, f"rule {d.rule}: bad principal index {d.principal}")
     return d.conclusion[d.principal]
 
 
@@ -331,15 +332,26 @@ def _additions(rule: str, item: IFormula, witness: Term | None = None,
     return _RULES[rule][3](item.roles, item.formula, witness, eigen)
 
 
+def _items_fault(items: Sequent, calc: Calculus, ok: set) -> str | None:
+    """The first fault of items, as a conclusion or a searched sequent: a
+    role set outside the universe or a formula outside calc (see
+    _formula_ok), or None."""
+    full = (1 << calc.n) - 1
+    for it in items:
+        if not 0 <= it.roles <= full:
+            return "role set outside universe"
+        if it.formula not in ok:
+            bad = _formula_ok(it.formula, calc, ok)
+            if bad is not None:
+                return bad
+    return None
+
+
 def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -> None:
     _expect(d.rule in _ALLOWED_RULES[calc.kind], path,
             "rule {} not available in {}", d.rule, calc.kind)
-    full = (1 << calc.n) - 1
-    for it in d.conclusion:
-        _expect(0 <= it.roles <= full, path, "role set outside universe")
-        if it.formula not in ok:
-            bad = _formula_ok(it.formula, calc, ok)
-            _expect(bad is None, path, bad or "")
+    bad = _items_fault(d.conclusion, calc, ok)
+    _expect(bad is None, path, bad or "")
     if calc.kind == "mrlj":
         _expect(is_intuitionistic(d.conclusion, calc.j), path,
                 "sequent is not J-intuitionistic")
@@ -355,7 +367,7 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -
                 path, "(id) role sets must partition the universe")
         return
 
-    item = _principal_item(d)
+    item = _principal_item(d, path)
     ctx = _ctx(d)
     a = item.formula
     cls, positive, split, adds = _RULES[d.rule]
@@ -1053,9 +1065,13 @@ def search(items: Sequent, calc: Calculus, depth: int) -> Derivation | None:
 
     Complete for propositional linear sequents without ! (premises shrink);
     for the structural calculi a miss is not a refutation.  Contraction is
-    never searched.
+    never searched.  Items that check would refuse in a conclusion raise
+    KernelError with check's text.
     """
     items = tuple(items)
+    bad = _items_fault(items, calc, set())
+    if bad is not None:
+        raise KernelError(bad)
     fresh = FreshNames(lambda: names_in(it.formula for it in items))
     return _search(items, calc, depth, {}, fresh)
 

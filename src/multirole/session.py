@@ -114,29 +114,35 @@ class EndpointType:
     session: SessionType
 
 
-def roles_used(s: SessionType) -> set[int]:
-    match s:
-        case Msg(_, f, t, _):
-            return {f, t}
-        case Bcast(_, f, _):
-            return {f}
-        case Gather(_, t, _):
-            return {t}
-        case Nil():
-            return set()
-        case Append(a, b):
-            return roles_used(a) | roles_used(b)
-        case SMConj(r, a, b) | SAConj(r, a, b):
-            return {r} | roles_used(a) | roles_used(b)
-        case OptionT(r, a) | Repseq(r, a) | Repeat(r, a):
-            return {r} | roles_used(a)
-    raise SessionError(f"unknown session node {s!r}")
-
-
 def check_session(s: SessionType, n: int) -> None:
-    bad = [r for r in roles_used(s) if not 0 <= r < n]
-    if bad:
-        raise SessionError(f"roles {sorted(bad)} outside universe of {n}")
+    """Raise unless every role s names lies in the universe of n."""
+    roles, todo = [], [s]
+    while todo:
+        s = todo.pop()
+        cls = type(s)
+        if cls is Append:
+            todo += (s.rest, s.first)
+        elif cls is Msg:
+            roles += (s.frm, s.to)
+        elif cls is Bcast:
+            roles.append(s.frm)
+        elif cls is Gather:
+            roles.append(s.to)
+        elif cls in _BINARY:
+            roles.append(s.r)
+            todo += (s.right, s.left)
+        elif cls in _NAMES:
+            roles.append(s.r)
+            todo.append(s.body)
+        elif cls is not Nil:
+            raise SessionError(f"unknown session node {s!r}")
+    _check_roles(roles, n)
+
+
+def _check_roles(roles: list[int], n: int) -> None:
+    if roles and not (0 <= min(roles) and max(roles) < n):
+        bad = sorted({r for r in roles if not 0 <= r < n})
+        raise SessionError(f"roles {bad} outside universe of {n}")
 
 
 # ------------------------------------------------------------- printing
@@ -146,131 +152,143 @@ def fmt_session(s: SessionType) -> str:
     return _unfold([s], _session_parts)
 
 
+def _atom_text(label: str, args: str, payload: str) -> str:
+    return f"{label}({args})" if payload == "unit" else f"{label}({args}, {payload})"
+
+
 def _session_parts(s: SessionType) -> list:
     """s's text as parts, with its subsessions still to unfold."""
-    def atom(label: str, parts: list, payload: str) -> list:
-        if payload != "unit":
-            parts = parts + [payload]
-        return [f"{label}({', '.join(str(p) for p in parts)})"]
-
-    match s:
-        case Msg(label, f, t, p):
-            return atom(label, [f, t], p)
-        case Bcast(label, f, p):
-            return atom(label, [f], p)
-        case Gather(label, t, p):
-            # a payload-named label needs its payload printed, or the parser
-            # reads the label as the payload of a Bcast named gather
-            if p == "unit" and label not in PAYLOADS:
-                return [f"gather({t}, {label})"]
-            return [f"gather({t}, {label}, {p})"]
-        case Nil():
-            return ["nil"]
-        case Append(a, b):
-            if isinstance(a, Append):
-                return ["(", a, ")@", b]
-            return [a, "@", b]
-        case SMConj(r, a, b) | SAConj(r, a, b):
-            return [f"{_NAMES[type(s)]}({r}, ", a, ", ", b, ")"]
-        case OptionT(r, a) | Repseq(r, a) | Repeat(r, a):
-            return [f"{_NAMES[type(s)]}({r}, ", a, ")"]
+    cls = type(s)
+    if cls is Append:
+        a = s.first
+        return ["(", a, ")@", s.rest] if type(a) is Append else [a, "@", s.rest]
+    if cls is Msg:
+        return [_atom_text(s.label, f"{s.frm}, {s.to}", s.payload)]
+    if cls is Bcast:
+        return [_atom_text(s.label, str(s.frm), s.payload)]
+    if cls is Gather:
+        # a payload-named label needs its payload printed, or the parser
+        # reads the label as the payload of a Bcast named gather
+        if s.payload == "unit" and s.label not in PAYLOADS:
+            return [f"gather({s.to}, {s.label})"]
+        return [f"gather({s.to}, {s.label}, {s.payload})"]
+    if cls is Nil:
+        return ["nil"]
+    if cls in _BINARY:
+        return [f"{_NAMES[cls]}({s.r}, ", s.left, ", ", s.right, ")"]
+    if cls in _NAMES:
+        return [f"{_NAMES[cls]}({s.r}, ", s.body, ")"]
     raise SessionError(f"unknown session node {s!r}")
 
 
 # -------------------------------------------------------------- parsing
 
-_TOKEN = re.compile(r"\(|\)|@|,|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
+_TOKEN = re.compile(r"[(),@]|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _COMBINATORS = {"mconj": SMConj, "aconj": SAConj, "option": OptionT,
                 "repseq": Repseq, "repeat": Repeat}
 _NAMES = {cls: name for name, cls in _COMBINATORS.items()}
+_BINARY = (SMConj, SAConj)
+_END = ""  # the token past the last one; no token is empty
+_RAN_OUT = "unexpected end of session expression"
 
 
-class _P:
-    def __init__(self, text: str):
-        self.toks = _TOKEN.findall(text)
-        self.i = 0
+def _error(got: str, text: str) -> SessionError:
+    """text, or where the token got is the end, that the input ran out."""
+    return SessionError(text if got else _RAN_OUT)
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise SessionError("unexpected end of session expression")
-        self.i += 1
-        return t
-
-    def expect(self, t):
-        got = self.next()
-        if got != t:
-            raise SessionError(f"expected {t!r}, got {got!r}")
-
-    def role(self) -> int:
-        t = self.next()
-        if not t.isdecimal():
-            raise SessionError(f"expected a role number, got {t!r}")
-        return int(t)
-
-    def session(self) -> SessionType:
-        left = self.atomish()
-        if self.peek() == "@":
-            self.next()
-            return Append(left, self.session())  # right-associative
-        return left
-
-    def atomish(self) -> SessionType:
-        t = self.next()
-        if t == "(":
-            s = self.session()
-            self.expect(")")
-            return s
-        if t == "nil":
-            return Nil()
-        cls = _COMBINATORS.get(t)
-        if cls is not None:
-            self.expect("(")
-            r = self.role()
-            self.expect(",")
-            a = self.session()
-            if cls in (SMConj, SAConj):
-                self.expect(",")
-                b = self.session()
-                self.expect(")")
-                return cls(r, a, b)
-            self.expect(")")
-            return cls(r, a)
-        if not _IDENT.fullmatch(t):
-            raise SessionError(f"unexpected token {t!r}")
-        # message atom: label(role [, role] [, payload]), or gather(role, label [, payload])
-        label = t
-        self.expect("(")
-        args: list[str] = [self.next()]
-        while self.peek() == ",":
-            self.next()
-            args.append(self.next())
-        self.expect(")")
-        payload = "unit"
-        if args and args[-1] in PAYLOADS:
-            payload = args.pop()
-        if label == "gather" and len(args) == 2 and args[0].isdecimal() \
-                and _IDENT.fullmatch(args[1]):
-            return Gather(args[1], int(args[0]), payload)
-        if not args or not all(a.isdecimal() for a in args) or len(args) > 2:
-            raise SessionError(f"bad argument list for atom {label}")
-        if len(args) == 1:
-            return Bcast(label, int(args[0]), payload)
-        return Msg(label, int(args[0]), int(args[1]), payload)
+def _expected(want: str, got: str) -> SessionError:
+    return _error(got, f"expected {want!r}, got {got!r}")
 
 
 def parse_session(text: str, n: int | None = None) -> SessionType:
-    p = _P(text)
-    s = p.session()
-    if p.peek() is not None:
-        raise SessionError(f"trailing input at token {p.peek()!r}")
-    if n is not None:
-        check_session(s, n)
-    return s
+    """Read a session in one loop over its tokens, so depth is bounded by
+    memory alone.  An open group waits on the stack as its class (None for
+    a parenthesis), its role, its parts so far and the @-run it interrupts;
+    an @-run folds right into Append.  The roles read are checked against
+    the universe once, after the whole text has been read."""
+    toks = _TOKEN.findall(text)
+    toks.append(_END)
+    i, stack, run, roles = 0, [], [], []
+    while True:
+        t = toks[i]
+        if t == "(":
+            stack.append((None, None, (), run))
+            i, run = i + 1, []
+            continue
+        cls = _COMBINATORS.get(t)
+        if cls is not None:
+            if toks[i + 1] != "(":
+                raise _expected("(", toks[i + 1])
+            r = toks[i + 2]
+            if not r.isdecimal():
+                raise _error(r, f"expected a role number, got {r!r}")
+            if toks[i + 3] != ",":
+                raise _expected(",", toks[i + 3])
+            roles.append(int(r))
+            stack.append((cls, roles[-1], (), run))
+            i, run = i + 4, []
+            continue
+        if t == "nil":
+            s, i = Nil(), i + 1
+        else:
+            s, i = _atom(toks, i, roles)
+        while True:  # s ends an @-run, and perhaps the group it is in
+            t = toks[i]
+            i += 1
+            if t == "@":
+                run.append(s)
+                break
+            for a in reversed(run):
+                s = Append(a, s)
+            if not stack:
+                if t:
+                    raise SessionError(f"trailing input at token {t!r}")
+                if n is not None:
+                    _check_roles(roles, n)
+                return s
+            cls, r, parts, run = stack.pop()
+            if cls in _BINARY and not parts:
+                if t != ",":
+                    raise _expected(",", t)
+                stack.append((cls, r, (s,), run))
+                run = []
+                break
+            if t != ")":
+                raise _expected(")", t)
+            if cls is not None:
+                s = cls(r, *parts, s)
+
+
+def _atom(toks: list[str], i: int, roles: list[int]) -> tuple:
+    """The message atom at toks[i], label(role [, role] [, payload]) or
+    gather(role, label [, payload]), and the index past it; its roles are
+    added to roles."""
+    label = toks[i]
+    if not _IDENT.fullmatch(label):
+        raise _error(label, f"unexpected token {label!r}")
+    if toks[i + 1] != "(":
+        raise _expected("(", toks[i + 1])
+    args = [toks[i + 2]]
+    i += 3
+    while args[-1] and toks[i] == ",":
+        args.append(toks[i + 1])
+        i += 2
+    if not args[-1]:
+        raise SessionError(_RAN_OUT)
+    if toks[i] != ")":
+        raise _expected(")", toks[i])
+    payload = args.pop() if args[-1] in PAYLOADS else "unit"
+    if label == "gather" and len(args) == 2 and args[0].isdecimal() \
+            and _IDENT.fullmatch(args[1]):
+        roles.append(int(args[0]))
+        return Gather(args[1], roles[-1], payload), i + 1
+    if not args or len(args) > 2 or not "".join(args).isdecimal():
+        raise SessionError(f"bad argument list for atom {label}")
+    rs = [int(a) for a in args]
+    roles += rs
+    return (Msg if len(rs) == 2 else Bcast)(label, *rs, payload), i + 1
 
 
 def parse_protocol(text: str) -> tuple[int, dict[str, SessionType]]:
@@ -306,40 +324,61 @@ def parse_protocol(text: str) -> tuple[int, dict[str, SessionType]]:
 
 def atom_label(s: Msg | Bcast | Gather) -> str:
     suffix = "" if s.payload == "unit" else f":{s.payload}"
-    match s:
-        case Msg(label, f, t, _):
-            return f"{label}:{f}:{t}{suffix}"
-        case Bcast(label, f, _):
-            return f"{label}:{f}:*{suffix}"
-        case Gather(label, t, _):
-            return f"{label}:*:{t}{suffix}"
+    cls = type(s)
+    if cls is Msg:
+        return f"{s.label}:{s.frm}:{s.to}{suffix}"
+    if cls is Bcast:
+        return f"{s.label}:{s.frm}:*{suffix}"
+    if cls is Gather:
+        return f"{s.label}:*:{s.to}{suffix}"
 
 
 def encode_lmrl(s: SessionType, unroll: int = 0) -> Formula:
     """Encode a session as a linear formula over principal ultrafilters.
     Sequential composition (@) becomes a tensor at @0, which the logic does
-    not tell apart from a parallel one; a repseq unrolls `unroll` times."""
-    match s:
-        case Msg() | Bcast() | Gather():
-            return Atom(atom_label(s))
-        case Nil():
-            return Atom("nil")
-        case Append(a, b):
-            return MConj(Ultra(0), encode_lmrl(a, unroll), encode_lmrl(b, unroll))
-        case SMConj(r, a, b):
-            return MConj(Ultra(r), encode_lmrl(a, unroll), encode_lmrl(b, unroll))
-        case SAConj(r, a, b):
-            return AConj(Ultra(r), encode_lmrl(a, unroll), encode_lmrl(b, unroll))
-        case OptionT(r, a):
-            return AConj(Ultra(r), encode_lmrl(a, unroll), Atom("nil"))
-        case Repseq(r, a):
-            if unroll == 0:
-                return Atom("nil")
-            step = MConj(Ultra(0), encode_lmrl(a, unroll), encode_lmrl(s, unroll - 1))
-            return AConj(Ultra(r), step, Atom("nil"))
-        case Repeat(r, a):
-            return Bang(Ultra(r), encode_lmrl(a, unroll))
-    raise SessionError(f"unknown session node {s!r}")
+    not tell apart from a parallel one; a repseq unrolls `unroll` times.
+    A postorder with an explicit stack, so depth is bounded by memory alone:
+    an entry is a session and its unrolling left, or a connective and its
+    ultrafilter to apply to the last encodings done."""
+    done, todo = [], [(s, unroll)]
+    while todo:
+        s, k = todo.pop()
+        if s is MConj or s is AConj:
+            b = done.pop()
+            done[-1] = s(k, done[-1], b)
+            continue
+        if s is Bang:
+            done[-1] = Bang(k, done[-1])
+            continue
+        cls = type(s)
+        if cls is Append:
+            todo += ((MConj, _ULTRAS[0]), (s.rest, k), (s.first, k))
+        elif cls is Msg or cls is Bcast or cls is Gather:
+            done.append(Atom(atom_label(s)))
+        elif cls is Nil or cls is Repseq and k == 0:
+            done.append(Atom("nil"))
+        elif cls is SMConj or cls is SAConj:
+            todo += ((MConj if cls is SMConj else AConj, _ultra(s.r)),
+                     (s.right, k), (s.left, k))
+        elif cls is OptionT:
+            todo += ((AConj, _ultra(s.r)), (Nil(), k), (s.body, k))
+        elif cls is Repseq:
+            todo += ((AConj, _ultra(s.r)), (Nil(), k),
+                     (MConj, _ULTRAS[0]), (s, k - 1), (s.body, k))
+        elif cls is Repeat:
+            todo += ((Bang, _ultra(s.r)), (s.body, k))
+        else:
+            raise SessionError(f"unknown session node {s!r}")
+    return done[0]
+
+
+# one ultrafilter per role, so that a connective found in the node table
+# holds the very ultrafilter it is looked up with
+_ULTRAS = tuple(Ultra(r) for r in range(rl.MAX_ROLES))
+
+
+def _ultra(r: int) -> Ultra:
+    return _ULTRAS[r] if 0 <= r < rl.MAX_ROLES else Ultra(r)
 
 
 # ------------------------------------------------------------ coherence

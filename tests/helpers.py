@@ -6,8 +6,10 @@ every test is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import re
 from collections import Counter
 
 from multirole import kernel as K
@@ -241,7 +243,7 @@ def _check_node_reference(d, calc, path, ok) -> None:
                path, "(id) role sets must partition the universe")
         return
 
-    item = K._principal_item(d)
+    item = K._principal_item(d, path)
     ctx = K._ctx(d)
     roles_ = item.roles
     a = item.formula
@@ -662,6 +664,209 @@ def next_actions_match(s, roleset: int) -> sn.Action:
         case sn.SMConj(r, _, _):
             return sn.Action("fork-conj" if holds(r) else "fork-disj", role=r)
     raise sn.SessionError(f"unknown session node {s!r}")
+
+
+# The session text layer as it was before each pass became a loop: a
+# recursive-descent reader, a role check that unions a set per node, a
+# printer's part function that matches on the node, and a recursive encoder.
+# The references for session.parse_session, check_session, fmt_session and
+# encode_lmrl.
+
+
+def roles_used_reference(s) -> set[int]:
+    match s:
+        case sn.Msg(_, f, t, _):
+            return {f, t}
+        case sn.Bcast(_, f, _):
+            return {f}
+        case sn.Gather(_, t, _):
+            return {t}
+        case sn.Nil():
+            return set()
+        case sn.Append(a, b):
+            return roles_used_reference(a) | roles_used_reference(b)
+        case sn.SMConj(r, a, b) | sn.SAConj(r, a, b):
+            return {r} | roles_used_reference(a) | roles_used_reference(b)
+        case sn.OptionT(r, a) | sn.Repseq(r, a) | sn.Repeat(r, a):
+            return {r} | roles_used_reference(a)
+    raise sn.SessionError(f"unknown session node {s!r}")
+
+
+def check_session_reference(s, n: int) -> None:
+    bad = [r for r in roles_used_reference(s) if not 0 <= r < n]
+    if bad:
+        raise sn.SessionError(f"roles {sorted(bad)} outside universe of {n}")
+
+
+def fmt_session_reference(s) -> str:
+    return lg._unfold([s], _session_parts_reference)
+
+
+def _session_parts_reference(s) -> list:
+    def atom(label: str, parts: list, payload: str) -> list:
+        if payload != "unit":
+            parts = parts + [payload]
+        return [f"{label}({', '.join(str(p) for p in parts)})"]
+
+    match s:
+        case sn.Msg(label, f, t, p):
+            return atom(label, [f, t], p)
+        case sn.Bcast(label, f, p):
+            return atom(label, [f], p)
+        case sn.Gather(label, t, p):
+            if p == "unit" and label not in sn.PAYLOADS:
+                return [f"gather({t}, {label})"]
+            return [f"gather({t}, {label}, {p})"]
+        case sn.Nil():
+            return ["nil"]
+        case sn.Append(a, b):
+            if isinstance(a, sn.Append):
+                return ["(", a, ")@", b]
+            return [a, "@", b]
+        case sn.SMConj(r, a, b) | sn.SAConj(r, a, b):
+            return [f"{sn._NAMES[type(s)]}({r}, ", a, ", ", b, ")"]
+        case sn.OptionT(r, a) | sn.Repseq(r, a) | sn.Repeat(r, a):
+            return [f"{sn._NAMES[type(s)]}({r}, ", a, ")"]
+    raise sn.SessionError(f"unknown session node {s!r}")
+
+
+_SESSION_TOKEN = re.compile(r"\(|\)|@|,|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
+
+
+class _SessionReader:
+    def __init__(self, text: str):
+        self.toks = _SESSION_TOKEN.findall(text)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def next(self):
+        t = self.peek()
+        if t is None:
+            raise sn.SessionError("unexpected end of session expression")
+        self.i += 1
+        return t
+
+    def expect(self, t):
+        got = self.next()
+        if got != t:
+            raise sn.SessionError(f"expected {t!r}, got {got!r}")
+
+    def role(self) -> int:
+        t = self.next()
+        if not t.isdecimal():
+            raise sn.SessionError(f"expected a role number, got {t!r}")
+        return int(t)
+
+    def session(self):
+        left = self.atomish()
+        if self.peek() == "@":
+            self.next()
+            return sn.Append(left, self.session())  # right-associative
+        return left
+
+    def atomish(self):
+        t = self.next()
+        if t == "(":
+            s = self.session()
+            self.expect(")")
+            return s
+        if t == "nil":
+            return sn.Nil()
+        cls = sn._COMBINATORS.get(t)
+        if cls is not None:
+            self.expect("(")
+            r = self.role()
+            self.expect(",")
+            a = self.session()
+            if cls in (sn.SMConj, sn.SAConj):
+                self.expect(",")
+                b = self.session()
+                self.expect(")")
+                return cls(r, a, b)
+            self.expect(")")
+            return cls(r, a)
+        if not sn._IDENT.fullmatch(t):
+            raise sn.SessionError(f"unexpected token {t!r}")
+        label = t
+        self.expect("(")
+        args: list[str] = [self.next()]
+        while self.peek() == ",":
+            self.next()
+            args.append(self.next())
+        self.expect(")")
+        payload = "unit"
+        if args and args[-1] in sn.PAYLOADS:
+            payload = args.pop()
+        if label == "gather" and len(args) == 2 and args[0].isdecimal() \
+                and sn._IDENT.fullmatch(args[1]):
+            return sn.Gather(args[1], int(args[0]), payload)
+        if not args or not all(a.isdecimal() for a in args) or len(args) > 2:
+            raise sn.SessionError(f"bad argument list for atom {label}")
+        if len(args) == 1:
+            return sn.Bcast(label, int(args[0]), payload)
+        return sn.Msg(label, int(args[0]), int(args[1]), payload)
+
+
+def parse_session_reference(text: str, n: int | None = None):
+    p = _SessionReader(text)
+    s = p.session()
+    if p.peek() is not None:
+        raise sn.SessionError(f"trailing input at token {p.peek()!r}")
+    if n is not None:
+        check_session_reference(s, n)
+    return s
+
+
+def atom_label_reference(s) -> str:
+    suffix = "" if s.payload == "unit" else f":{s.payload}"
+    match s:
+        case sn.Msg(label, f, t, _):
+            return f"{label}:{f}:{t}{suffix}"
+        case sn.Bcast(label, f, _):
+            return f"{label}:{f}:*{suffix}"
+        case sn.Gather(label, t, _):
+            return f"{label}:*:{t}{suffix}"
+
+
+def encode_lmrl_reference(s, unroll: int = 0):
+    enc = lambda x, k=unroll: encode_lmrl_reference(x, k)
+    match s:
+        case sn.Msg() | sn.Bcast() | sn.Gather():
+            return Atom(atom_label_reference(s))
+        case sn.Nil():
+            return Atom("nil")
+        case sn.Append(a, b):
+            return MConj(rl.Ultra(0), enc(a), enc(b))
+        case sn.SMConj(r, a, b):
+            return MConj(rl.Ultra(r), enc(a), enc(b))
+        case sn.SAConj(r, a, b):
+            return AConj(rl.Ultra(r), enc(a), enc(b))
+        case sn.OptionT(r, a):
+            return AConj(rl.Ultra(r), enc(a), Atom("nil"))
+        case sn.Repseq(r, a):
+            if unroll == 0:
+                return Atom("nil")
+            return AConj(rl.Ultra(r), MConj(rl.Ultra(0), enc(a), enc(s, unroll - 1)),
+                         Atom("nil"))
+        case sn.Repeat(r, a):
+            return Bang(rl.Ultra(r), enc(a))
+    raise sn.SessionError(f"unknown session node {s!r}")
+
+
+def session_key(s) -> tuple:
+    """s as a flat tuple, its classes and fields in preorder, built with a
+    loop: two sessions are equal iff their keys are, at any depth (the
+    dataclasses' own == recurses)."""
+    out, todo = [], [s]
+    while todo:
+        s = todo.pop()
+        fields = [getattr(s, f.name) for f in dataclasses.fields(s)]
+        sub = [isinstance(v, sn.SessionType.__args__) for v in fields]
+        out.append((type(s), *(v for v, b in zip(fields, sub) if not b)))
+        todo += reversed([v for v, b in zip(fields, sub) if b])
+    return tuple(out)
 
 
 

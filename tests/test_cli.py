@@ -199,6 +199,16 @@ class TestProve:
         assert code == 1
         assert json.loads(out) == {"found": False}
 
+    def test_search_refuses_a_connective_outside_the_calculus(self, capsys, tmp_path):
+        # an input error, not a kernel fault: exit 1, not 3
+        items = (lg.IFormula(1, A), lg.IFormula(2, A),
+                 lg.IFormula(1, lg.parse_formula("(bang @0 b)")))
+        path = write(tmp_path / "seq.json", lg.sequent_to_json(items))
+        code, out, err = run(capsys, "prove", "search", "--sequent", path,
+                             "--calculus", "mrl", "--roles", "2", "--depth", "3")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "connective Bang not in calculus mrl"}
+
 
 PROTOCOL = """
 roles 2
@@ -232,12 +242,16 @@ class TestSession:
         assert code == 1
         assert "roles N" in json.loads(err)["error"]
 
-    def test_check_too_deep(self, capsys, tmp_path):
-        messages = "@".join(["m(0, 1)"] * 1200)
+    def test_check_deep_session(self, capsys, tmp_path):
+        # 5000 messages nest 5000 deep, and every session pass is a loop
+        assert sys.getrecursionlimit() <= 1000
+        messages = "@".join(["m(0, 1)", "n(1, 0, int)"] * 2500)
         path = write(tmp_path / "p.mrl", f"roles 2\nsession long = {messages}\n")
         code, out, err = run(capsys, "session", "check", path)
-        assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "input nests too deeply"}
+        assert (code, err) == (0, "")
+        rep = json.loads(out)["sessions"]["long"]
+        assert rep["session"] == messages
+        assert rep["formula"].count("(tensor @0 ") == 4999
 
     def test_simulate(self, capsys, tmp_path):
         p = write(tmp_path / "p.mrl", PROTOCOL)

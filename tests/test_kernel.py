@@ -971,3 +971,26 @@ class TestRuleTableOracles:
         d = K.search(items, calc, 3)
         K.check(d, calc)
         assert K.rule_tags(d) == {"id", "weaken", "forall-neg"}
+
+    def test_bad_principal_index_is_reported_at_its_node(self):
+        calc = K.MRL(2)
+        ax = K.axiom_multi(Neg(SWAP, A), [1, 2], calc)
+        bad = K.Derivation("neg", ax.conclusion, ax.premises, 7)
+        root = K.Derivation("weaken", bad.conclusion + (IFormula(1, B),), (bad,), 2)
+        want = ("CheckError", "at node [0]: rule neg: bad principal index 7")
+        assert _verdict(K.check, root, calc) == _verdict(check_reference, root, calc) == want
+
+    def test_search_refuses_items_that_check_refuses(self):
+        mrl = K.MRL(2)
+        for items, reason in [
+            ((IFormula(1, A), IFormula(2, A), IFormula(1, Bang(U0, B))),
+             "connective Bang not in calculus mrl"),
+            ((IFormula(1, A), IFormula(4, A)), "role set outside universe"),
+            ((IFormula(3, Neg(Endo((0, 1, 2)), A)),), "endo over 3 roles in universe of 2"),
+            ((IFormula(3, lg.AConj(Ultra(2), A, B)),), "connective AConj not in calculus mrl"),
+        ]:
+            with pytest.raises(K.KernelError) as err:
+                K.search(items, mrl, 3)
+            assert (type(err.value), str(err.value)) == (K.KernelError, reason)
+        with pytest.raises(K.KernelError, match=r"^ultrafilter @2 outside universe$"):
+            K.search((IFormula(3, lg.MConj(Ultra(2), A, B)),), K.LMRL(2), 3)

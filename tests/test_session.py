@@ -1,7 +1,10 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multirole import session as sn
 from multirole.logic import AConj, Atom, Bang, MConj
@@ -31,7 +34,16 @@ from multirole.session import (
     parse_session,
 )
 
-from helpers import next_actions_match, rand_session
+from helpers import (
+    check_session_reference,
+    encode_lmrl_reference,
+    fmt_session_reference,
+    next_actions_match,
+    parse_session_reference,
+    rand_session,
+    session_key,
+)
+from test_cli import mutate
 
 EX1 = ("title(1, 0)@quote(0, 1)@quote(0, 2)@"
        "contrib(1, 2)@option(2, proof(2, 0)@receipt(0, 2))")
@@ -128,6 +140,102 @@ class TestParse:
     def test_roles_out_of_range(self):
         with pytest.raises(sn.SessionError):
             parse_session("a(0, 5)", 2)
+
+
+def _outcome(f, *args):
+    """f's result, or the class and text of the SessionError it raised; any
+    other exception escapes."""
+    try:
+        return "ok", f(*args)
+    except sn.SessionError as e:
+        return type(e), str(e)
+
+
+class TestReferenceOracles:
+    """Every session pass is a loop; the recursive passes they replaced, in
+    helpers, are their references."""
+
+    def test_random_sessions_agree(self):
+        rng = random.Random(20)
+        for _ in range(1200):
+            n = rng.randrange(2, 5)
+            s = rand_session(rng, n, rng.randrange(3))
+            text = fmt_session(s)
+            assert text == fmt_session_reference(s)
+            assert parse_session(text, n) == s == parse_session_reference(text, n)
+            for unroll in range(3):
+                assert encode_lmrl(s, unroll) is encode_lmrl_reference(s, unroll)
+            for m in range(n + 1):
+                assert _outcome(check_session, s, m) == _outcome(check_session_reference, s, m)
+
+    def test_mutated_texts_read_alike(self):
+        """Both readers give equal sessions, or the same error text."""
+        rng = random.Random(21)
+        texts = []
+        for _ in range(60):
+            n = rng.randrange(2, 5)
+            texts.append((fmt_session(rand_session(rng, n, 2)), n))
+        donors = [*sn.PAYLOADS, "gather(2, tick, int)", "gather(0, ack)", "(", ")", ",",
+                  "@", "nil", "nil(0, 1)", "m(0, 7)", "b(9)", "repseq(5, a(0, 1))", "option(",
+                  "aconj(1, a(0, 1), nil)", "mconj(0, a(1, 0), b(0, 1))",
+                  "x(12345678901234567890, 0)", *(t for t, _ in texts[:4])]
+        seen = Counter()
+        for _ in range(2500):
+            text, n = rng.choice(texts)
+            mutated = mutate(rng, text, donors)
+            got = _outcome(parse_session, mutated, n)
+            assert got == _outcome(parse_session_reference, mutated, n), mutated
+            seen[got[0] if got[0] == "ok" else got[1].split(" ")[0]] += 1
+        assert seen["ok"] > 150 and seen["roles"] >= 5 and len(seen) >= 7, seen
+
+
+def _deep(shape: str, k: int = 5000):
+    """k messages nested k deep: to the right as the reader builds an
+    @-run, to the left as parentheses group it, or through combinators."""
+    msgs = [Msg(f"m{i}", i % 2, 1 - i % 2, sn.PAYLOADS[i % 3]) for i in range(k)]
+    if shape == "left":
+        s = msgs[0]
+        for m in msgs[1:]:
+            s = Append(s, m)
+        return s, msgs
+    s = msgs[-1]
+    for i in range(k - 2, -1, -1):
+        m = msgs[i]
+        if shape == "right":
+            s = Append(m, s)
+        else:
+            s = (Repseq(0, Append(m, s)), SAConj(1, m, s), SMConj(0, s, m))[i % 3]
+    return s, msgs
+
+
+@pytest.mark.parametrize("shape", ["right", "left", "combinators"])
+def test_depth_census(shape):
+    assert sys.getrecursionlimit() <= 1000
+    s, msgs = _deep(shape)
+    text = fmt_session(s)
+    parsed = parse_session(text, 2)
+    assert session_key(parsed) == session_key(s)
+    assert fmt_session(parsed) == text
+    check_session(parsed, 2)
+    with pytest.raises(sn.SessionError, match=r"^roles \[1\] outside universe of 1$"):
+        check_session(parsed, 1)
+    labels, todo, seen = set(), [encode_lmrl(parsed, unroll=1)], set()
+    while todo:
+        f = todo.pop()
+        if f not in seen:
+            seen.add(f)
+            if isinstance(f, Atom):
+                labels.add(f.label)
+            else:
+                todo += [f.body] if isinstance(f, Bang) else [f.left, f.right]
+    assert labels - {"nil"} == {sn.atom_label(m) for m in msgs}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 3))
+def test_random_roundtrip_is_identity(seed, n, budget):
+    s = rand_session(random.Random(seed), n, budget)
+    assert parse_session(fmt_session(s), n) == s
 
 
 class TestEncode:
