@@ -173,8 +173,14 @@ def cmd_session(args) -> int:
 
     if args.action == "check":
         report = {"roles": n, "sessions": {}}
-        for name, s in sessions.items():  # parse_protocol checked each against n
-            enc = sn.encode_lmrl(s, unroll=args.unroll)
+        for name, s in sessions.items():
+            # parse_protocol checks each session against the `roles N` in
+            # force when it is read; a later `roles` line may shrink n
+            try:
+                sn.check_session(s, n)
+                enc = sn.encode_lmrl(s, unroll=args.unroll)
+            except sn.SessionError as e:
+                return _fail(f"session {name}: {e}")
             report["sessions"][name] = {
                 "session": sn.fmt_session(s),
                 "formula": lg.fmt_formula(enc),

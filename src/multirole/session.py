@@ -340,6 +340,8 @@ def encode_lmrl(s: SessionType, unroll: int = 0) -> Formula:
     A postorder with an explicit stack, so depth is bounded by memory alone:
     an entry is a session and its unrolling left, or a connective and its
     ultrafilter to apply to the last encodings done."""
+    if unroll < 0:
+        raise SessionError(f"unroll must be at least 0, got {unroll}")
     done, todo = [], [(s, unroll)]
     while todo:
         s, k = todo.pop()
@@ -372,8 +374,7 @@ def encode_lmrl(s: SessionType, unroll: int = 0) -> Formula:
     return done[0]
 
 
-# one ultrafilter per role, so that a connective found in the node table
-# holds the very ultrafilter it is looked up with
+# one ultrafilter per role, so a node-table hit matches it by identity
 _ULTRAS = tuple(Ultra(r) for r in range(rl.MAX_ROLES))
 
 

@@ -242,6 +242,22 @@ class TestSession:
         assert code == 1
         assert "roles N" in json.loads(err)["error"]
 
+    def test_check_later_roles_line_shrinks_universe(self, capsys, tmp_path):
+        path = write(tmp_path / "p.mrl",
+                     "roles 3\nsession a = m(0, 2)\nroles 2\n")
+        code, out, err = run(capsys, "session", "check", path)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == \
+            "session a: roles [2] outside universe of 2"
+
+    def test_check_negative_unroll(self, capsys, tmp_path):
+        path = write(tmp_path / "p.mrl",
+                     "roles 2\nsession loop = repseq(0, m(0, 1))\n")
+        code, out, err = run(capsys, "session", "check", path, "--unroll", "-1")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == \
+            "session loop: unroll must be at least 0, got -1"
+
     def test_check_deep_session(self, capsys, tmp_path):
         # 5000 messages nest 5000 deep, and every session pass is a loop
         assert sys.getrecursionlimit() <= 1000

@@ -263,6 +263,11 @@ class TestEncode:
         f2 = encode_lmrl(s, unroll=2)
         assert isinstance(f2, AConj) and isinstance(f2.left, MConj)
 
+    def test_negative_unroll_refused(self):
+        s = parse_session("repseq(1, a(0, 1))", 2)
+        with pytest.raises(sn.SessionError, match="unroll must be at least 0, got -1"):
+            encode_lmrl(s, unroll=-1)
+
 
 class TestCoherence:
     def test_partition_required(self):
