@@ -42,13 +42,13 @@ from .logic import (
     Term,
     Var,
     _children,
+    _intern,
     _substitute,
     fmt_formula,
     fmt_sequent,
     formulas_from_table,
     free_vars,
     names_in,
-    postorder,
     roles_from_obj,
     seq_counts,
     seq_equal,
@@ -94,6 +94,8 @@ class Calculus:
         if self.j is not None and self.j.r >= self.n:
             raise KernelError(f"ultrafilter J = @{self.j.r} outside universe of "
                               f"{self.n} roles")
+        if self.j is not None and self.kind != "mrlj":
+            raise KernelError(f"calculus {self.kind} takes no ultrafilter J")
 
     @property
     def linear(self) -> bool:
@@ -164,8 +166,14 @@ class Derivation(Node):
 
     def __new__(cls, rule: str, conclusion: Sequent, premises=(), principal=None,
                 witness=None, eigen=None):
-        return super().__new__(cls, rule, tuple(conclusion), tuple(premises), principal,
-                               witness, eigen)
+        # Node.__new__ for six fields, without packing them
+        key = (cls, rule, tuple(conclusion), tuple(premises), principal, witness, eigen)
+        ref = Node._table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _intern(key)
 
     @property
     def height(self) -> int:
@@ -347,66 +355,82 @@ def _items_fault(items: Sequent, calc: Calculus, ok: set) -> str | None:
     return None
 
 
-def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set) -> None:
-    _expect(d.rule in _ALLOWED_RULES[calc.kind], path,
-            "rule {} not available in {}", d.rule, calc.kind)
-    bad = _items_fault(d.conclusion, calc, ok)
-    _expect(bad is None, path, bad or "")
-    if calc.kind == "mrlj":
-        _expect(is_intuitionistic(d.conclusion, calc.j), path,
-                "sequent is not J-intuitionistic")
+def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set,
+                checked: set) -> None:
+    """Raise CheckError at path unless d keeps its rule's schema.  Items in
+    checked and formulas in ok passed earlier in this call and are skipped."""
+    rule, concl, prems = d.rule, d.conclusion, d.premises
+    if rule not in _ALLOWED_RULES[calc.kind]:
+        raise CheckError(path, f"rule {rule} not available in {calc.kind}")
+    full = (1 << calc.n) - 1
+    for it in concl:  # as _items_fault, each distinct item once per call
+        if it not in checked:
+            if not 0 <= it.roles <= full:
+                raise CheckError(path, "role set outside universe")
+            if it.formula not in ok:
+                bad = _formula_ok(it.formula, calc, ok)
+                if bad is not None:
+                    raise CheckError(path, bad)
+            checked.add(it)
+    if calc.j is not None and not is_intuitionistic(concl, calc.j):
+        raise CheckError(path, "sequent is not J-intuitionistic")
 
-    if d.rule == "id":
+    if rule == "id":
         _arity(d, path, 0)
-        _expect(len(d.conclusion) >= 1, path, "(id) needs at least one i-formula")
-        first = d.conclusion[0].formula
+        _expect(len(concl) >= 1, path, "(id) needs at least one i-formula")
+        first = concl[0].formula
         _expect(isinstance(first, Atom), path, "(id) items must be primitive")
-        for it in d.conclusion:
+        for it in concl:
             _expect(it.formula == first, path, "(id) items must share one primitive formula")
-        _expect(rl.partition_check([it.roles for it in d.conclusion], calc.n),
+        _expect(rl.partition_check([it.roles for it in concl], calc.n),
                 path, "(id) role sets must partition the universe")
         return
 
-    item = _principal_item(d, path)
-    ctx = _ctx(d)
+    i = d.principal  # as _principal_item and _ctx
+    if i is None or not 0 <= i < len(concl):
+        raise CheckError(path, f"rule {rule}: bad principal index {i}")
+    item = concl[i]
+    ctx = concl[:i] + concl[i + 1 :]
     a = item.formula
-    cls, positive, split, adds = _RULES[d.rule]
+    cls, positive, split, adds = _RULES[rule]
     if not isinstance(a, cls):
         raise CheckError(path, _CLASS_TEXTS[cls])
-    if positive is not None:
-        _expect(a.u.contains(item.roles) == positive, path,
-                "({}) needs R in U" if positive else "({}) needs R not in U", d.rule)
+    if positive is not None and (item.roles >> a.u.r & 1) != positive:
+        raise CheckError(path, f"({rule}) needs R in U" if positive
+                         else f"({rule}) needs R not in U")
     y = None
-    if d.rule == "bang-pos":
+    if rule == "bang-pos":
         for it in ctx:
             _expect(_is_why_not(it), path,
                     "(bang-pos) context must consist of <R'>!_U' B' with R' not in U'")
-    elif d.rule == "forall-neg":
+    elif rule == "forall-neg":
         _expect(d.witness is not None, path, "(forall-neg) needs a witness term")
-    elif d.rule == "forall-pos":
+    elif rule == "forall-pos":
         y = d.eigen if d.eigen is not None else a.var
         _expect(y not in seq_free_vars(ctx), path,
                 "(forall-pos) eigenvariable occurs free in the context")
         _expect(y == a.var or y not in (free_vars(a.body) - {a.var}), path,
                 "(forall-pos) eigenvariable captured in the body")
     added = adds(item.roles, a, d.witness, y)
-    _arity(d, path, len(added))
+    if len(prems) != len(added):
+        raise CheckError(path, f"rule {rule} expects {len(added)} premises, got {len(prems)}")
     if split:
-        g1 = seq_minus(d.premises[0].conclusion, added[0])
-        g2 = seq_minus(d.premises[1].conclusion, added[1])
+        g1 = seq_minus(prems[0].conclusion, added[0])
+        g2 = seq_minus(prems[1].conclusion, added[1])
         _expect(g1 is not None and g2 is not None, path,
-                "({}): premises missing the introduced i-formulas", d.rule)
+                "({}): premises missing the introduced i-formulas", rule)
         _expect(seq_equal(g1 + g2, ctx), path,
-                "({}): context split does not reassemble the conclusion", d.rule)
-        return
-    if d.rule in _CONTRACTIONS:
-        texts = ("({}): premise must hold one extra copy",)
+                "({}): context split does not reassemble the conclusion", rule)
     elif len(added) == 1:
-        texts = ("rule {}: premise does not match schema",)
+        want = ctx + added[0]
+        if prems[0].conclusion != want and not seq_equal(prems[0].conclusion, want):
+            raise CheckError(path, f"({rule}): premise must hold one extra copy"
+                             if rule in _CONTRACTIONS
+                             else f"rule {rule}: premise does not match schema")
     else:
-        texts = ("({}): left premise mismatch", "({}): right premise mismatch")
-    for p, add, text in zip(d.premises, added, texts):
-        _expect(seq_equal(p.conclusion, ctx + add), path, text, d.rule)
+        for p, add, side in zip(prems, added, ("left", "right")):
+            _expect(seq_equal(p.conclusion, ctx + add), path,
+                    "({}): {} premise mismatch", rule, side)
 
 
 def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
@@ -416,6 +440,7 @@ def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
     it, came earlier in preorder and passed.
     """
     ok: set = set()  # formulas found well-formed in calc during this call
+    checked: set = set()  # conclusion items found good during this call
     seen: set = set()
     stack = [(d, path)]
     while stack:
@@ -423,7 +448,7 @@ def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
         if node in seen:
             continue
         seen.add(node)
-        _check_node(node, calc, at, ok)
+        _check_node(node, calc, at, ok, checked)
         for i in range(len(node.premises) - 1, -1, -1):
             stack.append((node.premises[i], at + (i,)))
 
@@ -785,15 +810,6 @@ def cut2_residual(d1: Derivation, i1: int, d2: Derivation, i2: int,
     return _cut2(d1, x1, 1, d2, x2, 1, calc, FreshNames(lambda: _names(d1, d2)), {})
 
 
-def _swap_for_linear(d1, x1, n1, d2, x2, n2, calc):
-    """For the linear ! case, keep the side whose roles are in U first."""
-    a = x1.formula
-    if calc.linear and isinstance(a, Bang) and not a.u.contains(x1.roles) \
-            and a.u.contains(x2.roles):
-        return d2, x2, n2, d1, x1, n1
-    return d1, x1, n1, d2, x2, n2
-
-
 def _merge_weaken(d: Derivation, items: Sequent, calc: Calculus) -> Derivation:
     for it in items:
         d = b_weaken(d, it, calc)
@@ -819,8 +835,11 @@ def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
     out = memo.get(key)
     if out is not None:
         return out
-    d1, x1, n1, d2, x2, n2 = _swap_for_linear(d1, x1, n1, d2, x2, n2, calc)
-    resid = IFormula(x1.roles & x2.roles, x1.formula)
+    a = x1.formula
+    if calc.linear and isinstance(a, Bang) and not a.u.contains(x1.roles) \
+            and a.u.contains(x2.roles):  # for the linear ! case, the side in U first
+        d1, x1, n1, d2, x2, n2 = d2, x2, n2, d1, x1, n1
+    resid = IFormula(x1.roles & x2.roles, a)
     # stray copies at an (id) node can only be <{}>-occurrences; drop them
     if d1.rule == "id" and n1 > 1:
         d1, n1 = b_id(seq_minus(d1.conclusion, (x1,) * (n1 - 1))), 1
@@ -834,11 +853,11 @@ def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
     elif not _is_principal_on(d1, x1):
         out = _push(d1, x1, n1, d2, x2, n2, calc, fresh, memo, into=1)
     # side 1 is at its principal occurrence; handle side-1 structural rules
-    elif d1.rule in ("weaken", "bang-neg-weaken") and _principal_item(d1) == x1:
+    elif d1.rule in ("weaken", "bang-neg-weaken"):
         out = _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, fresh, memo)
-    elif d1.rule in ("contract", "bang-neg-contract") and _principal_item(d1) == x1:
+    elif d1.rule in ("contract", "bang-neg-contract"):
         out = _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, fresh, memo)
-    elif d1.rule == "bang-neg-derelict" and _principal_item(d1) == x1:
+    elif d1.rule == "bang-neg-derelict":
         # only reachable when both sides are ?-sided; cannot happen since
         # at least one role set contains the head role
         raise KernelError("cut2_residual: dereliction on a positive-side occurrence")
@@ -846,15 +865,15 @@ def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
         out = _push(d1, x1, n1, d2, x2, n2, calc, fresh, memo, into=1)
     elif not _is_principal_on(d2, x2):
         out = _push(d2, x2, n2, d1, x1, n1, calc, fresh, memo, into=2)
-    elif d2.rule in ("weaken", "bang-neg-weaken") and _principal_item(d2) == x2:
+    elif d2.rule in ("weaken", "bang-neg-weaken"):
         if d2.rule == "bang-neg-weaken":
             _hit("bang-weaken")
         out = _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, fresh, memo)
-    elif d2.rule in ("contract", "bang-neg-contract") and _principal_item(d2) == x2:
+    elif d2.rule in ("contract", "bang-neg-contract"):
         if d2.rule == "bang-neg-contract":
             _hit("bang-contract")
         out = _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, fresh, memo)
-    elif d2.rule == "bang-neg-derelict" and _principal_item(d2) == x2:
+    elif d2.rule == "bang-neg-derelict":
         out = _derelict_case(d1, x1, d2, x2, n2, calc, fresh, memo)
     elif n2 > 1 and d2.rule != "id":
         out = _push(d2, x2, n2, d1, x1, n1, calc, fresh, memo, into=2)
@@ -1021,7 +1040,7 @@ def mp_cut(ds: list[Derivation], indices: list[int], calc: Calculus) -> Derivati
     full = rl.full_set(calc.n)
     if not rl.partition_check([full & ~oc.roles for oc in occs], calc.n):
         raise KernelError("mp_cut: complements of the role sets must partition the universe")
-    if calc.kind == "mrlj":
+    if calc.j is not None:
         for d in ds:
             if not is_intuitionistic(d.conclusion, calc.j):
                 raise KernelError("mp_cut: non-intuitionistic premise")
@@ -1094,7 +1113,7 @@ def _search(items: Sequent, calc: Calculus, depth: int, memo: dict,
 
 
 def _candidates_ok(premises: list, calc: Calculus) -> bool:
-    return calc.kind != "mrlj" or all(is_intuitionistic(p, calc.j) for p in premises)
+    return calc.j is None or all(is_intuitionistic(p, calc.j) for p in premises)
 
 
 def _search_raw(items, calc, depth, memo, fresh):
@@ -1183,20 +1202,34 @@ def entailment(a: Formula, b: Formula, r: int, calc: Calculus,
 
 
 def derivation_to_obj(d: Derivation) -> dict:
-    """d as a table of its distinct formulas and nodes (format above)."""
+    """d as a table of its distinct formulas and nodes (format above).
+    Equal conclusion items share one [roles, formula entry] list."""
     formulas = FormulaTable()
     nodes: list = []
     nindex: dict = {}
     members: dict = {}  # each role set's list of roles, made once per call
-
-    def add_node(node: Derivation) -> int:
+    entries: dict = {}  # each item's [roles, formula entry], made once per call
+    stack = [d]
+    while stack:  # postorder as logic.postorder, premises left to right
+        node = stack[-1]
+        if node in nindex:
+            stack.pop()
+            continue
+        todo = [p for p in node.premises if p not in nindex]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
         conclusion = []
         for it in node.conclusion:
-            roles_ = members.get(it.roles)
-            if roles_ is None:
-                roles_ = members[it.roles] = rl.members(it.roles)
-            conclusion.append([roles_, formulas.index(it.formula)])
-        entry: dict = {"rule": node.rule, "conclusion": conclusion}
+            entry = entries.get(it)
+            if entry is None:
+                roles_ = members.get(it.roles)
+                if roles_ is None:
+                    roles_ = members[it.roles] = rl.members(it.roles)
+                entry = entries[it] = [roles_, formulas.index(it.formula)]
+            conclusion.append(entry)
+        entry = {"rule": node.rule, "conclusion": conclusion}
         if node.premises:
             entry["premises"] = [nindex[p] for p in node.premises]
         if node.principal is not None:
@@ -1205,11 +1238,9 @@ def derivation_to_obj(d: Derivation) -> dict:
             entry["witness"] = formulas.index(node.witness)
         if node.eigen is not None:
             entry["eigen"] = node.eigen
+        nindex[node] = len(nodes)
         nodes.append(entry)
-        return len(nodes) - 1
-
-    root = postorder(d, lambda node: node.premises, nindex, add_node)
-    return {"formulas": formulas.entries, "nodes": nodes, "root": root}
+    return {"formulas": formulas.entries, "nodes": nodes, "root": nindex[d]}
 
 
 def derivation_to_json(d: Derivation, pretty: bool = False) -> str:
@@ -1231,45 +1262,49 @@ def derivation_from_obj(obj, n: int | None = None) -> Derivation:
     if not isinstance(nodes, list):
         raise KernelError('a derivation JSON\'s "nodes" must be an array')
     syntax = formulas_from_table(formulas, n)
+    # formula (not term) entries by index, and the items read so far by their
+    # checked mask, never the raw list: [[true], k] must fail after [[1], k]
+    entry_formulas = {k: a for k, a in enumerate(syntax) if not isinstance(a, Term)}
+    item_memo: dict = {}
     built: list = []
-    for entry in nodes:
-        built.append(_node_entry(entry, syntax, built, n))
+    for k, entry in enumerate(nodes):
+        if not isinstance(entry, dict):
+            raise KernelError(f"derivation JSON node {k} must be an object")
+        try:
+            rule, conclusion = entry["rule"], entry["conclusion"]
+        except KeyError as e:
+            raise KernelError(f'derivation JSON node {k} has no "{e.args[0]}"') from None
+        premises = entry.get("premises", [])
+        principal, witness, eigen = entry.get("principal"), entry.get("witness"), entry.get("eigen")
+        if not (isinstance(rule, str) and isinstance(conclusion, list)
+                and (principal is None or type(principal) is int)
+                and (eigen is None or isinstance(eigen, str))):
+            raise KernelError(f'derivation JSON node {k}: its "rule", "conclusion", '
+                              '"principal" or "eigen" has the wrong type')
+        prems = [built[p] for p in premises if type(p) is int and 0 <= p < k] \
+            if isinstance(premises, list) else None
+        if prems is None or len(prems) != len(premises):
+            raise KernelError(f'derivation JSON node {k}: "premises" must list earlier nodes')
+        if witness is not None:
+            if not (type(witness) is int and 0 <= witness < len(syntax)
+                    and isinstance(syntax[witness], Term)):
+                raise KernelError(f"derivation JSON node {k}: the witness must be a term entry")
+            witness = syntax[witness]
+        items = []
+        for item in conclusion:
+            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int
+                    and item[1] in entry_formulas):
+                raise FormulaError(f"derivation JSON node {k}: a conclusion item must be "
+                                   "[roles, formula entry]")
+            key = (roles_from_obj(item[0], n), item[1])
+            it = item_memo.get(key)
+            if it is None:
+                it = item_memo[key] = IFormula(key[0], entry_formulas[item[1]])
+            items.append(it)
+        built.append(Derivation(rule, items, prems, principal, witness, eigen))
     if not (type(root) is int and 0 <= root < len(built)):
         raise KernelError(f"derivation JSON root {root!r} is not a node index")
     return built[root]
-
-
-def _node_entry(entry, syntax: list, built: list, n: int | None) -> Derivation:
-    """Node table entry k = len(built), whose nodes below k are read."""
-    k = len(built)
-    if not isinstance(entry, dict):
-        raise KernelError(f"derivation JSON node {k} must be an object")
-    try:
-        rule, conclusion = entry["rule"], entry["conclusion"]
-    except KeyError as e:
-        raise KernelError(f'derivation JSON node {k} has no "{e.args[0]}"') from None
-    premises = entry.get("premises", [])
-    principal, witness, eigen = entry.get("principal"), entry.get("witness"), entry.get("eigen")
-    if not (isinstance(rule, str) and isinstance(conclusion, list)
-            and (principal is None or type(principal) is int)
-            and (eigen is None or isinstance(eigen, str))):
-        raise KernelError(f'derivation JSON node {k}: its "rule", "conclusion", '
-                          '"principal" or "eigen" has the wrong type')
-    if not (isinstance(premises, list) and all(type(p) is int and 0 <= p < k for p in premises)):
-        raise KernelError(f'derivation JSON node {k}: "premises" must list earlier nodes')
-    if witness is not None:
-        if not (type(witness) is int and 0 <= witness < len(syntax)
-                and isinstance(syntax[witness], Term)):
-            raise KernelError(f"derivation JSON node {k}: the witness must be a term entry")
-        witness = syntax[witness]
-    items = []
-    for item in conclusion:
-        if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int
-                and 0 <= item[1] < len(syntax) and not isinstance(syntax[item[1]], Term)):
-            raise FormulaError(f"derivation JSON node {k}: a conclusion item must be "
-                               "[roles, formula entry]")
-        items.append(IFormula(roles_from_obj(item[0], n), syntax[item[1]]))
-    return Derivation(rule, items, [built[p] for p in premises], principal, witness, eigen)
 
 
 def derivation_from_json(text: str, n: int | None = None) -> Derivation:

@@ -58,6 +58,11 @@ class Node:
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
     _table: dict = {}  # (class, *fields) -> a _Ref to the live node
+    _setters: tuple = ()  # the slot setter of each field, found once per class
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -68,14 +73,8 @@ class Node:
                 return node
         names = cls.__match_args__
         if len(fields) != len(names):
-            raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
-                            f"got {len(fields)}")
-        node = object.__new__(cls)
-        for name, value in zip(names, fields):
-            object.__setattr__(node, name, value)
-        ref = Node._table[key] = _Ref(node, _forget)
-        ref.key = key
-        return node
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+        return _intern(key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -88,6 +87,17 @@ class Node:
 
     def __repr__(self) -> str:
         return _unfold([self], _repr_parts, BRIEF)
+
+
+def _intern(key: tuple) -> Node:
+    """A new node for key = (class, *fields), entered in the table."""
+    cls = key[0]
+    node = object.__new__(cls)
+    for set_field, value in zip(cls._setters, key[1:]):
+        set_field(node, value)
+    ref = Node._table[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
 
 
 class _Ref(weakref.ref):
@@ -378,6 +388,16 @@ class IFormula(Node):
     __slots__ = __match_args__ = ("roles", "formula")
     roles: int
     formula: Formula
+
+    def __new__(cls, roles: int, formula: Formula):
+        # Node.__new__ for two fields, without packing them: most calls hit
+        key = (cls, roles, formula)
+        ref = Node._table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _intern(key)
 
 
 Sequent = tuple[IFormula, ...]

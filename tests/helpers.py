@@ -457,6 +457,124 @@ def _search_raw_reference(items, calc, depth, memo, fresh):
     return None
 
 
+# The kernel's derivation JSON writer and reader from before they handled
+# each distinct conclusion item once, kept as differential oracles for
+# K.derivation_to_obj and K.derivation_from_obj.
+
+
+def derivation_to_obj_reference(d: K.Derivation) -> dict:
+    formulas = lg.FormulaTable()
+    nodes: list = []
+    nindex: dict = {}
+    members: dict = {}
+
+    def add_node(node: K.Derivation) -> int:
+        conclusion = []
+        for it in node.conclusion:
+            roles_ = members.get(it.roles)
+            if roles_ is None:
+                roles_ = members[it.roles] = rl.members(it.roles)
+            conclusion.append([roles_, formulas.index(it.formula)])
+        entry: dict = {"rule": node.rule, "conclusion": conclusion}
+        if node.premises:
+            entry["premises"] = [nindex[p] for p in node.premises]
+        if node.principal is not None:
+            entry["principal"] = node.principal
+        if node.witness is not None:
+            entry["witness"] = formulas.index(node.witness)
+        if node.eigen is not None:
+            entry["eigen"] = node.eigen
+        nodes.append(entry)
+        return len(nodes) - 1
+
+    root = lg.postorder(d, lambda node: node.premises, nindex, add_node)
+    return {"formulas": formulas.entries, "nodes": nodes, "root": root}
+
+
+def derivation_from_obj_reference(obj, n: int | None = None) -> K.Derivation:
+    if not isinstance(obj, dict):
+        raise K.KernelError("derivation JSON must be an object")
+    try:
+        formulas, nodes, root = obj["formulas"], obj["nodes"], obj["root"]
+    except KeyError as e:
+        raise K.KernelError(f'derivation JSON has no "{e.args[0]}"') from None
+    if not isinstance(nodes, list):
+        raise K.KernelError('a derivation JSON\'s "nodes" must be an array')
+    syntax = lg.formulas_from_table(formulas, n)
+    built: list = []
+    for entry in nodes:
+        built.append(_node_entry_reference(entry, syntax, built, n))
+    if not (type(root) is int and 0 <= root < len(built)):
+        raise K.KernelError(f"derivation JSON root {root!r} is not a node index")
+    return built[root]
+
+
+def _node_entry_reference(entry, syntax: list, built: list, n: int | None) -> K.Derivation:
+    k = len(built)
+    if not isinstance(entry, dict):
+        raise K.KernelError(f"derivation JSON node {k} must be an object")
+    try:
+        rule, conclusion = entry["rule"], entry["conclusion"]
+    except KeyError as e:
+        raise K.KernelError(f'derivation JSON node {k} has no "{e.args[0]}"') from None
+    premises = entry.get("premises", [])
+    principal, witness, eigen = entry.get("principal"), entry.get("witness"), entry.get("eigen")
+    if not (isinstance(rule, str) and isinstance(conclusion, list)
+            and (principal is None or type(principal) is int)
+            and (eigen is None or isinstance(eigen, str))):
+        raise K.KernelError(f'derivation JSON node {k}: its "rule", "conclusion", '
+                            '"principal" or "eigen" has the wrong type')
+    if not (isinstance(premises, list) and all(type(p) is int and 0 <= p < k for p in premises)):
+        raise K.KernelError(f'derivation JSON node {k}: "premises" must list earlier nodes')
+    if witness is not None:
+        if not (type(witness) is int and 0 <= witness < len(syntax)
+                and isinstance(syntax[witness], lg.Term)):
+            raise K.KernelError(f"derivation JSON node {k}: the witness must be a term entry")
+        witness = syntax[witness]
+    items = []
+    for item in conclusion:
+        if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int
+                and 0 <= item[1] < len(syntax) and not isinstance(syntax[item[1]], lg.Term)):
+            raise lg.FormulaError(f"derivation JSON node {k}: a conclusion item must be "
+                                  "[roles, formula entry]")
+        items.append(IFormula(lg.roles_from_obj(item[0], n), syntax[item[1]]))
+    return K.Derivation(rule, items, [built[p] for p in premises], principal, witness, eigen)
+
+
+def rand_cut_output(rng: random.Random, calc) -> K.Derivation | None:
+    """axiom_multi on a random formula of calc, cut by one of the four cut
+    entry points (or left uncut); None where mrlj has no such derivation."""
+    n, full = calc.n, rl.full_set(calc.n)
+    a = rand_formula(rng, calc, n, rng.randrange(5))
+    how = rng.choice(["axiom", "cut1", "cut2_residual", "mp_cut", "split_roles"])
+    try:
+        if how == "axiom":
+            return K.axiom_multi(a, rand_partition(rng, n, rng.choice([1, 2, 3])), calc)
+        if how == "cut1":
+            d = K.axiom_multi(a, [0, full], calc)
+            return K.cut1(d, d.conclusion.index(IFormula(0, a)), calc)
+        if how == "cut2_residual":
+            r1 = rng.randrange(1, full) if full > 1 else 1
+            r2 = (full & ~r1) | (rng.randrange(1 << n) & r1)
+            d1 = K.axiom_multi(a, [r1, full & ~r1], calc)
+            d2 = K.axiom_multi(a, [r2, full & ~r2], calc)
+            return K.cut2_residual(d1, d1.conclusion.index(IFormula(r1, a)),
+                                   d2, d2.conclusion.index(IFormula(r2, a)), calc)
+        if how == "mp_cut":
+            comps = rand_partition(rng, n, rng.choice([2, 3]))
+            ds = [K.axiom_multi(a, [full & ~c, c], calc) for c in comps]
+            return K.mp_cut(ds, [d.conclusion.index(IFormula(full & ~c, a))
+                                 for d, c in zip(ds, comps)], calc)
+        r, rest = rand_partition(rng, n, 2)
+        sub = rng.randrange(1 << n) & r
+        d = K.axiom_multi(a, [r, rest], calc)
+        return K.split_roles(d, d.conclusion.index(IFormula(r, a)), sub, r & ~sub, calc)
+    except K.KernelError:
+        if calc.j is None:
+            raise
+        return None  # an mrlj split with no J order
+
+
 def malformed_tables() -> list[tuple[str, object]]:
     """Derivation files in the table format, each broken in one place, and
     files in other shapes: (what is broken, the file's JSON value)."""

@@ -30,13 +30,17 @@ from helpers import (
     MALFORMED_ITEMS,
     check_reference,
     deep_derivation,
+    derivation_from_obj_reference,
+    derivation_to_obj_reference,
     malformed_tables,
+    rand_cut_output,
     rand_formula,
     rand_partition,
     search_reference,
     shared_conj,
     work_bound,
 )
+from test_cli import mutate
 
 
 A = Atom("a")
@@ -111,6 +115,13 @@ class TestCheck:
         with pytest.raises(K.KernelError, match="outside universe"):
             K.Calculus("mrl", 2, Ultra(r))
         K.MRLJ(2, Ultra(1))
+
+    @pytest.mark.parametrize("kind", ["mrl", "lmrl"])
+    def test_ultrafilter_only_in_mrlj(self, kind):
+        # J belongs to mrlj alone: in Calculus("lmrl", 2, Ultra(1)),
+        # axiom_multi refused the axiom of (tensor @0 a b) that check accepted
+        with pytest.raises(K.KernelError, match=f"^calculus {kind} takes no ultrafilter J$"):
+            K.Calculus(kind, 2, Ultra(1))
 
     def test_check_reports_path(self):
         calc = K.LMRL(2)
@@ -498,6 +509,99 @@ class TestJson:
         for obj in (node, wrapped):
             with pytest.raises(K.KernelError):
                 K.derivation_from_json(json.dumps(obj))
+
+
+def _swap_leaf(rng: random.Random, obj, values: list):
+    """The JSON value obj with one number, string or bool in it (chosen at
+    random) replaced by one of values, in place."""
+    spots = []
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        for k, v in enumerate(x) if isinstance(x, list) else x.items():
+            if isinstance(v, (list, dict)):
+                stack.append(v)
+            else:
+                spots.append((x, k))
+    x, k = rng.choice(spots)
+    x[k] = rng.choice(values)
+    return obj
+
+
+class TestJsonReferenceOracles:
+    """The derivation JSON writer and reader against their versions from
+    before they handled each distinct conclusion item once."""
+
+    CALCS = [K.MRL(2), K.MRL(3), K.MRLJ(2, Ultra(0)), K.MRLJ(3, Ultra(1)),
+             K.LMRL(2), K.LMRL(3)]
+
+    def derivations(self, rng, count):
+        out = []
+        while len(out) < count:
+            calc = rng.choice(self.CALCS)
+            d = rand_cut_output(rng, calc)
+            if d is not None:
+                K.check(d, calc)
+                out.append((d, calc))
+        return out
+
+    def test_writers_agree(self):
+        rules = set()
+        for d, _ in self.derivations(random.Random(0), 500):
+            want = derivation_to_obj_reference(d)
+            assert K.derivation_to_obj(d) == want
+            assert K.derivation_to_json(d) == json.dumps(want, separators=(",", ":"))
+            assert K.derivation_to_json(d, pretty=True) == json.dumps(want, indent=2)
+            rules |= K.rule_tags(d)
+        assert {"id", "neg", "forall-neg", "forall-pos", "imp-pos", "mconj-pos",
+                "bang-pos", "bang-neg-contract"} <= rules
+
+    def test_mutated_texts_read_alike(self):
+        def outcome(read, obj, n):
+            try:
+                return read(obj, n)
+            except Exception as e:  # any class, which must match too
+                return type(e), str(e)
+
+        rng = random.Random(1)
+        pool = self.derivations(rng, 40)
+        texts = [(K.derivation_to_json(d, pretty=rng.random() < 0.3), calc.n) for d, calc in pool]
+        donors = [t for t, _ in texts] + [
+            "true", "false", "1.0", "-1", "[]", "{}", '"x"', "99", "[[1], 0]", "[[true], 0]",
+            '"premises": [99]', '"witness": 0', '"principal": true', '"root": 99']
+        values = [True, False, 1.0, -1, 0, 99, [], {}, "x"]
+        outcomes = []
+        while len(outcomes) < 4000:  # 2000 mutated texts, 2000 swapped values
+            text, n = rng.choice(texts)
+            if len(outcomes) % 2:
+                obj = _swap_leaf(rng, json.loads(text), values)
+            else:
+                try:
+                    obj = json.loads(mutate(rng, text, donors))
+                except ValueError:
+                    continue
+            n = rng.choice([n, None])
+            got = outcome(K.derivation_from_obj, obj, n)
+            want = outcome(derivation_from_obj_reference, obj, n)
+            assert got is want if isinstance(want, K.Derivation) else got == want, obj
+            outcomes.append(got)
+        refusals = Counter(o[0] for o in outcomes if isinstance(o, tuple))
+        assert set(refusals) == {K.KernelError, lg.FormulaError}
+        assert sum(isinstance(o, K.Derivation) for o in outcomes) > 600
+        assert len({o for o in outcomes if isinstance(o, tuple)}) > 100
+
+    def test_role_named_as_true_after_its_number(self):
+        # both nodes list the item <{1}>a; the root's copy names role 1 as
+        # true, which equals and hashes like 1 but is no role number
+        d = K.b_id((IFormula(1, A), IFormula(2, A)))
+        obj = K.derivation_to_obj(K.b_weaken(d, IFormula(1, B), K.MRL(2)))
+        root = obj["nodes"][obj["root"]]
+        assert [1] in [item[0] for item in obj["nodes"][0]["conclusion"]]
+        root["conclusion"] = [[[True], k] if roles == [1] else [roles, k]
+                              for roles, k in root["conclusion"]]
+        for read in (K.derivation_from_obj, derivation_from_obj_reference):
+            with pytest.raises(lg.FormulaError, match="must be a list of role numbers"):
+                read(json.loads(json.dumps(obj)))
 
 
 # ------------------------------------------- branch pins (strays, ⊸, splits)

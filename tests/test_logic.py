@@ -22,6 +22,7 @@ from multirole.logic import (
     IFormula,
     MConj,
     Neg,
+    Node,
     Var,
     free_vars,
     fmt_formula,
@@ -281,6 +282,39 @@ class TestHashConsing:
         assert lg.Node._table[key] is newer
         del node
         assert key not in lg.Node._table
+
+    def test_fixed_arity_constructors_keep_the_table(self):
+        # IFormula and Derivation build their table key themselves; they
+        # must give what Node.__new__ gives and keep its table and errors
+        a = parse_formula("(tensor @0 a b)")
+        d = K.axiom_multi(a, [1, 2], K.LMRL(2))
+        assert Node.__new__(IFormula, 1, a) is IFormula(1, a)
+        assert IFormula(1, a) in d.conclusion
+        assert Node.__new__(K.Derivation, d.rule, d.conclusion, d.premises, d.principal,
+                            None, None) is d
+        leaf = K.Derivation("id", [IFormula(1, Atom("a")), IFormula(2, Atom("a"))])
+        assert leaf is K.Derivation("id", leaf.conclusion, (), None, None, None)
+        for cls, fields, count in ((IFormula, (1,), 2), (K.Derivation, ("id",), 6)):
+            with pytest.raises(TypeError, match=f"^{cls.__name__} takes {count} fields, got 1$"):
+                Node.__new__(cls, *fields)
+        for node in (IFormula(3, a), d, leaf):
+            assert pickle.loads(pickle.dumps(node)) is node
+
+    def test_fixed_arity_constructors_skip_dead_entries(self):
+        def fields(node):
+            return tuple(getattr(node, k) for k in node.__match_args__)
+
+        b = Atom("fast_path_b")
+        for make in (lambda: IFormula(5, b), lambda: K.Derivation("id", (IFormula(5, b),))):
+            node = make()
+            key, want = (type(node), *fields(node)), fields(node)
+            ref = lg.Node._table[key]
+            del node
+            assert ref() is None and key not in lg.Node._table
+            lg.Node._table[key] = ref  # a dead entry whose callback has not run yet
+            again = make()
+            assert fields(again) == want and lg.Node._table[key]() is again
+            assert make() is again
 
     def test_deep_formula_hashes_without_recursion(self):
         swap = Endo((1, 0))
