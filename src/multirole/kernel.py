@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from . import roles as rl
 from .logic import (
-    BRIEF,
     AConj,
     Atom,
     Bang,
@@ -37,12 +36,10 @@ from .logic import (
     Impl,
     MConj,
     Neg,
-    Node,
     Sequent,
     Term,
     Var,
     _children,
-    _intern,
     _substitute,
     fmt_formula,
     fmt_sequent,
@@ -57,7 +54,7 @@ from .logic import (
     size,
     substitute,
 )
-from .roles import Ultra
+from .roles import BRIEF, Node, Ultra, _intern
 
 
 class KernelError(Exception):
@@ -355,10 +352,10 @@ def _items_fault(items: Sequent, calc: Calculus, ok: set) -> str | None:
     return None
 
 
-def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...], ok: set,
-                checked: set) -> None:
-    """Raise CheckError at path unless d keeps its rule's schema.  Items in
+def _check_node(d: Derivation, calc: Calculus, ok: set, checked: set) -> None:
+    """Raise CheckError unless d keeps its rule's schema.  Items in
     checked and formulas in ok passed earlier in this call and are skipped."""
+    path = ()  # check() puts in d's path
     rule, concl, prems = d.rule, d.conclusion, d.premises
     if rule not in _ALLOWED_RULES[calc.kind]:
         raise CheckError(path, f"rule {rule} not available in {calc.kind}")
@@ -441,16 +438,23 @@ def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
     """
     ok: set = set()  # formulas found well-formed in calc during this call
     checked: set = set()  # conclusion items found good during this call
-    seen: set = set()
-    stack = [(d, path)]
+    seen: dict = {}  # each node met, to its parent and its premise index there
+    stack = [(d, None, None)]
     while stack:
-        node, at = stack.pop()
+        node, parent, i = stack.pop()
         if node in seen:
             continue
-        seen.add(node)
-        _check_node(node, calc, at, ok, checked)
+        seen[node] = parent, i
+        try:
+            _check_node(node, calc, ok, checked)
+        except CheckError as e:  # the path is built only for the failing node
+            at = []
+            while parent is not None:
+                at.append(i)
+                parent, i = seen[parent]
+            raise CheckError(path + tuple(reversed(at)), e.reason) from None
         for i in range(len(node.premises) - 1, -1, -1):
-            stack.append((node.premises[i], at + (i,)))
+            stack.append((node.premises[i], node, i))
 
 
 def check_ok(d: Derivation, calc: Calculus) -> bool:

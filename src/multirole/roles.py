@@ -5,14 +5,134 @@ int bitmasks; bit r set means role r is a member.  Endo maps are total
 functions on the universe, stored as tuples.  Ultrafilters over a finite
 universe are exactly the principal ones, so an ultrafilter is identified
 by its defining role.
+
+``Node`` here is the hash-consed base of endo maps and ultrafilters, and
+of the formulas, derivations and sessions of the other modules.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
 from functools import reduce
+
+# ----------------------------------------------------- hash-consed nodes
+
+
+class Node:
+    """An immutable, hash-consed syntax node.
+
+    Constructing a node looks up ``(class, *fields)`` in a table and returns
+    the live node it finds, so structurally equal nodes are one object:
+    ``==`` and ``hash`` are identity's, O(1) at any depth.  The table is a
+    plain dict from each key to a weak reference to its node, so a hit is
+    one dict lookup and one call of the reference; the table holds no node
+    alive, so no result can depend on it.  A node's death removes its entry
+    (``_forget``).  The fields are the names in ``__match_args__``; a class
+    may add slots after them for values computed from the fields.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+    _table: dict = {}  # (class, *fields) -> a _Ref to the live node
+    _setters: tuple = ()  # the slot setter of each field, found once per class
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = Node._table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        names = cls.__match_args__
+        if len(fields) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+        return _intern(key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return _unfold([self], _repr_parts, BRIEF)
+
+
+def _intern(key: tuple) -> Node:
+    """A new node for key = (class, *fields), entered in the table."""
+    cls = key[0]
+    node = object.__new__(cls)
+    for set_field, value in zip(cls._setters, key[1:]):
+        set_field(node, value)
+    ref = Node._table[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's table key, like
+    weakref.KeyedRef, whose constructor runs Python code on every miss."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table: dict = Node._table) -> None:
+    """The callback of every table reference: remove its node's entry when
+    the node dies, unless the entry already holds a newer node's reference
+    (one made for the same key after this node died, before this ran).  The
+    table is bound at definition, so nodes that die while the interpreter
+    tears the module down still find it."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+BRIEF = 240  # characters of a node or formula that a repr or a message shows
+
+
+def _unfold(todo: list, parts, limit: int | None = None) -> str:
+    """The text of todo: strings as they are, any other item replaced by
+    parts(item), which may hold items in turn.  Unfolded without recursion,
+    so depth is bounded by memory alone; given a limit, cut after that many
+    characters (marked with an ellipsis), so the work is bounded by the
+    limit even where a DAG unfolds to a huge tree."""
+    out, size = [], 0
+    todo.reverse()
+    while todo:
+        x = todo.pop()
+        if type(x) is not str:
+            todo += reversed(parts(x))
+            continue
+        out.append(x)
+        if limit is not None:
+            size += len(x)
+            if size > limit:
+                return "".join(out)[:limit] + "…"
+    return "".join(out)
+
+
+def _repr_parts(x) -> list:
+    """A value's repr as parts, with nodes and tuples still to unfold."""
+    sub = lambda v: v if isinstance(v, (Node, tuple)) else repr(v)
+    if isinstance(x, Node):
+        out = [type(x).__name__ + "("]
+        for i, k in enumerate(x.__match_args__):
+            out += [", " * (i > 0) + k + "=", sub(getattr(x, k))]
+        return out + [")"]
+    if isinstance(x, tuple):
+        out = ["("]
+        for i, v in enumerate(x):
+            out += [", " * (i > 0), sub(v)]
+        return out + ["," * (len(x) == 1) + ")"]
+    return [repr(x)]
 
 MAX_ROLES = 64
 
@@ -98,18 +218,19 @@ def parse_roleset(text: str, n: int | None = None) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(Node):
     """A total map on the role universe, written [f(0),f(1),...]."""
 
+    __slots__ = __match_args__ = ("table",)
     table: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.table)
+    def __new__(cls, table: tuple[int, ...]):
+        n = len(table)
         check_universe(n)
-        for v in self.table:
-            if not 0 <= v < n:
-                raise RoleError(f"endo value {v} outside universe of {n} roles")
+        for v in table:
+            if type(v) is not int or not 0 <= v < n:
+                raise RoleError(f"endo value {v!r} outside universe of {n} roles")
+        return super().__new__(cls, table)
 
     @property
     def n(self) -> int:
@@ -209,19 +330,20 @@ def parse_endo(text: str, n: int | None = None) -> Endo:
     return Endo(table)
 
 
-@dataclass(frozen=True)
-class Ultra:
+class Ultra(Node):
     """The principal ultrafilter at a role, written @r.
 
     Over a finite universe every ultrafilter is principal, so this is the
     general case: R is a member iff r is in R.
     """
 
+    __slots__ = __match_args__ = ("r",)
     r: int
 
-    def __post_init__(self):
-        if self.r < 0:
-            raise RoleError(f"bad ultrafilter role {self.r}")
+    def __new__(cls, r: int):
+        if type(r) is not int or r < 0:
+            raise RoleError(f"bad ultrafilter role {r!r}")
+        return super().__new__(cls, r)
 
     def contains(self, mask: int) -> bool:
         return bool(mask & (1 << self.r))

@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass
 
 from . import roles as rl
-from .logic import AConj, Atom, Bang, Formula, MConj, _unfold
-from .roles import Ultra
+from .logic import AConj, Atom, Bang, Formula, MConj
+from .roles import Node, Ultra, _unfold
 
 
 class SessionError(ValueError):
@@ -36,71 +36,77 @@ class NotPartition(SessionError):
 PAYLOADS = ("unit", "int", "str")
 
 
-@dataclass(frozen=True)
-class Msg:
+class Msg(Node):
+    __slots__ = __match_args__ = ("label", "frm", "to", "payload")
     label: str
     frm: int
     to: int
-    payload: str = "unit"
+    payload: str
 
-    def __post_init__(self):
-        if self.frm == self.to:
-            raise SessionError(f"message {self.label}: sender equals receiver")
+    def __new__(cls, label: str, frm: int, to: int, payload: str = "unit"):
+        if frm == to:
+            raise SessionError(f"message {label}: sender equals receiver")
+        return super().__new__(cls, label, frm, to, payload)
 
 
-@dataclass(frozen=True)
-class Bcast:
+class Bcast(Node):
+    __slots__ = __match_args__ = ("label", "frm", "payload")
     label: str
     frm: int
-    payload: str = "unit"
+    payload: str
+
+    def __new__(cls, label: str, frm: int, payload: str = "unit"):
+        return super().__new__(cls, label, frm, payload)
 
 
-@dataclass(frozen=True)
-class Gather:
+class Gather(Node):
+    __slots__ = __match_args__ = ("label", "to", "payload")
     label: str
     to: int
-    payload: str = "unit"
+    payload: str
+
+    def __new__(cls, label: str, to: int, payload: str = "unit"):
+        return super().__new__(cls, label, to, payload)
 
 
-@dataclass(frozen=True)
-class Nil:
-    pass
+class Nil(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Append:
+class Append(Node):
+    __slots__ = __match_args__ = ("first", "rest")
     first: "SessionType"
     rest: "SessionType"
 
 
-@dataclass(frozen=True)
-class SMConj:
+class SMConj(Node):
+    __slots__ = __match_args__ = ("r", "left", "right")
     r: int
     left: "SessionType"
     right: "SessionType"
 
 
-@dataclass(frozen=True)
-class SAConj:
+class SAConj(Node):
+    __slots__ = __match_args__ = ("r", "left", "right")
     r: int
     left: "SessionType"
     right: "SessionType"
 
 
-@dataclass(frozen=True)
-class OptionT:
+class OptionT(Node):
+    __slots__ = __match_args__ = ("r", "body")
     r: int
     body: "SessionType"
 
 
-@dataclass(frozen=True)
-class Repseq:
+class Repseq(Node):
+    __slots__ = __match_args__ = ("r", "body")
     r: int
     body: "SessionType"
 
 
-@dataclass(frozen=True)
-class Repeat:
+class Repeat(Node):
+    __slots__ = __match_args__ = ("r", "body")
     r: int
     body: "SessionType"
 
@@ -354,32 +360,24 @@ def encode_lmrl(s: SessionType, unroll: int = 0) -> Formula:
             continue
         cls = type(s)
         if cls is Append:
-            todo += ((MConj, _ULTRAS[0]), (s.rest, k), (s.first, k))
+            todo += ((MConj, Ultra(0)), (s.rest, k), (s.first, k))
         elif cls is Msg or cls is Bcast or cls is Gather:
             done.append(Atom(atom_label(s)))
         elif cls is Nil or cls is Repseq and k == 0:
             done.append(Atom("nil"))
         elif cls is SMConj or cls is SAConj:
-            todo += ((MConj if cls is SMConj else AConj, _ultra(s.r)),
+            todo += ((MConj if cls is SMConj else AConj, Ultra(s.r)),
                      (s.right, k), (s.left, k))
         elif cls is OptionT:
-            todo += ((AConj, _ultra(s.r)), (Nil(), k), (s.body, k))
+            todo += ((AConj, Ultra(s.r)), (Nil(), k), (s.body, k))
         elif cls is Repseq:
-            todo += ((AConj, _ultra(s.r)), (Nil(), k),
-                     (MConj, _ULTRAS[0]), (s, k - 1), (s.body, k))
+            todo += ((AConj, Ultra(s.r)), (Nil(), k),
+                     (MConj, Ultra(0)), (s, k - 1), (s.body, k))
         elif cls is Repeat:
-            todo += ((Bang, _ultra(s.r)), (s.body, k))
+            todo += ((Bang, Ultra(s.r)), (s.body, k))
         else:
             raise SessionError(f"unknown session node {s!r}")
     return done[0]
-
-
-# one ultrafilter per role, so a node-table hit matches it by identity
-_ULTRAS = tuple(Ultra(r) for r in range(rl.MAX_ROLES))
-
-
-def _ultra(r: int) -> Ultra:
-    return _ULTRAS[r] if 0 <= r < rl.MAX_ROLES else Ultra(r)
 
 
 # ------------------------------------------------------------ coherence

@@ -6,7 +6,6 @@ every test is reproducible byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import re
@@ -971,21 +970,6 @@ def encode_lmrl_reference(s, unroll: int = 0):
         case sn.Repeat(r, a):
             return Bang(rl.Ultra(r), enc(a))
     raise sn.SessionError(f"unknown session node {s!r}")
-
-
-def session_key(s) -> tuple:
-    """s as a flat tuple, its classes and fields in preorder, built with a
-    loop: two sessions are equal iff their keys are, at any depth (the
-    dataclasses' own == recurses)."""
-    out, todo = [], [s]
-    while todo:
-        s = todo.pop()
-        fields = [getattr(s, f.name) for f in dataclasses.fields(s)]
-        sub = [isinstance(v, sn.SessionType.__args__) for v in fields]
-        out.append((type(s), *(v for v, b in zip(fields, sub) if not b)))
-        todo += reversed([v for v, b in zip(fields, sub) if b])
-    return tuple(out)
-
 
 
 class RescanPool(rt.Pool):

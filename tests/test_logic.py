@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from multirole import kernel as K
 from multirole import logic as lg
+from multirole import roles as rl
 from multirole.logic import (
     AConj,
     Atom,
@@ -278,7 +279,7 @@ class TestHashConsing:
         node = Atom("late")
         newer = lg.Node._table[key]
         assert newer is not old and newer() is node
-        lg._forget(old)
+        rl._forget(old)
         assert lg.Node._table[key] is newer
         del node
         assert key not in lg.Node._table
@@ -329,20 +330,20 @@ class TestHashConsing:
 
 class TestBoundedText:
     """Reprs and kernel messages print a formula DAG as a tree cut at
-    lg.BRIEF characters, so their work is bounded by that length; files and
+    rl.BRIEF characters, so their work is bounded by that length; files and
     the CLI print the full text.  shared_conj(40)'s conclusion has 41 distinct
     nodes and a tree of 2^41 leaves."""
 
     def test_repr_of_a_shared_formula(self, monkeypatch):
         concl = shared_conj(40).conclusion
-        work_bound(monkeypatch, lg, "_repr_parts", lg.BRIEF)
+        work_bound(monkeypatch, rl, "_repr_parts", rl.BRIEF)
         text = repr(concl)
         assert text.startswith("(IFormula(roles=3, formula=Conj(u=Ultra(")
-        assert text.endswith("\u2026,)") and len(text) == len("(") + lg.BRIEF + len("\u2026,)")
+        assert text.endswith("\u2026,)") and len(text) == len("(") + rl.BRIEF + len("\u2026,)")
 
     def test_builder_messages_on_a_shared_formula(self, monkeypatch):
         d = shared_conj(40)
-        work_bound(monkeypatch, lg, "_formula_parts", 2 * lg.BRIEF)
+        work_bound(monkeypatch, lg, "_formula_parts", 2 * rl.BRIEF)
         with pytest.raises(K.KernelError) as err:
             K.b_weaken(d, IFormula(1, Atom("b")), K.LMRL(2))
         assert str(err.value).startswith("cannot weaken non-? item")
@@ -350,7 +351,7 @@ class TestBoundedText:
             K.b_contract(d, IFormula(1, Atom("b")), K.MRL(2))
         msg = str(err.value)
         assert msg.startswith("builder contract: premise |- <0,1>(and @0 (and @0 ")
-        assert msg.endswith("\u2026 lacks |- <0>b") and len(msg) < 2 * lg.BRIEF
+        assert msg.endswith("\u2026 lacks |- <0>b") and len(msg) < 2 * rl.BRIEF
 
     def test_limited_text_is_a_cut_of_the_full_text(self):
         rng = random.Random(4)

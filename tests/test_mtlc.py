@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -44,7 +45,7 @@ from multirole.mtlc import (
 )
 from multirole import runtime as rt
 from multirole.runtime import Endpoint, Pool, sync_events
-from multirole.session import parse_session
+from multirole.session import norm, parse_session
 
 import helpers
 from helpers import (
@@ -155,6 +156,16 @@ class TestDepth:
     def test_eval_pool_iadd_chain(self):
         res, value = eval_pool(iadd_chain(400))
         assert (res.status, value) == ("done", EInt(400))
+
+    def test_typecheck_cut_of_two_deep_endpoints(self):
+        # the cut compares the two endpoints' sessions, 2000 messages deep
+        assert sys.getrecursionlimit() <= 1000
+        s = "aconj(0, %s, nil)" % "@".join(["m(0, 1)", "n(1, 0, int)"] * 1000)
+        ty = typecheck(prog(f'(llam (a (chan {{0}} "{s}")) (llam (b (chan {{1}} "{s}")) '
+                            f'(chan_2_cut a b)))'))
+        cursor = norm(parse_session(s, 2))
+        assert ty == TFunL(TChan(1, cursor), TFunL(TChan(2, cursor), TUnit()))
+        assert fmt_type(ty).count("@") == 3998
 
     def test_retyped_eval_pool_iadd_chain(self):
         # noting the judgements costs no frame beyond typing's one per level

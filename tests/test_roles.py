@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,3 +139,25 @@ class TestUltra:
         # f(U) contains R iff U contains f^{-1}(R)
         assert rl.push_ultra(f, Ultra(r)).contains(mask) == \
             Ultra(r).contains(f.preimage(mask))
+
+
+class TestNodes:
+    """Endo maps and ultrafilters are hash-consed nodes.  A constructor checks
+    its fields before it looks the table up, so a bool or a float never
+    finds, or becomes, the node of an int."""
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_non_int_roles_refused(self, monkeypatch, live):
+        monkeypatch.setattr(rl.Node, "_table", {})  # no node lives yet
+        held = (Ultra(1), Endo((1, 0))) if live else ()
+        for make, bad in ((Ultra, True), (Ultra, 1.0), (Endo, (True, 0))):
+            with pytest.raises(RoleError):
+                make(bad)
+        assert len(rl.Node._table) == len(held)
+        assert (rl.fmt_ultra(Ultra(1)), rl.fmt_endo(Endo((1, 0)))) == ("@1", "[1,0]")
+
+    def test_equal_values_are_one_object(self):
+        assert rl.parse_endo("[1,0]") is Endo((1, 0))
+        assert rl.parse_ultra("@2") is Ultra(2)
+        for x in (Ultra(3), Endo((2, 0, 1))):
+            assert pickle.loads(pickle.dumps(x)) is x

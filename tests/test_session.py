@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 from collections import Counter
@@ -41,7 +42,6 @@ from helpers import (
     next_actions_match,
     parse_session_reference,
     rand_session,
-    session_key,
 )
 from test_cli import mutate
 
@@ -214,7 +214,7 @@ def test_depth_census(shape):
     s, msgs = _deep(shape)
     text = fmt_session(s)
     parsed = parse_session(text, 2)
-    assert session_key(parsed) == session_key(s)
+    assert parsed is s
     assert fmt_session(parsed) == text
     check_session(parsed, 2)
     with pytest.raises(sn.SessionError, match=r"^roles \[1\] outside universe of 1$"):
@@ -281,6 +281,40 @@ class TestCoherence:
         s2 = parse_session("b(0, 1)", 2)
         with pytest.raises(SessionMismatch):
             coherence_check([EndpointType(1, s1), EndpointType(2, s2)], 2)
+
+
+class TestNodes:
+    """Sessions are hash-consed nodes: equal sessions are one object, so
+    equality and hashing take one step at any depth."""
+
+    def test_equal_sessions_are_one_object(self):
+        for text in (EX1, EX2, EX3):
+            assert parse_session(text) is parse_session(text)
+            s = parse_session(text)
+            assert pickle.loads(pickle.dumps(s)) is s
+
+    def test_sender_equals_receiver_refused(self):
+        with pytest.raises(sn.SessionError, match=r"^message m: sender equals receiver$"):
+            Msg("m", 0, 0)
+
+    @staticmethod
+    def deep_pair() -> tuple:
+        """Two 5000-message sessions, parsed apart."""
+        assert sys.getrecursionlimit() <= 1000
+        text = "@".join(["m(0, 1)", "n(1, 0, int)"] * 2500)
+        return parse_session(text, 2), parse_session(text, 2)
+
+    def test_deep_hash(self):
+        a, b = self.deep_pair()
+        assert hash(a) == hash(b)
+
+    def test_deep_equality(self):
+        a, b = self.deep_pair()
+        assert a == b and a is b
+
+    def test_deep_coherence(self):
+        a, b = self.deep_pair()
+        coherence_check([EndpointType(1, a), EndpointType(2, b)], 2)
 
 
 class TestNextActions:
