@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from . import roles as rl
 from . import runtime as rt
@@ -41,6 +42,7 @@ from .session import (
     SessionError,
     SessionType,
     advance,
+    fmt_session,
     forks,
     next_kind,
     norm,
@@ -128,8 +130,11 @@ def is_linear(t: Viewtype) -> bool:
 
 
 def compat(sub: Viewtype, sup: Viewtype) -> bool:
-    """Subtyping: sub <: sup when sup is their least upper bound."""
-    return sub is sup or sub == sup or _join(sub, sup) == sup
+    """Subtyping: sub <: sup when sup is their least upper bound; int(i) <:
+    int is decided without building the join."""
+    if sub is sup or type(sup) is TInt and type(sub) is TIntIdx:
+        return True
+    return sub == sup or _join(sub, sup) == sup
 
 
 def _join(a: Viewtype, b: Viewtype, up: bool = True) -> Viewtype | None:
@@ -385,13 +390,13 @@ def _action_head(rule: str, t: TChan) -> SessionType:
 
 def sig_result(name: str, args: list[Viewtype], n: int) -> Viewtype:
     """Instantiate a constant's c-type schema at the given argument types."""
-    return _signature(name, len(args), n)(name, args, n)
-
-
-def _signature(name: str, arity: int, n: int):
-    """The rule giving the result type of a constant applied to arity
-    arguments; it takes (name, args, n)."""
     rl.check_universe(n)
+    return _signature(name, len(args))(name, args, n)
+
+
+def _signature(name: str, arity: int):
+    """The rule giving the result type of a constant applied to arity
+    arguments; it takes (name, args, n) for a checked universe size n."""
     try:
         k, rule = _SIGS[name]
     except KeyError:
@@ -554,11 +559,13 @@ _CHAN_CONSTS = {name for name in CONSTS if name.startswith("chan_")}
 
 
 class _Typing:
-    """A typing run: its universe size, and what to do with each node's
-    judgement (a judging run, _Judgements, notes them)."""
+    """A typing run: its universe size, checked once for the run, and what
+    to do with each node's judgement (a judging run, _Judgements, notes
+    them)."""
     __slots__ = ("n",)
 
     def __init__(self, n: int):
+        rl.check_universe(n)
         self.n = n
 
     @staticmethod
@@ -739,7 +746,7 @@ def _check_const(e, gamma, delta, cx):
         ta, d = _CHECK[type(a)](a, gamma, d, cx)
         ts.append(ta)
     # the rule is called from here, not through sig_result, to save a frame
-    return cx.noted(e, _signature(e.name, len(ts), cx.n)(e.name, ts, cx.n), delta, d)
+    return cx.noted(e, _signature(e.name, len(ts))(e.name, ts, cx.n), delta, d)
 
 
 def _check_unknown(e, gamma, delta, cx):
@@ -783,11 +790,10 @@ class _Judgements(dict):
 
     def noted(self, e: Expr, t: Viewtype, delta: dict, left: dict):
         # e consumes what of delta is not left
-        lin = () if len(left) == len(delta) else tuple(x for x in delta if x not in left)
-        got = self.get(id(e), ())
-        if got == ():
-            self[id(e)] = (e, t, lin, None)
-        elif got is not None and got[1:3] != (t, lin):
+        lin = () if len(left) == len(delta) else tuple(filterfalse(left.__contains__, delta))
+        note = (e, t, lin, None)
+        got = self.setdefault(id(e), note)
+        if got is not note and got is not None and got[1:3] != note[1:3]:
             self[id(e)] = None
         return t, left
 
@@ -871,58 +877,39 @@ class _Judgements(dict):
 # ------------------------------------------------------- canonical forms
 
 
+# the canonical form of a value of each class at each type class
+_CANONICAL = {(TUnit, EUnit): "unit", (TBool, EBool): "bool", (TInt, EInt): "int",
+              (TIntIdx, EInt): "int", (TStr, EStr): "str", (TChan, ERc): "endpoint",
+              (TPair, EPair): "pair", (TLPair, ELPair): "tensor-pair",
+              (TFunN, ELam): "lam", (TFunN, EFix): "lam", (TFunL, ELLam): "linear-lam"}
+
+
 def canonical_form(v: Expr, t: Viewtype) -> str:
     if not is_value(v):
         raise ClassificationImpossible("not a value")
-    match t:
-        case TUnit() if isinstance(v, EUnit):
-            return "unit"
-        case TBool() if isinstance(v, EBool):
-            return "bool"
-        case TInt() | TIntIdx() if isinstance(v, EInt):
-            return "int"
-        case TStr() if isinstance(v, EStr):
-            return "str"
-        case TChan() if isinstance(v, ERc):
-            return "endpoint"
-        case TPair() if isinstance(v, EPair):
-            return "pair"
-        case TLPair() if isinstance(v, ELPair):
-            return "tensor-pair"
-        case TFunN() if isinstance(v, (ELam, EFix)):
-            return "lam"
-        case TFunL() if isinstance(v, ELLam):
-            return "linear-lam"
-    raise ClassificationImpossible(f"value {v!r} at type {t}")
+    if (type(t), type(v)) not in _CANONICAL:
+        raise ClassificationImpossible(f"value {v!r} at type {t}")
+    return _CANONICAL[type(t), type(v)]
 
 
 # ------------------------------------------------------------ evaluation
 
 
 def _py_value(v: Expr):
-    match v:
-        case EUnit():
-            return None
-        case EInt(i):
-            return i
-        case EStr(s):
-            return s
-        case EBool(b):
-            return b
-    raise StuckNonRedex(f"payload value expected, got {v!r}")
+    if type(v) is EUnit:
+        return None
+    if type(v) not in (EInt, EStr, EBool):
+        raise StuckNonRedex(f"payload value expected, got {v!r}")
+    return v.value
+
+
+_LIFT = {type(None): lambda _: EUnit(), bool: EBool, int: EInt, str: EStr}
 
 
 def _lift(value) -> Expr:
-    match value:
-        case None:
-            return EUnit()
-        case bool(b):
-            return EBool(b)
-        case int(i):
-            return EInt(i)
-        case str(s):
-            return EStr(s)
-    raise StuckNonRedex(f"cannot lift payload {value!r}")
+    if type(value) not in _LIFT:
+        raise StuckNonRedex(f"cannot lift payload {value!r}")
+    return _LIFT[type(value)](value)
 
 
 # Threads run on an environment machine, after the CEK machine of Felleisen
@@ -1022,6 +1009,29 @@ def _read(term: Expr, env, hole: Expr | None = None) -> Expr:
     return out[0]
 
 
+class _Holders(Counter):
+    """The endpoints a pool's live calculus threads hold, as their last
+    judgements counted them: eid -> holders, shared the number of eids held
+    more than once, and queue the threads made with a hook, which the step
+    that made them judges (retype_thread)."""
+
+    shared = 0
+
+    def __init__(self):
+        super().__init__()
+        self.queue = []
+
+    def move(self, old: tuple, new: tuple) -> None:
+        """Count one thread's resources as new in place of old."""
+        if old != new:
+            for eid in old:
+                self.shared -= self[eid] == 2
+                self[eid] -= 1
+            for eid in new:
+                self[eid] += 1
+                self.shared += self[eid] == 2
+
+
 class MtlcThread:
     """Adapter joining an expression to a runtime Pool as a generator thread."""
 
@@ -1029,6 +1039,7 @@ class MtlcThread:
     _parent = None  # the thread that spawned this one, whose notes it shares
     _frames = None  # (index, top): the frames judged so far, see judge()
     _fitted = None  # the type judge() last found to fit expected
+    _held = (None, ())  # (state, its resources) as judge() last counted them
 
     def __init__(self, pool: Pool, expr: Expr, hook=None, expected: Viewtype | None = None):
         self.pool = pool
@@ -1039,16 +1050,16 @@ class MtlcThread:
         # None; saved after every reduction, and steps in between do not
         # change what it stands for
         self.state = (expr, None, None, None)
-        self._held = (None, None)  # (state, its resources)
-        self.thread = pool.add_thread(self._gen)
+        self.holders = vars(pool).setdefault("mtlc_holders", _Holders())  # shared
+        self.thread = pool.add_thread(self._run)
         self.thread.mtlc = self  # used for pool retyping
+        if hook is not None:
+            self.holders.queue.append(self)
 
     def held(self) -> tuple[int, ...]:
         """resources() of the expression the state stands for: as the last
         retyping of this state counted them, else on its read-back."""
-        if self._held[0] is not self.state:
-            self._held = (self.state, resources(self.expr))
-        return self._held[1]
+        return self._held[1] if self._held[0] is self.state else resources(self.expr)
 
     @property
     def expr(self) -> Expr:
@@ -1064,14 +1075,14 @@ class MtlcThread:
         return out
 
     def judge(self) -> Viewtype:
-        """Retype the state, and count its resources for held().  Each frame
-        is judged once from the notes (_Judgements), when first seen: its
-        hole's type, its node's, which must fit the hole below, and the
-        resources from it down.  A step checks its control at the top hole
-        and each value it bound at its binder.  By the replacement lemma this
-        is the type of the read-back, or a supertype where a binder's type
-        stands in for a value's refined one.  A state the notes do not cover
-        is typed on its read-back."""
+        """Retype the state, and count its resources for held() and in the
+        pool's count (_Holders).  Each frame is judged once from the notes
+        (_Judgements), when first seen: its hole's type, its node's, which
+        must fit the hole below, and the resources from it down.  A step
+        checks its control at the top hole and each value it bound at its
+        binder.  By the replacement lemma this is the type of the read-back,
+        or a supertype where a binder's type stands in for a value's refined
+        one.  A state the notes do not cover is typed on its read-back."""
         try:
             ty, held = self._judge_state()
         except _Unjudged:
@@ -1081,6 +1092,7 @@ class MtlcThread:
         if ty is not self._fitted and not compat(ty, self.expected):
             raise MtlcTypeError("ty-pool",
                                 f"thread {self.thread.tid} type {ty} drifted from {self.expected}")
+        self.holders.move(self._held[1], held)
         self._fitted, self._held = ty, (self.state, held)
         return ty
 
@@ -1091,18 +1103,17 @@ class MtlcThread:
         return self._notes
 
     def _judge_state(self) -> tuple[Viewtype, tuple]:
-        notes = self._judgements()
+        notes = self._notes or self._judgements()  # never empty: the root is noted
         term, env, val, k = self.state
         # a judged frame is (frame, hole type, resources from it down, the
         # judged frame below, the thread's type), indexed by the frame's id;
         # the index keeps its frames alive, so no id is reused
         index, top = self._frames or ({}, None)
         self._frames = None  # until this judgement succeeds
-        new = []
-        while k is not None and id(k) not in index:
+        new, below = [], None
+        while k is not None and (below := index.get(id(k))) is None:
             new.append(k)
             k = k[3]
-        below = None if k is None else index[id(k)]
         while top is not below:  # forget the frames popped since
             del index[id(top[0])]
             top = top[3]
@@ -1111,7 +1122,7 @@ class MtlcThread:
             cls = type(node)
             kids = _SHAPE[cls][0](node)
             ty = _fits(notes.of(node)[1], below)
-            held = sum((notes.held_of(v) for v in vals), () if below is None else below[2])
+            held = sum(map(notes.held_of, vals), () if below is None else below[2])
             # an if counts its condition and then-branch only, as resources() does
             for c in kids[len(vals) + 1:2 if cls is EIf else None]:
                 held += notes.held(c, fenv, (node.x1, node.x2) if cls is ELet else ())
@@ -1123,11 +1134,16 @@ class MtlcThread:
         elif below is None or not notes.fit(val, below[1]):
             ty, held = notes.value(val)  # a final value, or one to word a misfit with
         else:  # a value that fits its hole is judged without building its type
-            ty, held = below[1], notes.held_of(val)
-        if below is None:
-            return ty, held
+            return below[4], notes.held_of(val) + below[2]
         _fits(ty, below)
-        return below[4], held + below[2]
+        return (ty, held) if below is None else (below[4], held + below[2])
+
+    def _run(self, t):
+        """The runtime thread: the calculus thread's steps, then its exit,
+        which takes its resources out of the pool's count."""
+        yield from self._gen(t)
+        self.holders.move(self._held[1], ())
+        self._held = (None, ())
 
     def _gen(self, t):
         pool = self.pool
@@ -1219,60 +1235,43 @@ class MtlcThread:
                 raise StuckNonRedex(f"{name}: endpoint expected, got {a!r}")
             return a.ep
 
+        if name == "chan_create":
+            f = args[0]
+            lam = f.term if type(f) is Clo else f
+            if type(lam) is not ELLam or type(lam.t) is not TChan:
+                raise StuckNonRedex(f"chan_create: chan(R,S) -o 1 expected, got {f!r}")
+            part = lam.t.roles
+            ch = pool.new_channel(lam.t.cursor)
+            spawned = pool.new_endpoint(ch, part)
+            mine = pool.new_endpoint(ch, pool.full & ~part)
+            nt = self._spawn(f, ERc(spawned))
+            pool._event("PR3", chan=ch.cid, action="create", to=nt.thread.tid,
+                        label=rl.fmt_roleset(part))
+            return ERc(mine), None
+        ep = ep_of(args[0])
         match name:
-            case "chan_create":
-                f = args[0]
-                lam = f.term if type(f) is Clo else f
-                if type(lam) is not ELLam or type(lam.t) is not TChan:
-                    raise StuckNonRedex(f"chan_create: chan(R,S) -o 1 expected, got {f!r}")
-                part = lam.t.roles
-                ch = pool.new_channel(lam.t.cursor)
-                spawned = pool.new_endpoint(ch, part)
-                mine = pool.new_endpoint(ch, pool.full & ~part)
-                nt = self._spawn(f, ERc(spawned))
-                pool._event("PR3", chan=ch.cid, action="create", to=nt.thread.tid,
-                            label=rl.fmt_roleset(part))
-                return ERc(mine), None
             case "chan_sync" | "chan_skip":
-                ep = ep_of(args[0])
                 same = ERc(ep) if name == "chan_skip" else EUnit()
-                return (lambda _v, out=same: out), _Block("sync", ep, "sync")
+                return (lambda _v: same), _Block("sync", ep, "sync")
             case "chan_send":
-                ep = ep_of(args[0])
-                return (lambda _v, ep=ep: ERc(ep)), \
+                return (lambda _v: ERc(ep)), \
                     _Block("sync", ep, "send", payload=_py_value(args[1]))
             case "chan_recv":
-                ep = ep_of(args[0])
-                return (lambda v, ep=ep: ELPair(_lift(v), ERc(ep))), \
-                    _Block("sync", ep, "recv")
+                return (lambda v: ELPair(_lift(v), ERc(ep))), _Block("sync", ep, "recv")
             case "chan_aconj_l" | "chan_aconj_r":
-                ep = ep_of(args[0])
-                return (lambda _v, ep=ep: ERc(ep)), \
-                    _Block("choice", ep, "choose", side=name[-1])
+                return (lambda _v: ERc(ep)), _Block("choice", ep, "choose", side=name[-1])
             case "chan_mconj":
-                ep = ep_of(args[0])
                 return (lambda pair: ELPair(ERc(pair[0]), ERc(pair[1]))), \
                     _Block("mconj", ep, "mconj")
             case "chan_mdisj_l" | "chan_mdisj_r":
-                ep, f = ep_of(args[0]), args[1]
-
-                def spawn(give, f=f):
-                    self._spawn(f, ERc(give))
-
-                return (lambda keep: ERc(keep)), \
-                    _Block("mconj", ep, "mdisj", side=name[-1], spawn=spawn)
-            case "chan_1_cut":
-                pool.chan_1_cut(ep_of(args[0]))
-                return EUnit(), None
-            case "chan_2_cut":
-                pool.chan_2_cut(ep_of(args[0]), ep_of(args[1]))
-                return EUnit(), None
-            case "chan_3_cut":
-                pool.chan_3_cut(*(ep_of(a) for a in args))
+                return (lambda keep: ERc(keep)), _Block(
+                    "mconj", ep, "mdisj", side=name[-1],
+                    spawn=lambda give: self._spawn(args[1], ERc(give)))
+            case "chan_1_cut" | "chan_2_cut" | "chan_3_cut":  # the pool's cut of that name
+                getattr(pool, name)(ep, *map(ep_of, args[1:]))
                 return EUnit(), None
             case "chan_2_cutres":
-                resid = pool.chan_2_cutres(ep_of(args[0]), ep_of(args[1]))
-                return ERc(resid), None
+                return ERc(pool.chan_2_cutres(ep, ep_of(args[1]))), None
         raise StuckNonRedex(f"unknown channel constant {name}")
 
 
@@ -1299,29 +1298,35 @@ def pool_rho(pool: Pool) -> Counter:
 
 def res_ok(pool: Pool) -> bool:
     """Each live endpoint held at most once across the pool (RES membership)."""
-    held = [eid for m in _threads(pool) for eid in m.held()]
-    return len(held) == len(set(held))
+    return max(pool_rho(pool).values(), default=0) <= 1
 
 
 def retype_thread(pool: Pool, mt: MtlcThread) -> None:
     """Per-step debug hook: the stepping thread stays well-typed and the
     pool as a whole stays within the resource discipline.
 
-    Only the thread that just reduced is retyped, with any thread it
-    spawned: between a synchronisation firing and the other participants
-    resuming, their expressions still show the pre-fire operation, so
-    whole-pool retyping is meaningful only at quiescence (see retype_pool).
+    Only the thread that just reduced is retyped, with any thread made
+    since the last step: between a synchronisation firing and the other
+    participants resuming, their expressions still show the pre-fire
+    operation, so whole-pool retyping is meaningful only at quiescence (see
+    retype_pool).  The discipline is read off the pool's count, which each
+    judgement and each exit keeps up to date (_Holders).
     """
     mt.judge()
-    retype_pool(pool, every=False)
-
-
-def retype_pool(pool: Pool, every: bool = True) -> None:
-    """Assert every unfinished calculus thread (or every one not retyped
-    yet) still has its declared type, and each live endpoint is held once."""
-    for m in _threads(pool):
-        if every or m._held[0] is None:
+    holders = mt.holders
+    for m in holders.queue:
+        if m is not mt and not m.thread.finished:
             m.judge()
+    holders.queue.clear()
+    if holders.shared:
+        raise MtlcTypeError("ty-pool", "an endpoint is held more than once")
+
+
+def retype_pool(pool: Pool) -> None:
+    """Assert every unfinished calculus thread still has its declared type,
+    and each live endpoint is held once, by a full recount."""
+    for m in _threads(pool):
+        m.judge()
     if not res_ok(pool):
         raise MtlcTypeError("ty-pool", "an endpoint is held more than once")
 
@@ -1354,56 +1359,48 @@ _TOK = _re.compile(r"\(|\)|\{[^{}]*\}|\"[^\"]*\"|[^\s()]+")
 
 
 def _atoms(text: str) -> list:
-    toks = _TOK.findall(text)
-    pos = [0]
-
-    def parse():
-        if pos[0] >= len(toks):
-            raise MtlcTypeError("parse", "unexpected end of input")
-        t = toks[pos[0]]
-        pos[0] += 1
+    """The s-expression tree of text, as nested lists of tokens, read in one
+    loop: an open list waits on the stack."""
+    stack = [[]]
+    for t in _TOK.findall(text):
+        if len(stack) == 1 and stack[0]:
+            raise MtlcTypeError("parse", "trailing input")
         if t == "(":
-            out = []
-            while pos[0] < len(toks) and toks[pos[0]] != ")":
-                out.append(parse())
-            if pos[0] >= len(toks):
-                raise MtlcTypeError("parse", "missing )")
-            pos[0] += 1
-            return out
-        if t == ")":
+            stack.append([])
+        elif t != ")":
+            stack[-1].append(t)
+        elif len(stack) == 1:
             raise MtlcTypeError("parse", "unbalanced )")
-        return t
+        else:
+            done = stack.pop()
+            stack[-1].append(done)
+    if len(stack) > 1:
+        raise MtlcTypeError("parse", "missing )")
+    if not stack[0]:
+        raise MtlcTypeError("parse", "unexpected end of input")
+    return stack[0][0]
 
-    tree = parse()
-    if pos[0] != len(toks):
-        raise MtlcTypeError("parse", "trailing input")
-    return tree
+
+_NAMED_TYPES = {**_PAYLOAD_T, "bool": TBool(), "1": TUnit()}
+_TYPE_FORMS = {"pair": TPair, "tensor": TLPair, "->": TFunN, "-o": TFunL}
 
 
 def parse_type(tree, n: int) -> Viewtype:
     match tree:
-        case "bool":
-            return TBool()
-        case "int":
-            return TInt()
-        case "str":
-            return TStr()
-        case "unit" | "1":
-            return TUnit()
+        case str(name) if name in _NAMED_TYPES:
+            return _NAMED_TYPES[name]
         case ["int", i]:
             return TIntIdx(int(i))
         case ["chan", roleset, spec]:
             s = parse_session(spec.strip('"'), n)
             return TChan(rl.parse_roleset(roleset, n), norm(s))
-        case ["pair", a, b]:
-            return TPair(parse_type(a, n), parse_type(b, n))
-        case ["tensor", a, b]:
-            return TLPair(parse_type(a, n), parse_type(b, n))
-        case ["->", a, b]:
-            return TFunN(parse_type(a, n), parse_type(b, n))
-        case ["-o", a, b]:
-            return TFunL(parse_type(a, n), parse_type(b, n))
+        case [str(op), a, b] if op in _TYPE_FORMS:
+            return _TYPE_FORMS[op](parse_type(a, n), parse_type(b, n))
     raise MtlcTypeError("parse", f"unknown type {tree!r}")
+
+
+_FORMS = {"lam": ELam, "llam": ELLam, "fix": EFix, "app": EApp, "pair": EPair,
+          "tensor": ELPair, "fst": EFst, "snd": ESnd}
 
 
 def parse_expr(tree, n: int) -> Expr:
@@ -1420,22 +1417,12 @@ def parse_expr(tree, n: int) -> Expr:
             return EStr(t.strip('"'))
         case str(t):
             return EVar(t)
-        case ["lam", [x, ty], body]:
-            return ELam(x, parse_type(ty, n), parse_expr(body, n))
-        case ["llam", [x, ty], body]:
-            return ELLam(x, parse_type(ty, n), parse_expr(body, n))
-        case ["fix", [x, ty], body]:
-            return EFix(x, parse_type(ty, n), parse_expr(body, n))
-        case ["app", f, a]:
-            return EApp(parse_expr(f, n), parse_expr(a, n))
-        case ["pair", a, b]:
-            return EPair(parse_expr(a, n), parse_expr(b, n))
-        case ["tensor", a, b]:
-            return ELPair(parse_expr(a, n), parse_expr(b, n))
-        case ["fst", a]:
-            return EFst(parse_expr(a, n))
-        case ["snd", a]:
-            return ESnd(parse_expr(a, n))
+        case [("lam" | "llam" | "fix") as form, [x, ty], body]:
+            return _FORMS[form](x, parse_type(ty, n), parse_expr(body, n))
+        case [("app" | "pair" | "tensor") as form, a, b]:
+            return _FORMS[form](parse_expr(a, n), parse_expr(b, n))
+        case [("fst" | "snd") as form, a]:
+            return _FORMS[form](parse_expr(a, n))
         case ["let", [x1, x2], p, b]:
             return ELet(x1, x2, parse_expr(p, n), parse_expr(b, n))
         case ["if", c, a, b]:
@@ -1449,28 +1436,20 @@ def parse_program(text: str, n: int) -> Expr:
     return parse_expr(_atoms(text), n)
 
 
+_TYPE_NAMES = {TBool: "bool", TInt: "int", TStr: "str", TUnit: "1"}
+_INFIX = {TPair: "*", TLPair: "(x)", TFunN: "->", TFunL: "-o"}
+
+
 def fmt_type(t: Viewtype) -> str:
-    match t:
-        case TBool():
-            return "bool"
-        case TInt():
-            return "int"
-        case TIntIdx(i):
-            return f"int({i})"
-        case TStr():
-            return "str"
-        case TUnit():
-            return "1"
-        case TChan(roles_, cursor):
-            from .session import fmt_session
-            body = "@".join(fmt_session(s) for s in cursor) or "nil"
-            return f"chan({rl.fmt_roleset(roles_)}, {body})"
-        case TPair(a, b):
-            return f"({fmt_type(a)} * {fmt_type(b)})"
-        case TLPair(a, b):
-            return f"({fmt_type(a)} (x) {fmt_type(b)})"
-        case TFunN(a, b):
-            return f"({fmt_type(a)} -> {fmt_type(b)})"
-        case TFunL(a, b):
-            return f"({fmt_type(a)} -o {fmt_type(b)})"
-    raise MtlcTypeError("fmt", f"unknown type {t!r}")
+    cls = type(t)
+    if cls in _TYPE_NAMES:
+        return _TYPE_NAMES[cls]
+    if cls is TIntIdx:
+        return f"int({t.i})"
+    if cls is TChan:
+        body = "@".join(fmt_session(s) for s in t.cursor) or "nil"
+        return f"chan({rl.fmt_roleset(t.roles)}, {body})"
+    if cls not in _INFIX:
+        raise MtlcTypeError("fmt", f"unknown type {t!r}")
+    a, b = vars(t).values()  # left and right, or domain and codomain
+    return f"({fmt_type(a)} {_INFIX[cls]} {fmt_type(b)})"

@@ -36,6 +36,11 @@ class NotPartition(SessionError):
 PAYLOADS = ("unit", "int", "str")
 
 
+# Role fields take ints only: the node table keys on ==, where True is 1, so
+# a bool role would be the int role's node and print as whichever came first.
+_NOT_A_ROLE = "{}: role {!r} is not an int"
+
+
 class Msg(Node):
     __slots__ = __match_args__ = ("label", "frm", "to", "payload")
     label: str
@@ -44,6 +49,8 @@ class Msg(Node):
     payload: str
 
     def __new__(cls, label: str, frm: int, to: int, payload: str = "unit"):
+        if type(frm) is not int or type(to) is not int:
+            raise SessionError(_NOT_A_ROLE.format(cls.__name__, to if type(frm) is int else frm))
         if frm == to:
             raise SessionError(f"message {label}: sender equals receiver")
         return super().__new__(cls, label, frm, to, payload)
@@ -56,6 +63,8 @@ class Bcast(Node):
     payload: str
 
     def __new__(cls, label: str, frm: int, payload: str = "unit"):
+        if type(frm) is not int:
+            raise SessionError(_NOT_A_ROLE.format(cls.__name__, frm))
         return super().__new__(cls, label, frm, payload)
 
 
@@ -66,6 +75,8 @@ class Gather(Node):
     payload: str
 
     def __new__(cls, label: str, to: int, payload: str = "unit"):
+        if type(to) is not int:
+            raise SessionError(_NOT_A_ROLE.format(cls.__name__, to))
         return super().__new__(cls, label, to, payload)
 
 
@@ -79,33 +90,43 @@ class Append(Node):
     rest: "SessionType"
 
 
-class SMConj(Node):
+class _Combinator(Node):
+    """A session node whose first field r is the role it is decided by."""
+    __slots__ = ()
+
+    def __new__(cls, r: int, *parts):
+        if type(r) is not int:
+            raise SessionError(_NOT_A_ROLE.format(cls.__name__, r))
+        return super().__new__(cls, r, *parts)
+
+
+class SMConj(_Combinator):
     __slots__ = __match_args__ = ("r", "left", "right")
     r: int
     left: "SessionType"
     right: "SessionType"
 
 
-class SAConj(Node):
+class SAConj(_Combinator):
     __slots__ = __match_args__ = ("r", "left", "right")
     r: int
     left: "SessionType"
     right: "SessionType"
 
 
-class OptionT(Node):
+class OptionT(_Combinator):
     __slots__ = __match_args__ = ("r", "body")
     r: int
     body: "SessionType"
 
 
-class Repseq(Node):
+class Repseq(_Combinator):
     __slots__ = __match_args__ = ("r", "body")
     r: int
     body: "SessionType"
 
 
-class Repeat(Node):
+class Repeat(_Combinator):
     __slots__ = __match_args__ = ("r", "body")
     r: int
     body: "SessionType"

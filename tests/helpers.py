@@ -1331,7 +1331,8 @@ def rho_recount(e) -> Counter:
 def eval_recounting_rho(expr, n: int = 2, seed: int = 0):
     """eval_pool with per-step retyping, where after every step pool_rho is
     also compared with a recount of every unfinished thread in the full
-    thread registry.  Returns (result, final value, steps checked)."""
+    thread registry, and the pool's incremental count and its verdict with
+    pool_rho and res_ok.  Returns (result, final value, steps checked)."""
     steps = [0]
 
     def hook(pool, mt):
@@ -1341,6 +1342,8 @@ def eval_recounting_rho(expr, n: int = 2, seed: int = 0):
             if not t.finished and getattr(t, "mtlc", None) is not None:
                 recount += rho_recount(t.mtlc.expr)
         assert M.pool_rho(pool) == recount, f"step {pool.step_no}"
+        assert Counter(mt.holders) == recount, f"step {pool.step_no}"
+        assert (mt.holders.shared == 0) == M.res_ok(pool), f"step {pool.step_no}"
         steps[0] += 1
 
     pool = rt.Pool(n, seed=seed)

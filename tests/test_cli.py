@@ -386,6 +386,14 @@ class TestMtlc:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "role 5 outside universe of 2 roles"}
 
+    @pytest.mark.parametrize("roles", ["0", "65"])
+    @pytest.mark.parametrize("src", ["42", "(iadd 1 2)"])
+    def test_universe_is_checked_whatever_the_program(self, capsys, tmp_path, roles, src):
+        path = write(tmp_path / "m.mrl", src)
+        code, out, err = run(capsys, "mtlc", "check", path, "--roles", roles)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": f"universe size must be in 1..64, got {roles}"}
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [

@@ -165,6 +165,13 @@ class TestRecountOracle:
             assert val == M.EInt(total)
             assert steps > length
 
+    def test_mtlc_exit_takes_the_thread_out_of_the_count(self):
+        # the main thread exits holding its endpoint before the spawned
+        # thread's first step, which the count must then no longer show
+        e = M.parse_program('(chan_create (llam (c (chan {0} "a(0, 1)")) (chan_sync c)))', 2)
+        res, val, steps = eval_recounting_rho(e)
+        assert (res.status, type(val), steps) == ("deadlock", M.ERc, 2)
+
     def test_demo2_deadlock(self):
         pool = demo2_pool(recount_every_event(rt.Pool(2, allow_demo=True)))
         assert pool.audit_log == [(1, False)]

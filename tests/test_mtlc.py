@@ -224,6 +224,23 @@ class TestDispatch:
         with pytest.raises(rl.RoleError, match="universe size"):
             typecheck(EConst("randbit", ()), n=0)
 
+    @pytest.mark.parametrize("n", [0, 65])
+    @pytest.mark.parametrize("e", [EInt(1), EConst("iadd", (EInt(1), EInt(2))),
+                                   ELLam("u", TUnit(), EVar("u"))])
+    def test_universe_is_checked_once_per_run_whatever_the_program(self, monkeypatch, n, e):
+        calls = work_bound(monkeypatch, rl, "check_universe", 1)
+        for typing in (lambda: typecheck(e, n=n), lambda: M._Judgements(n, e)):
+            with pytest.raises(rl.RoleError, match=f"universe size must be in 1..64, got {n}"):
+                typing()
+            assert calls[0] == 1
+            calls[0] = 0
+        with pytest.raises(rl.RoleError, match="universe size"):
+            M.sig_result("randbit", [], n)
+
+    def test_constants_do_not_recheck_the_universe(self, monkeypatch):
+        calls = work_bound(monkeypatch, rl, "check_universe", 1)
+        assert typecheck(iadd_chain(300)) == TIntIdx(300) and calls[0] == 1
+
 
 class TestTypes:
     def test_linearity_split(self):
@@ -673,6 +690,9 @@ class TestMachineAgainstOracle:
                 assert M.pool_rho(pool) == recount
             steps.append((M.res_ok(pool), exact))
             retype(pool, mt)
+            # the incremental count against the full recount
+            assert Counter(mt.holders) == M.pool_rho(pool)
+            assert (mt.holders.shared == 0) == M.res_ok(pool)
 
         return hook
 
@@ -865,6 +885,27 @@ class TestMachineAgainstOracle:
         assert pool.run().status == "done"
         twice = (Counter({ep.eid: 2}), Counter({ep.eid: 2}), False)
         assert seen == [twice, twice, (Counter(), Counter(), True)]
+
+    def test_endpoint_held_by_two_threads_is_refused(self):
+        # each program is well-typed alone; together they hold one endpoint
+        # twice, which the first retyped step reads off the pool's count
+        for cls in (M.MtlcThread, SubstThread):
+            pool = Pool(2)
+            ep = pool.new_endpoint(pool.new_channel(M.norm(parse_session("a(0, 1)", 2))), 1)
+            e = prog('(app (llam (c (chan {0} "a(0, 1)")) (chan_sync c)) c)')
+            e = M.EApp(e.fun, ERc(ep))
+            steps = []
+
+            def hook(pool, mt):
+                steps.append(mt)
+                M.retype_thread(pool, mt)
+
+            mts = [cls(pool, e, hook) for _ in range(2)]
+            with pytest.raises(MtlcTypeError, match=r"\(ty-pool\) .*held more than once"):
+                pool.run()
+            assert len(steps) == 1
+            assert Counter(mts[0].holders) == M.pool_rho(pool) == Counter({ep.eid: 2})
+            assert not M.res_ok(pool)
 
     def test_plain_evaluation_substitutes_nothing(self, monkeypatch):
         # the calculus has no substitution, and reads back only the value

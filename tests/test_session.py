@@ -297,6 +297,28 @@ class TestNodes:
         with pytest.raises(sn.SessionError, match=r"^message m: sender equals receiver$"):
             Msg("m", 0, 0)
 
+    @pytest.mark.parametrize("make, cls", [
+        (lambda r: Msg("m", r, 1), "Msg"), (lambda r: Msg("m", 0, r), "Msg"),
+        (lambda r: Bcast("b", r), "Bcast"), (lambda r: Gather("g", r), "Gather"),
+        (lambda r: sn.SMConj(r, Nil(), Nil()), "SMConj"),
+        (lambda r: sn.SAConj(r, Nil(), Nil()), "SAConj"),
+        (lambda r: OptionT(r, Nil()), "OptionT"), (lambda r: Repseq(r, Nil()), "Repseq"),
+        (lambda r: sn.Repeat(r, Nil()), "Repeat"),
+    ])
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_role_fields_refuse_a_non_int(self, make, cls, bad):
+        # True == 1 in the node table: a bool role would be the int one's node
+        with pytest.raises(sn.SessionError, match=rf"^{cls}: role {bad!r} is not an int$"):
+            make(bad)
+        make(2)  # an int is taken
+
+    def test_bool_roles_do_not_alias_int_ones(self):
+        s = Msg("m", 0, 1)
+        for make in (lambda: Msg("m", False, True), lambda: sn.SAConj(True, s, s)):
+            with pytest.raises(sn.SessionError, match="is not an int"):
+                make()
+        assert sn.fmt_session(sn.SAConj(1, s, s)) == "aconj(1, m(0, 1), m(0, 1))"
+
     @staticmethod
     def deep_pair() -> tuple:
         """Two 5000-message sessions, parsed apart."""
