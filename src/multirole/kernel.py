@@ -18,7 +18,6 @@ visits or reduces each distinct node once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import roles as rl
 from .logic import (
@@ -54,7 +53,7 @@ from .logic import (
     size,
     substitute,
 )
-from .roles import BRIEF, Node, Ultra, _intern
+from .roles import BRIEF, Node, Record, Ultra, _intern
 
 
 class KernelError(Exception):
@@ -76,8 +75,7 @@ class CheckError(KernelError):
 # -------------------------------------------------------------- calculi
 
 
-@dataclass(frozen=True)
-class Calculus:
+class Calculus(Record):
     kind: str  # "mrl" | "mrlj" | "lmrl"
     n: int
     j: Ultra | None = None

@@ -26,11 +26,11 @@ build every cursor and continuation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import filterfalse
 
 from . import roles as rl
 from . import runtime as rt
+from .roles import Record
 from .runtime import Endpoint, Pool, _Block
 from .session import (
     Bcast,
@@ -67,57 +67,47 @@ class ClassificationImpossible(Exception):
 # ---------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class TBool:
+class TBool(Record):
     pass
 
 
-@dataclass(frozen=True)
-class TInt:
+class TInt(Record):
     pass
 
 
-@dataclass(frozen=True)
-class TIntIdx:
+class TIntIdx(Record):
     i: int
 
 
-@dataclass(frozen=True)
-class TStr:
+class TStr(Record):
     pass
 
 
-@dataclass(frozen=True)
-class TUnit:
+class TUnit(Record):
     pass
 
 
-@dataclass(frozen=True)
-class TChan:
+class TChan(Record):
     roles: int
     cursor: tuple[SessionType, ...]
 
 
-@dataclass(frozen=True)
-class TPair:
+class TPair(Record):
     left: "Viewtype"
     right: "Viewtype"
 
 
-@dataclass(frozen=True)
-class TLPair:
+class TLPair(Record):
     left: "Viewtype"
     right: "Viewtype"
 
 
-@dataclass(frozen=True)
-class TFunN:
+class TFunN(Record):
     dom: "Viewtype"
     cod: "Viewtype"
 
 
-@dataclass(frozen=True)
-class TFunL:
+class TFunL(Record):
     dom: "Viewtype"
     cod: "Viewtype"
 
@@ -163,13 +153,11 @@ _PAYLOAD_T = {"unit": TUnit(), "int": TInt(), "str": TStr()}
 # ---------------------------------------------------------- expressions
 
 
-@dataclass(frozen=True)
-class EVar:
+class EVar(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class ERc:
+class ERc(Record):
     ep: Endpoint
 
     def __eq__(self, other):
@@ -179,91 +167,76 @@ class ERc:
         return id(self.ep)
 
 
-@dataclass(frozen=True)
-class EUnit:
+class EUnit(Record):
     pass
 
 
-@dataclass(frozen=True)
-class EBool:
+class EBool(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class EInt:
+class EInt(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class EStr:
+class EStr(Record):
     value: str
 
 
-@dataclass(frozen=True)
-class EConst:
+class EConst(Record):
     name: str
     args: tuple["Expr", ...] = ()
 
 
-@dataclass(frozen=True)
-class EPair:
+class EPair(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class ELPair:
+class ELPair(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class EFst:
+class EFst(Record):
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class ESnd:
+class ESnd(Record):
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class ELet:
+class ELet(Record):
     x1: str
     x2: str
     pair: "Expr"
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class ELam:
+class ELam(Record):
     x: str
     t: Viewtype
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class ELLam:
+class ELLam(Record):
     x: str
     t: Viewtype
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class EApp:
+class EApp(Record):
     fun: "Expr"
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class EFix:
+class EFix(Record):
     x: str
     t: Viewtype
     value: "Expr"
 
 
-@dataclass(frozen=True)
-class EIf:
+class EIf(Record):
     cond: "Expr"
     then: "Expr"
     els: "Expr"
@@ -289,8 +262,7 @@ class _Rules(dict):
         return self.fallback
 
 
-@dataclass(frozen=True, eq=False)
-class Clo:
+class Clo(Record, eq=False):
     """A runtime closure: a term and the closed values of its free
     variables.  It stands for the term with its environment substituted and
     is typed and counted as that term; equality is identity."""
@@ -1389,9 +1361,9 @@ def parse_type(tree, n: int) -> Viewtype:
     match tree:
         case str(name) if name in _NAMED_TYPES:
             return _NAMED_TYPES[name]
-        case ["int", i]:
+        case ["int", str(i)] if i.removeprefix("-").isdecimal():
             return TIntIdx(int(i))
-        case ["chan", roleset, spec]:
+        case ["chan", str(roleset), str(spec)]:
             s = parse_session(spec.strip('"'), n)
             return TChan(rl.parse_roleset(roleset, n), norm(s))
         case [str(op), a, b] if op in _TYPE_FORMS:
@@ -1417,13 +1389,13 @@ def parse_expr(tree, n: int) -> Expr:
             return EStr(t.strip('"'))
         case str(t):
             return EVar(t)
-        case [("lam" | "llam" | "fix") as form, [x, ty], body]:
+        case [("lam" | "llam" | "fix") as form, [str(x), ty], body]:
             return _FORMS[form](x, parse_type(ty, n), parse_expr(body, n))
         case [("app" | "pair" | "tensor") as form, a, b]:
             return _FORMS[form](parse_expr(a, n), parse_expr(b, n))
         case [("fst" | "snd") as form, a]:
             return _FORMS[form](parse_expr(a, n))
-        case ["let", [x1, x2], p, b]:
+        case ["let", [str(x1), str(x2)], p, b]:
             return ELet(x1, x2, parse_expr(p, n), parse_expr(b, n))
         case ["if", c, a, b]:
             return EIf(parse_expr(c, n), parse_expr(a, n), parse_expr(b, n))

@@ -6,8 +6,13 @@ functions on the universe, stored as tuples.  Ultrafilters over a finite
 universe are exactly the principal ones, so an ultrafilter is identified
 by its defining role.
 
-``Node`` here is the hash-consed base of endo maps and ultrafilters, and
-of the formulas, derivations and sessions of the other modules.
+Two bases of immutable values live here.  ``Node`` is the interned one:
+endo maps and ultrafilters, and the formulas, derivations and sessions of
+the other modules, are hash-consed on it, so equal nodes are one object.
+``Record`` is the one that is not interned: the calculus of a proof, the
+endpoint types and actions of sessions, the types, expressions and closures
+of the lambda calculus, and the commands, services and results of the
+runtime are records on it, compared and hashed by their fields.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 import re
 import weakref
 from functools import reduce
+from reprlib import recursive_repr
 
 # ----------------------------------------------------- hash-consed nodes
 
@@ -93,6 +99,49 @@ def _forget(ref: _Ref, table: dict = Node._table) -> None:
     tears the module down still find it."""
     if table.get(ref.key) is ref:
         del table[ref.key]
+
+
+class Record:
+    """An immutable record that is not interned.
+
+    A subclass's fields are its annotations, in order, and a class
+    attribute named as a field is that field's default.  Each subclass gets
+    ``__match_args__`` and an ``__init__`` (which ends by calling the class's
+    ``__post_init__``, if it has one), and unless the class is declared with
+    ``eq=False`` an ``__eq__`` and ``__hash__`` on the tuple of its fields,
+    equal only to a record of the same class; methods the class defines
+    itself are kept.  The methods are compiled from one text per class.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        params = "".join(f", {k}=_d[{k!r}]" if k in cls.__dict__ else f", {k}" for k in names)
+        fields = "".join(f"self.{k}, " for k in names)
+        text = [f"def __init__(self{params}):",
+                *(f"    _set(self, {k!r}, {k})" for k in names),
+                "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+                "def __eq__(self, other):",
+                "    if other.__class__ is self.__class__:",
+                f"        return ({fields}) == ({fields.replace('self.', 'other.')})",
+                "    return NotImplemented",
+                "def __hash__(self):",
+                f"    return hash(({fields}))"]
+        made = {"_set": object.__setattr__, "_d": cls.__dict__}
+        exec("\n".join(text), made)
+        for name in ("__init__", "__eq__", "__hash__") if eq else ("__init__",):
+            if name not in cls.__dict__:
+                made[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, made[name])
+
+    __setattr__, __delattr__ = Node.__setattr__, Node.__delattr__
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 BRIEF = 240  # characters of a node or formula that a repr or a message shows

@@ -13,7 +13,7 @@ and a min-heap holds the ids of channels that a thread blocked on or whose
 endpoint set changed, so the threads and channels examined per event do not
 grow with the number of live ones.
 
-Thread programs are usually small command lists (see the C* dataclasses and
+Thread programs are usually small command lists (see the C* records and
 parse_script), but any generator yielding _Block requests can join a pool —
 the lambda-calculus evaluator reuses this engine.
 A fire and script synthesis take a channel's next cursor from
@@ -25,12 +25,12 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 
 from . import roles as rl
 from . import session as sn
+from .roles import Record
 from .session import (
     Bcast,
     Gather,
@@ -141,116 +141,98 @@ def _payload_ok(tag: str, value) -> bool:
 # ------------------------------------------------------------ commands
 
 
-@dataclass(frozen=True)
-class CSync:
+class CSync(Record):
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CSend:
+class CSend(Record):
     payload: object = None
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CRecv:
+class CRecv(Record):
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CChoose:
+class CChoose(Record):
     side: str  # "l" | "r"
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class COffer:
+class COffer(Record):
     left: tuple
     right: tuple
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CLoop:
+class CLoop(Record):
     count: int
     body: tuple
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class COfferLoop:
+class COfferLoop(Record):
     body: tuple
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CMconj:
+class CMconj(Record):
     first: tuple
     second: tuple
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CMdisj:
+class CMdisj(Record):
     side: str  # side the caller keeps
     spawned: tuple
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CAppend:
+class CAppend(Record):
     body: tuple
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CSplit:
+class CSplit(Record):
     part: int  # role set handed to the spawned thread
     spawned: tuple
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CCut1:
+class CCut1(Record):
     reg: str = "ep"
 
 
-@dataclass(frozen=True)
-class CCut2:
+class CCut2(Record):
     reg_a: str
     reg_b: str
 
 
-@dataclass(frozen=True)
-class CCut3:
+class CCut3(Record):
     reg_a: str
     reg_b: str
     reg_c: str
 
 
-@dataclass(frozen=True)
-class CCutRes:
+class CCutRes(Record):
     reg_a: str
     reg_b: str
     out: str = "ep"
 
 
-@dataclass(frozen=True)
-class CChanCreate:
+class CChanCreate(Record):
     part: int  # role set of the spawned acceptor
     session: SessionType
     acceptor: tuple
     out: str = "ep"
 
 
-@dataclass(frozen=True)
-class CServiceRequest:
+class CServiceRequest(Record):
     name: str
     out: str = "ep"
 
 
-@dataclass(frozen=True)
-class CChan2Demo:
+class CChan2Demo(Record):
     part1: int
     session1: SessionType
     part2: int
@@ -268,19 +250,21 @@ Command = (CSync | CSend | CRecv | CChoose | COffer | CLoop | COfferLoop | CMcon
 # ------------------------------------------------------- blocked state
 
 
-@dataclass(slots=True)
 class _Block:
-    kind: str  # "sync" | "choice" | "mconj"
-    ep: Endpoint
-    op: str  # send | recv | sync | choose | offer | mconj | mdisj
-    side: str | None = None
-    payload: object = None
-    spawn: object = None  # callable(endpoint) -> None, used by mdisj
-    action: str | None = None  # next_kind of the head, where the blocking op checked it
+    __slots__ = ("kind", "ep", "op", "side", "payload", "spawn", "action")
+
+    def __init__(self, kind: str, ep: Endpoint, op: str, side: str | None = None,
+                 payload: object = None, spawn: object = None, action: str | None = None):
+        self.kind = kind  # "sync" | "choice" | "mconj"
+        self.ep = ep
+        self.op = op  # send | recv | sync | choose | offer | mconj | mdisj
+        self.side = side
+        self.payload = payload
+        self.spawn = spawn  # callable(endpoint) -> None, used by mdisj
+        self.action = action  # next_kind of the head, where the blocking op checked it
 
 
-@dataclass
-class Service:
+class Service(Record):
     name: str
     roleset: int
     cursor: tuple[SessionType, ...]  # norm() of the session
@@ -747,8 +731,7 @@ _FIRES = {**dict.fromkeys((Msg, Bcast, Gather), Pool._fire_sync),
           SMConj: Pool._fire_mconj}
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     status: str  # "done" | "deadlock" | "fault"
     trace: list[dict]
     detail: object

@@ -12,11 +12,10 @@ fire (norm, advance, forks), which no other module builds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import roles as rl
 from .logic import AConj, Atom, Bang, Formula, MConj
-from .roles import Node, Ultra, _unfold
+from .roles import Node, Record, Ultra, _unfold
 
 
 class SessionError(ValueError):
@@ -135,8 +134,7 @@ class Repeat(_Combinator):
 SessionType = Msg | Bcast | Gather | Nil | Append | SMConj | SAConj | OptionT | Repseq | Repeat
 
 
-@dataclass(frozen=True)
-class EndpointType:
+class EndpointType(Record):
     roles: int
     session: SessionType
 
@@ -468,8 +466,7 @@ def forks(cursor: tuple[SessionType, ...]) -> tuple[tuple[SessionType, ...], ...
 # ----------------------------------------------------------- actions
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     kind: str  # send | recv | skip | offer | choose | fork-conj | fork-disj | append | done
     label: str | None = None
     frm: int | None = None

@@ -394,6 +394,21 @@ class TestMtlc:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": f"universe size must be in 1..64, got {roles}"}
 
+    @pytest.mark.parametrize("src", [
+        "(llam (c (chan {0} (a))) c)",
+        '(lam (x (chan (0) "a(0,1)")) x)',
+        "(lam (x (int z)) x)",
+        "(lam (x (int 1.5)) x)",
+        "(lam (x (int (1))) x)",
+        "(lam ((x) int) x)",
+    ])
+    def test_malformed_trees_are_parse_errors(self, capsys, tmp_path, src):
+        path = write(tmp_path / "m.mrl", src)
+        code, out, err = run(capsys, "mtlc", "check", path)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("(parse) unknown ")
+        assert "Traceback" not in err
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [
@@ -446,6 +461,16 @@ class TestUsage:
         res = mrl("demo2", "--order", "recv-first", "--allow-demo")
         assert res.returncode == 2
         assert json.loads(res.stdout.strip().splitlines()[-1])["status"] == "deadlock"
+
+    def test_import_generates_no_dataclasses(self):
+        """Importing the CLI loads neither dataclasses nor inspect: the
+        records are built on roles.Record, whose classes cost one exec each."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, multirole.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
 
 
 def mutate(rng: random.Random, text: str, donors: list[str]) -> str:

@@ -45,7 +45,7 @@ from multirole.mtlc import (
 )
 from multirole import runtime as rt
 from multirole.runtime import Endpoint, Pool, sync_events
-from multirole.session import norm, parse_session
+from multirole.session import SessionError, norm, parse_session
 
 import helpers
 from helpers import (
@@ -551,6 +551,41 @@ class TestParser:
     def test_free_evars(self):
         e = prog("(llam (x 1) (tensor x y))")
         assert free_evars(e) == {"y"}
+
+    def test_random_trees_raise_only_reader_errors(self):
+        """Well-formed programs with one subtree replaced by a random tree:
+        parse_program builds a program or refuses with MtlcTypeError,
+        SessionError or RoleError, whatever lands in a binder, a type or a
+        session spec."""
+        programs = ['(llam (c (chan {0} "a(0,1)@b(1,0)")) (chan_sync c))',
+                    "(let (a b) (tensor (fix (f (-> int (pair bool str))) f) 1) (fst a))",
+                    '(lam (x (int -3)) (if true (app (llam (y (-o 1 (tensor int str))) y) x) "s"))']
+        words = ["lam", "let", "int", "chan", "bool", "->", "x", "0", "1.5", "{0}", "{5}",
+                 "{,}", '"a(0,1)"', '"a("', '""']
+        rng = random.Random(24)
+
+        def junk(depth=2):
+            if depth == 0 or rng.random() < 0.5:
+                return rng.choice(words)
+            return [junk(depth - 1) for _ in range(rng.randrange(4))]
+
+        def mutate(t):
+            if isinstance(t, list) and t and rng.random() < 0.75:
+                i = rng.randrange(len(t))
+                return t[:i] + [mutate(t[i])] + t[i + 1:]
+            return junk()
+
+        def text(t):
+            return t if isinstance(t, str) else "(" + " ".join(map(text, t)) + ")"
+
+        trees = [M._atoms(p) for p in programs]
+        refused = set()
+        for _ in range(5000):
+            try:
+                parse_program(text(mutate(rng.choice(trees))), 2)
+            except (MtlcTypeError, SessionError, rl.RoleError) as e:
+                refused.add(type(e))
+        assert refused == {MtlcTypeError, SessionError, rl.RoleError}
 
 
 def state_type_of_readback(mt, n):

@@ -1,11 +1,16 @@
+import dataclasses
 import math
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from multirole import kernel as kn
+from multirole import mtlc as mt
 from multirole import roles as rl
+from multirole import runtime as rt
 from multirole.roles import Endo, RoleError, Ultra
+from multirole.session import parse_session
 
 
 def endos(n):
@@ -161,3 +166,64 @@ class TestNodes:
         assert rl.parse_ultra("@2") is Ultra(2)
         for x in (Ultra(3), Endo((2, 0, 1))):
             assert pickle.loads(pickle.dumps(x)) is x
+
+
+def _as_dataclass(v):
+    """v with every record in it rebuilt as an instance of a frozen dataclass
+    of the same name and fields: the reference for the records' repr."""
+    if isinstance(v, tuple):
+        return tuple(map(_as_dataclass, v))
+    if not isinstance(v, rl.Record):
+        return v
+    cls = type(v)
+    twin = dataclasses.make_dataclass(cls.__qualname__, cls.__match_args__, frozen=True)
+    return twin(*(_as_dataclass(getattr(v, k)) for k in cls.__match_args__))
+
+
+class TestRecord:
+    """Records are compared, hashed and printed as frozen dataclasses were."""
+
+    def values(self):
+        chan = mt.TChan(0b11, (parse_session("a(0,1,int)@b(1,0)", 2),))
+        return [mt.TLPair(mt.TInt(), chan), mt.ELam("x", mt.TIntIdx(-3), mt.EStr("s")),
+                kn.Calculus("mrlj", 3, Ultra(1)), kn.LMRL(2), rt.CSend(payload=3),
+                rt.COffer((rt.CRecv(),), (rt.CSync("r"), rt.CCut2("a", "b")))]
+
+    def test_repr_is_the_dataclass_repr(self):
+        for v in self.values():
+            assert repr(v) == repr(_as_dataclass(v))
+        env = []
+        clo = mt.Clo(mt.EVar("x"), env)
+        env.append(clo)
+        assert repr(clo) == "Clo(term=EVar(name='x'), env=[...])"
+
+    def test_equality_and_hash_are_the_fields(self):
+        for v in self.values():
+            twin = type(v)(*(getattr(v, k) for k in v.__match_args__))
+            assert twin is not v and twin == v and hash(twin) == hash(v)
+            assert pickle.loads(pickle.dumps(v)) == v
+        for a, b in ((mt.TPair(1, 2), mt.TLPair(1, 2)), (mt.TFunN(1, 2), mt.TFunL(1, 2)),
+                     (rt.CSync(), rt.CRecv()), (rt.CCut1(), rt.CSync())):
+            assert a != b and not a == b
+        assert mt.TInt() == mt.TInt() and mt.TInt() != mt.TBool()
+        assert mt.Clo(mt.EInt(1), None) != mt.Clo(mt.EInt(1), None)
+
+    def test_fields_are_read_only(self):
+        cmd = rt.CSend(1)
+        with pytest.raises(AttributeError):
+            cmd.reg = "x"
+        with pytest.raises(AttributeError):
+            del cmd.payload
+        assert cmd == rt.CSend(1, "ep")
+
+    def test_construction_and_match(self):
+        assert rt.CSend(reg="r", payload=2) == rt.CSend(2, "r")
+        assert rt.CCutRes("a", "b").out == "ep" and rt.CSend().payload is None
+        with pytest.raises(TypeError):
+            rt.CCut2("a")
+        match rt.CChoose("l"):
+            case rt.CChoose(side, reg):
+                assert (side, reg) == ("l", "ep")
+        assert rt.CChanCreate.__match_args__ == ("part", "session", "acceptor", "out")
+        with pytest.raises(kn.KernelError, match="unknown calculus 'x'"):
+            kn.Calculus("x", 2)
