@@ -53,7 +53,7 @@ from .logic import (
     size,
     substitute,
 )
-from .roles import BRIEF, Node, Record, Ultra, _intern
+from .roles import BRIEF, Node, Record, Ultra
 
 
 class KernelError(Exception):
@@ -168,7 +168,7 @@ class Derivation(Node):
             node = ref()
             if node is not None:
                 return node
-        return _intern(key)
+        return cls._make(key)
 
     @property
     def height(self) -> int:
@@ -350,14 +350,17 @@ def _items_fault(items: Sequent, calc: Calculus, ok: set) -> str | None:
     return None
 
 
-def _check_node(d: Derivation, calc: Calculus, ok: set, checked: set) -> None:
-    """Raise CheckError unless d keeps its rule's schema.  Items in
-    checked and formulas in ok passed earlier in this call and are skipped."""
+def _check_node(d: Derivation, calc: Calculus, allowed: set, full: int, ok: set,
+                checked: set) -> None:
+    """Raise CheckError unless d keeps its rule's schema.  allowed is calc's
+    rule set and full its universe; items in checked and formulas in ok
+    passed earlier in this call and are skipped.  A passing node is tested
+    inline, each premise first by tuple equality; the helpers that word a
+    fault run only once one is found."""
     path = ()  # check() puts in d's path
     rule, concl, prems = d.rule, d.conclusion, d.premises
-    if rule not in _ALLOWED_RULES[calc.kind]:
+    if rule not in allowed:
         raise CheckError(path, f"rule {rule} not available in {calc.kind}")
-    full = (1 << calc.n) - 1
     for it in concl:  # as _items_fault, each distinct item once per call
         if it not in checked:
             if not 0 <= it.roles <= full:
@@ -371,14 +374,19 @@ def _check_node(d: Derivation, calc: Calculus, ok: set, checked: set) -> None:
         raise CheckError(path, "sequent is not J-intuitionistic")
 
     if rule == "id":
-        _arity(d, path, 0)
-        _expect(len(concl) >= 1, path, "(id) needs at least one i-formula")
+        if prems or not concl or not isinstance(concl[0].formula, Atom):
+            _arity(d, path, 0)
+            _expect(len(concl) >= 1, path, "(id) needs at least one i-formula")
+            raise CheckError(path, "(id) items must be primitive")
         first = concl[0].formula
-        _expect(isinstance(first, Atom), path, "(id) items must be primitive")
+        seen = overlap = 0
         for it in concl:
-            _expect(it.formula == first, path, "(id) items must share one primitive formula")
-        _expect(rl.partition_check([it.roles for it in concl], calc.n),
-                path, "(id) role sets must partition the universe")
+            if it.formula is not first:
+                raise CheckError(path, "(id) items must share one primitive formula")
+            overlap |= seen & it.roles
+            seen |= it.roles
+        if overlap or seen != full:
+            raise CheckError(path, "(id) role sets must partition the universe")
         return
 
     i = d.principal  # as _principal_item and _ctx
@@ -395,37 +403,51 @@ def _check_node(d: Derivation, calc: Calculus, ok: set, checked: set) -> None:
                          else f"({rule}) needs R not in U")
     y = None
     if rule == "bang-pos":
-        for it in ctx:
-            _expect(_is_why_not(it), path,
-                    "(bang-pos) context must consist of <R'>!_U' B' with R' not in U'")
+        for it in ctx:  # as _is_why_not
+            if not isinstance(it.formula, Bang) or it.roles >> it.formula.u.r & 1:
+                raise CheckError(path, "(bang-pos) context must consist of <R'>!_U' B' "
+                                 "with R' not in U'")
     elif rule == "forall-neg":
-        _expect(d.witness is not None, path, "(forall-neg) needs a witness term")
+        if d.witness is None:
+            raise CheckError(path, "(forall-neg) needs a witness term")
     elif rule == "forall-pos":
         y = d.eigen if d.eigen is not None else a.var
-        _expect(y not in seq_free_vars(ctx), path,
-                "(forall-pos) eigenvariable occurs free in the context")
-        _expect(y == a.var or y not in (free_vars(a.body) - {a.var}), path,
-                "(forall-pos) eigenvariable captured in the body")
+        if y in seq_free_vars(ctx):
+            raise CheckError(path, "(forall-pos) eigenvariable occurs free in the context")
+        if y != a.var and y in free_vars(a.body):
+            raise CheckError(path, "(forall-pos) eigenvariable captured in the body")
     added = adds(item.roles, a, d.witness, y)
     if len(prems) != len(added):
         raise CheckError(path, f"rule {rule} expects {len(added)} premises, got {len(prems)}")
-    if split:
-        g1 = seq_minus(prems[0].conclusion, added[0])
-        g2 = seq_minus(prems[1].conclusion, added[1])
+    # A premise passes at once when, less one copy of a lone added item, it
+    # is its context as a tuple: the builders keep the context's order.
+    if split:  # each premise adds one item and holds its part of the context
+        c1, c2 = prems[0].conclusion, prems[1].conclusion
+        (y1,), (y2,) = added
+        if y1 in c1 and y2 in c2:
+            j1, j2 = c1.index(y1), c2.index(y2)
+            if c1[:j1] + c1[j1 + 1 :] + c2[:j2] + c2[j2 + 1 :] == ctx:
+                return
+        g1, g2 = seq_minus(c1, (y1,)), seq_minus(c2, (y2,))
         _expect(g1 is not None and g2 is not None, path,
                 "({}): premises missing the introduced i-formulas", rule)
         _expect(seq_equal(g1 + g2, ctx), path,
                 "({}): context split does not reassemble the conclusion", rule)
-    elif len(added) == 1:
-        want = ctx + added[0]
-        if prems[0].conclusion != want and not seq_equal(prems[0].conclusion, want):
+        return
+    for k, add in enumerate(added):  # each premise holds the context and its addition
+        c = prems[k].conclusion
+        if c == ctx + add:
+            continue
+        if len(add) == 1 and add[0] in c:
+            j = c.index(add[0])
+            if c[:j] + c[j + 1 :] == ctx:
+                continue
+        if not seq_equal(c, ctx + add):
+            if len(added) > 1:
+                raise CheckError(path, f"({rule}): {('left', 'right')[k]} premise mismatch")
             raise CheckError(path, f"({rule}): premise must hold one extra copy"
                              if rule in _CONTRACTIONS
                              else f"rule {rule}: premise does not match schema")
-    else:
-        for p, add, side in zip(prems, added, ("left", "right")):
-            _expect(seq_equal(p.conclusion, ctx + add), path,
-                    "({}): {} premise mismatch", rule, side)
 
 
 def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
@@ -434,8 +456,26 @@ def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
     A node met again is skipped: its first occurrence, and every node below
     it, came earlier in preorder and passed.
     """
+    allowed = _ALLOWED_RULES[calc.kind]
+    full = (1 << calc.n) - 1
     ok: set = set()  # formulas found well-formed in calc during this call
     checked: set = set()  # conclusion items found good during this call
+    seen: set = set()
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        try:
+            _check_node(node, calc, allowed, full, ok, checked)
+        except CheckError as e:  # the path is found only for the failing node
+            raise CheckError(path + _route(d, node), e.reason) from None
+        stack += reversed(node.premises)
+
+
+def _route(d: Derivation, target: Derivation) -> tuple[int, ...]:
+    """The premise indices from d to target's first occurrence in preorder."""
     seen: dict = {}  # each node met, to its parent and its premise index there
     stack = [(d, None, None)]
     while stack:
@@ -443,16 +483,15 @@ def check(d: Derivation, calc: Calculus, path: tuple[int, ...] = ()) -> None:
         if node in seen:
             continue
         seen[node] = parent, i
-        try:
-            _check_node(node, calc, ok, checked)
-        except CheckError as e:  # the path is built only for the failing node
-            at = []
-            while parent is not None:
-                at.append(i)
-                parent, i = seen[parent]
-            raise CheckError(path + tuple(reversed(at)), e.reason) from None
+        if node is target:
+            break
         for i in range(len(node.premises) - 1, -1, -1):
             stack.append((node.premises[i], node, i))
+    at = []
+    while parent is not None:
+        at.append(i)
+        parent, i = seen[parent]
+    return tuple(reversed(at))
 
 
 def check_ok(d: Derivation, calc: Calculus) -> bool:
@@ -493,9 +532,11 @@ def b_rule(rule: str, premises, item: IFormula, witness: Term | None = None,
         for p, add in zip(premises, added):
             ctx += _take(p.conclusion, add, rule)
     else:
-        ctx = _take(premises[0].conclusion, added[0], rule)
+        ctx = seq_minus(premises[0].conclusion, added[0])
+        if ctx is None:
+            _take(premises[0].conclusion, added[0], rule)  # raises
     concl = ctx + (item,)
-    return Derivation(rule, concl, premises, len(concl) - 1, witness=witness, eigen=eigen)
+    return Derivation(rule, concl, premises, len(concl) - 1, witness, eigen)
 
 
 def b_weaken(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
@@ -521,14 +562,14 @@ def b_contract(d: Derivation, item: IFormula, calc: Calculus) -> Derivation:
 def _names(*ds: Derivation) -> set[str]:
     """Every name occurring in the derivations."""
     names: set[str] = set()
-    formulas: set = set()
+    items: set = set()
     for d in _nodes(*ds):
-        formulas.update(it.formula for it in d.conclusion)
+        items.update(d.conclusion)
         if d.eigen is not None:
             names.add(d.eigen)
         if d.witness is not None:
             names.add(d.witness.name)
-    return names | names_in(formulas)
+    return names | names_in({it.formula for it in items})
 
 
 def subst_derivation(d: Derivation, x: str, t: Term,
@@ -778,8 +819,7 @@ def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calc
         prems.append(sub(p, m) if m else p)
     dup = split and all(ms)
     concl += extra * 2 if dup else extra
-    out = Derivation(d.rule, concl, prems, concl.index(item),
-                     witness=d.witness, eigen=d.eigen)
+    out = Derivation(d.rule, concl, prems, concl.index(item), d.witness, d.eigen)
     return _contract_extras(out, extra, calc) if dup else out
 
 
@@ -841,7 +881,6 @@ def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
     if calc.linear and isinstance(a, Bang) and not a.u.contains(x1.roles) \
             and a.u.contains(x2.roles):  # for the linear ! case, the side in U first
         d1, x1, n1, d2, x2, n2 = d2, x2, n2, d1, x1, n1
-    resid = IFormula(x1.roles & x2.roles, a)
     # stray copies at an (id) node can only be <{}>-occurrences; drop them
     if d1.rule == "id" and n1 > 1:
         d1, n1 = b_id(seq_minus(d1.conclusion, (x1,) * (n1 - 1))), 1
@@ -849,8 +888,10 @@ def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
         d2, n2 = b_id(seq_minus(d2.conclusion, (x2,) * (n2 - 1))), 1
 
     if n1 == 0:
+        resid = IFormula(x1.roles & x2.roles, a)
         out = _merge_weaken(d1, seq_minus(d2.conclusion, (x2,) * n2) + (resid,), calc)
     elif n2 == 0:
+        resid = IFormula(x1.roles & x2.roles, a)
         out = _merge_weaken(d2, seq_minus(d1.conclusion, (x1,) * n1) + (resid,), calc)
     elif not _is_principal_on(d1, x1):
         out = _push(d1, x1, n1, d2, x2, n2, calc, fresh, memo, into=1)
@@ -1246,9 +1287,11 @@ def derivation_to_obj(d: Derivation) -> dict:
 
 
 def derivation_to_json(d: Derivation, pretty: bool = False) -> str:
+    # the object is fresh and holds no cycle (items share lists, but a list
+    # never holds itself), so the encoder's cycle check is skipped
     if pretty:
-        return json.dumps(derivation_to_obj(d), indent=2)
-    return json.dumps(derivation_to_obj(d), separators=(",", ":"))
+        return json.dumps(derivation_to_obj(d), indent=2, check_circular=False)
+    return json.dumps(derivation_to_obj(d), separators=(",", ":"), check_circular=False)
 
 
 def derivation_from_obj(obj, n: int | None = None) -> Derivation:

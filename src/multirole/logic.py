@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from operator import attrgetter
 
 from .roles import (
     MAX_ROLES,
@@ -29,7 +30,6 @@ from .roles import (
     Node,
     RoleError,
     Ultra,
-    _intern,
     _unfold,
     fmt_endo,
     fmt_ultra,
@@ -133,17 +133,29 @@ BINARY = (Conj, Impl, AConj, MConj)
 
 
 def size(a: Formula) -> int:
-    """Number of connectives in a formula."""
-    match a:
-        case Atom():
-            return 0
-        case Neg(_, body) | Bang(_, body) | Forall(_, _, body):
-            return 1 + size(body)
-        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r):
-            return 1 + size(l) + size(r)
-        case Impl(_, _, l, r):
-            return 1 + size(l) + size(r)
-    raise FormulaError(f"not a formula: {a!r}")
+    """Number of connectives in a formula, counted as a tree.  A loop over
+    its distinct subformulas, so depth is bounded by memory alone."""
+    done: dict = {}
+    stack = [a]
+    while stack:
+        b = stack[-1]
+        if b in done:
+            stack.pop()
+            continue
+        if type(b) is Atom:
+            done[b] = 0
+            continue
+        get = _SUBFORMULAS.get(type(b))
+        if get is None:
+            raise FormulaError(f"not a formula: {b!r}")
+        subs = get(b)
+        todo = [c for c in subs if c not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        done[b] = 1 + sum([done[c] for c in subs])
+    return done[a]
 
 
 def free_vars(a: Formula) -> frozenset[str]:
@@ -152,23 +164,35 @@ def free_vars(a: Formula) -> frozenset[str]:
 
 def _free_vars(a: Formula, done: dict) -> frozenset[str]:
     """done maps the subformulas seen in this call to their free variables,
-    so a subformula that a's DAG shares is visited once."""
+    so a subformula that a's DAG shares is visited once.  A postorder with
+    an explicit stack, so depth is bounded by memory alone."""
     out = done.get(a)
     if out is not None:
         return out
-    match a:
-        case Atom(_, args):
-            out = frozenset(t.name for t in args if isinstance(t, Var))
-        case Neg(_, body) | Bang(_, body):
-            out = _free_vars(body, done)
-        case Forall(_, x, body):
-            out = _free_vars(body, done) - {x}
-        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
-            out = _free_vars(l, done) | _free_vars(r, done)
-        case _:
-            raise FormulaError(f"not a formula: {a!r}")
-    done[a] = out
-    return out
+    stack = [a]
+    while stack:
+        b = stack[-1]
+        if b in done:
+            stack.pop()
+            continue
+        cls = type(b)
+        if cls is Atom:
+            out = frozenset([t.name for t in b.args if type(t) is Var])
+        else:
+            get = _SUBFORMULAS.get(cls)
+            if get is None:
+                raise FormulaError(f"not a formula: {b!r}")
+            subs = get(b)
+            todo = [c for c in subs if c not in done]
+            if todo:
+                stack += reversed(todo)
+                continue
+            out = done[subs[0]] if len(subs) == 1 else done[subs[0]] | done[subs[1]]
+            if cls is Forall:
+                out = out - {b.var}
+        stack.pop()
+        done[b] = out
+    return done[a]
 
 
 def _suffix(name: str) -> int:
@@ -232,39 +256,71 @@ def substitute(a: Formula, x: str, t: Term) -> Formula:
 
 def _substitute(a: Formula, x: str, t: Term, done: dict) -> Formula:
     """done maps the subformulas seen in this call to their results, so a
-    subformula that a's DAG shares is substituted once."""
+    subformula that a's DAG shares is substituted once.  A postorder with an
+    explicit stack, so depth is bounded by memory alone.  An entry is a
+    formula, the substitution it is under and that substitution's memo; a
+    binder renamed to z makes its body wait for the body with z for y, done
+    under a substitution and memo of their own.  x for x changes nothing:
+    no atom, and no binder but one of x, which it stops at."""
+    if type(t) is Var and t.name == x:
+        return a
     out = done.get(a)
     if out is not None:
         return out
-    match a:
-        case Atom(label, args):
-            out = Atom(label, tuple(t if isinstance(s, Var) and s.name == x else s for s in args))
-        case Neg(f, body):
-            out = Neg(f, _substitute(body, x, t, done))
-        case Bang(u, body):
-            out = Bang(u, _substitute(body, x, t, done))
-        case Conj(u, l, r):
-            out = Conj(u, _substitute(l, x, t, done), _substitute(r, x, t, done))
-        case AConj(u, l, r):
-            out = AConj(u, _substitute(l, x, t, done), _substitute(r, x, t, done))
-        case MConj(u, l, r):
-            out = MConj(u, _substitute(l, x, t, done), _substitute(r, x, t, done))
-        case Impl(f, u, l, r):
-            out = Impl(f, u, _substitute(l, x, t, done), _substitute(r, x, t, done))
-        case Forall(u, y, body):
+    renamed = None  # each (binder, x, t) where t is a variable it binds: its name and body memo
+    stack = [(a, x, t, done)]
+    while stack:
+        b, x, t, memo = stack[-1]
+        if b in memo:
+            stack.pop()
+            continue
+        cls = type(b)
+        if cls is Atom:
+            out = Atom(b.label, tuple([t if type(s) is Var and s.name == x else s for s in b.args]))
+        elif cls is Forall:
+            y, body = b.var, b.body
             if y == x:
-                out = a
-            elif isinstance(t, Var) and t.name == y and x in (fv := free_vars(body)):
-                stem, k = y.split("~")[0], 1
-                while (z := f"{stem}~{k}") in fv or z == y:
-                    k += 1
-                out = Forall(u, z, _substitute(substitute(body, y, Var(z)), x, t, done))
+                out = b
             else:
-                out = Forall(u, y, _substitute(body, x, t, done))
-        case _:
-            raise FormulaError(f"not a formula: {a!r}")
-    done[a] = out
-    return out
+                z = y
+                if type(t) is Var and t.name == y:  # t would be captured if x is free
+                    if renamed is None:  # memos: each renaming's memo; fvs: free variables
+                        renamed, memos, fvs = {}, {}, {}
+                    how = renamed.get((b, x, t))
+                    if how is None:
+                        how = y, None
+                        fv = _free_vars(body, fvs)
+                        if x in fv:
+                            stem, k = y.split("~")[0], 1
+                            while (z := f"{stem}~{k}") in fv or z == y:
+                                k += 1
+                            how = z, memos.setdefault((y, z), {})
+                        renamed[b, x, t] = how
+                    z, inner = how
+                    if inner is not None:
+                        new = inner.get(body)
+                        if new is None:
+                            stack.append((body, y, Var(z), inner))
+                            continue
+                        body = new
+                out = memo.get(body)
+                if out is None:
+                    stack.append((body, x, t, memo))
+                    continue
+                out = Forall(b.u, z, out)
+        else:
+            get = _SUBFORMULAS.get(cls)
+            if get is None:
+                raise FormulaError(f"not a formula: {b!r}")
+            subs = get(b)
+            todo = [(c, x, t, memo) for c in subs if c not in memo]
+            if todo:
+                stack += reversed(todo)
+                continue
+            out = cls(*_SHAPES[cls][1](b), *[memo[c] for c in subs])
+        stack.pop()
+        memo[b] = out
+    return done[a]
 
 
 # ------------------------------------------------------------ i-formulas
@@ -283,7 +339,7 @@ class IFormula(Node):
             node = ref()
             if node is not None:
                 return node
-        return _intern(key)
+        return cls._make(key)
 
 
 Sequent = tuple[IFormula, ...]
@@ -356,6 +412,30 @@ KEYWORDS = {head for head, (_, kinds) in _SYNTAX.items() if "formula" in kinds}
 # of field that is not a formula; a connective's name field is a binder
 _READ = {"endo": ("endo", parse_endo), "ultra": ("ultrafilter", parse_ultra)}
 _FMT = {"endo": fmt_endo, "ultra": fmt_ultra, "name": str}
+
+
+def _getter(names: tuple):
+    """The function from a node to the tuple of its fields of these names."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda a: (get(a),)
+    return attrgetter(*names) if names else lambda a: ()
+
+
+def _shape(head: str, cls: type, kinds: tuple) -> tuple:
+    """cls as the loops over syntax see it: its head, its leading fields
+    (all but its formulas and an atom's terms) and its children (those
+    formulas or terms), each as a function from a node to a tuple, and the
+    formula table's kind, writer and reader of each leading field."""
+    k = len([kind for kind in kinds if kind not in ("formula", "terms")])
+    names = cls.__match_args__
+    children = attrgetter("args") if cls is Atom else _getter(names[k:])
+    return head, _getter(names[:k]), children, tuple(_TABLE_FIELDS[kind] for kind in kinds[:k])
+
+
+def _children(a: Formula | Term) -> tuple:
+    """a's subformulas, or an atom's terms."""
+    return _SHAPES[type(a)][2](a)
 
 # ------------------------------------------------------------- printing
 
@@ -439,7 +519,7 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
                     what, read = _READ[kind]
                     try:
                         fields.append(read(tok, n))
-                    except (RoleError, ValueError) as e:
+                    except RoleError as e:
                         raise FormulaError(f"bad {what} {tok!r}: {e}") from e
                 continue
             else:
@@ -500,30 +580,31 @@ _FIELD_NAMES = {"name": "a name", "ultra": "an ultrafilter's role", "endo": "an 
                 "formula": "an earlier formula entry", "term": "an earlier term entry"}
 
 
-def _children(a: Formula | Term):
-    if type(a) is Atom:
-        return a.args
-    kinds = _HEADS[type(a)][1]
-    return [getattr(a, k) for kind, k in zip(kinds, a.__match_args__) if kind == "formula"]
+def _read_name(v, n: int | None):
+    return v if isinstance(v, str) else None
 
 
-def postorder(root, children, index: dict, add) -> int:
-    """Index root and everything below it that index lacks, children first
-    and left to right, without recursion; add(x) writes x's entry and
-    returns its index."""
-    stack = [root]
-    while stack:
-        x = stack[-1]
-        if x in index:
-            stack.pop()
-            continue
-        todo = [c for c in children(x) if c not in index]
-        if todo:
-            stack += reversed(todo)
-            continue
-        stack.pop()
-        index[x] = add(x)
-    return index[root]
+def _read_ultra(v, n: int | None):
+    return Ultra(v) if type(v) is int and 0 <= v < (MAX_ROLES if n is None else n) else None
+
+
+def _read_endo(v, n: int | None):
+    """An endo, None for a value of the wrong shape; RoleError for a table
+    outside its universe."""
+    if isinstance(v, list) and all([type(r) is int for r in v]) and (n is None or len(v) == n):
+        return Endo(tuple(v))
+    return None
+
+
+# each kind of leading field: the kind, how a table entry writes it (None:
+# as it is) and how it reads it back (None for a value of the wrong shape)
+_TABLE_FIELDS = {
+    "name": ("name", None, _read_name),
+    "ultra": ("ultra", attrgetter("r"), _read_ultra),
+    "endo": ("endo", lambda f: list(f.table), _read_endo),
+}
+_SHAPES = {cls: _shape(head, cls, kinds) for head, (cls, kinds) in _SYNTAX.items()}
+_SUBFORMULAS = {cls: _SHAPES[cls][2] for head, (cls, _) in _SYNTAX.items() if head in KEYWORDS}
 
 
 class FormulaTable:
@@ -535,25 +616,32 @@ class FormulaTable:
         self._index: dict = {}
 
     def index(self, a: Formula | Term) -> int:
-        k = self._index.get(a)
-        return postorder(a, _children, self._index, self._add) if k is None else k
-
-    def _add(self, a: Formula | Term) -> int:
-        head, kinds = _HEADS[type(a)]
-        entry = [head]
-        for kind, v in zip(kinds, [getattr(a, k) for k in a.__match_args__]):
-            if kind == "formula":
-                entry.append(self._index[v])
-            elif kind == "terms":
-                entry += [self._index[t] for t in v]
-            elif kind == "endo":
-                entry.append(list(v.table))
-            elif kind == "ultra":
-                entry.append(v.r)
-            else:
-                entry.append(v)
-        self.entries.append(entry)
-        return len(self.entries) - 1
+        """a's entry: a postorder of what a's entries lack, children first
+        and left to right, with an explicit stack."""
+        index, entries = self._index, self.entries
+        k = index.get(a)
+        if k is not None:
+            return k
+        stack = [a]
+        while stack:
+            x = stack[-1]
+            if x in index:
+                stack.pop()
+                continue
+            head, lead, children, fields = _SHAPES[type(x)]
+            kids = children(x)
+            todo = [c for c in kids if c not in index]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            entry = [head]
+            for (_, write, _), v in zip(fields, lead(x)):
+                entry.append(v if write is None else write(v))
+            entry += [index[c] for c in kids]
+            index[x] = len(entries)
+            entries.append(entry)
+        return index[a]
 
 
 def formulas_from_table(entries, n: int | None = None) -> list:
@@ -575,32 +663,27 @@ def _table_entry(entry, done: list, n: int | None) -> Formula | Term:
             and entry[0] in _SYNTAX):
         raise FormulaError(f"formula entry {k} is not [head, ...] with a known head")
     cls, kinds = _SYNTAX[entry[0]]
+    fields = _SHAPES[cls][3]
     args = entry[1:]
-    if kinds[-1] == "terms":  # an atom: its label, then any number of terms
-        kinds = ("name",) + ("term",) * (len(args) - 1)
-    if len(args) != len(kinds):
-        raise FormulaError(f"formula entry {k}: {entry[0]} takes {len(kinds)} fields")
-    limit = MAX_ROLES if n is None else n
-    fields = []
-    for kind, v in zip(kinds, args):
-        if kind == "name" and isinstance(v, str):
-            fields.append(v)
-        elif kind == "ultra" and type(v) is int and 0 <= v < limit:
-            fields.append(Ultra(v))
-        elif kind == "endo" and isinstance(v, list) and all(type(r) is int for r in v) \
-                and (n is None or len(v) == n):
-            try:
-                fields.append(Endo(tuple(v)))
-            except RoleError as e:
-                raise FormulaError(f"formula entry {k}: {e}") from None
-        elif kind in ("formula", "term") and type(v) is int and 0 <= v < k \
-                and isinstance(done[v], Term) == (kind == "term"):
-            fields.append(done[v])
-        else:
+    atom = cls is Atom  # an atom: its label, then any number of terms
+    arity = max(len(args), 1) if atom else len(kinds)
+    if len(args) != arity:
+        raise FormulaError(f"formula entry {k}: {entry[0]} takes {arity} fields")
+    out = []
+    for (kind, _, read), v in zip(fields, args):
+        try:
+            x = read(v, n)
+        except RoleError as e:
+            raise FormulaError(f"formula entry {k}: {e}") from None
+        if x is None:
             raise FormulaError(f"formula entry {k}: {v!r} is not {_FIELD_NAMES[kind]}")
-    if cls is Atom:
-        return Atom(fields[0], tuple(fields[1:]))
-    return cls(*fields)
+        out.append(x)
+    for v in args[len(fields):]:
+        if not (type(v) is int and 0 <= v < k and isinstance(done[v], Term) == atom):
+            raise FormulaError(f"formula entry {k}: {v!r} is not "
+                               f"{_FIELD_NAMES['term' if atom else 'formula']}")
+        out.append(done[v])
+    return Atom(out[0], tuple(out[1:])) if atom else cls(*out)
 
 
 # --------------------------------------------------------- sequent JSON

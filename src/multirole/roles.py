@@ -37,16 +37,22 @@ class Node:
     alive, so no result can depend on it.  A node's death removes its entry
     (``_forget``).  The fields are the names in ``__match_args__``; a class
     may add slots after them for values computed from the fields.
+
+    On a miss the class's maker, ``_make(key)``, builds the node for the key
+    ``(class, *fields)`` and enters it in the table.  Each class gets its own
+    maker when it is defined: a closure over the class's slot setters with
+    one call per field written out for every arity in use, so a miss runs no
+    loop over the fields.  The maker reads ``Node._table`` when it runs, so
+    it enters the node in whatever table is in place then.
     """
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
     _table: dict = {}  # (class, *fields) -> a _Ref to the live node
-    _setters: tuple = ()  # the slot setter of each field, found once per class
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+        cls._make = staticmethod(_maker(cls))
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -58,7 +64,7 @@ class Node:
         names = cls.__match_args__
         if len(fields) != len(names):
             raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
-        return _intern(key)
+        return cls._make(key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -73,15 +79,83 @@ class Node:
         return _unfold([self], _repr_parts, BRIEF)
 
 
-def _intern(key: tuple) -> Node:
-    """A new node for key = (class, *fields), entered in the table."""
-    cls = key[0]
-    node = object.__new__(cls)
-    for set_field, value in zip(cls._setters, key[1:]):
-        set_field(node, value)
-    ref = Node._table[key] = _Ref(node, _forget)
-    ref.key = key
-    return node
+def _maker(cls: type):
+    """cls's maker: the function that builds cls's node for a table key
+    (cls, *fields) and enters it in Node._table.  The arities in use have
+    their setter calls written out; any other arity sets its fields in a
+    loop."""
+    new, table_ref, forget = object.__new__, _Ref, _forget
+    sets = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+    if len(sets) == 1:
+        (s1,) = sets
+
+        def make(key):
+            node = new(cls)
+            s1(node, key[1])
+            ref = Node._table[key] = table_ref(node, forget)
+            ref.key = key
+            return node
+    elif len(sets) == 2:
+        s1, s2 = sets
+
+        def make(key):
+            _, a, b = key
+            node = new(cls)
+            s1(node, a)
+            s2(node, b)
+            ref = Node._table[key] = table_ref(node, forget)
+            ref.key = key
+            return node
+    elif len(sets) == 3:
+        s1, s2, s3 = sets
+
+        def make(key):
+            _, a, b, c = key
+            node = new(cls)
+            s1(node, a)
+            s2(node, b)
+            s3(node, c)
+            ref = Node._table[key] = table_ref(node, forget)
+            ref.key = key
+            return node
+    elif len(sets) == 4:
+        s1, s2, s3, s4 = sets
+
+        def make(key):
+            _, a, b, c, d = key
+            node = new(cls)
+            s1(node, a)
+            s2(node, b)
+            s3(node, c)
+            s4(node, d)
+            ref = Node._table[key] = table_ref(node, forget)
+            ref.key = key
+            return node
+    elif len(sets) == 6:
+        s1, s2, s3, s4, s5, s6 = sets
+
+        def make(key):
+            _, a, b, c, d, e, f = key
+            node = new(cls)
+            s1(node, a)
+            s2(node, b)
+            s3(node, c)
+            s4(node, d)
+            s5(node, e)
+            s6(node, f)
+            ref = Node._table[key] = table_ref(node, forget)
+            ref.key = key
+            return node
+    else:
+        def make(key):
+            node = new(cls)
+            for set_field, value in zip(sets, key[1:]):
+                set_field(node, value)
+            ref = Node._table[key] = table_ref(node, forget)
+            ref.key = key
+            return node
+    make.__qualname__ = f"{cls.__qualname__}._make"
+    return make
 
 
 class _Ref(weakref.ref):
@@ -298,10 +372,12 @@ class Endo(Node):
 
     def preimage(self, mask: int) -> int:
         """Inverse image f^{-1}(R)."""
-        check_roleset(mask, self.n)
+        table = self.table
+        if mask < 0 or mask >> len(table):
+            check_roleset(mask, len(table))  # raises
         out = 0
-        for r in range(self.n):
-            if mask & (1 << self.table[r]):
+        for r, v in enumerate(table):
+            if mask >> v & 1:
                 out |= 1 << r
         return out
 
@@ -366,6 +442,11 @@ def fmt_endo(f: Endo) -> str:
     return "[%s]" % ",".join(str(v) for v in f.table)
 
 
+def _role_number(text: str) -> int | None:
+    """The role a string of ASCII digits names, else None."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def parse_endo(text: str, n: int | None = None) -> Endo:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -373,7 +454,9 @@ def parse_endo(text: str, n: int | None = None) -> Endo:
     body = text[1:-1].strip()
     if not body:
         raise RoleError("empty endo table")
-    table = tuple(int(p) for p in body.split(","))
+    table = tuple(_role_number(p.strip()) for p in body.split(","))
+    if None in table:
+        raise RoleError(f"bad endo syntax: {text!r}")
     if n is not None and len(table) != n:
         raise RoleError(f"endo over {len(table)} roles, expected {n}")
     return Endo(table)
@@ -414,9 +497,9 @@ def fmt_ultra(u: Ultra) -> str:
 
 def parse_ultra(text: str, n: int | None = None) -> Ultra:
     text = text.strip()
-    if not text.startswith("@"):
+    r = _role_number(text[1:])
+    if not text.startswith("@") or r is None:
         raise RoleError(f"bad ultrafilter syntax: {text!r}")
-    r = int(text[1:])
     if n is not None and not 0 <= r < n:
         raise RoleError(f"ultrafilter @{r} outside universe of {n} roles")
     return Ultra(r)

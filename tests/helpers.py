@@ -111,6 +111,80 @@ def rand_formula(rng: random.Random, calc, n: int, sz: int, bound=()):
     return Forall(ru, x, rand_formula(rng, calc, n, sz - 1, bound + (x,)))
 
 
+def rand_binder_formula(rng: random.Random, sz: int, names=("x", "y", "x~1", "x~2")):
+    """A random formula of at most sz connectives over all the connectives,
+    whose atoms take variables and constants of a few names, free or bound
+    by foralls of the same names: inputs where substitution must rename a
+    binder, and where the names it picks are already taken."""
+    u, f = Ultra(rng.randrange(2)), Endo((rng.randrange(2), rng.randrange(2)))
+    c = rng.choice(["atom"] * 2 + ["neg", "conj", "imp", "aconj", "mconj", "bang"]
+                   + ["forall"] * 3 if sz > 0 else ["atom"])
+    if c == "atom":
+        return Atom(rng.choice("pq"), tuple((Var if rng.random() < 0.8 else lg.Const)(
+            rng.choice(names)) for _ in range(rng.randrange(3))))
+    sub = lambda: rand_binder_formula(rng, sz - 1, names)
+    if c in ("neg", "bang"):
+        return Neg(f, sub()) if c == "neg" else Bang(u, sub())
+    if c == "forall":
+        return Forall(u, rng.choice(names), sub())
+    if c == "imp":
+        return Impl(f, u, sub(), sub())
+    return {"conj": Conj, "aconj": AConj, "mconj": MConj}[c](u, sub(), sub())
+
+
+def size_reference(a) -> int:
+    """logic.size as a recursion over the formula's tree."""
+    match a:
+        case Atom():
+            return 0
+        case Neg(_, body) | Bang(_, body) | Forall(_, _, body):
+            return 1 + size_reference(body)
+        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
+            return 1 + size_reference(l) + size_reference(r)
+    raise lg.FormulaError(f"not a formula: {a!r}")
+
+
+def free_vars_reference(a) -> frozenset[str]:
+    """logic.free_vars as a recursion over the formula's tree."""
+    match a:
+        case Atom(_, args):
+            return frozenset(t.name for t in args if isinstance(t, Var))
+        case Neg(_, body) | Bang(_, body):
+            return free_vars_reference(body)
+        case Forall(_, x, body):
+            return free_vars_reference(body) - {x}
+        case Conj(_, l, r) | AConj(_, l, r) | MConj(_, l, r) | Impl(_, _, l, r):
+            return free_vars_reference(l) | free_vars_reference(r)
+    raise lg.FormulaError(f"not a formula: {a!r}")
+
+
+def substitute_reference(a, x: str, t):
+    """logic.substitute as a recursion over the formula's tree: a binder y
+    that would capture t becomes the smallest y~k not free in its body."""
+    sub = lambda b: substitute_reference(b, x, t)
+    match a:
+        case Atom(label, args):
+            return Atom(label, tuple(t if isinstance(s, Var) and s.name == x else s for s in args))
+        case Neg(f, body):
+            return Neg(f, sub(body))
+        case Bang(u, body):
+            return Bang(u, sub(body))
+        case Conj(u, l, r) | AConj(u, l, r) | MConj(u, l, r):
+            return type(a)(u, sub(l), sub(r))
+        case Impl(f, u, l, r):
+            return Impl(f, u, sub(l), sub(r))
+        case Forall(u, y, body):
+            if y == x:
+                return a
+            if isinstance(t, Var) and t.name == y and x in (fv := free_vars_reference(body)):
+                stem, k = y.split("~")[0], 1
+                while (z := f"{stem}~{k}") in fv or z == y:
+                    k += 1
+                return Forall(u, z, sub(substitute_reference(body, y, Var(z))))
+            return Forall(u, y, sub(body))
+    raise lg.FormulaError(f"not a formula: {a!r}")
+
+
 def rand_partition(rng: random.Random, n: int, k: int) -> list[int]:
     """The universe split into k (possibly empty) role sets."""
     parts = [0] * k
@@ -486,8 +560,19 @@ def derivation_to_obj_reference(d: K.Derivation) -> dict:
         nodes.append(entry)
         return len(nodes) - 1
 
-    root = lg.postorder(d, lambda node: node.premises, nindex, add_node)
-    return {"formulas": formulas.entries, "nodes": nodes, "root": root}
+    stack = [d]
+    while stack:  # a postorder, premises first and left to right
+        node = stack[-1]
+        if node in nindex:
+            stack.pop()
+            continue
+        todo = [p for p in node.premises if p not in nindex]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
+        nindex[node] = add_node(node)
+    return {"formulas": formulas.entries, "nodes": nodes, "root": nindex[d]}
 
 
 def derivation_from_obj_reference(obj, n: int | None = None) -> K.Derivation:

@@ -36,8 +36,9 @@ from multirole.logic import (
 )
 from multirole.roles import Endo, Ultra
 
-from helpers import (MALFORMED_ITEMS, counter_equal, counter_minus, rand_formula, rand_sequent,
-                     shared_conj, work_bound)
+from helpers import (MALFORMED_ITEMS, counter_equal, counter_minus, free_vars_reference,
+                     rand_binder_formula, rand_formula, rand_sequent, shared_conj,
+                     size_reference, substitute_reference, work_bound)
 
 
 class TestParseFmt:
@@ -162,6 +163,79 @@ class TestSubstitute:
         g = substitute(f, "y", Var("x"))
         assert g.var == "x~2"
         assert substitute(f, "y", Var("x")) is g
+
+
+class TestLoopsAgreeWithRecursion:
+    """size, free_vars and substitute are loops over an explicit stack; the
+    recursions in helpers are their references."""
+
+    def test_random_formulas_with_captures(self):
+        rng = random.Random(25)
+        names = ("x", "y", "x~1", "x~2")
+        terms = [Var(v) for v in names] + [Const("x"), Const("c")]
+        renamed = 0
+        for _ in range(1500):
+            a = rand_binder_formula(rng, rng.randrange(10))
+            assert lg.size(a) == size_reference(a)
+            assert free_vars(a) == free_vars_reference(a)
+            x, t = rng.choice(names), rng.choice(terms)
+            got = substitute(a, x, t)
+            assert got is substitute_reference(a, x, t), (fmt_formula(a), x, t)
+            renamed += got is not a and lg.names_in([got]) - lg.names_in([a]) - {t.name} != set()
+        assert renamed > 25  # binders were renamed, to names a did not hold
+
+    def test_capture_renames_inside_a_renamed_body(self):
+        # y := x meets the binder x, renamed to x~2 (x~1 is free); the body's
+        # renaming x := x~2 meets the binder x~2, renamed to x~1... and so on
+        u = Ultra(0)
+        a = Forall(u, "x", Forall(u, "x~2", Atom("p", (Var("x"), Var("x~2"), Var("y"),
+                                                        Var("x~1")))))
+        got = substitute(a, "y", Var("x"))
+        assert got is substitute_reference(a, "y", Var("x"))
+        assert free_vars(got) == {"x", "x~1"}
+
+    def test_non_formulas_are_refused(self):
+        bad = Neg(Endo((1, 0)), Var("x"))
+        for f in (lg.size, free_vars, lambda b: substitute(b, "x", Const("c"))):
+            with pytest.raises(lg.FormulaError, match=r"^not a formula: Var\(name='x'\)$"):
+                f(bad)
+
+
+@pytest.mark.parametrize("shape", ["chain", "binders", "kernel"])
+def test_depth_census(shape):
+    """Quantified formulas 5000 deep, at the default recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    k, u, swap = 5000, Ultra(1), Endo((1, 0))
+    if shape == "chain":  # forall x. not^k p(x, y)
+        body = Atom("p", (Var("x"), Var("y")))
+        want_c, want_x = Atom("p", (Const("c"), Var("y"))), Atom("p", (Var("x~1"), Var("x")))
+        for _ in range(k):
+            body, want_c, want_x = Neg(swap, body), Neg(swap, want_c), Neg(swap, want_x)
+        a = Forall(u, "x", body)
+        assert lg.size(a) == k + 1 and free_vars(a) == {"y"}
+        assert substitute(body, "x", Const("c")) is want_c
+        assert substitute(a, "y", Var("x")) is Forall(u, "x~1", want_x)
+    elif shape == "binders":  # forall x. (B tensor q(y)), k deep: y := x renames every x
+        a, want = Atom("p", (Var("x"), Var("y"))), Atom("p", (Var("x~1"), Var("x")))
+        for _ in range(k):
+            a = Forall(u, "x", MConj(u, a, Atom("q", (Var("y"),))))
+            want = Forall(u, "x~1", MConj(u, want, Atom("q", (Var("x"),))))
+        assert lg.size(a) == 2 * k and free_vars(a) == {"y"}
+        assert parse_formula(fmt_formula(a)) is a
+        assert substitute(a, "y", Var("x")) is want and free_vars(want) == {"x"}
+    else:  # the kernel's forall rules over a 5000-deep body, checked and round-tripped
+        body = Atom("p", (Var("x"),))
+        for _ in range(k):
+            body = Neg(swap, body)
+        a, calc = Forall(Ultra(0), "x", body), K.MRL(2)
+        d = K.axiom_multi(a, [1, 2], calc)
+        K.check(d, calc)
+        assert K.derivation_from_json(K.derivation_to_json(d), 2) is d
+        inst = substitute(body, "x", Const("c"))
+        d = K.b_rule("forall-neg", (K.axiom_multi(inst, [1, 2], calc),),
+                     IFormula(1, Forall(u, "x", body)), witness=Const("c"))
+        K.check(d, calc)
+        assert seq_equal(d.conclusion, (IFormula(2, inst), IFormula(1, Forall(u, "x", body))))
 
 
 class TestSequents:

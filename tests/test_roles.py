@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import pickle
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multirole import kernel as kn
+from multirole import logic as lg
 from multirole import mtlc as mt
 from multirole import roles as rl
 from multirole import runtime as rt
 from multirole.roles import Endo, RoleError, Ultra
+from multirole import session as sn
 from multirole.session import parse_session
 
 
@@ -110,6 +113,14 @@ class TestEndo:
     def test_fmt_parse(self, f):
         assert rl.parse_endo(rl.fmt_endo(f)) == f
 
+    def test_only_digit_roles_parse(self):
+        assert rl.parse_endo("[ 1 , 0 ]") is Endo((1, 0))
+        for text in ("[1,x]", "[+1,0]", "[1_0,0]", "[1,,0]", "[1,-0]", "[1.0,0]", "[1 0]"):
+            with pytest.raises(RoleError, match=r"^bad endo syntax: "):
+                rl.parse_endo(text)
+        with pytest.raises(lg.FormulaError, match=r"^bad endo '\[1,x\]': bad endo syntax: "):
+            lg.parse_formula("(not [1,x] a)")
+
     def test_all_endos_count(self):
         assert len(list(rl.all_endos(2))) == 4
         assert len(list(rl.all_endos(3))) == 27
@@ -132,7 +143,14 @@ class TestUltra:
 
     def test_fmt_parse(self):
         assert rl.parse_ultra("@2") == Ultra(2)
+        assert rl.parse_ultra(" @02 ") == Ultra(2)
         assert rl.fmt_ultra(Ultra(0)) == "@0"
+
+    @pytest.mark.parametrize("text", ["@x", "@", "@+1", "@ 1", "@1_0", "@-1", "@1.0", "1",
+                                      "@\u0663"])
+    def test_only_digit_roles_parse(self, text):
+        with pytest.raises(RoleError, match=r"^bad ultrafilter syntax: "):
+            rl.parse_ultra(text)
 
     @given(endos(3), st.integers(0, 2))
     def test_pushforward(self, f, r):
@@ -166,6 +184,77 @@ class TestNodes:
         assert rl.parse_ultra("@2") is Ultra(2)
         for x in (Ultra(3), Endo((2, 0, 1))):
             assert pickle.loads(pickle.dumps(x)) is x
+
+
+def _node_classes(cls=rl.Node):
+    """Every class derived from cls, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+def _node_samples(tag: str) -> dict:
+    """Fields for a node of every concrete Node class, each holding tag, so
+    that no other live node has them."""
+    a, b = lg.Atom(tag), lg.Atom(tag + "'", (lg.Var(tag),))
+    u, f = Ultra(1), Endo((1, 0))
+    m = sn.Msg(tag, 0, 1)
+    item = lg.IFormula(1, a)
+    return {
+        lg.Var: (tag,), lg.Const: (tag,), lg.Atom: (tag, (lg.Var(tag), lg.Const(tag))),
+        lg.Neg: (f, a), lg.Conj: (u, a, b), lg.Impl: (f, u, a, b), lg.AConj: (u, a, b),
+        lg.MConj: (u, b, a), lg.Bang: (u, b), lg.Forall: (u, tag, b), lg.IFormula: (2, b),
+        kn.Derivation: ("weaken", (item, lg.IFormula(2, b)), (kn.b_id((item,)),), 1, None, tag),
+        Ultra: (40 + len(tag),), Endo: ((0,) * (20 + len(tag)),),
+        sn.Msg: (tag, 0, 1, "int"), sn.Bcast: (tag, 1, "unit"), sn.Gather: (tag, 0, "bool"),
+        sn.Nil: (), sn.Append: (m, sn.Nil()), sn.SMConj: (1, m, m), sn.SAConj: (0, m, sn.Nil()),
+        sn.OptionT: (1, m), sn.Repseq: (0, m), sn.Repeat: (1, m),
+    }
+
+
+class TestNodeMakers:
+    """Each Node class makes its nodes with a maker of its own, whose setter
+    calls are written out per arity: it must set every field, enter the
+    node in the table in place when it runs, and replace a dead entry."""
+
+    def test_every_node_class_has_a_sample(self):
+        abstract = {sn._Combinator}
+        assert set(_node_classes()) - abstract == set(_node_samples("t"))
+
+    @pytest.mark.parametrize("tag", ["maker_a", "maker_bb", "maker_ccc"])
+    def test_maker_sets_every_field_and_replaces_dead_entries(self, tag):
+        for cls in list(_node_samples(tag)):
+            fields = _node_samples(tag)[cls]  # and no other sample holds the node
+            node = cls(*fields)
+            assert type(node) is cls
+            got = tuple(getattr(node, k) for k in cls.__match_args__)
+            assert got == fields and all(x is y for x, y in zip(got, fields)), cls
+            assert cls(*fields) is node and pickle.loads(pickle.dumps(node)) is node
+            key = (cls, *fields)
+            ref = rl.Node._table[key]
+            assert ref() is node and ref.key == key
+            del node
+            gc.collect()
+            assert ref() is None and key not in rl.Node._table, cls
+            rl.Node._table[key] = ref  # a dead entry whose callback has not run yet
+            again = cls(*fields)
+            assert tuple(getattr(again, k) for k in cls.__match_args__) == fields
+            assert rl.Node._table[key]() is again and cls(*fields) is again
+            assert rl.Node._table[key] is not ref
+            del again
+            gc.collect()
+            assert key not in rl.Node._table, cls
+
+    def test_maker_enters_the_table_in_place_when_it_runs(self, monkeypatch):
+        samples = _node_samples("maker_table")
+        table: dict = {}
+        monkeypatch.setattr(rl.Node, "_table", table)
+        for cls, fields in samples.items():
+            node = cls(*fields)
+            assert table[(cls, *fields)]() is node and cls(*fields) is node, cls
+            del node
+        gc.collect()
+        assert all(ref() is None for ref in table.values())
 
 
 def _as_dataclass(v):
