@@ -1361,7 +1361,7 @@ def parse_type(tree, n: int) -> Viewtype:
     match tree:
         case str(name) if name in _NAMED_TYPES:
             return _NAMED_TYPES[name]
-        case ["int", str(i)] if i.removeprefix("-").isdecimal():
+        case ["int", str(i)] if rl.is_digits(i.removeprefix("-")):
             return TIntIdx(int(i))
         case ["chan", str(roleset), str(spec)]:
             s = parse_session(spec.strip('"'), n)
@@ -1383,7 +1383,7 @@ def parse_expr(tree, n: int) -> Expr:
             return EBool(True)
         case "false":
             return EBool(False)
-        case str(t) if t.removeprefix("-").isdecimal():
+        case str(t) if rl.is_digits(t.removeprefix("-")):
             return EInt(int(t))
         case str(t) if t.startswith('"'):
             return EStr(t.strip('"'))

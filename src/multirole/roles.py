@@ -319,7 +319,7 @@ def fmt_roleset(mask: int) -> str:
     return "{%s}" % ",".join(str(r) for r in members(mask))
 
 
-_ROLESET_RE = re.compile(r"^\{\s*(\d+\s*(,\s*\d+\s*)*)?\}$")
+_ROLESET_RE = re.compile(r"^\{\s*(\d+\s*(,\s*\d+\s*)*)?\}$", re.ASCII)
 
 
 def parse_roleset(text: str, n: int | None = None) -> int:
@@ -442,9 +442,15 @@ def fmt_endo(f: Endo) -> str:
     return "[%s]" % ",".join(str(v) for v in f.table)
 
 
+def is_digits(text: str) -> bool:
+    """Every reader's test for a number: one or more ASCII digits, where
+    str.isdecimal would take any script's digits ('١' too)."""
+    return text.isascii() and text.isdigit()
+
+
 def _role_number(text: str) -> int | None:
     """The role a string of ASCII digits names, else None."""
-    return int(text) if text.isascii() and text.isdigit() else None
+    return int(text) if is_digits(text) else None
 
 
 def parse_endo(text: str, n: int | None = None) -> Endo:

@@ -18,6 +18,13 @@ parse_script), but any generator yielding _Block requests can join a pool —
 the lambda-calculus evaluator reuses this engine.
 A fire and script synthesis take a channel's next cursor from
 session.advance or session.forks: only the session module builds cursors.
+
+A blocking command classifies once: _classify reads its register, refuses a
+consumed endpoint, a finished session or a head of the wrong class, and looks
+the head's kind up in session._ACTIONS.  The command records the kind on its
+_Block and the fire trusts it (a head moves only when its channel fires); a
+block made without a command has none and is classified at the fire.  A run
+of sequential services costs at most 24 Python calls per event at any length.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from functools import partial
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -41,6 +49,7 @@ from .session import (
     SAConj,
     SessionType,
     SMConj,
+    _ACTIONS,
     next_kind,
     norm,
 )
@@ -116,7 +125,7 @@ class Endpoint:
 
 
 _DEFAULT_PAYLOAD = {"unit": None, "int": 7, "str": "m"}
-_SYNC_ACTIONS = {Msg: "msg", Bcast: "bcast", Gather: "gather"}  # trace names
+_PAYLOAD_TYPES = {"unit": type(None), "int": int, "str": str}  # an int is no bool
 
 
 def _forks(cursor: tuple[SessionType, ...]) -> tuple[tuple[SessionType, ...], ...]:
@@ -125,17 +134,6 @@ def _forks(cursor: tuple[SessionType, ...]) -> tuple[tuple[SessionType, ...], ..
         return sn.forks(cursor)
     except sn.SessionError as e:
         raise ProtocolMismatch(str(e)) from None
-
-
-def _payload_ok(tag: str, value) -> bool:
-    match tag:
-        case "unit":
-            return value is None
-        case "int":
-            return isinstance(value, int) and not isinstance(value, bool)
-        case "str":
-            return isinstance(value, str)
-    return False
 
 
 # ------------------------------------------------------------ commands
@@ -261,7 +259,7 @@ class _Block:
         self.side = side
         self.payload = payload
         self.spawn = spawn  # callable(endpoint) -> None, used by mdisj
-        self.action = action  # next_kind of the head, where the blocking op checked it
+        self.action = action  # the head's kind as the blocking op found it, or None
 
 
 class Service(Record):
@@ -326,7 +324,7 @@ class Pool:
         return t
 
     def add_script_thread(self, cmds, regs=None) -> Thread:
-        return self.add_thread(lambda t: _exec(self, t, tuple(cmds)), regs)
+        return self.add_thread(partial(_exec, self, cmds=tuple(cmds)), regs)
 
     def service_create(self, name: str, roleset: int, session: SessionType,
                        acceptor) -> Service:
@@ -358,10 +356,10 @@ class Pool:
 
     def _close(self, ch: Channel) -> None:  # the audit stops counting ch
         if self.open_channels.pop(ch.cid, None) is not None:
-            self._live_eps -= sum(e.live for e in ch.endpoints)
+            for e in ch.endpoints:
+                self._live_eps -= e.live
 
-    def _retire(self, ch: Channel) -> None:
-        self._close(ch)
+    def _retire(self, ch: Channel) -> None:  # ch is closed
         ch.live = False
         for e in ch.endpoints:
             e.live = False
@@ -407,8 +405,11 @@ class Pool:
             ev["payload"] = payload
         self.trace.append(ev)
         self.step_no += 1
-        self.check_invariants()
-        self.audit_log.append((self.step_no, self.relaxed()))
+        if self._dirty:
+            self.check_invariants()
+        ne = self._live_eps  # relaxed(), inline
+        self.audit_log.append((self.step_no, ne == 0 or len(self.active_threads)
+                               + len(self.open_channels) >= ne + 1))
 
     # -- scheduling ---------------------------------------------------
 
@@ -428,7 +429,10 @@ class Pool:
             return
         ep = t.block.ep
         self._blocked[ep.eid] = t
-        self._offer(ep.channel.cid)
+        cid = ep.channel.cid
+        if cid not in self._pending:  # _offer(cid), inline
+            self._pending.add(cid)
+            heappush(self._cands, cid)
 
     def _offer(self, cid: int) -> None:
         """Put channel cid on the candidate heap, unless it is there."""
@@ -446,8 +450,6 @@ class Pool:
         return ready
 
     def _cleanup_channels(self) -> None:
-        if not self._finished:
-            return
         for ch in self._finished.values():
             self._retire(ch)
         self._finished.clear()
@@ -484,7 +486,8 @@ class Pool:
                 while runnable := self._runnable():
                     for t in runnable:
                         self._resume(t)
-                self._cleanup_channels()
+                if self._finished:
+                    self._cleanup_channels()
                 if not self.active_threads:
                     return RunResult("done", self.trace, None, self)
                 m = self._matching_set()
@@ -516,61 +519,60 @@ class Pool:
         rule(self, ch, head, members)
 
     def _fire_sync(self, ch: Channel, head, members) -> None:
+        cls = head.__class__
+        classify = _ACTIONS[cls][0]
         payloads: list = []
-        recv_threads: list[Thread] = []
-        frm = to = None
+        receivers: list[Thread] = []
         for ep, t, blk in members:
             if blk.kind != "sync":
                 raise ProtocolMismatch(
                     f"thread {t.tid} blocked on {blk.op} but head is "
                     f"{sn.fmt_session(head)}")
-            # the head has not moved since the op blocked: a channel's cursor
-            # advances only when it fires, and _merge re-homes endpoints only
-            # between channels with equal cursors
-            kind = blk.action or next_kind(head, ep.roles)
+            # the kind an op found still holds: a cursor advances only when its
+            # channel fires, and _merge joins only channels with equal cursors;
+            # a block made without an op (the lambda calculus's) has none
+            kind = blk.action or classify(head, ep.roles)
             if blk.op == "send":
                 if kind != "send":
                     raise RoleMismatch(
                         f"thread {t.tid} sends but roles {rl.fmt_roleset(ep.roles)} "
                         f"are not the sender of {sn.fmt_session(head)}")
-                if not _payload_ok(head.payload, blk.payload):
+                value = blk.payload
+                if not isinstance(value, _PAYLOAD_TYPES.get(head.payload, ())) \
+                        or value.__class__ is bool:
                     raise PayloadTypeMismatch(
-                        f"payload {blk.payload!r} does not fit tag {head.payload}")
-                payloads.append(blk.payload)
+                        f"payload {value!r} does not fit tag {head.payload}")
+                payloads.append(value)
             elif blk.op == "recv":
                 if kind != "recv":
                     raise RoleMismatch(
                         f"thread {t.tid} receives but roles {rl.fmt_roleset(ep.roles)} "
                         f"are not the receiver of {sn.fmt_session(head)}")
-                recv_threads.append(t)
-            else:  # plain sync performs whatever the classification says
-                if kind == "send":
-                    payloads.append(_DEFAULT_PAYLOAD[head.payload])
-                elif kind == "recv":
-                    recv_threads.append(t)
-        if isinstance(head, Msg):
-            frm, to = head.frm, head.to
+                receivers.append(t)
+            elif kind == "send":  # plain sync performs whatever its kind says
+                payloads.append(_DEFAULT_PAYLOAD[head.payload])
+            elif kind == "recv":
+                receivers.append(t)
+        if cls is Gather:  # every sender contributes
+            action, frm, to, value = "gather", "*", head.to, payloads
+        else:
+            action, frm, to = ("msg", head.frm, head.to) if cls is Msg \
+                else ("bcast", head.frm, "*")
             value = payloads[0] if payloads else _DEFAULT_PAYLOAD[head.payload]
-        elif isinstance(head, Bcast):
-            frm, to = head.frm, "*"
-            value = payloads[0] if payloads else _DEFAULT_PAYLOAD[head.payload]
-        else:  # Gather: every sender contributes
-            frm, to = "*", head.to
-            value = payloads
-        for _, t, _ in members:
-            t.resume_value = value if t in recv_threads else None
+        for t in receivers:  # a blocked thread's resume value is None
+            t.resume_value = value
         self._advance(ch, sn.advance(ch.cursor))
-        self._event("PR4", chan=ch.cid, action=_SYNC_ACTIONS[type(head)],
+        self._event("PR4", chan=ch.cid, action=action,
                     frm=frm, to=to, label=head.label, payload=value)
 
     def _fire_choice(self, ch: Channel, head, members) -> None:
+        classify = _ACTIONS[head.__class__][0]
         side = None
         for ep, t, blk in members:
-            kind = next_kind(head, ep.roles)
             if blk.kind != "choice":
                 raise ProtocolMismatch(
                     f"thread {t.tid} blocked on {blk.op} but head is a choice")
-            if kind == "choose":
+            if (blk.action or classify(head, ep.roles)) == "choose":
                 if blk.op != "choose":
                     raise RoleMismatch(f"thread {t.tid} must choose at "
                                        f"{sn.fmt_session(head)}")
@@ -591,6 +593,7 @@ class Pool:
         left, right = _forks(ch.cursor)
         ch_a = self.new_channel(left)
         ch_b = self.new_channel(right)
+        self._close(ch)
         self._retire(ch)
         for ep, t, blk in members:
             ep_a = self.new_endpoint(ch_a, ep.roles)
@@ -618,7 +621,8 @@ class Pool:
         ch = self.new_channel(norm(session))
         spawned = self.new_endpoint(ch, part)
         mine = self.new_endpoint(ch, self.full & ~part)
-        t = self.add_script_thread(acceptor, {acceptor_reg: spawned})
+        t = self.add_thread(partial(_exec, self, cmds=tuple(acceptor)),
+                            {acceptor_reg: spawned})
         self._event("PR3", chan=ch.cid, action="create", to=t.tid,
                     label=rl.fmt_roleset(part))
         return mine
@@ -630,7 +634,7 @@ class Pool:
         ch = self.new_channel(svc.cursor)
         mine = self.new_endpoint(ch, svc.roleset)
         spawned = self.new_endpoint(ch, self.full & ~svc.roleset)
-        t = self.add_script_thread(svc.acceptor, {"ep": spawned})
+        t = self.add_thread(partial(_exec, self, cmds=svc.acceptor), {"ep": spawned})
         self._event("PR3", chan=ch.cid, action="service", label=name, to=t.tid)
         return mine
 
@@ -644,7 +648,8 @@ class Pool:
         ch = ep.channel
         ep_spawn = self.new_endpoint(ch, part)
         ep_keep = self.new_endpoint(ch, ep.roles & ~part)
-        t = self.add_script_thread(spawned_cmds, {spawn_reg: ep_spawn})
+        t = self.add_thread(partial(_exec, self, cmds=tuple(spawned_cmds)),
+                            {spawn_reg: ep_spawn})
         self._event("PR1", chan=ch.cid, action="split", to=t.tid,
                     label=rl.fmt_roleset(part))
         return ep_keep
@@ -755,14 +760,6 @@ def message_keys(trace: list[dict]) -> list[tuple]:
 # ------------------------------------------------- command interpreter
 
 
-def _head(ep: Endpoint) -> SessionType:
-    if not ep.live:
-        raise LinearityFault("operation on a consumed endpoint")
-    if not ep.channel.cursor:
-        raise ProtocolMismatch("operation on a finished session")
-    return ep.channel.cursor[0]
-
-
 def _reg(t: Thread, name: str) -> Endpoint:
     ep = t.regs.get(name)
     if not isinstance(ep, Endpoint):
@@ -770,28 +767,34 @@ def _reg(t: Thread, name: str) -> Endpoint:
     return ep
 
 
-def _action_head(ep: Endpoint, what: str) -> SessionType:
-    head = _head(ep)
-    if not isinstance(head, (Msg, Bcast, Gather)):
-        raise ProtocolMismatch(f"{what} at non-action head {sn.fmt_session(head)}")
-    return head
-
-
-def _repseq_head(ep: Endpoint, what: str) -> None:
-    if not isinstance(_head(ep), Repseq):
-        raise ProtocolMismatch(f"{what} at a non-repseq head")
+def _classify(t: Thread, reg: str, heads=None, refusal: str = ""):
+    """A blocking op's endpoint (_reg(t, reg)), the head of its channel and
+    the head's kind as seen from the endpoint's roles.  A consumed endpoint,
+    a finished session and, where heads is given, a head of another class
+    are refused, in that order; refusal is formatted with the head."""
+    ep = t.regs.get(reg)
+    if not isinstance(ep, Endpoint):
+        raise RuntimeFault(f"thread {t.tid}: register {reg!r} holds no endpoint")
+    if not ep.live:
+        raise LinearityFault("operation on a consumed endpoint")
+    cursor = ep.channel.cursor
+    if not cursor:
+        raise ProtocolMismatch("operation on a finished session")
+    head = cursor[0]
+    if heads is not None and not isinstance(head, heads):
+        raise ProtocolMismatch(refusal.format(sn.fmt_session(head)))
+    rules = _ACTIONS.get(head.__class__) or sn._rules(head)  # raises if unknown
+    return ep, head, rules[0](head, ep.roles)
 
 
 def _sync(pool: Pool, t: Thread, cmd: CSync):
-    ep = _reg(t, cmd.reg)
-    _action_head(ep, "sync")
-    return _Block("sync", ep, "sync")
+    ep, _, kind = _classify(t, cmd.reg, (Msg, Bcast, Gather), "sync at non-action head {}")
+    return _Block("sync", ep, "sync", action=kind)
 
 
 def _send(pool: Pool, t: Thread, cmd: CSend):
-    ep = _reg(t, cmd.reg)
-    head = _action_head(ep, "send")
-    if next_kind(head, ep.roles) != "send":
+    ep, head, kind = _classify(t, cmd.reg, (Msg, Bcast, Gather), "send at non-action head {}")
+    if kind != "send":
         raise RoleMismatch(
             f"roles {rl.fmt_roleset(ep.roles)} cannot send {sn.fmt_session(head)}")
     value = _DEFAULT_PAYLOAD[head.payload] if cmd.payload is None \
@@ -800,52 +803,49 @@ def _send(pool: Pool, t: Thread, cmd: CSend):
 
 
 def _recv(pool: Pool, t: Thread, cmd: CRecv):
-    ep = _reg(t, cmd.reg)
-    head = _action_head(ep, "recv")
-    if next_kind(head, ep.roles) != "recv":
+    ep, head, kind = _classify(t, cmd.reg, (Msg, Bcast, Gather), "recv at non-action head {}")
+    if kind != "recv":
         raise RoleMismatch(
             f"roles {rl.fmt_roleset(ep.roles)} cannot receive {sn.fmt_session(head)}")
     return _Block("sync", ep, "recv", action="recv")
 
 
 def _choose(pool: Pool, t: Thread, cmd: CChoose):
-    ep = _reg(t, cmd.reg)
-    if next_kind(_head(ep), ep.roles) != "choose":
+    ep, _, kind = _classify(t, cmd.reg)
+    if kind != "choose":
         raise RoleMismatch("only the deciding role set may choose here")
-    return _Block("choice", ep, "choose", side=cmd.side)
+    return _Block("choice", ep, "choose", side=cmd.side, action=kind)
 
 
 def _offer(pool: Pool, t: Thread, cmd: COffer):
-    ep = _reg(t, cmd.reg)
-    if next_kind(_head(ep), ep.roles) != "offer":
+    ep, _, kind = _classify(t, cmd.reg)
+    if kind != "offer":
         raise RoleMismatch("the deciding role set cannot offer")
-    side = yield _Block("choice", ep, "offer")
+    side = yield _Block("choice", ep, "offer", action=kind)
     yield from _exec(pool, t, cmd.left if side == "l" else cmd.right)
 
 
 def _loop(pool: Pool, t: Thread, cmd: CLoop):
+    # the loop's choice is checked when it fires
     for _ in range(cmd.count):
-        ep = _reg(t, cmd.reg)
-        _repseq_head(ep, "loop")
-        yield _Block("choice", ep, "choose", side="l")
+        ep, _, kind = _classify(t, cmd.reg, Repseq, "loop at a non-repseq head")
+        yield _Block("choice", ep, "choose", side="l", action=kind)
         yield from _exec(pool, t, cmd.body)
-    ep = _reg(t, cmd.reg)
-    _repseq_head(ep, "loop exit")
-    yield _Block("choice", ep, "choose", side="r")
+    ep, _, kind = _classify(t, cmd.reg, Repseq, "loop exit at a non-repseq head")
+    yield _Block("choice", ep, "choose", side="r", action=kind)
 
 
 def _offer_loop(pool: Pool, t: Thread, cmd: COfferLoop):
     while True:
-        ep = _reg(t, cmd.reg)
-        _repseq_head(ep, "offer_loop")
-        if (yield _Block("choice", ep, "offer")) == "r":
+        ep, _, kind = _classify(t, cmd.reg, Repseq, "offer_loop at a non-repseq head")
+        if (yield _Block("choice", ep, "offer", action=kind)) == "r":
             return
         yield from _exec(pool, t, cmd.body)
 
 
 def _mconj(pool: Pool, t: Thread, cmd: CMconj):
-    ep = _reg(t, cmd.reg)
-    if next_kind(_head(ep), ep.roles) != "fork-conj":
+    ep, _, kind = _classify(t, cmd.reg)
+    if kind != "fork-conj":
         raise RoleMismatch("mconj requires the deciding role")
     ep_a, ep_b = yield _Block("mconj", ep, "mconj")
     t.regs[cmd.reg] = ep_a
@@ -855,12 +855,12 @@ def _mconj(pool: Pool, t: Thread, cmd: CMconj):
 
 
 def _mdisj(pool: Pool, t: Thread, cmd: CMdisj):
-    ep = _reg(t, cmd.reg)
-    if next_kind(_head(ep), ep.roles) != "fork-disj":
+    ep, _, kind = _classify(t, cmd.reg)
+    if kind != "fork-disj":
         raise RoleMismatch("mdisj is for non-deciding role sets")
 
     def spawn(give):
-        pool.add_script_thread(cmd.spawned, {cmd.reg: give})
+        pool.add_thread(partial(_exec, pool, cmds=tuple(cmd.spawned)), {cmd.reg: give})
 
     t.regs[cmd.reg] = yield _Block("mconj", ep, "mdisj", side=cmd.side, spawn=spawn)
 
@@ -1036,7 +1036,7 @@ def _script(cursor: tuple[SessionType, ...], stop: int, roleset: int,
 
 # ------------------------------------------------------- script parser
 
-_STOKEN = re.compile(r"\{[^{}]*\}|[A-Za-z_][A-Za-z0-9_]*|\d+|[;|()]|\S")
+_STOKEN = re.compile(r"\{[^{}]*\}|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;|()]|\S")
 
 
 class _SP:
@@ -1082,7 +1082,7 @@ class _SP:
                 nxt = self.peek()
                 if nxt is not None and nxt not in (";", ")", "|"):
                     raw = self.next()
-                    value = int(raw) if raw.isdecimal() else raw
+                    value = int(raw) if rl.is_digits(raw) else raw
                     return CSend(value)
                 return CSend()
             case "recv":
@@ -1101,7 +1101,7 @@ class _SP:
                 return COffer(left, right)
             case "loop":
                 k = self.next()
-                if not k.isdecimal():
+                if not rl.is_digits(k):
                     raise RuntimeFault(f"loop expects a count, got {k!r}")
                 return CLoop(int(k), self.block())
             case "offer_loop":

@@ -247,7 +247,7 @@ def parse_session(text: str, n: int | None = None) -> SessionType:
             if toks[i + 1] != "(":
                 raise _expected("(", toks[i + 1])
             r = toks[i + 2]
-            if not r.isdecimal():
+            if not rl.is_digits(r):
                 raise _error(r, f"expected a role number, got {r!r}")
             if toks[i + 3] != ",":
                 raise _expected(",", toks[i + 3])
@@ -305,11 +305,11 @@ def _atom(toks: list[str], i: int, roles: list[int]) -> tuple:
     if toks[i] != ")":
         raise _expected(")", toks[i])
     payload = args.pop() if args[-1] in PAYLOADS else "unit"
-    if label == "gather" and len(args) == 2 and args[0].isdecimal() \
+    if label == "gather" and len(args) == 2 and rl.is_digits(args[0]) \
             and _IDENT.fullmatch(args[1]):
         roles.append(int(args[0]))
         return Gather(args[1], roles[-1], payload), i + 1
-    if not args or len(args) > 2 or not "".join(args).isdecimal():
+    if not args or len(args) > 2 or not rl.is_digits("".join(args)):
         raise SessionError(f"bad argument list for atom {label}")
     rs = [int(a) for a in args]
     roles += rs
@@ -325,7 +325,7 @@ def parse_protocol(text: str) -> tuple[int, dict[str, SessionType]]:
         if not line:
             continue
         if line.startswith("roles"):
-            if not re.fullmatch(r"roles\s+\d+", line):
+            if not re.fullmatch(r"roles\s+[0-9]+", line):
                 raise SessionError(f"line {lineno}: expected `roles N`")
             n = int(line.split()[1])
             rl.check_universe(n)
@@ -511,7 +511,7 @@ def _rules(s: SessionType):
 
 def next_kind(s: SessionType, roleset: int) -> str:
     """The kind of next_actions(s, roleset), without building the Action."""
-    return _rules(s)[0](s, roleset)
+    return (_ACTIONS.get(s.__class__) or _rules(s))[0](s, roleset)
 
 
 def next_actions(s: SessionType, roleset: int) -> Action:

@@ -544,6 +544,13 @@ class TestParser:
         with pytest.raises(MtlcTypeError, match="arguments"):
             typecheck(prog("(chan_send)"))
 
+    def test_digits_other_than_ascii_are_not_numbers(self):
+        # an Arabic-Indic one is a variable name, and no int index
+        assert prog("(iadd \u0661 2)") == EConst("iadd", (EVar("\u0661"), EInt(2)))
+        assert prog("(iadd -\u0661 2)") == EConst("iadd", (EVar("-\u0661"), EInt(2)))
+        with pytest.raises(MtlcTypeError, match=r"^\(parse\) unknown type \['int', '\u0661'\]$"):
+            prog("(llam (x (int \u0661)) x)")
+
     def test_chan_role_set_outside_the_universe(self):
         with pytest.raises(rl.RoleError, match=r"^role 5 outside universe of 2 roles$"):
             prog('(llam (c (chan {5} "a(0,1)")) (chan_sync c))', 2)

@@ -33,6 +33,13 @@ class TestRolesets:
         with pytest.raises(RoleError, match=r"^role \d listed twice$"):
             rl.parse_roleset(text, n)
 
+    @pytest.mark.parametrize("text, n", [("{\u0661}", None), ("{0, \u0661}", 3),
+                                         ("{\uff11}", 2), ("{\u00b2}", 3)])
+    def test_digits_other_than_ascii_refused(self, text, n):
+        # Arabic-Indic one, fullwidth one, superscript two
+        with pytest.raises(RoleError, match=r"^bad role set syntax: "):
+            rl.parse_roleset(text, n)
+
     def test_members_complement(self):
         assert rl.members(0b101) == [0, 2]
         assert rl.complement(0b101, 3) == 0b010

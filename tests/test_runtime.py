@@ -103,22 +103,20 @@ class TestInvariants:
         s = parse_session("a(0, 1)@b(1, 0)", 2)
         pool = pool_from_scripts(2, s, [(1, (CSync(),)),  # quits mid-session
                                         (2, (CSync(), CSync()))])
-        res = pool.run()
-        assert res.status == "fault"
-        assert "unfinished endpoint" in res.detail
+        assert _refusal(pool) == \
+            (LinearityFault, "thread 1 exited holding an unfinished endpoint at roles {0}", 2)
 
     def test_role_mismatch_detected(self):
         s = parse_session("a(0, 1)", 2)
         pool = pool_from_scripts(2, s, [(1, (CRecv(),)), (2, (CSend(1),))])
-        res = pool.run()
-        assert res.status == "fault"
+        assert _refusal(pool) == (RoleMismatch, "roles {1} cannot send a(0, 1)", 1)
 
     def test_payload_type_checked(self):
         s = parse_session("a(0, 1, int)@b(1, 0)", 2)
         pool = pool_from_scripts(2, s, [(1, (CSend("oops"), CSync())),
                                         (2, (CRecv(), CSync()))])
-        res = pool.run()
-        assert res.status == "fault"
+        assert _refusal(pool) == \
+            (PayloadTypeMismatch, "payload 'oops' does not fit tag int", 1)
 
 
 class TestDemo:
@@ -222,6 +220,15 @@ class TestScriptParser:
     def test_bad_command_rejected(self):
         with pytest.raises(rt.RuntimeFault):
             parse_script("party {0}: flarb", 2)
+
+    def test_digits_other_than_ascii_are_not_numbers(self):
+        # an Arabic-Indic one is no count and no int payload
+        with pytest.raises(RuntimeFault, match="^loop expects a count, got '\u0661'$"):
+            parse_script("party {0}: loop \u0661 (sync)", 2)
+        assert parse_script("party {0}: send \u0661; send 12", 2) == \
+            [(1, (CSend("\u0661"), CSend(12)))]
+        with pytest.raises(rl.RoleError, match="^bad role set syntax: '{\u0661}'$"):
+            parse_script("party {\u0661}: sync", 2)
 
     def test_bad_partition_rejected(self):
         s = parse_session("a(0, 1)", 2)
@@ -328,6 +335,196 @@ class TestFaultTexts:
         assert type(e.value) is RuntimeFault
         assert str(e.value) == \
             "channel 0: endpoint role sets do not partition the universe"
+
+
+def _refusal(pool):
+    """Run pool to its fault: the class and text of the exception that
+    ended the run, and the number of events before it."""
+    raised = []
+
+    def recording(method):
+        def recorded(*args):
+            try:
+                return method(*args)
+            except RuntimeFault as e:
+                raised.append(e)
+                raise
+        return recorded
+
+    pool._resume, pool._fire = recording(pool._resume), recording(pool._fire)
+    res = pool.run()
+    assert res.status == "fault"
+    assert [res.detail] == [str(e) for e in raised]
+    return type(raised[0]), res.detail, len(res.trace)
+
+
+# every blocking op, on the endpoint in register reg
+BLOCKING_OPS = {
+    "sync": lambda reg: CSync(reg=reg),
+    "send": lambda reg: CSend(reg=reg),
+    "recv": lambda reg: CRecv(reg=reg),
+    "choose": lambda reg: CChoose("l", reg=reg),
+    "offer": lambda reg: rt.COffer((), (), reg=reg),
+    "loop": lambda reg: rt.CLoop(1, (), reg=reg),
+    "loop exit": lambda reg: rt.CLoop(0, (), reg=reg),
+    "offer_loop": lambda reg: rt.COfferLoop((), reg=reg),
+    "mconj": lambda reg: rt.CMconj((), (), reg=reg),
+    "mdisj": lambda reg: rt.CMdisj("l", (), reg=reg),
+}
+
+
+def _raw_party(pool, ch, roles, block):
+    """A thread on a new endpoint of ch with roles that blocks once on
+    block(endpoint) and then ends."""
+    ep = pool.new_endpoint(ch, roles)
+
+    def gen(t):
+        yield block(ep)
+    pool.add_thread(gen)
+
+
+class TestRefusalTexts:
+    """What each blocking op and each firing rule refuses, with the
+    exception's class, its exact text and the events before it."""
+
+    @pytest.mark.parametrize("op", BLOCKING_OPS)
+    def test_register_without_an_endpoint(self, op):
+        pool = Pool(2)
+        mine = pool.chan_create(0b01, parse_session("a(0, 1)", 2), (CSync(),))
+        pool.add_script_thread((BLOCKING_OPS[op]("x"),), {"ep": mine})
+        assert _refusal(pool) == \
+            (RuntimeFault, "thread 1: register 'x' holds no endpoint", 1)
+
+    @pytest.mark.parametrize("op", BLOCKING_OPS)
+    def test_consumed_endpoint(self, op):
+        # registers a and b hold one endpoint; splitting a consumes it
+        pool = Pool(2)
+        mine = pool.chan_create(0b01, parse_session("a(0, 1)", 2), (CSync(),))
+        pool.add_script_thread((rt.CSplit(0b10, (CSync(reg="a"),), reg="a"),
+                                BLOCKING_OPS[op]("b")), {"a": mine, "b": mine})
+        assert _refusal(pool) == (LinearityFault, "operation on a consumed endpoint", 2)
+
+    @pytest.mark.parametrize("op", BLOCKING_OPS)
+    def test_just_finished_session(self, op):
+        s = parse_session("a(0, 1)", 2)
+        pool = pool_from_scripts(2, s, [(1, (CSend(), BLOCKING_OPS[op]("ep"))),
+                                        (2, (CRecv(),))])
+        assert _refusal(pool) == (ProtocolMismatch, "operation on a finished session", 2)
+
+    @pytest.mark.parametrize("op", ["sync", "send", "recv"])
+    def test_message_op_at_a_choice(self, op):
+        s = parse_session("option(0, a(0, 1))", 2)
+        pool = pool_from_scripts(2, s, [(1, (BLOCKING_OPS[op]("ep"),)),
+                                        (2, (rt.COffer((), ()),))])
+        assert _refusal(pool) == \
+            (ProtocolMismatch, f"{op} at non-action head option(0, a(0, 1))", 1)
+
+    @pytest.mark.parametrize("op", ["loop", "loop exit", "offer_loop"])
+    def test_loop_at_a_message(self, op):
+        s = parse_session("a(0, 1)", 2)
+        pool = pool_from_scripts(2, s, [(1, (BLOCKING_OPS[op]("ep"),)), (2, (CRecv(),))])
+        assert _refusal(pool) == (ProtocolMismatch, f"{op} at a non-repseq head", 1)
+
+    @pytest.mark.parametrize("roles, cmd, text", [
+        (0b010, CSend(), "roles {1} cannot send a(0, 1)"),
+        (0b100, CSend(), "roles {2} cannot send a(0, 1)"),
+        (0b001, CRecv(), "roles {0} cannot receive a(0, 1)"),
+        (0b100, CRecv(), "roles {2} cannot receive a(0, 1)"),
+    ])
+    def test_message_op_by_the_wrong_roles(self, roles, cmd, text):
+        s = parse_session("a(0, 1)", 3)
+        # the first party runs once the main thread has made the channel and
+        # split off the second
+        parties = [(roles, (cmd,))] + [(r, (CSync(),)) for r in (1, 2, 4) if r != roles]
+        assert _refusal(pool_from_scripts(3, s, parties)) == (RoleMismatch, text, 2)
+
+    @pytest.mark.parametrize("session, roles, op, text", [
+        ("option(0, a(0, 1))", 0b10, "choose", "only the deciding role set may choose here"),
+        ("a(0, 1)", 0b01, "choose", "only the deciding role set may choose here"),
+        ("option(0, a(0, 1))", 0b01, "offer", "the deciding role set cannot offer"),
+        ("a(1, 0)", 0b01, "offer", "the deciding role set cannot offer"),
+        ("mconj(0, x(1, 0), y(1, 0))", 0b10, "mconj", "mconj requires the deciding role"),
+        ("option(0, a(0, 1))", 0b01, "mconj", "mconj requires the deciding role"),
+        ("mconj(0, x(1, 0), y(1, 0))", 0b01, "mdisj", "mdisj is for non-deciding role sets"),
+        ("a(0, 1)", 0b01, "mdisj", "mdisj is for non-deciding role sets"),
+    ])
+    def test_decision_op_by_the_wrong_roles(self, session, roles, op, text):
+        # the last party runs first, in the thread that makes the channel
+        s = parse_session(session, 2)
+        pool = pool_from_scripts(2, s, [(0b11 & ~roles, ()), (roles, (BLOCKING_OPS[op]("ep"),))])
+        assert _refusal(pool) == (RoleMismatch, text, 1)
+
+    def test_loop_by_the_offering_roles(self):
+        # a loop's choice is checked when it fires, not when it blocks
+        s = parse_session("repseq(0, a(0, 1))", 2)
+        pool = pool_from_scripts(2, s, [(0b01, (rt.CLoop(1, (CSync(),)),)),
+                                        (0b10, (rt.CLoop(1, (CSync(),)),))])
+        assert _refusal(pool) == \
+            (RoleMismatch, "thread 0 must offer at repseq(0, a(0, 1))", 1)
+
+    def test_offer_loop_by_the_deciding_roles(self):
+        s = parse_session("repseq(0, a(0, 1))", 2)
+        pool = pool_from_scripts(2, s, [(0b01, (rt.COfferLoop((CSync(),)),)),
+                                        (0b10, (rt.COfferLoop((CSync(),)),))])
+        assert _refusal(pool) == \
+            (RoleMismatch, "thread 1 must choose at repseq(0, a(0, 1))", 1)
+
+    def test_choice_without_a_side(self):
+        s = parse_session("option(0, a(0, 1))", 2)
+        pool = pool_from_scripts(2, s, [(0b01, (CChoose("x"),)),
+                                        (0b10, (rt.COffer((), ()),))])
+        assert _refusal(pool) == (ProtocolMismatch, "choice fired without a chooser", 1)
+
+    @pytest.mark.parametrize("payload, tag, text", [
+        (True, "int", "payload True does not fit tag int"),
+        (5, "unit", "payload 5 does not fit tag unit"),
+        (5, "str", "payload 5 does not fit tag str"),
+    ])
+    def test_payload_that_does_not_fit(self, payload, tag, text):
+        s = parse_session(f"a(0, 1, {tag})@b(1, 0)", 2)
+        pool = pool_from_scripts(2, s, [(1, (CSend(payload), CSync())),
+                                        (2, (CRecv(), CSync()))])
+        assert _refusal(pool) == (PayloadTypeMismatch, text, 1)
+
+    @pytest.mark.parametrize("session, blocks, fault", [
+        ("a(0, 1)", [("choice", "choose", "l"), ("sync", "sync", None)],
+         (ProtocolMismatch, "thread 0 blocked on choose but head is a(0, 1)")),
+        ("option(0, a(0, 1))", [("choice", "choose", "l"), ("sync", "recv", None)],
+         (ProtocolMismatch, "thread 1 blocked on recv but head is a choice")),
+        # a fork checks the op alone
+        ("mconj(0, x(1, 0), y(1, 0))", [("mconj", "mconj", None), ("sync", "sync", None)],
+         (RoleMismatch, "thread 1 must call mdisj")),
+    ])
+    def test_block_of_the_wrong_kind(self, session, blocks, fault):
+        pool = Pool(2)
+        ch = pool.new_channel(norm(parse_session(session, 2)))
+        for roles, (kind, op, side) in zip((0b01, 0b10), blocks):
+            _raw_party(pool, ch, roles, lambda ep, k=kind, o=op, s=side: rt._Block(k, ep, o, s))
+        assert _refusal(pool) == (*fault, 0)
+
+    @pytest.mark.parametrize("ops, text", [
+        (("recv", "recv"), "thread 0 receives but roles {0} are not the receiver of a(0, 1)"),
+        (("send", "send"), "thread 1 sends but roles {1} are not the sender of a(0, 1)"),
+    ])
+    def test_unchecked_message_block_by_the_wrong_roles(self, ops, text):
+        # blocks made without an op's check, as the lambda calculus makes them
+        pool = Pool(2)
+        ch = pool.new_channel(norm(parse_session("a(0, 1)", 2)))
+        for roles, op in zip((0b01, 0b10), ops):
+            _raw_party(pool, ch, roles, lambda ep, o=op: rt._Block("sync", ep, o))
+        assert _refusal(pool) == (RoleMismatch, text, 0)
+
+    @pytest.mark.parametrize("ops, text", [
+        (("mdisj", "mdisj"), "thread 0 holds role 0 and must call mconj"),
+        (("mconj", "mconj"), "thread 1 must call mdisj"),
+    ])
+    def test_unchecked_fork_block_by_the_wrong_roles(self, ops, text):
+        pool = Pool(2)
+        ch = pool.new_channel(norm(parse_session("mconj(0, x(1, 0), y(1, 0))", 2)))
+        for roles, op in zip((0b01, 0b10), ops):
+            _raw_party(pool, ch, roles, lambda ep, o=op: rt._Block(
+                "mconj", ep, o, "l", spawn=lambda give: None))
+        assert _refusal(pool) == (RoleMismatch, text, 0)
 
 
 def test_service_role_set_outside_the_universe_is_refused():

@@ -70,6 +70,21 @@ class TestParse:
     def test_gather_named_like_a_payload_roundtrip(self, s):
         assert parse_session(fmt_session(s), 3) == s
 
+    @pytest.mark.parametrize("text, why", [
+        ("m(\u0661, 0)", "bad argument list for atom m"),
+        ("m(0, \uff11, int)", "bad argument list for atom m"),
+        ("q(\u0661)", "bad argument list for atom q"),
+        ("gather(\u0661, m)", "bad argument list for atom gather"),
+        ("option(\u0661, m(0, 1))", "expected a role number, got '\u0661'"),
+    ])
+    def test_digits_other_than_ascii_refused(self, text, why):
+        with pytest.raises(sn.SessionError, match=f"^{why}$"):
+            parse_session(text, 2)
+
+    def test_universe_in_digits_other_than_ascii_refused(self):
+        with pytest.raises(sn.SessionError, match=r"^line 1: expected `roles N`$"):
+            parse_protocol("roles \u0662\nsession s = m(0, 1)\n")
+
     def test_gather_with_two_roles_is_msg(self):
         assert parse_session("gather(0, 1)", 3) == Msg("gather", 0, 1)
 
