@@ -596,6 +596,9 @@ class Pool:
         self._close(ch)
         self._retire(ch)
         for ep, t, blk in members:
+            if blk.kind != "mconj":
+                raise ProtocolMismatch(
+                    f"thread {t.tid} blocked on {blk.op} but head is {sn.fmt_session(head)}")
             ep_a = self.new_endpoint(ch_a, ep.roles)
             ep_b = self.new_endpoint(ch_b, ep.roles)
             kind = next_kind(head, ep.roles)
@@ -826,18 +829,23 @@ def _offer(pool: Pool, t: Thread, cmd: COffer):
 
 
 def _loop(pool: Pool, t: Thread, cmd: CLoop):
-    # the loop's choice is checked when it fires
     for _ in range(cmd.count):
         ep, _, kind = _classify(t, cmd.reg, Repseq, "loop at a non-repseq head")
+        if kind != "choose":
+            raise RoleMismatch("only the deciding role set may loop here")
         yield _Block("choice", ep, "choose", side="l", action=kind)
         yield from _exec(pool, t, cmd.body)
     ep, _, kind = _classify(t, cmd.reg, Repseq, "loop exit at a non-repseq head")
+    if kind != "choose":
+        raise RoleMismatch("only the deciding role set may loop here")
     yield _Block("choice", ep, "choose", side="r", action=kind)
 
 
 def _offer_loop(pool: Pool, t: Thread, cmd: COfferLoop):
     while True:
         ep, _, kind = _classify(t, cmd.reg, Repseq, "offer_loop at a non-repseq head")
+        if kind != "offer":
+            raise RoleMismatch("the deciding role set cannot offer a loop")
         if (yield _Block("choice", ep, "offer", action=kind)) == "r":
             return
         yield from _exec(pool, t, cmd.body)

@@ -6,9 +6,11 @@ every test is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 from multirole import kernel as K
@@ -278,6 +280,28 @@ def work_bound(monkeypatch, module, name: str, limit: int) -> list[int]:
 # The kernel's per-rule checker and search from before its rule table,
 # kept as differential oracles for K.check and K.search: each writes every
 # rule out by hand.
+
+
+def python_calls(f) -> tuple[object, int]:
+    """f() and the Python calls it made: sys.setprofile's "call" events, one
+    for each Python function entered and each generator resumed.  The
+    collector stays off, since what it frees can call back into Python (the
+    node table's weak references do)."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        out = f()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return out, calls[0]
 
 
 def _introduced(roles_: int, a: MConj | Impl) -> tuple[IFormula, IFormula]:
@@ -1599,6 +1623,408 @@ def subst_eval_pool(expr, n: int = 2, seed: int = 0, max_steps: int = 10000,
     if retype_every_step:
         M.retype_pool(pool)
     return result, st.expr
+
+
+# ------------------------------------------------ mtlc reference typechecker
+#
+# The typechecker and judgement noting as mtlc had them before their rules
+# returned without a hop: each rule reports through cx.noted, the channel
+# signatures read their endpoint through _chan_arg, _action_head and
+# _message, and the kind of a head through session.next_kind.  mtlc's own
+# typecheck and _Judgements are compared with these on every corpus.
+
+
+def _chan_arg_reference(rule: str, t: Viewtype) -> TChan:
+    if not isinstance(t, TChan):
+        raise MtlcTypeError(rule, f"expected a channel endpoint, got {t}")
+    return t
+
+
+def _action_head_reference(rule: str, t: TChan):
+    if not t.cursor:
+        raise MtlcTypeError(rule, "endpoint session is already finished")
+    return t.cursor[0]
+
+
+def _sig_iadd_reference(name, args, n):
+    for a in args:
+        if not isinstance(a, (TInt, TIntIdx)):
+            raise MtlcTypeError(name, f"integer expected, got {a}")
+    a, b = args
+    if isinstance(a, TIntIdx) and isinstance(b, TIntIdx):
+        return TIntIdx(a.i + b.i)
+    return TInt()
+
+
+def _sig_thread_create_reference(name, args, n):
+    if args[0] != TFunL(TUnit(), TUnit()):
+        raise MtlcTypeError(name, f"expects a linear 1 -o 1 function, got {args[0]}")
+    return TUnit()
+
+
+def _sig_create_reference(name, args, n):
+    match args[0]:
+        case TFunL(TChan(roles_, cursor), TUnit()):
+            return TChan(rl.full_set(n) & ~roles_, cursor)
+    raise MtlcTypeError(name, f"expects chan(R,S) -o 1, got {args[0]}")
+
+
+def _sig_sync_reference(name, args, n):
+    t = _chan_arg_reference(name, args[0])
+    head = _action_head_reference(name, t)
+    if len(t.cursor) != 1 or not isinstance(head, (sn.Msg, sn.Bcast, sn.Gather)):
+        raise MtlcTypeError(name, "sync consumes a single final action")
+    return TUnit()
+
+
+def _message_reference(name, arg, kind, why):
+    t = _chan_arg_reference(name, arg)
+    head = _action_head_reference(name, t)
+    if len(t.cursor) < 2 or not isinstance(head, (sn.Msg, sn.Bcast, sn.Gather)) \
+            or sn.next_kind(head, t.roles) != kind:
+        raise MtlcTypeError(name, why)
+    return t, head
+
+
+def _sig_skip_reference(name, args, n):
+    t, _ = _message_reference(name, args[0], "skip",
+                              "skip applies to uninvolved non-final actions")
+    return TChan(t.roles, sn.advance(t.cursor))
+
+
+def _sig_send_reference(name, args, n):
+    t, head = _message_reference(name, args[0], "send", "these roles do not send here")
+    want = M._PAYLOAD_T[head.payload]
+    if not compat(args[1], want):
+        raise MtlcTypeError(name, f"payload {args[1]} does not fit {want}")
+    return TChan(t.roles, sn.advance(t.cursor))
+
+
+def _sig_recv_reference(name, args, n):
+    t, head = _message_reference(name, args[0], "recv", "these roles do not receive here")
+    return TLPair(M._PAYLOAD_T[head.payload], TChan(t.roles, sn.advance(t.cursor)))
+
+
+def _sig_aconj_reference(name, args, n):
+    t = _chan_arg_reference(name, args[0])
+    head = _action_head_reference(name, t)
+    if not isinstance(head, (sn.SAConj, sn.OptionT, sn.Repseq)) \
+            or sn.next_kind(head, t.roles) != "choose":
+        raise MtlcTypeError(name, "these roles do not decide here")
+    return TChan(t.roles, sn.advance(t.cursor, name[-1]))
+
+
+def _forked_reference(name, arg, kind, why):
+    t = _chan_arg_reference(name, arg)
+    head = _action_head_reference(name, t)
+    if sn.next_kind(head, t.roles) != kind:
+        raise MtlcTypeError(name, why)
+    try:
+        left, right = sn.forks(t.cursor)
+    except sn.SessionError:
+        raise MtlcTypeError(name, why) from None
+    return TChan(t.roles, left), TChan(t.roles, right)
+
+
+def _sig_mconj_reference(name, args, n):
+    return TLPair(*_forked_reference(name, args[0], "fork-conj",
+                                     "mconj requires the deciding roles at a final tensor"))
+
+
+def _sig_mdisj_reference(name, args, n):
+    left, right = _forked_reference(name, args[0], "fork-disj",
+                                    "mdisj is for non-deciding roles at a final tensor")
+    keep, give = (left, right) if name.endswith("l") else (right, left)
+    if args[1] != TFunL(give, TUnit()):
+        raise MtlcTypeError(name, f"second argument must consume the "
+                            f"{'right' if name.endswith('l') else 'left'} endpoint")
+    return keep
+
+
+def _sig_1_cut_reference(name, args, n):
+    if _chan_arg_reference(name, args[0]).roles != 0:
+        raise MtlcTypeError(name, "only an empty-role-set endpoint can be dropped")
+    return TUnit()
+
+
+def _sig_2_cut_reference(name, args, n):
+    t1, t2 = (_chan_arg_reference(name, a) for a in args)
+    if t1.cursor != t2.cursor:
+        raise MtlcTypeError(name, "endpoint sessions differ")
+    if t2.roles != rl.full_set(n) & ~t1.roles:
+        raise MtlcTypeError(name, "role sets are not complementary")
+    return TUnit()
+
+
+def _sig_3_cut_reference(name, args, n):
+    ts = [_chan_arg_reference(name, a) for a in args]
+    if len({t.cursor for t in ts}) != 1:
+        raise MtlcTypeError(name, "endpoint sessions differ")
+    full = rl.full_set(n)
+    if not rl.partition_check([full & ~t.roles for t in ts], n):
+        raise MtlcTypeError(name, "complements must partition the universe")
+    return TUnit()
+
+
+def _sig_2_cutres_reference(name, args, n):
+    t1, t2 = (_chan_arg_reference(name, a) for a in args)
+    if t1.cursor != t2.cursor:
+        raise MtlcTypeError(name, "endpoint sessions differ")
+    full = rl.full_set(n)
+    if (full & ~t1.roles) & (full & ~t2.roles):
+        raise MtlcTypeError(name, "complements must be disjoint")
+    return TChan(t1.roles & t2.roles, t1.cursor)
+
+
+_SIGS_REFERENCE = {
+    "iadd": (2, _sig_iadd_reference), "randbit": (0, lambda name, args, n: TBool()),
+    "thread_create": (1, _sig_thread_create_reference),
+    "chan_create": (1, _sig_create_reference),
+    "chan_sync": (1, _sig_sync_reference), "chan_skip": (1, _sig_skip_reference),
+    "chan_send": (2, _sig_send_reference), "chan_recv": (1, _sig_recv_reference),
+    "chan_aconj_l": (1, _sig_aconj_reference), "chan_aconj_r": (1, _sig_aconj_reference),
+    "chan_mconj": (1, _sig_mconj_reference),
+    "chan_mdisj_l": (2, _sig_mdisj_reference), "chan_mdisj_r": (2, _sig_mdisj_reference),
+    "chan_1_cut": (1, _sig_1_cut_reference), "chan_2_cut": (2, _sig_2_cut_reference),
+    "chan_3_cut": (3, _sig_3_cut_reference), "chan_2_cutres": (2, _sig_2_cutres_reference),
+}
+
+
+def _signature_reference(name: str, arity: int):
+    try:
+        k, rule = _SIGS_REFERENCE[name]
+    except KeyError:
+        raise MtlcTypeError(name, "unknown constant") from None
+    if arity != k:
+        raise MtlcTypeError(name, f"expects {k} arguments, got {arity}")
+    return rule
+
+
+class _TypingReference:
+    """A plain typing run: its universe size, and no notes."""
+
+    def __init__(self, n: int):
+        rl.check_universe(n)
+        self.n = n
+
+    @staticmethod
+    def noted(e, t, delta, left):
+        return t, left
+
+
+def typecheck_reference(e: Expr, gamma=None, delta=None, n: int = 2) -> Viewtype:
+    return _typed_reference(e, gamma, delta, _TypingReference(n))
+
+
+def _typed_reference(e, gamma, delta, cx) -> Viewtype:
+    t, left = _CHECK_REFERENCE[type(e)](e, dict(gamma or {}), dict(delta or {}), cx)
+    if left:
+        raise MtlcTypeError("ty-linear", f"unused linear variables: {sorted(left)}")
+    return t
+
+
+def _check_var_reference(e, gamma, delta, cx):
+    x = e.name
+    if x in delta:
+        rest = dict(delta)
+        return cx.noted(e, rest.pop(x), delta, rest)
+    if x in gamma:
+        return cx.noted(e, gamma[x], delta, delta)
+    raise MtlcTypeError("ty-var", f"unbound variable {x}")
+
+
+def _check_pair_reference(e, gamma, delta, cx):
+    a, b = e.left, e.right
+    t1, d1 = _CHECK_REFERENCE[type(a)](a, gamma, delta, cx)
+    t2, d2 = _CHECK_REFERENCE[type(b)](b, gamma, d1, cx)
+    if type(e) is ELPair:
+        return cx.noted(e, TLPair(t1, t2), delta, d2)
+    if is_linear(t1) or is_linear(t2):
+        raise MtlcTypeError("ty-pair", "non-linear pairs cannot hold linear parts")
+    return cx.noted(e, TPair(t1, t2), delta, d2)
+
+
+def _check_proj_reference(e, gamma, delta, cx):
+    b = e.body
+    t, d = _CHECK_REFERENCE[type(b)](b, gamma, delta, cx)
+    fst = type(e) is EFst
+    if not isinstance(t, TPair):
+        raise MtlcTypeError("ty-fst" if fst else "ty-snd", f"projection from non-pair {t}")
+    return cx.noted(e, t.left if fst else t.right, delta, d)
+
+
+def _check_let_reference(e, gamma, delta, cx):
+    if e.x1 == e.x2:
+        raise MtlcTypeError("ty-let", f"let binds {e.x1} twice")
+    p = e.pair
+    tp, d1 = _CHECK_REFERENCE[type(p)](p, gamma, delta, cx)
+    if not isinstance(tp, TLPair):
+        raise MtlcTypeError("ty-let", f"let-pair on non-tensor {tp}")
+    x1, x2, b = e.x1, e.x2, e.body
+    inner = dict(d1)
+    hidden = {x: inner.pop(x) for x in (x1, x2) if x in inner}
+    shadowed = {}
+    for x, tx in ((x1, tp.left), (x2, tp.right)):
+        if is_linear(tx):
+            inner[x] = tx
+        else:
+            shadowed.setdefault(x, gamma.get(x))
+            gamma[x] = tx
+    try:
+        t, d2 = _CHECK_REFERENCE[type(b)](b, gamma, inner, cx)
+    finally:
+        for x, old in shadowed.items():
+            if old is None:
+                del gamma[x]
+            else:
+                gamma[x] = old
+    for x, tx in ((x1, tp.left), (x2, tp.right)):
+        if is_linear(tx) and x in d2:
+            raise MtlcTypeError("ty-let", f"linear variable {x} unused")
+    d2.update(hidden)
+    if type(cx) is JudgementsReference:
+        cx.bind(b, {x2: tp.right, x1: tp.left})
+    return cx.noted(e, t, delta, d2)
+
+
+def _check_lam_reference(e, gamma, delta, cx):
+    linear = type(e) is ELLam
+    rule = "ty-lam-l" if linear else "ty-lam-i"
+    if not linear and M.resources(e.body):
+        raise MtlcTypeError(rule, "non-linear function holds resources")
+    tx, x, body = e.t, e.x, e.body
+    inner = dict(delta)
+    hidden = inner.pop(x, None)
+    g = gamma
+    if is_linear(tx):
+        inner[x] = tx
+    else:
+        g = dict(gamma)
+        g[x] = tx
+    t, d2 = _CHECK_REFERENCE[type(body)](body, g, inner, cx)
+    if is_linear(tx) and x in d2:
+        raise MtlcTypeError(rule, f"linear parameter {x} unused")
+    d2.pop(x, None)
+    if hidden is not None:
+        d2[x] = hidden
+    if type(cx) is JudgementsReference:
+        cx.bind(body, {x: tx})
+    if linear:
+        return cx.noted(e, TFunL(tx, t), delta, d2)
+    if d2 != delta:
+        raise MtlcTypeError(rule, "non-linear function captures linear variables")
+    return cx.noted(e, TFunN(tx, t), delta, delta)
+
+
+def _check_app_reference(e, gamma, delta, cx):
+    f, a = e.fun, e.arg
+    tf, d1 = _CHECK_REFERENCE[type(f)](f, gamma, delta, cx)
+    if not isinstance(tf, (TFunN, TFunL)):
+        raise MtlcTypeError("ty-app", f"application of non-function {tf}")
+    ta, d2 = _CHECK_REFERENCE[type(a)](a, gamma, d1, cx)
+    if not compat(ta, tf.dom):
+        raise MtlcTypeError("ty-app", f"argument {ta} does not fit {tf.dom}")
+    return cx.noted(e, tf.cod, delta, d2)
+
+
+def _check_fix_reference(e, gamma, delta, cx):
+    tx, v = e.t, e.value
+    if not M.is_value(v) and not isinstance(v, EVar):
+        raise MtlcTypeError("ty-fix", "fixpoint body must be a value")
+    if M.resources(v):
+        raise MtlcTypeError("ty-fix", "fixpoint body holds resources")
+    if is_linear(tx):
+        raise MtlcTypeError("ty-fix", "fixpoint at a linear type")
+    x, d = e.x, dict(delta)
+    d.pop(x, None)
+    g = dict(gamma)
+    g[x] = tx
+    t, d2 = _CHECK_REFERENCE[type(v)](v, g, d, cx)
+    if d2 != d:
+        raise MtlcTypeError("ty-fix", "fixpoint body consumes linear context")
+    if not compat(t, tx):
+        raise MtlcTypeError("ty-fix", f"body type {t} differs from {tx}")
+    if type(cx) is JudgementsReference:
+        cx.bind(v, {x: tx})
+    return cx.noted(e, tx, delta, delta)
+
+
+def _check_if_reference(e, gamma, delta, cx):
+    c, a, b = e.cond, e.then, e.els
+    tc, d0 = _CHECK_REFERENCE[type(c)](c, gamma, delta, cx)
+    if not isinstance(tc, TBool):
+        raise MtlcTypeError("ty-if", f"condition of type {tc}")
+    if rho(a) != rho(b):
+        raise MtlcTypeError("ty-if", "branches hold different resources")
+    t1, d1 = _CHECK_REFERENCE[type(a)](a, gamma, d0, cx)
+    t2, d2 = _CHECK_REFERENCE[type(b)](b, gamma, d0, cx)
+    if d1 != d2:
+        raise MtlcTypeError("ty-if", "branches consume different linear variables")
+    t = M._join(t1, t2)
+    if t is None:
+        raise MtlcTypeError("ty-if", f"branch types differ: {t1} vs {t2}")
+    if type(cx) is JudgementsReference:
+        cx.bind(a, {})
+        cx.bind(b, {})
+    return cx.noted(e, t, delta, d1)
+
+
+def _check_const_reference(e, gamma, delta, cx):
+    ts = []
+    d = delta
+    for a in e.args:
+        ta, d = _CHECK_REFERENCE[type(a)](a, gamma, d, cx)
+        ts.append(ta)
+    return cx.noted(e, _signature_reference(e.name, len(ts))(e.name, ts, cx.n), delta, d)
+
+
+def _check_unknown_reference(e, gamma, delta, cx):
+    raise MtlcTypeError("ty", f"unknown expression {e!r}")
+
+
+_CHECK_REFERENCE = M._Rules(_check_unknown_reference, {
+    EVar: _check_var_reference,
+    ERc: lambda e, gamma, delta, cx: cx.noted(e, TChan(e.ep.roles, e.ep.channel.cursor),
+                                              delta, delta),
+    EUnit: lambda e, gamma, delta, cx: cx.noted(e, TUnit(), delta, delta),
+    EBool: lambda e, gamma, delta, cx: cx.noted(e, TBool(), delta, delta),
+    EInt: lambda e, gamma, delta, cx: cx.noted(e, TIntIdx(e.value), delta, delta),
+    EStr: lambda e, gamma, delta, cx: cx.noted(e, M.TStr(), delta, delta),
+    EPair: _check_pair_reference, ELPair: _check_pair_reference,
+    EFst: _check_proj_reference, ESnd: _check_proj_reference,
+    ELet: _check_let_reference, ELam: _check_lam_reference, ELLam: _check_lam_reference,
+    EApp: _check_app_reference, EFix: _check_fix_reference, EIf: _check_if_reference,
+    EConst: _check_const_reference,
+    M.Clo: lambda e, gamma, delta, cx: (
+        typecheck_reference(M._read(e.term, e.env), n=cx.n), delta),
+})
+
+
+class JudgementsReference(dict):
+    """The notes of mtlc._Judgements, taken through the rules above: each
+    node's id maps to (node, type, the linear variables it consumes, the
+    binders a reduction binds before it), or to None for a node shared by
+    two places with two judgements."""
+
+    def __init__(self, n: int, root: Expr):
+        super().__init__()
+        self.n = n
+        rl.check_universe(n)
+        _typed_reference(root, None, None, self)
+
+    def noted(self, e, t, delta, left):
+        lin = () if len(left) == len(delta) else tuple(
+            x for x in delta if x not in left)
+        note = (e, t, lin, None)
+        got = self.setdefault(id(e), note)
+        if got is not note and got is not None and got[1:3] != note[1:3]:
+            self[id(e)] = None
+        return t, left
+
+    def bind(self, body: Expr, binds: dict) -> None:
+        if (got := self.get(id(body))) is not None:
+            binds = tuple(binds.items())
+            self[id(body)] = got[:3] + (binds,) if got[3] in (None, binds) else None
 
 
 # ---------------------------------------------- mtlc closure retyping oracle

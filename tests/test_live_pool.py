@@ -3,9 +3,7 @@ against a full recount, the scheduler against one that rescans the live pool,
 and the work one step does against the length of the run's history and the
 number of open channels."""
 
-import gc
 import random
-import sys
 
 from multirole import mtlc as M
 from multirole import roles as rl
@@ -18,6 +16,7 @@ from helpers import (
     decisions_view,
     eval_recounting_rho,
     preset_decisions,
+    python_calls,
     rand_partition,
     rand_session,
     recount_every_event,
@@ -244,30 +243,13 @@ def test_scheduling_work_per_event_does_not_grow_with_open_channels(monkeypatch)
 
 
 def test_python_calls_per_event_do_not_grow_with_history():
-    # sys.setprofile sees a "call" for each Python function entered and each
-    # generator resumed; the collector stays off, since what it frees can call
-    # back into Python (the node table's weak references do).  A run also
-    # does a fixed amount of work at its start and end, so compare the calls
-    # each further event costs; whole runs are bounded too.
+    # A run does a fixed amount of work at its start and end, so compare the
+    # calls each further event costs; whole runs are bounded too.
     runs = []
     for channels in (100, 200, 400):
-        pool = long_pool(channels, seed=0)
-        calls = [0]
-
-        def count(frame, event, arg):
-            if event == "call":
-                calls[0] += 1
-
-        gc.collect()
-        gc.disable()
-        sys.setprofile(count)
-        try:
-            res = pool.run()
-        finally:
-            sys.setprofile(None)
-            gc.enable()
+        res, calls = python_calls(long_pool(channels, seed=0).run)
         assert res.status == "done"
-        runs.append((len(res.trace), calls[0]))
+        runs.append((len(res.trace), calls))
     (e1, c1), (e2, c2), (e3, c3) = runs
     assert (c3 - c2) / (e3 - e2) == (c2 - c1) / (e2 - e1) <= 24
     assert c1 / e1 <= 24 and c3 / e3 <= 24

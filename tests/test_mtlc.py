@@ -53,6 +53,7 @@ from helpers import (
     chain_program,
     esubst,
     free_evars,
+    python_calls,
     rand_mtlc_program,
     rho_recount,
     subst_eval_pool,
@@ -414,6 +415,195 @@ class TestDeclarativeAgreement:
                 assert t1 == t2
                 agreed += 1
         assert agreed >= 10  # the generator must produce typable terms too
+
+
+def _outcome(f):
+    """("type", f's result), or the class, rule and text f raised."""
+    try:
+        return "type", f()
+    except (MtlcTypeError, SessionError, rl.RoleError) as e:
+        return type(e), getattr(e, "rule", None), str(e)
+
+
+# each signature's refusals, by a part of their text
+SIGNATURE_REFUSALS = [
+    "unknown constant", "expects 2 arguments", "integer expected",
+    "expects a linear 1 -o 1 function", "expects chan(R,S) -o 1",
+    "expected a channel endpoint", "endpoint session is already finished",
+    "sync consumes a single final action", "skip applies to uninvolved non-final actions",
+    "these roles do not send here", "does not fit", "these roles do not receive here",
+    "these roles do not decide here", "mconj requires the deciding roles",
+    "mdisj is for non-deciding roles", "second argument must consume",
+    "only an empty-role-set endpoint", "endpoint sessions differ",
+    "role sets are not complementary", "complements must partition the universe",
+    "complements must be disjoint",
+]
+
+
+def _cursor(src, n=2):
+    return norm(parse_session(src, n))
+
+
+# channel cursors the random terms' variables range over
+CURSORS = [_cursor(s) for s in ("a(0,1)@b(1,0)", "a(0,1,int)@b(1,0)", "a(0,1)",
+                                "option(0, a(0,1))@b(1,0)", "aconj(0, a(0,1), b(1,0))",
+                                "mconj(0, x(1,0), y(1,0))", "mconj(0, x(1,0), y(1,0))@z(0,1)")] + [()]
+
+
+class TestReferenceAgreement:
+    """typecheck and _Judgements against the typechecker and notes they
+    replaced (helpers.typecheck_reference, helpers.JudgementsReference):
+    the same type, or the same exception class, rule and text, and the same
+    note for every node."""
+
+    def agree(self, e, gamma=None, delta=None, n=2):
+        got = _outcome(lambda: typecheck(e, gamma, delta, n))
+        assert got == _outcome(lambda: helpers.typecheck_reference(e, gamma, delta, n)), e
+        if not gamma and not delta:
+            notes = _outcome(lambda: dict(M._Judgements(n, e)))
+            assert notes == _outcome(lambda: dict(helpers.JudgementsReference(n, e)))
+        return got
+
+    def rand_type(self, rng, depth=2):
+        leaves = [TInt(), TIntIdx(rng.randrange(3)), TBool(), TUnit(), TStr(),
+                  TChan(rng.randrange(4), rng.choice(CURSORS))]
+        if depth:
+            leaves.append(rng.choice([TPair, TLPair, TFunN, TFunL])(
+                self.rand_type(rng, depth - 1), self.rand_type(rng, depth - 1)))
+        return rng.choice(leaves)
+
+    def rand_term(self, rng, names, depth):
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice([lambda: EVar(rng.choice(names)), lambda: EInt(rng.randrange(3)),
+                               EUnit, lambda: EBool(True), lambda: EStr("s")])()
+        sub = lambda: self.rand_term(rng, names, depth - 1)
+        match rng.randrange(14):
+            case 0 | 1 | 2 | 3 | 4 | 5:
+                name = rng.choice(sorted(M.CONSTS) + ["nope"])
+                arity = M._SIGS.get(name, (1,))[0]
+                if rng.random() < 0.1:
+                    arity = rng.randrange(4)
+                # arguments are mostly distinct linear variables, which hold endpoints
+                if arity <= 3 and rng.random() < 0.5:
+                    return EConst(name, tuple(map(EVar, rng.sample(names[2:], arity))))
+                return EConst(name, tuple(EVar(rng.choice(names[2:])) if rng.random() < 0.6
+                                          else sub() for _ in range(arity)))
+            case 6:
+                return rng.choice([EPair, ELPair, M.EApp])(sub(), sub())
+            case 7:
+                return rng.choice([M.EFst, M.ESnd])(sub())
+            case 8:
+                return ELet(rng.choice(names), rng.choice(names), sub(), sub())
+            case 9:
+                return EIf(sub(), sub(), sub())
+            case 10:
+                return M.EFix(rng.choice(names), self.rand_type(rng), sub())
+            case _:
+                return rng.choice([ELam, ELLam])(rng.choice(names), self.rand_type(rng), sub())
+
+    def test_programs_of_this_file(self):
+        import ast
+        import test_acceptance
+        sources = [getattr(test_acceptance, k) for k in ("PING_PONG", "MCONJ", "CUT2")]
+        with open(__file__, encoding="utf-8") as fh:
+            sources += [c.value for c in ast.walk(ast.parse(fh.read()))
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and c.value.lstrip().startswith("(")]
+        typed = 0
+        for src in sources:
+            for n in (2, 3):
+                try:
+                    e = prog(src, n)
+                except (MtlcTypeError, SessionError, rl.RoleError):
+                    continue
+                typed += self.agree(e, n=n)[0] == "type"
+        assert typed >= 20
+
+    def test_random_terms(self):
+        rng = random.Random(27)
+        names = ["a", "b", "c", "x", "y"]
+        outcomes, refused = Counter(), set()
+        for i in range(3000):
+            gamma = {x: self.rand_type(rng, 1) for x in names[:2] if rng.random() < 0.7}
+            # endpoints mostly share a session, so that cuts reach their role checks
+            shared = rng.choice(CURSORS)
+            delta = {x: TChan(rng.randrange(4), shared if rng.random() < 0.6
+                              else rng.choice(CURSORS)) if rng.random() < 0.8
+                     else self.rand_type(rng) for x in names[2:] if rng.random() < 0.9}
+            e = self.rand_term(rng, names, rng.randrange(1, 4))
+            if i % 2:  # a constant on distinct endpoints and leaves
+                name = rng.choice(sorted(M.CONSTS))
+                e = EConst(name, tuple(EVar(x) if rng.random() < 0.7 else
+                                       self.rand_term(rng, names, 0)
+                                       for x in rng.sample(names[2:], M._SIGS[name][0])))
+            for got in (self.agree(e, gamma, delta), self.agree(e)):
+                outcomes[got[0]] += 1
+                if got[0] is MtlcTypeError:
+                    refused.add(got[2])
+        assert outcomes["type"] >= 100 and outcomes[MtlcTypeError] >= 100
+        for part in SIGNATURE_REFUSALS:  # every signature's refusals were compared
+            assert any(part in text for text in refused), part
+
+    def test_random_programs(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            src, n = rand_mtlc_program(rng)
+            assert self.agree(prog(src, n), n=n)[0] == "type"
+
+    def mutants(self, rng, expr):
+        """expr with one node changed: a payload made true, a send turned
+        into a receive or a skip, a receive into a send, a sync dropped, a
+        variable renamed or a channel's role set flipped."""
+        nodes, stack = [], [expr]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if type(node) in M._SHAPE:
+                stack += M._SHAPE[type(node)][0](node)
+        names = sorted({v.name for v in nodes if type(v) is EVar})
+
+        def change(node):
+            match node:
+                case EConst("chan_send", (c, v)):
+                    return rng.choice([EConst("chan_send", (c, EBool(True))),
+                                       EConst("chan_recv", (c,)), EConst("chan_skip", (c,))])
+                case EConst("chan_recv", (c,)):
+                    return EConst("chan_send", (c, EInt(1)))
+                case EConst("chan_sync", (c,)):
+                    return c
+                case EVar(x):
+                    return EVar(rng.choice(names + [x + "'"]))
+                case ELLam(x, TChan(roles, cursor), body):
+                    return ELLam(x, TChan(roles ^ 3, cursor), body)
+            return None
+
+        def rebuild(node, old, new):
+            if node is old:
+                return new
+            if type(node) not in M._SHAPE:
+                return node
+            kids, make = M._SHAPE[type(node)]
+            return make(node, [rebuild(k, old, new) for k in kids(node)])
+
+        for _ in range(12):
+            old = rng.choice(nodes)
+            new = change(old)
+            if new is not None:
+                yield rebuild(expr, old, new)
+
+    def test_chain_mutants(self):
+        rng = random.Random(9)
+        refused = Counter()
+        for length in range(2, 30):
+            expr, _ = chain_program(random.Random(length), length)
+            assert self.agree(expr) == ("type", TInt())
+            for e in self.mutants(rng, expr):
+                got = self.agree(e)
+                refused[got[1] if got[0] != "type" else None] += 1
+        # a flipped role set or a dropped sync is refused where the endpoint
+        # is next used, by its signature or as an application's argument
+        for rule in ("chan_send", "chan_recv", "chan_skip", "ty-var", "ty-app", None):
+            assert refused[rule] > 0, (rule, refused)
 
 
 class TestFreshNames:
@@ -893,7 +1083,29 @@ class TestMachineAgainstOracle:
             res, val = eval_pool(expr, seed=length, retype_every_step=True)
             assert (res.status, val) == ("done", EInt(total))
             work.append(calls[0])
-        assert work[1] <= 2.3 * work[0], work
+        # the judging run dispatches through _CHECK too, so this counts it
+        assert 0 < work[0] and work[1] <= 2.3 * work[0], work
+
+    def test_python_calls_per_message(self):
+        """The calculus's call census: Python calls per message of a chain to
+        type it, to run it and to run it retyping every step, each bounded
+        and each about linear in the chain's length."""
+        bounds = {"typecheck": 25, "eval": 75, "retyped": 130}
+        counts = {run: [] for run in bounds}
+        lengths = (80, 160, 320)
+        for length in lengths:
+            expr, total = chain_program(random.Random(length), length)
+            runs = {"typecheck": lambda: typecheck(expr),
+                    "eval": lambda: eval_pool(expr, seed=length)[1],
+                    "retyped": lambda: eval_pool(expr, seed=length, retype_every_step=True)[1]}
+            for run, f in runs.items():
+                out, calls = python_calls(f)
+                assert out == (TInt() if run == "typecheck" else EInt(total))
+                counts[run].append(calls)
+        for run, calls in counts.items():
+            for length, c in zip(lengths, calls):
+                assert c / length <= bounds[run], (run, length, c / length)
+            assert calls[1] <= 2.05 * calls[0] and calls[2] <= 2.05 * calls[1], (run, calls)
 
     @pytest.mark.parametrize("length", [10, 20, 40, 80, 160, 320, 640])
     def test_plain_chains(self, length):

@@ -455,19 +455,21 @@ class TestRefusalTexts:
         assert _refusal(pool) == (RoleMismatch, text, 1)
 
     def test_loop_by_the_offering_roles(self):
-        # a loop's choice is checked when it fires, not when it blocks
+        # refused at the op, as choose is, not when the choice fires; a loop
+        # of no rounds exits at once
         s = parse_session("repseq(0, a(0, 1))", 2)
-        pool = pool_from_scripts(2, s, [(0b01, (rt.CLoop(1, (CSync(),)),)),
-                                        (0b10, (rt.CLoop(1, (CSync(),)),))])
-        assert _refusal(pool) == \
-            (RoleMismatch, "thread 0 must offer at repseq(0, a(0, 1))", 1)
+        for count in (1, 0):
+            pool = pool_from_scripts(2, s, [(0b01, (rt.CLoop(count, (CSync(),)),)),
+                                            (0b10, (rt.CLoop(count, (CSync(),)),))])
+            assert _refusal(pool) == \
+                (RoleMismatch, "only the deciding role set may loop here", 1)
 
     def test_offer_loop_by_the_deciding_roles(self):
         s = parse_session("repseq(0, a(0, 1))", 2)
         pool = pool_from_scripts(2, s, [(0b01, (rt.COfferLoop((CSync(),)),)),
                                         (0b10, (rt.COfferLoop((CSync(),)),))])
         assert _refusal(pool) == \
-            (RoleMismatch, "thread 1 must choose at repseq(0, a(0, 1))", 1)
+            (RoleMismatch, "the deciding role set cannot offer a loop", 1)
 
     def test_choice_without_a_side(self):
         s = parse_session("option(0, a(0, 1))", 2)
@@ -491,9 +493,8 @@ class TestRefusalTexts:
          (ProtocolMismatch, "thread 0 blocked on choose but head is a(0, 1)")),
         ("option(0, a(0, 1))", [("choice", "choose", "l"), ("sync", "recv", None)],
          (ProtocolMismatch, "thread 1 blocked on recv but head is a choice")),
-        # a fork checks the op alone
         ("mconj(0, x(1, 0), y(1, 0))", [("mconj", "mconj", None), ("sync", "sync", None)],
-         (RoleMismatch, "thread 1 must call mdisj")),
+         (ProtocolMismatch, "thread 1 blocked on sync but head is mconj(0, x(1, 0), y(1, 0))")),
     ])
     def test_block_of_the_wrong_kind(self, session, blocks, fault):
         pool = Pool(2)
