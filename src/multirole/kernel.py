@@ -11,8 +11,10 @@ rule schema using multiset sequent arithmetic, so transformers are free to
 order conclusion items however is convenient.  The transformers
 (axiom_fullset/axiom_multi, split_roles, cut1, cut2_residual, mp_cut) are
 executable admissibility proofs: their outputs contain only primitive rule
-nodes and are themselves checkable.  Every traversal and transformer call
-visits or reduces each distinct node once.
+nodes and are themselves checkable.  The four cuts are one reduction, _cut,
+of k premises at once: cut1 is k = 1, cut2_residual k = 2 keeping the
+residual, and mp_cut and split_roles build no residual.  Every traversal
+and transformer call visits or reduces each distinct node once.
 """
 
 from __future__ import annotations
@@ -739,91 +741,15 @@ def axiom_fullset(a: Formula, calc: Calculus) -> Derivation:
     return axiom_multi(a, [rl.full_set(calc.n)], calc)
 
 
-# ------------------------------------------------------------- 1-cut
-
-
-def cut1(d: Derivation, index: int, calc: Calculus) -> Derivation:
-    """Erase a designated empty-role-set i-formula from a derivation."""
-    if not 0 <= index < len(d.conclusion):
-        raise KernelError(f"cut1: bad index {index}")
-    item = d.conclusion[index]
-    if item.roles != 0:
-        raise KernelError("cut1: designated i-formula must carry the empty role set")
-    return _cut1(d, item, 1, calc, {})
-
-
-# Each transformer call keeps one memo, keyed on the interned arguments of
-# its _cut1 (d, x, n) and _cut2 (d1, x1, n1, d2, x2, n2) calls, so a
-# subderivation that a DAG shares is cut once per call and not once per
-# path to it.  A result is a derivation of a sequent fixed by its key, so
-# it stays valid wherever it is reused.
-
-
-def _cut1(d: Derivation, x: IFormula, n: int, calc: Calculus, memo: dict) -> Derivation:
-    if n == 0:
-        return d
-    out = memo.get((d, x, n))
-    if out is None:
-        out = memo[d, x, n] = _cut1_step(d, x, n, calc, memo)
-    return out
-
-
-def _cut1_step(d: Derivation, x: IFormula, n: int, calc: Calculus, memo: dict) -> Derivation:
-    if d.rule == "id":
-        return b_id(seq_minus(d.conclusion, (x,) * n))
-    if _principal_item(d) != x:  # commutative case: the principal is some other i-formula
-        return _commute(d, x, n, (), lambda p, m: _cut1(p, x, m, calc, memo), calc, None)
-    p = d.premises[0]
-    if d.rule in _CONTRACTIONS:
-        return _cut1(p, x, n + 1, calc, memo)
-    if _RULES[d.rule][1]:
-        raise KernelError(f"cut1: rule {d.rule} cannot introduce an empty-role "
-                          "i-formula positively")
-    # x introduced negatively: cut the other copies, then what the rule added
-    e = _cut1(p, x, n - 1, calc, memo)
-    for y in _additions(d.rule, x, d.witness, d.eigen)[0]:
-        e = _cut1(e, y, 1, calc, memo)
-    return e
-
-
-def _commute(d: Derivation, x: IFormula, n: int, extra: Sequent, sub, calc: Calculus,
-             fresh: FreshNames | None) -> Derivation:
-    """Cut n tracked copies of x out of d's premises and reapply d's rule.
-
-    sub(p, m) cuts m copies out of premise p and adds the items extra to it
-    (a 2-cut's other context and residual; nothing for a 1-cut).  A
-    context-splitting rule sends each premise the copies its context holds;
-    when both premises receive some, extra arrives twice and one copy of it
-    is contracted away.
-    """
-    item = _principal_item(d)
-    if d.rule == "forall-pos":
-        # extra may mention the eigenvariable; freshen it first
-        y = d.eigen if d.eigen is not None else item.formula.var
-        if y in seq_free_vars(extra):
-            z = fresh(y)
-            prem = subst_derivation(d.premises[0], y, Var(z), fresh)
-            d = Derivation(d.rule, d.conclusion, (prem,), d.principal, eigen=z)
-    concl = seq_minus(d.conclusion, (x,) * n)
-    if concl is None:
-        raise KernelError("internal: tracked occurrences missing from sequent")
-    ms = (n,) * len(d.premises)
-    split = _RULES[d.rule][2]
-    if split:
-        new_l = _additions(d.rule, item, d.witness, d.eigen)[0]
-        c0 = (seq_minus(d.premises[0].conclusion, new_l) or ()).count(x)
-        m0 = min(c0, n)
-        ms = (m0, n - m0)
-    prems = []  # a loop, not a generator: one frame less per level of recursion
-    for p, m in zip(d.premises, ms):
-        prems.append(sub(p, m) if m else p)
-    dup = split and all(ms)
-    concl += extra * 2 if dup else extra
-    out = Derivation(d.rule, concl, prems, concl.index(item), d.witness, d.eigen)
-    return _contract_extras(out, extra, calc) if dup else out
-
-
-# ------------------------------------------------- 2-cut with residual
+# ------------------------------------------------------------------ cut
+#
+# One reduction, _cut, eliminates a cut of k >= 1 sides (d, x, n), each n
+# copies of an item x = <R>A of d's conclusion, the complements of the R
+# disjoint.  It derives each side's context (less its n copies), in order,
+# and with keep the residual <R1 n ... n Rk>A.  Each transformer call keeps
+# one memo, keyed on the sides, so a subderivation that a DAG shares is cut
+# once per call; a result derives a sequent fixed by its key, so it is
+# valid wherever reused.
 
 case_hits: dict[str, int] = {}
 
@@ -832,247 +758,40 @@ def reset_case_hits() -> None:
     case_hits.clear()
 
 
-def _hit(label: str) -> None:
-    case_hits[label] = case_hits.get(label, 0) + 1
+def _hit(label: str, sides: tuple) -> None:
+    if len(sides) > 1:  # a 1-cut's cases are not counted
+        case_hits[label] = case_hits.get(label, 0) + 1
+
+
+def cut1(d: Derivation, index: int, calc: Calculus) -> Derivation:
+    """Erase a designated empty-role-set i-formula from a derivation: k = 1."""
+    if not 0 <= index < len(d.conclusion):
+        raise KernelError(f"cut1: bad index {index}")
+    item = d.conclusion[index]
+    if item.roles != 0:
+        raise KernelError("cut1: designated i-formula must carry the empty role set")
+    return _cut(((d, item, 1),), False, calc, FreshNames(lambda: _names(d)), {})
 
 
 def cut2_residual(d1: Derivation, i1: int, d2: Derivation, i2: int,
                   calc: Calculus) -> Derivation:
-    """Cut <R1>A against <R2>A, leaving the residual <R1 n R2>A.
-
-    Requires complement(R1) n complement(R2) = empty.  The conclusion is
-    exactly ctx(d1), ctx(d2), <R1 n R2>A as a multiset.
-    """
+    """Cut <R1>A against <R2>A, leaving the residual <R1 n R2>A: k = 2 with
+    the residual kept.  Requires complement(R1) n complement(R2) = empty; the
+    conclusion is exactly ctx(d1), ctx(d2), <R1 n R2>A as a multiset."""
     x1, x2 = d1.conclusion[i1], d2.conclusion[i2]
     if x1.formula != x2.formula:
         raise KernelError("cut2_residual: designated i-formulas carry different formulas")
     full = rl.full_set(calc.n)
     if (full & ~x1.roles) & (full & ~x2.roles):
         raise KernelError("cut2_residual: complements of the role sets overlap")
-    return _cut2(d1, x1, 1, d2, x2, 1, calc, FreshNames(lambda: _names(d1, d2)), {})
-
-
-def _merge_weaken(d: Derivation, items: Sequent, calc: Calculus) -> Derivation:
-    for it in items:
-        d = b_weaken(d, it, calc)
-    return d
-
-
-def _contract_extras(d: Derivation, extras: Sequent, calc: Calculus) -> Derivation:
-    for it in extras:
-        d = b_contract(d, it, calc)
-    return d
-
-
-def _is_principal_on(d: Derivation, x: IFormula) -> bool:
-    if d.rule == "id":
-        return x in d.conclusion
-    return _principal_item(d) == x
-
-
-def _cut2(d1, x1, n1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
-          memo: dict) -> Derivation:
-    """Derive (C1 - n1*x1) u (C2 - n2*x2) u {<R1 n R2>A}."""
-    key = (d1, x1, n1, d2, x2, n2)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    a = x1.formula
-    if calc.linear and isinstance(a, Bang) and not a.u.contains(x1.roles) \
-            and a.u.contains(x2.roles):  # for the linear ! case, the side in U first
-        d1, x1, n1, d2, x2, n2 = d2, x2, n2, d1, x1, n1
-    # stray copies at an (id) node can only be <{}>-occurrences; drop them
-    if d1.rule == "id" and n1 > 1:
-        d1, n1 = b_id(seq_minus(d1.conclusion, (x1,) * (n1 - 1))), 1
-    if d2.rule == "id" and n2 > 1:
-        d2, n2 = b_id(seq_minus(d2.conclusion, (x2,) * (n2 - 1))), 1
-
-    if n1 == 0:
-        resid = IFormula(x1.roles & x2.roles, a)
-        out = _merge_weaken(d1, seq_minus(d2.conclusion, (x2,) * n2) + (resid,), calc)
-    elif n2 == 0:
-        resid = IFormula(x1.roles & x2.roles, a)
-        out = _merge_weaken(d2, seq_minus(d1.conclusion, (x1,) * n1) + (resid,), calc)
-    elif not _is_principal_on(d1, x1):
-        out = _push(d1, x1, n1, d2, x2, n2, calc, fresh, memo, into=1)
-    # side 1 is at its principal occurrence; handle side-1 structural rules
-    elif d1.rule in ("weaken", "bang-neg-weaken"):
-        out = _cut2(d1.premises[0], x1, n1 - 1, d2, x2, n2, calc, fresh, memo)
-    elif d1.rule in ("contract", "bang-neg-contract"):
-        out = _cut2(d1.premises[0], x1, n1 + 1, d2, x2, n2, calc, fresh, memo)
-    elif d1.rule == "bang-neg-derelict":
-        # only reachable when both sides are ?-sided; cannot happen since
-        # at least one role set contains the head role
-        raise KernelError("cut2_residual: dereliction on a positive-side occurrence")
-    elif n1 > 1 and d1.rule != "id":
-        out = _push(d1, x1, n1, d2, x2, n2, calc, fresh, memo, into=1)
-    elif not _is_principal_on(d2, x2):
-        out = _push(d2, x2, n2, d1, x1, n1, calc, fresh, memo, into=2)
-    elif d2.rule in ("weaken", "bang-neg-weaken"):
-        if d2.rule == "bang-neg-weaken":
-            _hit("bang-weaken")
-        out = _cut2(d1, x1, n1, d2.premises[0], x2, n2 - 1, calc, fresh, memo)
-    elif d2.rule in ("contract", "bang-neg-contract"):
-        if d2.rule == "bang-neg-contract":
-            _hit("bang-contract")
-        out = _cut2(d1, x1, n1, d2.premises[0], x2, n2 + 1, calc, fresh, memo)
-    elif d2.rule == "bang-neg-derelict":
-        out = _derelict_case(d1, x1, d2, x2, n2, calc, fresh, memo)
-    elif n2 > 1 and d2.rule != "id":
-        out = _push(d2, x2, n2, d1, x1, n1, calc, fresh, memo, into=2)
-    else:
-        out = _principal_case(d1, x1, d2, x2, calc, fresh, memo)
-    memo[key] = out
-    return out
-
-
-def _push(ds, xs, ns, do, xo, no, calc: Calculus, fresh: FreshNames, memo: dict,
-          into: int) -> Derivation:
-    """Push the cut into the premises of side `into` (ds, xs, ns).
-
-    do/xo/no is the other (fixed) side.  When ds's principal is another
-    i-formula, this is the commutative case.  When it is a tracked copy
-    while stray copies remain, the strays are cut out of the premises, the
-    rule is reapplied (which reintroduces a single occurrence at the root)
-    and that occurrence is cut; the doubly-merged other context is then
-    contracted away.  Only the structural calculi can have strays (linear
-    tracked copies are ?-shaped and never principal in a logical rule).
-    """
-    extra = seq_minus(do.conclusion, (xo,) * no) + (IFormula(xs.roles & xo.roles, xs.formula),)
-
-    def sub(p, m):
-        if into == 1:
-            return _cut2(p, xs, m, do, xo, no, calc, fresh, memo)
-        return _cut2(do, xo, no, p, xs, m, calc, fresh, memo)
-
-    if _principal_item(ds) != xs:
-        return _commute(ds, xs, ns, extra, sub, calc, fresh)
-    if calc.linear:
-        raise KernelError("cut2_residual: stray linear occurrences at a logical rule")
-    rebuilt = _commute(ds, xs, ns - 1, extra, sub, calc, fresh)
-    return _contract_extras(sub(rebuilt, 1), extra, calc)
-
-
-def _derelict_case(d1, x1, d2, x2, n2, calc: Calculus, fresh: FreshNames,
-                   memo: dict) -> Derivation:
-    """! on side 1 (promoted) against a dereliction of a tracked copy on side 2."""
-    _hit("bang-derelict")
-    a = x1.formula  # Bang
-    resid = IFormula(x1.roles & x2.roles, a)
-    sub_body = IFormula(x2.roles, a.body)
-    prem2 = d2.premises[0]  # ... (n2-1 copies of x2), <R2>body
-    e = _cut2(d1, x1, 1, prem2, x2, n2 - 1, calc, fresh, memo)
-    # e proves gamma1, (C2 - n2*x2), <R2>body, resid  with gamma1 = ?(ctx of d1)
-    if d1.rule != "bang-pos":
-        raise KernelError("cut2_residual: promoted side does not end in bang-pos")
-    d11 = d1.premises[0]
-    x1_body = IFormula(x1.roles, a.body)
-    f = _cut2(d11, x1_body, 1, e, sub_body, 1, calc, fresh, memo)
-    # f proves gamma1, gamma1, (C2 - n2*x2), resid, <R1 n R2>body
-    f = b_rule("bang-neg-derelict", (f,), resid)
-    f = b_contract(f, resid, calc)
-    gamma1 = seq_minus(d1.conclusion, (x1,))
-    return _contract_extras(f, gamma1, calc)
-
-
-def _principal_case(d1, x1, d2, x2, calc: Calculus, fresh: FreshNames,
-                    memo: dict) -> Derivation:
-    a = x1.formula
-    r1, r2 = x1.roles, x2.roles
-    rr = r1 & r2
-    resid = IFormula(rr, a)
-
-    match a:
-        case Atom():
-            _hit("primitive")
-            if d1.rule != "id" or d2.rule != "id":
-                raise KernelError("cut2_residual: primitive case without (id) nodes")
-            items = seq_minus(d1.conclusion, (x1,)) + seq_minus(d2.conclusion, (x2,)) + (resid,)
-            return b_id(items)
-
-        case Neg():
-            _hit("neg")
-
-        case Conj(u, left, right) | AConj(u, left, right):
-            tag = "with" if isinstance(a, AConj) else "conj"
-            pos1, pos2 = u.contains(r1), u.contains(r2)
-            if not (pos1 and pos2):
-                dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
-                side = "l" if dn.rule.endswith("neg-l") else "r"
-                _hit(f"{tag}-pos-neg{side}")
-                branch = left if side == "l" else right
-                k = 0 if side == "l" else 1
-                e = _cut2(dp.premises[k], IFormula(xp.roles, branch), 1,
-                          dn.premises[0], IFormula(xn.roles, branch), 1, calc, fresh, memo)
-                return b_rule(dn.rule, (e,), resid)
-            _hit(f"{tag}-pos-pos")
-
-        case MConj(u, _, _) | Impl(_, u, _, _):
-            tag = "imp" if isinstance(a, Impl) else "tensor"
-            pos1, pos2 = u.contains(r1), u.contains(r2)
-            if not (pos1 and pos2):
-                _hit(f"{tag}-pos-neg" if pos1 else f"{tag}-neg-pos")
-                dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
-                (yp,), (zp,) = _additions(dp.rule, xp)
-                ((yn, zn),) = _additions(dn.rule, xn)
-                e1 = _cut2(dp.premises[0], yp, 1, dn.premises[0], yn, 1, calc, fresh, memo)
-                e2 = _cut2(dp.premises[1], zp, 1, e1, zn, 1, calc, fresh, memo)
-                return b_rule(dn.rule, (e2,), resid)
-            _hit(f"{tag}-pos-pos")
-
-        case Bang():
-            # both sides promoted (both role sets contain the head role)
-            _hit("bang-pos-pos")
-            if d1.rule != "bang-pos" or d2.rule != "bang-pos":
-                raise KernelError("cut2_residual: ! principal case without promotions")
-
-        case Forall(u, xv, body):
-            pos1, pos2 = u.contains(r1), u.contains(r2)
-            if pos1 and pos2:
-                _hit("forall-pos-pos")
-                z = fresh(xv)
-                p1 = _realign_eigen(d1, z, fresh)
-                p2 = _realign_eigen(d2, z, fresh)
-                bz = substitute(body, xv, Var(z))
-                e = _cut2(p1, IFormula(r1, bz), 1, p2, IFormula(r2, bz), 1, calc, fresh, memo)
-                return b_rule("forall-pos", (e,), resid, eigen=z)
-            _hit("forall-pos-neg")
-            dp, xp, dn, xn = (d1, x1, d2, x2) if pos1 else (d2, x2, d1, x1)
-            t = dn.witness
-            y = dp.eigen if dp.eigen is not None else xv
-            p = subst_derivation(dp.premises[0], y, t, fresh)
-            bt = substitute(body, xv, t)
-            e = _cut2(p, IFormula(xp.roles, bt), 1,
-                      dn.premises[0], IFormula(xn.roles, bt), 1, calc, fresh, memo)
-            return b_rule("forall-neg", (e,), resid, witness=t)
-
-        case _:
-            raise KernelError(f"cut2_residual: unsupported principal case {d1.rule}/{d2.rule}")
-
-    # both sides introduce a by one rule: cut premise i of one against
-    # premise i of the other, at what the rule added to each
-    add1, add2 = _additions(d1.rule, x1), _additions(d2.rule, x2)
-    cuts = []  # a loop, not a generator: one frame less per level of recursion
-    for p1, (y1,), p2, (y2,) in zip(d1.premises, add1, d2.premises, add2):
-        cuts.append(_cut2(p1, y1, 1, p2, y2, 1, calc, fresh, memo))
-    return b_rule(d1.rule, cuts, resid)
-
-
-def _realign_eigen(d: Derivation, z: str, fresh: FreshNames) -> Derivation:
-    """Premise of a forall-pos node with its eigenvariable renamed to z."""
-    item = _principal_item(d)
-    y = d.eigen if d.eigen is not None else item.formula.var
-    if y == z:
-        return d.premises[0]
-    return subst_derivation(d.premises[0], y, Var(z), fresh)
-
-
-# -------------------------------------------------------------- mp-cut
+    return _cut(((d1, x1, 1), (d2, x2, 1)), True, calc,
+                FreshNames(lambda: _names(d1, d2)), {})
 
 
 def mp_cut(ds: list[Derivation], indices: list[int], calc: Calculus) -> Derivation:
-    """n-ary multiparty cut: premises Gamma_i, <R_i>A with the complements
-    of the R_i partitioning the universe; conclusion Gamma_1, ..., Gamma_n."""
+    """Multiparty cut of k = len(ds) premises Gamma_i, <R_i>A with the
+    complements of the R_i partitioning the universe; conclusion Gamma_1,
+    ..., Gamma_k.  One reduction over all k premises: no residual is built."""
     if len(ds) != len(indices) or not ds:
         raise KernelError("mp_cut: need one occurrence index per premise")
     occs = [d.conclusion[i] for d, i in zip(ds, indices)]
@@ -1087,23 +806,13 @@ def mp_cut(ds: list[Derivation], indices: list[int], calc: Calculus) -> Derivati
         for d in ds:
             if not is_intuitionistic(d.conclusion, calc.j):
                 raise KernelError("mp_cut: non-intuitionistic premise")
-    if len(ds) == 1:
-        return cut1(ds[0], indices[0], calc)
-    acc = ds[0]
-    occ = occs[0]
-    fresh = FreshNames(lambda: _names(*ds))
-    memo: dict = {}
-    for d, oc in zip(ds[1:], occs[1:]):
-        acc = _cut2(acc, occ, 1, d, oc, 1, calc, fresh, memo)
-        occ = IFormula(occ.roles & oc.roles, a)
-    return _cut1(acc, occ, 1, calc, memo)
-
-
-# --------------------------------------------------------- split roles
+    return _cut(tuple((d, oc, 1) for d, oc in zip(ds, occs)), False, calc,
+                FreshNames(lambda: _names(*ds)), {})
 
 
 def split_roles(d: Derivation, index: int, r1: int, r2: int, calc: Calculus) -> Derivation:
-    """Split a designated <R1 u R2>A into <R1>A, <R2>A."""
+    """Split a designated <R1 u R2>A into <R1>A, <R2>A: d cut against the
+    axiom |- <complement>A, <R1>A, <R2>A, k = 2 with no residual built."""
     if not 0 <= index < len(d.conclusion):
         raise KernelError(f"split_roles: bad index {index}")
     if r1 & r2:
@@ -1114,9 +823,259 @@ def split_roles(d: Derivation, index: int, r1: int, r2: int, calc: Calculus) -> 
     a = item.formula
     comp = rl.full_set(calc.n) & ~item.roles
     w = axiom_multi(a, [comp, r1, r2], calc)
-    memo: dict = {}
-    e = _cut2(d, item, 1, w, IFormula(comp, a), 1, calc, FreshNames(lambda: _names(d)), memo)
-    return _cut1(e, IFormula(0, a), 1, calc, memo)
+    return _cut(((d, item, 1), (w, IFormula(comp, a), 1)), False, calc,
+                FreshNames(lambda: _names(d)), {})
+
+
+# a structural rule on a tracked copy: the change to its count, its case label
+_STRUCTURAL = {"weaken": (-1, None), "contract": (1, None),
+               "bang-neg-weaken": (-1, "bang-weaken"), "bang-neg-contract": (1, "bang-contract")}
+
+
+def _cut(sides: tuple, keep: bool, calc: Calculus, fresh: FreshNames,
+         memo: dict) -> Derivation:
+    """Derive every side's context and, with keep, the residual.  The first side
+    not principal on x commutes, a structural rule on x changes its count."""
+    out = memo.get(sides)
+    if out is not None:
+        return out
+    key = sides
+    if len(sides) > 1:
+        sides = _arrange(sides, calc)
+    for i, (d, x, n) in enumerate(sides):
+        rule = d.rule
+        if rule == "id":
+            continue
+        if d.conclusion[d.principal] is not x:
+            out = _commute(sides, i, keep, calc, fresh, memo)
+        elif rule == "bang-neg-derelict":
+            out = _derelict_case(sides, i, keep, calc, fresh, memo)
+        elif rule in _STRUCTURAL:
+            step, label = _STRUCTURAL[rule]
+            if label:
+                _hit(label, sides)
+            out = _cut_copies(sides, i, d.premises[0], n + step, keep, calc, fresh, memo)
+        elif n > 1:
+            out = _commute(sides, i, keep, calc, fresh, memo)
+        else:
+            continue
+        break
+    else:
+        out = _principal_case(sides, keep, calc, fresh, memo)
+    memo[key] = out
+    return out
+
+
+def _arrange(sides: tuple, calc: Calculus) -> tuple:
+    """sides with a linear !'s one ?-side (R outside its ultrafilter) last, and
+    the stray copies at an (id) node, only <{}>-items, dropped."""
+    if calc.linear:  # where only a ?-item contracts, so no (id) node holds strays
+        a = sides[0][1].formula
+        if type(a) is Bang:
+            for i, s in enumerate(sides):
+                if not a.u.contains(s[1].roles):
+                    return sides[:i] + sides[i + 1 :] + (s,)
+        return sides
+    for i, (d, x, n) in enumerate(sides):
+        if n > 1 and d.rule == "id":
+            sides = sides[:i] + ((b_id(seq_minus(d.conclusion, (x,) * (n - 1))), x, 1),) \
+                + sides[i + 1 :]
+    return sides
+
+
+def _others(sides: tuple, i: int, keep: bool) -> Sequent:
+    """What a cut adds to side i: the others' contexts in order, with keep the residual."""
+    extra: Sequent = ()
+    for j, (d, x, n) in enumerate(sides):
+        if j != i:
+            extra += seq_minus(d.conclusion, (x,) * n)
+    return extra + (_residual(sides),) if keep else extra
+
+
+def _residual(sides: tuple) -> IFormula:
+    roles = -1
+    for _, x, _ in sides:
+        roles &= x.roles
+    return IFormula(roles, sides[0][1].formula)
+
+
+def _cut_copies(sides: tuple, i: int, p: Derivation, n: int, keep: bool, calc: Calculus,
+                fresh: FreshNames, memo: dict) -> Derivation:
+    """The cut with side i now (p, x, n); for n = 0, p with the rest weakened in."""
+    if n:
+        return _cut(sides[:i] + ((p, sides[i][1], n),) + sides[i + 1 :], keep, calc, fresh, memo)
+    for it in _others(sides, i, keep):
+        p = b_weaken(p, it, calc)
+    return p
+
+
+def _commute(sides: tuple, i: int, keep: bool, calc: Calculus, fresh: FreshNames,
+             memo: dict) -> Derivation:
+    """Push the cut into the premises of side i's derivation d and reapply
+    d's rule, adding what the cut adds to side i.  A context split sends each
+    premise its copies; when both get some, what the cut adds comes twice and
+    is contracted once.  When d's principal is a tracked copy while strays
+    remain (structural calculi only), the strays are cut first, and then the
+    one copy the rule reintroduces."""
+    d, x, n = sides[i]
+    item = d.conclusion[d.principal]  # _cut found it
+    extra = before = after = ()
+    if len(sides) > 1:
+        extra = _others(sides, i, keep)
+        before, after = sides[:i], sides[i + 1 :]
+    stray = item == x
+    if stray:
+        if calc.linear:
+            raise KernelError("cut: stray linear occurrences at a logical rule")
+        n -= 1
+    if d.rule == "forall-pos":
+        # extra may mention the eigenvariable; freshen it first
+        y = d.eigen if d.eigen is not None else item.formula.var
+        if y in seq_free_vars(extra):
+            z = fresh(y)
+            prem = subst_derivation(d.premises[0], y, Var(z), fresh)
+            d = Derivation(d.rule, d.conclusion, (prem,), d.principal, eigen=z)
+    concl = seq_minus(d.conclusion, (x,) * n)
+    if concl is None:
+        raise KernelError("internal: tracked occurrences missing from sequent")
+    ms = (n,) * len(d.premises)
+    split = _RULES[d.rule][2]
+    if split:
+        new_l = _additions(d.rule, item, d.witness, d.eigen)[0]
+        m0 = min((seq_minus(d.premises[0].conclusion, new_l) or ()).count(x), n)
+        ms = (m0, n - m0)
+    prems = []  # a loop, not a generator: one frame less per level of recursion
+    for p, m in zip(d.premises, ms):
+        prems.append(_cut(before + ((p, x, m),) + after, keep, calc, fresh, memo) if m else p)
+    dup = split and all(ms)
+    concl += extra * 2 if dup else extra
+    out = Derivation(d.rule, concl, prems, concl.index(item), d.witness, d.eigen)
+    for it in extra if dup else ():  # what came twice is contracted once
+        out = b_contract(out, it, calc)
+    if stray:
+        out = _cut(before + ((out, x, 1),) + after, keep, calc, fresh, memo)
+        for it in extra:
+            out = b_contract(out, it, calc)
+    return out
+
+
+def _derelict_case(sides: tuple, i: int, keep: bool, calc: Calculus, fresh: FreshNames,
+                   memo: dict) -> Derivation:
+    """The last side derelicts a copy of <R>!B, every other is promoted (ends
+    in bang-pos).  Cut the other copies, then <R>B against each promoted
+    premise; the promoted contexts, then there twice, are contracted once."""
+    if i != len(sides) - 1:
+        raise KernelError("cut: dereliction on a positive-side occurrence")
+    _hit("bang-derelict", sides)
+    d, x, n = sides[i]
+    body = x.formula.body
+    e = _cut_copies(sides, i, d.premises[0], n - 1, keep, calc, fresh, memo)
+    # e proves the promoted contexts, d's context, <R>B and the residual
+    inner = []
+    gamma: Sequent = ()
+    for dp, xp, _ in sides[:i]:
+        if dp.rule != "bang-pos":
+            raise KernelError("cut: promoted side does not end in bang-pos")
+        inner.append((dp.premises[0], IFormula(xp.roles, body), 1))
+        gamma += seq_minus(dp.conclusion, (xp,))
+    inner.append((e, IFormula(x.roles, body), 1))
+    f = _cut(tuple(inner), keep, calc, fresh, memo)
+    # f proves gamma twice, d's context, the residual and the residual's body
+    if keep:
+        resid = _residual(sides)
+        f = b_contract(b_rule("bang-neg-derelict", (f,), resid), resid, calc)
+    for it in gamma:
+        f = b_contract(f, it, calc)
+    return f
+
+
+_TAGS = {Conj: "conj", AConj: "with", MConj: "tensor", Impl: "imp", Bang: "bang", Forall: "forall"}
+
+
+def _principal_case(sides: tuple, keep: bool, calc: Calculus, fresh: FreshNames,
+                    memo: dict) -> Derivation:
+    """Every side introduces its copy of A by a logical rule (an atom's at an
+    (id) node).  When every role set holds A's head role, or A is a negation,
+    premise j of each side is cut against premise j of the others.  Else the
+    negative side lacks it: what its rule added is cut item after item, against
+    the matching premise of every promoted side (a 1-cut has none)."""
+    if len(sides) == 1:
+        d, x, n = sides[0]
+        if d.rule == "id":
+            return b_id(seq_minus(d.conclusion, (x,) * n))
+        if _RULES[d.rule][1]:
+            raise KernelError(f"cut1: rule {d.rule} cannot introduce an empty-role "
+                              "i-formula positively")
+        e = d.premises[0]
+        for y in _additions(d.rule, x, d.witness)[0]:
+            e = _cut(((e, y, 1),), keep, calc, fresh, memo)
+        return e
+    a = sides[0][1].formula
+    cls = type(a)
+    if cls is Atom:
+        _hit("primitive", sides)
+        items: Sequent = ()
+        for d, x, n in sides:
+            if d.rule != "id":
+                raise KernelError("cut: primitive case without (id) nodes")
+            items += seq_minus(d.conclusion, (x,) * n)
+        return b_id(items + (_residual(sides),) if keep else items)
+    neg = None
+    if cls is not Neg:
+        u = a.u.r
+        for s in sides:
+            if not s[1].roles >> u & 1:
+                neg = s
+                break
+    pos = []  # each (promoted) side's premises and what its rule added to each
+    if neg is None:  # every side introduces A by one rule
+        rule = sides[0][0].rule
+        _hit("neg" if cls is Neg else _TAGS[cls] + "-pos-pos", sides)
+        z = None
+        if cls is Forall:  # every premise gets the one fresh eigenvariable z
+            z = fresh(a.var)
+            bz = substitute(a.body, a.var, Var(z))
+        for d, x, _ in sides:
+            if d.rule != rule or _RULES[rule][1] is False:
+                raise KernelError(f"cut: unsupported principal case {rule}/{d.rule}")
+            if z is None:
+                pos.append((d.premises, _additions(rule, x)))
+                continue
+            y = d.eigen if d.eigen is not None else a.var
+            p = d.premises[0] if y == z else subst_derivation(d.premises[0], y, Var(z), fresh)
+            pos.append(((p,), ((IFormula(x.roles, bz),),)))
+        cuts = []
+        for j in range(len(pos[0][0])):
+            cuts.append(_cut(tuple([(ps[j], add[j][0], 1) for ps, add in pos]),
+                             keep, calc, fresh, memo))
+        return b_rule(rule, cuts, _residual(sides), eigen=z) if keep else cuts[0]
+    dn, xn, _ = neg
+    if _RULES[dn.rule][1] is not False:
+        raise KernelError(f"cut: rule {dn.rule} cannot introduce <R>A for R outside A's U")
+    ys = _additions(dn.rule, xn, dn.witness)[0]
+    first = dn.rule.endswith("-r")  # (a)conj-neg-r's addition is the second premise's
+    tag = _TAGS[cls]
+    if cls is MConj or cls is Impl:
+        _hit(tag + ("-neg-pos" if neg is sides[0] else "-pos-neg"), sides)
+    else:
+        _hit(tag + "-pos-neg" + ("" if cls is Forall else "lr"[first]), sides)
+    for s in sides:
+        if s is neg:
+            continue
+        d, x, _ = s
+        if cls is Forall:  # the promoted premise, instantiated at the witness
+            y = d.eigen if d.eigen is not None else a.var
+            pos.append(((subst_derivation(d.premises[0], y, dn.witness, fresh),),
+                        ((IFormula(x.roles, ys[0].formula),),)))
+        else:
+            pos.append((d.premises, _additions(d.rule, x)))
+    e = dn.premises[0]
+    for j, y in enumerate(ys, first):
+        inner = ()
+        for ps, add in pos:
+            inner += ((ps[j], add[j][0], 1),)
+        e = _cut(inner + ((e, y, 1),), keep, calc, fresh, memo)
+    return b_rule(dn.rule, (e,), _residual(sides), dn.witness) if keep else e
 
 
 # --------------------------------------------------------------- search

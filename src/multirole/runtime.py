@@ -618,14 +618,12 @@ class Pool:
 
     # -- caller-side channel surgery -----------------------------------
 
-    def chan_create(self, part: int, session: SessionType, acceptor,
-                    acceptor_reg: str = "ep") -> Endpoint:
+    def chan_create(self, part: int, session: SessionType, acceptor) -> Endpoint:
         rl.check_roleset(part, self.n)
         ch = self.new_channel(norm(session))
         spawned = self.new_endpoint(ch, part)
         mine = self.new_endpoint(ch, self.full & ~part)
-        t = self.add_thread(partial(_exec, self, cmds=tuple(acceptor)),
-                            {acceptor_reg: spawned})
+        t = self.add_thread(partial(_exec, self, cmds=tuple(acceptor)), {"ep": spawned})
         self._event("PR3", chan=ch.cid, action="create", to=t.tid,
                     label=rl.fmt_roleset(part))
         return mine
@@ -715,9 +713,8 @@ class Pool:
             raise CutSideCondition("2-cut-with-residual requires disjoint complements")
         return self._merge([ep1, ep2], ep1.roles & ep2.roles, "cutres")
 
-    def chan2_create_demo(self, part1: int, session1: SessionType,
-                          part2: int, session2: SessionType, acceptor,
-                          regs=("ep", "ep2")) -> tuple[Endpoint, Endpoint]:
+    def chan2_create_demo(self, part1: int, session1: SessionType, part2: int,
+                          session2: SessionType, acceptor) -> tuple[Endpoint, Endpoint]:
         if not self.allow_demo:
             raise DemoDisabled("chan2_create is deliberately unsafe; "
                                "enable it with allow_demo")
@@ -727,7 +724,7 @@ class Pool:
         ch2 = self.new_channel(norm(session2))
         sp1, mine1 = self.new_endpoint(ch1, part1), self.new_endpoint(ch1, self.full & ~part1)
         sp2, mine2 = self.new_endpoint(ch2, part2), self.new_endpoint(ch2, self.full & ~part2)
-        t = self.add_script_thread(acceptor, {regs[0]: sp1, regs[1]: sp2})
+        t = self.add_script_thread(acceptor, {"ep": sp1, "ep2": sp2})
         self._event("PR3", chan=ch1.cid, action="create2", to=t.tid,
                     label=f"{ch1.cid},{ch2.cid}")
         return mine1, mine2

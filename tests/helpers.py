@@ -649,6 +649,19 @@ def _node_entry_reference(entry, syntax: list, built: list, n: int | None) -> K.
     return K.Derivation(rule, items, [built[p] for p in premises], principal, witness, eigen)
 
 
+def mp_cut_fold(ds: list, indices: list[int], calc) -> K.Derivation:
+    """The multiparty cut as a fold: residual 2-cuts of each premise into the
+    ones before it, then a 1-cut of the last residual, <{}>A.  A
+    differential oracle for K.mp_cut, which cuts all premises at once; its
+    later stages cut earlier cut outputs."""
+    acc, i = ds[0], indices[0]
+    for d, j in zip(ds[1:], indices[1:]):
+        occ, oc = acc.conclusion[i], d.conclusion[j]
+        acc = K.cut2_residual(acc, i, d, j, calc)
+        i = acc.conclusion.index(IFormula(occ.roles & oc.roles, occ.formula))
+    return K.cut1(acc, i, calc)
+
+
 def rand_cut_output(rng: random.Random, calc) -> K.Derivation | None:
     """axiom_multi on a random formula of calc, cut by one of the four cut
     entry points (or left uncut); None where mrlj has no such derivation."""

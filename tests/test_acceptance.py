@@ -17,6 +17,7 @@ from multirole.roles import Endo, Ultra
 
 from helpers import (
     decisions_view,
+    mp_cut_fold,
     preset_decisions,
     rand_formula,
     rand_partition,
@@ -91,6 +92,10 @@ def _cut_fuzz(trials, seed=0):
         K.check(e, calc)
         assert _cut_free(e)
         assert seq_equal(e.conclusion, tuple(IFormula(c, a) for c in comps))
+        f = mp_cut_fold(ds, idxs, calc)
+        K.check(f, calc)
+        assert _cut_free(f)
+        assert seq_equal(f.conclusion, e.conclusion)
 
 
 def test_criterion_01_kernel_soundness_fuzz():
