@@ -781,8 +781,7 @@ def cut2_residual(d1: Derivation, i1: int, d2: Derivation, i2: int,
     x1, x2 = d1.conclusion[i1], d2.conclusion[i2]
     if x1.formula != x2.formula:
         raise KernelError("cut2_residual: designated i-formulas carry different formulas")
-    full = rl.full_set(calc.n)
-    if (full & ~x1.roles) & (full & ~x2.roles):
+    if rl.cut_residual((x1.roles, x2.roles), calc.n) is None:
         raise KernelError("cut2_residual: complements of the role sets overlap")
     return _cut(((d1, x1, 1), (d2, x2, 1)), True, calc,
                 FreshNames(lambda: _names(d1, d2)), {})
@@ -799,8 +798,7 @@ def mp_cut(ds: list[Derivation], indices: list[int], calc: Calculus) -> Derivati
     for oc in occs:
         if oc.formula != a:
             raise KernelError("mp_cut: premises cut different formulas")
-    full = rl.full_set(calc.n)
-    if not rl.partition_check([full & ~oc.roles for oc in occs], calc.n):
+    if rl.cut_residual([oc.roles for oc in occs], calc.n) != 0:
         raise KernelError("mp_cut: complements of the role sets must partition the universe")
     if calc.j is not None:
         for d in ds:

@@ -377,14 +377,6 @@ def _head(name: str, t: Viewtype, why: str, heads=None, kind=None, final=None) -
     return head
 
 
-def _chans(name: str, args: list) -> list:
-    """args, each an endpoint type."""
-    for t in args:
-        if not isinstance(t, TChan):
-            raise MtlcTypeError(name, f"expected a channel endpoint, got {t}")
-    return args
-
-
 def sig_result(name: str, args: list[Viewtype], n: int) -> Viewtype:
     """Instantiate a constant's c-type schema at the given argument types."""
     rl.check_universe(n)
@@ -478,39 +470,26 @@ def _sig_mdisj(name, args, n):
     return keep
 
 
-def _sig_1_cut(name, args, n):
-    if _chans(name, args)[0].roles != 0:
-        raise MtlcTypeError(name, "only an empty-role-set endpoint can be dropped")
-    return _UNIT
+# each cut's refusal when its role sets fail the side condition (roles.cut_residual)
+_CUT_REFUSALS = {"chan_1_cut": "only an empty-role-set endpoint can be dropped",
+                 "chan_2_cut": "role sets are not complementary",
+                 "chan_3_cut": "complements must partition the universe",
+                 "chan_2_cutres": "complements must be disjoint"}
 
 
-def _sig_2_cut(name, args, n):
-    t1, t2 = _chans(name, args)
-    if t1.cursor != t2.cursor:
+def _sig_cut(name, args, n):
+    """A cut of its k arguments' endpoints, all at one cursor; chan_2_cutres
+    keeps the residual endpoint, the others keep none."""
+    for t in args:
+        if not isinstance(t, TChan):
+            raise MtlcTypeError(name, f"expected a channel endpoint, got {t}")
+    if any(t.cursor != args[0].cursor for t in args):
         raise MtlcTypeError(name, "endpoint sessions differ")
-    if t2.roles != rl.full_set(n) & ~t1.roles:
-        raise MtlcTypeError(name, "role sets are not complementary")
-    return _UNIT
-
-
-def _sig_3_cut(name, args, n):
-    ts = _chans(name, args)
-    if len({t.cursor for t in ts}) != 1:
-        raise MtlcTypeError(name, "endpoint sessions differ")
-    full = rl.full_set(n)
-    if not rl.partition_check([full & ~t.roles for t in ts], n):
-        raise MtlcTypeError(name, "complements must partition the universe")
-    return _UNIT
-
-
-def _sig_2_cutres(name, args, n):
-    t1, t2 = _chans(name, args)
-    if t1.cursor != t2.cursor:
-        raise MtlcTypeError(name, "endpoint sessions differ")
-    full = rl.full_set(n)
-    if (full & ~t1.roles) & (full & ~t2.roles):
-        raise MtlcTypeError(name, "complements must be disjoint")
-    return TChan(t1.roles & t2.roles, t1.cursor)
+    resid = rl.cut_residual([t.roles for t in args], n)
+    keep = name == "chan_2_cutres"
+    if resid is None or resid and not keep:
+        raise MtlcTypeError(name, _CUT_REFUSALS[name])
+    return TChan(resid, args[0].cursor) if keep else _UNIT
 
 
 # each constant's arity and signature rule
@@ -522,12 +501,11 @@ _SIGS = {
     "chan_aconj_l": (1, _sig_aconj), "chan_aconj_r": (1, _sig_aconj),
     "chan_mconj": (1, _sig_mconj),
     "chan_mdisj_l": (2, _sig_mdisj), "chan_mdisj_r": (2, _sig_mdisj),
-    "chan_1_cut": (1, _sig_1_cut), "chan_2_cut": (2, _sig_2_cut),
-    "chan_3_cut": (3, _sig_3_cut), "chan_2_cutres": (2, _sig_2_cutres),
+    "chan_1_cut": (1, _sig_cut), "chan_2_cut": (2, _sig_cut),
+    "chan_3_cut": (3, _sig_cut), "chan_2_cutres": (2, _sig_cut),
 }
 CONSTS = set(_SIGS)
 _CHAN_CONSTS = {name for name in CONSTS if name.startswith("chan_")}
-_CUTS = {name for name in CONSTS if "_cut" in name}
 
 
 # ---------------------------------------------------------- typechecker
@@ -1023,7 +1001,7 @@ class MtlcThread:
         # change what it stands for
         self.state = (expr, None, None, None)
         self.holders = vars(pool).setdefault("mtlc_holders", _Holders())  # shared
-        self.thread = pool.add_thread(self._run)
+        self.thread = pool.add_thread(self._gen)
         self.thread.mtlc = self  # used for pool retyping
         if hook is not None:
             self.holders.queue.append(self)
@@ -1117,20 +1095,20 @@ class MtlcThread:
             raise MtlcTypeError("ty-hole", f"{ty} does not fit its hole, of type {below[1]}")
         return (ty, held) if below is None else (below[4], held + below[2])
 
-    def _run(self, t):
-        """The runtime thread: the calculus thread's steps, then its exit,
-        which takes its resources out of the pool's count."""
-        yield from self._gen(t)
+    def _exit(self) -> None:
+        """Take the finished thread's resources out of the pool's count."""
         self.holders.move(self._held[1], ())
         self._held = (None, ())
 
     def _gen(self, t):
+        """The runtime thread: the calculus thread's steps, then its exit."""
         pool = self.pool
         term, env, val, k = self.state
         while True:
             if term is None:  # return val to the innermost frame
                 if k is None:
                     self.state = (None, None, val, None)
+                    self._exit()
                     return
                 node, fenv, vals, k = k
                 vals += (val,)
@@ -1213,17 +1191,11 @@ class MtlcThread:
             lam = f.term if type(f) is Clo else f
             if type(lam) is not ELLam or type(lam.t) is not TChan:
                 raise StuckNonRedex(f"chan_create: chan(R,S) -o 1 expected, got {f!r}")
-            part = lam.t.roles
-            ch = pool.new_channel(lam.t.cursor)
-            spawned = pool.new_endpoint(ch, part)
-            mine = pool.new_endpoint(ch, pool.full & ~part)
-            nt = self._spawn(f, ERc(spawned))
-            pool._event("PR3", chan=ch.cid, action="create", to=nt.thread.tid,
-                        label=rl.fmt_roleset(part))
-            return ERc(mine), None
+            return ERc(pool.chan_spawn(lam.t.roles, lam.t.cursor,
+                                       lambda ep: self._spawn(f, ERc(ep)).thread)), None
         # a cut's arguments are endpoints, the others' first argument is
         eps = []
-        for a in (args if name in _CUTS else args[:1]):
+        for a in (args if name in _CUT_REFUSALS else args[:1]):
             if not isinstance(a, ERc):
                 raise StuckNonRedex(f"{name}: endpoint expected, got {a!r}")
             eps.append(a.ep)
@@ -1246,11 +1218,9 @@ class MtlcThread:
                 return (lambda keep: ERc(keep)), _Block(
                     "mconj", ep, "mdisj", side=name[-1],
                     spawn=lambda give: self._spawn(args[1], ERc(give)))
-            case "chan_1_cut" | "chan_2_cut" | "chan_3_cut":  # the pool's cut of that name
-                getattr(pool, name)(*eps)
-                return EUnit(), None
-            case "chan_2_cutres":
-                return ERc(pool.chan_2_cutres(*eps)), None
+            case "chan_1_cut" | "chan_2_cut" | "chan_3_cut" | "chan_2_cutres":
+                resid = pool.chan_cut(eps, name == "chan_2_cutres")
+                return (EUnit() if resid is None else ERc(resid)), None
         raise StuckNonRedex(f"unknown channel constant {name}")
 
 

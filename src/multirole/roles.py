@@ -315,6 +315,22 @@ def partition_check(masks: list[int] | tuple[int, ...], n: int) -> bool:
     return seen == full
 
 
+def cut_residual(masks: list[int] | tuple[int, ...], n: int) -> int | None:
+    """The side condition of a multiparty cut of k = len(masks) >= 1 role
+    sets: their complements must be pairwise disjoint.  Returns the residual,
+    the roles every set holds, or None if two complements overlap.  A cut
+    that keeps no residual also needs the residual to be empty.  A role set
+    outside the universe raises RoleError, as in partition_check."""
+    full, seen = full_set(n), 0
+    for m in masks:
+        if m < 0 or m & ~full:
+            check_roleset(m, n)  # raises
+        if seen & ~m:  # seen is the union of the complements so far
+            return None
+        seen |= full & ~m
+    return full & ~seen
+
+
 def fmt_roleset(mask: int) -> str:
     return "{%s}" % ",".join(str(r) for r in members(mask))
 

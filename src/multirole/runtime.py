@@ -529,7 +529,7 @@ class Pool:
                     f"thread {t.tid} blocked on {blk.op} but head is "
                     f"{sn.fmt_session(head)}")
             # the kind an op found still holds: a cursor advances only when its
-            # channel fires, and _merge joins only channels with equal cursors;
+            # channel fires, and chan_cut merges only channels with equal cursors;
             # a block made without an op (the lambda calculus's) has none
             kind = blk.action or classify(head, ep.roles)
             if blk.op == "send":
@@ -620,10 +620,17 @@ class Pool:
 
     def chan_create(self, part: int, session: SessionType, acceptor) -> Endpoint:
         rl.check_roleset(part, self.n)
-        ch = self.new_channel(norm(session))
+        return self.chan_spawn(part, norm(session), lambda ep: self.add_thread(
+            partial(_exec, self, cmds=tuple(acceptor)), {"ep": ep}))
+
+    def chan_spawn(self, part: int, cursor: tuple[SessionType, ...], spawn) -> Endpoint:
+        """A new channel at cursor: its endpoint at part goes to the thread
+        that spawn(endpoint) adds and returns, and its endpoint at the
+        complement of part is returned."""
+        ch = self.new_channel(cursor)
         spawned = self.new_endpoint(ch, part)
         mine = self.new_endpoint(ch, self.full & ~part)
-        t = self.add_thread(partial(_exec, self, cmds=tuple(acceptor)), {"ep": spawned})
+        t = spawn(spawned)
         self._event("PR3", chan=ch.cid, action="create", to=t.tid,
                     label=rl.fmt_roleset(part))
         return mine
@@ -655,17 +662,16 @@ class Pool:
                     label=rl.fmt_roleset(part))
         return ep_keep
 
-    def chan_1_cut(self, ep: Endpoint) -> None:
-        if not ep.live:
-            raise LinearityFault("cut on a consumed endpoint")
-        if ep.roles != 0:
-            raise NonEmptyRoles("only an empty-role-set endpoint can be removed")
-        self._consume(ep)
-        self._event("PR0", chan=ep.channel.cid, action="cut1")
-        self._cleanup_channels()
-
-    def _merge(self, eps: list[Endpoint], residual_roles: int | None,
-               action: str) -> Endpoint | None:
+    def chan_cut(self, eps: list[Endpoint], keep: bool = False) -> Endpoint | None:
+        """Cut k = len(eps) live endpoints, each on its own channel and all at
+        one cursor.  The complements of their role sets must be pairwise
+        disjoint, and without keep the residual, the roles every set holds,
+        must be empty (roles.cut_residual).  With k = 1 and no keep, the
+        endpoint leaves its channel; otherwise the channels merge into one,
+        and with keep an endpoint at the residual joins it and is returned."""
+        for e in eps:
+            if not e.live:
+                raise LinearityFault("cut on a consumed endpoint")
         chans = [e.channel for e in eps]
         if len({c.cid for c in chans}) != len(chans):
             raise CutSideCondition("cut endpoints must live on distinct channels")
@@ -673,9 +679,19 @@ class Pool:
         for c in chans[1:]:
             if c.cursor != cursor:
                 raise CutSideCondition("cut endpoints carry different session cursors")
-        for e in eps:
-            if not e.live:
-                raise LinearityFault("cut on a consumed endpoint")
+        resid = rl.cut_residual([e.roles for e in eps], self.n)
+        if resid is None:
+            raise CutSideCondition("cut requires disjoint complements of the role sets")
+        if resid and not keep:
+            if len(eps) == 1:
+                raise NonEmptyRoles("only an empty-role-set endpoint can be removed")
+            raise CutSideCondition("cut without a residual requires role sets "
+                                   "that share no role")
+        if len(eps) == 1 and not keep:
+            self._consume(eps[0])
+            self._event("PR0", chan=chans[0].cid, action="cut1")
+            self._cleanup_channels()
+            return None
         merged = self.new_channel(cursor)
         for e in eps:
             self._consume(e)
@@ -689,29 +705,10 @@ class Pool:
                     merged.endpoints.append(e)
             c.endpoints = []
         self._dirty[merged.cid] = merged
-        resid = None
-        if residual_roles is not None:
-            resid = self.new_endpoint(merged, residual_roles)
-        self._event("PR0", chan=merged.cid, action=action,
+        out = self.new_endpoint(merged, resid) if keep else None
+        self._event("PR0", chan=merged.cid, action="cutres" if keep else f"cut{len(eps)}",
                     label=",".join(str(c.cid) for c in chans))
-        return resid
-
-    def chan_2_cut(self, ep1: Endpoint, ep2: Endpoint) -> None:
-        if ep2.roles != self.full & ~ep1.roles:
-            raise CutSideCondition("2-cut requires complementary role sets")
-        self._merge([ep1, ep2], None, "cut2")
-
-    def chan_3_cut(self, ep1: Endpoint, ep2: Endpoint, ep3: Endpoint) -> None:
-        comps = [self.full & ~e.roles for e in (ep1, ep2, ep3)]
-        if not rl.partition_check(comps, self.n):
-            raise CutSideCondition("3-cut requires the complements to partition "
-                                   "the universe")
-        self._merge([ep1, ep2, ep3], None, "cut3")
-
-    def chan_2_cutres(self, ep1: Endpoint, ep2: Endpoint) -> Endpoint:
-        if (self.full & ~ep1.roles) & (self.full & ~ep2.roles):
-            raise CutSideCondition("2-cut-with-residual requires disjoint complements")
-        return self._merge([ep1, ep2], ep1.roles & ep2.roles, "cutres")
+        return out
 
     def chan2_create_demo(self, part1: int, session1: SessionType, part2: int,
                           session2: SessionType, acceptor) -> tuple[Endpoint, Endpoint]:
@@ -884,25 +881,16 @@ def _split(pool: Pool, t: Thread, cmd: CSplit) -> None:
     t.regs[cmd.reg] = pool.chan_split(_reg(t, cmd.reg), cmd.part, cmd.spawned, cmd.reg)
 
 
-def _cut1(pool: Pool, t: Thread, cmd: CCut1) -> None:
-    pool.chan_1_cut(_reg(t, cmd.reg))
-    del t.regs[cmd.reg]
-
-
-def _cut2(pool: Pool, t: Thread, cmd: CCut2) -> None:
-    pool.chan_2_cut(_reg(t, cmd.reg_a), _reg(t, cmd.reg_b))
-    del t.regs[cmd.reg_a], t.regs[cmd.reg_b]
-
-
-def _cut3(pool: Pool, t: Thread, cmd: CCut3) -> None:
-    pool.chan_3_cut(_reg(t, cmd.reg_a), _reg(t, cmd.reg_b), _reg(t, cmd.reg_c))
-    del t.regs[cmd.reg_a], t.regs[cmd.reg_b], t.regs[cmd.reg_c]
-
-
-def _cutres(pool: Pool, t: Thread, cmd: CCutRes) -> None:
-    resid = pool.chan_2_cutres(_reg(t, cmd.reg_a), _reg(t, cmd.reg_b))
-    del t.regs[cmd.reg_a], t.regs[cmd.reg_b]
-    t.regs[cmd.out] = resid
+def _cut(pool: Pool, t: Thread, cmd: CCut1 | CCut2 | CCut3 | CCutRes) -> None:
+    """Cut the endpoints held in the command's reg* registers and clear
+    them; a CCutRes puts the residual endpoint in register out."""
+    regs = [getattr(cmd, f) for f in cmd.__match_args__ if f.startswith("reg")]
+    keep = type(cmd) is CCutRes
+    resid = pool.chan_cut([_reg(t, r) for r in regs], keep)
+    for r in regs:
+        del t.regs[r]
+    if keep:
+        t.regs[cmd.out] = resid
 
 
 def _chan_create(pool: Pool, t: Thread, cmd: CChanCreate) -> None:
@@ -920,8 +908,8 @@ def _chan2_demo(pool: Pool, t: Thread, cmd: CChan2Demo) -> None:
 
 _STEPS = {CSync: _sync, CSend: _send, CRecv: _recv, CChoose: _choose, COffer: _offer,
           CLoop: _loop, COfferLoop: _offer_loop, CMconj: _mconj, CMdisj: _mdisj,
-          CAppend: _append, CSplit: _split, CCut1: _cut1, CCut2: _cut2, CCut3: _cut3,
-          CCutRes: _cutres, CChanCreate: _chan_create,
+          CAppend: _append, CSplit: _split,
+          **dict.fromkeys((CCut1, CCut2, CCut3, CCutRes), _cut), CChanCreate: _chan_create,
           CServiceRequest: _service_request, CChan2Demo: _chan2_demo}
 
 

@@ -1589,6 +1589,7 @@ class SubstThread(M.MtlcThread):
         while True:
             got = _decompose(self.expr)
             if got is None:
+                self._exit()
                 return
             redex, rebuild = got
             effect = None

@@ -1,7 +1,12 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from multirole import kernel as kn
+from multirole import logic as lg
+from multirole import mtlc as mt
 from multirole import roles as rl
 from multirole import runtime as rt
 from multirole import session as sn
@@ -13,9 +18,11 @@ from multirole.runtime import (
     CSend,
     CServiceRequest,
     CSync,
+    CutSideCondition,
     Decisions,
     DemoDisabled,
     LinearityFault,
+    NonEmptyRoles,
     PayloadTypeMismatch,
     Pool,
     ProtocolMismatch,
@@ -204,6 +211,125 @@ class TestCuts:
         assert message_keys(res.trace) == message_keys(direct.trace)
 
 
+def _cut_endpoints(*specs):
+    """A pool of 2 roles and, for each (roles, session text), the caller's
+    endpoint at those roles on a new channel at that session."""
+    pool = Pool(2)
+    return pool, [pool.chan_create(0b11 & ~r, parse_session(s, 2), ()) for r, s in specs]
+
+
+def _consumed(pool, eps):
+    pool.chan_cut(eps)  # a 1-cut of an empty-role-set endpoint
+    return eps
+
+
+# each refusal of Pool.chan_cut: the endpoints, the cut it is given (from the
+# pool and the endpoints), keep, and the exception's class and text
+CUT_REFUSALS = {
+    "consumed endpoint": ([(0, "a(0, 1)")], _consumed, False,
+                          LinearityFault, "cut on a consumed endpoint"),
+    "one channel twice": ([(0b01, "a(0, 1)")], lambda pool, eps: eps * 2, False,
+                          CutSideCondition, "cut endpoints must live on distinct channels"),
+    "cursors differ": ([(0b01, "a(0, 1)"), (0b10, "b(0, 1)")], lambda pool, eps: eps, False,
+                       CutSideCondition, "cut endpoints carry different session cursors"),
+    "complements overlap": ([(0b01, "a(0, 1)"), (0b01, "a(0, 1)")], lambda pool, eps: eps,
+                            True, CutSideCondition,
+                            "cut requires disjoint complements of the role sets"),
+    "residual without keep": ([(0b11, "a(0, 1)"), (0b01, "a(0, 1)")],
+                              lambda pool, eps: eps, False, CutSideCondition,
+                              "cut without a residual requires role sets that share no role"),
+    "1-cut on non-empty roles": ([(0b01, "a(0, 1)")], lambda pool, eps: eps, False,
+                                 NonEmptyRoles, "only an empty-role-set endpoint can be removed"),
+}
+
+
+class TestChanCut:
+    @pytest.mark.parametrize("row", CUT_REFUSALS)
+    def test_refusal(self, row):
+        specs, cut, keep, exc, text = CUT_REFUSALS[row]
+        pool, eps = _cut_endpoints(*specs)
+        args = cut(pool, eps)
+        trace = list(pool.trace)
+        live = [(e.eid, e.live) for ch in pool.channels.values() for e in ch.endpoints]
+        with pytest.raises(exc) as got:
+            pool.chan_cut(args, keep)
+        assert type(got.value) is exc and str(got.value) == text
+        assert pool.trace == trace
+        assert [(e.eid, e.live) for ch in pool.channels.values() for e in ch.endpoints] == live
+
+    # the cut shapes: the number of sides, keep, the calculus's constant
+    SHAPES = [(1, False, "chan_1_cut"), (2, False, "chan_2_cut"), (3, False, "chan_3_cut"),
+              (2, True, "chan_2_cutres")]
+
+    def test_three_layers_agree(self):
+        """The kernel's cuts, the calculus's cut constants and Pool.chan_cut
+        accept the same role-set tuples, with the same residual, as the side
+        condition written out on Python sets: complements pairwise disjoint,
+        and without keep no role that every set holds."""
+        cases = 0
+        for n in (2, 3, 4):
+            full = rl.full_set(n)
+            a = lg.parse_formula("a", n)
+            calc = kn.MRL(n)
+            cursor = norm(parse_session("m(0, 1, int)", n))
+            premise = {r: kn.axiom_multi(a, [r, full & ~r], calc) for r in range(full + 1)}
+            for k, keep, const in self.SHAPES:
+                for masks in itertools.product(range(full + 1), repeat=k):
+                    cases += 1
+                    sets = [set(rl.members(m)) for m in masks]
+                    comps = [set(range(n)) - x for x in sets]
+                    resid = set.intersection(*sets)
+                    disjoint = sum(map(len, comps)) == len(set().union(*comps))
+                    want = (sorted(resid) if keep else []) if disjoint and (keep or not resid) \
+                        else None
+                    got = [self._kernel(premise, masks, a, keep, calc),
+                           self._mtlc(const, masks, cursor, n),
+                           self._pool(masks, keep, cursor, n)]
+                    assert got == [want] * 3, (n, const, masks)
+        assert cases == 5372
+
+    @staticmethod
+    def _kernel(premise, masks, a, keep, calc):
+        ds = [premise[m] for m in masks]
+        idx = [d.conclusion.index(lg.IFormula(m, a)) for d, m in zip(ds, masks)]
+        try:
+            if len(ds) == 1:
+                out = kn.cut1(ds[0], idx[0], calc)
+            elif keep:
+                out = kn.cut2_residual(ds[0], idx[0], ds[1], idx[1], calc)
+            else:
+                out = kn.mp_cut(ds, idx, calc)
+        except kn.KernelError:
+            return None
+        # the conclusion is the premises' contexts and, with keep, the residual
+        ctx = Counter(x for d, i in zip(ds, idx) for j, x in enumerate(d.conclusion) if j != i)
+        rest = list((Counter(out.conclusion) - ctx).elements())
+        assert Counter(out.conclusion) == ctx + Counter(rest) and len(rest) == keep
+        return rl.members(rest[0].roles) if keep else []
+
+    @staticmethod
+    def _mtlc(const, masks, cursor, n):
+        try:
+            ty = mt.sig_result(const, [mt.TChan(m, cursor) for m in masks], n)
+        except mt.MtlcTypeError:
+            return None
+        return rl.members(ty.roles) if const == "chan_2_cutres" else []
+
+    @staticmethod
+    def _pool(masks, keep, cursor, n):
+        pool = Pool(n)
+        eps = []
+        for m in masks:
+            ch = pool.new_channel(cursor)
+            eps.append(pool.new_endpoint(ch, m))
+            pool.new_endpoint(ch, pool.full & ~m)
+        try:
+            out = pool.chan_cut(eps, keep)
+        except (CutSideCondition, NonEmptyRoles):
+            return None
+        return rl.members(out.roles) if keep else []
+
+
 class TestScriptParser:
     def test_parse_and_run(self):
         s = parse_session("a(0, 1)@option(1, b(1, 0))", 2)
@@ -272,10 +398,10 @@ class TestConsumedEndpoints:
 
     def test_second_1cut_is_a_linearity_fault(self):
         pool, ep = self._endpoint(0)
-        pool.chan_1_cut(ep)
+        pool.chan_cut([ep])
         events = len(pool.trace)
         with pytest.raises(LinearityFault):
-            pool.chan_1_cut(ep)
+            pool.chan_cut([ep])
         assert len(pool.trace) == events
 
     def test_split_of_a_split_endpoint_is_a_linearity_fault(self):
