@@ -962,9 +962,9 @@ def _read(term: Expr, env, hole: Expr | None = None) -> Expr:
 
 class _Holders(Counter):
     """The endpoints a pool's live calculus threads hold, as their last
-    judgements counted them: eid -> holders, shared the number of eids held
-    more than once, and queue the threads made with a hook, which the step
-    that made them judges (retype_thread)."""
+    judgements counted them: eid -> holders (1 or more), shared the number
+    held more than once, and queue the threads made with a hook, which the
+    step that made them judges (retype_thread)."""
 
     shared = 0
 
@@ -974,12 +974,13 @@ class _Holders(Counter):
 
     def move(self, old: tuple, new: tuple) -> None:
         """Count one thread's resources as new in place of old."""
-        for eid in old:
-            self.shared -= self[eid] == 2
-            self[eid] -= 1
+        for eid in old:  # an endpoint no thread holds leaves the count
+            if c := self.pop(eid) - 1:
+                self[eid] = c
+            self.shared -= c == 1
         for eid in new:
-            self[eid] += 1
-            self.shared += self[eid] == 2
+            c = self[eid] = self.get(eid, 0) + 1
+            self.shared += c == 2
 
 
 class MtlcThread:
@@ -1000,7 +1001,9 @@ class MtlcThread:
         # None; saved after every reduction, and steps in between do not
         # change what it stands for
         self.state = (expr, None, None, None)
-        self.holders = vars(pool).setdefault("mtlc_holders", _Holders())  # shared
+        if (holders := getattr(pool, "mtlc_holders", None)) is None:
+            holders = pool.mtlc_holders = _Holders()
+        self.holders = holders  # shared by the pool's calculus threads
         self.thread = pool.add_thread(self._gen)
         self.thread.mtlc = self  # used for pool retyping
         if hook is not None:
@@ -1257,7 +1260,7 @@ def retype_thread(pool: Pool, mt: MtlcThread) -> None:
     mt.judge()
     holders = mt.holders
     for m in holders.queue:
-        if m is not mt and not m.thread.finished:
+        if m is not mt and m.thread.tid in pool.active_threads:
             m.judge()
     holders.queue.clear()
     if holders.shared:

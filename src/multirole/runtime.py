@@ -276,20 +276,20 @@ class Thread:
         self.regs: dict[str, Endpoint] = {}
         self.block: _Block | None = None
         self.resume_value = None
-        self.finished = False
 
 
 class Pool:
+    """A run keeps its live threads and channels, in creation order, its
+    trace and its audit log: a finished thread or retired channel is freed,
+    so memory beyond the trace grows with the live pool, not the history.  A
+    finished channel stays live until the next clean-up, but unaudited."""
+
     def __init__(self, n: int, seed: int = 0, allow_demo: bool = False):
         rl.check_universe(n)
         self.n = n
         self.full = rl.full_set(n)
         self.rng = random.Random(seed)
         self.allow_demo = allow_demo
-        self.threads: dict[int, Thread] = {}  # every thread of the run
-        self.channels: dict[int, Channel] = {}  # every channel of the run
-        # The live pool, in creation order.  A finished channel stays flagged
-        # live until the next clean-up, but it is no longer open or audited.
         self.active_threads: dict[int, Thread] = {}
         self.open_channels: dict[int, Channel] = {}
         self._finished: dict[int, Channel] = {}  # awaiting _cleanup_channels
@@ -319,7 +319,7 @@ class Pool:
         t = Thread(tid, None)
         t.regs = dict(regs or {})
         t.gen = make_gen(t)
-        self.threads[tid] = self.active_threads[tid] = t
+        self.active_threads[tid] = t
         self._ready.append(t)
         return t
 
@@ -336,7 +336,6 @@ class Pool:
     def new_channel(self, cursor: tuple[SessionType, ...]) -> Channel:
         ch = Channel(self._next_cid, cursor)
         self._next_cid += 1
-        self.channels[ch.cid] = ch
         (self.open_channels if cursor else self._finished)[ch.cid] = ch
         return ch
 
@@ -418,7 +417,6 @@ class Pool:
         try:
             t.block = t.gen.send(value)
         except StopIteration:
-            t.finished = True
             del self.active_threads[t.tid]
             for ep in t.regs.values():
                 if isinstance(ep, Endpoint) and ep.live and ep.channel.live \
@@ -549,10 +547,8 @@ class Pool:
                         f"thread {t.tid} receives but roles {rl.fmt_roleset(ep.roles)} "
                         f"are not the receiver of {sn.fmt_session(head)}")
                 receivers.append(t)
-            elif kind == "send":  # plain sync performs whatever its kind says
+            elif kind == "send":  # a plain sync sends the default; it reads nothing
                 payloads.append(_DEFAULT_PAYLOAD[head.payload])
-            elif kind == "recv":
-                receivers.append(t)
         if cls is Gather:  # every sender contributes
             action, frm, to, value = "gather", "*", head.to, payloads
         else:

@@ -7,6 +7,7 @@ every test is reproducible byte-for-byte.
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import random
 import re
@@ -1116,21 +1117,55 @@ class RescanPool(rt.Pool):
         return None
 
 
+class Registry:
+    """Every thread and channel a pool makes, recorded as Pool.add_thread and
+    Pool.new_channel make them, finished or not: the record of a run's
+    history the pool itself does not keep.  Installed on a pool that already
+    has threads, it starts from the pool's live dicts, which hold everything
+    made so far as long as nothing has finished (its counters must agree)."""
+
+    def __init__(self, pool: rt.Pool):
+        self.threads = dict(pool.active_threads)
+        self.channels = {**pool.open_channels, **pool._finished}
+        assert (len(self.threads), len(self.channels)) \
+            == (pool._next_tid, pool._next_cid), "installed after something finished"
+        add_thread, new_channel = pool.add_thread, pool.new_channel
+
+        def recorded_thread(make_gen, regs=None):
+            t = add_thread(make_gen, regs)
+            self.threads[t.tid] = t
+            return t
+
+        def recorded_channel(cursor):
+            ch = new_channel(cursor)
+            self.channels[ch.cid] = ch
+            return ch
+
+        pool.add_thread, pool.new_channel = recorded_thread, recorded_channel
+
+
+def _ended(t: rt.Thread) -> bool:
+    """Whether thread t has returned, as its generator, not the pool, says."""
+    return inspect.getgeneratorstate(t.gen) == inspect.GEN_CLOSED
+
+
 def recount_every_event(pool: rt.Pool) -> rt.Pool:
-    """After every event of the pool, recount the live pool from the full
-    registries and compare it with the pool's counters and audit entry."""
+    """After every event of the pool, recount the live pool from a Registry
+    of everything it made and compare it with the pool's counters and audit
+    entry."""
     event = pool._event
+    made = Registry(pool)
 
     def checked(rule, **kw):
         event(rule, **kw)
-        threads = sum(not t.finished for t in pool.threads.values())
-        chans = [c for c in pool.channels.values() if c.live and c.cursor]
+        threads = sum(not _ended(t) for t in made.threads.values())
+        chans = [c for c in made.channels.values() if c.live and c.cursor]
         eps = sum(e.live for c in chans for e in c.endpoints)
         assert (pool.live_threads(), pool.live_channels(), pool.live_endpoints()) \
             == (threads, len(chans), eps)
         assert pool.audit_log[-1] == \
             (pool.step_no, eps == 0 or threads + len(chans) >= eps + 1)
-        for c in pool.channels.values():
+        for c in made.channels.values():
             if c.live:
                 covered = 0
                 for e in c.endpoints:
@@ -1452,23 +1487,26 @@ def rho_recount(e) -> Counter:
 
 def eval_recounting_rho(expr, n: int = 2, seed: int = 0):
     """eval_pool with per-step retyping, where after every step pool_rho is
-    also compared with a recount of every unfinished thread in the full
-    thread registry, and the pool's incremental count and its verdict with
-    pool_rho and res_ok.  Returns (result, final value, steps checked)."""
+    also compared with a recount of every unfinished thread in a Registry of
+    every thread made, and the pool's incremental count (which holds no
+    zero entry) and its verdict with pool_rho and res_ok.  Returns (result,
+    final value, steps checked)."""
     steps = [0]
 
     def hook(pool, mt):
         M.retype_thread(pool, mt)
         recount = Counter()
-        for t in pool.threads.values():
-            if not t.finished and getattr(t, "mtlc", None) is not None:
+        for t in made.threads.values():
+            if not _ended(t) and getattr(t, "mtlc", None) is not None:
                 recount += rho_recount(t.mtlc.expr)
         assert M.pool_rho(pool) == recount, f"step {pool.step_no}"
-        assert Counter(mt.holders) == recount, f"step {pool.step_no}"
+        # as dicts, so an entry left at zero counts as a difference
+        assert dict(mt.holders) == dict(recount), f"step {pool.step_no}"
         assert (mt.holders.shared == 0) == M.res_ok(pool), f"step {pool.step_no}"
         steps[0] += 1
 
     pool = rt.Pool(n, seed=seed)
+    made = Registry(pool)
     mt = M.MtlcThread(pool, expr, hook, expected=M.typecheck(expr, n=n))
     res = pool.run()
     return res, mt.expr, steps[0]

@@ -179,7 +179,7 @@ def test_criterion_07_example3_fork_counters():
         assert res.status == "done"
         pr5 = [e for e in res.trace if e["rule"] == "PR5"]
         assert len(pr5) == 1 and len(pr5[0]["chans"]) == 2
-        assert len(res.pool.threads) == 5  # 3 parties + 2 fork-spawned
+        assert res.pool._next_tid == 5  # 3 parties + 2 fork-spawned
         done_msgs = sorted((e["label"], e["to"]) for e in rt.sync_events(res.trace)
                            if e["action"] == "msg")
         assert done_msgs == [("answer", 0), ("answer", 0),

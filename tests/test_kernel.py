@@ -53,6 +53,22 @@ class TestCheck:
         d = K.b_id((IFormula(1, A), IFormula(2, A)))
         K.check(d, calc)
 
+    @pytest.mark.parametrize("calc", [K.MRL(2), K.LMRL(2)])
+    def test_id_of_one_item_at_the_universe(self, calc):
+        # |- <U>a: one role set that is the whole universe partitions it
+        K.check(K.b_id((IFormula(3, A),)), calc)
+        # one item that is not primitive is refused as such, not for its count
+        with pytest.raises(K.CheckError, match=r"\(id\) items must be primitive$"):
+            K.check(K.b_id((IFormula(3, Neg(Endo((1, 0)), A)),)), calc)
+
+    def test_impl_ultrafilter_at_the_universe_size(self):
+        # @1 names a role of a universe of 2 (roles 0 and 1), @2 none
+        d = K.b_id((IFormula(1, A), IFormula(2, A)))
+        j = K.MRLJ(2, Ultra(1))
+        K.check(K.b_weaken(d, IFormula(1, Impl(IDENT, Ultra(1), A, B)), j), j)
+        with pytest.raises(K.CheckError, match=r"endo/ultrafilter outside universe$"):
+            K.check(K.b_weaken(d, IFormula(1, Impl(IDENT, Ultra(2), A, B)), j), j)
+
     def test_id_requires_complement(self):
         calc = K.LMRL(2)
         d = K.b_id((IFormula(1, A), IFormula(1, A)))

@@ -3,7 +3,10 @@ against a full recount, the scheduler against one that rescans the live pool,
 and the work one step does against the length of the run's history and the
 number of open channels."""
 
+import gc
 import random
+
+import pytest
 
 from multirole import mtlc as M
 from multirole import roles as rl
@@ -11,6 +14,7 @@ from multirole import runtime as rt
 from multirole import session as sn
 
 from helpers import (
+    Registry,
     RescanPool,
     chain_program,
     decisions_view,
@@ -173,6 +177,13 @@ class TestRecountOracle:
         res, val, steps = eval_recounting_rho(e)
         assert (res.status, type(val), steps) == ("deadlock", M.ERc, 2)
 
+    def test_mtlc_count_holds_only_held_endpoints(self):
+        # CUT2 moves endpoints between channels; the count drops each endpoint
+        # once no thread holds it, so it ends the run empty
+        res, _, steps = eval_recounting_rho(M.parse_program(CUT2, 2), seed=2)
+        assert res.status == "done" and steps and res.pool._next_eid > 2
+        assert dict(res.pool.mtlc_holders) == {}
+
     def test_demo2_deadlock(self):
         pool = demo2_pool(recount_every_event(rt.Pool(2, allow_demo=True)))
         assert pool.audit_log == [(1, False)]
@@ -189,6 +200,24 @@ def test_sequential_services_stay_relaxed():
     assert pool.run().status == "done"
     assert len(pool.audit_log) == 300
     assert all(ok for _, ok in pool.audit_log)
+
+
+def _runtime_objects() -> int:
+    """The runtime threads, channels and endpoints the collector reaches."""
+    gc.collect()
+    return sum(isinstance(o, (rt.Thread, rt.Channel, rt.Endpoint)) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("channels", [400, 1600])
+def test_long_history_holds_nothing_finished_and_stays_relaxed(channels):
+    # the pool forgets each thread and channel once it is finished, so with
+    # the result still held no thread, channel or endpoint of the run is left
+    before = _runtime_objects()
+    res = long_pool(channels, seed=channels).run()
+    assert res.status == "done" and len(res.trace) == 3 * channels
+    assert _runtime_objects() == before
+    assert len(res.pool.audit_log) == 3 * channels
+    assert all(ok for _, ok in res.pool.audit_log)
 
 
 def test_operation_on_just_finished_session_is_a_protocol_mismatch():
@@ -315,7 +344,9 @@ def test_endpoint_ids_are_numbered_per_pool():
     def eids():
         s = sn.parse_session(EX3, 3)
         pool = rt.pool_from_scripts(3, s, scripted_parties(s, [1, 2, 4]))
+        made = Registry(pool)
         assert pool.run().status == "done"
-        return [(c.cid, [e.eid for e in c.endpoints]) for c in pool.channels.values()]
+        assert len(made.channels) == pool._next_cid == 3  # the mconj forks two
+        return [(c.cid, [e.eid for e in c.endpoints]) for c in made.channels.values()]
 
     assert eids() == eids()

@@ -718,7 +718,7 @@ class TestEval:
         e = prog("(app (llam (u 1) unit) (thread_create (llam (u 1) unit)))")
         res, val = eval_pool(e, retype_every_step=True)
         assert res.status == "done"
-        assert len(res.pool.threads) == 2
+        assert res.pool._next_tid == 2
 
     def test_determinism(self):
         outs = {eval_pool(prog(PING_PONG), seed=7)[1] for _ in range(5)}

@@ -37,7 +37,7 @@ from multirole.runtime import (
 )
 from multirole.session import parse_session
 
-from helpers import preset_decisions, decisions_view, rand_session, scripted_parties
+from helpers import Registry, preset_decisions, decisions_view, rand_session, scripted_parties
 
 EX1 = ("title(1, 0)@quote(0, 1)@quote(0, 2)@"
        "contrib(1, 2)@option(2, proof(2, 0)@receipt(0, 2))")
@@ -106,6 +106,24 @@ class TestInvariants:
             assert res.status == "done"
             assert all(ok for _, ok in res.pool.audit_log)
 
+    def test_relaxed_at_its_bounds(self):
+        """relaxed() and the audit's copy of it: true on a pool with no
+        endpoint, threads or channels, and at slack threads + channels -
+        endpoints - 1 of exactly 0; false at slack -1."""
+        pool = Pool(2)
+        assert pool.relaxed()
+        pool._event("probe")
+        assert pool.audit_log[-1] == (1, True)
+        ch = pool.new_channel(norm(parse_session("a(0, 1)", 2)))
+        pool.new_endpoint(ch, 0b01)
+        pool.new_endpoint(ch, 0b10)
+        for threads, relaxed in ((1, False), (2, True)):  # slack -1, then 0
+            pool.add_thread(lambda t: iter(()))
+            assert (pool.live_threads(), pool.live_channels(), pool.live_endpoints()) \
+                == (threads, 1, 2)
+            pool._event("probe")
+            assert pool.relaxed() is pool.audit_log[-1][1] is relaxed, threads
+
     def test_linearity_fault_on_abandoned_endpoint(self):
         s = parse_session("a(0, 1)@b(1, 0)", 2)
         pool = pool_from_scripts(2, s, [(1, (CSync(),)),  # quits mid-session
@@ -162,7 +180,7 @@ class TestDemo:
         pool.add_script_thread((rt.CChan2Demo(part1, s, part2, s, ()),))
         with pytest.raises(rl.RoleError, match="role set 0x4 not within universe of 2 roles"):
             pool.run()
-        assert pool.channels == {}
+        assert pool._next_cid == 0  # refused before any channel is made
 
 
 class TestCuts:
@@ -249,13 +267,14 @@ class TestChanCut:
         specs, cut, keep, exc, text = CUT_REFUSALS[row]
         pool, eps = _cut_endpoints(*specs)
         args = cut(pool, eps)
+        made = Registry(pool)  # nothing has finished: no thread has run
         trace = list(pool.trace)
-        live = [(e.eid, e.live) for ch in pool.channels.values() for e in ch.endpoints]
+        live = [(e.eid, e.live) for ch in made.channels.values() for e in ch.endpoints]
         with pytest.raises(exc) as got:
             pool.chan_cut(args, keep)
         assert type(got.value) is exc and str(got.value) == text
         assert pool.trace == trace
-        assert [(e.eid, e.live) for ch in pool.channels.values() for e in ch.endpoints] == live
+        assert [(e.eid, e.live) for ch in made.channels.values() for e in ch.endpoints] == live
 
     # the cut shapes: the number of sides, keep, the calculus's constant
     SHAPES = [(1, False, "chan_1_cut"), (2, False, "chan_2_cut"), (3, False, "chan_3_cut"),
@@ -450,7 +469,7 @@ class TestFaultTexts:
         assert self._fault(pool) == "mconj(...) must end its session"
         with pytest.raises(ProtocolMismatch, match=r"^mconj\(\.\.\.\) must end its session$"):
             synthesize(norm(s), 0b01)
-        assert pool.channels.keys() == {0}  # refused before forking
+        assert pool._next_cid == 1  # refused before forking
 
     def test_endpoints_that_stop_partitioning_the_universe(self):
         pool = Pool(2)
