@@ -1158,7 +1158,7 @@ class MtlcThread:
                 val = EBool(bool(pool.rng.randrange(2)))
             elif cls is EConst and node.name == "thread_create" and len(vals) == 1:
                 self._spawn(vals[0], EUnit())
-                pool._event("PR1", action="thread")
+                pool._event({"step": pool.step_no, "rule": "PR1", "action": "thread"})
                 val = EUnit()
             elif cls is ELet and type(p := vals[0]) is ELPair:
                 term, env = node.body, _bind(_bind(fenv, node.x2, p.right), node.x1, p.left)
@@ -1208,19 +1208,18 @@ class MtlcThread:
                 same = ERc(ep) if name == "chan_skip" else EUnit()
                 return (lambda _v: same), _Block("sync", ep, "sync")
             case "chan_send":
-                return (lambda _v: ERc(ep)), \
-                    _Block("sync", ep, "send", payload=_py_value(args[1]))
+                return (lambda _v: ERc(ep)), _Block("sync", ep, "send", None, _py_value(args[1]))
             case "chan_recv":
                 return (lambda v: ELPair(_lift(v), ERc(ep))), _Block("sync", ep, "recv")
             case "chan_aconj_l" | "chan_aconj_r":
-                return (lambda _v: ERc(ep)), _Block("choice", ep, "choose", side=name[-1])
+                return (lambda _v: ERc(ep)), _Block("choice", ep, "choose", None, None, name[-1])
             case "chan_mconj":
                 return (lambda pair: ELPair(ERc(pair[0]), ERc(pair[1]))), \
                     _Block("mconj", ep, "mconj")
             case "chan_mdisj_l" | "chan_mdisj_r":
                 return (lambda keep: ERc(keep)), _Block(
-                    "mconj", ep, "mdisj", side=name[-1],
-                    spawn=lambda give: self._spawn(args[1], ERc(give)))
+                    "mconj", ep, "mdisj", None, None, name[-1],
+                    lambda give: self._spawn(args[1], ERc(give)))
             case "chan_1_cut" | "chan_2_cut" | "chan_3_cut" | "chan_2_cutres":
                 resid = pool.chan_cut(eps, name == "chan_2_cutres")
                 return (EUnit() if resid is None else ERc(resid)), None
@@ -1230,7 +1229,7 @@ class MtlcThread:
 def _threads(pool: Pool):
     """The pool's unfinished calculus threads."""
     for t in pool.active_threads.values():
-        if (m := getattr(t, "mtlc", None)) is not None:
+        if (m := t.mtlc) is not None:
             yield m
 
 

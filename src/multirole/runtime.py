@@ -23,7 +23,10 @@ A blocking command classifies once: _classify reads its register, refuses a
 consumed endpoint, a finished session or a head of the wrong class, and looks
 the head's kind up in session._ACTIONS.  The command records the kind on its
 _Block and the fire trusts it (a head moves only when its channel fires); a
-block made without a command has none and is classified at the fire.  A run
+block made without a command has none and is classified at the fire.  Each
+site that fires an event writes its record as one dict and hands it to
+Pool._event, the one writer of the trace and audit log.  Thread, Channel and
+Endpoint have fixed fields (__slots__); Thread.mtlc is the calculus's.  A run
 of sequential services costs at most 24 Python calls per event at any length.
 """
 
@@ -103,6 +106,8 @@ class LinearityFault(RuntimeFault):
 
 
 class Channel:
+    __slots__ = ("cid", "cursor", "endpoints", "live")
+
     def __init__(self, cid: int, cursor: tuple[SessionType, ...]):
         self.cid = cid
         self.cursor = cursor
@@ -112,6 +117,8 @@ class Channel:
 
 class Endpoint:
     """Numbered per pool by Pool.new_endpoint, else within its channel."""
+
+    __slots__ = ("eid", "channel", "roles", "live")
 
     def __init__(self, channel: Channel, roleset: int, eid: int | None = None):
         self.eid = len(channel.endpoints) if eid is None else eid
@@ -126,6 +133,7 @@ class Endpoint:
 
 _DEFAULT_PAYLOAD = {"unit": None, "int": 7, "str": "m"}
 _PAYLOAD_TYPES = {"unit": type(None), "int": int, "str": str}  # an int is no bool
+_TID = attrgetter("tid")  # the scheduler's sort key, by creation order
 
 
 def _forks(cursor: tuple[SessionType, ...]) -> tuple[tuple[SessionType, ...], ...]:
@@ -249,17 +257,17 @@ Command = (CSync | CSend | CRecv | CChoose | COffer | CLoop | COfferLoop | CMcon
 
 
 class _Block:
-    __slots__ = ("kind", "ep", "op", "side", "payload", "spawn", "action")
+    __slots__ = ("kind", "ep", "op", "action", "payload", "side", "spawn")
 
-    def __init__(self, kind: str, ep: Endpoint, op: str, side: str | None = None,
-                 payload: object = None, spawn: object = None, action: str | None = None):
+    def __init__(self, kind: str, ep: Endpoint, op: str, action: str | None = None,
+                 payload: object = None, side: str | None = None, spawn: object = None):
         self.kind = kind  # "sync" | "choice" | "mconj"
         self.ep = ep
         self.op = op  # send | recv | sync | choose | offer | mconj | mdisj
-        self.side = side
-        self.payload = payload
-        self.spawn = spawn  # callable(endpoint) -> None, used by mdisj
         self.action = action  # the head's kind as the blocking op found it, or None
+        self.payload = payload
+        self.side = side
+        self.spawn = spawn  # callable(endpoint) -> None, used by mdisj
 
 
 class Service(Record):
@@ -270,12 +278,15 @@ class Service(Record):
 
 
 class Thread:
+    __slots__ = ("tid", "gen", "regs", "block", "resume_value", "mtlc")
+
     def __init__(self, tid: int, gen):
         self.tid = tid
         self.gen = gen
         self.regs: dict[str, Endpoint] = {}
         self.block: _Block | None = None
         self.resume_value = None
+        self.mtlc = None  # the calculus thread this one runs (mtlc.MtlcThread), if any
 
 
 class Pool:
@@ -324,7 +335,7 @@ class Pool:
         return t
 
     def add_script_thread(self, cmds, regs=None) -> Thread:
-        return self.add_thread(partial(_exec, self, cmds=tuple(cmds)), regs)
+        return self.add_thread(partial(_exec, self, tuple(cmds)), regs)
 
     def service_create(self, name: str, roleset: int, session: SessionType,
                        acceptor) -> Service:
@@ -398,10 +409,9 @@ class Pool:
                 raise RuntimeFault(
                     f"channel {ch.cid}: endpoint role sets do not partition the universe")
 
-    def _event(self, rule: str, payload=None, **kw) -> None:
-        ev = {"step": self.step_no, "rule": rule, **kw}
-        if payload is not None:  # a unit payload is left out of the record
-            ev["payload"] = payload
+    def _event(self, ev: dict) -> None:
+        """The one writer of the trace and audit log; ev is the record as its
+        firing site wrote it: step, rule, its fields, then any payload."""
         self.trace.append(ev)
         self.step_no += 1
         if self._dirty:
@@ -443,7 +453,7 @@ class Pool:
         order, seed-shuffled."""
         ready, self._ready = self._ready, []
         if len(ready) > 1:  # shuffle draws nothing for fewer
-            ready.sort(key=attrgetter("tid"))
+            ready.sort(key=_TID)
             self.rng.shuffle(ready)
         return ready
 
@@ -558,8 +568,11 @@ class Pool:
         for t in receivers:  # a blocked thread's resume value is None
             t.resume_value = value
         self._advance(ch, sn.advance(ch.cursor))
-        self._event("PR4", chan=ch.cid, action=action,
-                    frm=frm, to=to, label=head.label, payload=value)
+        ev = {"step": self.step_no, "rule": "PR4", "chan": ch.cid, "action": action,
+              "frm": frm, "to": to, "label": head.label}
+        if value is not None:  # a unit payload is left out of the record
+            ev["payload"] = value
+        self._event(ev)
 
     def _fire_choice(self, ch: Channel, head, members) -> None:
         classify = _ACTIONS[head.__class__][0]
@@ -583,7 +596,8 @@ class Pool:
             t.resume_value = side
         # going round a loop again is bookkeeping, not an exchange
         if side == "r" or not isinstance(head, Repseq):
-            self._event("PR4", chan=ch.cid, action="choice", label=side)
+            self._event({"step": self.step_no, "rule": "PR4", "chan": ch.cid,
+                         "action": "choice", "label": side})
 
     def _fire_mconj(self, ch: Channel, head: SMConj, members) -> None:
         left, right = _forks(ch.cursor)
@@ -609,15 +623,15 @@ class Pool:
                 keep, give = (ep_a, ep_b) if blk.side == "l" else (ep_b, ep_a)
                 t.resume_value = keep
                 blk.spawn(give)
-        self._event("PR5", chan=ch.cid, action="mconj",
-                    chans=[ch_a.cid, ch_b.cid])
+        self._event({"step": self.step_no, "rule": "PR5", "chan": ch.cid, "action": "mconj",
+                     "chans": [ch_a.cid, ch_b.cid]})
 
     # -- caller-side channel surgery -----------------------------------
 
     def chan_create(self, part: int, session: SessionType, acceptor) -> Endpoint:
         rl.check_roleset(part, self.n)
         return self.chan_spawn(part, norm(session), lambda ep: self.add_thread(
-            partial(_exec, self, cmds=tuple(acceptor)), {"ep": ep}))
+            partial(_exec, self, tuple(acceptor)), {"ep": ep}))
 
     def chan_spawn(self, part: int, cursor: tuple[SessionType, ...], spawn) -> Endpoint:
         """A new channel at cursor: its endpoint at part goes to the thread
@@ -627,8 +641,8 @@ class Pool:
         spawned = self.new_endpoint(ch, part)
         mine = self.new_endpoint(ch, self.full & ~part)
         t = spawn(spawned)
-        self._event("PR3", chan=ch.cid, action="create", to=t.tid,
-                    label=rl.fmt_roleset(part))
+        self._event({"step": self.step_no, "rule": "PR3", "chan": ch.cid, "action": "create",
+                     "to": t.tid, "label": rl.fmt_roleset(part)})
         return mine
 
     def service_request(self, name: str) -> Endpoint:
@@ -638,8 +652,9 @@ class Pool:
         ch = self.new_channel(svc.cursor)
         mine = self.new_endpoint(ch, svc.roleset)
         spawned = self.new_endpoint(ch, self.full & ~svc.roleset)
-        t = self.add_thread(partial(_exec, self, cmds=svc.acceptor), {"ep": spawned})
-        self._event("PR3", chan=ch.cid, action="service", label=name, to=t.tid)
+        t = self.add_thread(partial(_exec, self, svc.acceptor), {"ep": spawned})
+        self._event({"step": self.step_no, "rule": "PR3", "chan": ch.cid, "action": "service",
+                     "label": name, "to": t.tid})
         return mine
 
     def chan_split(self, ep: Endpoint, part: int, spawned_cmds,
@@ -652,10 +667,9 @@ class Pool:
         ch = ep.channel
         ep_spawn = self.new_endpoint(ch, part)
         ep_keep = self.new_endpoint(ch, ep.roles & ~part)
-        t = self.add_thread(partial(_exec, self, cmds=tuple(spawned_cmds)),
-                            {spawn_reg: ep_spawn})
-        self._event("PR1", chan=ch.cid, action="split", to=t.tid,
-                    label=rl.fmt_roleset(part))
+        t = self.add_thread(partial(_exec, self, tuple(spawned_cmds)), {spawn_reg: ep_spawn})
+        self._event({"step": self.step_no, "rule": "PR1", "chan": ch.cid, "action": "split",
+                     "to": t.tid, "label": rl.fmt_roleset(part)})
         return ep_keep
 
     def chan_cut(self, eps: list[Endpoint], keep: bool = False) -> Endpoint | None:
@@ -685,7 +699,8 @@ class Pool:
                                    "that share no role")
         if len(eps) == 1 and not keep:
             self._consume(eps[0])
-            self._event("PR0", chan=chans[0].cid, action="cut1")
+            self._event({"step": self.step_no, "rule": "PR0", "chan": chans[0].cid,
+                         "action": "cut1"})
             self._cleanup_channels()
             return None
         merged = self.new_channel(cursor)
@@ -702,8 +717,9 @@ class Pool:
             c.endpoints = []
         self._dirty[merged.cid] = merged
         out = self.new_endpoint(merged, resid) if keep else None
-        self._event("PR0", chan=merged.cid, action="cutres" if keep else f"cut{len(eps)}",
-                    label=",".join(str(c.cid) for c in chans))
+        self._event({"step": self.step_no, "rule": "PR0", "chan": merged.cid,
+                     "action": "cutres" if keep else f"cut{len(eps)}",
+                     "label": ",".join(str(c.cid) for c in chans)})
         return out
 
     def chan2_create_demo(self, part1: int, session1: SessionType, part2: int,
@@ -718,8 +734,8 @@ class Pool:
         sp1, mine1 = self.new_endpoint(ch1, part1), self.new_endpoint(ch1, self.full & ~part1)
         sp2, mine2 = self.new_endpoint(ch2, part2), self.new_endpoint(ch2, self.full & ~part2)
         t = self.add_script_thread(acceptor, {"ep": sp1, "ep2": sp2})
-        self._event("PR3", chan=ch1.cid, action="create2", to=t.tid,
-                    label=f"{ch1.cid},{ch2.cid}")
+        self._event({"step": self.step_no, "rule": "PR3", "chan": ch1.cid, "action": "create2",
+                     "to": t.tid, "label": f"{ch1.cid},{ch2.cid}"})
         return mine1, mine2
 
 
@@ -782,7 +798,7 @@ def _classify(t: Thread, reg: str, heads=None, refusal: str = ""):
 
 def _sync(pool: Pool, t: Thread, cmd: CSync):
     ep, _, kind = _classify(t, cmd.reg, (Msg, Bcast, Gather), "sync at non-action head {}")
-    return _Block("sync", ep, "sync", action=kind)
+    return _Block("sync", ep, "sync", kind)
 
 
 def _send(pool: Pool, t: Thread, cmd: CSend):
@@ -792,7 +808,7 @@ def _send(pool: Pool, t: Thread, cmd: CSend):
             f"roles {rl.fmt_roleset(ep.roles)} cannot send {sn.fmt_session(head)}")
     value = _DEFAULT_PAYLOAD[head.payload] if cmd.payload is None \
         and head.payload != "unit" else cmd.payload
-    return _Block("sync", ep, "send", payload=value, action="send")
+    return _Block("sync", ep, "send", "send", value)
 
 
 def _recv(pool: Pool, t: Thread, cmd: CRecv):
@@ -800,22 +816,22 @@ def _recv(pool: Pool, t: Thread, cmd: CRecv):
     if kind != "recv":
         raise RoleMismatch(
             f"roles {rl.fmt_roleset(ep.roles)} cannot receive {sn.fmt_session(head)}")
-    return _Block("sync", ep, "recv", action="recv")
+    return _Block("sync", ep, "recv", "recv")
 
 
 def _choose(pool: Pool, t: Thread, cmd: CChoose):
     ep, _, kind = _classify(t, cmd.reg)
     if kind != "choose":
         raise RoleMismatch("only the deciding role set may choose here")
-    return _Block("choice", ep, "choose", side=cmd.side, action=kind)
+    return _Block("choice", ep, "choose", kind, None, cmd.side)
 
 
 def _offer(pool: Pool, t: Thread, cmd: COffer):
     ep, _, kind = _classify(t, cmd.reg)
     if kind != "offer":
         raise RoleMismatch("the deciding role set cannot offer")
-    side = yield _Block("choice", ep, "offer", action=kind)
-    yield from _exec(pool, t, cmd.left if side == "l" else cmd.right)
+    side = yield _Block("choice", ep, "offer", kind)
+    yield from _exec(pool, cmd.left if side == "l" else cmd.right, t)
 
 
 def _loop(pool: Pool, t: Thread, cmd: CLoop):
@@ -823,12 +839,12 @@ def _loop(pool: Pool, t: Thread, cmd: CLoop):
         ep, _, kind = _classify(t, cmd.reg, Repseq, "loop at a non-repseq head")
         if kind != "choose":
             raise RoleMismatch("only the deciding role set may loop here")
-        yield _Block("choice", ep, "choose", side="l", action=kind)
-        yield from _exec(pool, t, cmd.body)
+        yield _Block("choice", ep, "choose", kind, None, "l")
+        yield from _exec(pool, cmd.body, t)
     ep, _, kind = _classify(t, cmd.reg, Repseq, "loop exit at a non-repseq head")
     if kind != "choose":
         raise RoleMismatch("only the deciding role set may loop here")
-    yield _Block("choice", ep, "choose", side="r", action=kind)
+    yield _Block("choice", ep, "choose", kind, None, "r")
 
 
 def _offer_loop(pool: Pool, t: Thread, cmd: COfferLoop):
@@ -836,9 +852,9 @@ def _offer_loop(pool: Pool, t: Thread, cmd: COfferLoop):
         ep, _, kind = _classify(t, cmd.reg, Repseq, "offer_loop at a non-repseq head")
         if kind != "offer":
             raise RoleMismatch("the deciding role set cannot offer a loop")
-        if (yield _Block("choice", ep, "offer", action=kind)) == "r":
+        if (yield _Block("choice", ep, "offer", kind)) == "r":
             return
-        yield from _exec(pool, t, cmd.body)
+        yield from _exec(pool, cmd.body, t)
 
 
 def _mconj(pool: Pool, t: Thread, cmd: CMconj):
@@ -847,9 +863,9 @@ def _mconj(pool: Pool, t: Thread, cmd: CMconj):
         raise RoleMismatch("mconj requires the deciding role")
     ep_a, ep_b = yield _Block("mconj", ep, "mconj")
     t.regs[cmd.reg] = ep_a
-    yield from _exec(pool, t, cmd.first)
+    yield from _exec(pool, cmd.first, t)
     t.regs[cmd.reg] = ep_b
-    yield from _exec(pool, t, cmd.second)
+    yield from _exec(pool, cmd.second, t)
 
 
 def _mdisj(pool: Pool, t: Thread, cmd: CMdisj):
@@ -858,9 +874,9 @@ def _mdisj(pool: Pool, t: Thread, cmd: CMdisj):
         raise RoleMismatch("mdisj is for non-deciding role sets")
 
     def spawn(give):
-        pool.add_thread(partial(_exec, pool, cmds=tuple(cmd.spawned)), {cmd.reg: give})
+        pool.add_thread(partial(_exec, pool, tuple(cmd.spawned)), {cmd.reg: give})
 
-    t.regs[cmd.reg] = yield _Block("mconj", ep, "mdisj", side=cmd.side, spawn=spawn)
+    t.regs[cmd.reg] = yield _Block("mconj", ep, "mdisj", None, None, cmd.side, spawn)
 
 
 def _append(pool: Pool, t: Thread, cmd: CAppend):
@@ -868,7 +884,7 @@ def _append(pool: Pool, t: Thread, cmd: CAppend):
     if not ep.channel.cursor:
         raise ProtocolMismatch("append on a finished session")
     tail = ep.channel.cursor[1:]
-    yield from _exec(pool, t, cmd.body)
+    yield from _exec(pool, cmd.body, t)
     if _reg(t, cmd.reg).channel.cursor != tail:
         raise SubprotocolUnfinished("append block did not consume exactly its sub-session")
 
@@ -909,7 +925,7 @@ _STEPS = {CSync: _sync, CSend: _send, CRecv: _recv, CChoose: _choose, COffer: _o
           CServiceRequest: _service_request, CChan2Demo: _chan2_demo}
 
 
-def _exec(pool: Pool, t: Thread, cmds: tuple):
+def _exec(pool: Pool, cmds: tuple, t: Thread):
     """Generator interpreting one command block; yields _Block to wait.
     The function _STEPS holds for a command's class does the command and
     returns None if it does not wait, the _Block if it waits once and does

@@ -1156,8 +1156,8 @@ def recount_every_event(pool: rt.Pool) -> rt.Pool:
     event = pool._event
     made = Registry(pool)
 
-    def checked(rule, **kw):
-        event(rule, **kw)
+    def checked(ev):
+        event(ev)
         threads = sum(not _ended(t) for t in made.threads.values())
         chans = [c for c in made.channels.values() if c.live and c.cursor]
         eps = sum(e.live for c in chans for e in c.endpoints)
@@ -1497,7 +1497,7 @@ def eval_recounting_rho(expr, n: int = 2, seed: int = 0):
         M.retype_thread(pool, mt)
         recount = Counter()
         for t in made.threads.values():
-            if not _ended(t) and getattr(t, "mtlc", None) is not None:
+            if not _ended(t) and t.mtlc is not None:
                 recount += rho_recount(t.mtlc.expr)
         assert M.pool_rho(pool) == recount, f"step {pool.step_no}"
         # as dicts, so an entry left at zero counts as a difference
@@ -1648,7 +1648,7 @@ class SubstThread(M.MtlcThread):
                     out = EBool(bool(pool.rng.randrange(2)))
                 case EConst("thread_create", (f,)):
                     SubstThread(pool, EApp(f, EUnit()), self.hook)
-                    pool._event("PR1", action="thread")
+                    pool._event({"step": pool.step_no, "rule": "PR1", "action": "thread"})
                     out = EUnit()
                 case EConst(name, args) if name in M._CHAN_CONSTS:
                     out, effect = self._channel_op(name, args)

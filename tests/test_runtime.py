@@ -112,7 +112,7 @@ class TestInvariants:
         endpoints - 1 of exactly 0; false at slack -1."""
         pool = Pool(2)
         assert pool.relaxed()
-        pool._event("probe")
+        pool._event({"step": pool.step_no, "rule": "probe"})
         assert pool.audit_log[-1] == (1, True)
         ch = pool.new_channel(norm(parse_session("a(0, 1)", 2)))
         pool.new_endpoint(ch, 0b01)
@@ -121,7 +121,7 @@ class TestInvariants:
             pool.add_thread(lambda t: iter(()))
             assert (pool.live_threads(), pool.live_channels(), pool.live_endpoints()) \
                 == (threads, 1, 2)
-            pool._event("probe")
+            pool._event({"step": pool.step_no, "rule": "probe"})
             assert pool.relaxed() is pool.audit_log[-1][1] is relaxed, threads
 
     def test_linearity_fault_on_abandoned_endpoint(self):
@@ -645,7 +645,8 @@ class TestRefusalTexts:
         pool = Pool(2)
         ch = pool.new_channel(norm(parse_session(session, 2)))
         for roles, (kind, op, side) in zip((0b01, 0b10), blocks):
-            _raw_party(pool, ch, roles, lambda ep, k=kind, o=op, s=side: rt._Block(k, ep, o, s))
+            _raw_party(pool, ch, roles,
+                       lambda ep, k=kind, o=op, s=side: rt._Block(k, ep, o, side=s))
         assert _refusal(pool) == (*fault, 0)
 
     @pytest.mark.parametrize("ops, text", [
@@ -669,7 +670,7 @@ class TestRefusalTexts:
         ch = pool.new_channel(norm(parse_session("mconj(0, x(1, 0), y(1, 0))", 2)))
         for roles, op in zip((0b01, 0b10), ops):
             _raw_party(pool, ch, roles, lambda ep, o=op: rt._Block(
-                "mconj", ep, o, "l", spawn=lambda give: None))
+                "mconj", ep, o, side="l", spawn=lambda give: None))
         assert _refusal(pool) == (RoleMismatch, text, 0)
 
 
